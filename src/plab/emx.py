@@ -194,7 +194,9 @@ class FiniteHypothesis:
         return self.elements == other.elements
 
     def __hash__(self) -> int:
-        return hash(self.elements)
+        # Equal hypotheses have equal sizes, and the size is O(1) in both
+        # forms, so hashing a segment never builds its element set.
+        return hash(len(self))
 
     def __repr__(self) -> str:
         if self.is_segment:
@@ -331,8 +333,8 @@ def sample_complexity(epsilon, delta) -> int:
 class GuaranteeReport:
     """Monte Carlo verdict for a learner against the (eps, delta) guarantee."""
 
-    epsilon: object
-    delta: object
+    epsilon: Fraction
+    delta: Fraction
     d: int
     trials: int
     seed: int
@@ -341,11 +343,9 @@ class GuaranteeReport:
     bound: float
 
     def to_json(self) -> dict:
-        eps = str(self.epsilon) if isinstance(self.epsilon, Fraction) else float(self.epsilon)
-        del_ = str(self.delta) if isinstance(self.delta, Fraction) else float(self.delta)
         return {
-            "epsilon": eps,
-            "delta": del_,
+            "epsilon": str(self.epsilon),
+            "delta": str(self.delta),
             "d": self.d,
             "trials": self.trials,
             "seed": self.seed,
@@ -366,15 +366,17 @@ def verify_guarantee(
 ) -> GuaranteeReport:
     """Run seeded episodes of ``learner`` on samples of size d from P.
 
+    epsilon and delta are parsed once by ``as_fraction`` ("1/3", 0.2 -> 1/5).
     An episode succeeds when mass(P, learner(S)) >= opt - epsilon; the
-    comparison is exact when weights and epsilon are rational.  Each trial k
+    comparison is exact when the weights are rational.  Each trial k
     draws from the (seed, k) substream, so the report is reproducible and
     independent of trial execution order.  ci_halfwidth is the 3-sigma
     binomial half-width at the empirical rate; bound is 1-(1-eps)^d.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    target = opt_value(P) - (epsilon if isinstance(epsilon, (Fraction, int, float)) else as_fraction(epsilon))
+    epsilon, delta = as_fraction(epsilon), as_fraction(delta)
+    target = opt_value(P) - epsilon
     wins = 0
     for k in range(trials):
         S = SampleSeq(points=P.sample(substream(seed, k), d), seed=seed, stream=(k,))

@@ -45,7 +45,7 @@ class LinearConstraint:
         object.__setattr__(self, "rhs", as_fraction(self.rhs))
 
     def satisfied_by(self, x: Sequence[Fraction]) -> bool:
-        lhs = sum(c * v for c, v in zip(self.coeffs, x))
+        lhs = sum(c * v for c, v in zip(self.coeffs, x) if c)
         if self.relation == "<=":
             return lhs <= self.rhs
         if self.relation == ">=":
@@ -156,6 +156,7 @@ def build_pl_constraints(task: TaskSpec, epsilon, delta) -> tuple[LinearConstrai
 class LpResult:
     feasible: bool
     witness: dict[str, Fraction] | None
+    pivots: int = 0  # simplex pivots taken to reach the verdict
 
     def witness_kernel(self, task: TaskSpec) -> Kernel:
         """Reshape a witness over kernel_variables(task) into a Kernel."""
@@ -177,15 +178,17 @@ def lp_feasible(poly: PolytopeSpec, pl: Sequence[LinearConstraint] = ()) -> LpRe
     for c in merged:
         if len(c.coeffs) != len(poly.variables):
             raise ValueError("constraint arity does not match variable count")
+    before = simplex._pivots_done()
     point = simplex.feasible_point(
         len(poly.variables), [(c.coeffs, c.relation, c.rhs) for c in merged]
     )
+    pivots = simplex._pivots_done() - before
     if point is None:
-        return LpResult(feasible=False, witness=None)
+        return LpResult(feasible=False, witness=None, pivots=pivots)
     bad = [c for c in merged if not c.satisfied_by(point)]
     if bad:  # would indicate a simplex bug; never trust an unchecked witness
         raise AssertionError(f"witness violates {len(bad)} constraints")
-    return LpResult(feasible=True, witness=dict(zip(poly.variables, point)))
+    return LpResult(feasible=True, witness=dict(zip(poly.variables, point)), pivots=pivots)
 
 
 def no_signaling_polytope(n_a: int, n_b: int, n_x: int, n_y: int) -> PolytopeSpec:
@@ -255,12 +258,7 @@ def affine_dimension(poly: PolytopeSpec) -> int:
         if piv is None:
             continue
         eq_rows[rank], eq_rows[piv] = eq_rows[piv], eq_rows[rank]
-        lead = eq_rows[rank][col]
-        eq_rows[rank] = [v / lead for v in eq_rows[rank]]
-        for r in range(len(eq_rows)):
-            if r != rank and eq_rows[r][col] != 0:
-                f = eq_rows[r][col]
-                eq_rows[r] = [v - f * w for v, w in zip(eq_rows[r], eq_rows[rank])]
+        simplex._eliminate(eq_rows, rank, col)
         rank += 1
     return n - rank
 

@@ -4,47 +4,79 @@ No floats anywhere: a Feasible answer comes with a witness satisfying every
 constraint exactly, and Infeasible means the phase-1 optimum is a positive
 rational.  Variables are free reals (split internally as u - v); constraints
 are (coeffs, relation, rhs) with relation in {"<=", "=", ">="}.
+
+The tableau is dense, but every pivot touches only the nonzero entries of the
+pivot row, and only the rows whose entry in the entering column is nonzero.
+Skipped entries would compute v - f*0 = v, so the values, the pivot path and
+the witness are exactly those of a full dense update.  ``affine_dimension``
+in ``plab.feasibility`` runs its Gauss-Jordan steps through the same
+elimination core.
 """
 
 from __future__ import annotations
 
+import threading
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 RELATIONS = ("<=", "=", ">=")
+
+# Pivots made by feasible_point in each thread since import.  A caller reads
+# the difference around its call, so the public signature stays a point or
+# None, and concurrent solves in other threads do not enter the count.
+_counts = threading.local()
+
+
+def _pivots_done() -> int:
+    return getattr(_counts, "pivots", 0)
+
+
+def _eliminate(rows: list[list[Fraction]], r: int, col: int) -> None:
+    """Gauss-Jordan step in place: scale row r so its entry in col is 1, then
+    clear col from every other row.  Only the nonzero columns of row r are
+    touched, and only in rows whose entry in col is nonzero."""
+    prow = rows[r]
+    piv = prow[col]
+    nz = [j for j, v in enumerate(prow) if v]
+    for j in nz:
+        prow[j] = prow[j] / piv
+    for i, row in enumerate(rows):
+        f = row[col]
+        if f and i != r:
+            for j in nz:
+                row[j] = row[j] - f * prow[j]
 
 
 def feasible_point(
     num_vars: int, constraints: Iterable[tuple[Sequence[Fraction], str, Fraction]]
 ) -> list[Fraction] | None:
     """A point satisfying all constraints, or None if the system is infeasible."""
-    rows: list[list[Fraction]] = []
+    rows: list[list[tuple[int, Fraction]]] = []  # nonzero (column, coefficient)
     rels: list[str] = []
     rhss: list[Fraction] = []
     for coeffs, rel, rhs in constraints:
-        coeffs = [Fraction(c) for c in coeffs]
+        coeffs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         if len(coeffs) != num_vars:
             raise ValueError(f"coefficient row of length {len(coeffs)}, expected {num_vars}")
         if rel not in RELATIONS:
             raise ValueError(f"unknown relation {rel!r}")
+        entries = [(j, c) for j, c in enumerate(coeffs) if c]
         rhs = Fraction(rhs)
         if rhs < 0:  # canonical: rhs >= 0
-            coeffs = [-c for c in coeffs]
+            entries = [(j, -c) for j, c in entries]
             rhs = -rhs
             rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
         if rel == ">=" and rhs == 0:  # avoid a needless artificial
-            coeffs = [-c for c in coeffs]
+            entries = [(j, -c) for j, c in entries]
             rel = "<="
-        rows.append(coeffs)
+        rows.append(entries)
         rels.append(rel)
         rhss.append(rhs)
 
     m = len(rows)
-    n_split = 2 * num_vars
-    n_slack = sum(1 for r in rels if r != "=")
     slack_of = {}
     art_of = {}
-    col = n_split
+    col = 2 * num_vars
     for i, r in enumerate(rels):
         if r != "=":
             slack_of[i] = col
@@ -56,13 +88,14 @@ def feasible_point(
     width = col + 1  # + rhs
     rhs_col = col
 
+    # rows 0..m-1 are the constraints, row m is the objective
     tableau: list[list[Fraction]] = []
     basis: list[int] = []
     zero = Fraction(0)
     one = Fraction(1)
     for i in range(m):
         row = [zero] * width
-        for j, c in enumerate(rows[i]):
+        for j, c in rows[i]:
             row[j] = c
             row[num_vars + j] = -c
         if i in slack_of:
@@ -80,11 +113,14 @@ def feasible_point(
     obj = [zero] * width
     for i in range(m):
         if basis[i] in art_cols:
-            for j in range(width):
-                obj[j] += tableau[i][j]
+            for j, v in enumerate(tableau[i]):
+                if v:
+                    obj[j] += v
     for j in art_cols:
         obj[j] -= one
+    tableau.append(obj)
 
+    pivots = 0
     while True:
         enter = next((j for j in range(rhs_col) if obj[j] > 0), None)
         if enter is None:
@@ -101,16 +137,10 @@ def feasible_point(
         if leave is None:
             # unbounded phase-1 cannot happen (objective bounded below by 0)
             raise RuntimeError("phase-1 simplex reported unbounded")
-        piv = tableau[leave][enter]
-        tableau[leave] = [v / piv for v in tableau[leave]]
-        for i in range(m):
-            if i != leave and tableau[i][enter] != 0:
-                f = tableau[i][enter]
-                tableau[i] = [v - f * p for v, p in zip(tableau[i], tableau[leave])]
-        if obj[enter] != 0:
-            f = obj[enter]
-            obj = [v - f * p for v, p in zip(obj, tableau[leave])]
+        _eliminate(tableau, leave, enter)
         basis[leave] = enter
+        pivots += 1
+    _counts.pivots = _pivots_done() + pivots
 
     if obj[rhs_col] != 0:
         return None

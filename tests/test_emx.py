@@ -111,6 +111,17 @@ class TestFiniteHypothesis:
         dom = IndexedDomain("abc")
         assert "z" not in dom.initial_segment(2)
 
+    def test_segment_hash_does_not_enumerate(self):
+        seg = IndexedDomain(range(2**40)).initial_segment(2**39)
+        assert hash(seg) == hash(IndexedDomain(range(2**40)).initial_segment(2**39))
+
+    def test_equal_forms_hash_alike(self):
+        dom = IndexedDomain("abcde")
+        seg = dom.initial_segment(3)
+        explicit = FiniteHypothesis.from_elements("cab")
+        assert seg == explicit and hash(seg) == hash(explicit)
+        assert len({seg, explicit, dom.initial_segment(99), FiniteHypothesis.from_elements("abcde")}) == 2
+
 
 class TestFinSupportDist:
     def test_rational_weights_must_sum_to_one_exactly(self):
@@ -291,6 +302,14 @@ class TestVerifyGuarantee:
         }
         assert obj["epsilon"] == "1/2"
         assert obj["bound"] == pytest.approx(0.75)
+
+    def test_rational_strings_accepted(self):
+        P = uniform_on("ab")
+        dom = IndexedDomain("ab")
+        rep = verify_guarantee(self.learner(dom), P, "1/2", "1/2", 2, 10, seed=1)
+        want = verify_guarantee(self.learner(dom), P, Fraction(1, 2), Fraction(1, 2), 2, 10, seed=1)
+        assert rep == want
+        assert rep.to_json()["delta"] == "1/2"
 
     def test_trials_validated(self):
         P = uniform_on("ab")
