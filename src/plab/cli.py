@@ -1,7 +1,9 @@
 """plab command line: seeded experiment configs in, deterministic reports out.
 
-Subcommands: emx | coarse | compress | quantum | feasible.  Each accepts
---config FILE (a JSON experiment config) with flags overriding config keys.
+Subcommands (emx | coarse | compress | quantum | feasible) and their parameters
+are declared once, in ``_KINDS``; parsers, config validation and the defaults
+the runners see are generated from it.  Each subcommand accepts --config FILE
+(a JSON experiment config) with flags overriding config keys.
 Reports are JSON {config, metrics, sweep?, wall_clock_s, version} written
 atomically; floats are pinned to 12 significant digits so identical
 (config, seed) runs produce byte-identical reports apart from wall_clock_s.
@@ -17,6 +19,7 @@ import math
 import os
 import sys
 import time
+from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -26,6 +29,7 @@ from . import __version__, coarse, compression, feasibility, quantum
 from .emx import (
     FinSupportDist,
     IndexedDomain,
+    as_fraction,
     quantile_learn,
     sample_complexity,
     verify_guarantee,
@@ -33,15 +37,6 @@ from .emx import (
 from .tasks import TaskSpec
 
 DEFAULT_SEED = 20177
-KINDS = ("emx", "coarse", "compress", "quantum", "feasible-lp", "feasible-sdp")
-_REQUIRED = {
-    "emx": ("dist",),
-    "coarse": ("dist",),
-    "compress": ("mode",),
-    "quantum": ("gamma",),
-    "feasible-lp": ("task",),
-    "feasible-sdp": ("task", "states"),
-}
 
 
 @dataclass
@@ -51,24 +46,53 @@ class ExperimentConfig:
     seed: int = DEFAULT_SEED
     out: str | None = None
 
-    def validate(self) -> None:
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown experiment kind {self.kind!r} (known: {', '.join(KINDS)})")
-        missing = [k for k in _REQUIRED[self.kind] if self.parameters.get(k) is None]
-        if missing:
-            raise ValueError(f"{self.kind} config missing required parameters: {', '.join(missing)}")
+    def __post_init__(self) -> None:
+        for key, types, want in (("kind", str, "a string"), ("parameters", dict, "an object"),
+                                 ("seed", int, "an integer"), ("out", (str, type(None)), "a string or null")):
+            value = getattr(self, key)
+            if not isinstance(value, types) or isinstance(value, bool):
+                raise ValueError(f"config key {key!r} must be {want}, got {value!r}")
+
+    def validate(self) -> dict:
+        """Every parameter the kind declares: the value converted to its declared type (rationals
+        by ``as_fraction``), else the default, null counting as absent.  Raise ValueError naming the
+        key for a malformed config, unknown kind or parameter, mistyped or missing value."""
+        self.__post_init__()  # the shape may have changed since construction
+        if self.kind not in _KINDS:
+            raise ValueError(f"unknown experiment kind {self.kind!r} (known: {', '.join(_KINDS)})")
+        declared = _KINDS[self.kind].params
+        names = [p.name for p in declared]
+        unknown = [key for key in self.parameters if key not in names]
+        if unknown:
+            raise ValueError(f"unknown {self.kind} parameter {unknown[0]!r} (known: {', '.join(names)})")
+        out = {}
+        for p in declared:
+            value = self.parameters.get(p.name)
+            if value is None:
+                if p.required in (True, self.parameters.get("mode")):
+                    raise ValueError(f"{self.kind} config missing required parameter {p.name!r}")
+                out[p.name] = p.default
+                continue
+            if not _fits(p, value):
+                what = f"one of {p.choices}" if p.choices else " or ".join(t.__name__ for t in _JSON_TYPES[p.type])
+                what = f"a list of {what}" if p.many else what
+                raise ValueError(f"{self.kind} parameter {p.name!r} must be {what}, got {value!r}")
+            convert = as_fraction if p.type is Fraction else p.type
+            try:
+                out[p.name] = [convert(v) for v in value] if p.many else convert(value)
+            except (ValueError, ArithmeticError) as exc:  # a bad rational, a huge integer
+                raise ValueError(f"{self.kind} parameter {p.name!r}: {exc}") from None
+        return out
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "parameters": dict(self.parameters), "seed": self.seed, "out": self.out}
 
     @classmethod
-    def from_json(cls, obj: dict) -> "ExperimentConfig":
-        return cls(
-            kind=obj.get("kind", ""),
-            parameters=dict(obj.get("parameters", {})),
-            seed=int(obj.get("seed", DEFAULT_SEED)),
-            out=obj.get("out"),
-        )
+    def from_json(cls, obj) -> "ExperimentConfig":
+        """Config from parsed JSON; TypeError on an unknown or missing key, ValueError on a bad shape."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"config must be a JSON object, got {type(obj).__name__}")
+        return cls(**obj)
 
 
 @dataclass
@@ -80,15 +104,10 @@ class RunReport:
     version: str
 
     def to_json(self) -> dict:
-        out = {
-            "config": _pin(self.config),
-            "metrics": _pin(self.metrics),
-            "wall_clock_s": _pin(self.wall_clock_s),
-            "version": self.version,
-        }
-        if self.sweep is not None:
-            out["sweep"] = _pin(self.sweep)
-        return out
+        out = dict(vars(self))
+        if self.sweep is None:
+            del out["sweep"]
+        return _pin(out)
 
 
 def _pin(obj):
@@ -125,78 +144,62 @@ def emit_table(report: RunReport, path: str, fmt: str = "csv") -> None:
     if not report.sweep:
         raise ValueError("report has no sweep to tabulate")
     rows = _pin(report.sweep)
-    header = list(rows[0].keys())
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=header)
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str, parse):
+    """``parse`` of the JSON in ``path``; wrong types or keys in it raise ValueError naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        obj = json.load(fh)
+    try:
+        return parse(obj)
+    except (TypeError, KeyError, AttributeError) as exc:
+        raise ValueError(f"malformed {path}: {exc}") from None
 
 
-def _frac(value, default: str) -> Fraction:
-    return Fraction(str(value if value is not None else default))
+def _guarantee(p: dict, seed: int, learner, dist: FinSupportDist, d: int) -> dict:
+    """Monte Carlo guarantee check at sample size d with the run's epsilon, delta and trials."""
+    rep = verify_guarantee(learner, dist, p["epsilon"], p["delta"], d, p["trials"], seed)
+    return {key: getattr(rep, key) for key in ("d", "empirical_rate", "ci_halfwidth", "bound")}
 
 
-def _guarantee_metrics(report) -> dict:
-    return {
-        "d": report.d,
-        "empirical_rate": report.empirical_rate,
-        "ci_halfwidth": report.ci_halfwidth,
-        "bound": report.bound,
-    }
-
-
-def _run_emx(params: dict, seed: int):
-    dist = FinSupportDist.from_json(_load_json(params["dist"]))
-    eps = _frac(params.get("epsilon"), "1/3")
-    dlt = _frac(params.get("delta"), "1/3")
-    trials = int(params.get("trials", 1000))
+def _run_emx(p: dict, seed: int):
+    dist = _load_json(p["dist"], FinSupportDist.from_json)
     dom = IndexedDomain(dist.support)
-    learner = lambda s: quantile_learn(s, dom)  # noqa: E731
-    d = int(params["d"]) if params.get("d") is not None else sample_complexity(eps, dlt)
-    metrics = dict(_guarantee_metrics(verify_guarantee(learner, dist, eps, dlt, d, trials, seed)))
-    metrics["sample_complexity"] = sample_complexity(eps, dlt)
-    sweep = None
-    if params.get("sweep_d"):
-        sweep = [
-            {"d": dd, **_guarantee_metrics(verify_guarantee(learner, dist, eps, dlt, dd, trials, seed))}
-            for dd in params["sweep_d"]
-        ]
-    return metrics, sweep
+
+    def run(d: int) -> dict:
+        return _guarantee(p, seed, lambda s: quantile_learn(s, dom), dist, d)
+
+    need = sample_complexity(p["epsilon"], p["delta"])
+    metrics = {**run(need if p["d"] is None else p["d"]), "sample_complexity": need}
+    sweep = [run(d) for d in p["sweep_d"] or ()]
+    return metrics, sweep or None
 
 
-def _run_coarse(params: dict, seed: int):
-    raw = _load_json(params["dist"])
-    dist = FinSupportDist([float(x) for x in raw["labels"]], raw["weights"])
-    eps = _frac(params.get("epsilon"), "1/3")
-    dlt = _frac(params.get("delta"), "1/3")
-    trials = int(params.get("trials", 1000))
-    d = int(params["d"]) if params.get("d") is not None else sample_complexity(eps, dlt)
+def _run_coarse(p: dict, seed: int):
+    dist = _load_json(p["dist"], lambda raw: FinSupportDist([float(as_fraction(x)) for x in raw["labels"]],
+                                                            raw["weights"]))
+    d = sample_complexity(p["epsilon"], p["delta"]) if p["d"] is None else p["d"]
 
-    def run_bits(bits: int) -> dict:
+    def run(bits: int) -> dict:
         pi = coarse.UniformBinsMap(bits)
-        learner = lambda s: coarse.coarse_learn(s, pi, eps, dlt)  # noqa: E731
-        rep = verify_guarantee(learner, dist, eps, dlt, d, trials, seed)
-        return {"bits": bits, **_guarantee_metrics(rep)}
+        learner = lambda s: coarse.coarse_learn(s, pi, p["epsilon"], p["delta"])  # noqa: E731
+        return {"bits": bits, **_guarantee(p, seed, learner, dist, d)}
 
-    metrics = run_bits(int(params.get("bits", 8)))
-    sweep = [run_bits(int(b)) for b in params["sweep_bits"]] if params.get("sweep_bits") else None
-    return metrics, sweep
+    metrics = run(p["bits"])
+    sweep = [run(b) for b in p["sweep_bits"] or ()]
+    return metrics, sweep or None
 
 
-def _run_compress(params: dict, seed: int):
-    mode = params["mode"]
-    if mode == "demo":
-        labels = params["domain"]
-        pair = tuple(params["pair"])
+def _run_compress(p: dict, seed: int):
+    if p["mode"] == "demo":
+        pair = tuple(p["pair"])
         if len(pair) != 2:
             raise ValueError("demo mode wants exactly two points")
-        dom = IndexedDomain(labels)
+        dom = IndexedDomain(p["domain"])
         kept = compression.compress_two_to_one(pair[0], pair[1], dom)
         scheme = compression.two_to_one_scheme(dom)
         sub = compression.check_monotone_coverage(scheme, pair)
@@ -207,85 +210,61 @@ def _run_compress(params: dict, seed: int):
             "reconstructed": reconstructed,
             "covered": sub is not None,
         }, None
-    if mode == "lemma1":
-        dist = FinSupportDist.from_json(_load_json(params["dist"]))
-        eps = _frac(params.get("epsilon"), "1/3")
-        dlt = _frac(params.get("delta"), "1/3")
-        m = int(params.get("m", 1))
-        trials = int(params.get("trials", 2000))
-        need = compression.required_n(m)
-        dom = IndexedDomain(dist.support)
-        scheme = compression.segment_scheme(dom, m)
-        learner = lambda s: compression.compression_learner(scheme, s, dom)  # noqa: E731
+    dist = _load_json(p["dist"], FinSupportDist.from_json)
+    need = compression.required_n(p["m"])
+    dom = IndexedDomain(dist.support)
+    scheme = compression.segment_scheme(dom, p["m"])
+    learner = lambda s: compression.compression_learner(scheme, s, dom)  # noqa: E731
 
-        def run_n(n: int) -> dict:
-            rep = verify_guarantee(learner, dist, eps, dlt, n, trials, seed)
-            return {
-                "n": n,
-                "empirical_rate": rep.empirical_rate,
-                "ci_halfwidth": rep.ci_halfwidth,
-                "target_rate": 1.0 - float(dlt),
-            }
+    def run(n: int) -> dict:
+        rep = verify_guarantee(learner, dist, p["epsilon"], p["delta"], n, p["trials"], seed)
+        return {"n": n, "empirical_rate": rep.empirical_rate, "ci_halfwidth": rep.ci_halfwidth,
+                "target_rate": 1.0 - float(p["delta"])}
 
-        n = int(params["n"]) if params.get("n") is not None else need
-        metrics = {"m": m, "required_n": need, **run_n(n)}
-        sweep = [run_n(int(v)) for v in params["sweep_n"]] if params.get("sweep_n") else None
-        return metrics, sweep
-    raise ValueError(f"unknown compress mode {mode!r}")
+    metrics = {"m": p["m"], "required_n": need, **run(need if p["n"] is None else p["n"])}
+    sweep = [run(n) for n in p["sweep_n"] or ()]
+    return metrics, sweep or None
 
 
 def _discrimination_point(gamma: float, d: int, delta) -> dict:
     psi0 = quantum.DensityMatrix.pure([1.0, 0.0])
     psi1 = quantum.DensityMatrix.pure([gamma, math.sqrt(max(0.0, 1.0 - gamma * gamma))])
-    povm = quantum.helstrom_povm(psi0, psi1, d)
+    # Each d-copy state is built once; the helpers then take it with d=1.
+    r0, r1 = quantum.tensor_power(psi0, d), quantum.tensor_power(psi1, d)
     point = {
         "gamma": gamma,
         "copies": d,
-        "trace_distance": quantum.trace_distance(
-            quantum.tensor_power(psi0, d), quantum.tensor_power(psi1, d)
-        ),
+        "trace_distance": quantum.trace_distance(r0, r1),
         "formula": quantum.pure_distance_formula(gamma, d),
-        "bound": quantum.helstrom_bound(psi0, psi1, d),
-        "achieved": quantum.discrimination_sum(povm, psi0, psi1, d),
+        "bound": quantum.helstrom_bound(r0, r1),
+        "achieved": quantum.discrimination_sum(quantum.helstrom_povm(r0, r1), r0, r1),
         "delta_min": quantum.delta_min(gamma, d),
     }
     if delta is not None:
-        point["d_min"] = quantum.copies_min(gamma, float(delta))
+        point["d_min"] = quantum.copies_min(gamma, delta)
     return point
 
 
-def _run_quantum(params: dict, seed: int):
-    op = params.get("op", "discriminate")
-    if op != "discriminate":
-        raise ValueError(f"unknown quantum operation {op!r}")
-    gamma = float(params["gamma"])
-    d = int(params.get("copies", 1))
-    delta = params.get("delta")
+def _run_quantum(p: dict, seed: int):
+    gamma, d, delta = p["gamma"], p["copies"], p["delta"]
     metrics = _discrimination_point(gamma, d, delta)
-    sweep = None
-    if params.get("sweep_gamma"):
-        sweep = [
-            {k: v for k, v in _discrimination_point(float(g), d, delta).items() if k != "copies"}
-            for g in params["sweep_gamma"]
-        ]
-    elif params.get("sweep_copies"):
-        sweep = [
-            {k: v for k, v in _discrimination_point(gamma, int(dd), delta).items() if k != "gamma"}
-            for dd in params["sweep_copies"]
-        ]
-    return metrics, sweep
+    if p["sweep_gamma"]:
+        points = [_discrimination_point(g, d, delta) for g in p["sweep_gamma"]]
+        fixed = "copies"
+    else:
+        points = [_discrimination_point(gamma, dd, delta) for dd in p["sweep_copies"] or ()]
+        fixed = "gamma"
+    sweep = [{k: v for k, v in point.items() if k != fixed} for point in points]
+    return metrics, sweep or None
 
 
-def _run_feasible_lp(params: dict, seed: int):
-    task = TaskSpec.from_json(_load_json(params["task"]))
-    poly = (
-        feasibility.PolytopeSpec.from_json(_load_json(params["polytope"]))
-        if params.get("polytope")
-        else feasibility.kernel_polytope(task)
-    )
-    eps = _frac(params.get("epsilon"), "1/2")
-    dlt = _frac(params.get("delta"), "1/5")
-    rows = feasibility.build_pl_constraints(task, eps, dlt)
+def _run_feasible_lp(p: dict, seed: int):
+    task = _load_json(p["task"], TaskSpec.from_json)
+    if p["polytope"]:
+        poly = _load_json(p["polytope"], feasibility.PolytopeSpec.from_json)
+    else:
+        poly = feasibility.kernel_polytope(task)
+    rows = feasibility.build_pl_constraints(task, p["epsilon"], p["delta"])
     result = feasibility.lp_feasible(poly, rows)
     metrics: dict = {"verdict": "feasible" if result.feasible else "infeasible"}
     if result.feasible:
@@ -293,19 +272,15 @@ def _run_feasible_lp(params: dict, seed: int):
     return metrics, None
 
 
-def _run_feasible_sdp(params: dict, seed: int):
-    task = TaskSpec.from_json(_load_json(params["task"]))
-    states_dir = params["states"]
+def _run_feasible_sdp(p: dict, seed: int):
+    task = _load_json(p["task"], TaskSpec.from_json)
     states = []
     for theta in task.thetas:
-        path = os.path.join(states_dir, f"{theta}.json")
+        path = os.path.join(p["states"], f"{theta}.json")
         if not os.path.exists(path):
             raise ValueError(f"missing state file for environment {theta!r}: {path}")
-        states.append(quantum.DensityMatrix.from_json(_load_json(path)))
-    eps = _frac(params.get("epsilon"), "1/2")
-    dlt = _frac(params.get("delta"), "1/5")
-    d = int(params.get("copies", 1))
-    result = feasibility.sdp_feasible(states, task, eps, dlt, d=d)
+        states.append(_load_json(path, quantum.DensityMatrix.from_json))
+    result = feasibility.sdp_feasible(states, task, p["epsilon"], p["delta"], d=p["copies"])
     metrics: dict = {"verdict": result.verdict, "sweeps": result.sweeps}
     if result.residual is not None:
         metrics["residual"] = result.residual
@@ -316,21 +291,87 @@ def _run_feasible_sdp(params: dict, seed: int):
     return metrics, None
 
 
-_RUNNERS = {
-    "emx": _run_emx,
-    "coarse": _run_coarse,
-    "compress": _run_compress,
-    "quantum": _run_quantum,
-    "feasible-lp": _run_feasible_lp,
-    "feasible-sdp": _run_feasible_sdp,
+# One experiment parameter: config key ``name``, flag ``--name`` with dashes.  ``type``
+# is int, float, str, or Fraction for a rational ("1/3" or a number); ``many`` makes
+# it a list (a comma-separated flag); ``required`` is True or the ``mode`` needing it;
+# ``flag=False`` marks a key the subcommand sets.
+_Param = namedtuple("_Param", "name type default help many required choices flag",
+                    defaults=(None, "", False, False, None, True))
+# Subcommand words, help, runner(parameters, seed) -> (metrics, sweep), parameters.
+_Kind = namedtuple("_Kind", "words help run params")
+
+
+def _accuracy(epsilon: str, delta: str) -> tuple[_Param, _Param]:
+    return (_Param("epsilon", Fraction, Fraction(epsilon), "accuracy epsilon, a rational such as 1/3"),
+            _Param("delta", Fraction, Fraction(delta), "failure probability delta, a rational such as 1/5"))
+
+
+_KINDS = {
+    "emx": _Kind(("emx",), "quantile-learner guarantee runs", _run_emx, (
+        *_accuracy("1/3", "1/3"),
+        _Param("dist", str, help="distribution JSON file", required=True),
+        _Param("trials", int, 1000, "Monte Carlo trials"),
+        _Param("d", int, help="sample size (default: the sample complexity)"),
+        _Param("sweep_d", int, help="comma-separated sample sizes to sweep", many=True),
+    )),
+    "coarse": _Kind(("coarse",), "finite-precision learning runs", _run_coarse, (
+        _Param("bits", int, 8, "bin resolution in bits"),
+        *_accuracy("1/3", "1/3"),
+        _Param("dist", str, help="distribution JSON file, labels in [0,1]", required=True),
+        _Param("trials", int, 1000, "Monte Carlo trials"),
+        _Param("d", int, help="sample size (default: the sample complexity)"),
+        _Param("sweep_bits", int, help="comma-separated resolutions to sweep", many=True),
+    )),
+    "compress": _Kind(("compress",), "compression demos and ERM runs", _run_compress, (
+        _Param("mode", str, help="2->1 round trip or threshold-size ERM", required=True,
+               choices=("demo", "lemma1")),
+        _Param("domain", str, help="comma-separated domain labels (demo)", many=True, required="demo"),
+        _Param("pair", str, help="two comma-separated points (demo)", many=True, required="demo"),
+        _Param("m", int, 1, "points kept by the scheme (lemma1)"),
+        _Param("n", int, help="sample size (lemma1; default: the required size)"),
+        _Param("dist", str, help="distribution JSON file (lemma1)", required="lemma1"),
+        _Param("trials", int, 2000, "Monte Carlo trials (lemma1)"),
+        *_accuracy("1/3", "1/3"),
+        _Param("sweep_n", int, help="comma-separated sample sizes to sweep (lemma1)", many=True),
+    )),
+    "quantum": _Kind(("quantum", "discriminate"), "two-state discrimination summary", _run_quantum, (
+        _Param("op", str, "discriminate", choices=("discriminate",), flag=False),
+        _Param("gamma", float, help="overlap of the two pure states", required=True),
+        _Param("copies", int, 1, "number of copies d"),
+        _Param("delta", float, help="target error; adds the least copy count d_min"),
+        _Param("sweep_gamma", float, help="comma-separated overlaps to sweep", many=True),
+        _Param("sweep_copies", int, help="comma-separated copy counts to sweep", many=True),
+    )),
+    "feasible-lp": _Kind(("feasible", "lp"), "exact rational feasibility", _run_feasible_lp, (
+        _Param("task", str, help="task JSON file", required=True),
+        _Param("polytope", str, help="polytope JSON file (default: the kernel polytope)"),
+        *_accuracy("1/2", "1/5"),
+    )),
+    "feasible-sdp": _Kind(("feasible", "sdp"), "POVM feasibility for d-copy models", _run_feasible_sdp, (
+        _Param("task", str, help="task JSON file", required=True),
+        _Param("states", str, help="directory with one <theta>.json state per environment", required=True),
+        _Param("copies", int, 1, "number of copies d"),
+        *_accuracy("1/2", "1/5"),
+    )),
 }
+_GROUP_HELP = {"quantum": "quantum discrimination bounds", "feasible": "LP/SDP feasibility deciders"}
+
+# JSON types a config value may have for each declared type; never a bool.
+_JSON_TYPES = {int: (int,), float: (int, float), str: (str,), Fraction: (str, int, float)}
+
+
+def _fits(p: _Param, value) -> bool:
+    if p.many:
+        return isinstance(value, list) and all(_fits(p._replace(many=False), v) for v in value)
+    accepted = isinstance(value, _JSON_TYPES[p.type]) and not isinstance(value, bool)
+    return accepted and (p.choices is None or value in p.choices)
 
 
 def run_config(cfg: ExperimentConfig) -> RunReport:
     """Validate, dispatch, time, and assemble the report."""
-    cfg.validate()
+    params = cfg.validate()
     t0 = time.perf_counter()
-    metrics, sweep = _RUNNERS[cfg.kind](cfg.parameters, cfg.seed)
+    metrics, sweep = _KINDS[cfg.kind].run(params, cfg.seed)
     return RunReport(
         config=cfg.to_json(),
         metrics=metrics,
@@ -340,122 +381,50 @@ def run_config(cfg: ExperimentConfig) -> RunReport:
     )
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v.strip()]
+def _flag_type(p: _Param):
+    item = str if p.type is Fraction else p.type
 
+    def comma_separated(text: str) -> list:
+        return [item(v.strip()) for v in text.split(",") if v.strip()]
 
-def _float_list(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v.strip()]
-
-
-def _str_list(text: str) -> list[str]:
-    return [v.strip() for v in text.split(",") if v.strip()]
+    return comma_separated if p.many else item
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="plab", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    subparsers = {(): parser.add_subparsers(dest="command", required=True)}
+    for kind, spec in _KINDS.items():
+        group = spec.words[:-1]
+        if group not in subparsers:
+            p = subparsers[()].add_parser(group[0], help=_GROUP_HELP[group[0]])
+            subparsers[group] = p.add_subparsers(dest=f"{group[0]}_op", required=True)
+        p = subparsers[group].add_parser(spec.words[-1], help=spec.help)
+        p.set_defaults(kind=kind)
         p.add_argument("--config", help="JSON experiment config; flags override its keys")
         p.add_argument("--seed", type=int, help=f"RNG seed (default {DEFAULT_SEED})")
         p.add_argument("--out", help="report path (default: print to stdout)")
         p.add_argument("--table", help="also write the sweep as CSV to this path")
-
-    p = sub.add_parser("emx", help="quantile-learner guarantee runs")
-    common(p)
-    p.add_argument("--epsilon")
-    p.add_argument("--delta")
-    p.add_argument("--dist", help="distribution JSON file")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--sweep-d", type=_int_list, dest="sweep_d")
-
-    p = sub.add_parser("coarse", help="finite-precision learning runs")
-    common(p)
-    p.add_argument("--bits", type=int)
-    p.add_argument("--epsilon")
-    p.add_argument("--delta")
-    p.add_argument("--dist")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--sweep-bits", type=_int_list, dest="sweep_bits")
-
-    p = sub.add_parser("compress", help="compression demos and ERM runs")
-    common(p)
-    p.add_argument("--mode", choices=("demo", "lemma1"))
-    p.add_argument("--domain", type=_str_list, help="comma-separated domain labels (demo)")
-    p.add_argument("--pair", type=_str_list, help="two comma-separated points (demo)")
-    p.add_argument("--m", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--dist")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--epsilon")
-    p.add_argument("--delta")
-    p.add_argument("--sweep-n", type=_int_list, dest="sweep_n")
-
-    p = sub.add_parser("quantum", help="quantum discrimination bounds")
-    qsub = p.add_subparsers(dest="quantum_op", required=True)
-    q = qsub.add_parser("discriminate", help="two-state discrimination summary")
-    common(q)
-    q.add_argument("--gamma", type=float)
-    q.add_argument("--copies", type=int)
-    q.add_argument("--delta", type=float)
-    q.add_argument("--sweep-gamma", type=_float_list, dest="sweep_gamma")
-    q.add_argument("--sweep-copies", type=_int_list, dest="sweep_copies")
-
-    p = sub.add_parser("feasible", help="LP/SDP feasibility deciders")
-    fsub = p.add_subparsers(dest="feasible_op", required=True)
-    f = fsub.add_parser("lp", help="exact rational feasibility")
-    common(f)
-    f.add_argument("--task")
-    f.add_argument("--polytope")
-    f.add_argument("--epsilon")
-    f.add_argument("--delta")
-    f = fsub.add_parser("sdp", help="POVM feasibility for d-copy models")
-    common(f)
-    f.add_argument("--task")
-    f.add_argument("--states", help="directory with one <theta>.json state per environment")
-    f.add_argument("--copies", type=int)
-    f.add_argument("--epsilon")
-    f.add_argument("--delta")
+        for a in spec.params:
+            if a.flag:
+                note = "" if a.default is None else f" (default {a.default})"
+                note = " (required)" if a.required is True else note
+                p.add_argument("--" + a.name.replace("_", "-"), dest=a.name, type=_flag_type(a),
+                               choices=a.choices, help=a.help + note)
     return parser
 
 
-_PARAM_KEYS = {
-    "emx": ("epsilon", "delta", "dist", "trials", "d", "sweep_d"),
-    "coarse": ("bits", "epsilon", "delta", "dist", "trials", "d", "sweep_bits"),
-    "compress": ("mode", "domain", "pair", "m", "n", "dist", "trials", "epsilon", "delta", "sweep_n"),
-    "quantum": ("gamma", "copies", "delta", "sweep_gamma", "sweep_copies"),
-    "feasible-lp": ("task", "polytope", "epsilon", "delta"),
-    "feasible-sdp": ("task", "states", "copies", "epsilon", "delta"),
-}
-
-
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    if args.command == "quantum":
-        kind = "quantum"
-    elif args.command == "feasible":
-        kind = f"feasible-{args.feasible_op}"
-    else:
-        kind = args.command
-    cfg = (
-        ExperimentConfig.from_json(_load_json(args.config))
-        if args.config
-        else ExperimentConfig(kind=kind)
-    )
-    if cfg.kind != kind:
-        raise ValueError(f"config kind {cfg.kind!r} does not match subcommand {kind!r}")
-    for key in _PARAM_KEYS[kind]:
-        value = getattr(args, key, None)
-        if value is not None:
-            cfg.parameters[key] = value
-    if kind == "quantum":
-        cfg.parameters.setdefault("op", args.quantum_op)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.out is not None:
-        cfg.out = args.out
+    cfg = _load_json(args.config, ExperimentConfig.from_json) if args.config else ExperimentConfig(args.kind)
+    if cfg.kind != args.kind:
+        raise ValueError(f"config kind {cfg.kind!r} does not match subcommand {args.kind!r}")
+    for a in _KINDS[args.kind].params:
+        if getattr(args, a.name, None) is not None:
+            cfg.parameters[a.name] = getattr(args, a.name)
+        elif not a.flag:
+            cfg.parameters.setdefault(a.name, a.default)
+    for key in ("seed", "out"):
+        if getattr(args, key) is not None:
+            setattr(cfg, key, getattr(args, key))
     return cfg
 
 
@@ -464,19 +433,15 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _config_from_args(args)
         report = run_config(cfg)
+        if cfg.out:
+            write_report(report, cfg.out)
+        else:
+            print(json.dumps(report.to_json(), indent=2, sort_keys=True))
+        if args.table:
+            emit_table(report, args.table)
     except (ValueError, KeyError, OSError, quantum.ResourceCapError) as exc:
         print(f"plab: error: {exc}", file=sys.stderr)
         return 1
-    if cfg.out:
-        write_report(report, cfg.out)
-    else:
-        print(json.dumps(report.to_json(), indent=2, sort_keys=True))
-    if args.table:
-        try:
-            emit_table(report, args.table)
-        except ValueError as exc:
-            print(f"plab: error: {exc}", file=sys.stderr)
-            return 1
     return 0
 
 

@@ -46,16 +46,8 @@ def as_fraction(value: Fraction | int | float | str) -> Fraction:
 
 
 def parse_weight(value: Fraction | int | float | str) -> Fraction | float:
-    """Probability weight: Fraction/int/str parse exactly, floats stay float."""
-    if isinstance(value, bool):
-        raise TypeError("bool is not a probability weight")
-    if isinstance(value, (int, Fraction)):
-        return Fraction(value)
-    if isinstance(value, float):
-        return value
-    if isinstance(value, str):
-        return Fraction(value)
-    raise TypeError(f"cannot interpret {value!r} as a weight")
+    """Probability weight: floats stay float, anything else goes to ``as_fraction``."""
+    return value if isinstance(value, float) else as_fraction(value)
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:
@@ -320,8 +312,8 @@ def quantile_learn(sample: Iterable, dom: IndexedDomain) -> FiniteHypothesis:
 
 def sample_complexity(epsilon, delta) -> int:
     """Smallest integer d >= ln(1/delta)/(-ln(1-epsilon)), at least 1."""
-    e = float(as_fraction(epsilon) if isinstance(epsilon, str) else epsilon)
-    dl = float(as_fraction(delta) if isinstance(delta, str) else delta)
+    e = float(as_fraction(epsilon))
+    dl = float(as_fraction(delta))
     if not (0.0 < e < 1.0) or not (0.0 < dl < 1.0):
         raise ValueError("epsilon and delta must lie in (0,1)")
     # log(dl)/log1p(-e) is the exact ratio; the nudge keeps integer ratios

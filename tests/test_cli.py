@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from plab import cli
 from plab.cli import (
     DEFAULT_SEED,
     ExperimentConfig,
@@ -219,3 +220,102 @@ class TestReportPlumbing:
         assert report["config"]["kind"] == "feasible-lp"
         assert report["config"]["parameters"]["task"] == "task.json"
         assert report["metrics"]["verdict"] == "feasible"
+
+
+EMX_PARAMS = {"dist": "dist.json", "trials": 20}
+
+# (subcommand, config, text the error must contain): configs that crashed
+# with a traceback, or ran with a silently ignored or coerced key.
+BAD_CONFIGS = {
+    "not-an-object": (["emx"], [1, 2], "JSON object"),
+    "parameters-not-an-object": (["emx"], {"kind": "emx", "parameters": [1, 2]}, "'parameters'"),
+    "null-seed": (["emx"], {"kind": "emx", "parameters": EMX_PARAMS, "seed": None}, "'seed'"),
+    "kind-not-a-string": (["emx"], {"kind": 5, "parameters": EMX_PARAMS}, "'kind'"),
+    "unknown-top-level-key": (["emx"], {"kind": "emx", "parameters": EMX_PARAMS, "sed": 3}, "'sed'"),
+    "sweep-as-string": (["emx"], {"kind": "emx", "parameters": {**EMX_PARAMS, "sweep_d": "1,2"}}, "'sweep_d'"),
+    "unknown-parameter": (["emx"], {"kind": "emx", "parameters": {**EMX_PARAMS, "epsilom": "1/2"}}, "'epsilom'"),
+    "string-number": (["emx"], {"kind": "emx", "parameters": {**EMX_PARAMS, "trials": "5"}}, "'trials'"),
+    "float-for-int": (["emx"], {"kind": "emx", "parameters": {**EMX_PARAMS, "d": 3.0}}, "'d'"),
+    "bool-for-rational": (["emx"], {"kind": "emx", "parameters": {**EMX_PARAMS, "epsilon": True}}, "'epsilon'"),
+    "zero-denominator": (["emx"], {"kind": "emx", "parameters": {**EMX_PARAMS, "delta": "1/0"}}, "'delta'"),
+    "integer-beyond-float": (["quantum", "discriminate"],
+                             {"kind": "quantum", "parameters": {"gamma": 10**400}}, "'gamma'"),
+    "mode-not-a-choice": (["compress"], {"kind": "compress", "parameters": {"mode": "demo2"}}, "'mode'"),
+    "op-not-a-choice": (["quantum", "discriminate"],
+                        {"kind": "quantum", "parameters": {"gamma": 0.5, "op": "estimate"}}, "'op'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+def test_bad_config_fails_at_the_boundary_naming_the_key(workdir, capsys, case):
+    command, cfg, needle = BAD_CONFIGS[case]
+    (workdir / "cfg.json").write_text(json.dumps(cfg))
+    assert main([*command, "--config", "cfg.json", "--out", "r.json"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("plab: error:") and needle in err
+    assert not (workdir / "r.json").exists()
+
+
+def test_validate_names_the_mistyped_key():
+    with pytest.raises(ValueError, match="'gamma' must be int or float"):
+        ExperimentConfig(kind="quantum", parameters={"gamma": "0.5"}).validate()
+    with pytest.raises(ValueError, match="'sweep_copies' must be a list of int"):
+        ExperimentConfig(kind="quantum", parameters={"gamma": 0.5, "sweep_copies": [1, True]}).validate()
+    with pytest.raises(ValueError, match="'seed' must be an integer"):
+        ExperimentConfig(kind="emx", seed=True)
+
+
+def test_null_parameter_means_absent(workdir):
+    (workdir / "cfg.json").write_text(json.dumps({"kind": "emx", "parameters": {**EMX_PARAMS, "trials": None}}))
+    assert main(["emx", "--config", "cfg.json", "--out", "null.json"]) == 0
+    assert main(["emx", "--dist", "dist.json", "--trials", "1000", "--out", "default.json"]) == 0
+    null = json.loads((workdir / "null.json").read_text())
+    default = json.loads((workdir / "default.json").read_text())
+    assert null["config"]["parameters"]["trials"] is None
+    assert null["metrics"] == default["metrics"]
+
+
+def test_mode_dependent_parameter_is_required(workdir, capsys):
+    assert main(["compress", "--mode", "demo", "--domain", "a,b"]) == 1
+    assert "missing required parameter 'pair'" in capsys.readouterr().err
+    assert main(["compress", "--mode", "lemma1"]) == 1
+    assert "missing required parameter 'dist'" in capsys.readouterr().err
+
+
+def test_unwritable_report_path_fails_cleanly(workdir, capsys):
+    assert main(["quantum", "discriminate", "--gamma", "0.5", "--out", "no_such_dir/r.json"]) == 1
+    assert capsys.readouterr().err.startswith("plab: error:")
+
+
+# (command line, file to write, its JSON content): malformed input files
+# whose parse raised TypeError.
+BAD_FILES = {
+    "dist-weight-bool": (["emx", "--dist", "bad.json"], "bad.json",
+                         {"labels": ["a", "b"], "weights": [True, "1/2"]}),
+    "coarse-label-bool": (["coarse", "--dist", "bad.json"], "bad.json",
+                          {"labels": [True, 0.5], "weights": ["1/2", "1/2"]}),
+    "task-utility-null": (["feasible", "lp", "--task", "bad.json"], "bad.json",
+                          {"thetas": ["t0", "t1"], "hyps": ["h0", "h1"], "utility": None}),
+    "task-is-a-list": (["feasible", "lp", "--task", "bad.json"], "bad.json", [1, 2]),
+    "state-entries-not-pairs": (["feasible", "sdp", "--task", "task.json", "--states", "states"], "states/t0.json",
+                                {"dim": 2, "entries": [[1, 0], [0, 0]]}),
+    "polytope-coefficient-bool": (["feasible", "lp", "--task", "task.json", "--polytope", "bad.json"], "bad.json",
+                                  {"variables": ["x"], "constraints": [{"coeffs": [True], "relation": ">=", "rhs": "0"}]}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_FILES))
+def test_malformed_input_file_fails_cleanly(workdir, capsys, case):
+    argv, name, content = BAD_FILES[case]
+    (workdir / name).write_text(json.dumps(content))
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("plab: error:")
+
+
+def test_internal_type_error_is_not_reported_as_bad_input(workdir, monkeypatch):
+    def broken(p, seed):
+        raise TypeError("a defect in a runner")
+
+    monkeypatch.setattr(cli, "_KINDS", {**cli._KINDS, "quantum": cli._KINDS["quantum"]._replace(run=broken)})
+    with pytest.raises(TypeError, match="a defect in a runner"):
+        main(["quantum", "discriminate", "--gamma", "0.5"])
