@@ -20,7 +20,9 @@ class UniformBinsMap:
 
     The output alphabet is the integer range 0..2^bits-1 in numeric order
     (rank of bin b is b+1).  Points outside [0,1] are a domain error; x = 1.0
-    lands in the top bin via the clamp.
+    lands in the top bin via the clamp.  The bin is computed exactly from the
+    float's integer ratio, so any number of bits works (a float 2^bits
+    overflows from 1024 bits on).
     """
 
     kind = "uniform_bins"
@@ -38,7 +40,8 @@ class UniformBinsMap:
         x = float(x)
         if not 0.0 <= x <= 1.0:
             raise ValueError(f"point {x!r} outside [0,1]")
-        return min(int(x * (1 << self.bits)), (1 << self.bits) - 1)
+        p, q = x.as_integer_ratio()
+        return min((p << self.bits) // q, (1 << self.bits) - 1)
 
     def __repr__(self) -> str:
         return f"UniformBinsMap(bits={self.bits})"
@@ -127,6 +130,13 @@ class PulledBackHypothesis:
 
     def __contains__(self, x) -> bool:
         return self.pi(x) in self.cells
+
+    def segment_form(self) -> tuple | None:
+        """(pi, domain, t) when the cells are a segment: x is a member iff
+        domain.idx(pi(x)) <= t.  None for any other cell set."""
+        if isinstance(self.cells, FiniteHypothesis) and self.cells.is_segment:
+            return self.pi, self.cells.domain, self.cells.threshold
+        return None
 
     def __repr__(self) -> str:
         return f"PulledBackHypothesis({self.cells!r})"

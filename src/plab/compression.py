@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
-from .emx import FiniteHypothesis, IndexedDomain
+from .emx import FiniteHypothesis, IndexedDomain, _mass
 
 ALPHA = Fraction(1, 6)  # weak-learning slack; the three n-conditions below use it
 
@@ -105,6 +106,34 @@ def required_n(m: int) -> int:
         n += 1
 
 
+def _distinct_subtuples(pts: tuple, m: int) -> Iterator[tuple]:
+    """Each distinct value m-subsequence of pts once, in the order of its
+    leftmost embedding: the order of dict.fromkeys(combinations(pts, m)).
+
+    The first position tuple that combinations() yields for a value tuple is
+    its greedy leftmost embedding, so a depth-first walk that extends each
+    prefix by the first occurrence after its last position of every value,
+    in position order, meets the value tuples in that same order.  Each step
+    holds one first-occurrence list over the u distinct values.
+    """
+    where: dict = {}
+    for i, x in enumerate(pts):
+        where.setdefault(x, []).append(i)
+    last = len(pts)
+
+    def extend(prefix: tuple, after: int, left: int) -> Iterator[tuple]:
+        firsts = sorted(pos[k] for pos in where.values() if (k := bisect_right(pos, after)) < len(pos))
+        for q in firsts:
+            if q > last - left:  # too few positions after q to finish the tuple
+                break
+            if left == 1:
+                yield prefix + (pts[q],)
+            else:
+                yield from extend(prefix + (pts[q],), q, left - 1)
+
+    return extend((), -1, m)
+
+
 def compression_learner(
     scheme: CompressionScheme, sample: Iterable, dom: IndexedDomain
 ) -> FiniteHypothesis:
@@ -113,28 +142,35 @@ def compression_learner(
     Returns the candidate of maximum empirical mass; ties break toward larger
     cardinality, then the lexicographically smallest index description.
     Requires n >= m_out + 1 so at least one full subtuple exists.
+
+    Candidates are reconstructed from each distinct value m-subtuple once,
+    in the order of its leftmost embedding in the sample (the order of
+    ``dict.fromkeys(combinations(sample, m))``): at most u^m candidates for
+    u distinct values instead of C(n, m) tuples.  n is fixed within a call,
+    so empirical masses are compared as integer counts of sample hits; a
+    segment candidate's count comes from a prefix table over the ranks of
+    the distinct values (``emx._prefix_table``), built once per call.
     """
     pts = tuple(sample)
     n, m = len(pts), scheme.m_out
     if n < m + 1:
         raise ValueError(f"sample size {n} below m+1 = {m + 1}")
     counts = Counter(pts)
+    values, mults, tables = tuple(counts), tuple(counts.values()), {}
 
-    best = None  # (emp_mass, cardinality, hyp); description compared lazily
-    best_desc = None
-    for sub in dict.fromkeys(itertools.combinations(pts, m)):  # dedupe, keep order
+    best = best_key = best_desc = None  # best_key is (hits, cardinality); description computed lazily
+    for sub in _distinct_subtuples(pts, m):
         hyp = scheme.reconstruct(sub)
-        emp = Fraction(sum(c for x, c in counts.items() if x in hyp), n)
-        if best is None or (emp, len(hyp)) > (best[0], best[1]):
-            best, best_desc = (emp, len(hyp), hyp), None
-            continue
-        if (emp, len(hyp)) == (best[0], best[1]) and hyp != best[2]:
+        key = (_mass(values, mults, hyp, tables, 0), len(hyp))
+        if best is None or key > best_key:
+            best, best_key, best_desc = hyp, key, None
+        elif key == best_key and hyp != best:
             if best_desc is None:
-                best_desc = tuple(sorted(dom.idx(x) for x in best[2].elements))
+                best_desc = tuple(sorted(dom.idx(x) for x in best.elements))
             desc = tuple(sorted(dom.idx(x) for x in hyp.elements))
             if desc < best_desc:
-                best, best_desc = (emp, len(hyp), hyp), desc
-    return best[2]
+                best, best_desc = hyp, desc
+    return best
 
 
 def learner_to_compression(

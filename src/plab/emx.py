@@ -6,6 +6,8 @@ Implements:
   • FiniteHypothesis — finite subset, with a compact initial-segment form
   • quantile_learn — keep everything up to the largest observed index
   • sample_complexity — smallest d with (1-eps)^d <= delta, clamped to >= 1
+  • mass — exact P(F), from a per-distribution prefix table for segments
+  • quantile_success — exact success probability of the quantile learner
   • verify_guarantee — seeded Monte Carlo check of the (eps, delta) guarantee
 
 Success of a learner on an episode means the learned set captures mass at least
@@ -16,8 +18,10 @@ weights every mass comparison is exact.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Container, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -177,6 +181,11 @@ class FiniteHypothesis:
             return iter(self._explicit)
         return iter(self.domain.labels[: min(self.threshold, len(self.domain))])
 
+    def segment_form(self) -> tuple | None:
+        """(None, domain, t) for a segment: x is a member iff domain.idx(x) <= t.
+        None for an explicit set."""
+        return None if self.threshold is None else (None, self.domain, self.threshold)
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, FiniteHypothesis):
             return NotImplemented
@@ -204,7 +213,7 @@ class FinSupportDist:
     involved.  Sampling uses the inverse CDF over the declared support order.
     """
 
-    __slots__ = ("support", "weights", "_cdf")
+    __slots__ = ("support", "weights", "_cdf", "_tables")
 
     def __init__(self, support: Sequence, weights: Sequence):
         self.support = tuple(support)
@@ -226,6 +235,7 @@ class FinSupportDist:
         cdf = np.cumsum(np.asarray([float(w) for w in self.weights]))
         cdf[-1] = 1.0  # guard against u >= sum from rounding
         self._cdf = cdf
+        self._tables: dict = {}  # (map, domain) -> prefix-mass table, see _prefix_table
 
     @property
     def is_exact(self) -> bool:
@@ -281,13 +291,85 @@ def draw_sample(P: FinSupportDist, d: int, seed: int, stream: tuple[int, ...] = 
     return SampleSeq(points=pts, seed=seed, stream=tuple(stream))
 
 
+def _prefix_table(tables: dict, points: Sequence, weights: Sequence, pi, dom: IndexedDomain, start) -> tuple:
+    """(ranks, prefix, ordered) for the points that have a rank dom.idx(pi(x))
+    (pi None means the identity), built once and cached in ``tables`` under
+    (pi, dom).  ``ranks`` is ascending and ``prefix[k]`` is the sum of the
+    weights of the first k ranked points, starting from ``start``.
+
+    ``ordered`` says whether ``prefix[k]`` is bit for bit the left-to-right
+    sum in point order of the points with rank <= ranks[k-1]: always for
+    exact weights (Fraction or int), for floats only when the ranks are
+    nondecreasing in point order.  The sort is stable, so points of equal
+    rank keep their order.
+    """
+    table = tables.get((pi, dom))
+    if table is not None:
+        return table
+    ranked = []
+    for x, w in zip(points, weights):
+        y = x if pi is None else pi(x)
+        try:
+            ranked.append((dom.idx(y), w))
+        except KeyError:
+            continue
+    exact = not any(isinstance(w, float) for _, w in ranked)
+    ordered = exact or all(a[0] <= b[0] for a, b in zip(ranked, ranked[1:]))
+    ranked.sort(key=lambda rw: rw[0])
+    prefix = list(accumulate((w for _, w in ranked), initial=start))
+    table = tables[(pi, dom)] = ([r for r, _ in ranked], prefix, ordered)
+    return table
+
+
+def _mass(points: Sequence, weights: Sequence, F: Container, tables: dict, start):
+    """Sum of the weights of the points in F, from ``start``; a segment-shaped
+    F is answered from the prefix table cached in ``tables``."""
+    form = F.segment_form() if hasattr(F, "segment_form") else None
+    if form is not None:
+        pi, dom, t = form
+        ranks, prefix, ordered = _prefix_table(tables, points, weights, pi, dom, start)
+        if ordered:
+            return prefix[bisect_right(ranks, t)]
+    return sum((w for x, w in zip(points, weights) if x in F), start=start)
+
+
 def mass(P: FinSupportDist, F: Container) -> Fraction | float:
     """Probability P(F) = sum of weights of support points in F.
 
     F is anything with membership (FiniteHypothesis, pulled-back sets,
     frozenset).  Exact when the weights are rational.
+
+    A hypothesis whose ``segment_form()`` gives (pi, domain, t), meaning
+    x in F iff domain.idx(pi(x)) <= t (a ``FiniteHypothesis`` segment with
+    pi None, or a pullback of one), is answered with one ``bisect`` in a
+    prefix-mass table over ranks.  The table is built once per
+    (distribution, pi, domain) and cached on P.  Exact weights always use
+    it.  Float or mixed weights use it only when the ranks are nondecreasing
+    in support order, because only then is each prefix the same
+    left-to-right float sum as the loop below.  Every other case, explicit
+    sets included, sums over the support testing membership point by point.
+    Both paths return the same value and type.
     """
-    return sum((w for x, w in zip(P.support, P.weights) if x in F), start=Fraction(0))
+    return _mass(P.support, P.weights, F, P._tables, Fraction(0))
+
+
+def quantile_success(P: FinSupportDist, dom: IndexedDomain, epsilon, d: int) -> Fraction | float:
+    """Exact probability 1 - F(t*-1)^d that the quantile learner on d points
+    captures mass at least 1 - epsilon, where F(t) is the mass of ranks <= t
+    and t* is the smallest rank whose prefix mass reaches 1 - epsilon.
+
+    Read from the same prefix table as ``mass``; a Fraction for exact
+    weights.  Support points outside ``dom`` carry no rank and count in no
+    prefix.
+    """
+    epsilon = as_fraction(epsilon)
+    if not 0 < epsilon < 1:
+        raise ValueError("epsilon must lie in (0,1)")
+    prefix = _prefix_table(P._tables, P.support, P.weights, None, dom, Fraction(0))[1]
+    k = bisect_left(prefix, 1 - epsilon)
+    if k == len(prefix):
+        raise ValueError("the masses of the ranked support points never reach 1 - epsilon")
+    return 1 - prefix[k - 1] ** d
 
 
 def opt_value(P: FinSupportDist, hypothesis_class: str = FINITE_SUBSETS) -> Fraction:

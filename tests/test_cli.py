@@ -156,6 +156,15 @@ class TestConfigFileHandling:
             run_config(ExperimentConfig(kind="foo"))
 
 
+class TestCoarseBits:
+    @pytest.mark.parametrize("bits", [1024, 1100])
+    def test_bits_beyond_float_range_run(self, workdir, bits):
+        rc = main(["coarse", "--dist", "points.json", "--bits", str(bits), "--trials", "2", "--out", "r.json"])
+        assert rc == 0
+        report = json.loads((workdir / "r.json").read_text())
+        assert report["metrics"]["bits"] == bits
+
+
 class TestErrorPaths:
     def test_missing_input_file(self, workdir, capsys):
         assert main(["emx", "--dist", "nope.json"]) == 1

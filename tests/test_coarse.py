@@ -2,8 +2,12 @@
 
 from fractions import Fraction
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plab.coarse import (
     PulledBackHypothesis,
@@ -39,6 +43,21 @@ class TestUniformBinsMap:
         pi = UniformBinsMap(0)
         assert pi(0.3) == 0
         assert len(pi.domain) == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=st.floats(0.0, 1.0), bits=st.integers(0, 1200))
+    def test_bin_is_the_exact_floor(self, x, bits):
+        """floor(x * 2^bits) of the exact rational value of x, at any bits."""
+        top = (1 << bits) - 1
+        assert UniformBinsMap(bits)(x) == min(math.floor(Fraction(x) * 2**bits), top)
+
+    def test_bits_beyond_float_range(self):
+        for bits in (1023, 1024, 1100):
+            pi = UniformBinsMap(bits)
+            assert pi(0.5) == 1 << (bits - 1)
+            assert pi(1.0) == (1 << bits) - 1
+            # the smallest subnormal is 2^-1074
+            assert pi(5e-324) == (1 << (bits - 1074) if bits >= 1074 else 0)
 
     def test_domain_is_numeric_range(self):
         pi = UniformBinsMap(8)

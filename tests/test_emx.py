@@ -8,6 +8,7 @@ Fraction end to end so no assertion sits on a float boundary.
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +24,7 @@ from plab.emx import (
     opt_value,
     parse_weight,
     quantile_learn,
+    quantile_success,
     sample_complexity,
     substream,
     verify_guarantee,
@@ -339,3 +341,58 @@ class TestVerifyGuarantee:
         S = draw_sample(P, d, seed=seed, stream=(0,))
         expected = mass(P, quantile_learn(S, dom)) >= Fraction(2, 3)
         assert rep.empirical_rate == (1.0 if expected else 0.0)
+
+
+class TestQuantileSuccess:
+    """1 - F(t*-1)^d, with t* the smallest rank whose prefix mass reaches 1 - eps."""
+
+    @pytest.mark.parametrize("eps, below", [
+        (Fraction(1, 8), Fraction(3, 4)),  # prefixes 1/2, 3/4, 7/8: t* = 3
+        (Fraction(1, 4), Fraction(1, 2)),  # 3/4 reached at t* = 2
+        (Fraction(1, 3), Fraction(1, 2)),
+        (Fraction(9, 10), Fraction(0)),  # the first point alone reaches 1/10
+    ])
+    def test_closed_form_on_dyadic_weights(self, eps, below):
+        dom = IndexedDomain("abcd")
+        in_order = FinSupportDist("abcd", ["1/2", "1/4", "1/8", "1/8"])
+        reversed_support = FinSupportDist("dcba", ["1/8", "1/8", "1/4", "1/2"])
+        for P in (in_order, reversed_support):
+            for d in range(1, 6):
+                got = quantile_success(P, dom, eps, d)
+                assert isinstance(got, Fraction)
+                assert got == 1 - below**d
+
+    @settings(max_examples=50, deadline=None)
+    @given(n=st.integers(2, 30), data=st.data())
+    def test_closed_form_on_uniform(self, n, data):
+        k = data.draw(st.integers(1, n - 1))
+        d = data.draw(st.integers(1, 20))
+        P = uniform_on(range(n))
+        # target (n-k)/n is reached at rank n-k, so F(t*-1) = (n-k-1)/n
+        assert quantile_success(P, IndexedDomain.integer_range(n), Fraction(k, n), d) == 1 - Fraction(n - k - 1, n) ** d
+
+    def test_float_weights_give_a_float(self):
+        P = FinSupportDist("abc", [0.5, 0.25, 0.25])
+        got = quantile_success(P, IndexedDomain("abc"), "1/4", 2)  # t* = 2, F(1) = 0.5
+        assert isinstance(got, float) and got == 0.75
+
+    def test_epsilon_validated(self):
+        P = uniform_on("ab")
+        for eps in (0, 1, "3/2"):
+            with pytest.raises(ValueError):
+                quantile_success(P, IndexedDomain("ab"), eps, 1)
+
+    @pytest.mark.parametrize("seed", [3, 11, 29])
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_empirical_rate_within_four_sigma(self, seed, exact):
+        rng = np.random.default_rng(seed)
+        counts = [int(c) for c in rng.integers(1, 10, size=30)]
+        total = sum(counts)
+        ws = [Fraction(c, total) if exact else c / total for c in counts]
+        labels = [f"x{i:02d}" for i in range(30)]
+        P, dom = FinSupportDist(labels, ws), IndexedDomain(labels)
+        trials, eps, d = 400, Fraction(1, 10), 10
+        p = float(quantile_success(P, dom, eps, d))
+        assert 0.2 < p < 0.95  # far enough from 1 for the check to bite
+        rep = verify_guarantee(lambda s: quantile_learn(s, dom), P, eps, Fraction(1, 10), d, trials, seed)
+        assert abs(rep.empirical_rate - p) <= 4.0 * math.sqrt(p * (1.0 - p) / trials)
