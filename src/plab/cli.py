@@ -281,14 +281,10 @@ def _run_feasible_sdp(p: dict, seed: int):
             raise ValueError(f"missing state file for environment {theta!r}: {path}")
         states.append(_load_json(path, quantum.DensityMatrix.from_json))
     result = feasibility.sdp_feasible(states, task, p["epsilon"], p["delta"], d=p["copies"])
-    metrics: dict = {"verdict": result.verdict, "sweeps": result.sweeps}
-    if result.residual is not None:
-        metrics["residual"] = result.residual
-    if result.certificate is not None:
-        metrics["certificate"] = result.certificate
-    if result.witness is not None:
-        metrics["witness"] = result.witness.to_json()
-    return metrics, None
+    metrics = {"verdict": result.verdict, "sweeps": result.sweeps, "lo": result.lo,
+               "hi": result.hi, "weights": result.weights, "certificate": result.certificate,
+               "witness": result.witness.to_json() if result.witness else None}
+    return {k: v for k, v in metrics.items() if v is not None}, None
 
 
 # One experiment parameter: config key ``name``, flag ``--name`` with dashes.  ``type``

@@ -68,14 +68,18 @@ class IndexedDomain:
 
     ``labels`` may be any sequence of distinct hashables; a ``range`` is kept
     as-is so integer alphabets of size 2^bits need no per-element storage.
+    ``size`` is the label count, exact even for ranges of 2^63 labels or more,
+    whose ``len`` overflows.
     """
 
-    __slots__ = ("labels", "_rank")
+    __slots__ = ("labels", "_rank", "size")
 
     def __init__(self, labels: Sequence):
         if isinstance(labels, range):
             self.labels: Sequence = labels
             self._rank: dict | None = None
+            # ceil((stop - start) / step), clamped at 0 for empty ranges
+            self.size = max(0, -((labels.start - labels.stop) // labels.step))
         else:
             self.labels = tuple(labels)
             self._rank = {}
@@ -83,13 +87,14 @@ class IndexedDomain:
                 if x in self._rank:
                     raise ValueError(f"duplicate label {x!r}")
                 self._rank[x] = i + 1
+            self.size = len(self.labels)
 
     @classmethod
     def integer_range(cls, n: int) -> "IndexedDomain":
         return cls(range(n))
 
     def __len__(self) -> int:
-        return len(self.labels)
+        return self.size
 
     def __iter__(self) -> Iterator:
         return iter(self.labels)
@@ -112,8 +117,8 @@ class IndexedDomain:
 
     def label(self, rank: int):
         """Element with the given 1-based rank."""
-        if not 1 <= rank <= len(self.labels):
-            raise IndexError(f"rank {rank} outside 1..{len(self.labels)}")
+        if not 1 <= rank <= self.size:
+            raise IndexError(f"rank {rank} outside 1..{self.size}")
         return self.labels[rank - 1]
 
     def initial_segment(self, t: int) -> "FiniteHypothesis":
@@ -160,8 +165,7 @@ class FiniteHypothesis:
     def elements(self) -> frozenset:
         if self._explicit is not None:
             return self._explicit
-        n = min(self.threshold, len(self.domain))
-        return frozenset(self.domain.labels[:n])
+        return frozenset(self.domain.labels[: self.threshold])
 
     def __contains__(self, x) -> bool:
         if self._explicit is not None:
@@ -174,12 +178,12 @@ class FiniteHypothesis:
     def __len__(self) -> int:
         if self._explicit is not None:
             return len(self._explicit)
-        return min(self.threshold, len(self.domain))
+        return min(self.threshold, self.domain.size)
 
     def __iter__(self) -> Iterator:
         if self._explicit is not None:
             return iter(self._explicit)
-        return iter(self.domain.labels[: min(self.threshold, len(self.domain))])
+        return iter(self.domain.labels[: self.threshold])
 
     def segment_form(self) -> tuple | None:
         """(None, domain, t) for a segment: x is a member iff domain.idx(x) <= t.
@@ -190,7 +194,7 @@ class FiniteHypothesis:
         if not isinstance(other, FiniteHypothesis):
             return NotImplemented
         if self.is_segment and other.is_segment and self.domain is other.domain:
-            n = len(self.domain)
+            n = self.domain.size
             return min(self.threshold, n) == min(other.threshold, n)
         return self.elements == other.elements
 

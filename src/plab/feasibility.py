@@ -6,18 +6,19 @@ sum_{h in G_theta(eps)} q[theta,h] >= 1-delta, decided exactly by phase-1
 simplex — a Feasible verdict carries a kernel witness satisfying every row
 with zero tolerance.
 
-Semidefinite side: search for a POVM {M_h} with M_h >= 0, sum M_h = I and
-sum_{h in G_theta} tr(M_h rho_theta^(x)d) >= 1-delta by cyclic projections
-(PSD eigenvalue clipping, affine completeness correction, halfspace steps).
-Feasible requires an explicitly verified witness (all constraints within
-1e-6 after exact renormalization); Infeasible needs a closed-form
-certificate — the binary discrimination bound delta < (1 - ||Delta||_1/2)/2 —
-or residual stagnation; anything else is an honest Undetermined with the
-final residual.
+Semidefinite side: the PL value p* = max over POVMs {M_h} on d copies of
+min_theta sum_{h in G_theta} tr(M_h rho_theta^(x)d) is bracketed as
+lo <= p* <= hi.  lo is the worst-environment success of a POVM that passed
+``Povm`` validation.  hi = tr Z for weights y on the simplex and a Hermitian
+Z shifted by eigvalsh until Z >= A_h(y) = sum_{theta: h in G_theta}
+y_theta rho_theta^(x)d for every h; weak duality makes it an upper bound.
+"feasible" iff lo >= 1-delta, "infeasible" iff hi < 1-delta, "undetermined"
+only when the step budget runs out with 1-delta inside [lo, hi].
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -263,58 +264,57 @@ def affine_dimension(poly: PolytopeSpec) -> int:
     return n - rank
 
 
-@dataclass(frozen=True)
+# Step budget: _OUTER_STEPS weight updates, each after _INNER_STEPS POVM
+# steps.  Eigenvalues of R below _SUPPORT_TOL times its largest are its
+# kernel; _EIG_MARGIN keeps eigvalsh rounding from pushing hi below p*.
+_OUTER_STEPS = 400
+_INNER_STEPS = 30
+_SUPPORT_TOL = 1e-12
+_EIG_MARGIN = 1e-12
+
+
+@dataclass(frozen=True, eq=False)  # dual is an array, so compare fields, not results
 class SdpResult:
+    """Verdict with its bracket lo <= p* <= hi.  ``witness`` is the validated
+    POVM achieving lo (on "feasible" only); ``weights`` y and ``dual`` Z, with
+    Z >= A_h(y) for every h and tr Z = hi, certify hi; ``sweeps`` counts the
+    fixed-point steps taken."""
+
     verdict: str  # "feasible" | "infeasible" | "undetermined"
     witness: Povm | None = None
-    residual: float | None = None
     certificate: str | None = None
+    lo: float = 0.0
+    hi: float = 1.0
+    weights: tuple[float, ...] | None = None
+    dual: np.ndarray | None = None
     sweeps: int = 0
 
 
-def _psd_clip(m: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(_hermitize(m))
-    if w[0] >= 0:
-        return _hermitize(m)
-    return (v * np.clip(w, 0.0, None)) @ v.conj().T
-
-
-def _renormalize(blocks: list[np.ndarray]) -> list[np.ndarray] | None:
-    """PSD-clip, then conjugate by T^{-1/2} with T = sum, making the family
-    sum to the identity while staying PSD.  None if T is near-singular."""
-    clipped = [_psd_clip(b) for b in blocks]
-    total = _hermitize(sum(clipped))
-    w, v = np.linalg.eigh(total)
-    if w.min() <= 1e-12:
-        return None
-    inv_half = (v * (1.0 / np.sqrt(w))) @ v.conj().T
-    return [_hermitize(inv_half @ b @ inv_half) for b in clipped]
+def _jrf_step(a: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """One Jezek-Rehacek-Fiurasek step M_h <- R^-1/2 A_h M_h A_h R^-1/2 with
+    R = sum_h A_h M_h A_h, inverted on its support; the projector onto the
+    kernel of R is spread evenly over the elements so they sum to I."""
+    b = a @ m @ a
+    w, v = np.linalg.eigh(_hermitize(b.sum(axis=0)))
+    keep = w > _SUPPORT_TOL * w[-1]
+    vs, vk = v[:, keep], v[:, ~keep]
+    r = (vs / np.sqrt(w[keep])) @ vs.conj().T
+    return _hermitize(r @ b @ r + (vk @ vk.conj().T) / len(m))
 
 
 def sdp_feasible(
-    states: Sequence[DensityMatrix],
-    task: TaskSpec,
-    epsilon,
-    delta,
-    d: int = 1,
-    cap: int | None = None,
-    residual_tol: float = 1e-7,
-    witness_tol: float = 1e-6,
-    max_sweeps: int = 20000,
-    check_every: int = 25,
-    stall_window: int = 400,
-    stall_tol: float = 1e-12,
+    states: Sequence[DensityMatrix], task: TaskSpec, epsilon, delta, d: int = 1, cap: int | None = None
 ) -> SdpResult:
-    """Decide whether some POVM meets every environment's performance row.
+    """Decide whether some POVM on d copies meets every environment's row
+    by the bracket [lo, hi] of the module docstring, checked after every step.
 
-    Searches by cyclic projection from the uniform POVM M_h = I/|H|.  Every
-    ``check_every`` sweeps (and whenever the residual drops below
-    ``residual_tol``) the current point is renormalized into an exact POVM and
-    re-checked against all constraints within ``witness_tol``; only such a
-    verified witness yields "feasible".  "infeasible" requires the binary
-    closed-form certificate (two environments with disjoint good sets and
-    delta below the discrimination bound) or a residual that stagnates well
-    above tolerance.  Otherwise "undetermined" with the final residual.
+    The weights y start uniform.  Warm-started Jezek-Rehacek-Fiurasek steps
+    solve max sum_h tr(M_h A_h(y)); after outer step t, y_i is scaled by
+    exp(-s_i/sqrt(t)) for the successes s_i and renormalized.  Every iterate
+    M and the running average of the iterates is a candidate for lo, and for
+    hi through its Yuen-Kennedy-Lax operator Y = herm(sum_h A_h M_h): with
+    lambda = max(0, max_h lambda_max(A_h - Y)) from eigvalsh (plus a rounding
+    margin), Z = Y + lambda*I >= A_h(y) for every h, so p* <= tr Z.
     """
     if len(states) != len(task.thetas):
         raise ValueError("one state per environment required")
@@ -325,102 +325,48 @@ def sdp_feasible(
     if not 0.0 <= delta_f < 1.0:
         raise ValueError("delta must lie in [0,1)")
     good = epsilon_optimal_sets(task, epsilon)
-    good_idx = [
-        [j for j, h in enumerate(task.hyps) if h in set(good[t])] for t in task.thetas
-    ]
-    rhos = [tensor_power(s, d, cap).mat for s in states]
-    dim = rhos[0].shape[0]
+    member = np.array([[h in good[t] for h in task.hyps] for t in task.thetas], dtype=float)
+    rhos = np.array([tensor_power(s, d, cap).mat for s in states])
+    dim = rhos.shape[1]
     n_h = len(task.hyps)
     target = 1.0 - delta_f
 
-    common = set(range(n_h))
-    for idx in good_idx:
-        common &= set(idx)
-    if common:
+    common = np.flatnonzero(member.all(axis=0))
+    if common.size:
         # one hypothesis is eps-optimal everywhere: the all-mass POVM on it
         # satisfies every row with probability 1
-        h_star = min(common)
         blocks = [np.zeros((dim, dim), dtype=complex) for _ in range(n_h)]
-        blocks[h_star] = np.eye(dim, dtype=complex)
-        return SdpResult(
-            verdict="feasible",
-            witness=Povm(blocks, labels=task.hyps),
-            residual=0.0,
-            certificate="common-optimum",
-        )
+        blocks[common[0]] = np.eye(dim, dtype=complex)
+        return SdpResult(verdict="feasible", witness=Povm(blocks, labels=task.hyps),
+                         certificate="common-optimum", lo=1.0)
 
-    if len(task.thetas) == 2 and not (set(good_idx[0]) & set(good_idx[1])):
-        tnorm = float(np.sum(np.abs(np.linalg.eigvalsh(_hermitize(rhos[0] - rhos[1])))))
-        bound = (1.0 - tnorm / 2.0) / 2.0
-        if delta_f < bound - 1e-9:
-            # success sums obey p0 + p1 <= 1 + ||Delta||_1/2, so two-sided
-            # error below the bound is impossible for any POVM
-            return SdpResult(
-                verdict="infeasible",
-                residual=None,
-                certificate="binary-discrimination-bound",
-            )
+    def successes(m):  # s_i = sum_{h in G_i} tr(M_h rho_i)
+        return (np.einsum("hab,iba->ih", m, rhos).real * member).sum(axis=1)
 
-    norms = [float(np.trace(r @ r).real) for r in rhos]
-    blocks = [np.eye(dim, dtype=complex) / n_h for _ in range(n_h)]
-    eye = np.eye(dim, dtype=complex)
-
-    def perf_values(bl):
-        return [
-            sum(float(np.trace(bl[j] @ rhos[i]).real) for j in good_idx[i])
-            for i in range(len(rhos))
-        ]
-
-    def residual_of(bl):
-        comp = float(np.max(np.abs(np.linalg.eigvalsh(_hermitize(sum(bl) - eye)))))
-        neg = max(0.0, max(-float(np.linalg.eigvalsh(_hermitize(b)).min()) for b in bl))
-        perf = max(0.0, max(target - v for v in perf_values(bl)))
-        return max(comp, neg, perf)
-
-    def try_witness(bl) -> Povm | None:
-        fixed = _renormalize(bl)
-        if fixed is None:
-            return None
-        vals = perf_values(fixed)
-        if min(vals) < target - witness_tol:
-            return None
-        try:
-            return Povm(fixed, labels=task.hyps)
-        except ValueError:
-            return None
-
-    history: list[float] = []
-    residual = residual_of(blocks)
-    for sweep in range(1, max_sweeps + 1):
-        # halfspace steps: lift the good-set mass of each environment
-        for i, rho in enumerate(rhos):
-            idx = good_idx[i]
-            val = sum(float(np.trace(blocks[j] @ rho).real) for j in idx)
-            if val < target:
-                step = (target - val) / (len(idx) * norms[i])
-                for j in idx:
-                    blocks[j] = blocks[j] + step * rho
-        # completeness: project onto sum M_h = I
-        gap = (sum(blocks) - eye) / n_h
-        blocks = [b - gap for b in blocks]
-        # PSD cone
-        blocks = [_psd_clip(b) for b in blocks]
-
-        residual = residual_of(blocks)
-        history.append(residual)
-        if residual < residual_tol or sweep % check_every == 0:
-            witness = try_witness(blocks)
-            if witness is not None:
-                return SdpResult(
-                    verdict="feasible", witness=witness, residual=residual, sweeps=sweep
-                )
-        if len(history) > stall_window and residual > 1000 * residual_tol:
-            then = history[-stall_window - 1]
-            if then - residual < stall_tol * max(1.0, then):
-                return SdpResult(
-                    verdict="infeasible",
-                    residual=residual,
-                    certificate="residual-stagnation",
-                    sweeps=sweep,
-                )
-    return SdpResult(verdict="undetermined", residual=residual, sweeps=max_sweeps)
+    y = np.full(len(rhos), 1.0 / len(rhos))
+    m = np.repeat(np.eye(dim, dtype=complex)[None] / n_h, n_h, axis=0)
+    avg = np.zeros_like(m)
+    lo, hi, witness, cert, steps = 0.0, np.inf, None, (None, None), 0
+    for t in range(1, _OUTER_STEPS + 1):
+        a = np.einsum("ih,iab->hab", y[:, None] * member, rhos)
+        for _ in range(_INNER_STEPS):
+            m = _jrf_step(a, m)
+            steps += 1
+            avg += (m - avg) / steps
+            for cand in (m, avg):
+                worst = float(successes(cand).min())
+                if worst > lo:
+                    with contextlib.suppress(ValueError):  # an invalid candidate never sets lo
+                        witness, lo = Povm(cand, labels=task.hyps), worst
+                opt = _hermitize((a @ cand).sum(axis=0))
+                lam = max(0.0, float(np.linalg.eigvalsh(a - opt)[:, -1].max())) + _EIG_MARGIN
+                z = opt + lam * np.eye(dim)
+                if np.trace(z).real < hi:
+                    hi, cert = float(np.trace(z).real), (tuple(float(v) for v in y), z)
+                if lo >= target:
+                    return SdpResult("feasible", witness, "validated-povm", lo, hi, *cert, steps)
+                if hi < target:
+                    return SdpResult("infeasible", None, "weak-duality", lo, hi, *cert, steps)
+        y = y * np.exp(-successes(m) / np.sqrt(t))
+        y /= y.sum()
+    return SdpResult("undetermined", None, None, lo, hi, *cert, steps)

@@ -43,7 +43,7 @@ def dim_cap() -> int:
 
 
 def _hermitize(m: np.ndarray) -> np.ndarray:
-    return (m + m.conj().T) / 2.0
+    return (m + m.conj().swapaxes(-1, -2)) / 2.0
 
 
 class DensityMatrix:

@@ -117,6 +117,12 @@ class TestFiniteHypothesis:
         seg = IndexedDomain(range(2**40)).initial_segment(2**39)
         assert hash(seg) == hash(IndexedDomain(range(2**40)).initial_segment(2**39))
 
+    @given(start=st.integers(-20, 20), stop=st.integers(-20, 20),
+           step=st.integers(-5, 5).filter(bool))
+    def test_range_size_is_its_length(self, start, stop, step):
+        r = range(start, stop, step)
+        assert IndexedDomain(r).size == len(IndexedDomain(r)) == len(r)
+
     def test_equal_forms_hash_alike(self):
         dom = IndexedDomain("abcde")
         seg = dom.initial_segment(3)

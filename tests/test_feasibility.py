@@ -1,9 +1,10 @@
 """Feasibility deciders: epsilon-optimal sets, PL rows, exact LP verdicts,
-the no-signaling polytope, and the SDP search over POVMs.
+the no-signaling polytope, and the SDP bracket over POVMs.
 
 The binary quantum instance |0> vs |+> has its feasibility threshold at
 delta* = (1 - sqrt(2)/2)/2 ~ 0.146447: below it no POVM works (Helstrom),
-above it one does.  Tests probe both sides.
+above it one does.  Tests probe both sides, pin the bracket [lo, hi] to
+closed forms, and re-check every dual certificate without the solver.
 """
 
 import math
@@ -24,7 +25,7 @@ from plab.feasibility import (
     no_signaling_polytope,
     sdp_feasible,
 )
-from plab.quantum import DensityMatrix
+from plab.quantum import DensityMatrix, delta_min, random_density_matrix, tensor_power
 from plab.tasks import TaskSpec
 
 F = Fraction
@@ -230,12 +231,12 @@ class TestSdpFeasible:
     def test_below_threshold_certified_infeasible(self):
         res = sdp_feasible([KET0, PLUS], IDENTITY_TASK, F(1, 2), "0.10")
         assert res.verdict == "infeasible"
-        assert res.certificate == "binary-discrimination-bound"
+        assert res.certificate == "weak-duality" and res.hi < 0.9
 
     def test_above_threshold_finds_witness(self):
         res = sdp_feasible([KET0, PLUS], IDENTITY_TASK, F(1, 2), "0.15")
         assert res.verdict == "feasible"
-        assert res.residual <= 1e-6
+        assert res.lo >= 0.85
         # witness is a genuine POVM meeting both performance rows
         w = res.witness
         total = sum(w.elements)
@@ -275,7 +276,8 @@ class TestSdpFeasible:
     def test_determinism(self):
         a = sdp_feasible([KET0, PLUS], IDENTITY_TASK, F(1, 2), "0.2")
         b = sdp_feasible([KET0, PLUS], IDENTITY_TASK, F(1, 2), "0.2")
-        assert (a.verdict, a.sweeps, a.residual) == (b.verdict, b.sweeps, b.residual)
+        assert (a.verdict, a.sweeps, a.lo, a.hi, a.weights) == (
+            b.verdict, b.sweeps, b.lo, b.hi, b.weights)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -284,6 +286,84 @@ class TestSdpFeasible:
             sdp_feasible([KET0, DensityMatrix.maximally_mixed(3)], IDENTITY_TASK, F(1, 2), F(1, 5))
         with pytest.raises(ValueError):
             sdp_feasible([KET0, KET1], IDENTITY_TASK, F(1, 2), 1)
+
+
+def identity_task(n):
+    return TaskSpec([f"t{i}" for i in range(n)], [f"h{i}" for i in range(n)],
+                    [[int(i == j) for j in range(n)] for i in range(n)])
+
+
+def check_certificate(res, states, task, d=1):
+    """Re-check the weak-duality certificate behind res.hi without the solver:
+    weights y on the simplex, Z Hermitian with Z >= A_h(y) for every h, and
+    tr Z = hi."""
+    y = np.array(res.weights)
+    assert y.min() >= 0 and abs(y.sum() - 1) <= 1e-12
+    z = res.dual
+    assert np.array_equal(z, z.conj().T)
+    rhos = [tensor_power(s, d).mat for s in states]
+    good = epsilon_optimal_sets(task, F(1, 2))
+    for h in task.hyps:
+        a = sum(w * r for w, r, t in zip(y, rhos, task.thetas) if h in good[t])
+        assert np.linalg.eigvalsh(z - a).min() >= -1e-12
+    assert abs(np.trace(z).real - res.hi) <= 1e-12
+
+
+class TestSdpBracket:
+    def test_rotated_trine_threshold_on_both_sides(self):
+        rng = np.random.default_rng(11)
+        u, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+        trine = [
+            DensityMatrix(u @ DensityMatrix.pure([math.cos(k * math.pi / 3), math.sin(k * math.pi / 3)]).mat
+                          @ u.conj().T)
+            for k in range(3)
+        ]
+        task = identity_task(3)
+        above = sdp_feasible(trine, task, F(1, 2), F(1, 3) + F(1, 10**6))
+        below = sdp_feasible(trine, task, F(1, 2), F(1, 3) - F(1, 10**6))
+        assert above.verdict == "feasible" and below.verdict == "infeasible"
+        worst = min(float(np.trace(m @ r.mat).real) for m, r in zip(above.witness.elements, trine))
+        assert worst >= 2 / 3 - 1e-6
+        for res in (above, below):
+            check_certificate(res, trine, task)
+
+    @pytest.mark.parametrize("gamma", [0.85, 0.92])
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_pair_bracket_meets_the_closed_form(self, gamma, d):
+        pair = [KET0, DensityMatrix.pure([gamma, math.sqrt(1 - gamma * gamma)])]
+        res = sdp_feasible(pair, IDENTITY_TASK, F(1, 2), 0, d=d)
+        assert res.verdict == "infeasible"
+        p_star = 1 - delta_min(gamma, d)
+        assert abs(res.lo - p_star) <= 1e-9 and abs(res.hi - p_star) <= 1e-9
+        check_certificate(res, pair, IDENTITY_TASK, d)
+
+    def test_sqrt2_overlap_pair_bracket(self):
+        res = sdp_feasible([KET0, PLUS], IDENTITY_TASK, F(1, 2), 0)
+        p_star = (1 + math.sqrt(0.5)) / 2
+        assert res.lo <= res.hi
+        assert abs(res.lo - p_star) <= 1e-9 and abs(res.hi - p_star) <= 1e-9
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_full_rank_brackets_never_cross(self, seed):
+        rng = np.random.default_rng(seed)
+        dim, n = int(rng.integers(2, 4)), int(rng.integers(2, 4))
+        states = [random_density_matrix(dim, rng) for _ in range(n)]
+        task = identity_task(n)
+        first = sdp_feasible(states, task, F(1, 2), 0)
+        middle = F((first.lo + first.hi) / 2).limit_denominator(10**9)
+        deltas = (0, 1 - middle, F(3, 4))
+        results = [first] + [sdp_feasible(states, task, F(1, 2), dl) for dl in deltas[1:]]
+        for res, dl in zip(results, deltas):
+            target = 1 - float(dl)
+            assert res.lo <= res.hi
+            if res.verdict == "feasible":
+                assert res.lo >= target
+            elif res.verdict == "infeasible":
+                assert res.hi < target
+            else:
+                assert res.lo < target <= res.hi
+            check_certificate(res, states, task)
+        assert max(r.lo for r in results) <= min(r.hi for r in results)
 
 
 class TestLinearConstraintJson:
