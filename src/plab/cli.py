@@ -137,10 +137,8 @@ def write_report(report: RunReport, path: str) -> None:
     os.replace(tmp, path)
 
 
-def emit_table(report: RunReport, path: str, fmt: str = "csv") -> None:
+def emit_table(report: RunReport, path: str) -> None:
     """One CSV row per sweep point; header keys come from the first row."""
-    if fmt != "csv":
-        raise ValueError(f"unsupported table format {fmt!r}")
     if not report.sweep:
         raise ValueError("report has no sweep to tabulate")
     rows = _pin(report.sweep)
@@ -229,7 +227,8 @@ def _run_compress(p: dict, seed: int):
 def _discrimination_point(gamma: float, d: int, delta) -> dict:
     psi0 = quantum.DensityMatrix.pure([1.0, 0.0])
     psi1 = quantum.DensityMatrix.pure([gamma, math.sqrt(max(0.0, 1.0 - gamma * gamma))])
-    # Each d-copy state is built once; the helpers then take it with d=1.
+    # tensor_power builds each d-copy state once and enforces the dimension
+    # cap; the discrimination helpers take the d-copy states.
     r0, r1 = quantum.tensor_power(psi0, d), quantum.tensor_power(psi1, d)
     point = {
         "gamma": gamma,

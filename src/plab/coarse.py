@@ -25,8 +25,6 @@ class UniformBinsMap:
     overflows from 1024 bits on).
     """
 
-    kind = "uniform_bins"
-
     def __init__(self, bits: int):
         if not isinstance(bits, int) or bits < 0:
             raise ValueError("bits must be a nonnegative integer")
@@ -34,7 +32,7 @@ class UniformBinsMap:
 
     @cached_property
     def domain(self) -> IndexedDomain:
-        return IndexedDomain.integer_range(1 << self.bits)
+        return IndexedDomain(range(1 << self.bits))
 
     def __call__(self, x) -> int:
         x = float(x)
@@ -53,8 +51,6 @@ class TableMap:
     Output alphabet order is first appearance among the pair outputs; inputs
     outside the table are a domain error.
     """
-
-    kind = "table"
 
     def __init__(self, pairs: Iterable[tuple]):
         self.pairs = tuple((x, y) for x, y in pairs)
@@ -81,25 +77,6 @@ class TableMap:
 
     def __repr__(self) -> str:
         return f"TableMap({len(self._map)} entries)"
-
-
-def coarse_map_from_json(obj: dict):
-    """Build a map from {"kind": "uniform_bins", "bits": L} or
-    {"kind": "table", "entries": [[in, out], ...]}."""
-    kind = obj.get("kind")
-    if kind == "uniform_bins":
-        return UniformBinsMap(int(obj["bits"]))
-    if kind == "table":
-        return TableMap(tuple((x, y) for x, y in obj["entries"]))
-    raise ValueError(f"unknown coarse map kind {kind!r}")
-
-
-def coarse_map_to_json(pi) -> dict:
-    if isinstance(pi, UniformBinsMap):
-        return {"kind": "uniform_bins", "bits": pi.bits}
-    if isinstance(pi, TableMap):
-        return {"kind": "table", "entries": [list(p) for p in pi.pairs]}
-    raise TypeError(f"not a coarse map: {pi!r}")
 
 
 def pushforward(P: FinSupportDist, pi) -> FinSupportDist:

@@ -26,8 +26,6 @@ from typing import Callable, Container, Iterable, Iterator, Sequence
 
 import numpy as np
 
-FINITE_SUBSETS = "finite-subsets"
-
 
 def as_fraction(value: Fraction | int | float | str) -> Fraction:
     """Exact rational from Fraction/int/str ("1/3", "0.2" -> 1/5).
@@ -88,10 +86,6 @@ class IndexedDomain:
                     raise ValueError(f"duplicate label {x!r}")
                 self._rank[x] = i + 1
             self.size = len(self.labels)
-
-    @classmethod
-    def integer_range(cls, n: int) -> "IndexedDomain":
-        return cls(range(n))
 
     def __len__(self) -> int:
         return self.size
@@ -269,30 +263,11 @@ class FinSupportDist:
         return f"FinSupportDist({len(self.support)} points)"
 
 
-@dataclass(frozen=True)
-class SampleSeq:
-    """Ordered sample with the seed/stream path that produced it."""
-
-    points: tuple
-    seed: int | None = None
-    stream: tuple[int, ...] = ()
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def __iter__(self) -> Iterator:
-        return iter(self.points)
-
-    def __getitem__(self, i):
-        return self.points[i]
-
-
-def draw_sample(P: FinSupportDist, d: int, seed: int, stream: tuple[int, ...] = ()) -> SampleSeq:
+def draw_sample(P: FinSupportDist, d: int, seed: int, stream: tuple[int, ...] = ()) -> tuple:
     """Draw d i.i.d. points from P on the (seed, *stream) substream."""
     if d < 0:
         raise ValueError("sample size must be >= 0")
-    pts = P.sample(substream(seed, *stream), d)
-    return SampleSeq(points=pts, seed=seed, stream=tuple(stream))
+    return P.sample(substream(seed, *stream), d)
 
 
 def _prefix_table(tables: dict, points: Sequence, weights: Sequence, pi, dom: IndexedDomain, start) -> tuple:
@@ -376,14 +351,6 @@ def quantile_success(P: FinSupportDist, dom: IndexedDomain, epsilon, d: int) -> 
     return 1 - prefix[k - 1] ** d
 
 
-def opt_value(P: FinSupportDist, hypothesis_class: str = FINITE_SUBSETS) -> Fraction:
-    """Best achievable mass over the hypothesis class; 1 for finite subsets
-    (the support itself is a finite hypothesis)."""
-    if hypothesis_class != FINITE_SUBSETS:
-        raise ValueError(f"unsupported hypothesis class {hypothesis_class!r}")
-    return Fraction(1)
-
-
 def quantile_learn(sample: Iterable, dom: IndexedDomain) -> FiniteHypothesis:
     """Initial segment up to the largest observed index: A_T with T = max idx.
 
@@ -434,7 +401,7 @@ class GuaranteeReport:
 
 
 def verify_guarantee(
-    learner: Callable[[SampleSeq], Container],
+    learner: Callable[[tuple], Container],
     P: FinSupportDist,
     epsilon,
     delta,
@@ -445,20 +412,20 @@ def verify_guarantee(
     """Run seeded episodes of ``learner`` on samples of size d from P.
 
     epsilon and delta are parsed once by ``as_fraction`` ("1/3", 0.2 -> 1/5).
-    An episode succeeds when mass(P, learner(S)) >= opt - epsilon; the
-    comparison is exact when the weights are rational.  Each trial k
-    draws from the (seed, k) substream, so the report is reproducible and
-    independent of trial execution order.  ci_halfwidth is the 3-sigma
+    An episode succeeds when mass(P, learner(S)) >= 1 - epsilon (opt = 1,
+    since the support itself is a finite subset); the comparison is exact
+    when the weights are rational.  Each trial k draws from the (seed, k)
+    substream, so the report is reproducible and independent of trial
+    execution order.  ci_halfwidth is the 3-sigma
     binomial half-width at the empirical rate; bound is 1-(1-eps)^d.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     epsilon, delta = as_fraction(epsilon), as_fraction(delta)
-    target = opt_value(P) - epsilon
+    target = 1 - epsilon
     wins = 0
     for k in range(trials):
-        S = SampleSeq(points=P.sample(substream(seed, k), d), seed=seed, stream=(k,))
-        if mass(P, learner(S)) >= target:
+        if mass(P, learner(P.sample(substream(seed, k), d))) >= target:
             wins += 1
     rate = wins / trials
     return GuaranteeReport(

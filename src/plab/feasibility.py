@@ -28,7 +28,7 @@ import numpy as np
 from . import simplex
 from .emx import as_fraction
 from .quantum import DensityMatrix, Povm, _hermitize, tensor_power
-from .tasks import Kernel, TaskSpec
+from .tasks import TaskSpec
 
 
 @dataclass(frozen=True)
@@ -131,13 +131,18 @@ def kernel_polytope(task: TaskSpec) -> PolytopeSpec:
     return PolytopeSpec(names, tuple(rows))
 
 
+def _accuracy(epsilon, delta) -> tuple[Fraction, Fraction]:
+    """epsilon and delta as exact rationals, checked to lie in (0,1) and [0,1)."""
+    eps, dlt = as_fraction(epsilon), as_fraction(delta)
+    if not (0 < eps < 1) or not (0 <= dlt < 1):
+        raise ValueError("need epsilon in (0,1) and delta in [0,1)")
+    return eps, dlt
+
+
 def build_pl_constraints(task: TaskSpec, epsilon, delta) -> tuple[LinearConstraint, ...]:
     """One inequality per environment over the kernel coordinates:
     sum_{h in G_theta(eps)} q[theta,h] >= 1-delta."""
-    eps = as_fraction(epsilon)
-    dlt = as_fraction(delta)
-    if not (0 < eps < 1) or not (0 <= dlt < 1):
-        raise ValueError("need epsilon in (0,1) and delta in [0,1)")
+    eps, dlt = _accuracy(epsilon, delta)
     good = epsilon_optimal_sets(task, eps)
     names = kernel_variables(task)
     n, k = len(names), len(task.hyps)
@@ -158,15 +163,6 @@ class LpResult:
     feasible: bool
     witness: dict[str, Fraction] | None
     pivots: int = 0  # simplex pivots taken to reach the verdict
-
-    def witness_kernel(self, task: TaskSpec) -> Kernel:
-        """Reshape a witness over kernel_variables(task) into a Kernel."""
-        if self.witness is None:
-            raise ValueError("no witness on an infeasible result")
-        rows = [
-            [self.witness[f"q[{h}|{t}]"] for h in task.hyps] for t in task.thetas
-        ]
-        return Kernel(rows, thetas=task.thetas, hyps=task.hyps)
 
 
 def lp_feasible(poly: PolytopeSpec, pl: Sequence[LinearConstraint] = ()) -> LpResult:
@@ -302,11 +298,10 @@ def _jrf_step(a: np.ndarray, m: np.ndarray) -> np.ndarray:
     return _hermitize(r @ b @ r + (vk @ vk.conj().T) / len(m))
 
 
-def sdp_feasible(
-    states: Sequence[DensityMatrix], task: TaskSpec, epsilon, delta, d: int = 1, cap: int | None = None
-) -> SdpResult:
+def sdp_feasible(states: Sequence[DensityMatrix], task: TaskSpec, epsilon, delta, d: int = 1) -> SdpResult:
     """Decide whether some POVM on d copies meets every environment's row
     by the bracket [lo, hi] of the module docstring, checked after every step.
+    The d-copy states come from ``tensor_power``, which enforces the cap.
 
     The weights y start uniform.  Warm-started Jezek-Rehacek-Fiurasek steps
     solve max sum_h tr(M_h A_h(y)); after outer step t, y_i is scaled by
@@ -321,15 +316,13 @@ def sdp_feasible(
     dims = {s.dim for s in states}
     if len(dims) != 1:
         raise ValueError("states must share a dimension")
-    delta_f = float(as_fraction(delta))
-    if not 0.0 <= delta_f < 1.0:
-        raise ValueError("delta must lie in [0,1)")
-    good = epsilon_optimal_sets(task, epsilon)
+    eps, dlt = _accuracy(epsilon, delta)
+    good = epsilon_optimal_sets(task, eps)
     member = np.array([[h in good[t] for h in task.hyps] for t in task.thetas], dtype=float)
-    rhos = np.array([tensor_power(s, d, cap).mat for s in states])
+    rhos = np.array([tensor_power(s, d).mat for s in states])
     dim = rhos.shape[1]
     n_h = len(task.hyps)
-    target = 1.0 - delta_f
+    target = 1.0 - float(dlt)
 
     common = np.flatnonzero(member.all(axis=0))
     if common.size:

@@ -5,9 +5,13 @@ unit trace within 1e-12); measurements are POVMs (PSD elements within 1e-10
 summing to the identity within 1e-10 in operator norm).  The module provides
 tensor powers under a dimension cap, trace distance, the closed-form pure
 state distance 2*sqrt(1-gamma^(2d)), the optimal two-outcome measurement for
-binary discrimination and its success-sum bound 1 + ||rho0^d - rho1^d||_1 / 2,
-Born-rule kernels, reliability bounds (delta_min, d_min), bipartite
-correlation tables, and a no-signaling checker.
+binary discrimination and its success-sum bound 1 + ||rho0 - rho1||_1 / 2,
+reliability bounds (delta_min, d_min), bipartite correlation tables, and a
+no-signaling checker.
+
+``tensor_power`` is the one place that builds d-copy states and enforces the
+dimension cap; the binary discrimination helpers take the d-copy states
+rho^(x)d it returns.
 
 Everything is dense complex numpy; randomness comes from caller-supplied
 generators so property batches stay reproducible.
@@ -21,8 +25,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-
-from .tasks import Kernel
 
 HERM_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -187,57 +189,36 @@ def pure_distance_formula(gamma: float, d: int) -> float:
     return 2.0 * math.sqrt(max(0.0, 1.0 - gamma ** (2 * d)))
 
 
-def helstrom_povm(
-    rho0: DensityMatrix, rho1: DensityMatrix, d: int = 1, cap: int | None = None, band: float = 1e-10
-) -> Povm:
-    """Optimal two-outcome measurement for rho0^(x)d vs rho1^(x)d.
+def helstrom_povm(rho0: DensityMatrix, rho1: DensityMatrix) -> Povm:
+    """Optimal two-outcome measurement for rho0 vs rho1 (d-copy states from
+    ``tensor_power`` for d-copy discrimination).
 
-    M_0 projects onto the eigenspace of Delta = rho0^d - rho1^d with
-    eigenvalues > band; M_1 = I - M_0.  Eigenvalues inside the band join M_1;
-    the achieved success sum is unaffected beyond tolerance.
+    M_0 projects onto the eigenspace of Delta = rho0 - rho1 with eigenvalues
+    > 1e-10; M_1 = I - M_0.  Eigenvalues in [-1e-10, 1e-10] join M_1; the
+    achieved success sum is unaffected beyond tolerance.
     """
     if rho0.dim != rho1.dim:
         raise ValueError("dimension mismatch")
-    delta = tensor_power(rho0, d, cap).mat - tensor_power(rho1, d, cap).mat
-    w, v = np.linalg.eigh(_hermitize(delta))
-    pos = v[:, w > band]
+    w, v = np.linalg.eigh(_hermitize(rho0.mat - rho1.mat))
+    pos = v[:, w > 1e-10]
     m0 = pos @ pos.conj().T
-    m1 = np.eye(rho0.dim**d, dtype=complex) - m0
+    m1 = np.eye(rho0.dim, dtype=complex) - m0
     return Povm([m0, m1], labels=(0, 1))
 
 
-def helstrom_bound(rho0: DensityMatrix, rho1: DensityMatrix, d: int = 1, cap: int | None = None) -> float:
-    """Largest achievable success sum tr(M0 rho0^d) + tr(M1 rho1^d):
-    1 + ||rho0^d - rho1^d||_1 / 2."""
-    return 1.0 + 0.5 * trace_distance(tensor_power(rho0, d, cap), tensor_power(rho1, d, cap))
+def helstrom_bound(rho0: DensityMatrix, rho1: DensityMatrix) -> float:
+    """Largest achievable success sum tr(M0 rho0) + tr(M1 rho1):
+    1 + ||rho0 - rho1||_1 / 2."""
+    return 1.0 + 0.5 * trace_distance(rho0, rho1)
 
 
-def discrimination_sum(
-    povm: Povm, rho0: DensityMatrix, rho1: DensityMatrix, d: int = 1, cap: int | None = None
-) -> float:
-    """Success sum tr(M0 rho0^d) + tr(M1 rho1^d) for a two-outcome POVM."""
+def discrimination_sum(povm: Povm, rho0: DensityMatrix, rho1: DensityMatrix) -> float:
+    """Success sum tr(M0 rho0) + tr(M1 rho1) for a two-outcome POVM."""
     if len(povm.elements) != 2:
         raise ValueError("binary discrimination needs a two-outcome POVM")
-    r0 = tensor_power(rho0, d, cap).mat
-    r1 = tensor_power(rho1, d, cap).mat
-    if povm.dim != r0.shape[0]:
-        raise ValueError("POVM dimension does not match the d-copy states")
-    return float(np.trace(povm.elements[0] @ r0).real + np.trace(povm.elements[1] @ r1).real)
-
-
-def born_kernel(povm: Povm, states: Sequence[DensityMatrix], d: int = 1, cap: int | None = None) -> Kernel:
-    """Kernel Q(h|theta) = tr(M_h rho_theta^(x)d); rows are probability
-    vectors within 1e-10 (tiny negative traces are clamped)."""
-    rows = []
-    for rho in states:
-        rd = tensor_power(rho, d, cap).mat
-        if povm.dim != rd.shape[0]:
-            raise ValueError("POVM dimension does not match the d-copy states")
-        row = [float(np.trace(e @ rd).real) for e in povm.elements]
-        if any(p < -POVM_TOL for p in row) or abs(sum(row) - 1.0) > POVM_TOL:
-            raise ValueError("Born row is not a probability vector within 1e-10")
-        rows.append([max(p, 0.0) for p in row])
-    return Kernel(rows, hyps=[str(h) for h in povm.labels])
+    if povm.dim != rho0.dim:
+        raise ValueError("POVM dimension does not match the states")
+    return float(np.trace(povm.elements[0] @ rho0.mat).real + np.trace(povm.elements[1] @ rho1.mat).real)
 
 
 def delta_min(gamma: float, d: int) -> float:
@@ -263,19 +244,6 @@ def copies_min(gamma: float, delta: float) -> int:
         raise ValueError("delta must lie in (0, 1/2)")
     r = math.log(1.0 / (4.0 * delta * (1.0 - delta))) / (-2.0 * math.log(gamma))
     return max(1, math.ceil(r - 1e-12))
-
-
-def discrimination_bounds(gamma: float, d: int | None = None, delta: float | None = None) -> dict:
-    """Bundle of reliability bounds: delta_min for given d, d_min for given
-    delta (whichever arguments are present; at least one required)."""
-    if d is None and delta is None:
-        raise ValueError("provide d (for delta_min) and/or delta (for d_min)")
-    out: dict = {"gamma": gamma}
-    if d is not None:
-        out["delta_min"] = delta_min(gamma, d)
-    if delta is not None:
-        out["d_min"] = copies_min(gamma, delta)
-    return out
 
 
 class CorrelationTable:
@@ -340,16 +308,16 @@ class NoSignalingVerdict:
     max_violation: float
 
 
-def check_no_signaling(t: CorrelationTable, tol: float = 1e-10) -> NoSignalingVerdict:
+def check_no_signaling(t: CorrelationTable) -> NoSignalingVerdict:
     """Marginals must ignore the far party's setting: sum_a p(a,b|x,y) equal
     across x for each (b,y), and sum_b p(a,b|x,y) across y for each (a,x).
-    Reports the worst deviation found."""
+    Passes when the worst deviation found, which it reports, is <= 1e-10."""
     marg_b = t.p.sum(axis=0)  # (B, X, Y); must not depend on x
     dev_b = float((marg_b.max(axis=1) - marg_b.min(axis=1)).max())
     marg_a = t.p.sum(axis=1)  # (A, X, Y); must not depend on y
     dev_a = float((marg_a.max(axis=2) - marg_a.min(axis=2)).max())
     worst = max(dev_a, dev_b)
-    return NoSignalingVerdict(passed=worst <= tol, max_violation=worst)
+    return NoSignalingVerdict(passed=worst <= 1e-10, max_violation=worst)
 
 
 def random_density_matrix(dim: int, rng: np.random.Generator) -> DensityMatrix:

@@ -1,9 +1,9 @@
-"""Finite decision tasks and behavior kernels.
+"""Finite decision tasks.
 
-A task is (environments, hypotheses, utility matrix in [0,1]); a kernel is a
-conditional law q[theta][h] — one probability row per environment.  Utilities
-are exact rationals; kernel rows may be exact (LP witnesses) or float (Born
-rule outputs).
+A task is (environments, hypotheses, utility matrix in [0,1]) with exact
+rational utilities.  Behaviors over a task, kernels q[theta][h] with one
+probability row per environment, are the coordinates of the LP deciders in
+``plab.feasibility``.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .emx import as_fraction, parse_weight
+from .emx import as_fraction
 
 
 class TaskSpec:
@@ -43,9 +43,6 @@ class TaskSpec:
         """Best utility in environment i (max over the finite hypothesis set)."""
         return max(self.utility[i])
 
-    def opt_values(self) -> tuple[Fraction, ...]:
-        return tuple(self.opt(i) for i in range(len(self.thetas)))
-
     def to_json(self) -> dict:
         return {
             "thetas": list(self.thetas),
@@ -59,61 +56,3 @@ class TaskSpec:
 
     def __repr__(self) -> str:
         return f"TaskSpec({len(self.thetas)} environments x {len(self.hyps)} hypotheses)"
-
-
-class Kernel:
-    """Conditional output law: one probability row q[theta] over hypotheses.
-
-    Rows of exact rationals must sum to 1 exactly; rows containing floats must
-    sum to 1 within 1e-12.  Entries are nonnegative (floats may sit within
-    -1e-12 of zero and are clamped).
-    """
-
-    __slots__ = ("rows", "thetas", "hyps")
-
-    def __init__(self, rows: Sequence[Sequence], thetas: Sequence[str] | None = None, hyps: Sequence[str] | None = None):
-        parsed = []
-        for row in rows:
-            row = [parse_weight(w) for w in row]
-            clean = []
-            for w in row:
-                if isinstance(w, float) and -1e-12 <= w < 0.0:
-                    w = 0.0
-                if w < 0:
-                    raise ValueError(f"negative kernel entry {w!r}")
-                clean.append(w)
-            total = sum(clean, start=Fraction(0))
-            if all(isinstance(w, Fraction) for w in clean):
-                if total != 1:
-                    raise ValueError(f"rational row must sum to exactly 1, got {total}")
-            elif abs(float(total) - 1.0) > 1e-12:
-                raise ValueError(f"row sums to {float(total)!r}, not 1 within 1e-12")
-            parsed.append(tuple(clean))
-        if not parsed:
-            raise ValueError("kernel needs at least one row")
-        width = len(parsed[0])
-        if any(len(r) != width for r in parsed):
-            raise ValueError("kernel rows must have equal length")
-        self.rows = tuple(parsed)
-        self.thetas = tuple(thetas) if thetas is not None else None
-        self.hyps = tuple(hyps) if hyps is not None else None
-
-    def row(self, i: int) -> tuple:
-        return self.rows[i]
-
-    def to_json(self) -> dict:
-        out = {
-            "rows": [[str(w) if isinstance(w, Fraction) else w for w in row] for row in self.rows]
-        }
-        if self.thetas is not None:
-            out["thetas"] = list(self.thetas)
-        if self.hyps is not None:
-            out["hyps"] = list(self.hyps)
-        return out
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Kernel":
-        return cls(obj["rows"], obj.get("thetas"), obj.get("hyps"))
-
-    def __repr__(self) -> str:
-        return f"Kernel({len(self.rows)} x {len(self.rows[0])})"

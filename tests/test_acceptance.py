@@ -163,7 +163,7 @@ def test_compression_threshold_erm_learner_and_leave_one_out_coverage():
     U = FinSupportDist.uniform(dom9.labels)
     failures = 0
     for k in range(500):
-        pts = draw_sample(U, 6, seed=67, stream=(k,)).points
+        pts = draw_sample(U, 6, seed=67, stream=(k,))
         if check_monotone_coverage(six_scheme, pts) is None:
             failures += 1
     assert failures == 0
@@ -198,17 +198,19 @@ def test_helstrom_measurement_saturates_and_bounds():
             continue
         r0 = random_density_matrix(dim, rng)
         r1 = DensityMatrix.pure(random_pure_state(dim, rng))
-        achieved = discrimination_sum(helstrom_povm(r0, r1, d), r0, r1, d)
-        assert abs(achieved - helstrom_bound(r0, r1, d)) < 1e-9
+        t0, t1 = tensor_power(r0, d), tensor_power(r1, d)
+        achieved = discrimination_sum(helstrom_povm(t0, t1), t0, t1)
+        assert abs(achieved - helstrom_bound(t0, t1)) < 1e-9
 
     g = 1.0 / math.sqrt(2.0)
     r0 = DensityMatrix.pure([1.0, 0.0])
     r1 = DensityMatrix.pure([g, g])
-    bound = helstrom_bound(r0, r1, 2)
+    t0, t1 = tensor_power(r0, 2), tensor_power(r1, 2)
+    bound = helstrom_bound(t0, t1)
     excess = 0.0
     for _ in range(1_000):
         m = random_povm(4, 2, rng)
-        excess = max(excess, discrimination_sum(m, r0, r1, 2) - bound)
+        excess = max(excess, discrimination_sum(m, t0, t1) - bound)
     assert excess <= 1e-9
 
     single = discrimination_sum(helstrom_povm(r0, r1), r0, r1)
@@ -314,7 +316,7 @@ def test_no_signaling_verification_on_quantum_and_planted_tables():
         rho = random_density_matrix(4, rng)
         alice = [random_povm(2, 2, rng) for _ in range(2)]
         bob = [random_povm(2, 2, rng) for _ in range(2)]
-        verdict = check_no_signaling(quantum_correlation(rho, alice, bob), tol=1e-10)
+        verdict = check_no_signaling(quantum_correlation(rho, alice, bob))
         assert verdict.passed, verdict.max_violation
 
     planted = np.zeros((2, 2, 2, 2))

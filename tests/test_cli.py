@@ -181,6 +181,22 @@ class TestErrorPaths:
         assert main(["compress", "--mode", "demo", "--domain", "a,b", "--pair", "a,b,a"]) == 1
         assert "two points" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["quantum", "discriminate", "--gamma", "0.8", "--copies", "11"],
+        ["feasible", "sdp", "--task", "task.json", "--states", "states", "--copies", "11"],
+    ])
+    def test_copies_beyond_the_dimension_cap(self, workdir, capsys, argv):
+        assert main(argv) == 1
+        assert "plab: error: dimension 2^11 exceeds cap 1024" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["feasible", "lp", "--task", "task.json"],
+        ["feasible", "sdp", "--task", "task.json", "--states", "states"],
+    ])
+    def test_epsilon_outside_unit_interval(self, workdir, capsys, argv):
+        assert main(argv + ["--epsilon", "2"]) == 1
+        assert "plab: error: need epsilon in (0,1)" in capsys.readouterr().err
+
     def test_missing_state_file(self, workdir, capsys):
         (workdir / "states" / "t1.json").unlink()
         rc = main(["feasible", "sdp", "--task", "task.json", "--states", "states"])
@@ -210,12 +226,6 @@ class TestReportPlumbing:
         rep = RunReport(config={}, metrics={}, sweep=None, wall_clock_s=0.0, version="0")
         with pytest.raises(ValueError):
             emit_table(rep, str(tmp_path / "t.csv"))
-        with pytest.raises(ValueError):
-            emit_table(
-                RunReport(config={}, metrics={}, sweep=[{"a": 1}], wall_clock_s=0.0, version="0"),
-                str(tmp_path / "t.csv"),
-                fmt="tsv",
-            )
 
     def test_stdout_when_no_out_path(self, workdir, capsys):
         assert main(["quantum", "discriminate", "--gamma", "0.5"]) == 0

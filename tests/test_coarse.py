@@ -14,8 +14,6 @@ from plab.coarse import (
     TableMap,
     UniformBinsMap,
     coarse_learn,
-    coarse_map_from_json,
-    coarse_map_to_json,
     pullback,
     pushforward,
 )
@@ -99,23 +97,6 @@ class TestTableMap:
     def test_unknown_input(self):
         with pytest.raises(ValueError):
             TableMap([("u", 0)])("z")
-
-
-class TestMapJson:
-    def test_uniform_bins_roundtrip(self):
-        pi = coarse_map_from_json({"kind": "uniform_bins", "bits": 5})
-        assert isinstance(pi, UniformBinsMap) and pi.bits == 5
-        assert coarse_map_to_json(pi) == {"kind": "uniform_bins", "bits": 5}
-
-    def test_table_roundtrip(self):
-        obj = {"kind": "table", "entries": [["u", 0], ["v", 1]]}
-        pi = coarse_map_from_json(obj)
-        assert isinstance(pi, TableMap) and pi("v") == 1
-        assert coarse_map_to_json(pi) == obj
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            coarse_map_from_json({"kind": "hash", "bits": 3})
 
 
 class TestPushforward:

@@ -159,7 +159,7 @@ class TestLearnerToCompression:
         scheme = self.make(3)
         P = FinSupportDist.uniform(DOM.labels)
         for k in range(50):
-            pts = draw_sample(P, 6, seed=31, stream=(k,)).points
+            pts = draw_sample(P, 6, seed=31, stream=(k,))
             assert check_monotone_coverage(scheme, pts) is not None
 
     def test_d_validated(self):

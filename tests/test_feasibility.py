@@ -25,7 +25,7 @@ from plab.feasibility import (
     no_signaling_polytope,
     sdp_feasible,
 )
-from plab.quantum import DensityMatrix, delta_min, random_density_matrix, tensor_power
+from plab.quantum import DensityMatrix, ResourceCapError, delta_min, random_density_matrix, tensor_power
 from plab.tasks import TaskSpec
 
 F = Fraction
@@ -130,8 +130,8 @@ class TestLpFeasible:
         assert res.feasible
         assert res.witness["q[h0|t0]"] >= F(4, 5)
         assert res.witness["q[h1|t1]"] >= F(4, 5)
-        k = res.witness_kernel(IDENTITY_TASK)
-        assert sum(k.row(0)) == 1 and sum(k.row(1)) == 1
+        for t in IDENTITY_TASK.thetas:
+            assert sum(res.witness[f"q[{h}|{t}]"] for h in IDENTITY_TASK.hyps) == 1
 
     def test_constant_kernel_instance_infeasible(self):
         # a theta-independent kernel cannot give 4/5 to both diagonal cells
@@ -286,6 +286,21 @@ class TestSdpFeasible:
             sdp_feasible([KET0, DensityMatrix.maximally_mixed(3)], IDENTITY_TASK, F(1, 2), F(1, 5))
         with pytest.raises(ValueError):
             sdp_feasible([KET0, KET1], IDENTITY_TASK, F(1, 2), 1)
+
+    @pytest.mark.parametrize("epsilon", [1, 2])
+    def test_epsilon_outside_unit_interval_rejected(self, epsilon):
+        # same rule as build_pl_constraints; a large epsilon would otherwise
+        # make every hypothesis common-optimal and report "feasible"
+        with pytest.raises(ValueError, match="epsilon in"):
+            sdp_feasible([KET0, KET1], IDENTITY_TASK, epsilon, F(1, 5))
+        with pytest.raises(ValueError, match="epsilon in"):
+            build_pl_constraints(IDENTITY_TASK, epsilon, F(1, 5))
+
+    def test_dimension_cap_comes_from_the_environment(self, monkeypatch):
+        monkeypatch.setenv("PLAB_DIM_CAP", "8")
+        with pytest.raises(ResourceCapError, match="2\\^4 exceeds cap 8"):
+            sdp_feasible([KET0, PLUS], IDENTITY_TASK, F(1, 2), "0.2", d=4)
+        assert sdp_feasible([KET0, PLUS], IDENTITY_TASK, F(1, 2), "0.08", d=3).verdict == "feasible"
 
 
 def identity_task(n):

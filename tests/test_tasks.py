@@ -1,10 +1,10 @@
-"""Task specifications and conditional-output kernels."""
+"""Task specifications."""
 
 from fractions import Fraction
 
 import pytest
 
-from plab.tasks import Kernel, TaskSpec
+from plab.tasks import TaskSpec
 
 
 def identity_task():
@@ -20,7 +20,6 @@ class TestTaskSpec:
         task = TaskSpec(["t0", "t1"], ["a", "b", "c"], [[0, 1, "1/2"], ["1/3", "1/3", "1/4"]])
         assert task.opt(0) == 1
         assert task.opt(1) == Fraction(1, 3)
-        assert task.opt_values() == (Fraction(1), Fraction(1, 3))
 
     def test_utilities_must_lie_in_unit_interval(self):
         with pytest.raises(ValueError):
@@ -42,30 +41,3 @@ class TestTaskSpec:
         assert again.thetas == task.thetas
         assert again.utility == task.utility
 
-
-class TestKernel:
-    def test_rational_rows_must_sum_exactly(self):
-        Kernel([["1/2", "1/2"]])
-        with pytest.raises(ValueError):
-            Kernel([["1/2", "1/3"]])
-
-    def test_float_rows_get_tolerance(self):
-        Kernel([[0.5, 0.5 + 5e-13]])
-        with pytest.raises(ValueError):
-            Kernel([[0.5, 0.6]])
-
-    def test_tiny_negative_floats_clamp_to_zero(self):
-        k = Kernel([[1.0 + 1e-13, -1e-13]])
-        assert k.row(0)[1] == 0.0
-        with pytest.raises(ValueError):
-            Kernel([[1.01, -0.01]])
-
-    def test_rows_must_share_width(self):
-        with pytest.raises(ValueError):
-            Kernel([["1/2", "1/2"], ["1"]])
-
-    def test_json_roundtrip_with_labels(self):
-        k = Kernel([["1/4", "3/4"]], thetas=["t"], hyps=["h0", "h1"])
-        again = Kernel.from_json(k.to_json())
-        assert again.rows == k.rows
-        assert again.hyps == ("h0", "h1")
