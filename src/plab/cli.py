@@ -227,8 +227,6 @@ def _run_compress(p: dict, seed: int):
 def _discrimination_point(gamma: float, d: int, delta) -> dict:
     psi0 = quantum.DensityMatrix.pure([1.0, 0.0])
     psi1 = quantum.DensityMatrix.pure([gamma, math.sqrt(max(0.0, 1.0 - gamma * gamma))])
-    # tensor_power builds each d-copy state once and enforces the dimension
-    # cap; the discrimination helpers take the d-copy states.
     r0, r1 = quantum.tensor_power(psi0, d), quantum.tensor_power(psi1, d)
     point = {
         "gamma": gamma,
@@ -246,6 +244,8 @@ def _discrimination_point(gamma: float, d: int, delta) -> dict:
 
 def _run_quantum(p: dict, seed: int):
     gamma, d, delta = p["gamma"], p["copies"], p["delta"]
+    if p["sweep_gamma"] and p["sweep_copies"]:
+        raise ValueError("give sweep_gamma or sweep_copies, not both")
     metrics = _discrimination_point(gamma, d, delta)
     if p["sweep_gamma"]:
         points = [_discrimination_point(g, d, delta) for g in p["sweep_gamma"]]

@@ -132,8 +132,6 @@ def coarse_learn(sample: Iterable, pi, epsilon, delta) -> PulledBackHypothesis:
     guarantee transfers.
     """
     pts = tuple(sample)
-    if not pts:
-        raise ValueError("empty sample")
     need = sample_complexity(epsilon, delta)
     if len(pts) < need:
         raise ValueError(f"sample size {len(pts)} below required {need}")

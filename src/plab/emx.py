@@ -5,6 +5,7 @@ Implements:
   • FinSupportDist — finitely supported distribution (exact rationals preferred)
   • FiniteHypothesis — finite subset, with a compact initial-segment form
   • quantile_learn — keep everything up to the largest observed index
+  • accuracy — the one (eps, delta) rule: exact eps in (0,1), delta in [0,1)
   • sample_complexity — smallest d with (1-eps)^d <= delta, clamped to >= 1
   • mass — exact P(F), from a per-distribution prefix table for segments
   • quantile_success — exact success probability of the quantile learner
@@ -45,6 +46,15 @@ def as_fraction(value: Fraction | int | float | str) -> Fraction:
     if isinstance(value, str):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as a rational")
+
+
+def accuracy(epsilon, delta) -> tuple[Fraction, Fraction]:
+    """epsilon and delta as exact rationals by ``as_fraction``, checked to lie
+    in (0,1) and [0,1): the one epsilon/delta check of every plab entry point."""
+    eps, dlt = as_fraction(epsilon), as_fraction(delta)
+    if not (0 < eps < 1) or not (0 <= dlt < 1):
+        raise ValueError("need epsilon in (0,1) and delta in [0,1)")
+    return eps, dlt
 
 
 def parse_weight(value: Fraction | int | float | str) -> Fraction | float:
@@ -341,9 +351,7 @@ def quantile_success(P: FinSupportDist, dom: IndexedDomain, epsilon, d: int) -> 
     weights.  Support points outside ``dom`` carry no rank and count in no
     prefix.
     """
-    epsilon = as_fraction(epsilon)
-    if not 0 < epsilon < 1:
-        raise ValueError("epsilon must lie in (0,1)")
+    epsilon = accuracy(epsilon, 0)[0]
     prefix = _prefix_table(P._tables, P.support, P.weights, None, dom, Fraction(0))[1]
     k = bisect_left(prefix, 1 - epsilon)
     if k == len(prefix):
@@ -365,13 +373,13 @@ def quantile_learn(sample: Iterable, dom: IndexedDomain) -> FiniteHypothesis:
 
 def sample_complexity(epsilon, delta) -> int:
     """Smallest integer d >= ln(1/delta)/(-ln(1-epsilon)), at least 1."""
-    e = float(as_fraction(epsilon))
-    dl = float(as_fraction(delta))
-    if not (0.0 < e < 1.0) or not (0.0 < dl < 1.0):
-        raise ValueError("epsilon and delta must lie in (0,1)")
-    # log(dl)/log1p(-e) is the exact ratio; the nudge keeps integer ratios
-    # (e.g. 0.5,0.5 -> 1.0) from ceiling up on representation noise.
-    return max(1, math.ceil(math.log(dl) / math.log1p(-e) - 1e-12))
+    eps, dlt = accuracy(epsilon, delta)
+    # log(delta)/log1p(-eps) is the exact ratio; the nudge keeps integer
+    # ratios (e.g. 0.5,0.5 -> 1.0) from ceiling up on representation noise.
+    try:
+        return max(1, math.ceil(math.log(dlt) / math.log1p(-float(eps)) - 1e-12))
+    except (ValueError, ArithmeticError):  # ln 0, or a ratio beyond the float range
+        raise ValueError("sample complexity needs delta > 0 and a d within the float range") from None
 
 
 @dataclass(frozen=True)
@@ -411,7 +419,7 @@ def verify_guarantee(
 ) -> GuaranteeReport:
     """Run seeded episodes of ``learner`` on samples of size d from P.
 
-    epsilon and delta are parsed once by ``as_fraction`` ("1/3", 0.2 -> 1/5).
+    epsilon and delta are checked once by ``accuracy`` ("1/3", 0.2 -> 1/5).
     An episode succeeds when mass(P, learner(S)) >= 1 - epsilon (opt = 1,
     since the support itself is a finite subset); the comparison is exact
     when the weights are rational.  Each trial k draws from the (seed, k)
@@ -421,7 +429,7 @@ def verify_guarantee(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    epsilon, delta = as_fraction(epsilon), as_fraction(delta)
+    epsilon, delta = accuracy(epsilon, delta)
     target = 1 - epsilon
     wins = 0
     for k in range(trials):

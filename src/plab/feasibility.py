@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from . import simplex
-from .emx import as_fraction
+from .emx import accuracy, as_fraction
 from .quantum import DensityMatrix, Povm, _hermitize, tensor_power
 from .tasks import TaskSpec
 
@@ -131,18 +131,10 @@ def kernel_polytope(task: TaskSpec) -> PolytopeSpec:
     return PolytopeSpec(names, tuple(rows))
 
 
-def _accuracy(epsilon, delta) -> tuple[Fraction, Fraction]:
-    """epsilon and delta as exact rationals, checked to lie in (0,1) and [0,1)."""
-    eps, dlt = as_fraction(epsilon), as_fraction(delta)
-    if not (0 < eps < 1) or not (0 <= dlt < 1):
-        raise ValueError("need epsilon in (0,1) and delta in [0,1)")
-    return eps, dlt
-
-
 def build_pl_constraints(task: TaskSpec, epsilon, delta) -> tuple[LinearConstraint, ...]:
     """One inequality per environment over the kernel coordinates:
     sum_{h in G_theta(eps)} q[theta,h] >= 1-delta."""
-    eps, dlt = _accuracy(epsilon, delta)
+    eps, dlt = accuracy(epsilon, delta)
     good = epsilon_optimal_sets(task, eps)
     names = kernel_variables(task)
     n, k = len(names), len(task.hyps)
@@ -172,9 +164,6 @@ def lp_feasible(poly: PolytopeSpec, pl: Sequence[LinearConstraint] = ()) -> LpRe
     (build_pl_constraints and kernel_polytope agree by construction).
     """
     merged = list(poly.constraints) + list(pl)
-    for c in merged:
-        if len(c.coeffs) != len(poly.variables):
-            raise ValueError("constraint arity does not match variable count")
     before = simplex._pivots_done()
     point = simplex.feasible_point(
         len(poly.variables), [(c.coeffs, c.relation, c.rhs) for c in merged]
@@ -316,7 +305,7 @@ def sdp_feasible(states: Sequence[DensityMatrix], task: TaskSpec, epsilon, delta
     dims = {s.dim for s in states}
     if len(dims) != 1:
         raise ValueError("states must share a dimension")
-    eps, dlt = _accuracy(epsilon, delta)
+    eps, dlt = accuracy(epsilon, delta)
     good = epsilon_optimal_sets(task, eps)
     member = np.array([[h in good[t] for h in task.hyps] for t in task.thetas], dtype=float)
     rhos = np.array([tensor_power(s, d).mat for s in states])

@@ -11,7 +11,8 @@ no-signaling checker.
 
 ``tensor_power`` is the one place that builds d-copy states and enforces the
 dimension cap; the binary discrimination helpers take the d-copy states
-rho^(x)d it returns.
+rho^(x)d it returns.  A d-fold power is not checked again: it carries its
+factor's check, with the tolerances scaled by d.
 
 Everything is dense complex numpy; randomness comes from caller-supplied
 generators so property batches stay reproducible.
@@ -38,9 +39,11 @@ class ResourceCapError(RuntimeError):
 
 
 def dim_cap() -> int:
-    """Current tensor-dimension cap; the PLAB_DIM_CAP env var overrides the
-    default of 2^10 (read at call time)."""
+    """Current tensor-dimension cap; the PLAB_DIM_CAP env var, a positive
+    integer, overrides the default of 2^10 (read at call time)."""
     raw = os.environ.get("PLAB_DIM_CAP")
+    if raw and not (raw.isdecimal() and int(raw) > 0):
+        raise ValueError(f"PLAB_DIM_CAP must be a positive integer, got {raw!r}")
     return int(raw) if raw else DEFAULT_DIM_CAP
 
 
@@ -169,7 +172,10 @@ def tensor_power(rho: DensityMatrix, d: int, cap: int | None = None) -> DensityM
     out = rho.mat
     for _ in range(d - 1):
         out = np.kron(out, rho.mat)
-    return DensityMatrix(out)
+    out.setflags(write=False)
+    power = object.__new__(DensityMatrix)  # skips __init__: rho's check covers the power
+    power.mat = out
+    return power
 
 
 def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -224,11 +230,7 @@ def discrimination_sum(povm: Povm, rho0: DensityMatrix, rho1: DensityMatrix) -> 
 def delta_min(gamma: float, d: int) -> float:
     """Smallest worst-case error of any two-sided test on d copies of pure
     states with overlap gamma: (1 - sqrt(1 - gamma^(2d)))/2."""
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError("overlap gamma must lie in [0,1]")
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    return (1.0 - math.sqrt(max(0.0, 1.0 - gamma ** (2 * d)))) / 2.0
+    return (1.0 - pure_distance_formula(gamma, d) / 2.0) / 2.0
 
 
 def copies_min(gamma: float, delta: float) -> int:

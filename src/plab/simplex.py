@@ -3,7 +3,8 @@
 No floats anywhere: a Feasible answer comes with a witness satisfying every
 constraint exactly, and Infeasible means the phase-1 optimum is a positive
 rational.  Variables are free reals (split internally as u - v); constraints
-are (coeffs, relation, rhs) with relation in {"<=", "=", ">="}.
+are (coeffs, relation, rhs) with relation in {"<=", "=", ">="}.  Numbers are
+read by ``plab.emx.as_fraction``, the one rational parser (0.1 means 1/10).
 
 The tableau is dense, but every pivot touches only the nonzero entries of the
 pivot row, and only the rows whose entry in the entering column is nonzero.
@@ -18,6 +19,8 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from typing import Iterable, Sequence
+
+from .emx import as_fraction
 
 RELATIONS = ("<=", "=", ">=")
 
@@ -55,13 +58,13 @@ def feasible_point(
     rels: list[str] = []
     rhss: list[Fraction] = []
     for coeffs, rel, rhs in constraints:
-        coeffs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
+        coeffs = [c if type(c) is Fraction else as_fraction(c) for c in coeffs]
         if len(coeffs) != num_vars:
             raise ValueError(f"coefficient row of length {len(coeffs)}, expected {num_vars}")
         if rel not in RELATIONS:
             raise ValueError(f"unknown relation {rel!r}")
         entries = [(j, c) for j, c in enumerate(coeffs) if c]
-        rhs = Fraction(rhs)
+        rhs = as_fraction(rhs)
         if rhs < 0:  # canonical: rhs >= 0
             entries = [(j, -c) for j, c in entries]
             rhs = -rhs

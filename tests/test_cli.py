@@ -192,10 +192,39 @@ class TestErrorPaths:
     @pytest.mark.parametrize("argv", [
         ["feasible", "lp", "--task", "task.json"],
         ["feasible", "sdp", "--task", "task.json", "--states", "states"],
+        ["compress", "--mode", "lemma1", "--m", "1", "--dist", "dist.json", "--trials", "5"],
+        ["emx", "--dist", "dist.json", "--trials", "5"],
+        ["coarse", "--dist", "points.json", "--trials", "5"],
     ])
     def test_epsilon_outside_unit_interval(self, workdir, capsys, argv):
         assert main(argv + ["--epsilon", "2"]) == 1
         assert "plab: error: need epsilon in (0,1)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("raw", ["abc", "0", "-3"])
+    def test_dimension_cap_must_be_a_positive_integer(self, workdir, capsys, monkeypatch, raw):
+        monkeypatch.setenv("PLAB_DIM_CAP", raw)
+        assert main(["quantum", "discriminate", "--gamma", "0.8"]) == 1
+        assert "plab: error: PLAB_DIM_CAP must be a positive integer" in capsys.readouterr().err
+
+    def test_copies_of_a_state_at_the_trace_tolerance(self, workdir):
+        # trace 1 + 9e-13 is within 1e-12; two copies carry the one check
+        state = {"dim": 2, "entries": [[[0.5 + 9e-13, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]}
+        (workdir / "states" / "t0.json").write_text(json.dumps(state))
+        argv = ["feasible", "sdp", "--task", "task.json", "--states", "states", "--out", "r.json"]
+        assert main(argv + ["--copies", "1"]) == 0
+        assert main(argv + ["--copies", "2"]) == 0
+
+    @pytest.mark.parametrize("by_config", [False, True])
+    def test_gamma_and_copy_sweeps_together_rejected(self, workdir, capsys, by_config):
+        argv = ["quantum", "discriminate", "--gamma", "0.8", "--sweep-gamma", "0.5", "--sweep-copies", "2,3"]
+        if by_config:
+            params = {"gamma": 0.8, "sweep_gamma": [0.5], "sweep_copies": [2, 3]}
+            (workdir / "cfg.json").write_text(json.dumps({"kind": "quantum", "parameters": params}))
+            argv = ["quantum", "discriminate", "--config", "cfg.json"]
+        assert main(argv + ["--out", "r.json"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("plab: error:") and "sweep_gamma" in err and "sweep_copies" in err
+        assert not (workdir / "r.json").exists()
 
     def test_missing_state_file(self, workdir, capsys):
         (workdir / "states" / "t1.json").unlink()

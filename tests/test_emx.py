@@ -254,6 +254,11 @@ class TestSampleComplexity:
             with pytest.raises(ValueError):
                 sample_complexity(eps, dlt)
 
+    @pytest.mark.parametrize("eps", ["1e-320", "1e-400"])
+    def test_epsilon_below_the_float_range_rejected(self, eps):
+        with pytest.raises(ValueError, match="sample complexity needs delta > 0"):
+            sample_complexity(eps, "1/3")
+
     def test_matches_exact_rational_scan(self):
         grid = [Fraction(1, 10), Fraction(1, 5), Fraction(3, 10), Fraction(1, 3), Fraction(1, 2), Fraction(9, 10)]
         for eps in grid:
@@ -314,6 +319,11 @@ class TestVerifyGuarantee:
         P = uniform_on("ab")
         with pytest.raises(ValueError):
             verify_guarantee(lambda s: frozenset("ab"), P, 0.5, 0.5, 1, 0, seed=0)
+
+    @pytest.mark.parametrize("eps, dlt", [(0, "1/2"), (1, "1/2"), (2, "1/2"), ("1/2", 1), ("1/2", 5)])
+    def test_epsilon_and_delta_validated(self, eps, dlt):
+        with pytest.raises(ValueError, match=r"need epsilon in \(0,1\) and delta in \[0,1\)"):
+            verify_guarantee(lambda s: frozenset("ab"), uniform_on("ab"), eps, dlt, 1, 5, seed=0)
 
     @pytest.mark.parametrize("eps", [Fraction(1, 10), Fraction(3, 10), Fraction(1, 2)])
     @pytest.mark.parametrize("size", [2, 10, 50])

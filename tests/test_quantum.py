@@ -154,6 +154,22 @@ class TestTensorPower:
         with pytest.raises(ValueError):
             tensor_power(KET0, 0)
 
+    def test_factor_within_tolerance_has_every_power_up_to_the_cap(self):
+        # trace 1 + 9e-13 passes the 1e-12 check; the d-fold power has trace
+        # (1 + 9e-13)^d and carries the factor's check instead of its own
+        rho = DensityMatrix(np.diag([0.5 + 9e-13, 0.5]))
+        kron = rho.mat
+        for d in range(1, dim_cap().bit_length()):
+            power = tensor_power(rho, d)
+            assert np.array_equal(power.mat, kron) and not power.mat.flags.writeable
+            kron = np.kron(kron, rho.mat)
+
+    @pytest.mark.parametrize("raw", ["abc", "0", "-3", "2.5"])
+    def test_env_var_must_be_a_positive_integer(self, monkeypatch, raw):
+        monkeypatch.setenv("PLAB_DIM_CAP", raw)
+        with pytest.raises(ValueError, match="PLAB_DIM_CAP must be a positive integer"):
+            dim_cap()
+
 
 class TestTraceDistance:
     def test_orthogonal_states_reach_two(self):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from plab.feasibility import LinearConstraint
 from plab.simplex import RELATIONS, feasible_point
 
 F = Fraction
@@ -66,6 +67,20 @@ def test_exact_fractions_no_drift():
 
 def test_no_constraints_means_origin_ok():
     assert solve(3, []) == [0, 0, 0]
+
+
+@pytest.mark.parametrize("coeff, rhs", [(0.1, 1), (1, 0.1), (0.3, "0.1")])
+def test_numbers_read_as_linear_constraint_reads_them(coeff, rhs):
+    row = LinearConstraint((coeff,), "=", rhs)
+    assert feasible_point(1, [((coeff,), "=", rhs)]) == [row.rhs / row.coeffs[0]]
+
+
+@pytest.mark.parametrize("coeff, rhs", [(True, 1), (1, True)])
+def test_bool_rejected_as_linear_constraint_rejects_it(coeff, rhs):
+    with pytest.raises(TypeError, match="bool"):
+        LinearConstraint((coeff,), "=", rhs)
+    with pytest.raises(TypeError, match="bool"):
+        feasible_point(1, [((coeff,), "=", rhs)])
 
 
 def test_unknown_relation_rejected():
