@@ -199,7 +199,7 @@ def _run_compress(p: dict, seed: int):
             raise ValueError("demo mode wants exactly two points")
         dom = IndexedDomain(p["domain"])
         kept = compression.compress_two_to_one(pair[0], pair[1], dom)
-        scheme = compression.two_to_one_scheme(dom)
+        scheme = compression.segment_scheme(dom, 1)
         sub = compression.check_monotone_coverage(scheme, pair)
         reconstructed = sorted(scheme.reconstruct((kept,)).elements, key=dom.idx)
         return {
@@ -225,16 +225,18 @@ def _run_compress(p: dict, seed: int):
 
 
 def _discrimination_point(gamma: float, d: int, delta) -> dict:
+    formula = quantum.pure_distance_formula(gamma, d)  # checks gamma and d before any state is built
     psi0 = quantum.DensityMatrix.pure([1.0, 0.0])
     psi1 = quantum.DensityMatrix.pure([gamma, math.sqrt(max(0.0, 1.0 - gamma * gamma))])
     r0, r1 = quantum.tensor_power(psi0, d), quantum.tensor_power(psi1, d)
+    povm, distance = quantum.helstrom(r0, r1)
     point = {
         "gamma": gamma,
         "copies": d,
-        "trace_distance": quantum.trace_distance(r0, r1),
-        "formula": quantum.pure_distance_formula(gamma, d),
-        "bound": quantum.helstrom_bound(r0, r1),
-        "achieved": quantum.discrimination_sum(quantum.helstrom_povm(r0, r1), r0, r1),
+        "trace_distance": distance,
+        "formula": formula,
+        "bound": 1.0 + 0.5 * distance,
+        "achieved": quantum.discrimination_sum(povm, r0, r1),
         "delta_min": quantum.delta_min(gamma, d),
     }
     if delta is not None:

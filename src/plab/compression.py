@@ -4,8 +4,9 @@ A scheme keeps m_out of m_in sample points and reconstructs a finite set that
 must cover the whole input tuple for some kept subtuple (the monotone
 condition).  Both constructive directions live here:
 
-  • the 2->1 scheme: keep the point of larger index, reconstruct its initial
-    segment;
+  • segment_scheme: keep m points, reconstruct the initial segment up to the
+    largest kept index (the quantile learner); m = 1 is the 2->1 scheme,
+    whose compress map keeps the point of larger index;
   • compression_learner: ERM over the reconstructions of all m-subtuples,
     which turns any scheme into a learner once n >= required_n(m);
   • learner_to_compression: any proper learner with sample size d yields a
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
-from .emx import FiniteHypothesis, IndexedDomain, _mass
+from .emx import FiniteHypothesis, IndexedDomain, _mass, quantile_learn
 
 ALPHA = Fraction(1, 6)  # weak-learning slack; the three n-conditions below use it
 
@@ -41,35 +42,17 @@ class CompressionScheme:
             raise ValueError("need 0 < m_out < m_in")
 
 
-def reconstruct_segment(x, dom: IndexedDomain) -> FiniteHypothesis:
-    """Initial segment {y : idx(y) <= idx(x)}; always contains x."""
-    return dom.initial_segment(dom.idx(x))
-
-
 def compress_two_to_one(x1, x2, dom: IndexedDomain):
     """Keep the point of larger index; its segment covers both inputs."""
     return x1 if dom.idx(x1) >= dom.idx(x2) else x2
 
 
-def two_to_one_scheme(dom: IndexedDomain) -> CompressionScheme:
-    """The 2->1 scheme: reconstruct the kept point's initial segment."""
-
-    def reconstruct(sub: tuple) -> FiniteHypothesis:
-        (x,) = sub
-        return reconstruct_segment(x, dom)
-
-    return CompressionScheme(m_in=2, m_out=1, reconstruct=reconstruct)
-
-
 def segment_scheme(dom: IndexedDomain, m: int) -> CompressionScheme:
-    """Keep-m variant of the segment rule: reconstruct the largest-index
-    segment of the kept tuple.  Candidates are nested, which makes the ERM
-    below coincide with the quantile learner."""
-
-    def reconstruct(sub: tuple) -> FiniteHypothesis:
-        return dom.initial_segment(max(dom.idx(x) for x in sub))
-
-    return CompressionScheme(m_in=m + 1, m_out=m, reconstruct=reconstruct)
+    """Keep m points, reconstruct with the quantile learner: the initial
+    segment up to the largest kept index; m = 1 is the 2->1 scheme.
+    Candidates are nested, which makes the ERM below coincide with the
+    quantile learner."""
+    return CompressionScheme(m_in=m + 1, m_out=m, reconstruct=lambda sub: quantile_learn(sub, dom))
 
 
 def check_monotone_coverage(scheme: CompressionScheme, pts: tuple) -> tuple | None:

@@ -179,10 +179,15 @@ class FiniteHypothesis:
         except KeyError:
             return False
 
-    def __len__(self) -> int:
+    @property
+    def _size(self) -> int:
+        """Cardinality, exact also past the 2^63 - 1 that ``len`` can return."""
         if self._explicit is not None:
             return len(self._explicit)
         return min(self.threshold, self.domain.size)
+
+    def __len__(self) -> int:
+        return self._size
 
     def __iter__(self) -> Iterator:
         if self._explicit is not None:
@@ -205,7 +210,7 @@ class FiniteHypothesis:
     def __hash__(self) -> int:
         # Equal hypotheses have equal sizes, and the size is O(1) in both
         # forms, so hashing a segment never builds its element set.
-        return hash(len(self))
+        return hash(self._size)
 
     def __repr__(self) -> str:
         if self.is_segment:

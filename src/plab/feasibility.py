@@ -111,24 +111,28 @@ def kernel_variables(task: TaskSpec) -> tuple[str, ...]:
     return tuple(f"q[{h}|{t}]" for t in task.thetas for h in task.hyps)
 
 
-def kernel_polytope(task: TaskSpec) -> PolytopeSpec:
-    """Simplex constraints making the coordinates a kernel: every entry
-    nonnegative, every environment row summing to exactly 1."""
-    names = kernel_variables(task)
-    n = len(names)
-    k = len(task.hyps)
-    rows: list[LinearConstraint] = []
+def _kernel_rows(blocks: int, k: int) -> list[LinearConstraint]:
+    """Rows making blocks*k block-major coordinates a kernel: every entry
+    >= 0, then each block of k consecutive entries summing to exactly 1."""
+    n = blocks * k
     zero, one = Fraction(0), Fraction(1)
+    rows = []
     for j in range(n):
         coeffs = [zero] * n
         coeffs[j] = one
         rows.append(LinearConstraint(tuple(coeffs), ">=", zero))
-    for i in range(len(task.thetas)):
+    for i in range(blocks):
         coeffs = [zero] * n
-        for j in range(i * k, (i + 1) * k):
-            coeffs[j] = one
+        coeffs[i * k:(i + 1) * k] = [one] * k
         rows.append(LinearConstraint(tuple(coeffs), "=", one))
-    return PolytopeSpec(names, tuple(rows))
+    return rows
+
+
+def kernel_polytope(task: TaskSpec) -> PolytopeSpec:
+    """Simplex constraints making the coordinates a kernel: every entry
+    nonnegative, every environment row summing to exactly 1."""
+    rows = _kernel_rows(len(task.thetas), len(task.hyps))
+    return PolytopeSpec(kernel_variables(task), tuple(rows))
 
 
 def build_pl_constraints(task: TaskSpec, epsilon, delta) -> tuple[LinearConstraint, ...]:
@@ -193,25 +197,12 @@ def no_signaling_polytope(n_a: int, n_b: int, n_x: int, n_y: int) -> PolytopeSpe
         for a in range(n_a)
         for b in range(n_b)
     )
-    index = {name: j for j, name in enumerate(names)}
 
-    def var(a, b, x, y):
-        return index[f"p[{a},{b}|{x},{y}]"]
+    def var(a, b, x, y):  # setting pair (x, y) is block x*n_y + y
+        return ((x * n_y + y) * n_a + a) * n_b + b
 
-    n = len(names)
-    zero, one = Fraction(0), Fraction(1)
-    rows: list[LinearConstraint] = []
-    for j in range(n):
-        coeffs = [zero] * n
-        coeffs[j] = one
-        rows.append(LinearConstraint(tuple(coeffs), ">=", zero))
-    for x in range(n_x):
-        for y in range(n_y):
-            coeffs = [zero] * n
-            for a in range(n_a):
-                for b in range(n_b):
-                    coeffs[var(a, b, x, y)] = one
-            rows.append(LinearConstraint(tuple(coeffs), "=", one))
+    n, zero, one = len(names), Fraction(0), Fraction(1)
+    rows = _kernel_rows(n_x * n_y, n_a * n_b)
     # Bob's marginal must not see x: sum_a p(a,b|x,y) = sum_a p(a,b|0,y)
     for b in range(n_b):
         for y in range(n_y):

@@ -1,13 +1,14 @@
 """Finite-dimensional quantum environments and d-copy discrimination.
 
-States are density matrices (Hermitian within 1e-12, eigenvalues >= -1e-10,
-unit trace within 1e-12); measurements are POVMs (PSD elements within 1e-10
-summing to the identity within 1e-10 in operator norm).  The module provides
-tensor powers under a dimension cap, trace distance, the closed-form pure
-state distance 2*sqrt(1-gamma^(2d)), the optimal two-outcome measurement for
-binary discrimination and its success-sum bound 1 + ||rho0 - rho1||_1 / 2,
-reliability bounds (delta_min, d_min), bipartite correlation tables, and a
-no-signaling checker.
+States are density matrices (finite, Hermitian within 1e-12, eigenvalues
+>= -1e-10, unit trace within 1e-12); measurements are POVMs (finite PSD
+elements within 1e-10 summing to the identity within 1e-10 in operator
+norm).  The module provides tensor powers under a dimension cap, trace
+distance, the closed-form pure state distance 2*sqrt(1-gamma^(2d)), the
+Helstrom measurement for binary discrimination together with the trace
+distance fixing its success sum 1 + ||rho0 - rho1||_1 / 2 (one
+eigendecomposition for both), reliability bounds (delta_min, d_min),
+bipartite correlation tables, and a no-signaling checker.
 
 ``tensor_power`` is the one place that builds d-copy states and enforces the
 dimension cap; the binary discrimination helpers take the d-copy states
@@ -51,6 +52,18 @@ def _hermitize(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().swapaxes(-1, -2)) / 2.0
 
 
+def _check_psd(m: np.ndarray, what: str, herm_tol: float) -> None:
+    """Raise ValueError unless m is finite, Hermitian within herm_tol and has
+    no eigenvalue below -1e-10.  Finiteness comes first: every comparison
+    with NaN is False, so the later checks would pass a NaN matrix."""
+    if not np.isfinite(m).all():
+        raise ValueError(f"{what} has a non-finite entry")
+    if np.max(np.abs(m - m.conj().T)) > herm_tol:
+        raise ValueError(f"{what} is not Hermitian within {herm_tol:g}")
+    if np.linalg.eigvalsh(_hermitize(m)).min() < -STATE_EIG_TOL:
+        raise ValueError(f"{what} has an eigenvalue below -1e-10")
+
+
 class DensityMatrix:
     """Validated quantum state."""
 
@@ -60,12 +73,9 @@ class DensityMatrix:
         m = np.array(mat, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("state must be a square matrix")
-        if np.max(np.abs(m - m.conj().T)) > HERM_TOL:
-            raise ValueError("state is not Hermitian within 1e-12")
+        _check_psd(m, "state", HERM_TOL)
         if abs(np.trace(m).real - 1.0) > TRACE_TOL or abs(np.trace(m).imag) > TRACE_TOL:
             raise ValueError("state trace is not 1 within 1e-12")
-        if np.linalg.eigvalsh(_hermitize(m)).min() < -STATE_EIG_TOL:
-            raise ValueError("state has an eigenvalue below -1e-10")
         m.setflags(write=False)
         self.mat = m
 
@@ -120,10 +130,7 @@ class Povm:
         for e in mats:
             if e.ndim != 2 or e.shape != (dim, dim):
                 raise ValueError("POVM elements must be square matrices of equal dimension")
-            if np.max(np.abs(e - e.conj().T)) > POVM_TOL:
-                raise ValueError("POVM element is not Hermitian within 1e-10")
-            if np.linalg.eigvalsh(_hermitize(e)).min() < -POVM_TOL:
-                raise ValueError("POVM element has an eigenvalue below -1e-10")
+            _check_psd(e, "POVM element", POVM_TOL)
             e.setflags(write=False)
         gap = np.linalg.eigvalsh(_hermitize(sum(mats) - np.eye(dim)))
         if np.max(np.abs(gap)) > POVM_TOL:
@@ -157,14 +164,14 @@ def matrix_from_json(rows: list) -> np.ndarray:
     return np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
 
 
-def tensor_power(rho: DensityMatrix, d: int, cap: int | None = None) -> DensityMatrix:
+def tensor_power(rho: DensityMatrix, d: int) -> DensityMatrix:
     """d-fold Kronecker power of a state; trace stays 1.
 
-    Raises ResourceCapError when dim^d exceeds the cap (default dim_cap()).
+    Raises ResourceCapError when dim^d exceeds dim_cap().
     """
     if d < 1:
         raise ValueError("d must be >= 1")
-    limit = dim_cap() if cap is None else cap
+    limit = dim_cap()
     if rho.dim**d > limit:
         raise ResourceCapError(f"dimension {rho.dim}^{d} exceeds cap {limit}")
     if d == 1:
@@ -195,13 +202,15 @@ def pure_distance_formula(gamma: float, d: int) -> float:
     return 2.0 * math.sqrt(max(0.0, 1.0 - gamma ** (2 * d)))
 
 
-def helstrom_povm(rho0: DensityMatrix, rho1: DensityMatrix) -> Povm:
+def helstrom(rho0: DensityMatrix, rho1: DensityMatrix) -> tuple[Povm, float]:
     """Optimal two-outcome measurement for rho0 vs rho1 (d-copy states from
-    ``tensor_power`` for d-copy discrimination).
+    ``tensor_power`` for d-copy discrimination) and ||rho0 - rho1||_1, both
+    from one eigendecomposition of Delta = rho0 - rho1.
 
-    M_0 projects onto the eigenspace of Delta = rho0 - rho1 with eigenvalues
-    > 1e-10; M_1 = I - M_0.  Eigenvalues in [-1e-10, 1e-10] join M_1; the
-    achieved success sum is unaffected beyond tolerance.
+    M_0 projects onto the eigenspace of Delta with eigenvalues > 1e-10;
+    M_1 = I - M_0.  Eigenvalues in [-1e-10, 1e-10] join M_1; the achieved
+    success sum tr(M0 rho0) + tr(M1 rho1) is the Helstrom bound
+    1 + ||rho0 - rho1||_1 / 2 up to tolerance.
     """
     if rho0.dim != rho1.dim:
         raise ValueError("dimension mismatch")
@@ -209,13 +218,7 @@ def helstrom_povm(rho0: DensityMatrix, rho1: DensityMatrix) -> Povm:
     pos = v[:, w > 1e-10]
     m0 = pos @ pos.conj().T
     m1 = np.eye(rho0.dim, dtype=complex) - m0
-    return Povm([m0, m1], labels=(0, 1))
-
-
-def helstrom_bound(rho0: DensityMatrix, rho1: DensityMatrix) -> float:
-    """Largest achievable success sum tr(M0 rho0) + tr(M1 rho1):
-    1 + ||rho0 - rho1||_1 / 2."""
-    return 1.0 + 0.5 * trace_distance(rho0, rho1)
+    return Povm([m0, m1], labels=(0, 1)), float(np.sum(np.abs(w)))
 
 
 def discrimination_sum(povm: Povm, rho0: DensityMatrix, rho1: DensityMatrix) -> float:

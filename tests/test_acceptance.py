@@ -46,8 +46,7 @@ from plab.quantum import (
     copies_min,
     delta_min,
     discrimination_sum,
-    helstrom_bound,
-    helstrom_povm,
+    helstrom,
     pure_distance_formula,
     quantum_correlation,
     random_density_matrix,
@@ -199,21 +198,22 @@ def test_helstrom_measurement_saturates_and_bounds():
         r0 = random_density_matrix(dim, rng)
         r1 = DensityMatrix.pure(random_pure_state(dim, rng))
         t0, t1 = tensor_power(r0, d), tensor_power(r1, d)
-        achieved = discrimination_sum(helstrom_povm(t0, t1), t0, t1)
-        assert abs(achieved - helstrom_bound(t0, t1)) < 1e-9
+        povm, distance = helstrom(t0, t1)
+        achieved = discrimination_sum(povm, t0, t1)
+        assert abs(achieved - (1.0 + 0.5 * distance)) < 1e-9
 
     g = 1.0 / math.sqrt(2.0)
     r0 = DensityMatrix.pure([1.0, 0.0])
     r1 = DensityMatrix.pure([g, g])
     t0, t1 = tensor_power(r0, 2), tensor_power(r1, 2)
-    bound = helstrom_bound(t0, t1)
+    bound = 1.0 + 0.5 * helstrom(t0, t1)[1]
     excess = 0.0
     for _ in range(1_000):
         m = random_povm(4, 2, rng)
         excess = max(excess, discrimination_sum(m, t0, t1) - bound)
     assert excess <= 1e-9
 
-    single = discrimination_sum(helstrom_povm(r0, r1), r0, r1)
+    single = discrimination_sum(helstrom(r0, r1)[0], r0, r1)
     assert abs(single - 1.707107) <= 1e-6
     print(f"PASS helstrom: single-copy sum {single:.7f}, max POVM excess {excess:.2e}")
 

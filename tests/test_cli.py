@@ -7,8 +7,10 @@ each report is path-stable.
 """
 
 import json
+import math
 import os
 import shutil
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -225,6 +227,20 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith("plab: error:") and "sweep_gamma" in err and "sweep_copies" in err
         assert not (workdir / "r.json").exists()
+
+    def test_non_finite_state_file(self, workdir, capsys):
+        state = {"dim": 2, "entries": [[[math.nan, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]}
+        (workdir / "states" / "t0.json").write_text(json.dumps(state))
+        assert main(["feasible", "sdp", "--task", "task.json", "--states", "states", "--out", "r.json"]) == 1
+        assert capsys.readouterr().err.startswith("plab: error: state has a non-finite entry")
+        assert not (workdir / "r.json").exists()
+
+    @pytest.mark.parametrize("gamma", ["nan", "1.5"])
+    def test_gamma_checked_before_any_state_is_built(self, workdir, capsys, gamma):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["quantum", "discriminate", "--gamma", gamma]) == 1
+        assert "plab: error: overlap gamma must lie in [0,1]" in capsys.readouterr().err
 
     def test_missing_state_file(self, workdir, capsys):
         (workdir / "states" / "t1.json").unlink()

@@ -14,10 +14,8 @@ from plab.compression import (
     compress_two_to_one,
     compression_learner,
     learner_to_compression,
-    reconstruct_segment,
     required_n,
     segment_scheme,
-    two_to_one_scheme,
 )
 from plab.emx import FinSupportDist, FiniteHypothesis, IndexedDomain, draw_sample, quantile_learn
 
@@ -31,21 +29,21 @@ class TestTwoToOne:
         assert compress_two_to_one("d", "d", DOM) == "d"
 
     def test_reconstruction_is_initial_segment(self):
-        assert reconstruct_segment("d", DOM).elements == frozenset("abcd")
+        assert quantile_learn(("d",), DOM).elements == frozenset("abcd")
 
     def test_scheme_covers_both_points(self):
-        scheme = two_to_one_scheme(DOM)
+        scheme = segment_scheme(DOM, 1)
         sub = check_monotone_coverage(scheme, ("c", "f"))
         assert sub == ("f",)
         assert set("cf") <= scheme.reconstruct(sub).elements
 
     @given(st.tuples(st.sampled_from(DOM.labels), st.sampled_from(DOM.labels)))
     def test_coverage_never_fails(self, pair):
-        assert check_monotone_coverage(two_to_one_scheme(DOM), pair) is not None
+        assert check_monotone_coverage(segment_scheme(DOM, 1), pair) is not None
 
     def test_wrong_arity_rejected(self):
         with pytest.raises(ValueError):
-            check_monotone_coverage(two_to_one_scheme(DOM), ("a", "b", "c"))
+            check_monotone_coverage(segment_scheme(DOM, 1), ("a", "b", "c"))
 
     def test_scheme_sizes_validated(self):
         with pytest.raises(ValueError):
@@ -97,16 +95,16 @@ class TestRequiredN:
 class TestCompressionLearner:
     def test_needs_one_extra_point(self):
         with pytest.raises(ValueError):
-            compression_learner(two_to_one_scheme(DOM), ("a",), DOM)
+            compression_learner(segment_scheme(DOM, 1), ("a",), DOM)
 
     def test_erm_picks_max_mass_segment(self):
-        h = compression_learner(two_to_one_scheme(DOM), ("b", "e", "b"), DOM)
+        h = compression_learner(segment_scheme(DOM, 1), ("b", "e", "b"), DOM)
         assert h.elements == frozenset("abcde")
 
     @given(st.lists(st.sampled_from(DOM.labels), min_size=2, max_size=10))
     def test_erm_over_segments_equals_quantile_learner(self, pts):
         # candidates are nested initial segments, so the largest one dominates
-        got = compression_learner(two_to_one_scheme(DOM), tuple(pts), DOM)
+        got = compression_learner(segment_scheme(DOM, 1), tuple(pts), DOM)
         assert got == quantile_learn(tuple(pts), DOM)
 
     @given(st.lists(st.sampled_from(DOM.labels), min_size=3, max_size=8))

@@ -115,6 +115,14 @@ class TestFiniteHypothesis:
         seg = IndexedDomain(range(2**40)).initial_segment(2**39)
         assert hash(seg) == hash(IndexedDomain(range(2**40)).initial_segment(2**39))
 
+    def test_segments_past_the_len_limit_hash_alike(self):
+        # len() cannot return 2^63; the hash uses the exact size instead
+        dom = IndexedDomain(range(2**64))
+        seg = dom.initial_segment(2**63)
+        assert seg == dom.initial_segment(2**63)
+        assert hash(seg) == hash(dom.initial_segment(2**63)) == hash(2**63)
+        assert hash(dom.initial_segment(2**70)) == hash(IndexedDomain(range(2**64)).initial_segment(2**64))
+
     @given(start=st.integers(-20, 20), stop=st.integers(-20, 20),
            step=st.integers(-5, 5).filter(bool))
     def test_range_size_is_its_length(self, start, stop, step):

@@ -26,7 +26,6 @@ from plab.compression import (
     compression_learner,
     learner_to_compression,
     segment_scheme,
-    two_to_one_scheme,
 )
 from plab.emx import FinSupportDist, FiniteHypothesis, IndexedDomain, mass, quantile_learn
 
@@ -197,10 +196,8 @@ def min_segment_scheme(dom, m):
 
 
 def scheme_for(kind, dom, m):
-    if kind == "segment":
+    if kind in ("segment", "two_to_one"):  # the 2->1 scheme is segment_scheme(dom, 1)
         return segment_scheme(dom, m)
-    if kind == "two_to_one":
-        return two_to_one_scheme(dom)
     if kind == "min_segment":
         return min_segment_scheme(dom, m)
     # learner_to_compression with d = 1 or 2 keeps m = 2 or 3 points

@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plab.quantum import (
     CorrelationTable,
@@ -22,8 +24,7 @@ from plab.quantum import (
     delta_min,
     dim_cap,
     discrimination_sum,
-    helstrom_bound,
-    helstrom_povm,
+    helstrom,
     matrix_from_json,
     matrix_to_json,
     pure_distance_formula,
@@ -58,6 +59,14 @@ class TestDensityMatrix:
     def test_rejects_bad_trace(self):
         with pytest.raises(ValueError, match="trace"):
             DensityMatrix(np.eye(2, dtype=complex))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.5, math.nan)])
+    def test_rejects_non_finite_entries(self, bad):
+        m = np.array([[bad, 0.0], [0.0, 0.5]], dtype=complex)
+        with pytest.raises(ValueError, match="non-finite"):
+            DensityMatrix(m)
+        with pytest.raises(ValueError, match="non-finite"):
+            Povm([m, np.eye(2) - m])
 
     def test_rejects_negative_eigenvalue(self):
         m = np.diag([1.5, -0.5]).astype(complex)
@@ -132,10 +141,12 @@ class TestTensorPower:
         rho = random_density_matrix(3, np.random.default_rng(2))
         assert np.trace(tensor_power(rho, 3).mat).real == pytest.approx(1.0)
 
-    def test_cap_enforced(self):
+    def test_cap_enforced(self, monkeypatch):
+        monkeypatch.setenv("PLAB_DIM_CAP", "8")
         with pytest.raises(ResourceCapError):
-            tensor_power(KET0, 4, cap=8)
-        assert tensor_power(KET0, 4, cap=16).dim == 16
+            tensor_power(KET0, 4)
+        monkeypatch.setenv("PLAB_DIM_CAP", "16")
+        assert tensor_power(KET0, 4).dim == 16
 
     def test_default_cap_is_1024(self):
         assert dim_cap() == 1024
@@ -223,7 +234,7 @@ class TestPureDistanceFormula:
 class TestHelstrom:
     def test_frozen_success_sum_at_sqrt2_overlap(self):
         r0, r1 = overlap_pair(1.0 / math.sqrt(2.0))
-        achieved = discrimination_sum(helstrom_povm(r0, r1), r0, r1)
+        achieved = discrimination_sum(helstrom(r0, r1)[0], r0, r1)
         assert achieved == pytest.approx(1.7071067811865475, abs=1e-9)
 
     def test_povm_saturates_bound_on_random_pairs(self):
@@ -235,20 +246,20 @@ class TestHelstrom:
                 r0 = random_density_matrix(dim, rng)
                 r1 = DensityMatrix.pure(random_pure_state(dim, rng))
                 t0, t1 = tensor_power(r0, d), tensor_power(r1, d)
-                povm = helstrom_povm(t0, t1)
-                assert abs(discrimination_sum(povm, t0, t1) - helstrom_bound(t0, t1)) < 1e-9
+                povm, distance = helstrom(t0, t1)
+                assert abs(discrimination_sum(povm, t0, t1) - (1.0 + 0.5 * distance)) < 1e-9
 
     def test_no_povm_beats_the_bound(self):
         rng = np.random.default_rng(7)
         r0, r1 = (tensor_power(r, 2) for r in overlap_pair(0.6))
-        bound = helstrom_bound(r0, r1)
+        bound = 1.0 + 0.5 * helstrom(r0, r1)[1]
         for _ in range(100):
             m = random_povm(4, 2, rng)
             assert discrimination_sum(m, r0, r1) <= bound + 1e-9
 
     def test_orthogonal_states_fully_distinguishable(self):
-        assert helstrom_bound(KET0, KET1) == pytest.approx(2.0)
-        povm = helstrom_povm(KET0, KET1)
+        povm, distance = helstrom(KET0, KET1)
+        assert 1.0 + 0.5 * distance == pytest.approx(2.0)
         assert discrimination_sum(povm, KET0, KET1) == pytest.approx(2.0)
 
     def test_two_outcome_required(self):
@@ -258,7 +269,15 @@ class TestHelstrom:
 
     def test_dim_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            helstrom_povm(KET0, DensityMatrix.maximally_mixed(3))
+            helstrom(KET0, DensityMatrix.maximally_mixed(3))
+
+    @settings(max_examples=60, deadline=None)
+    @given(gamma=st.floats(0.0, 1.0), d=st.integers(1, 8))
+    def test_one_eigendecomposition_gives_distance_and_measurement(self, gamma, d):
+        r0, r1 = (tensor_power(r, d) for r in overlap_pair(gamma))
+        povm, distance = helstrom(r0, r1)
+        assert abs(distance - trace_distance(r0, r1)) <= 1e-12
+        assert abs(discrimination_sum(povm, r0, r1) - (1.0 + distance / 2.0)) <= 1e-9
 
 
 class TestReliabilityBounds:
