@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 import time
@@ -225,16 +224,13 @@ def _run_compress(p: dict, seed: int):
 
 
 def _discrimination_point(gamma: float, d: int, delta) -> dict:
-    formula = quantum.pure_distance_formula(gamma, d)  # checks gamma and d before any state is built
-    psi0 = quantum.DensityMatrix.pure([1.0, 0.0])
-    psi1 = quantum.DensityMatrix.pure([gamma, math.sqrt(max(0.0, 1.0 - gamma * gamma))])
-    r0, r1 = quantum.tensor_power(psi0, d), quantum.tensor_power(psi1, d)
+    r0, r1 = quantum.pure_pair(gamma, d)
     povm, distance = quantum.helstrom(r0, r1)
     point = {
         "gamma": gamma,
         "copies": d,
         "trace_distance": distance,
-        "formula": formula,
+        "formula": quantum.pure_distance_formula(gamma, d),
         "bound": 1.0 + 0.5 * distance,
         "achieved": quantum.discrimination_sum(povm, r0, r1),
         "delta_min": quantum.delta_min(gamma, d),

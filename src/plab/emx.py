@@ -221,9 +221,10 @@ class FiniteHypothesis:
 class FinSupportDist:
     """Finitely supported probability distribution.
 
-    ``support`` holds distinct points; ``weights`` are strictly positive and
-    sum to exactly 1 when all rational, or to 1 within 1e-12 when floats are
-    involved.  Sampling uses the inverse CDF over the declared support order.
+    ``support`` holds distinct points; ``weights`` are finite, strictly
+    positive and sum to exactly 1 when all rational, or to 1 within 1e-12 when
+    floats are involved.  Sampling uses the inverse CDF over the declared
+    support order.
     """
 
     __slots__ = ("support", "weights", "_cdf", "_tables")
@@ -237,6 +238,8 @@ class FinSupportDist:
             raise ValueError("distribution needs at least one support point")
         if len(set(self.support)) != len(self.support):
             raise ValueError("support points must be distinct")
+        if any(isinstance(w, float) and not math.isfinite(w) for w in self.weights):
+            raise ValueError("weights must be finite")  # NaN passes every comparison below
         if any(w <= 0 for w in self.weights):
             raise ValueError("weights must be strictly positive")
         total = sum(self.weights)

@@ -3,17 +3,20 @@
 States are density matrices (finite, Hermitian within 1e-12, eigenvalues
 >= -1e-10, unit trace within 1e-12); measurements are POVMs (finite PSD
 elements within 1e-10 summing to the identity within 1e-10 in operator
-norm).  The module provides tensor powers under a dimension cap, trace
-distance, the closed-form pure state distance 2*sqrt(1-gamma^(2d)), the
-Helstrom measurement for binary discrimination together with the trace
-distance fixing its success sum 1 + ||rho0 - rho1||_1 / 2 (one
-eigendecomposition for both), reliability bounds (delta_min, d_min),
-bipartite correlation tables, and a no-signaling checker.
+norm).  The module provides tensor powers under a dimension cap, the
+d-copy pure pair in its two-dimensional span, trace distance, the
+closed-form pure state distance 2*sqrt(1-gamma^(2d)), the Helstrom
+measurement for binary discrimination together with the trace distance
+fixing its success sum 1 + ||rho0 - rho1||_1 / 2 (one eigendecomposition for
+both), reliability bounds (delta_min, d_min), bipartite correlation tables,
+and a no-signaling checker.
 
-``tensor_power`` is the one place that builds d-copy states and enforces the
-dimension cap; the binary discrimination helpers take the d-copy states
-rho^(x)d it returns.  A d-fold power is not checked again: it carries its
-factor's check, with the tolerances scaled by d.
+``tensor_power`` is the one place that builds dense d-copy states
+rho^(x)d and enforces the dimension cap.  A d-fold power is not checked
+again: it carries its factor's check, with the tolerances scaled by d.
+``pure_pair`` builds d copies of two pure qubit states with overlap gamma
+as 2x2 states: d copies of two pure states span a two-dimensional space, so
+the pair costs the same at every d and needs no cap.
 
 Everything is dense complex numpy; randomness comes from caller-supplied
 generators so property batches stay reproducible.
@@ -185,6 +188,28 @@ def tensor_power(rho: DensityMatrix, d: int) -> DensityMatrix:
     return power
 
 
+def _check_overlap(gamma: float, d: int) -> None:
+    if not 0.0 <= gamma <= 1.0:
+        raise ValueError("overlap gamma must lie in [0,1]")
+    if d < 1:
+        raise ValueError("d must be >= 1")
+
+
+def pure_pair(gamma: float, d: int) -> tuple[DensityMatrix, DensityMatrix]:
+    """d copies of |0> and gamma|0> + sqrt(1-gamma^2)|1>, written isometrically
+    in their two-dimensional span.
+
+    The d-copy kets have Gram matrix [[1, g], [g, 1]] with g = gamma^d; its
+    triangular factor gives |0> and g|0> + sqrt(1-g^2)|1>.  Every quantity
+    invariant under isometries (trace distance, Helstrom success sum) equals
+    that of the dense pair from ``tensor_power``; at d = 1 the states are the
+    single-copy states themselves.
+    """
+    _check_overlap(gamma, d)
+    g = gamma**d
+    return DensityMatrix.pure([1.0, 0.0]), DensityMatrix.pure([g, math.sqrt(max(0.0, 1.0 - g * g))])
+
+
 def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """||rho - sigma||_1: sum of absolute eigenvalues of the difference."""
     if rho.dim != sigma.dim:
@@ -195,17 +220,14 @@ def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 def pure_distance_formula(gamma: float, d: int) -> float:
     """Closed-form ||.||_1 distance of d copies of pure states with overlap
     gamma: 2*sqrt(1 - gamma^(2d))."""
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError("overlap gamma must lie in [0,1]")
-    if d < 1:
-        raise ValueError("d must be >= 1")
+    _check_overlap(gamma, d)
     return 2.0 * math.sqrt(max(0.0, 1.0 - gamma ** (2 * d)))
 
 
 def helstrom(rho0: DensityMatrix, rho1: DensityMatrix) -> tuple[Povm, float]:
     """Optimal two-outcome measurement for rho0 vs rho1 (d-copy states from
-    ``tensor_power`` for d-copy discrimination) and ||rho0 - rho1||_1, both
-    from one eigendecomposition of Delta = rho0 - rho1.
+    ``pure_pair`` or ``tensor_power`` for d-copy discrimination) and
+    ||rho0 - rho1||_1, both from one eigendecomposition of Delta = rho0 - rho1.
 
     M_0 projects onto the eigenspace of Delta with eigenvalues > 1e-10;
     M_1 = I - M_0.  Eigenvalues in [-1e-10, 1e-10] join M_1; the achieved
@@ -261,6 +283,8 @@ class CorrelationTable:
         arr = np.array(p, dtype=float)
         if arr.ndim != 4:
             raise ValueError("table must have axes (a, b, x, y)")
+        if not np.isfinite(arr).all():  # NaN passes every comparison below
+            raise ValueError("table has a non-finite entry")
         if arr.min() < -1e-12:
             raise ValueError(f"negative probability {arr.min()!r}")
         sums = arr.sum(axis=(0, 1))

@@ -183,12 +183,8 @@ class TestErrorPaths:
         assert main(["compress", "--mode", "demo", "--domain", "a,b", "--pair", "a,b,a"]) == 1
         assert "two points" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv", [
-        ["quantum", "discriminate", "--gamma", "0.8", "--copies", "11"],
-        ["feasible", "sdp", "--task", "task.json", "--states", "states", "--copies", "11"],
-    ])
-    def test_copies_beyond_the_dimension_cap(self, workdir, capsys, argv):
-        assert main(argv) == 1
+    def test_copies_beyond_the_dimension_cap(self, workdir, capsys):
+        assert main(["feasible", "sdp", "--task", "task.json", "--states", "states", "--copies", "11"]) == 1
         assert "plab: error: dimension 2^11 exceeds cap 1024" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
@@ -205,7 +201,7 @@ class TestErrorPaths:
     @pytest.mark.parametrize("raw", ["abc", "0", "-3"])
     def test_dimension_cap_must_be_a_positive_integer(self, workdir, capsys, monkeypatch, raw):
         monkeypatch.setenv("PLAB_DIM_CAP", raw)
-        assert main(["quantum", "discriminate", "--gamma", "0.8"]) == 1
+        assert main(["feasible", "sdp", "--task", "task.json", "--states", "states"]) == 1
         assert "plab: error: PLAB_DIM_CAP must be a positive integer" in capsys.readouterr().err
 
     def test_copies_of_a_state_at_the_trace_tolerance(self, workdir):
@@ -241,6 +237,20 @@ class TestErrorPaths:
             warnings.simplefilter("error")
             assert main(["quantum", "discriminate", "--gamma", gamma]) == 1
         assert "plab: error: overlap gamma must lie in [0,1]" in capsys.readouterr().err
+
+    def test_discrimination_has_no_dimension_cap(self, workdir):
+        # 2^40-dimensional d-copy states, discriminated in their two-dimensional span
+        argv = ["quantum", "discriminate", "--gamma", "0.9", "--sweep-copies", "1,11,40", "--out", "r.json"]
+        assert main(argv) == 0
+        sweep = json.loads((workdir / "r.json").read_text())["sweep"]
+        assert [pt["copies"] for pt in sweep] == [1, 11, 40]
+        assert all(abs(pt["trace_distance"] - pt["formula"]) <= 1e-9 for pt in sweep)
+
+    def test_non_finite_distribution_weight(self, workdir, capsys):
+        (workdir / "nan.json").write_text('{"labels": ["a", "b"], "weights": [NaN, 1.0]}')
+        assert main(["emx", "--dist", "nan.json", "--trials", "5", "--out", "r.json"]) == 1
+        assert capsys.readouterr().err.startswith("plab: error:")
+        assert not (workdir / "r.json").exists()
 
     def test_missing_state_file(self, workdir, capsys):
         (workdir / "states" / "t1.json").unlink()

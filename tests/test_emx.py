@@ -155,6 +155,11 @@ class TestFinSupportDist:
         with pytest.raises(ValueError):
             FinSupportDist([], [])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_weights(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            FinSupportDist("ab", [bad, 1.0])
+
     def test_uniform_is_exact(self):
         P = uniform_on("abc")
         assert P.weights == (Fraction(1, 3),) * 3

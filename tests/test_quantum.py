@@ -28,6 +28,7 @@ from plab.quantum import (
     matrix_from_json,
     matrix_to_json,
     pure_distance_formula,
+    pure_pair,
     quantum_correlation,
     random_density_matrix,
     random_povm,
@@ -280,6 +281,35 @@ class TestHelstrom:
         assert abs(discrimination_sum(povm, r0, r1) - (1.0 + distance / 2.0)) <= 1e-9
 
 
+class TestPurePair:
+    def test_single_copy_states_are_the_pure_states(self):
+        for gamma in (0.0, 0.3, 1.0 / math.sqrt(2.0), 0.9, 1.0):
+            for got, want in zip(pure_pair(gamma, 1), overlap_pair(gamma)):
+                assert np.array_equal(got.mat, want.mat)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.1, 0.3, 0.5, 1.0 / math.sqrt(2.0), 0.8, 0.9, 0.99, 1.0])
+    def test_matches_the_dense_tensor_powers(self, gamma):
+        for d in range(1, 9):
+            p0, p1 = pure_pair(gamma, d)
+            r0, r1 = (tensor_power(r, d) for r in overlap_pair(gamma))
+            (pair_povm, pair_distance), (dense_povm, dense_distance) = helstrom(p0, p1), helstrom(r0, r1)
+            assert abs(pair_distance - dense_distance) <= 1e-12
+            assert abs(discrimination_sum(pair_povm, p0, p1) - discrimination_sum(dense_povm, r0, r1)) <= 1e-12
+
+    @pytest.mark.parametrize("d", [11, 40, 1000])
+    def test_beyond_the_dimension_cap(self, d):
+        for gamma in (0.0, 0.5, 0.9, 0.99, 1.0):
+            povm, distance = helstrom(*pure_pair(gamma, d))
+            assert povm.dim == 2
+            assert abs(distance - 2.0 * math.sqrt(1.0 - gamma ** (2 * d))) <= 1e-12
+
+    def test_domain_validated(self):
+        with pytest.raises(ValueError, match="gamma"):
+            pure_pair(1.5, 1)
+        with pytest.raises(ValueError, match="d must be"):
+            pure_pair(0.5, 0)
+
+
 class TestReliabilityBounds:
     def test_delta_min_closed_form(self):
         g = 1.0 / math.sqrt(2.0)
@@ -329,6 +359,12 @@ class TestCorrelationTable:
             CorrelationTable(bad)
         with pytest.raises(ValueError):
             CorrelationTable(np.full((2, 2, 1, 1), 0.3))
+
+    def test_rejects_non_finite_entry(self):
+        bad = np.full((2, 2, 1, 1), 0.25)
+        bad[0, 0, 0, 0] = math.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            CorrelationTable(bad)
 
     def test_needs_four_axes(self):
         with pytest.raises(ValueError):
