@@ -259,6 +259,10 @@ def _run_feasible_lp(p: dict, seed: int):
     task = _load_json(p["task"], TaskSpec.from_json)
     if p["polytope"]:
         poly = _load_json(p["polytope"], feasibility.PolytopeSpec.from_json)
+        n_t, n_h = len(task.thetas), len(task.hyps)
+        if len(poly.variables) != n_t * n_h:
+            raise ValueError(f"{p['polytope']} has {len(poly.variables)} variables, but the kernel of "
+                             f"{p['task']} has {n_t} x {n_h} = {n_t * n_h}")
     else:
         poly = feasibility.kernel_polytope(task)
     rows = feasibility.build_pl_constraints(task, p["epsilon"], p["delta"])

@@ -19,6 +19,7 @@ only when the step budget runs out with 1-delta inside [lo, hi].
 from __future__ import annotations
 
 import contextlib
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -31,22 +32,71 @@ from .quantum import DensityMatrix, Povm, _hermitize, tensor_power
 from .tasks import TaskSpec
 
 
-@dataclass(frozen=True)
-class LinearConstraint:
-    """coeffs . x  <relation>  rhs, with exact rational data."""
+# Polytope files repeat a few coefficient strings ("0", "1", "-1") thousands
+# of times, so each distinct string goes through as_fraction once.
+_parse_text = functools.lru_cache(maxsize=1024)(as_fraction)
 
-    coeffs: tuple[Fraction, ...]
+
+def _exact(value) -> Fraction:
+    """``as_fraction(value)``, with strings parsed through the cache."""
+    if type(value) is Fraction:
+        return value
+    return _parse_text(value) if type(value) is str else as_fraction(value)
+
+
+def _json_list(obj: dict, key: str) -> list:
+    """obj[key], which a polytope file must give as a JSON list."""
+    value = obj[key]
+    if not isinstance(value, list):
+        raise TypeError(f"{key!r} must be a list, not {type(value).__name__}")
+    return value
+
+
+@dataclass(frozen=True, init=False)
+class LinearConstraint:
+    """terms . x  <relation>  rhs over ``arity`` variables, with exact rational
+    data.  ``terms`` holds only the nonzero (index, coefficient) pairs, in
+    index order; ``coeffs`` is the dense row."""
+
+    terms: tuple[tuple[int, Fraction], ...]
+    arity: int
     relation: str
     rhs: Fraction
 
-    def __post_init__(self):
-        if self.relation not in simplex.RELATIONS:
-            raise ValueError(f"unknown relation {self.relation!r}")
-        object.__setattr__(self, "coeffs", tuple(as_fraction(c) for c in self.coeffs))
-        object.__setattr__(self, "rhs", as_fraction(self.rhs))
+    def __init__(self, coeffs: Sequence, relation: str, rhs):
+        """The row with dense coefficients ``coeffs``."""
+        self._set(enumerate(coeffs), len(coeffs), relation, rhs)
+
+    @classmethod
+    def from_terms(cls, arity: int, terms, relation: str, rhs) -> "LinearConstraint":
+        """The row whose coefficient at each index of (index, coefficient)
+        ``terms`` is given, and zero elsewhere."""
+        row = cls.__new__(cls)
+        row._set(terms, arity, relation, rhs)
+        return row
+
+    def _set(self, terms, arity: int, relation: str, rhs) -> None:
+        if relation not in simplex.RELATIONS:
+            raise ValueError(f"unknown relation {relation!r}")
+        exact = {}
+        for j, c in terms:
+            if not 0 <= j < arity or j in exact:
+                raise ValueError(f"term index {j} repeated or outside 0..{arity - 1}")
+            exact[j] = _exact(c)
+        object.__setattr__(self, "terms", tuple((j, exact[j]) for j in sorted(exact) if exact[j]))
+        object.__setattr__(self, "arity", arity)
+        object.__setattr__(self, "relation", relation)
+        object.__setattr__(self, "rhs", _exact(rhs))
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        dense = [Fraction(0)] * self.arity
+        for j, c in self.terms:
+            dense[j] = c
+        return tuple(dense)
 
     def satisfied_by(self, x: Sequence[Fraction]) -> bool:
-        lhs = sum(c * v for c, v in zip(self.coeffs, x) if c)
+        lhs = sum(c * x[j] for j, c in self.terms)
         if self.relation == "<=":
             return lhs <= self.rhs
         if self.relation == ">=":
@@ -62,7 +112,7 @@ class LinearConstraint:
 
     @classmethod
     def from_json(cls, obj: dict) -> "LinearConstraint":
-        return cls(tuple(obj["coeffs"]), obj["relation"], obj["rhs"])
+        return cls(_json_list(obj, "coeffs"), obj["relation"], obj["rhs"])
 
 
 @dataclass(frozen=True)
@@ -76,7 +126,7 @@ class PolytopeSpec:
         if len(set(self.variables)) != len(self.variables):
             raise ValueError("variable names must be distinct")
         for c in self.constraints:
-            if len(c.coeffs) != len(self.variables):
+            if c.arity != len(self.variables):
                 raise ValueError("constraint arity does not match variable count")
 
     def to_json(self) -> dict:
@@ -87,9 +137,12 @@ class PolytopeSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "PolytopeSpec":
+        variables = _json_list(obj, "variables")
+        if not all(isinstance(v, str) for v in variables):
+            raise TypeError("variable names must be strings")
         return cls(
-            tuple(obj["variables"]),
-            tuple(LinearConstraint.from_json(c) for c in obj["constraints"]),
+            tuple(variables),
+            tuple(LinearConstraint.from_json(c) for c in _json_list(obj, "constraints")),
         )
 
 
@@ -116,15 +169,9 @@ def _kernel_rows(blocks: int, k: int) -> list[LinearConstraint]:
     >= 0, then each block of k consecutive entries summing to exactly 1."""
     n = blocks * k
     zero, one = Fraction(0), Fraction(1)
-    rows = []
-    for j in range(n):
-        coeffs = [zero] * n
-        coeffs[j] = one
-        rows.append(LinearConstraint(tuple(coeffs), ">=", zero))
+    rows = [LinearConstraint.from_terms(n, ((j, one),), ">=", zero) for j in range(n)]
     for i in range(blocks):
-        coeffs = [zero] * n
-        coeffs[i * k:(i + 1) * k] = [one] * k
-        rows.append(LinearConstraint(tuple(coeffs), "=", one))
+        rows.append(LinearConstraint.from_terms(n, ((j, one) for j in range(i * k, (i + 1) * k)), "=", one))
     return rows
 
 
@@ -140,17 +187,13 @@ def build_pl_constraints(task: TaskSpec, epsilon, delta) -> tuple[LinearConstrai
     sum_{h in G_theta(eps)} q[theta,h] >= 1-delta."""
     eps, dlt = accuracy(epsilon, delta)
     good = epsilon_optimal_sets(task, eps)
-    names = kernel_variables(task)
-    n, k = len(names), len(task.hyps)
-    zero, one = Fraction(0), Fraction(1)
+    k = len(task.hyps)
+    n, one = len(task.thetas) * k, Fraction(1)
     rows = []
     for i, theta in enumerate(task.thetas):
-        coeffs = [zero] * n
         members = set(good[theta])
-        for j, h in enumerate(task.hyps):
-            if h in members:
-                coeffs[i * k + j] = one
-        rows.append(LinearConstraint(tuple(coeffs), ">=", 1 - dlt))
+        terms = ((i * k + j, one) for j, h in enumerate(task.hyps) if h in members)
+        rows.append(LinearConstraint.from_terms(n, terms, ">=", 1 - dlt))
     return tuple(rows)
 
 
@@ -169,9 +212,7 @@ def lp_feasible(poly: PolytopeSpec, pl: Sequence[LinearConstraint] = ()) -> LpRe
     """
     merged = list(poly.constraints) + list(pl)
     before = simplex._pivots_done()
-    point = simplex.feasible_point(
-        len(poly.variables), [(c.coeffs, c.relation, c.rhs) for c in merged]
-    )
+    point = simplex.feasible_point(len(poly.variables), merged)
     pivots = simplex._pivots_done() - before
     if point is None:
         return LpResult(feasible=False, witness=None, pivots=pivots)
@@ -207,20 +248,14 @@ def no_signaling_polytope(n_a: int, n_b: int, n_x: int, n_y: int) -> PolytopeSpe
     for b in range(n_b):
         for y in range(n_y):
             for x in range(1, n_x):
-                coeffs = [zero] * n
-                for a in range(n_a):
-                    coeffs[var(a, b, 0, y)] += one
-                    coeffs[var(a, b, x, y)] -= one
-                rows.append(LinearConstraint(tuple(coeffs), "=", zero))
+                terms = [(var(a, b, 0, y), one) for a in range(n_a)] + [(var(a, b, x, y), -one) for a in range(n_a)]
+                rows.append(LinearConstraint.from_terms(n, terms, "=", zero))
     # Alice's marginal must not see y
     for a in range(n_a):
         for x in range(n_x):
             for y in range(1, n_y):
-                coeffs = [zero] * n
-                for b in range(n_b):
-                    coeffs[var(a, b, x, 0)] += one
-                    coeffs[var(a, b, x, y)] -= one
-                rows.append(LinearConstraint(tuple(coeffs), "=", zero))
+                terms = [(var(a, b, x, 0), one) for b in range(n_b)] + [(var(a, b, x, y), -one) for b in range(n_b)]
+                rows.append(LinearConstraint.from_terms(n, terms, "=", zero))
     return PolytopeSpec(names, tuple(rows))
 
 

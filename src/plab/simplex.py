@@ -2,9 +2,14 @@
 
 No floats anywhere: a Feasible answer comes with a witness satisfying every
 constraint exactly, and Infeasible means the phase-1 optimum is a positive
-rational.  Variables are free reals (split internally as u - v); constraints
-are (coeffs, relation, rhs) with relation in {"<=", "=", ">="}.  Numbers are
-read by ``plab.emx.as_fraction``, the one rational parser (0.1 means 1/10).
+rational.  Constraints are rows with a relation in {"<=", "=", ">="}: dense
+(coeffs, relation, rhs) triples, whose numbers are read by
+``plab.emx.as_fraction``, the one rational parser (0.1 means 1/10), or
+sparse rows with exact nonzero terms.  Both become sparse rows on entry.
+A row that says x_j >= 0 alone (after the rhs is made nonnegative:
+c*x_j >= 0 or -c*x_j <= 0 with c > 0) is a sign bound: it adds no tableau
+row, and x_j gets one nonnegative column.  Every other variable is a free
+real, split as u - v.
 
 The tableau is dense, but every pivot touches only the nonzero entries of the
 pivot row, and only the rows whose entry in the entering column is nonzero.
@@ -18,7 +23,7 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .emx import as_fraction
 
@@ -50,21 +55,36 @@ def _eliminate(rows: list[list[Fraction]], r: int, col: int) -> None:
                 row[j] = row[j] - f * prow[j]
 
 
-def feasible_point(
-    num_vars: int, constraints: Iterable[tuple[Sequence[Fraction], str, Fraction]]
-) -> list[Fraction] | None:
-    """A point satisfying all constraints, or None if the system is infeasible."""
+def _sparse_row(num_vars: int, row) -> tuple[list[tuple[int, Fraction]], str, Fraction]:
+    """(nonzero (column, coefficient) pairs, relation, rhs) of one input row.
+    A row with ``terms`` and ``arity`` (``plab.feasibility.LinearConstraint``)
+    is already exact and sparse; any other row is a dense (coeffs, relation,
+    rhs) triple, read here."""
+    terms = getattr(row, "terms", None)
+    if terms is not None:
+        arity, entries, rel, rhs = row.arity, list(terms), row.relation, row.rhs
+    else:
+        coeffs, rel, rhs = row
+        coeffs = [c if type(c) is Fraction else as_fraction(c) for c in coeffs]
+        arity, entries, rhs = len(coeffs), [(j, c) for j, c in enumerate(coeffs) if c], as_fraction(rhs)
+    if arity != num_vars:
+        raise ValueError(f"coefficient row of length {arity}, expected {num_vars}")
+    if rel not in RELATIONS:
+        raise ValueError(f"unknown relation {rel!r}")
+    return entries, rel, rhs
+
+
+def feasible_point(num_vars: int, constraints: Iterable) -> list[Fraction] | None:
+    """A point satisfying all constraints, or None if the system is infeasible.
+
+    Each constraint is a dense (coeffs, relation, rhs) triple or a sparse row
+    with ``terms``, ``arity``, ``relation`` and ``rhs``."""
     rows: list[list[tuple[int, Fraction]]] = []  # nonzero (column, coefficient)
     rels: list[str] = []
     rhss: list[Fraction] = []
-    for coeffs, rel, rhs in constraints:
-        coeffs = [c if type(c) is Fraction else as_fraction(c) for c in coeffs]
-        if len(coeffs) != num_vars:
-            raise ValueError(f"coefficient row of length {len(coeffs)}, expected {num_vars}")
-        if rel not in RELATIONS:
-            raise ValueError(f"unknown relation {rel!r}")
-        entries = [(j, c) for j, c in enumerate(coeffs) if c]
-        rhs = as_fraction(rhs)
+    bounded = set()  # variables with a sign bound x_j >= 0
+    for row in constraints:
+        entries, rel, rhs = _sparse_row(num_vars, row)
         if rhs < 0:  # canonical: rhs >= 0
             entries = [(j, -c) for j, c in entries]
             rhs = -rhs
@@ -72,14 +92,24 @@ def feasible_point(
         if rel == ">=" and rhs == 0:  # avoid a needless artificial
             entries = [(j, -c) for j, c in entries]
             rel = "<="
+        if rel == "<=" and rhs == 0 and len(entries) == 1 and entries[0][1] < 0:
+            bounded.add(entries[0][0])  # -c*x_j <= 0 with c > 0: x_j >= 0
+            continue
         rows.append(entries)
         rels.append(rel)
         rhss.append(rhs)
 
+    # column j is x_j, or u_j of x_j = u_j - v_j for a free x_j; the v
+    # columns follow in variable order, then slacks, then artificials
+    neg_of = {}
+    col = num_vars
+    for j in range(num_vars):
+        if j not in bounded:
+            neg_of[j] = col
+            col += 1
     m = len(rows)
     slack_of = {}
     art_of = {}
-    col = 2 * num_vars
     for i, r in enumerate(rels):
         if r != "=":
             slack_of[i] = col
@@ -100,7 +130,8 @@ def feasible_point(
         row = [zero] * width
         for j, c in rows[i]:
             row[j] = c
-            row[num_vars + j] = -c
+            if j in neg_of:
+                row[neg_of[j]] = -c
         if i in slack_of:
             row[slack_of[i]] = one if rels[i] == "<=" else -one
         if i in art_of:
@@ -150,4 +181,4 @@ def feasible_point(
     values = {}
     for i, b in enumerate(basis):
         values[b] = tableau[i][rhs_col]
-    return [values.get(j, zero) - values.get(num_vars + j, zero) for j in range(num_vars)]
+    return [values.get(j, zero) - values.get(neg_of.get(j), zero) for j in range(num_vars)]

@@ -362,7 +362,9 @@ def test_unwritable_report_path_fails_cleanly(workdir, capsys):
 
 
 # (command line, file to write, its JSON content): malformed input files
-# whose parse raised TypeError.
+# whose parse raised TypeError, or read a string where a list belongs
+# element by element.
+POLYTOPE = ["feasible", "lp", "--task", "task.json", "--polytope", "bad.json"]
 BAD_FILES = {
     "dist-weight-bool": (["emx", "--dist", "bad.json"], "bad.json",
                          {"labels": ["a", "b"], "weights": [True, "1/2"]}),
@@ -373,8 +375,13 @@ BAD_FILES = {
     "task-is-a-list": (["feasible", "lp", "--task", "bad.json"], "bad.json", [1, 2]),
     "state-entries-not-pairs": (["feasible", "sdp", "--task", "task.json", "--states", "states"], "states/t0.json",
                                 {"dim": 2, "entries": [[1, 0], [0, 0]]}),
-    "polytope-coefficient-bool": (["feasible", "lp", "--task", "task.json", "--polytope", "bad.json"], "bad.json",
+    "polytope-coefficient-bool": (POLYTOPE, "bad.json",
                                   {"variables": ["x"], "constraints": [{"coeffs": [True], "relation": ">=", "rhs": "0"}]}),
+    "polytope-coeffs-string": (POLYTOPE, "bad.json",
+                               {"variables": ["a", "b", "c", "d"],
+                                "constraints": [{"coeffs": "1000", "relation": ">=", "rhs": "0"}]}),
+    "polytope-variables-string": (POLYTOPE, "bad.json", {"variables": "abcd", "constraints": []}),
+    "polytope-variables-not-strings": (POLYTOPE, "bad.json", {"variables": [1, 2, 3, 4], "constraints": []}),
 }
 
 
@@ -383,7 +390,16 @@ def test_malformed_input_file_fails_cleanly(workdir, capsys, case):
     argv, name, content = BAD_FILES[case]
     (workdir / name).write_text(json.dumps(content))
     assert main(argv) == 1
-    assert capsys.readouterr().err.startswith("plab: error:")
+    assert capsys.readouterr().err.startswith(f"plab: error: malformed {name}: ")
+
+
+def test_polytope_size_mismatch_names_both_counts_and_the_file(workdir, capsys):
+    poly = {"variables": ["x", "y"], "constraints": [{"coeffs": ["1", "0"], "relation": ">=", "rhs": "0"}]}
+    (workdir / "small.json").write_text(json.dumps(poly))
+    assert main(["feasible", "lp", "--task", "task.json", "--polytope", "small.json"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("plab: error: small.json has 2 variables")
+    assert "task.json has 2 x 2 = 4" in err
 
 
 def test_internal_type_error_is_not_reported_as_bad_input(workdir, monkeypatch):

@@ -13,6 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from plab import simplex
 from plab.feasibility import (
     LinearConstraint,
     PolytopeSpec,
@@ -169,6 +170,14 @@ class TestLpFeasible:
                 point = [res.witness[v] for v in kernel_variables(task)]
                 for c in list(kernel_polytope(task).constraints) + list(rows):
                     assert c.satisfied_by(point)
+
+    def test_witness_violating_only_a_sign_bound_is_refused(self, monkeypatch):
+        # the simplex reads q >= 0 rows as bounds; the re-check still reads them
+        # as rows: (2, -1 | 0, 1) meets every row but q[h1|t0] >= 0
+        monkeypatch.setattr(simplex, "feasible_point", lambda n, rows: [F(2), F(-1), F(0), F(1)])
+        rows = build_pl_constraints(IDENTITY_TASK, F(1, 2), F(1, 5))
+        with pytest.raises(AssertionError, match="violates 1 constraints"):
+            lp_feasible(kernel_polytope(IDENTITY_TASK), rows)
 
     def test_arity_mismatch_rejected(self):
         with pytest.raises(ValueError):

@@ -5,6 +5,11 @@ tableau updates that ``plab.simplex`` and ``plab.feasibility`` used before
 pivots skipped zero entries.  Skipping an entry only omits v - f*0 = v, so
 the sparse code must return the identical point (or None) after the same
 number of pivots, and the same affine dimension.
+
+The reference applies the simplex's sign-bound rule (a row saying
+x_j >= 0 becomes a bound, and x_j gets one column) unless called with
+``sign_bounds=False``; then every variable is split as u - v, as the
+simplex did before the rule, and serves as an oracle for the verdict.
 """
 
 import random
@@ -30,10 +35,10 @@ from plab.tasks import TaskSpec
 F = Fraction
 
 
-def dense_feasible_point(num_vars, constraints):
+def dense_feasible_point(num_vars, constraints, sign_bounds=True):
     """Reference phase-1 simplex with Bland's rule, updating every entry of
     every row on each pivot.  Returns (point or None, pivot count)."""
-    rows, rels, rhss = [], [], []
+    rows, rels, rhss, bounded = [], [], [], set()
     for coeffs, rel, rhs in constraints:
         coeffs = [Fraction(c) for c in coeffs]
         if len(coeffs) != num_vars:
@@ -48,13 +53,19 @@ def dense_feasible_point(num_vars, constraints):
         if rel == ">=" and rhs == 0:
             coeffs = [-c for c in coeffs]
             rel = "<="
+        support = [j for j, c in enumerate(coeffs) if c]
+        if sign_bounds and rel == "<=" and rhs == 0 and len(support) == 1 and coeffs[support[0]] < 0:
+            bounded.add(support[0])
+            continue
         rows.append(coeffs)
         rels.append(rel)
         rhss.append(rhs)
 
     m = len(rows)
     slack_of, art_of = {}, {}
-    col = 2 * num_vars
+    free = [j for j in range(num_vars) if j not in bounded]
+    neg_of = {j: num_vars + k for k, j in enumerate(free)}
+    col = num_vars + len(free)
     for i, r in enumerate(rels):
         if r != "=":
             slack_of[i] = col
@@ -72,7 +83,8 @@ def dense_feasible_point(num_vars, constraints):
         row = [zero] * width
         for j, c in enumerate(rows[i]):
             row[j] = c
-            row[num_vars + j] = -c
+            if j in neg_of:
+                row[neg_of[j]] = -c
         if i in slack_of:
             row[slack_of[i]] = one if rels[i] == "<=" else -one
         if i in art_of:
@@ -121,7 +133,7 @@ def dense_feasible_point(num_vars, constraints):
     if obj[rhs_col] != 0:
         return None, pivots
     values = {b: tableau[i][rhs_col] for i, b in enumerate(basis)}
-    return [values.get(j, zero) - values.get(num_vars + j, zero) for j in range(num_vars)], pivots
+    return [values.get(j, zero) - values.get(neg_of.get(j), zero) for j in range(num_vars)], pivots
 
 
 def dense_affine_dimension(poly):
@@ -177,6 +189,22 @@ def systems(draw):
 
 
 @st.composite
+def bounded_systems(draw):
+    """A random system with rows that are sign bounds (x_j >= 0, -2*x_j <= 0)
+    or look like one but are not (x_j <= 0) mixed in."""
+    n, rows = draw(systems())
+    unit = [tuple(F(int(i == j)) for i in range(n)) for j in range(n)]
+    bound = st.sampled_from([
+        *[(unit[j], ">=", F(0)) for j in range(n)],
+        *[(tuple(-2 * c for c in unit[j]), "<=", F(0)) for j in range(n)],
+        *[(unit[j], "<=", F(0)) for j in range(n)],
+    ])
+    for _ in range(draw(st.integers(1, 2 * n))):
+        rows.insert(draw(st.integers(0, len(rows))), draw(bound))
+    return n, rows
+
+
+@st.composite
 def split_systems(draw):
     """A random system plus a row pair a.x <= lo, a.x >= lo + gap: infeasible."""
     n, rows = draw(systems())
@@ -202,11 +230,24 @@ def equality_systems(draw):
     return PolytopeSpec(tuple(f"x{j}" for j in range(n)), eqs)
 
 
-@settings(max_examples=300, deadline=None)
-@given(systems())
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(systems(), bounded_systems()))
 def test_random_systems_match_dense_reference(system):
     n, rows = system
     assert_same(n, rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(systems(), bounded_systems()))
+def test_verdict_matches_all_split_reference(system):
+    """Reading sign bounds as bounds changes the pivot path, never the verdict."""
+    n, rows = system
+    point = feasible_point(n, rows)
+    split, _ = dense_feasible_point(n, rows, sign_bounds=False)
+    assert (point is None) == (split is None)
+    if point is not None:
+        for coeffs, rel, rhs in rows:
+            assert LinearConstraint(coeffs, rel, rhs).satisfied_by(point)
 
 
 @settings(max_examples=100, deadline=None)
