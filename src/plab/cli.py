@@ -148,12 +148,13 @@ def emit_table(report: RunReport, path: str) -> None:
 
 
 def _load_json(path: str, parse):
-    """``parse`` of the JSON in ``path``; wrong types or keys in it raise ValueError naming the file."""
+    """``parse`` of the JSON in ``path``; wrong types, keys or numbers (a rational dividing by zero, a
+    float overflow) in it raise ValueError naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
     try:
         return parse(obj)
-    except (TypeError, KeyError, AttributeError) as exc:
+    except (TypeError, KeyError, AttributeError, ArithmeticError) as exc:
         raise ValueError(f"malformed {path}: {exc}") from None
 
 

@@ -201,7 +201,7 @@ def build_pl_constraints(task: TaskSpec, epsilon, delta) -> tuple[LinearConstrai
 class LpResult:
     feasible: bool
     witness: dict[str, Fraction] | None
-    pivots: int = 0  # simplex pivots taken to reach the verdict
+    pivots: int  # simplex pivots taken to reach the verdict
 
 
 def lp_feasible(poly: PolytopeSpec, pl: Sequence[LinearConstraint] = ()) -> LpResult:
@@ -211,9 +211,7 @@ def lp_feasible(poly: PolytopeSpec, pl: Sequence[LinearConstraint] = ()) -> LpRe
     (build_pl_constraints and kernel_polytope agree by construction).
     """
     merged = list(poly.constraints) + list(pl)
-    before = simplex._pivots_done()
-    point = simplex.feasible_point(len(poly.variables), merged)
-    pivots = simplex._pivots_done() - before
+    point, pivots = simplex.feasible_point(len(poly.variables), merged)
     if point is None:
         return LpResult(feasible=False, witness=None, pivots=pivots)
     bad = [c for c in merged if not c.satisfied_by(point)]

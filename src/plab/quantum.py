@@ -112,7 +112,10 @@ class DensityMatrix:
     @classmethod
     def from_json(cls, obj: dict) -> "DensityMatrix":
         m = matrix_from_json(obj["entries"])
-        if "dim" in obj and int(obj["dim"]) != m.shape[0]:
+        dim = obj.get("dim", m.shape[0])
+        if type(dim) is not int:
+            raise TypeError(f"dim must be an integer, not {dim!r}")
+        if dim != m.shape[0]:
             raise ValueError("declared dim does not match entries")
         return cls(m)
 

@@ -2,10 +2,10 @@
 
 No floats anywhere: a Feasible answer comes with a witness satisfying every
 constraint exactly, and Infeasible means the phase-1 optimum is a positive
-rational.  Constraints are rows with a relation in {"<=", "=", ">="}: dense
-(coeffs, relation, rhs) triples, whose numbers are read by
-``plab.emx.as_fraction``, the one rational parser (0.1 means 1/10), or
-sparse rows with exact nonzero terms.  Both become sparse rows on entry.
+rational.  Each row is a ``plab.feasibility.LinearConstraint``: exact
+nonzero (index, coefficient) ``terms`` over ``arity`` variables, a
+``relation`` in {"<=", "=", ">="} and a ``rhs``.  ``feasible_point`` returns
+the point (or None) together with the number of pivots it made.
 A row that says x_j >= 0 alone (after the rhs is made nonnegative:
 c*x_j >= 0 or -c*x_j <= 0 with c > 0) is a sign bound: it adds no tableau
 row, and x_j gets one nonnegative column.  Every other variable is a free
@@ -21,22 +21,10 @@ elimination core.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from typing import Iterable
 
-from .emx import as_fraction
-
 RELATIONS = ("<=", "=", ">=")
-
-# Pivots made by feasible_point in each thread since import.  A caller reads
-# the difference around its call, so the public signature stays a point or
-# None, and concurrent solves in other threads do not enter the count.
-_counts = threading.local()
-
-
-def _pivots_done() -> int:
-    return getattr(_counts, "pivots", 0)
 
 
 def _eliminate(rows: list[list[Fraction]], r: int, col: int) -> None:
@@ -55,36 +43,18 @@ def _eliminate(rows: list[list[Fraction]], r: int, col: int) -> None:
                 row[j] = row[j] - f * prow[j]
 
 
-def _sparse_row(num_vars: int, row) -> tuple[list[tuple[int, Fraction]], str, Fraction]:
-    """(nonzero (column, coefficient) pairs, relation, rhs) of one input row.
-    A row with ``terms`` and ``arity`` (``plab.feasibility.LinearConstraint``)
-    is already exact and sparse; any other row is a dense (coeffs, relation,
-    rhs) triple, read here."""
-    terms = getattr(row, "terms", None)
-    if terms is not None:
-        arity, entries, rel, rhs = row.arity, list(terms), row.relation, row.rhs
-    else:
-        coeffs, rel, rhs = row
-        coeffs = [c if type(c) is Fraction else as_fraction(c) for c in coeffs]
-        arity, entries, rhs = len(coeffs), [(j, c) for j, c in enumerate(coeffs) if c], as_fraction(rhs)
-    if arity != num_vars:
-        raise ValueError(f"coefficient row of length {arity}, expected {num_vars}")
-    if rel not in RELATIONS:
-        raise ValueError(f"unknown relation {rel!r}")
-    return entries, rel, rhs
-
-
-def feasible_point(num_vars: int, constraints: Iterable) -> list[Fraction] | None:
-    """A point satisfying all constraints, or None if the system is infeasible.
-
-    Each constraint is a dense (coeffs, relation, rhs) triple or a sparse row
-    with ``terms``, ``arity``, ``relation`` and ``rhs``."""
+def feasible_point(num_vars: int, constraints: Iterable) -> tuple[list[Fraction] | None, int]:
+    """(a point satisfying all constraints, or None if the system is
+    infeasible; the number of pivots made).  Each constraint has ``terms``,
+    ``arity``, ``relation`` and ``rhs``, as a ``LinearConstraint`` has."""
     rows: list[list[tuple[int, Fraction]]] = []  # nonzero (column, coefficient)
     rels: list[str] = []
     rhss: list[Fraction] = []
     bounded = set()  # variables with a sign bound x_j >= 0
     for row in constraints:
-        entries, rel, rhs = _sparse_row(num_vars, row)
+        if row.arity != num_vars:
+            raise ValueError(f"coefficient row of length {row.arity}, expected {num_vars}")
+        entries, rel, rhs = row.terms, row.relation, row.rhs
         if rhs < 0:  # canonical: rhs >= 0
             entries = [(j, -c) for j, c in entries]
             rhs = -rhs
@@ -174,11 +144,10 @@ def feasible_point(num_vars: int, constraints: Iterable) -> list[Fraction] | Non
         _eliminate(tableau, leave, enter)
         basis[leave] = enter
         pivots += 1
-    _counts.pivots = _pivots_done() + pivots
 
     if obj[rhs_col] != 0:
-        return None
+        return None, pivots
     values = {}
     for i, b in enumerate(basis):
         values[b] = tableau[i][rhs_col]
-    return [values.get(j, zero) - values.get(neg_of.get(j), zero) for j in range(num_vars)]
+    return [values.get(j, zero) - values.get(neg_of.get(j), zero) for j in range(num_vars)], pivots

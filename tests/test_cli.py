@@ -382,6 +382,18 @@ BAD_FILES = {
                                 "constraints": [{"coeffs": "1000", "relation": ">=", "rhs": "0"}]}),
     "polytope-variables-string": (POLYTOPE, "bad.json", {"variables": "abcd", "constraints": []}),
     "polytope-variables-not-strings": (POLYTOPE, "bad.json", {"variables": [1, 2, 3, 4], "constraints": []}),
+    "task-utility-divides-by-zero": (["feasible", "lp", "--task", "bad.json"], "bad.json",
+                                     {"thetas": ["t0"], "hyps": ["h0"], "utility": [["1/0"]]}),
+    "dist-weight-divides-by-zero": (["emx", "--dist", "bad.json"], "bad.json",
+                                    {"labels": ["a", "b"], "weights": ["1/0", "1/2"]}),
+    "polytope-rhs-divides-by-zero": (POLYTOPE, "bad.json",
+                                     {"variables": ["a", "b", "c", "d"],
+                                      "constraints": [{"coeffs": ["1", "0", "0", "0"], "relation": ">=",
+                                                       "rhs": "1/0"}]}),
+    "coarse-label-overflows-float": (["coarse", "--dist", "bad.json"], "bad.json",
+                                     {"labels": ["1e400", 0.5], "weights": ["1/2", "1/2"]}),
+    "state-dim-not-integer": (["feasible", "sdp", "--task", "task.json", "--states", "states"], "states/t0.json",
+                              {"dim": 2.5, "entries": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]}),
 }
 
 

@@ -174,7 +174,7 @@ class TestLpFeasible:
     def test_witness_violating_only_a_sign_bound_is_refused(self, monkeypatch):
         # the simplex reads q >= 0 rows as bounds; the re-check still reads them
         # as rows: (2, -1 | 0, 1) meets every row but q[h1|t0] >= 0
-        monkeypatch.setattr(simplex, "feasible_point", lambda n, rows: [F(2), F(-1), F(0), F(1)])
+        monkeypatch.setattr(simplex, "feasible_point", lambda n, rows: ([F(2), F(-1), F(0), F(1)], 0))
         rows = build_pl_constraints(IDENTITY_TASK, F(1, 2), F(1, 5))
         with pytest.raises(AssertionError, match="violates 1 constraints"):
             lp_feasible(kernel_polytope(IDENTITY_TASK), rows)

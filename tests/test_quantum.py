@@ -95,6 +95,13 @@ class TestDensityMatrix:
         with pytest.raises(ValueError):
             DensityMatrix.from_json(obj)
 
+    @pytest.mark.parametrize("dim", [2.0, "2", True])
+    def test_json_dim_must_be_an_int(self, dim):
+        obj = KET0.to_json()
+        obj["dim"] = dim
+        with pytest.raises(TypeError, match="dim must be an integer"):
+            DensityMatrix.from_json(obj)
+
     def test_complex_entries_survive_json(self):
         m = np.array([[0.5, 0.5j], [-0.5j, 0.5]])
         again = matrix_from_json(matrix_to_json(m))

@@ -1,11 +1,15 @@
 """Exact phase-1 simplex: feasible points are exact rationals, infeasibility
 is decided, unbounded directions don't confuse it."""
 
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import plab
 from plab.feasibility import LinearConstraint
 from plab.simplex import RELATIONS, feasible_point
 
@@ -13,7 +17,9 @@ F = Fraction
 
 
 def solve(n, rows):
-    return feasible_point(n, [(tuple(map(F, c)), rel, F(r)) for c, rel, r in rows])
+    """The point feasible_point finds for (coeffs, relation, rhs) rows, or None."""
+    point, _ = feasible_point(n, [LinearConstraint(tuple(map(F, c)), rel, F(r)) for c, rel, r in rows])
+    return point
 
 
 def check(point, rows):
@@ -69,23 +75,39 @@ def test_no_constraints_means_origin_ok():
     assert solve(3, []) == [0, 0, 0]
 
 
-@pytest.mark.parametrize("coeff, rhs", [(0.1, 1), (1, 0.1), (0.3, "0.1")])
-def test_numbers_read_as_linear_constraint_reads_them(coeff, rhs):
+@pytest.mark.parametrize("coeff, rhs, x", [
+    pytest.param(0.1, 1, F(10), id="0.1-1"),
+    pytest.param(1, 0.1, F(1, 10), id="1-0.1"),
+    pytest.param(0.3, "0.1", F(1, 3), id="0.3-0.1"),
+])
+def test_numbers_read_as_linear_constraint_reads_them(coeff, rhs, x):
     row = LinearConstraint((coeff,), "=", rhs)
-    assert feasible_point(1, [((coeff,), "=", rhs)]) == [row.rhs / row.coeffs[0]]
+    assert row.rhs / row.coeffs[0] == x
+    assert feasible_point(1, [row])[0] == [x]
 
 
 @pytest.mark.parametrize("coeff, rhs", [(True, 1), (1, True)])
 def test_bool_rejected_as_linear_constraint_rejects_it(coeff, rhs):
     with pytest.raises(TypeError, match="bool"):
         LinearConstraint((coeff,), "=", rhs)
-    with pytest.raises(TypeError, match="bool"):
-        feasible_point(1, [((coeff,), "=", rhs)])
 
 
 def test_unknown_relation_rejected():
-    with pytest.raises(ValueError):
-        feasible_point(1, [((F(1),), "!=", F(0))])
+    with pytest.raises(ValueError, match="unknown relation"):
+        LinearConstraint((F(1),), "!=", F(0))
+
+
+def test_pivot_count_returned():
+    assert feasible_point(2, []) == ([F(0), F(0)], 0)
+    # one artificial leaves the basis for x_0: one pivot
+    assert feasible_point(1, [LinearConstraint((F(2),), "=", F(4))]) == ([F(2)], 1)
+
+
+def test_import_needs_no_numpy():
+    src = str(Path(plab.__file__).parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r}); sys.modules['numpy'] = None; import plab.simplex"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_random_consistent_systems_are_solved():
@@ -101,7 +123,7 @@ def test_random_consistent_systems_are_solved():
             margin = F(int(rng.integers(0, 3)))
             rhs = val if rel == "=" else (val + margin if rel == "<=" else val - margin)
             rows.append((tuple(coeffs), rel, rhs))
-        pt = feasible_point(n, rows)
+        pt = solve(n, rows)
         assert pt is not None, f"trial {trial}: x*={x_star} satisfies the system"
         check(pt, rows)
 
@@ -116,4 +138,4 @@ def test_random_split_systems_are_infeasible():
         gap = F(int(rng.integers(1, 5)))
         lo = F(int(rng.integers(-5, 6)))
         rows = [(tuple(coeffs), "<=", lo), (tuple(coeffs), ">=", lo + gap)]
-        assert feasible_point(n, rows) is None
+        assert solve(n, rows) is None

@@ -19,7 +19,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plab import simplex
 from plab.feasibility import (
     LinearConstraint,
     PolytopeSpec,
@@ -157,10 +156,8 @@ def dense_affine_dimension(poly):
 
 
 def sparse_feasible_point(num_vars, constraints):
-    """plab's simplex, with the pivots it made."""
-    before = simplex._pivots_done()
-    point = feasible_point(num_vars, constraints)
-    return point, simplex._pivots_done() - before
+    """plab's simplex on (coeffs, relation, rhs) rows, with the pivots it made."""
+    return feasible_point(num_vars, [LinearConstraint(*row) for row in constraints])
 
 
 def assert_same(num_vars, constraints):
@@ -242,7 +239,7 @@ def test_random_systems_match_dense_reference(system):
 def test_verdict_matches_all_split_reference(system):
     """Reading sign bounds as bounds changes the pivot path, never the verdict."""
     n, rows = system
-    point = feasible_point(n, rows)
+    point, _ = sparse_feasible_point(n, rows)
     split, _ = dense_feasible_point(n, rows, sign_bounds=False)
     assert (point is None) == (split is None)
     if point is not None:
