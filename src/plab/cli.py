@@ -15,12 +15,14 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
 from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -28,6 +30,7 @@ from . import __version__, coarse, compression, feasibility, quantum
 from .emx import (
     FinSupportDist,
     IndexedDomain,
+    RationalLiteralError,
     as_fraction,
     quantile_learn,
     sample_complexity,
@@ -102,34 +105,104 @@ class RunReport:
     wall_clock_s: float
     version: str
 
-    def to_json(self) -> dict:
+    def to_text(self) -> str:
+        """The report as written: ``json.dumps(_pin(payload), indent=2, sort_keys=True)``."""
         out = dict(vars(self))
         if self.sweep is None:
             del out["sweep"]
-        return _pin(out)
+        return _render(out)
 
 
 def _pin(obj):
-    """Normalize a report payload: floats to 12 significant digits, exact
-    rationals to strings, numpy scalars unwrapped."""
+    """Normalize a report payload: string keys, lists for tuples, leaves by ``_leaf``."""
     if isinstance(obj, dict):
         return {str(k): _pin(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_pin(v) for v in obj]
+    return _leaf(obj)
+
+
+def _leaf(obj):
+    """Pin one report value that is not a dict, list or tuple: floats to 12
+    significant digits, exact rationals to strings, numpy scalars unwrapped."""
     if isinstance(obj, Fraction):
         return str(obj)
     if isinstance(obj, (bool, type(None), str, int)):
         return obj
     if isinstance(obj, (float, np.floating)):
-        return float(f"{float(obj):.12g}")
+        return _pin_float(obj)
     if isinstance(obj, np.integer):
         return int(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__} in a report")
 
 
+def _pin_float(x) -> float:
+    return float(f"{float(x):.12g}")
+
+
+def _float_text(x: float) -> str:
+    """JSON text of a pinned float, spelled as ``json.dumps`` spells it."""
+    if x != x:
+        return "NaN"
+    if math.isinf(x):
+        return "Infinity" if x > 0 else "-Infinity"
+    return repr(x)
+
+
+def _leaf_text(obj) -> str:
+    """JSON text of ``_leaf(obj)``, spelled as ``json.dumps`` spells it."""
+    value = _leaf(obj)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    return _float_text(value)
+
+
+def _render(obj) -> str:
+    """``json.dumps(_pin(obj), indent=2, sort_keys=True)``, in one walk that
+    pins each leaf as it writes it."""
+    # A witness matrix repeats its entries, so float text is cached by value.
+    # Zeros and NaN stay out of the cache: 0.0 == -0.0 would print one as the
+    # other, and NaN != NaN.
+    floats: dict[float, str] = {}
+
+    def float_text(x: float) -> str:
+        if not x:
+            return repr(x)  # a zero pins to itself, sign kept
+        text = _float_text(_pin_float(x))
+        if x == x:
+            floats[x] = text
+        return text
+
+    def render(obj, indent: str) -> str:
+        if type(obj) is float:
+            return floats.get(obj) or float_text(obj)
+        if isinstance(obj, dict):
+            if not obj:
+                return "{}"
+            inner = indent + "  "
+            items = sorted({str(k): v for k, v in obj.items()}.items())
+            body = ("," + inner).join([f"{encode_basestring_ascii(k)}: {render(v, inner)}" for k, v in items])
+            return "{" + inner + body + indent + "}"
+        if isinstance(obj, (list, tuple)):
+            if not obj:
+                return "[]"
+            inner = indent + "  "
+            parts = [(floats.get(v) or float_text(v)) if type(v) is float else render(v, inner) for v in obj]
+            return "[" + inner + ("," + inner).join(parts) + indent + "]"
+        return _leaf_text(obj)
+
+    return render(obj, "\n")
+
+
 def write_report(report: RunReport, path: str) -> None:
     """Serialize deterministically and write via temp file + rename."""
-    text = json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"
+    text = report.to_text() + "\n"
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
         fh.write(text)
@@ -148,13 +221,15 @@ def emit_table(report: RunReport, path: str) -> None:
 
 
 def _load_json(path: str, parse):
-    """``parse`` of the JSON in ``path``; wrong types, keys or numbers (a rational dividing by zero, a
-    float overflow) in it raise ValueError naming the file."""
+    """``parse`` of the JSON in ``path``; wrong types, keys or numbers (a string that is not a
+    rational, a rational dividing by zero, a float overflow) in it raise ValueError naming the
+    file.  A value that fails a check of its meaning, such as a state with a NaN entry, keeps
+    the check's own message."""
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
     try:
         return parse(obj)
-    except (TypeError, KeyError, AttributeError, ArithmeticError) as exc:
+    except (TypeError, KeyError, AttributeError, ArithmeticError, RationalLiteralError) as exc:
         raise ValueError(f"malformed {path}: {exc}") from None
 
 
@@ -388,7 +463,10 @@ def _flag_type(p: _Param):
     return comma_separated if p.many else item
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The plab parser.  Given ``argv``, only the subcommand its leading words
+    name gets its options; the others keep the name, help and kind that the
+    top-level and group help show.  Without ``argv`` every subcommand is built."""
     parser = argparse.ArgumentParser(prog="plab", description=__doc__.splitlines()[0])
     subparsers = {(): parser.add_subparsers(dest="command", required=True)}
     for kind, spec in _KINDS.items():
@@ -398,6 +476,8 @@ def _build_parser() -> argparse.ArgumentParser:
             subparsers[group] = p.add_subparsers(dest=f"{group[0]}_op", required=True)
         p = subparsers[group].add_parser(spec.words[-1], help=spec.help)
         p.set_defaults(kind=kind)
+        if argv is not None and tuple(argv[:len(spec.words)]) != spec.words:
+            continue
         p.add_argument("--config", help="JSON experiment config; flags override its keys")
         p.add_argument("--seed", type=int, help=f"RNG seed (default {DEFAULT_SEED})")
         p.add_argument("--out", help="report path (default: print to stdout)")
@@ -427,14 +507,16 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _build_parser(argv).parse_args(argv)
     try:
         cfg = _config_from_args(args)
         report = run_config(cfg)
         if cfg.out:
             write_report(report, cfg.out)
         else:
-            print(json.dumps(report.to_json(), indent=2, sort_keys=True))
+            print(report.to_text())
         if args.table:
             emit_table(report, args.table)
     except (ValueError, KeyError, OSError, quantum.ResourceCapError) as exc:

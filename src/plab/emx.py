@@ -28,6 +28,10 @@ from typing import Callable, Container, Iterable, Iterator, Sequence
 import numpy as np
 
 
+class RationalLiteralError(ValueError):
+    """A string that does not spell a rational, such as "abc"."""
+
+
 def as_fraction(value: Fraction | int | float | str) -> Fraction:
     """Exact rational from Fraction/int/str ("1/3", "0.2" -> 1/5).
 
@@ -44,7 +48,10 @@ def as_fraction(value: Fraction | int | float | str) -> Fraction:
     if isinstance(value, float):
         return Fraction(str(value))
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ValueError as exc:
+            raise RationalLiteralError(exc) from None
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 

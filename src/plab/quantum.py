@@ -163,7 +163,8 @@ class Povm:
 
 def matrix_to_json(m: np.ndarray) -> list:
     """Complex matrix as row-major [re, im] pairs."""
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=complex)]
+    m = np.asarray(m, dtype=complex)
+    return [[[re, im] for re, im in zip(*rows)] for rows in zip(m.real.tolist(), m.imag.tolist())]
 
 
 def matrix_from_json(rows: list) -> np.ndarray:

@@ -14,9 +14,12 @@ import warnings
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from plab import cli
+from plab import cli, quantum
 from plab.cli import (
     DEFAULT_SEED,
     ExperimentConfig,
@@ -259,6 +262,27 @@ class TestErrorPaths:
         assert "missing state" in capsys.readouterr().err
 
 
+# Report payloads: every leaf type a runner returns, floats where the .12g and
+# repr spellings differ, signed zeros, NaN, infinities, keys that str() collides
+# (1 and "1"), non-ASCII text and characters JSON escapes.
+FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, math.nan, 1.0, -3.0, 1e-5, 1.5e-5, 1e12, 1e15, 1e16, 123456789012345.67]),
+    st.floats(1e-6, 1e-4), st.floats(1e12, 1e16), st.floats(-1e16, -1e12),
+)
+TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6) | \
+    st.sampled_from(['"', "\\", "\n\t", "é", "\u2603", "\x00"])
+LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), FLOATS, TEXT, st.fractions(),
+    FLOATS.map(np.float64), st.floats(width=32).map(np.float32), st.integers(-2**63, 2**63 - 1).map(np.int64),
+)
+PAYLOADS = st.recursive(LEAVES, lambda children: st.one_of(
+    st.lists(children, max_size=4),
+    st.lists(children, max_size=4).map(tuple),
+    st.dictionaries(st.sampled_from(["0", "1"]) | st.integers(0, 2) | TEXT, children, max_size=4),
+), max_leaves=40)
+
+
 class TestReportPlumbing:
     def test_pin_rounds_to_12_significant_digits(self):
         assert _pin(0.1 + 0.2) == 0.3
@@ -269,6 +293,23 @@ class TestReportPlumbing:
     def test_pin_rejects_unknown_types(self):
         with pytest.raises(TypeError):
             _pin(object())
+        with pytest.raises(TypeError):
+            cli._render({"a": [object()]})
+
+    @settings(max_examples=300, deadline=None)
+    @given(obj=PAYLOADS)
+    def test_render_equals_dumps_of_pinned_payload(self, obj):
+        assert cli._render(obj) == json.dumps(_pin(obj), indent=2, sort_keys=True)
+
+    def test_witness_negative_zero_renders_negative(self, tmp_path):
+        # 0.0 comes first, so a float cache keyed by value would print -0.0 as 0.0
+        m = np.array([[0.5, complex(-0.0, 0.0)], [complex(0.0, -0.0), 0.5]])
+        rep = RunReport(config={}, metrics={"witness": {"elements": [quantum.matrix_to_json(m)] * 2}},
+                        sweep=None, wall_clock_s=0.0, version="0")
+        write_report(rep, str(tmp_path / "r.json"))
+        for element in json.loads((tmp_path / "r.json").read_text())["metrics"]["witness"]["elements"]:
+            assert [math.copysign(1.0, x) for row in element for pair in row for x in pair] == \
+                [1, 1, -1, 1, 1, -1, 1, 1]
 
     def test_write_report_is_atomic(self, tmp_path):
         rep = RunReport(config={}, metrics={"x": 1.0}, sweep=None, wall_clock_s=0.1, version="0")
@@ -392,6 +433,8 @@ BAD_FILES = {
                                                        "rhs": "1/0"}]}),
     "coarse-label-overflows-float": (["coarse", "--dist", "bad.json"], "bad.json",
                                      {"labels": ["1e400", 0.5], "weights": ["1/2", "1/2"]}),
+    "dist-weight-not-a-rational": (["emx", "--dist", "bad.json"], "bad.json",
+                                   {"labels": ["a", "b"], "weights": ["abc", "1/2"]}),
     "state-dim-not-integer": (["feasible", "sdp", "--task", "task.json", "--states", "states"], "states/t0.json",
                               {"dim": 2.5, "entries": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]}),
 }
@@ -421,3 +464,19 @@ def test_internal_type_error_is_not_reported_as_bad_input(workdir, monkeypatch):
     monkeypatch.setattr(cli, "_KINDS", {**cli._KINDS, "quantum": cli._KINDS["quantum"]._replace(run=broken)})
     with pytest.raises(TypeError, match="a defect in a runner"):
         main(["quantum", "discriminate", "--gamma", "0.5"])
+
+
+# Words of every subcommand leaf, the groups and the top level (no words).
+HELP_WORDS = [[], *sorted({spec.words[:1] for spec in cli._KINDS.values() if len(spec.words) > 1}),
+              *(spec.words for spec in cli._KINDS.values())]
+
+
+@pytest.mark.parametrize("words", [list(w) for w in HELP_WORDS], ids=lambda w: " ".join(w) or "plab")
+def test_parser_for_the_invoked_words_prints_the_full_help(capsys, words):
+    def help_text(parser):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(words + ["--help"])
+        assert exc.value.code == 0
+        return capsys.readouterr().out
+
+    assert help_text(cli._build_parser(words)) == help_text(cli._build_parser())
