@@ -209,7 +209,9 @@ class FiniteHypothesis:
     def __eq__(self, other) -> bool:
         if not isinstance(other, FiniteHypothesis):
             return NotImplemented
-        if self.is_segment and other.is_segment and self.domain is other.domain:
+        if self.is_segment and other.is_segment and (
+            self.domain is other.domain or self.domain.labels == other.domain.labels
+        ):
             n = self.domain.size
             return min(self.threshold, n) == min(other.threshold, n)
         return self.elements == other.elements

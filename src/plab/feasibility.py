@@ -260,8 +260,14 @@ def no_signaling_polytope(n_a: int, n_b: int, n_x: int, n_y: int) -> PolytopeSpe
 def affine_dimension(poly: PolytopeSpec) -> int:
     """Dimension of the affine hull cut out by the equality rows (variable
     count minus exact rank), assuming the system is consistent."""
-    eq_rows = [list(c.coeffs) for c in poly.constraints if c.relation == "="]
     n = len(poly.variables)
+    eq_rows = []
+    for c in poly.constraints:
+        if c.relation == "=":
+            row = [0] * n
+            for j, v in simplex.integer_row(c.terms, c.rhs)[1]:
+                row[j] = v
+            eq_rows.append(row)
     rank = 0
     for col in range(n):
         piv = next((r for r in range(rank, len(eq_rows)) if eq_rows[r][col] != 0), None)

@@ -168,7 +168,13 @@ def matrix_to_json(m: np.ndarray) -> list:
 
 
 def matrix_from_json(rows: list) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
+    """Complex matrix from row-major [re, im] pairs; TypeError for an entry
+    that is not such a pair."""
+    try:
+        entries = [[complex(re, im) for re, im in row] for row in rows]
+    except ValueError:  # unpacking an entry with other than two parts
+        raise TypeError("matrix entries must be [re, im] pairs") from None
+    return np.array(entries, dtype=complex)
 
 
 def tensor_power(rho: DensityMatrix, d: int) -> DensityMatrix:

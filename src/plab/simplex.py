@@ -11,63 +11,94 @@ c*x_j >= 0 or -c*x_j <= 0 with c > 0) is a sign bound: it adds no tableau
 row, and x_j gets one nonnegative column.  Every other variable is a free
 real, split as u - v.
 
-The tableau is dense, but every pivot touches only the nonzero entries of the
-pivot row, and only the rows whose entry in the entering column is nonzero.
-Skipped entries would compute v - f*0 = v, so the values, the pivot path and
-the witness are exactly those of a full dense update.  ``affine_dimension``
-in ``plab.feasibility`` runs its Gauss-Jordan steps through the same
-elimination core.
+The tableau is fraction-free (Edmonds, Bareiss): each row, the objective
+included, is a list of ints equal to the rational row times a positive
+scale that is never stored.  A constraint row starts at its terms times the
+lcm of their and the rhs's denominators, and the objective at the sum of
+the artificial rows brought to the lcm of their scales.  A pivot on entry
+p > 0 leaves the pivot row as it is and turns every other row with entry
+f != 0 in the entering column into p*row - f*pivot_row, divided by the gcd
+of its entries.  Rows with a zero there are not touched.  The entering
+test (objective entry > 0) and the min-ratio test (b/a < b'/a' as
+b*a' < b'*a) do not change under positive row scales, so the pivot path is
+that of the rational tableau, and the witness reads each basic variable as
+rhs entry / basic entry, the same rational.  ``affine_dimension`` in
+``plab.feasibility`` runs its Gauss-Jordan steps, whose pivots may be
+negative, through the same elimination core.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable
+from itertools import compress
+from math import gcd, lcm
+from typing import Iterable, Sequence
 
 RELATIONS = ("<=", "=", ">=")
+_positive = (0).__lt__  # _positive(v) is v > 0; map(_positive, ...) scans rows in C
 
 
-def _eliminate(rows: list[list[Fraction]], r: int, col: int) -> None:
-    """Gauss-Jordan step in place: scale row r so its entry in col is 1, then
-    clear col from every other row.  Only the nonzero columns of row r are
-    touched, and only in rows whose entry in col is nonzero."""
+def integer_row(terms: Sequence[tuple[int, Fraction]], rhs: Fraction) -> tuple[int, list[tuple[int, int]], int]:
+    """(scale, integer terms, integer rhs): the row times ``scale``, the lcm
+    of the denominators of its coefficients and rhs."""
+    scale = lcm(rhs.denominator, *(c.denominator for _, c in terms))
+    ints = [(j, c.numerator * (scale // c.denominator)) for j, c in terms]
+    return scale, ints, rhs.numerator * (scale // rhs.denominator)
+
+
+def _eliminate(rows: list[list[int]], r: int, col: int) -> None:
+    """Fraction-free Gauss-Jordan step in place on integer rows.  Row r
+    keeps its pivot p = rows[r][col]: it is the rational row scaled to 1 in
+    col, times p.  Every other row with entry f != 0 in col becomes
+    |p|*row - sign(p)*f*row_r, divided by the gcd of its entries: its
+    rational row cleared in col, times a positive scale.  Rows with a zero
+    in col are not touched, and when |p| = 1 no row is multiplied, so only
+    the nonzero columns of row r change before the gcd division."""
     prow = rows[r]
-    piv = prow[col]
-    nz = [j for j, v in enumerate(prow) if v]
-    for j in nz:
-        prow[j] = prow[j] / piv
+    p = prow[col]
+    ap = abs(p)
+    nz = list(compress(range(len(prow)), prow))
     for i, row in enumerate(rows):
         f = row[col]
-        if f and i != r:
-            for j in nz:
-                row[j] = row[j] - f * prow[j]
+        if not f or i == r:
+            continue
+        if p < 0:
+            f = -f
+        if ap != 1:
+            row = [ap * v for v in row]
+        for j in nz:
+            row[j] -= f * prow[j]
+        g = gcd(*row)
+        rows[i] = [v // g for v in row] if g > 1 else row
 
 
 def feasible_point(num_vars: int, constraints: Iterable) -> tuple[list[Fraction] | None, int]:
     """(a point satisfying all constraints, or None if the system is
     infeasible; the number of pivots made).  Each constraint has ``terms``,
     ``arity``, ``relation`` and ``rhs``, as a ``LinearConstraint`` has."""
-    rows: list[list[tuple[int, Fraction]]] = []  # nonzero (column, coefficient)
+    rows: list[tuple[int, list[tuple[int, int]], int]] = []  # (scale, integer terms, integer rhs)
     rels: list[str] = []
-    rhss: list[Fraction] = []
     bounded = set()  # variables with a sign bound x_j >= 0
     for row in constraints:
         if row.arity != num_vars:
             raise ValueError(f"coefficient row of length {row.arity}, expected {num_vars}")
-        entries, rel, rhs = row.terms, row.relation, row.rhs
-        if rhs < 0:  # canonical: rhs >= 0
-            entries = [(j, -c) for j, c in entries]
-            rhs = -rhs
+        terms, rel, rhs = row.terms, row.relation, row.rhs
+        sign = 1  # the row's terms and rhs are multiplied by sign
+        if rhs.numerator < 0:  # canonical: rhs >= 0
+            sign = -1
             rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
-        if rel == ">=" and rhs == 0:  # avoid a needless artificial
-            entries = [(j, -c) for j, c in entries]
+        elif rel == ">=" and rhs.numerator == 0:  # avoid a needless artificial
+            sign = -1
             rel = "<="
-        if rel == "<=" and rhs == 0 and len(entries) == 1 and entries[0][1] < 0:
-            bounded.add(entries[0][0])  # -c*x_j <= 0 with c > 0: x_j >= 0
+        if rel == "<=" and rhs.numerator == 0 and len(terms) == 1 and sign * terms[0][1].numerator < 0:
+            bounded.add(terms[0][0])  # -c*x_j <= 0 with c > 0: x_j >= 0
             continue
-        rows.append(entries)
+        scale, ints, irhs = integer_row(terms, rhs)
+        if sign < 0:
+            ints = [(j, -c) for j, c in ints]
+            irhs = -irhs
+        rows.append((scale, ints, irhs))
         rels.append(rel)
-        rhss.append(rhs)
 
     # column j is x_j, or u_j of x_j = u_j - v_j for a free x_j; the v
     # columns follow in variable order, then slacks, then artificials
@@ -77,6 +108,7 @@ def feasible_point(num_vars: int, constraints: Iterable) -> tuple[list[Fraction]
         if j not in bounded:
             neg_of[j] = col
             col += 1
+    first_slack = col
     m = len(rows)
     slack_of = {}
     art_of = {}
@@ -92,52 +124,52 @@ def feasible_point(num_vars: int, constraints: Iterable) -> tuple[list[Fraction]
     rhs_col = col
 
     # rows 0..m-1 are the constraints, row m is the objective
-    tableau: list[list[Fraction]] = []
+    tableau: list[list[int]] = []
     basis: list[int] = []
-    zero = Fraction(0)
-    one = Fraction(1)
-    for i in range(m):
-        row = [zero] * width
-        for j, c in rows[i]:
+    for i, (scale, ints, irhs) in enumerate(rows):
+        row = [0] * width
+        for j, c in ints:
             row[j] = c
             if j in neg_of:
                 row[neg_of[j]] = -c
         if i in slack_of:
-            row[slack_of[i]] = one if rels[i] == "<=" else -one
+            row[slack_of[i]] = scale if rels[i] == "<=" else -scale
         if i in art_of:
-            row[art_of[i]] = one
+            row[art_of[i]] = scale
             basis.append(art_of[i])
         else:
             basis.append(slack_of[i])
-        row[rhs_col] = rhss[i]
+        row[rhs_col] = irhs
         tableau.append(row)
 
-    art_cols = set(art_of.values())
-    # objective: minimize sum of artificials; track z_j - c_j
-    obj = [zero] * width
-    for i in range(m):
-        if basis[i] in art_cols:
-            for j, v in enumerate(tableau[i]):
-                if v:
-                    obj[j] += v
-    for j in art_cols:
-        obj[j] -= one
+    # objective: minimize the sum of artificials; track z_j - c_j times M,
+    # the lcm of the artificial rows' scales
+    big = lcm(*(rows[i][0] for i in art_of))
+    obj = [0] * width
+    for i, art in art_of.items():
+        k = big // rows[i][0]
+        row = tableau[i]
+        for j in compress(range(width), row):
+            obj[j] += k * row[j]
+        obj[art] -= big
     tableau.append(obj)
 
     pivots = 0
     while True:
-        enter = next((j for j in range(rhs_col) if obj[j] > 0), None)
+        obj = tableau[m]
+        enter = next(compress(range(rhs_col), map(_positive, obj)), None)
         if enter is None:
             break
-        # Bland: smallest entering index above; leave by min ratio, then
-        # smallest basic index
-        leave, best = None, None
+        # Bland: smallest entering index above; leave by min ratio b/a, as
+        # b*a' < b'*a, then smallest basic index
+        leave, lb, la = None, 0, 0
         for i in range(m):
-            a = tableau[i][enter]
+            row = tableau[i]
+            a = row[enter]
             if a > 0:
-                ratio = tableau[i][rhs_col] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    leave, best = i, ratio
+                b = row[rhs_col]
+                if leave is None or b * la < lb * a or (b * la == lb * a and basis[i] < basis[leave]):
+                    leave, lb, la = i, b, a
         if leave is None:
             # unbounded phase-1 cannot happen (objective bounded below by 0)
             raise RuntimeError("phase-1 simplex reported unbounded")
@@ -145,9 +177,16 @@ def feasible_point(num_vars: int, constraints: Iterable) -> tuple[list[Fraction]
         basis[leave] = enter
         pivots += 1
 
-    if obj[rhs_col] != 0:
+    if tableau[m][rhs_col] != 0:
         return None, pivots
     values = {}
     for i, b in enumerate(basis):
-        values[b] = tableau[i][rhs_col]
-    return [values.get(j, zero) - values.get(neg_of.get(j), zero) for j in range(num_vars)], pivots
+        if b < first_slack:
+            row = tableau[i]
+            values[b] = Fraction(row[rhs_col], row[b])
+    zero = Fraction(0)
+    point = [values.get(j, zero) for j in range(num_vars)]
+    for j, v in neg_of.items():
+        if v in values:
+            point[j] -= values[v]
+    return point, pivots

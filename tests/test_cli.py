@@ -416,6 +416,10 @@ BAD_FILES = {
     "task-is-a-list": (["feasible", "lp", "--task", "bad.json"], "bad.json", [1, 2]),
     "state-entries-not-pairs": (["feasible", "sdp", "--task", "task.json", "--states", "states"], "states/t0.json",
                                 {"dim": 2, "entries": [[1, 0], [0, 0]]}),
+    "state-entry-three-parts": (["feasible", "sdp", "--task", "task.json", "--states", "states"], "states/t0.json",
+                                {"dim": 2, "entries": [[[1, 0, 0], [0, 0]], [[0, 0], [0, 0]]]}),
+    "state-entry-one-part": (["feasible", "sdp", "--task", "task.json", "--states", "states"], "states/t0.json",
+                             {"dim": 2, "entries": [[[1], [0, 0]], [[0, 0], [0, 0]]]}),
     "polytope-coefficient-bool": (POLYTOPE, "bad.json",
                                   {"variables": ["x"], "constraints": [{"coeffs": [True], "relation": ">=", "rhs": "0"}]}),
     "polytope-coeffs-string": (POLYTOPE, "bad.json",

@@ -123,6 +123,20 @@ class TestFiniteHypothesis:
         assert hash(seg) == hash(dom.initial_segment(2**63)) == hash(2**63)
         assert hash(dom.initial_segment(2**70)) == hash(IndexedDomain(range(2**64)).initial_segment(2**64))
 
+    def test_segments_over_equal_domains_compare_without_elements(self, monkeypatch):
+        # different label orders still compare as element sets
+        assert IndexedDomain("abc").initial_segment(2) == IndexedDomain("bac").initial_segment(2)
+        assert IndexedDomain("abc").initial_segment(1) != IndexedDomain("bac").initial_segment(1)
+
+        def no_elements(self):
+            raise AssertionError("segment equality built an element set")
+
+        monkeypatch.setattr(FiniteHypothesis, "elements", property(no_elements))
+        a, b = IndexedDomain(range(2**21)), IndexedDomain(range(2**21))
+        assert a.initial_segment(2**20) == b.initial_segment(2**20)
+        assert a.initial_segment(2**20) != b.initial_segment(2**20 + 1)
+        assert a.initial_segment(2**22) == b.initial_segment(2**21)  # both are the whole domain
+
     @given(start=st.integers(-20, 20), stop=st.integers(-20, 20),
            step=st.integers(-5, 5).filter(bool))
     def test_range_size_is_its_length(self, start, stop, step):

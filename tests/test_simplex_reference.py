@@ -1,10 +1,10 @@
-"""The sparse simplex against the dense reference it replaced.
+"""The fraction-free sparse simplex against the dense Fraction reference.
 
-``dense_feasible_point`` and ``dense_affine_dimension`` are the full-width
-tableau updates that ``plab.simplex`` and ``plab.feasibility`` used before
-pivots skipped zero entries.  Skipping an entry only omits v - f*0 = v, so
-the sparse code must return the identical point (or None) after the same
-number of pivots, and the same affine dimension.
+``dense_feasible_point`` and ``dense_affine_dimension`` are full-width
+``Fraction`` tableau updates.  ``plab.simplex`` keeps integer rows, each the
+rational row times a positive scale, and skips zero entries; neither changes
+a pivot decision, so it must return the identical point (or None) after the
+same number of pivots, and the same affine dimension.
 
 The reference applies the simplex's sign-bound rule (a row saying
 x_j >= 0 becomes a bound, and x_j gets one column) unless called with
@@ -14,11 +14,13 @@ simplex did before the rule, and serves as an oracle for the verdict.
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from plab import simplex
 from plab.feasibility import (
     LinearConstraint,
     PolytopeSpec,
@@ -178,10 +180,19 @@ coeff = st.one_of(
 rhs_value = st.one_of(st.integers(-6, 6).map(F), st.builds(F, st.integers(-9, 9), st.integers(1, 4)))
 
 
+# Wide rationals: numerators up to 10^12 over denominators up to 10^9, with
+# large primes drawn often, so one row mixes coprime denominators and its
+# integer scale is their product.
+wide_denominator = st.one_of(st.sampled_from([999999937, 999999929, 1000000007, 1000000009, 3, 1]),
+                             st.integers(1, 10**9))
+wide_coeff = st.one_of(st.just(F(0)), st.builds(F, st.integers(-10**12, 10**12), wide_denominator))
+wide_rhs = st.one_of(rhs_value, st.builds(F, st.integers(-10**12, 10**12), wide_denominator))
+
+
 @st.composite
-def systems(draw):
+def systems(draw, coeffs=coeff, rhss=rhs_value):
     n = draw(st.integers(1, 5))
-    row = st.tuples(st.tuples(*[coeff] * n), st.sampled_from(RELATIONS), rhs_value)
+    row = st.tuples(st.tuples(*[coeffs] * n), st.sampled_from(RELATIONS), rhss)
     return n, draw(st.lists(row, max_size=8))
 
 
@@ -213,15 +224,19 @@ def split_systems(draw):
 
 
 @st.composite
-def equality_systems(draw):
+def equality_systems(draw, coeffs=coeff, leading_negative=False):
     """Equality rows where some rows are combinations of others, so the
-    system is often rank-deficient."""
+    system is often rank-deficient.  With ``leading_negative`` each row is
+    signed so its first nonzero coefficient is negative, which makes the
+    first pivot, and often later ones, negative."""
     n = draw(st.integers(1, 7))
-    base = draw(st.lists(st.tuples(*[coeff] * n), min_size=1, max_size=5))
+    base = draw(st.lists(st.tuples(*[coeffs] * n), min_size=1, max_size=5))
     rows = list(base)
     for _ in range(draw(st.integers(0, 4))):
         weights = draw(st.lists(coeff, min_size=len(base), max_size=len(base)))
         rows.append(tuple(sum((w * r[j] for w, r in zip(weights, base)), F(0)) for j in range(n)))
+    if leading_negative:
+        rows = [tuple(-c for c in r) if next((c for c in r if c), 0) > 0 else r for r in rows]
     order = draw(st.permutations(range(len(rows))))
     eqs = tuple(LinearConstraint(rows[k], "=", F(0)) for k in order)
     return PolytopeSpec(tuple(f"x{j}" for j in range(n)), eqs)
@@ -256,9 +271,65 @@ def test_infeasible_systems_match_dense_reference(system):
 
 
 @settings(max_examples=200, deadline=None)
-@given(equality_systems())
+@given(st.one_of(systems(wide_coeff, wide_rhs), split_systems()))
+def test_wide_rationals_match_dense_reference(system):
+    """Integer rows scaled by products of coprime 10^9-sized denominators
+    take the same pivots to the same point as the Fraction tableau."""
+    n, rows = system
+    assert_same(n, rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(equality_systems(), equality_systems(wide_coeff, leading_negative=True)))
 def test_affine_dimension_matches_dense_reference(poly):
     assert affine_dimension(poly) == dense_affine_dimension(poly)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda w: st.lists(st.lists(st.integers(-10**6, 10**6), min_size=w, max_size=w),
+                                                      min_size=1, max_size=5)),
+       st.data())
+def test_eliminate_gives_positive_multiples_of_rational_rows(rows, data):
+    """A pivot of either sign leaves its row as it is and every other row
+    a positive multiple of the rational Gauss-Jordan row."""
+    assume(any(map(any, rows)))
+    pivots = [(i, j) for i, j in product(range(len(rows)), range(len(rows[0]))) if rows[i][j]]
+    r, col = data.draw(st.sampled_from(pivots))
+    want = [[F(v) for v in row] for row in rows]
+    piv = want[r][col]
+    for i, row in enumerate(want):
+        if i != r:
+            f = row[col] / piv
+            want[i] = [v - f * w for v, w in zip(row, want[r])]
+    got = [list(row) for row in rows]
+    simplex._eliminate(got, r, col)
+    assert got[r] == rows[r]
+    for i, (g, w) in enumerate(zip(got, want)):
+        if i == r:
+            continue
+        if any(w):
+            scale = next(F(a) / b for a, b in zip(g, w) if b)
+            assert scale > 0 and g == [scale * v for v in w]
+        else:
+            assert not any(g)
+
+
+def test_min_ratio_tie_is_broken_by_basic_index_under_unequal_scales(monkeypatch):
+    """(2/3)x >= 2/3 and (5/7)x <= 5/7 tie at ratio 1 for x, with integer
+    rows scaled by 3 and 7.  The first row's basic variable is its
+    artificial, the second's its slack, which has the smaller index, so the
+    second row leaves although the first comes first."""
+    pivots = []
+    eliminate = simplex._eliminate
+
+    def record(rows, r, col):
+        pivots.append((r, col))
+        eliminate(rows, r, col)
+
+    monkeypatch.setattr(simplex, "_eliminate", record)
+    rows = [((F(2, 3),), ">=", F(2, 3)), ((F(5, 7),), "<=", F(5, 7)), ((F(1),), ">=", F(0))]
+    assert assert_same(1, rows) == ([F(1)], 1)
+    assert pivots == [(1, 0)]
 
 
 def random_task(rng, n_env, n_h):
@@ -298,6 +369,20 @@ def test_no_signaling_polytopes_match_dense_reference(sizes):
     assert res.feasible and res.pivots == pivots
     assert list(res.witness.values()) == point
     assert affine_dimension(poly) == dense_affine_dimension(poly)
+
+
+@pytest.mark.parametrize("n_x, n_y, n_a, n_b, pivots", [(3, 3, 2, 2, 60), (2, 2, 3, 3, 31)])
+def test_no_signaling_chsh_pivot_counts(n_x, n_y, n_a, n_b, pivots):
+    """The benchmark's ns3322-chsh and ns2233-chsh LPs (win iff
+    a - b = x*y mod n_a, epsilon 1/2, delta 0) take 60 and 31 pivots."""
+    task = TaskSpec(
+        [f"x{x}y{y}" for x in range(n_x) for y in range(n_y)],
+        [f"a{a}b{b}" for a in range(n_a) for b in range(n_b)],
+        [[F(int((a - b - x * y) % n_a == 0)) for a in range(n_a) for b in range(n_b)]
+         for x in range(n_x) for y in range(n_y)],
+    )
+    res = lp_feasible(no_signaling_polytope(n_a, n_b, n_x, n_y), build_pl_constraints(task, F(1, 2), F(0)))
+    assert res.feasible and res.pivots == pivots
 
 
 @pytest.mark.parametrize("win, feasible", [(F(3, 4), True), (F(1), True), (F(101, 100), False)])
