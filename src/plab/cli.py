@@ -1,9 +1,10 @@
 """plab command line: seeded experiment configs in, deterministic reports out.
 
 Subcommands (emx | coarse | compress | quantum | feasible) and their parameters
-are declared once, in ``_KINDS``; parsers, config validation and the defaults
-the runners see are generated from it.  Each subcommand accepts --config FILE
-(a JSON experiment config) with flags overriding config keys.
+are declared once, in ``_KINDS``; the argument parser (derived once per process),
+config validation and the defaults the runners see are generated from it.
+Each subcommand accepts --config FILE (a JSON experiment config) with flags
+overriding config keys.
 Reports are JSON {config, metrics, sweep?, wall_clock_s, version} written
 atomically; floats are pinned to 12 significant digits so identical
 (config, seed) runs produce byte-identical reports apart from wall_clock_s.
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -54,6 +56,8 @@ class ExperimentConfig:
             value = getattr(self, key)
             if not isinstance(value, types) or isinstance(value, bool):
                 raise ValueError(f"config key {key!r} must be {want}, got {value!r}")
+        if self.seed < 0:  # numpy seeds only non-negative integers
+            raise ValueError(f"config key 'seed' must be >= 0, got {self.seed!r}")
 
     def validate(self) -> dict:
         """Every parameter the kind declares: the value converted to its declared type (rationals
@@ -463,10 +467,9 @@ def _flag_type(p: _Param):
     return comma_separated if p.many else item
 
 
-def _build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
-    """The plab parser.  Given ``argv``, only the subcommand its leading words
-    name gets its options; the others keep the name, help and kind that the
-    top-level and group help show.  Without ``argv`` every subcommand is built."""
+@functools.cache
+def _build_parser() -> argparse.ArgumentParser:
+    """The plab parser, built from ``_KINDS`` on first use and kept for the process."""
     parser = argparse.ArgumentParser(prog="plab", description=__doc__.splitlines()[0])
     subparsers = {(): parser.add_subparsers(dest="command", required=True)}
     for kind, spec in _KINDS.items():
@@ -476,8 +479,6 @@ def _build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
             subparsers[group] = p.add_subparsers(dest=f"{group[0]}_op", required=True)
         p = subparsers[group].add_parser(spec.words[-1], help=spec.help)
         p.set_defaults(kind=kind)
-        if argv is not None and tuple(argv[:len(spec.words)]) != spec.words:
-            continue
         p.add_argument("--config", help="JSON experiment config; flags override its keys")
         p.add_argument("--seed", type=int, help=f"RNG seed (default {DEFAULT_SEED})")
         p.add_argument("--out", help="report path (default: print to stdout)")
@@ -507,9 +508,7 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    args = _build_parser(argv).parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         cfg = _config_from_args(args)
         report = run_config(cfg)
@@ -520,7 +519,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.table:
             emit_table(report, args.table)
     except (ValueError, KeyError, OSError, quantum.ResourceCapError) as exc:
-        print(f"plab: error: {exc}", file=sys.stderr)
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc  # str() would quote it
+        print(f"plab: error: {message}", file=sys.stderr)
         return 1
     return 0
 

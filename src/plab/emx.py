@@ -18,6 +18,7 @@ weights every mass comparison is exact.
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -32,26 +33,32 @@ class RationalLiteralError(ValueError):
     """A string that does not spell a rational, such as "abc"."""
 
 
+@functools.lru_cache(maxsize=1024)
+def _parse_literal(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ValueError as exc:
+        raise RationalLiteralError(exc) from None
+
+
 def as_fraction(value: Fraction | int | float | str) -> Fraction:
     """Exact rational from Fraction/int/str ("1/3", "0.2" -> 1/5).
 
-    Bare floats go through their shortest decimal repr, so 0.2 means 1/5, not
-    the binary double nearest 0.2.  Use strings or Fractions when the intent
-    is already exact.
+    Each literal string is parsed once (an LRU cache of 1024 strings: data
+    files repeat "0" and "1" thousands of times).  Bare floats go through
+    their shortest decimal repr, so 0.2 means 1/5, not the binary double
+    nearest 0.2.  Use strings or Fractions when the intent is already exact.
     """
-    if isinstance(value, bool):
-        raise TypeError("bool is not a rational value")
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, str):
+        return _parse_literal(value)
+    if isinstance(value, bool):
+        raise TypeError("bool is not a rational value")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float):
         return Fraction(str(value))
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except ValueError as exc:
-            raise RationalLiteralError(exc) from None
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 
@@ -450,7 +457,7 @@ def verify_guarantee(
     target = 1 - epsilon
     wins = 0
     for k in range(trials):
-        if mass(P, learner(P.sample(substream(seed, k), d))) >= target:
+        if mass(P, learner(draw_sample(P, d, seed, (k,)))) >= target:
             wins += 1
     rate = wins / trials
     return GuaranteeReport(

@@ -19,7 +19,6 @@ only when the step budget runs out with 1-delta inside [lo, hi].
 from __future__ import annotations
 
 import contextlib
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -30,18 +29,6 @@ from . import simplex
 from .emx import accuracy, as_fraction
 from .quantum import DensityMatrix, Povm, _hermitize, tensor_power
 from .tasks import TaskSpec
-
-
-# Polytope files repeat a few coefficient strings ("0", "1", "-1") thousands
-# of times, so each distinct string goes through as_fraction once.
-_parse_text = functools.lru_cache(maxsize=1024)(as_fraction)
-
-
-def _exact(value) -> Fraction:
-    """``as_fraction(value)``, with strings parsed through the cache."""
-    if type(value) is Fraction:
-        return value
-    return _parse_text(value) if type(value) is str else as_fraction(value)
 
 
 def _json_list(obj: dict, key: str) -> list:
@@ -65,28 +52,31 @@ class LinearConstraint:
 
     def __init__(self, coeffs: Sequence, relation: str, rhs):
         """The row with dense coefficients ``coeffs``."""
-        self._set(enumerate(coeffs), len(coeffs), relation, rhs)
+        self._set(((j, c) for j, c in enumerate(map(as_fraction, coeffs)) if c), len(coeffs), relation, rhs)
 
     @classmethod
     def from_terms(cls, arity: int, terms, relation: str, rhs) -> "LinearConstraint":
         """The row whose coefficient at each index of (index, coefficient)
-        ``terms`` is given, and zero elsewhere."""
-        row = cls.__new__(cls)
-        row._set(terms, arity, relation, rhs)
-        return row
-
-    def _set(self, terms, arity: int, relation: str, rhs) -> None:
-        if relation not in simplex.RELATIONS:
-            raise ValueError(f"unknown relation {relation!r}")
+        ``terms`` is given, and zero elsewhere; ValueError for an index that
+        is repeated or outside 0..arity-1."""
         exact = {}
         for j, c in terms:
             if not 0 <= j < arity or j in exact:
                 raise ValueError(f"term index {j} repeated or outside 0..{arity - 1}")
-            exact[j] = _exact(c)
-        object.__setattr__(self, "terms", tuple((j, exact[j]) for j in sorted(exact) if exact[j]))
+            exact[j] = as_fraction(c)
+        row = cls.__new__(cls)
+        row._set(((j, exact[j]) for j in sorted(exact) if exact[j]), arity, relation, rhs)
+        return row
+
+    def _set(self, terms, arity: int, relation: str, rhs) -> None:
+        """Set the fields; ``terms`` yields the exact nonzero terms in index
+        order and is read after the relation check."""
+        if relation not in simplex.RELATIONS:
+            raise ValueError(f"unknown relation {relation!r}")
+        object.__setattr__(self, "terms", tuple(terms))
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "relation", relation)
-        object.__setattr__(self, "rhs", _exact(rhs))
+        object.__setattr__(self, "rhs", as_fraction(rhs))
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:

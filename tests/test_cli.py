@@ -345,6 +345,7 @@ BAD_CONFIGS = {
     "not-an-object": (["emx"], [1, 2], "JSON object"),
     "parameters-not-an-object": (["emx"], {"kind": "emx", "parameters": [1, 2]}, "'parameters'"),
     "null-seed": (["emx"], {"kind": "emx", "parameters": EMX_PARAMS, "seed": None}, "'seed'"),
+    "negative-seed": (["emx"], {"kind": "emx", "parameters": EMX_PARAMS, "seed": -3}, "'seed' must be >= 0"),
     "kind-not-a-string": (["emx"], {"kind": 5, "parameters": EMX_PARAMS}, "'kind'"),
     "unknown-top-level-key": (["emx"], {"kind": "emx", "parameters": EMX_PARAMS, "sed": 3}, "'sed'"),
     "sweep-as-string": (["emx"], {"kind": "emx", "parameters": {**EMX_PARAMS, "sweep_d": "1,2"}}, "'sweep_d'"),
@@ -470,17 +471,68 @@ def test_internal_type_error_is_not_reported_as_bad_input(workdir, monkeypatch):
         main(["quantum", "discriminate", "--gamma", "0.5"])
 
 
-# Words of every subcommand leaf, the groups and the top level (no words).
-HELP_WORDS = [[], *sorted({spec.words[:1] for spec in cli._KINDS.values() if len(spec.words) > 1}),
-              *(spec.words for spec in cli._KINDS.values())]
+def help_of(capsys, words: list) -> str:
+    """``plab WORDS --help`` as printed, with all whitespace removed, so line
+    wrapping (also at hyphens) cannot split what a test looks for."""
+    with pytest.raises(SystemExit) as exc:
+        main([*words, "--help"])
+    assert exc.value.code == 0
+    return "".join(capsys.readouterr().out.split())
 
 
-@pytest.mark.parametrize("words", [list(w) for w in HELP_WORDS], ids=lambda w: " ".join(w) or "plab")
-def test_parser_for_the_invoked_words_prints_the_full_help(capsys, words):
-    def help_text(parser):
-        with pytest.raises(SystemExit) as exc:
-            parser.parse_args(words + ["--help"])
-        assert exc.value.code == 0
-        return capsys.readouterr().out
+@pytest.mark.parametrize("kind", sorted(cli._KINDS), ids=lambda kind: " ".join(cli._KINDS[kind].words))
+def test_leaf_help_lists_every_option_with_its_help(capsys, kind):
+    spec = cli._KINDS[kind]
+    text = help_of(capsys, list(spec.words))
+    for flag in ("--config", "--seed", "--out", "--table"):
+        assert flag in text
+    for p in spec.params:
+        if p.flag:
+            metavar = "{" + ",".join(p.choices) + "}" if p.choices else p.name.upper()
+            assert "--" + p.name.replace("_", "-") + metavar + "".join(p.help.split()) in text
 
-    assert help_text(cli._build_parser(words)) == help_text(cli._build_parser())
+
+# The top level (no words) and every group of subcommands.
+GROUP_HELP_WORDS = [[], *map(list, sorted({spec.words[:1] for spec in cli._KINDS.values() if len(spec.words) > 1}))]
+
+
+@pytest.mark.parametrize("words", GROUP_HELP_WORDS, ids=lambda w: " ".join(w) or "plab")
+def test_group_and_top_level_help_list_every_subcommand(capsys, words):
+    text = help_of(capsys, words)
+    below = [spec for spec in cli._KINDS.values() if list(spec.words[:len(words)]) == words]
+    assert below
+    for spec in below:
+        word = spec.words[len(words)]
+        about = spec.help if len(spec.words) == len(words) + 1 else cli._GROUP_HELP[word]
+        assert word + "".join(about.split()) in text
+
+
+def test_two_calls_in_one_process_build_the_parser_once(workdir, monkeypatch):
+    built = []
+    init = cli.argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        if kwargs.get("prog") == "plab":  # the top level, not a subcommand
+            built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli.argparse.ArgumentParser, "__init__", counting_init)
+    cli._build_parser.cache_clear()
+    try:
+        assert main(["quantum", "discriminate", "--gamma", "0.5"]) == 0
+        assert main(["compress", "--mode", "demo", "--domain", "a,b", "--pair", "a,b"]) == 0
+    finally:
+        cli._build_parser.cache_clear()
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["emx", "--dist", "dist.json", "--trials", "5", "--d", "-1"], "sample size must be >= 0"),
+    (["emx", "--dist", "dist.json", "--trials", "5", "--sweep-d", "2,-1"], "sample size must be >= 0"),
+    (["coarse", "--dist", "points.json", "--trials", "5", "--d", "-1"], "sample size must be >= 0"),
+    (["emx", "--dist", "dist.json", "--trials", "5", "--seed", "-1"], "config key 'seed' must be >= 0, got -1"),
+    (["compress", "--mode", "demo", "--domain", "a,b,c", "--pair", "a,z"], "'z' not in domain"),
+], ids=["d", "sweep-d", "coarse-d", "seed", "pair-outside-domain"])
+def test_out_of_range_input_fails_with_its_own_message(workdir, capsys, argv, message):
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"plab: error: {message}\n"

@@ -45,6 +45,11 @@ class TestTwoToOne:
         with pytest.raises(ValueError):
             check_monotone_coverage(segment_scheme(DOM, 1), ("a", "b", "c"))
 
+    def test_no_covering_subtuple_gives_none(self):
+        # reconstructing a kept point as itself alone always misses the other
+        scheme = CompressionScheme(m_in=2, m_out=1, reconstruct=FiniteHypothesis.from_elements)
+        assert check_monotone_coverage(scheme, ("a", "b")) is None
+
     def test_scheme_sizes_validated(self):
         with pytest.raises(ValueError):
             CompressionScheme(m_in=1, m_out=1, reconstruct=lambda s: None)

@@ -17,6 +17,7 @@ from plab.emx import (
     FinSupportDist,
     FiniteHypothesis,
     IndexedDomain,
+    RationalLiteralError,
     as_fraction,
     draw_sample,
     mass,
@@ -53,6 +54,16 @@ class TestRationalParsing:
         with pytest.raises(TypeError):
             as_fraction(True)
 
+    def test_other_types_rejected(self):
+        with pytest.raises(TypeError, match="cannot interpret"):
+            as_fraction(object())
+
+    def test_each_literal_is_parsed_once(self):
+        assert as_fraction("2/6") is as_fraction("2/6")
+        for _ in range(2):  # a bad literal fails every time
+            with pytest.raises(RationalLiteralError):
+                as_fraction("abc")
+
     def test_parse_weight_keeps_floats_inexact(self):
         w = parse_weight(0.25)
         assert isinstance(w, float)
@@ -88,6 +99,12 @@ class TestIndexedDomain:
         with pytest.raises(KeyError):
             dom.idx(256)
 
+    def test_range_domain_iterates_and_tests_membership(self):
+        dom = IndexedDomain(range(2, 8, 2))
+        assert list(dom) == [2, 4, 6]
+        assert 4 in dom and np.int64(6) in dom
+        assert 3 not in dom and 8 not in dom and "4" not in dom
+
 
 class TestFiniteHypothesis:
     def test_segment_membership_and_size(self):
@@ -110,6 +127,19 @@ class TestFiniteHypothesis:
     def test_membership_outside_domain_is_false(self):
         dom = IndexedDomain("abc")
         assert "z" not in dom.initial_segment(2)
+
+    def test_negative_threshold_rejected(self):
+        with pytest.raises(ValueError, match=">= 0"):
+            FiniteHypothesis.initial_segment(IndexedDomain("abc"), -1)
+
+    def test_never_equal_to_other_types(self):
+        assert (IndexedDomain("abc").initial_segment(1) == 3) is False
+
+    def test_iteration_in_both_forms(self):
+        dom = IndexedDomain("abcd")
+        assert list(dom.initial_segment(2)) == ["a", "b"]
+        assert list(dom.initial_segment(9)) == list("abcd")
+        assert sorted(FiniteHypothesis.from_elements("ca")) == ["a", "c"]
 
     def test_segment_hash_does_not_enumerate(self):
         seg = IndexedDomain(range(2**40)).initial_segment(2**39)
@@ -174,6 +204,10 @@ class TestFinSupportDist:
         with pytest.raises(ValueError, match="finite"):
             FinSupportDist("ab", [bad, 1.0])
 
+    def test_more_weights_than_points_rejected(self):
+        with pytest.raises(ValueError, match="equal length"):
+            FinSupportDist("ab", ["1/3", "1/3", "1/3"])
+
     def test_uniform_is_exact(self):
         P = uniform_on("abc")
         assert P.weights == (Fraction(1, 3),) * 3
@@ -218,6 +252,17 @@ class TestSampling:
     def test_negative_size_rejected(self):
         with pytest.raises(ValueError):
             draw_sample(uniform_on("ab"), -1, seed=0)
+
+    def test_guarantee_check_rejects_a_negative_size(self):
+        dom = IndexedDomain("ab")
+        with pytest.raises(ValueError, match="sample size must be >= 0"):
+            verify_guarantee(lambda s: quantile_learn(s, dom), uniform_on("ab"), "1/2", "1/2", -1, 5, seed=0)
+
+    def test_trial_k_draws_from_substream_seed_k(self):
+        P = uniform_on("abcdef")
+        drawn = []
+        verify_guarantee(lambda s: drawn.append(s) or frozenset(), P, "1/2", "1/2", 4, 3, seed=9)
+        assert drawn == [draw_sample(P, 4, 9, (k,)) for k in range(3)]
 
 
 class TestMassAndOpt:
@@ -409,6 +454,12 @@ class TestQuantileSuccess:
         P = FinSupportDist("abc", [0.5, 0.25, 0.25])
         got = quantile_success(P, IndexedDomain("abc"), "1/4", 2)  # t* = 2, F(1) = 0.5
         assert isinstance(got, float) and got == 0.75
+
+    def test_target_beyond_the_ranked_mass_rejected(self):
+        # only a and b carry a rank, and their mass 2/3 never reaches 3/4
+        P = uniform_on("abc")
+        with pytest.raises(ValueError, match="never reach"):
+            quantile_success(P, IndexedDomain("ab"), "1/4", 2)
 
     def test_epsilon_validated(self):
         P = uniform_on("ab")

@@ -129,6 +129,14 @@ class TestPovm:
         with pytest.raises(ValueError):
             Povm([np.eye(2), np.eye(3)])
 
+    def test_rejects_no_elements(self):
+        with pytest.raises(ValueError, match="at least one element"):
+            Povm([])
+
+    def test_rejects_label_count_unlike_element_count(self):
+        with pytest.raises(ValueError, match="one label per element"):
+            Povm([np.eye(2) / 2, np.eye(2) / 2], labels=("only",))
+
     def test_json_roundtrip(self):
         p = random_povm(3, 4, np.random.default_rng(1))
         q = Povm.from_json(p.to_json())
@@ -279,6 +287,11 @@ class TestHelstrom:
         with pytest.raises(ValueError):
             helstrom(KET0, DensityMatrix.maximally_mixed(3))
 
+    def test_success_sum_rejects_a_povm_of_another_dimension(self):
+        qutrit = Povm([np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 1.0])])
+        with pytest.raises(ValueError, match="POVM dimension does not match"):
+            discrimination_sum(qutrit, KET0, KET1)
+
     @settings(max_examples=60, deadline=None)
     @given(gamma=st.floats(0.0, 1.0), d=st.integers(1, 8))
     def test_one_eigendecomposition_gives_distance_and_measurement(self, gamma, d):
@@ -405,6 +418,15 @@ class TestQuantumCorrelation:
     def test_dimension_composition_checked(self):
         with pytest.raises(ValueError):
             quantum_correlation(bell_state(), [measurement_at(0.0)], [Povm([np.eye(3)])])
+
+    def test_alice_settings_must_share_an_outcome_count(self):
+        with pytest.raises(ValueError, match="outcome counts must agree"):
+            quantum_correlation(bell_state(), [measurement_at(0.0), Povm([np.eye(2)])], [measurement_at(0.0)])
+
+    def test_alice_settings_must_share_a_local_dimension(self):
+        qutrit = Povm([np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 1.0])])
+        with pytest.raises(ValueError, match="local dimensions must agree"):
+            quantum_correlation(bell_state(), [measurement_at(0.0), qutrit], [measurement_at(0.0)])
 
 
 class TestNoSignaling:

@@ -35,6 +35,10 @@ class TestTaskSpec:
         with pytest.raises(ValueError):
             TaskSpec(["t"], ["h"], [[1, 0]])  # row width != |H|
 
+    def test_one_utility_row_per_environment(self):
+        with pytest.raises(ValueError, match="row count must match environment count"):
+            TaskSpec(["t0", "t1"], ["h"], [[1]])
+
     def test_json_roundtrip(self):
         task = identity_task()
         again = TaskSpec.from_json(task.to_json())
