@@ -49,10 +49,10 @@ def as_fraction(value: Fraction | int | float | str) -> Fraction:
     their shortest decimal repr, so 0.2 means 1/5, not the binary double
     nearest 0.2.  Use strings or Fractions when the intent is already exact.
     """
+    if isinstance(value, str):  # first: dense data rows are mostly strings
+        return _parse_literal(value)
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, str):
-        return _parse_literal(value)
     if isinstance(value, bool):
         raise TypeError("bool is not a rational value")
     if isinstance(value, int):

@@ -19,8 +19,10 @@ only when the step budget runs out with 1-delta inside [lo, hi].
 from __future__ import annotations
 
 import contextlib
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 import numpy as np
@@ -39,20 +41,50 @@ def _json_list(obj: dict, key: str) -> list:
     return value
 
 
+def _integer_form(relation: str, terms, rhs) -> dict:
+    """scale, iterms and irhs of the row with exact nonzero ``terms`` in index
+    order, read after the relation check: the terms and rhs times scale, the
+    lcm of their denominators."""
+    if relation not in simplex.RELATIONS:
+        raise ValueError(f"unknown relation {relation!r}")
+    terms, rhs = tuple(terms), as_fraction(rhs)
+    scale = lcm(rhs.denominator, *(c.denominator for _, c in terms))
+    return {"scale": scale, "iterms": tuple((j, c.numerator * (scale // c.denominator)) for j, c in terms),
+            "irhs": rhs.numerator * (scale // rhs.denominator)}
+
+
+_HOLDS = {"<=": operator.le, "=": operator.eq, ">=": operator.ge}
+
+
+def _violated(rows: Sequence["LinearConstraint"], x: Sequence[Fraction]) -> list[int]:
+    """Indices of the rows that the exact point x violates, checked in
+    integers: with d the lcm of the denominators of x, each row times scale*d
+    reads sum of c_j*(d*x_j) <relation> irhs*d, with scale*d > 0."""
+    d = lcm(*(v.denominator for v in x))
+    xs = [v.numerator * (d // v.denominator) for v in x]
+    return [i for i, r in enumerate(rows) if not _HOLDS[r.relation](sum([c * xs[j] for j, c in r.iterms]), r.irhs * d)]
+
+
 @dataclass(frozen=True, init=False)
 class LinearConstraint:
     """terms . x  <relation>  rhs over ``arity`` variables, with exact rational
-    data.  ``terms`` holds only the nonzero (index, coefficient) pairs, in
-    index order; ``coeffs`` is the dense row."""
+    data held as integers, built once at construction: ``iterms`` are the
+    nonzero (index, coefficient) pairs in index order and ``irhs`` the rhs,
+    each times ``scale`` > 0, the lcm of their denominators.  The simplex
+    pivots on this form; ``satisfied_by`` and the witness re-check of
+    ``lp_feasible`` check a point against it in integers.  ``terms``,
+    ``coeffs`` (the dense row) and ``rhs`` are rational views."""
 
-    terms: tuple[tuple[int, Fraction], ...]
     arity: int
     relation: str
-    rhs: Fraction
+    scale: int
+    iterms: tuple[tuple[int, int], ...]
+    irhs: int
 
     def __init__(self, coeffs: Sequence, relation: str, rhs):
         """The row with dense coefficients ``coeffs``."""
-        self._set(((j, c) for j, c in enumerate(map(as_fraction, coeffs)) if c), len(coeffs), relation, rhs)
+        terms = ((j, c) for j, c in enumerate(map(as_fraction, coeffs)) if c)
+        vars(self).update(arity=len(coeffs), relation=relation, **_integer_form(relation, terms, rhs))
 
     @classmethod
     def from_terms(cls, arity: int, terms, relation: str, rhs) -> "LinearConstraint":
@@ -64,41 +96,34 @@ class LinearConstraint:
             if not 0 <= j < arity or j in exact:
                 raise ValueError(f"term index {j} repeated or outside 0..{arity - 1}")
             exact[j] = as_fraction(c)
+        terms = ((j, exact[j]) for j in sorted(exact) if exact[j])
+        return cls._of(arity, relation, **_integer_form(relation, terms, rhs))
+
+    @classmethod
+    def _of(cls, arity: int, relation: str, *, scale: int, iterms: tuple, irhs: int) -> "LinearConstraint":
+        """The row given in integer form, unchecked."""
         row = cls.__new__(cls)
-        row._set(((j, exact[j]) for j in sorted(exact) if exact[j]), arity, relation, rhs)
+        vars(row).update(arity=arity, relation=relation, scale=scale, iterms=iterms, irhs=irhs)
         return row
 
-    def _set(self, terms, arity: int, relation: str, rhs) -> None:
-        """Set the fields; ``terms`` yields the exact nonzero terms in index
-        order and is read after the relation check."""
-        if relation not in simplex.RELATIONS:
-            raise ValueError(f"unknown relation {relation!r}")
-        object.__setattr__(self, "terms", tuple(terms))
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "relation", relation)
-        object.__setattr__(self, "rhs", as_fraction(rhs))
+    @property
+    def terms(self) -> tuple[tuple[int, Fraction], ...]:
+        return tuple((j, Fraction(c, self.scale)) for j, c in self.iterms)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        dense = [Fraction(0)] * self.arity
-        for j, c in self.terms:
-            dense[j] = c
-        return tuple(dense)
+        terms = dict(self.terms)
+        return tuple(terms.get(j, Fraction(0)) for j in range(self.arity))
+
+    @property
+    def rhs(self) -> Fraction:
+        return Fraction(self.irhs, self.scale)
 
     def satisfied_by(self, x: Sequence[Fraction]) -> bool:
-        lhs = sum(c * x[j] for j, c in self.terms)
-        if self.relation == "<=":
-            return lhs <= self.rhs
-        if self.relation == ">=":
-            return lhs >= self.rhs
-        return lhs == self.rhs
+        return not _violated((self,), x)
 
     def to_json(self) -> dict:
-        return {
-            "coeffs": [str(c) for c in self.coeffs],
-            "relation": self.relation,
-            "rhs": str(self.rhs),
-        }
+        return {"coeffs": [str(c) for c in self.coeffs], "relation": self.relation, "rhs": str(self.rhs)}
 
     @classmethod
     def from_json(cls, obj: dict) -> "LinearConstraint":
@@ -120,20 +145,14 @@ class PolytopeSpec:
                 raise ValueError("constraint arity does not match variable count")
 
     def to_json(self) -> dict:
-        return {
-            "variables": list(self.variables),
-            "constraints": [c.to_json() for c in self.constraints],
-        }
+        return {"variables": list(self.variables), "constraints": [c.to_json() for c in self.constraints]}
 
     @classmethod
     def from_json(cls, obj: dict) -> "PolytopeSpec":
         variables = _json_list(obj, "variables")
         if not all(isinstance(v, str) for v in variables):
             raise TypeError("variable names must be strings")
-        return cls(
-            tuple(variables),
-            tuple(LinearConstraint.from_json(c) for c in _json_list(obj, "constraints")),
-        )
+        return cls(tuple(variables), tuple(map(LinearConstraint.from_json, _json_list(obj, "constraints"))))
 
 
 def epsilon_optimal_sets(task: TaskSpec, epsilon) -> dict[str, tuple[str, ...]]:
@@ -158,10 +177,10 @@ def _kernel_rows(blocks: int, k: int) -> list[LinearConstraint]:
     """Rows making blocks*k block-major coordinates a kernel: every entry
     >= 0, then each block of k consecutive entries summing to exactly 1."""
     n = blocks * k
-    zero, one = Fraction(0), Fraction(1)
-    rows = [LinearConstraint.from_terms(n, ((j, one),), ">=", zero) for j in range(n)]
+    rows = [LinearConstraint._of(n, ">=", scale=1, iterms=((j, 1),), irhs=0) for j in range(n)]
     for i in range(blocks):
-        rows.append(LinearConstraint.from_terms(n, ((j, one) for j in range(i * k, (i + 1) * k)), "=", one))
+        block = tuple((j, 1) for j in range(i * k, (i + 1) * k))
+        rows.append(LinearConstraint._of(n, "=", scale=1, iterms=block, irhs=1))
     return rows
 
 
@@ -177,13 +196,13 @@ def build_pl_constraints(task: TaskSpec, epsilon, delta) -> tuple[LinearConstrai
     sum_{h in G_theta(eps)} q[theta,h] >= 1-delta."""
     eps, dlt = accuracy(epsilon, delta)
     good = epsilon_optimal_sets(task, eps)
-    k = len(task.hyps)
-    n, one = len(task.thetas) * k, Fraction(1)
+    k, win = len(task.hyps), 1 - dlt
+    n, scale = len(task.thetas) * k, win.denominator  # each row times scale
     rows = []
     for i, theta in enumerate(task.thetas):
         members = set(good[theta])
-        terms = ((i * k + j, one) for j, h in enumerate(task.hyps) if h in members)
-        rows.append(LinearConstraint.from_terms(n, terms, ">=", 1 - dlt))
+        terms = tuple((i * k + j, scale) for j, h in enumerate(task.hyps) if h in members)
+        rows.append(LinearConstraint._of(n, ">=", scale=scale, iterms=terms, irhs=win.numerator))
     return tuple(rows)
 
 
@@ -204,9 +223,10 @@ def lp_feasible(poly: PolytopeSpec, pl: Sequence[LinearConstraint] = ()) -> LpRe
     point, pivots = simplex.feasible_point(len(poly.variables), merged)
     if point is None:
         return LpResult(feasible=False, witness=None, pivots=pivots)
-    bad = [c for c in merged if not c.satisfied_by(point)]
+    bad = _violated(merged, point)
     if bad:  # would indicate a simplex bug; never trust an unchecked witness
-        raise AssertionError(f"witness violates {len(bad)} constraints")
+        first = f"row {bad[0]}, {merged[bad[0]].relation}"
+        raise AssertionError(f"witness violates {len(bad)} constraints (first: {first})")
     return LpResult(feasible=True, witness=dict(zip(poly.variables, point)), pivots=pivots)
 
 
@@ -219,31 +239,23 @@ def no_signaling_polytope(n_a: int, n_b: int, n_x: int, n_y: int) -> PolytopeSpe
     """
     if min(n_a, n_b, n_x, n_y) < 1:
         raise ValueError("alphabet sizes must be >= 1")
-    names = tuple(
-        f"p[{a},{b}|{x},{y}]"
-        for x in range(n_x)
-        for y in range(n_y)
-        for a in range(n_a)
-        for b in range(n_b)
-    )
+    names = tuple(f"p[{a},{b}|{x},{y}]"
+                  for x in range(n_x) for y in range(n_y) for a in range(n_a) for b in range(n_b))
 
     def var(a, b, x, y):  # setting pair (x, y) is block x*n_y + y
         return ((x * n_y + y) * n_a + a) * n_b + b
 
-    n, zero, one = len(names), Fraction(0), Fraction(1)
     rows = _kernel_rows(n_x * n_y, n_a * n_b)
-    # Bob's marginal must not see x: sum_a p(a,b|x,y) = sum_a p(a,b|0,y)
-    for b in range(n_b):
-        for y in range(n_y):
-            for x in range(1, n_x):
-                terms = [(var(a, b, 0, y), one) for a in range(n_a)] + [(var(a, b, x, y), -one) for a in range(n_a)]
-                rows.append(LinearConstraint.from_terms(n, terms, "=", zero))
-    # Alice's marginal must not see y
-    for a in range(n_a):
-        for x in range(n_x):
-            for y in range(1, n_y):
-                terms = [(var(a, b, x, 0), one) for b in range(n_b)] + [(var(a, b, x, y), -one) for b in range(n_b)]
-                rows.append(LinearConstraint.from_terms(n, terms, "=", zero))
+    # Bob's marginal must not see x, nor Alice's y: sum_a p(a,b|0,y) equals
+    # sum_a p(a,b|x,y), and sum_b p(a,b|x,0) equals sum_b p(a,b|x,y).  The
+    # block of (0, y) or (x, 0) comes first, so the terms are in index order.
+    sides = [([var(a, b, 0, y) for a in range(n_a)], [var(a, b, x, y) for a in range(n_a)])
+             for b in range(n_b) for y in range(n_y) for x in range(1, n_x)]
+    sides += [([var(a, b, x, 0) for b in range(n_b)], [var(a, b, x, y) for b in range(n_b)])
+              for a in range(n_a) for x in range(n_x) for y in range(1, n_y)]
+    for first, other in sides:
+        terms = tuple((j, 1) for j in first) + tuple((j, -1) for j in other)
+        rows.append(LinearConstraint._of(len(names), "=", scale=1, iterms=terms, irhs=0))
     return PolytopeSpec(names, tuple(rows))
 
 
@@ -255,7 +267,7 @@ def affine_dimension(poly: PolytopeSpec) -> int:
     for c in poly.constraints:
         if c.relation == "=":
             row = [0] * n
-            for j, v in simplex.integer_row(c.terms, c.rhs)[1]:
+            for j, v in c.iterms:
                 row[j] = v
             eq_rows.append(row)
     rank = 0

@@ -1,30 +1,30 @@
 """Exact-rational linear feasibility via phase-1 simplex with Bland's rule.
 
 No floats anywhere: a Feasible answer comes with a witness satisfying every
-constraint exactly, and Infeasible means the phase-1 optimum is a positive
-rational.  Each row is a ``plab.feasibility.LinearConstraint``: exact
-nonzero (index, coefficient) ``terms`` over ``arity`` variables, a
-``relation`` in {"<=", "=", ">="} and a ``rhs``.  ``feasible_point`` returns
-the point (or None) together with the number of pivots it made.
-A row that says x_j >= 0 alone (after the rhs is made nonnegative:
-c*x_j >= 0 or -c*x_j <= 0 with c > 0) is a sign bound: it adds no tableau
+constraint exactly (``lp_feasible`` re-checks it in integers), and
+Infeasible means the phase-1 optimum is a positive rational.  Each row is a
+``plab.feasibility.LinearConstraint`` in the integer form built once with
+the row: ``iterms``, its nonzero (index, coefficient) pairs over ``arity``
+variables, and ``irhs``, both times ``scale`` > 0, and a ``relation`` in
+{"<=", "=", ">="}.  ``feasible_point`` returns the point (or None) together
+with the number of pivots it made.  A row that says x_j >= 0 alone
+(c*x_j >= 0 or -c*x_j <= 0 with c > 0) is a sign bound: it adds no tableau
 row, and x_j gets one nonnegative column.  Every other variable is a free
 real, split as u - v.
 
 The tableau is fraction-free (Edmonds, Bareiss): each row, the objective
-included, is a list of ints equal to the rational row times a positive
-scale that is never stored.  A constraint row starts at its terms times the
-lcm of their and the rhs's denominators, and the objective at the sum of
-the artificial rows brought to the lcm of their scales.  A pivot on entry
-p > 0 leaves the pivot row as it is and turns every other row with entry
-f != 0 in the entering column into p*row - f*pivot_row, divided by the gcd
-of its entries.  Rows with a zero there are not touched.  The entering
-test (objective entry > 0) and the min-ratio test (b/a < b'/a' as
-b*a' < b'*a) do not change under positive row scales, so the pivot path is
-that of the rational tableau, and the witness reads each basic variable as
-rhs entry / basic entry, the same rational.  ``affine_dimension`` in
-``plab.feasibility`` runs its Gauss-Jordan steps, whose pivots may be
-negative, through the same elimination core.
+included, is a list of ints equal to the rational row times a positive scale
+that is never stored.  A constraint row starts at the row's integer form as
+stored, and the objective at the sum of the artificial rows brought to the
+lcm of their scales.  A pivot on entry p > 0 leaves the pivot row as it is
+and turns every other row with entry f != 0 in the entering column into
+p*row - f*pivot_row, divided by the gcd of its entries.  Rows with a zero
+there are not touched.  The entering test (objective entry > 0) and the
+min-ratio test (b/a < b'/a' as b*a' < b'*a) do not change under positive row
+scales, so the pivot path is that of the rational tableau, and the witness
+reads each basic variable as rhs entry / basic entry, the same rational.
+``affine_dimension`` in ``plab.feasibility`` runs its Gauss-Jordan steps,
+whose pivots may be negative, through the same elimination core.
 """
 
 from __future__ import annotations
@@ -35,15 +35,8 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 RELATIONS = ("<=", "=", ">=")
+_FLIPPED = {"<=": ">=", ">=": "<=", "=": "="}  # the relation of the row times -1
 _positive = (0).__lt__  # _positive(v) is v > 0; map(_positive, ...) scans rows in C
-
-
-def integer_row(terms: Sequence[tuple[int, Fraction]], rhs: Fraction) -> tuple[int, list[tuple[int, int]], int]:
-    """(scale, integer terms, integer rhs): the row times ``scale``, the lcm
-    of the denominators of its coefficients and rhs."""
-    scale = lcm(rhs.denominator, *(c.denominator for _, c in terms))
-    ints = [(j, c.numerator * (scale // c.denominator)) for j, c in terms]
-    return scale, ints, rhs.numerator * (scale // rhs.denominator)
 
 
 def _eliminate(rows: list[list[int]], r: int, col: int) -> None:
@@ -74,29 +67,21 @@ def _eliminate(rows: list[list[int]], r: int, col: int) -> None:
 
 def feasible_point(num_vars: int, constraints: Iterable) -> tuple[list[Fraction] | None, int]:
     """(a point satisfying all constraints, or None if the system is
-    infeasible; the number of pivots made).  Each constraint has ``terms``,
-    ``arity``, ``relation`` and ``rhs``, as a ``LinearConstraint`` has."""
-    rows: list[tuple[int, list[tuple[int, int]], int]] = []  # (scale, integer terms, integer rhs)
+    infeasible; the number of pivots made).  Each constraint has ``arity``,
+    ``relation`` and the integer form ``scale``, ``iterms``, ``irhs``, as a
+    ``LinearConstraint`` has."""
+    rows: list[tuple[int, Sequence[tuple[int, int]], int]] = []  # (scale, integer terms, integer rhs)
     rels: list[str] = []
     bounded = set()  # variables with a sign bound x_j >= 0
     for row in constraints:
         if row.arity != num_vars:
             raise ValueError(f"coefficient row of length {row.arity}, expected {num_vars}")
-        terms, rel, rhs = row.terms, row.relation, row.rhs
-        sign = 1  # the row's terms and rhs are multiplied by sign
-        if rhs.numerator < 0:  # canonical: rhs >= 0
-            sign = -1
-            rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
-        elif rel == ">=" and rhs.numerator == 0:  # avoid a needless artificial
-            sign = -1
-            rel = "<="
-        if rel == "<=" and rhs.numerator == 0 and len(terms) == 1 and sign * terms[0][1].numerator < 0:
-            bounded.add(terms[0][0])  # -c*x_j <= 0 with c > 0: x_j >= 0
+        scale, ints, irhs, rel = row.scale, row.iterms, row.irhs, row.relation
+        if irhs == 0 and len(ints) == 1 and rel != "=" and (ints[0][1] > 0) == (rel == ">="):
+            bounded.add(ints[0][0])  # c*x_j >= 0 or -c*x_j <= 0 with c > 0: x_j >= 0
             continue
-        scale, ints, irhs = integer_row(terms, rhs)
-        if sign < 0:
-            ints = [(j, -c) for j, c in ints]
-            irhs = -irhs
+        if irhs < 0 or (irhs == 0 and rel == ">="):  # canonical: rhs >= 0, and no needless artificial
+            ints, irhs, rel = [(j, -c) for j, c in ints], -irhs, _FLIPPED[rel]
         rows.append((scale, ints, irhs))
         rels.append(rel)
 

@@ -462,6 +462,22 @@ def test_polytope_size_mismatch_names_both_counts_and_the_file(workdir, capsys):
     assert "task.json has 2 x 2 = 4" in err
 
 
+@pytest.mark.parametrize("delta, witness", [
+    ("1/5", {"q[h0|t0]": "5/6", "q[h1|t0]": "1/6", "q[h0|t1]": "1/5", "q[h1|t1]": "4/5"}),
+    ("1/10", None),
+])
+def test_polytope_with_non_integer_literals(workdir, delta, witness):
+    # literals "1/2", "0.5", "-3", "2/6", "0" and "0.75"; the four equality
+    # rows pin the one point (5/6, 1/6 | 1/5, 4/5), so the task's rows
+    # q[h0|t0], q[h1|t1] >= 1 - delta hold iff delta >= 1/5
+    argv = ["feasible", "lp", "--task", "task.json", "--polytope", str(DATA / "polytope_mixed_literals.json"),
+            "--epsilon", "1/2", "--delta", delta, "--out", "r.json"]
+    assert main(argv) == 0
+    metrics = json.loads((workdir / "r.json").read_text())["metrics"]
+    assert metrics["verdict"] == ("feasible" if witness else "infeasible")
+    assert metrics.get("witness") == witness
+
+
 def test_internal_type_error_is_not_reported_as_bad_input(workdir, monkeypatch):
     def broken(p, seed):
         raise TypeError("a defect in a runner")

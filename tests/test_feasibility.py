@@ -12,6 +12,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plab import simplex
 from plab.feasibility import (
@@ -182,6 +184,15 @@ class TestLpFeasible:
         rows = build_pl_constraints(IDENTITY_TASK, F(1, 2), F(1, 5))
         with pytest.raises(AssertionError, match="violates 1 constraints"):
             lp_feasible(kernel_polytope(IDENTITY_TASK), rows)
+        # a row with fractional coefficients, missed by 1/30: the point
+        # (5/6, 1/6 | 0, 1) gives 1/3*5/6 + 1/5*1/6 = 14/45 on it
+        point = [F(5, 6), F(1, 6), F(0), F(1)]
+        monkeypatch.setattr(simplex, "feasible_point", lambda n, rows: (point, 0))
+        tight = LinearConstraint((F(1, 3), F(1, 5), 0, 0), ">=", F(14, 45))
+        assert lp_feasible(kernel_polytope(IDENTITY_TASK), [*rows, tight]).witness["q[h0|t0]"] == F(5, 6)
+        missed = LinearConstraint((F(1, 3), F(1, 5), 0, 0), ">=", F(14, 45) + F(1, 30))
+        with pytest.raises(AssertionError, match=r"violates 1 constraints \(first: row 8, >=\)"):
+            lp_feasible(kernel_polytope(IDENTITY_TASK), [*rows, missed])
 
     def test_arity_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -404,6 +415,34 @@ class TestLinearConstraintJson:
     def test_unknown_relation(self):
         with pytest.raises(ValueError):
             LinearConstraint((F(1),), "<", F(0))
+
+
+RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=30)
+
+
+class TestLinearConstraintIntegerForm:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), arity=st.integers(1, 6), relation=st.sampled_from(simplex.RELATIONS))
+    def test_integer_form_agrees_with_the_rational_row(self, data, arity, relation):
+        coeffs = data.draw(st.lists(RATIONALS | st.just(F(0)), min_size=arity, max_size=arity))
+        x = data.draw(st.lists(RATIONALS, min_size=arity, max_size=arity))
+        lhs = sum(c * v for c, v in zip(coeffs, x))
+        rhs = data.draw(RATIONALS | st.just(lhs))  # lhs itself makes "=" hold
+        literals = [data.draw(st.sampled_from([c, str(c)])) for c in coeffs]
+        row = LinearConstraint(literals, relation, str(rhs))
+        assert row.scale == math.lcm(rhs.denominator, *(c.denominator for c in coeffs))
+        assert row.iterms == tuple((j, row.scale * c) for j, c in enumerate(coeffs) if c)
+        assert row.irhs == row.scale * rhs
+        assert (row.coeffs, row.rhs) == (tuple(coeffs), rhs)
+        want = {"<=": lhs <= rhs, "=": lhs == rhs, ">=": lhs >= rhs}[relation]
+        assert row.satisfied_by(x) is want
+
+    def test_rows_built_as_integers_equal_their_parsed_rational_rows(self):
+        task = TaskSpec(["t0", "t1", "t2"], ["h0", "h1"], [[1, F(2, 3)], [0, 1], [F(1, 2), F(1, 3)]])
+        pl = build_pl_constraints(task, F(1, 3), F(2, 7))
+        assert all(row.rhs == F(5, 7) and set(row.coeffs) == {0, 1} for row in pl)
+        for row in kernel_polytope(task).constraints + pl + no_signaling_polytope(2, 3, 3, 2).constraints:
+            assert LinearConstraint(row.coeffs, row.relation, row.rhs) == row
 
 
 class TestLinearConstraintTerms:
