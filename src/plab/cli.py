@@ -110,7 +110,8 @@ class RunReport:
     version: str
 
     def to_text(self) -> str:
-        """The report as written: ``json.dumps(_pin(payload), indent=2, sort_keys=True)``."""
+        """The report as written: ``json.dumps(_pin(payload), indent=2, sort_keys=True)``,
+        rendered by ``_render`` (a witness matrix may be held as its array)."""
         out = dict(vars(self))
         if self.sweep is None:
             del out["sweep"]
@@ -118,34 +119,44 @@ class RunReport:
 
 
 def _pin(obj):
-    """Normalize a report payload: string keys, lists for tuples, leaves by ``_leaf``."""
+    """Normalize a report payload: string keys, lists for tuples, a 2-D array as
+    ``quantum.matrix_to_json`` lists it, leaves by ``_leaf``."""
     if isinstance(obj, dict):
         return {str(k): _pin(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_pin(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return _pin(quantum.matrix_to_json(_matrix(obj)))
     return _leaf(obj)
 
 
+def _matrix(a: np.ndarray) -> np.ndarray:
+    """A report array as a contiguous complex matrix; TypeError unless it is 2-D."""
+    if a.ndim != 2:
+        raise TypeError(f"cannot serialize a {a.ndim}-D array in a report")
+    return np.ascontiguousarray(a, dtype=complex)
+
+
 def _leaf(obj):
-    """Pin one report value that is not a dict, list or tuple: floats to 12
+    """Pin one report value that is not a dict, list, tuple or array: floats to 12
     significant digits, exact rationals to strings, numpy scalars unwrapped."""
     if isinstance(obj, Fraction):
         return str(obj)
     if isinstance(obj, (bool, type(None), str, int)):
         return obj
     if isinstance(obj, (float, np.floating)):
-        return _pin_float(obj)
+        return float(f"{float(obj):.12g}")
     if isinstance(obj, np.integer):
         return int(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__} in a report")
 
 
-def _pin_float(x) -> float:
-    return float(f"{float(x):.12g}")
-
-
-def _float_text(x: float) -> str:
-    """JSON text of a pinned float, spelled as ``json.dumps`` spells it."""
+def _float_text(x) -> str:
+    """JSON text of ``_leaf(x)`` for a float, spelled as ``json.dumps`` spells it."""
+    text = "%.12g" % x
+    if "." in text and "e" not in text:
+        return text  # already repr of the pinned float: at most 12 digits, fixed notation
+    x = float(text)
     if x != x:
         return "NaN"
     if math.isinf(x):
@@ -155,6 +166,8 @@ def _float_text(x: float) -> str:
 
 def _leaf_text(obj) -> str:
     """JSON text of ``_leaf(obj)``, spelled as ``json.dumps`` spells it."""
+    if isinstance(obj, (float, np.floating)):
+        return _float_text(obj)
     value = _leaf(obj)
     if isinstance(value, str):
         return encode_basestring_ascii(value)
@@ -162,46 +175,45 @@ def _leaf_text(obj) -> str:
         return "null"
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    return _float_text(value)
+    return int.__repr__(value)
 
 
-def _render(obj) -> str:
+def _matrix_text(a: np.ndarray, indent: str) -> str:
+    """JSON text of ``_pin(a)`` for a 2-D array at ``indent``: the layout of
+    ``matrix_to_json`` as one template, filled with the text of each distinct
+    float, found by its bits so that 0.0 and -0.0 stay apart."""
+    m = _matrix(a)
+    rows, cols = m.shape
+    if not rows:
+        return "[]"
+    i1, i2, i3 = indent + "  ", indent + "    ", indent + "      "
+    pair = f"[{i3}%s,{i3}%s{i2}]"
+    row = f"[{i2}" + f",{i2}".join([pair] * cols) + f"{i1}]" if cols else "[]"
+    template = f"[{i1}" + f",{i1}".join([row] * rows) + f"{indent}]"
+    bits, at = np.unique(m.ravel().view(np.int64), return_inverse=True)
+    texts = [_float_text(x) for x in bits.view(np.float64).tolist()]
+    return template % tuple(map(texts.__getitem__, at.tolist()))
+
+
+def _render(obj, indent: str = "\n") -> str:
     """``json.dumps(_pin(obj), indent=2, sort_keys=True)``, in one walk that
-    pins each leaf as it writes it."""
-    # A witness matrix repeats its entries, so float text is cached by value.
-    # Zeros and NaN stay out of the cache: 0.0 == -0.0 would print one as the
-    # other, and NaN != NaN.
-    floats: dict[float, str] = {}
-
-    def float_text(x: float) -> str:
-        if not x:
-            return repr(x)  # a zero pins to itself, sign kept
-        text = _float_text(_pin_float(x))
-        if x == x:
-            floats[x] = text
-        return text
-
-    def render(obj, indent: str) -> str:
-        if type(obj) is float:
-            return floats.get(obj) or float_text(obj)
-        if isinstance(obj, dict):
-            if not obj:
-                return "{}"
-            inner = indent + "  "
-            items = sorted({str(k): v for k, v in obj.items()}.items())
-            body = ("," + inner).join([f"{encode_basestring_ascii(k)}: {render(v, inner)}" for k, v in items])
-            return "{" + inner + body + indent + "}"
-        if isinstance(obj, (list, tuple)):
-            if not obj:
-                return "[]"
-            inner = indent + "  "
-            parts = [(floats.get(v) or float_text(v)) if type(v) is float else render(v, inner) for v in obj]
-            return "[" + inner + ("," + inner).join(parts) + indent + "]"
-        return _leaf_text(obj)
-
-    return render(obj, "\n")
+    pins each leaf as it writes it (``indent`` is the walk's line start); a
+    2-D array is written by ``_matrix_text``."""
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = indent + "  "
+        items = sorted({str(k): v for k, v in obj.items()}.items())
+        body = ("," + inner).join([f"{encode_basestring_ascii(k)}: {_render(v, inner)}" for k, v in items])
+        return "{" + inner + body + indent + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = indent + "  "
+        return "[" + inner + ("," + inner).join([_render(v, inner) for v in obj]) + indent + "]"
+    if isinstance(obj, np.ndarray):
+        return _matrix_text(obj, indent)
+    return _leaf_text(obj)
 
 
 def write_report(report: RunReport, path: str) -> None:
@@ -362,9 +374,10 @@ def _run_feasible_sdp(p: dict, seed: int):
             raise ValueError(f"missing state file for environment {theta!r}: {path}")
         states.append(_load_json(path, quantum.DensityMatrix.from_json))
     result = feasibility.sdp_feasible(states, task, p["epsilon"], p["delta"], d=p["copies"])
+    w = result.witness  # the keys of Povm.to_json, elements kept as arrays for _render
     metrics = {"verdict": result.verdict, "sweeps": result.sweeps, "lo": result.lo,
                "hi": result.hi, "weights": result.weights, "certificate": result.certificate,
-               "witness": result.witness.to_json() if result.witness else None}
+               "witness": {"labels": list(w.labels), "elements": list(w.elements)} if w else None}
     return {k: v for k, v in metrics.items() if v is not None}, None
 
 

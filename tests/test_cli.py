@@ -1,14 +1,15 @@
 """Command-line interface: config handling, report determinism, golden files.
 
 Golden reports were frozen from the exact invocations below; the comparison
-drops wall_clock_s (the one intentionally non-reproducible field) and nothing
-else.  Input files are staged under relative names so the config echo inside
-each report is path-stable.
+is byte for byte, minus the wall_clock_s line (the one intentionally
+non-reproducible field).  Input files are staged under relative names so the
+config echo inside each report is path-stable.
 """
 
 import json
 import math
 import os
+import re
 import shutil
 import warnings
 from fractions import Fraction
@@ -74,12 +75,16 @@ def without_clock(obj: dict) -> dict:
     return out
 
 
+CLOCK_LINE = re.compile(r',\n  "wall_clock_s": [^\n]*')
+
+
 @pytest.mark.parametrize("golden_name", sorted(GOLDEN_RUNS))
 def test_reports_match_frozen_goldens(workdir, golden_name):
+    # Text, not parsed JSON: json.loads would take 1 for 1.0 and -0.0 for 0.0.
     assert main(GOLDEN_RUNS[golden_name]) == 0
-    got = json.loads((workdir / "report.json").read_text())
-    want = json.loads((GOLDEN / golden_name).read_text())
-    assert without_clock(got) == without_clock(want)
+    got = (workdir / "report.json").read_text()
+    want = (GOLDEN / golden_name).read_text()
+    assert CLOCK_LINE.sub("", got) == CLOCK_LINE.sub("", want)
 
 
 def test_sweep_table_matches_golden(workdir):
@@ -276,7 +281,13 @@ LEAVES = st.one_of(
     st.none(), st.booleans(), st.integers(), FLOATS, TEXT, st.fractions(),
     FLOATS.map(np.float64), st.floats(width=32).map(np.float32), st.integers(-2**63, 2**63 - 1).map(np.int64),
 )
-PAYLOADS = st.recursive(LEAVES, lambda children: st.one_of(
+# Complex matrices as witnesses hold them: empty, one-row, one-column and non-square.
+SHAPES = st.sampled_from([(0, 0), (2, 0), (0, 3), (1, 1), (2, 3), (3, 2)]) | \
+    st.tuples(st.integers(0, 4), st.integers(0, 4))
+MATRICES = SHAPES.flatmap(lambda shape: st.lists(
+    FLOATS, min_size=2 * shape[0] * shape[1], max_size=2 * shape[0] * shape[1],
+).map(lambda xs: np.array(xs, dtype=float).view(complex).reshape(shape)))
+PAYLOADS = st.recursive(LEAVES | MATRICES, lambda children: st.one_of(
     st.lists(children, max_size=4),
     st.lists(children, max_size=4).map(tuple),
     st.dictionaries(st.sampled_from(["0", "1"]) | st.integers(0, 2) | TEXT, children, max_size=4),
@@ -301,8 +312,16 @@ class TestReportPlumbing:
     def test_render_equals_dumps_of_pinned_payload(self, obj):
         assert cli._render(obj) == json.dumps(_pin(obj), indent=2, sort_keys=True)
 
+    @pytest.mark.parametrize("shape", [(4,), (2, 2, 2), ()])
+    def test_arrays_other_than_matrices_rejected(self, shape):
+        a = np.zeros(shape, dtype=complex)
+        with pytest.raises(TypeError):
+            _pin({"a": a})
+        with pytest.raises(TypeError):
+            cli._render({"a": [a]})
+
     def test_witness_negative_zero_renders_negative(self, tmp_path):
-        # 0.0 comes first, so a float cache keyed by value would print -0.0 as 0.0
+        # 0.0 comes first, so text looked up by value would print -0.0 as 0.0
         m = np.array([[0.5, complex(-0.0, 0.0)], [complex(0.0, -0.0), 0.5]])
         rep = RunReport(config={}, metrics={"witness": {"elements": [quantum.matrix_to_json(m)] * 2}},
                         sweep=None, wall_clock_s=0.0, version="0")
@@ -310,6 +329,16 @@ class TestReportPlumbing:
         for element in json.loads((tmp_path / "r.json").read_text())["metrics"]["witness"]["elements"]:
             assert [math.copysign(1.0, x) for row in element for pair in row for x in pair] == \
                 [1, 1, -1, 1, 1, -1, 1, 1]
+
+    def test_array_witness_negative_zero_renders_negative(self):
+        # 0.0 comes first, so text looked up by value (not bits) would print -0.0 as 0.0
+        m = np.array([[0.0, complex(-0.0, -0.0)], [complex(0.0, -0.0), complex(-0.0, 0.0)]])
+        payload = {"witness": {"elements": [m]}}
+        text = cli._render(payload)
+        assert text == json.dumps(_pin(payload), indent=2, sort_keys=True)
+        first = json.loads(text)["witness"]["elements"][0]
+        assert [math.copysign(1.0, x) for row in first for pair in row for x in pair] == \
+            [1, 1, -1, -1, 1, -1, -1, 1]
 
     def test_write_report_is_atomic(self, tmp_path):
         rep = RunReport(config={}, metrics={"x": 1.0}, sweep=None, wall_clock_s=0.1, version="0")
@@ -327,6 +356,21 @@ class TestReportPlumbing:
         assert main(["quantum", "discriminate", "--gamma", "0.5"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["metrics"]["delta_min"] == pytest.approx(0.0669872981078)
+
+    def test_sdp_report_text_equals_dumps_of_the_json_witness(self, workdir, monkeypatch):
+        written = []
+        monkeypatch.setattr(cli, "write_report", lambda report, path: (written.append(report),
+                                                                       write_report(report, path)))
+        assert main(["feasible", "sdp", "--task", "task.json", "--states", "states", "--copies", "4",
+                     "--out", "r.json"]) == 0
+        (report,) = written
+        witness = report.metrics["witness"]
+        assert report.metrics["verdict"] == "feasible"
+        assert [e.shape for e in witness["elements"]] == [(16, 16)] * 2
+        povm = quantum.Povm(witness["elements"], witness["labels"])
+        reference = {k: v for k, v in vars(report).items() if k != "sweep"}
+        reference["metrics"] = {**report.metrics, "witness": povm.to_json()}
+        assert (workdir / "r.json").read_text() == json.dumps(_pin(reference), indent=2, sort_keys=True) + "\n"
 
     def test_report_embeds_version_and_full_config(self, workdir):
         assert main(["feasible", "lp", "--task", "task.json", "--out", "r.json"]) == 0
