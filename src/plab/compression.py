@@ -19,23 +19,35 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_right
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
-from .emx import FiniteHypothesis, IndexedDomain, _mass, quantile_learn
+from .emx import FiniteHypothesis, IndexedDomain, _mass, _prefix_table, quantile_learn
 
 ALPHA = Fraction(1, 6)  # weak-learning slack; the three n-conditions below use it
+CANDIDATE_LIMIT = 4096  # value subtuples a scheme keeps reconstructed; past it they are rebuilt per call
 
 
 @dataclass(frozen=True)
 class CompressionScheme:
-    """Reconstruction rule from m_out-tuples, with declared sizes."""
+    """Reconstruction rule from m_out-tuples, with declared sizes.
+
+    ``reconstruct`` must be a pure function of its tuple: the same tuple
+    always gives an equal hypothesis, and calling it has no effect that
+    matters.  ``compression_learner`` relies on this: it keeps the
+    reconstruction of each value subtuple it meets (with its size and
+    ``segment_form()``) in a table on the scheme, up to ``CANDIDATE_LIMIT``
+    entries, and reconstructs only subtuples the table does not hold.  The
+    table is not a field of the constructor, so ``dataclasses.replace``
+    starts a scheme with an empty one.
+    """
 
     m_in: int
     m_out: int
     reconstruct: Callable[[tuple], FiniteHypothesis] = field(repr=False)
+    _candidates: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0 < self.m_out < self.m_in:
@@ -99,9 +111,11 @@ def _distinct_subtuples(pts: tuple, m: int) -> Iterator[tuple]:
     in position order, meets the value tuples in that same order.  Each step
     holds one first-occurrence list over the u distinct values.
     """
-    where: dict = {}
+    if m == 1:  # the walk's one level: the values in first-occurrence order
+        return ((x,) for x in dict.fromkeys(pts))
+    where = defaultdict(list)
     for i, x in enumerate(pts):
-        where.setdefault(x, []).append(i)
+        where[x].append(i)
     last = len(pts)
 
     def extend(prefix: tuple, after: int, left: int) -> Iterator[tuple]:
@@ -126,13 +140,18 @@ def compression_learner(
     cardinality, then the lexicographically smallest index description.
     Requires n >= m_out + 1 so at least one full subtuple exists.
 
-    Candidates are reconstructed from each distinct value m-subtuple once,
-    in the order of its leftmost embedding in the sample (the order of
+    Candidates come from each distinct value m-subtuple once, in the order
+    of its leftmost embedding in the sample (the order of
     ``dict.fromkeys(combinations(sample, m))``): at most u^m candidates for
-    u distinct values instead of C(n, m) tuples.  n is fixed within a call,
-    so empirical masses are compared as integer counts of sample hits; a
-    segment candidate's count comes from a prefix table over the ranks of
-    the distinct values (``emx._prefix_table``), built once per call.
+    u distinct values instead of C(n, m) tuples.  A subtuple is
+    reconstructed once per scheme: its hypothesis, size and segment form
+    are kept in the scheme's candidate table (see ``CompressionScheme``),
+    so a scheme's first call makes exactly the reconstruct calls above and
+    later calls only those for subtuples the table does not hold.  n is
+    fixed within a call, so empirical masses are compared as integer counts
+    of sample hits; a segment candidate's count is one ``bisect`` in a
+    prefix table over the ranks of the distinct values
+    (``emx._prefix_table``), built once per call.
     """
     pts = tuple(sample)
     n, m = len(pts), scheme.m_out
@@ -140,11 +159,24 @@ def compression_learner(
         raise ValueError(f"sample size {n} below m+1 = {m + 1}")
     counts = Counter(pts)
     values, mults, tables = tuple(counts), tuple(counts.values()), {}
+    candidates = scheme._candidates
 
     best = best_key = best_desc = None  # best_key is (hits, cardinality); description computed lazily
     for sub in _distinct_subtuples(pts, m):
-        hyp = scheme.reconstruct(sub)
-        key = (_mass(values, mults, hyp, tables, 0), len(hyp))
+        entry = candidates.get(sub)
+        if entry is None:
+            hyp = scheme.reconstruct(sub)
+            entry = (hyp, len(hyp), hyp.segment_form())
+            if len(candidates) < CANDIDATE_LIMIT:
+                candidates[sub] = entry
+        hyp, size, form = entry
+        if form is None:
+            hits = _mass(values, mults, hyp, tables, 0)
+        else:  # integer weights: the prefix table is always in order
+            pi, seg_dom, t = form
+            ranks, prefix, _ = _prefix_table(tables, values, mults, pi, seg_dom, 0)
+            hits = prefix[bisect_right(ranks, t)]
+        key = (hits, size)
         if best is None or key > best_key:
             best, best_key, best_desc = hyp, key, None
         elif key == best_key and hyp != best:

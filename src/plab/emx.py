@@ -77,12 +77,14 @@ def parse_weight(value: Fraction | int | float | str) -> Fraction | float:
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:
-    """Independent generator for (seed, *path).
+    """Independent generator for (seed, *path): PCG64 on
+    SeedSequence(entropy=seed, spawn_key=path), the generator that
+    ``np.random.default_rng`` makes from that seed sequence, built directly.
 
     Streams are derived by spawn key, not by drawing, so trial k's stream does
     not depend on execution order or parallelism degree.
     """
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=tuple(path)))
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=path)))
 
 
 class IndexedDomain:
@@ -280,10 +282,8 @@ class FinSupportDist:
 
     def sample(self, rng: np.random.Generator, d: int) -> tuple:
         """d i.i.d. points via the inverse CDF over the ordered support."""
-        if d == 0:
-            return ()
-        pos = np.searchsorted(self._cdf, rng.random(d), side="right")
-        return tuple(self.support[i] for i in pos)
+        pos = self._cdf.searchsorted(rng.random(d), side="right").tolist()
+        return tuple(map(self.support.__getitem__, pos))
 
     def to_json(self) -> dict:
         weights = [str(w) if isinstance(w, Fraction) else w for w in self.weights]
@@ -392,7 +392,7 @@ def quantile_learn(sample: Iterable, dom: IndexedDomain) -> FiniteHypothesis:
     pts = tuple(sample)
     if not pts:
         raise ValueError("empty sample: maximum index undefined")
-    return dom.initial_segment(max(dom.idx(x) for x in pts))
+    return dom.initial_segment(max(map(dom.idx, pts)))
 
 
 def sample_complexity(epsilon, delta) -> int:

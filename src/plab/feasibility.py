@@ -83,7 +83,8 @@ class LinearConstraint:
 
     def __init__(self, coeffs: Sequence, relation: str, rhs):
         """The row with dense coefficients ``coeffs``."""
-        terms = ((j, c) for j, c in enumerate(map(as_fraction, coeffs)) if c)
+        # the literal "0" is skipped unparsed: most literals of a dense row are "0"
+        terms = ((j, f) for j, c in enumerate(coeffs) if c != "0" and (f := as_fraction(c)))
         vars(self).update(arity=len(coeffs), relation=relation, **_integer_form(relation, terms, rhs))
 
     @classmethod

@@ -241,6 +241,26 @@ class TestSampling:
         again = substream(3, 17).random(5).tolist()
         assert later == again
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**128),
+        path=st.lists(st.integers(0, 2**64), max_size=3),
+        d=st.sampled_from([0, 1, 2, 7, 45, 134]),
+        counts=st.lists(st.integers(1, 10**6), min_size=1, max_size=12),
+        exact=st.booleans(),
+    )
+    def test_draws_follow_numpys_definitions(self, seed, path, d, counts, exact):
+        """substream is numpy's default_rng on the spawn key, and sample is
+        the inverse CDF by searchsorted over the support order."""
+        total = sum(counts)
+        weights = [Fraction(c, total) if exact else c / total for c in counts]
+        P = FinSupportDist([f"x{i}" for i in range(len(counts))], weights)
+        rng = substream(seed, *path)
+        ref = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=tuple(path)))
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert P.sample(rng, d) == tuple(P.support[i] for i in np.searchsorted(P._cdf, ref.random(d), side="right"))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
     def test_frequencies_track_weights(self):
         P = FinSupportDist("abc", ["1/2", "1/4", "1/4"])
         pts = draw_sample(P, 40_000, seed=5)

@@ -6,12 +6,14 @@ right, testing membership point by point; ``reference_compression_learner``
 runs the ERM over ``dict.fromkeys(combinations(sample, m))`` with
 ``Fraction`` empirical masses.  Both are the code ``plab.emx`` and
 ``plab.compression`` used before the prefix tables.  The new code must
-return the identical value and type, the identical hypothesis and make the
-identical sequence of ``reconstruct`` calls.
+return the identical value and type, the identical hypothesis and, on a
+scheme's first call, make the identical sequence of ``reconstruct`` calls.
 """
 
+import dataclasses
 import itertools
 import math
+import unittest.mock
 from collections import Counter
 from fractions import Fraction
 
@@ -19,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plab import compression
 from plab.coarse import TableMap, UniformBinsMap, pullback
 from plab.compression import (
     CompressionScheme,
@@ -209,23 +212,46 @@ def scheme_for(kind, dom, m):
     kind=st.sampled_from(["segment", "two_to_one", "min_segment", "learner"]),
     m=st.integers(1, 4),
     size=st.integers(1, 6),
+    limit=st.sampled_from([compression.CANDIDATE_LIMIT, 0, 1, 3, 7]),
     data=st.data(),
 )
-def test_compression_learner_matches_the_position_enumeration(kind, m, size, data):
+def test_compression_learner_matches_the_position_enumeration(kind, m, size, limit, data):
+    """Three samples on one scheme.  Every result is the reference ERM's.
+    Each call reconstructs, in enumeration order, the subtuples the
+    scheme's candidate table does not hold (all of them on the first call);
+    the table keeps the first ``limit`` subtuples met, then stops growing."""
     if kind == "two_to_one":
         m = 1
     if kind == "learner":
         m = min(max(m, 2), 3)
     labels = [f"v{i}" for i in range(size + 2)]
     dom = IndexedDomain(data.draw(st.permutations(labels)))
-    pts = data.draw(st.lists(st.sampled_from(labels[:size]), min_size=m + 1, max_size=m + 9))
     scheme = scheme_for(kind, dom, m)
-    new_scheme, new_log = recording(scheme)
-    ref_scheme, ref_log = recording(scheme)
-    got = compression_learner(new_scheme, pts, dom)
-    want = reference_compression_learner(ref_scheme, pts, dom)
-    assert got == want and got.is_segment == want.is_segment
-    assert new_log == ref_log == list(dict.fromkeys(itertools.combinations(pts, m)))
+    new_scheme, log = recording(scheme)
+    with unittest.mock.patch.object(compression, "CANDIDATE_LIMIT", limit):
+        for _ in range(3):
+            pts = data.draw(st.lists(st.sampled_from(labels[:size]), min_size=m + 1, max_size=m + 9))
+            before, start = list(new_scheme._candidates), len(log)
+            got = compression_learner(new_scheme, pts, dom)
+            want = reference_compression_learner(scheme, pts, dom)
+            assert got == want and got.is_segment == want.is_segment
+            unseen = [s for s in dict.fromkeys(itertools.combinations(pts, m)) if s not in before]
+            assert log[start:] == unseen
+            assert list(new_scheme._candidates) == before + unseen[: max(limit - len(before), 0)]
+
+
+def test_a_replaced_scheme_starts_with_an_empty_table():
+    """``dataclasses.replace`` (how a scheme gets a traced ``reconstruct``)
+    gives a scheme whose first call reconstructs every subtuple again."""
+    dom = IndexedDomain("abcd")
+    scheme = segment_scheme(dom, 1)
+    compression_learner(scheme, "abca", dom)
+    assert list(scheme._candidates) == [("a",), ("b",), ("c",)]
+    log = []
+    traced = dataclasses.replace(scheme, reconstruct=lambda sub: log.append(sub) or scheme.reconstruct(sub))
+    assert traced._candidates == {}
+    assert compression_learner(traced, "abca", dom) == dom.initial_segment(3)
+    assert log == [("a",), ("b",), ("c",)]
 
 
 @settings(max_examples=300, deadline=None)
