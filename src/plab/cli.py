@@ -33,8 +33,8 @@ from .emx import (
     FinSupportDist,
     IndexedDomain,
     RationalLiteralError,
+    SegmentLearner,
     as_fraction,
-    quantile_learn,
     sample_complexity,
     verify_guarantee,
 )
@@ -257,14 +257,10 @@ def _guarantee(p: dict, seed: int, learner, dist: FinSupportDist, d: int) -> dic
 
 def _run_emx(p: dict, seed: int):
     dist = _load_json(p["dist"], FinSupportDist.from_json)
-    dom = IndexedDomain(dist.support)
-
-    def run(d: int) -> dict:
-        return _guarantee(p, seed, lambda s: quantile_learn(s, dom), dist, d)
-
+    learner = SegmentLearner(IndexedDomain(dist.support))
     need = sample_complexity(p["epsilon"], p["delta"])
-    metrics = {**run(need if p["d"] is None else p["d"]), "sample_complexity": need}
-    sweep = [run(d) for d in p["sweep_d"] or ()]
+    metrics = {**_guarantee(p, seed, learner, dist, need if p["d"] is None else p["d"]), "sample_complexity": need}
+    sweep = [_guarantee(p, seed, learner, dist, d) for d in p["sweep_d"] or ()]
     return metrics, sweep or None
 
 
@@ -275,7 +271,7 @@ def _run_coarse(p: dict, seed: int):
 
     def run(bits: int) -> dict:
         pi = coarse.UniformBinsMap(bits)
-        learner = lambda s: coarse.coarse_learn(s, pi, p["epsilon"], p["delta"])  # noqa: E731
+        learner = SegmentLearner(pi.domain, pi, p["epsilon"], p["delta"])
         return {"bits": bits, **_guarantee(p, seed, learner, dist, d)}
 
     metrics = run(p["bits"])

@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Container, Iterable
 
-from .emx import FiniteHypothesis, FinSupportDist, IndexedDomain, quantile_learn, sample_complexity
+from .emx import FiniteHypothesis, FinSupportDist, IndexedDomain, SegmentLearner
 
 
 class UniformBinsMap:
@@ -126,14 +126,10 @@ def pullback(F, pi) -> PulledBackHypothesis:
 
 def coarse_learn(sample: Iterable, pi, epsilon, delta) -> PulledBackHypothesis:
     """Discretize the sample through pi, run the quantile learner over the
-    label alphabet, and pull the learned segment back.
+    label alphabet, and pull the learned segment back: the label call of
+    ``SegmentLearner(pi.domain, pi, epsilon, delta)``.
 
     Requires len(sample) >= sample_complexity(epsilon, delta) so the discrete
     guarantee transfers.
     """
-    pts = tuple(sample)
-    need = sample_complexity(epsilon, delta)
-    if len(pts) < need:
-        raise ValueError(f"sample size {len(pts)} below required {need}")
-    segment = quantile_learn((pi(x) for x in pts), pi.domain)
-    return pullback(segment, pi)
+    return SegmentLearner(pi.domain, pi, epsilon, delta)(sample)

@@ -174,7 +174,7 @@ def compression_learner(
             hits = _mass(values, mults, hyp, tables, 0)
         else:  # integer weights: the prefix table is always in order
             pi, seg_dom, t = form
-            ranks, prefix, _ = _prefix_table(tables, values, mults, pi, seg_dom, 0)
+            ranks, prefix, _, _ = _prefix_table(tables, values, mults, pi, seg_dom, 0)
             hits = prefix[bisect_right(ranks, t)]
         key = (hits, size)
         if best is None or key > best_key:

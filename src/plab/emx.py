@@ -5,6 +5,7 @@ Implements:
   • FinSupportDist — finitely supported distribution (exact rationals preferred)
   • FiniteHypothesis — finite subset, with a compact initial-segment form
   • quantile_learn — keep everything up to the largest observed index
+  • SegmentLearner — the same rule after a map, answered from support ranks
   • accuracy — the one (eps, delta) rule: exact eps in (0,1), delta in [0,1)
   • sample_complexity — smallest d with (1-eps)^d <= delta, clamped to >= 1
   • mass — exact P(F), from a per-distribution prefix table for segments
@@ -280,10 +281,12 @@ class FinSupportDist:
         pts = tuple(points)
         return cls(pts, [Fraction(1, len(pts))] * len(pts))
 
+    def _positions(self, rng: np.random.Generator, d: int) -> list:  # inverse CDF of one random(d)
+        return self._cdf.searchsorted(rng.random(d), "right").tolist()
+
     def sample(self, rng: np.random.Generator, d: int) -> tuple:
         """d i.i.d. points via the inverse CDF over the ordered support."""
-        pos = self._cdf.searchsorted(rng.random(d), side="right").tolist()
-        return tuple(map(self.support.__getitem__, pos))
+        return tuple(map(self.support.__getitem__, self._positions(rng, d)))
 
     def to_json(self) -> dict:
         weights = [str(w) if isinstance(w, Fraction) else w for w in self.weights]
@@ -305,10 +308,10 @@ def draw_sample(P: FinSupportDist, d: int, seed: int, stream: tuple[int, ...] = 
 
 
 def _prefix_table(tables: dict, points: Sequence, weights: Sequence, pi, dom: IndexedDomain, start) -> tuple:
-    """(ranks, prefix, ordered) for the points that have a rank dom.idx(pi(x))
-    (pi None means the identity), built once and cached in ``tables`` under
-    (pi, dom).  ``ranks`` is ascending and ``prefix[k]`` is the sum of the
-    weights of the first k ranked points, starting from ``start``.
+    """(ranks, prefix, ordered, point_ranks) for the ranks dom.idx(pi(x))
+    (pi None: identity), built once and cached in ``tables`` under (pi, dom).
+    ``point_ranks`` lists them in point order (None outside ``dom``), ``ranks``
+    ascending, and ``prefix[k]`` is ``start`` plus the first k ranked weights.
 
     ``ordered`` says whether ``prefix[k]`` is bit for bit the left-to-right
     sum in point order of the points with rank <= ranks[k-1]: always for
@@ -319,18 +322,19 @@ def _prefix_table(tables: dict, points: Sequence, weights: Sequence, pi, dom: In
     table = tables.get((pi, dom))
     if table is not None:
         return table
-    ranked = []
-    for x, w in zip(points, weights):
+    point_ranks = []
+    for x in points:
         y = x if pi is None else pi(x)
         try:
-            ranked.append((dom.idx(y), w))
+            point_ranks.append(dom.idx(y))
         except KeyError:
-            continue
+            point_ranks.append(None)
+    ranked = [(r, w) for r, w in zip(point_ranks, weights) if r is not None]
     exact = not any(isinstance(w, float) for _, w in ranked)
     ordered = exact or all(a[0] <= b[0] for a, b in zip(ranked, ranked[1:]))
     ranked.sort(key=lambda rw: rw[0])
     prefix = list(accumulate((w for _, w in ranked), initial=start))
-    table = tables[(pi, dom)] = ([r for r, _ in ranked], prefix, ordered)
+    table = tables[(pi, dom)] = ([r for r, _ in ranked], prefix, ordered, point_ranks)
     return table
 
 
@@ -340,7 +344,7 @@ def _mass(points: Sequence, weights: Sequence, F: Container, tables: dict, start
     form = F.segment_form() if hasattr(F, "segment_form") else None
     if form is not None:
         pi, dom, t = form
-        ranks, prefix, ordered = _prefix_table(tables, points, weights, pi, dom, start)
+        ranks, prefix, ordered, _ = _prefix_table(tables, points, weights, pi, dom, start)
         if ordered:
             return prefix[bisect_right(ranks, t)]
     return sum((w for x, w in zip(points, weights) if x in F), start=start)
@@ -395,6 +399,42 @@ def quantile_learn(sample: Iterable, dom: IndexedDomain) -> FiniteHypothesis:
     return dom.initial_segment(max(map(dom.idx, pts)))
 
 
+@dataclass(frozen=True)
+class SegmentLearner:
+    """Max-rank learner over ``dom`` after the map ``pi`` (None: identity).
+    On a sample it returns what ``quantile_learn`` (with a map, ``coarse_learn``)
+    does; ``verify_guarantee`` answers its trials from support ranks instead."""
+
+    dom: IndexedDomain
+    pi: Callable | None = None
+    epsilon: Fraction | str | None = None
+    delta: Fraction | str | None = None
+
+    @property
+    def need(self) -> int:  # the smallest sample it accepts
+        return 0 if self.epsilon is None else sample_complexity(self.epsilon, self.delta)
+
+    def __call__(self, sample: Iterable) -> Container:
+        pts = tuple(sample)
+        if len(pts) < self.need:
+            raise ValueError(f"sample size {len(pts)} below required {self.need}")
+        if self.pi is None:
+            return quantile_learn(pts, self.dom)
+        from .coarse import pullback  # plab.coarse imports this module
+        return pullback(quantile_learn(map(self.pi, pts), self.dom), self.pi)
+
+    def _table(self, P: FinSupportDist, d: int) -> tuple | None:
+        """P's prefix table if one bisect in it answers every trial of size d;
+        None leaves the trials, and any error, to the label path."""
+        try:
+            if d < max(1, self.need):
+                return None
+            table = _prefix_table(P._tables, P.support, P.weights, self.pi, self.dom, Fraction(0))
+        except Exception:  # need or the map raised: trial 0 on labels raises it, or an earlier error
+            return None
+        return table if table[2] and None not in table[3] else None
+
+
 def sample_complexity(epsilon, delta) -> int:
     """Smallest integer d >= ln(1/delta)/(-ln(1-epsilon)), at least 1."""
     eps, dlt = accuracy(epsilon, delta)
@@ -446,19 +486,26 @@ def verify_guarantee(
     epsilon and delta are checked once by ``accuracy`` ("1/3", 0.2 -> 1/5).
     An episode succeeds when mass(P, learner(S)) >= 1 - epsilon (opt = 1,
     since the support itself is a finite subset); the comparison is exact
-    when the weights are rational.  Each trial k draws from the (seed, k)
-    substream, so the report is reproducible and independent of trial
-    execution order.  ci_halfwidth is the 3-sigma
-    binomial half-width at the empirical rate; bound is 1-(1-eps)^d.
+    when the weights are rational.  Trial k reads one random(d) of the
+    (seed, k) substream as support positions, so the report is reproducible
+    and independent of trial execution order.  A ``SegmentLearner`` learns
+    the largest rank at those positions, whose mass is one bisect in the
+    prefix table of ``mass``; other learners get the label tuple.
+    ci_halfwidth is the 3-sigma binomial half-width at the empirical rate;
+    bound is 1-(1-eps)^d.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     epsilon, delta = accuracy(epsilon, delta)
     target = 1 - epsilon
+    table = learner._table(P, d) if isinstance(learner, SegmentLearner) else None
     wins = 0
     for k in range(trials):
-        if mass(P, learner(draw_sample(P, d, seed, (k,)))) >= target:
-            wins += 1
+        if table is None:
+            wins += mass(P, learner(draw_sample(P, d, seed, (k,)))) >= target
+        else:  # table: (ranks, prefix, ordered, point_ranks)
+            t = max(map(table[3].__getitem__, P._positions(substream(seed, k), d)))
+            wins += table[1][bisect_right(table[0], t)] >= target
     rate = wins / trials
     return GuaranteeReport(
         epsilon=epsilon,

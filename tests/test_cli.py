@@ -592,7 +592,12 @@ def test_two_calls_in_one_process_build_the_parser_once(workdir, monkeypatch):
     (["coarse", "--dist", "points.json", "--trials", "5", "--d", "-1"], "sample size must be >= 0"),
     (["emx", "--dist", "dist.json", "--trials", "5", "--seed", "-1"], "config key 'seed' must be >= 0, got -1"),
     (["compress", "--mode", "demo", "--domain", "a,b,c", "--pair", "a,z"], "'z' not in domain"),
-], ids=["d", "sweep-d", "coarse-d", "seed", "pair-outside-domain"])
+    (["emx", "--dist", "dist.json", "--trials", "5", "--d", "0"], "empty sample: maximum index undefined"),
+    (["emx", "--dist", "dist.json", "--trials", "5", "--sweep-d", "0"], "empty sample: maximum index undefined"),
+    (["coarse", "--dist", "points.json", "--trials", "5", "--d", "2"], "sample size 2 below required 3"),
+    (["coarse", "--dist", str(DATA / "dist_points_outside.json"), "--trials", "5"], "point 1.5 outside [0,1]"),
+], ids=["d", "sweep-d", "coarse-d", "seed", "pair-outside-domain", "d-zero", "sweep-d-zero", "coarse-d-below-need",
+        "coarse-point-outside"])
 def test_out_of_range_input_fails_with_its_own_message(workdir, capsys, argv, message):
     assert main(argv) == 1
     assert capsys.readouterr().err == f"plab: error: {message}\n"

@@ -8,6 +8,11 @@ runs the ERM over ``dict.fromkeys(combinations(sample, m))`` with
 ``plab.compression`` used before the prefix tables.  The new code must
 return the identical value and type, the identical hypothesis and, on a
 scheme's first call, make the identical sequence of ``reconstruct`` calls.
+
+``verify_guarantee`` answers a ``SegmentLearner`` from support ranks; the
+same learner wrapped in a lambda takes the label path (a tuple of labels,
+the learner call, ``mass``).  Both must give the identical report, or the
+identical error.
 """
 
 import dataclasses
@@ -21,7 +26,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plab import compression
+import numpy as np
+
+from plab import compression, emx
 from plab.coarse import TableMap, UniformBinsMap, pullback
 from plab.compression import (
     CompressionScheme,
@@ -30,7 +37,16 @@ from plab.compression import (
     learner_to_compression,
     segment_scheme,
 )
-from plab.emx import FinSupportDist, FiniteHypothesis, IndexedDomain, mass, quantile_learn
+from plab.emx import (
+    FinSupportDist,
+    FiniteHypothesis,
+    IndexedDomain,
+    SegmentLearner,
+    draw_sample,
+    mass,
+    quantile_learn,
+    verify_guarantee,
+)
 
 
 def reference_mass(P, F):
@@ -175,6 +191,187 @@ def test_out_of_order_float_weights_keep_the_support_order_sum():
 def test_empty_segment_is_an_exact_zero_for_float_weights():
     P = FinSupportDist("ab", [0.25, 0.75])
     assert same(mass(P, IndexedDomain("ab").initial_segment(0)), Fraction(0))
+
+
+# ---------------------------------------------------------------------------
+# verify_guarantee: segment learners from support ranks against label samples
+
+
+def reference_segment_learn(sample, dom, pi, epsilon, delta):
+    """``quantile_learn``, or for a map the ``coarse_learn`` body of before
+    ``SegmentLearner``."""
+    pts = tuple(sample)
+    if epsilon is not None:
+        need = emx.sample_complexity(epsilon, delta)
+        if len(pts) < need:
+            raise ValueError(f"sample size {len(pts)} below required {need}")
+    if pi is None:
+        return quantile_learn(pts, dom)
+    return pullback(quantile_learn((pi(x) for x in pts), dom), pi)
+
+
+def outcome(call):
+    """The result of call(), or the type and message of what it raised."""
+    try:
+        return call()
+    except Exception as exc:  # noqa: BLE001 - the error is the outcome compared
+        return type(exc), str(exc)
+
+
+def report_fields(learner, P, epsilon, delta, d, trials, seed):
+    """Every report field with its type, or the error's type and message."""
+    rep = outcome(lambda: verify_guarantee(learner, P, epsilon, delta, d, trials, seed))
+    if isinstance(rep, tuple):
+        return rep
+    return [(f.name, type(getattr(rep, f.name)), getattr(rep, f.name)) for f in dataclasses.fields(rep)]
+
+
+@st.composite
+def segment_case(draw):
+    """(P, dom, pi) for a SegmentLearner: the identity over the domains of
+    ``labelled_case`` or over a permutation of the support, uniform bins, or
+    a table map.  Support points may lie outside [0,1] (or be None, which
+    the bins reject with a TypeError) or outside the table, and support
+    orders may disagree with the domain."""
+    kind = draw(st.sampled_from(["identity", "bins", "table"]))
+    if kind == "identity":
+        P, dom = draw(labelled_case())
+        if draw(st.booleans()):  # a domain that ranks every support point
+            dom = IndexedDomain(draw(st.permutations(P.support)))
+        return P, dom, None
+    if kind == "bins":
+        xs = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12, unique=True))
+        if draw(st.booleans()):
+            xs = sorted(xs)
+        if draw(st.integers(0, 3)) == 0:  # points the map rejects, with different errors
+            for bad in draw(st.lists(st.sampled_from([-0.25, 1.5, None]), min_size=1, max_size=2, unique=True)):
+                xs.insert(draw(st.integers(0, len(xs))), bad)
+        pi = UniformBinsMap(draw(st.sampled_from([0, 1, 3, 8, 20])))
+        n = 1 << pi.bits
+        dom = pi.domain if n > 8 or draw(st.booleans()) else IndexedDomain(draw(st.permutations(range(n))))
+        return FinSupportDist(xs, draw(weights(len(xs)))), dom, pi
+    support = draw(st.lists(st.integers(0, 20), min_size=1, max_size=10, unique=True))
+    mapped = draw(st.lists(st.sampled_from(support), min_size=1, unique=True))
+    if draw(st.integers(0, 2)):
+        mapped = support  # every point in the table
+    outputs = draw(st.lists(st.sampled_from("abcde"), min_size=len(mapped), max_size=len(mapped)))
+    pi = TableMap(draw(st.permutations(list(zip(mapped, outputs)))))
+    return FinSupportDist(support, draw(weights(len(support)))), pi.domain, pi
+
+
+@settings(max_examples=800, deadline=None)
+@given(
+    case=segment_case(),
+    accuracy=st.sampled_from([("1/3", "1/3"), ("1/20", "1/10"), ("1/2", "0"), (Fraction(2, 3), "1/2")]),
+    own_accuracy=st.booleans(),
+    d=st.sampled_from([0, 1, 2, 7, 45]),
+    trials=st.integers(0, 12),
+    seed=st.integers(0, 2**40),
+)
+def test_rank_path_reports_what_the_label_path_reports(case, accuracy, own_accuracy, d, trials, seed):
+    P, dom, pi = case
+    epsilon, delta = accuracy
+    learner = SegmentLearner(dom, pi, *(accuracy if own_accuracy else ()))
+    fresh = FinSupportDist(P.support, P.weights)
+    want = report_fields(lambda s: learner(s), fresh, epsilon, delta, d, trials, seed)
+    assert report_fields(learner, P, epsilon, delta, d, trials, seed) == want
+    # again on the tables the label path left behind
+    assert report_fields(learner, fresh, epsilon, delta, d, trials, seed) == want
+
+    # called on labels, the learner is the code it replaced
+    if d >= 0:
+        S = draw_sample(P, d, seed)
+        got = outcome(lambda: learner(S))
+        ref = outcome(lambda: reference_segment_learn(S, dom, pi, *(accuracy if own_accuracy else (None, None))))
+        if pi is None or isinstance(got, tuple):
+            assert type(got) is type(ref) and got == ref
+        else:
+            assert (got.pi, got.cells) == (ref.pi, ref.cells)
+
+
+def test_out_of_order_float_weights_answer_from_the_support_order_sum():
+    """The support order sums (0.1 + 0.2) + 0.3 = 0.6000000000000001 >= 3/5,
+    the domain order sums (0.3 + 0.2) + 0.1 = 0.6 < 3/5: a trial whose
+    largest rank is a's wins only by the support order sum, as ``mass``
+    computes it."""
+    P = FinSupportDist("abcd", [0.1, 0.2, 0.3, 0.4])
+    learner = SegmentLearner(IndexedDomain("cbad"))
+    assert (0.1 + 0.2) + 0.3 >= Fraction(3, 5) > (0.3 + 0.2) + 0.1
+    rep = verify_guarantee(learner, P, "2/5", "1/2", 1, 200, 5)
+    assert rep == verify_guarantee(lambda s: learner(s), P, "2/5", "1/2", 1, 200, 5)
+    # wins: a (ranks <= 3 hold 0.6000000000000001) and d (all of P)
+    assert rep.empirical_rate == sum(P.sample(emx.substream(5, k), 1) in (("a",), ("d",)) for k in range(200)) / 200
+
+
+def test_the_first_point_the_map_rejects_in_the_sample_names_the_error():
+    """None is the support's first rejected point (a TypeError), but trial
+    0's sample meets 1.5 first, so the label path raises 1.5's ValueError;
+    the rank path must too."""
+    P = FinSupportDist([None, 0.5, 1.5], ["1/100", "1/100", "98/100"])
+    pi = UniformBinsMap(3)
+    learner = SegmentLearner(pi.domain, pi)
+    assert None not in draw_sample(P, 7, 0, (0,))
+    for run in (learner, lambda s: learner(s)):
+        with pytest.raises(ValueError, match=r"^point 1\.5 outside \[0,1\]$"):
+            verify_guarantee(run, P, "1/3", "1/3", 7, 5, 0)
+
+
+def rank_path_only(monkeypatch):
+    """Make label samples and label learner calls fail."""
+    def refuse(*args):
+        raise AssertionError("label path taken")
+
+    monkeypatch.setattr(FinSupportDist, "sample", refuse)
+    monkeypatch.setattr(SegmentLearner, "__call__", refuse)
+
+
+class CountingBins(UniformBinsMap):
+    calls = 0
+
+    def __call__(self, x):
+        CountingBins.calls += 1
+        return super().__call__(x)
+
+
+def test_rank_path_maps_each_support_point_once_and_builds_no_sample(monkeypatch):
+    xs = [i / 40 for i in range(1, 40)]
+    P = FinSupportDist(xs, [Fraction(1, len(xs))] * len(xs))
+    pi = CountingBins(8)
+    learner = SegmentLearner(pi.domain, pi, "1/20", "1/10")
+    want = verify_guarantee(lambda s: learner(s), FinSupportDist(xs, P.weights), "1/20", "1/10", 45, 30, 7)
+    rank_path_only(monkeypatch)
+    CountingBins.calls = 0
+    for _ in range(3):
+        assert verify_guarantee(learner, P, "1/20", "1/10", 45, 30, 7) == want
+    assert CountingBins.calls == len(xs)
+
+
+@pytest.mark.parametrize("learner_of", [
+    lambda P: SegmentLearner(IndexedDomain(P.support)),
+    lambda P: SegmentLearner(UniformBinsMap(3).domain, UniformBinsMap(3), "1/3", "1/3"),
+], ids=["identity", "bins"])
+def test_rank_path_draws_trial_k_from_substream_seed_k(monkeypatch, learner_of):
+    """Trial k asks for the (seed, k) substream, in trial order, and leaves
+    it where one random(d) leaves default_rng(SeedSequence(seed, (k,)))."""
+    P = FinSupportDist([0.1, 0.3, 0.5, 0.7, 0.9], ["1/10", "2/10", "3/10", "1/10", "3/10"])
+    learner = learner_of(P)
+    seed, d, trials = 2024, 7, 12
+    requested, generators = [], []
+
+    def recording(*key):
+        requested.append(key)
+        generators.append(substream(*key))
+        return generators[-1]
+
+    substream = emx.substream
+    monkeypatch.setattr(emx, "substream", recording)
+    rank_path_only(monkeypatch)
+    verify_guarantee(learner, P, "1/3", "1/3", d, trials, seed)
+    assert requested == [(seed, k) for k in range(trials)]
+    for k, gen in enumerate(generators):
+        ref = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
+        ref.random(d)
+        assert gen.bit_generator.state == ref.bit_generator.state
 
 
 # ---------------------------------------------------------------------------
