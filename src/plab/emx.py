@@ -10,6 +10,7 @@ Implements:
   • sample_complexity — smallest d with (1-eps)^d <= delta, clamped to >= 1
   • mass — exact P(F), from a per-distribution prefix table for segments
   • quantile_success — exact success probability of the quantile learner
+  • substream, substreams — the generator of (seed, *path); of (seed, k) for every k, hashed in one batch
   • verify_guarantee — seeded Monte Carlo check of the (eps, delta) guarantee
 
 Success of a learner on an episode means the learned set captures mass at least
@@ -86,6 +87,54 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     not depend on execution order or parallelism degree.
     """
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=path)))
+
+
+def _hash_consts(g: int, mult: int, first: int, last: int) -> np.ndarray:
+    """SeedSequence's hash constants g * mult^i mod 2^32, i = first..last."""
+    return np.array([g * pow(mult, i, 1 << 32) & 0xFFFFFFFF for i in range(first, last + 1)], dtype=np.uint64)
+
+
+@functools.cache
+def _fixed_state() -> type:
+    """An ISeedSequence whose generate_state returns one precomputed row; made
+    on first use, since importing numpy.random costs about 20 ms."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    @dataclass
+    class FixedState(ISeedSequence):
+        row: np.ndarray  # C-contiguous: PCG64 reads its raw buffer
+
+        def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+            return self.row
+
+    return FixedState
+
+
+def substreams(seed: int, count: int) -> Iterator[np.random.Generator]:
+    """``substream(seed, k)`` for k = 0..count-1 in order.  numpy pools the
+    seed's uint32 words, padded to 4; key k is mixed in, and the state
+    generated, for 1024 keys at once in np.uint64 arrays (numpy 1.x casts
+    uint64 with a Python int to float64).  The first row is checked against
+    numpy's SeedSequence, which also rejects a bad seed with numpy's error."""
+    want = np.random.SeedSequence(entropy=seed, spawn_key=(0,)).generate_state(4, np.uint64)
+    words = [int(seed) >> s & 0xFFFFFFFF for s in range(0, max(128, int(seed).bit_length()), 32)]
+    u, m32, s16, fixed = np.uint64, np.uint64(0xFFFFFFFF), np.uint64(16), _fixed_state()
+    pool = np.random.SeedSequence(words).pool.astype(u) * u(0xCA01F9DD) & m32  # mix's first term
+    key = _hash_consts(0x43B0D7E5, 0x931E8875, 4 * len(words), 4 * len(words) + 4)  # after 4 per word
+    out = _hash_consts(0x8B51F9DD, 0x58F38DED, 0, 8)
+    for start in range(0, min(count, 1 << 32), 1024):  # keys of one uint32 word; no product overflows
+        v = np.arange(start, min(count, start + 1024, 1 << 32), dtype=u)[:, None]
+        v = (v ^ key[:-1]) * key[1:] & m32  # hashmix of the key, once per pool word
+        v = (pool + (u(0xB68C08EB) * (v ^ v >> s16) & m32)) & m32  # mix: 0xB68C08EB = -0x4973F715
+        v = np.tile(v ^ v >> s16, 2)  # generate_state(4, np.uint64) hashes the pool twice over
+        v = (v ^ out[:-1]) * out[1:] & m32
+        v ^= v >> s16
+        rows = np.ascontiguousarray(v[:, 0::2] | v[:, 1::2] << u(32))
+        if start == 0 and not np.array_equal(rows[0], want):
+            raise AssertionError(f"batched seed sequence {rows[0]} differs from numpy's {want}")
+        for row in rows:
+            yield np.random.Generator(np.random.PCG64(fixed(row)))
+    yield from map(functools.partial(substream, seed), range(1 << 32, count))
 
 
 class IndexedDomain:
@@ -488,9 +537,10 @@ def verify_guarantee(
     since the support itself is a finite subset); the comparison is exact
     when the weights are rational.  Trial k reads one random(d) of the
     (seed, k) substream as support positions, so the report is reproducible
-    and independent of trial execution order.  A ``SegmentLearner`` learns
-    the largest rank at those positions, whose mass is one bisect in the
-    prefix table of ``mass``; other learners get the label tuple.
+    and independent of trial execution order (``substreams`` hashes them in
+    one batch).  A ``SegmentLearner`` learns the largest rank at those
+    positions, whose mass is one bisect in the prefix table of ``mass``, in
+    one array pass over a block of trials; other learners get the label tuple.
     ci_halfwidth is the 3-sigma binomial half-width at the empirical rate;
     bound is 1-(1-eps)^d.
     """
@@ -499,13 +549,23 @@ def verify_guarantee(
     epsilon, delta = accuracy(epsilon, delta)
     target = 1 - epsilon
     table = learner._table(P, d) if isinstance(learner, SegmentLearner) else None
+    streams = substreams(seed, trials)
     wins = 0
-    for k in range(trials):
-        if table is None:
-            wins += mass(P, learner(draw_sample(P, d, seed, (k,)))) >= target
-        else:  # table: (ranks, prefix, ordered, point_ranks)
-            t = max(map(table[3].__getitem__, P._positions(substream(seed, k), d)))
-            wins += table[1][bisect_right(table[0], t)] >= target
+    if table is None:
+        if d < 0:
+            raise ValueError("sample size must be >= 0")
+        for rng in streams:
+            wins += mass(P, learner(P.sample(rng, d))) >= target
+    else:  # table: (ranks, prefix, ordered, point_ranks); bisect_right is monotone,
+        # so a trial's largest rank has the largest prefix index of its points
+        reach = np.array([bisect_right(table[0], r) for r in table[3]])
+        wins_at = np.array([m >= target for m in table[1]])
+        block = np.empty((min(trials, max(1, 2**16 // d)), d))  # at most 2^16 doubles, at least one trial
+        for start in range(0, trials, len(block)):
+            U = block[: trials - start]
+            for row, rng in zip(U, streams):
+                rng.random(out=row)
+            wins += int(wins_at[reach[P._cdf.searchsorted(U, "right")].max(axis=1)].sum())
     rate = wins / trials
     return GuaranteeReport(
         epsilon=epsilon,

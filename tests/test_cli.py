@@ -11,6 +11,8 @@ import math
 import os
 import re
 import shutil
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -20,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plab import cli, quantum
+from plab import cli, emx, quantum
 from plab.cli import (
     DEFAULT_SEED,
     ExperimentConfig,
@@ -601,3 +603,38 @@ def test_two_calls_in_one_process_build_the_parser_once(workdir, monkeypatch):
 def test_out_of_range_input_fails_with_its_own_message(workdir, capsys, argv, message):
     assert main(argv) == 1
     assert capsys.readouterr().err == f"plab: error: {message}\n"
+
+
+MULTI_WORD_RUNS = {
+    "emx": ["emx", "--dist", "dist.json", "--epsilon", "1/3", "--delta", "1/3", "--d", "5",
+            "--trials", "300", "--sweep-d", "1,9"],
+    "coarse": ["coarse", "--bits", "6", "--dist", "points.json", "--trials", "200"],
+    "compress-lemma1": ["compress", "--mode", "lemma1", "--dist", "dist.json", "--n", "25", "--trials", "100"],
+}
+
+
+@pytest.mark.parametrize("seed", ["0", "4294967296", "18446744073709551619"])
+@pytest.mark.parametrize("run", sorted(MULTI_WORD_RUNS))
+def test_batched_substreams_write_the_reports_of_one_substream_per_trial(workdir, monkeypatch, run, seed):
+    """Seeds of one, two and three uint32 words: the report is the one that a
+    separate ``substream(seed, k)`` per trial writes."""
+    argv = MULTI_WORD_RUNS[run] + ["--seed", seed, "--out"]
+    assert main(argv + ["batched.json"]) == 0
+    monkeypatch.setattr(emx, "substreams", lambda s, n: (emx.substream(s, k) for k in range(n)))
+    assert main(argv + ["single.json"]) == 0
+    batched, single = ((workdir / name).read_text() for name in ("batched.json", "single.json"))
+    assert CLOCK_LINE.sub("", batched) == CLOCK_LINE.sub("", single.replace("single.json", "batched.json"))
+
+
+def test_importing_the_cli_leaves_numpy_random_unloaded():
+    """numpy 2 loads numpy.random on first use, at about 20 ms; plab's start-up
+    must not pay for it."""
+    src = str(HERE.parent / "src")
+    code = (f"import sys; sys.path.insert(0, {src!r}); import numpy; eager = 'numpy.random' in sys.modules; "
+            "import plab.cli; print(eager, 'numpy.random' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    eager, after_cli = done.stdout.split()
+    if eager == "True":
+        pytest.skip("this numpy imports numpy.random with numpy")
+    assert after_cli == "False"

@@ -23,7 +23,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import numpy as np
@@ -259,6 +259,9 @@ def segment_case(draw):
     return FinSupportDist(support, draw(weights(len(support)))), pi.domain, pi
 
 
+BINS3 = UniformBinsMap(3)
+
+
 @settings(max_examples=800, deadline=None)
 @given(
     case=segment_case(),
@@ -267,6 +270,16 @@ def segment_case(draw):
     d=st.sampled_from([0, 1, 2, 7, 45]),
     trials=st.integers(0, 12),
     seed=st.integers(0, 2**40),
+)
+@example(  # two blocks of rank-path draws (2^16 // 45 = 1456 trials fill one); a trial
+    # wins only if it draws the last-ranked point, 0, of weight 1/55
+    case=(FinSupportDist(range(10), [Fraction(i + 1, 55) for i in range(10)]),
+          IndexedDomain([3, 1, 4, 9, 5, 7, 2, 6, 8, 0]), None),
+    accuracy=("1/60", "1/2"), own_accuracy=True, d=45, trials=1500, seed=2**64 + 3,
+)
+@example(  # a d past 2^15: a block holds one trial
+    case=(FinSupportDist([0.05, 0.5, 0.95], ["1/3", "1/3", "1/3"]), BINS3.domain, BINS3),
+    accuracy=("1/3", "1/3"), own_accuracy=False, d=40000, trials=3, seed=7,
 )
 def test_rank_path_reports_what_the_label_path_reports(case, accuracy, own_accuracy, d, trials, seed):
     P, dom, pi = case
@@ -287,6 +300,36 @@ def test_rank_path_reports_what_the_label_path_reports(case, accuracy, own_accur
             assert type(got) is type(ref) and got == ref
         else:
             assert (got.pi, got.cells) == (ref.pi, ref.cells)
+
+
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**200]
+
+
+def assert_substreams_match(seed, n):
+    gens = list(emx.substreams(seed, n))
+    assert len(gens) == n
+    for k, gen in enumerate(gens):
+        assert gen.bit_generator.state == emx.substream(seed, k).bit_generator.state, k
+
+
+@pytest.mark.parametrize("n", [0, 1, 1030], ids=["none", "one", "two_blocks"])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_substreams_states_are_the_substream_states(seed, n):
+    """The batch hashes 1024 keys at a time; 1030 crosses a block boundary."""
+    assert_substreams_match(seed, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**256 - 1), n=st.integers(0, 6))
+def test_substreams_match_substream_below_2_to_the_256(seed, n):
+    assert_substreams_match(seed, n)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "7"])
+def test_substreams_reject_bad_seeds_as_substream_does(seed):
+    want = outcome(lambda: emx.substream(seed, 0))
+    assert isinstance(want, tuple)
+    assert outcome(lambda: list(emx.substreams(seed, 3))) == want
 
 
 def test_out_of_order_float_weights_answer_from_the_support_order_sum():
@@ -349,10 +392,13 @@ def test_rank_path_maps_each_support_point_once_and_builds_no_sample(monkeypatch
 @pytest.mark.parametrize("learner_of", [
     lambda P: SegmentLearner(IndexedDomain(P.support)),
     lambda P: SegmentLearner(UniformBinsMap(3).domain, UniformBinsMap(3), "1/3", "1/3"),
-], ids=["identity", "bins"])
+    lambda P: lambda s: SegmentLearner(IndexedDomain(P.support))(s),
+], ids=["identity", "bins", "labels"])
 def test_rank_path_draws_trial_k_from_substream_seed_k(monkeypatch, learner_of):
-    """Trial k asks for the (seed, k) substream, in trial order, and leaves
-    it where one random(d) leaves default_rng(SeedSequence(seed, (k,)))."""
+    """The trials ask ``substreams`` for keys 0..trials-1 in order, and trial
+    k leaves its generator where one random(d) leaves
+    default_rng(SeedSequence(seed, (k,))), on the rank path and, for a
+    lambda, on the label path."""
     P = FinSupportDist([0.1, 0.3, 0.5, 0.7, 0.9], ["1/10", "2/10", "3/10", "1/10", "3/10"])
     learner = learner_of(P)
     seed, d, trials = 2024, 7, 12
@@ -360,14 +406,17 @@ def test_rank_path_draws_trial_k_from_substream_seed_k(monkeypatch, learner_of):
 
     def recording(*key):
         requested.append(key)
-        generators.append(substream(*key))
-        return generators[-1]
+        for gen in substreams(*key):
+            generators.append(gen)
+            yield gen
 
-    substream = emx.substream
-    monkeypatch.setattr(emx, "substream", recording)
-    rank_path_only(monkeypatch)
+    substreams = emx.substreams
+    monkeypatch.setattr(emx, "substreams", recording)
+    if isinstance(learner, SegmentLearner):
+        rank_path_only(monkeypatch)
     verify_guarantee(learner, P, "1/3", "1/3", d, trials, seed)
-    assert requested == [(seed, k) for k in range(trials)]
+    assert requested == [(seed, trials)]
+    assert len(generators) == trials
     for k, gen in enumerate(generators):
         ref = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
         ref.random(d)
