@@ -11,7 +11,7 @@ Implements:
   • mass — exact P(F), from a per-distribution prefix table for segments
   • quantile_success — exact success probability of the quantile learner
   • substream, substreams — the generator of (seed, *path); of (seed, k) for every k, hashed in one batch
-  • verify_guarantee — seeded Monte Carlo check of the (eps, delta) guarantee
+  • verify_guarantee — seeded Monte Carlo check of (eps, delta), every trial drawn as support positions
 
 Success of a learner on an episode means the learned set captures mass at least
 opt - eps, where opt = 1 for the class of all finite subsets.  With rational
@@ -330,12 +330,12 @@ class FinSupportDist:
         pts = tuple(points)
         return cls(pts, [Fraction(1, len(pts))] * len(pts))
 
-    def _positions(self, rng: np.random.Generator, d: int) -> list:  # inverse CDF of one random(d)
-        return self._cdf.searchsorted(rng.random(d), "right").tolist()
+    def _positions(self, U: np.ndarray) -> np.ndarray:  # inverse CDF of uniform draws
+        return self._cdf.searchsorted(U, "right")
 
     def sample(self, rng: np.random.Generator, d: int) -> tuple:
         """d i.i.d. points via the inverse CDF over the ordered support."""
-        return tuple(map(self.support.__getitem__, self._positions(rng, d)))
+        return tuple(map(self.support.__getitem__, self._positions(rng.random(d)).tolist()))
 
     def to_json(self) -> dict:
         weights = [str(w) if isinstance(w, Fraction) else w for w in self.weights]
@@ -347,13 +347,6 @@ class FinSupportDist:
 
     def __repr__(self) -> str:
         return f"FinSupportDist({len(self.support)} points)"
-
-
-def draw_sample(P: FinSupportDist, d: int, seed: int, stream: tuple[int, ...] = ()) -> tuple:
-    """Draw d i.i.d. points from P on the (seed, *stream) substream."""
-    if d < 0:
-        raise ValueError("sample size must be >= 0")
-    return P.sample(substream(seed, *stream), d)
 
 
 def _prefix_table(tables: dict, points: Sequence, weights: Sequence, pi, dom: IndexedDomain, start) -> tuple:
@@ -535,37 +528,37 @@ def verify_guarantee(
     epsilon and delta are checked once by ``accuracy`` ("1/3", 0.2 -> 1/5).
     An episode succeeds when mass(P, learner(S)) >= 1 - epsilon (opt = 1,
     since the support itself is a finite subset); the comparison is exact
-    when the weights are rational.  Trial k reads one random(d) of the
-    (seed, k) substream as support positions, so the report is reproducible
-    and independent of trial execution order (``substreams`` hashes them in
-    one batch).  A ``SegmentLearner`` learns the largest rank at those
-    positions, whose mass is one bisect in the prefix table of ``mass``, in
-    one array pass over a block of trials; other learners get the label tuple.
+    when the weights are rational.  Trial k is drawn as support positions,
+    ``FinSupportDist.sample``'s inverse CDF of one random(d) of the (seed, k)
+    substream (``substreams`` hashes them in one batch), so the report is
+    reproducible and independent of trial execution order.  A block of
+    trials is drawn at a time; a ``SegmentLearner`` decides it in one array
+    pass over the prefix table of ``mass``, any other learner gets labels.
     ci_halfwidth is the 3-sigma binomial half-width at the empirical rate;
     bound is 1-(1-eps)^d.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     epsilon, delta = accuracy(epsilon, delta)
+    if d < 0:
+        raise ValueError("sample size must be >= 0")
     target = 1 - epsilon
     table = learner._table(P, d) if isinstance(learner, SegmentLearner) else None
+    if table is not None:  # (ranks, prefix, ordered, point_ranks): does the segment to each point's rank win?
+        wins_at = np.array([table[1][bisect_right(table[0], r)] >= target for r in table[3]])
     streams = substreams(seed, trials)
+    block = np.empty((min(trials, max(1, 2**16 // (d or 2**16))), d))  # <= 2^16 doubles, >= 1 trial, 1 at d = 0
     wins = 0
-    if table is None:
-        if d < 0:
-            raise ValueError("sample size must be >= 0")
-        for rng in streams:
-            wins += mass(P, learner(P.sample(rng, d))) >= target
-    else:  # table: (ranks, prefix, ordered, point_ranks); bisect_right is monotone,
-        # so a trial's largest rank has the largest prefix index of its points
-        reach = np.array([bisect_right(table[0], r) for r in table[3]])
-        wins_at = np.array([m >= target for m in table[1]])
-        block = np.empty((min(trials, max(1, 2**16 // d)), d))  # at most 2^16 doubles, at least one trial
-        for start in range(0, trials, len(block)):
-            U = block[: trials - start]
-            for row, rng in zip(U, streams):
-                rng.random(out=row)
-            wins += int(wins_at[reach[P._cdf.searchsorted(U, "right")].max(axis=1)].sum())
+    for start in range(0, trials, len(block)):
+        U = block[: trials - start]
+        for row, rng in zip(U, streams):
+            rng.random(out=row)
+        positions = P._positions(U)
+        if table is not None:  # segments grow with the rank: a trial's largest wins iff any of its points' does
+            wins += int(wins_at[positions].any(axis=1).sum())
+        else:
+            for row in positions:  # one label tuple at a time
+                wins += mass(P, learner(tuple(map(P.support.__getitem__, row.tolist())))) >= target
     rate = wins / trials
     return GuaranteeReport(
         epsilon=epsilon,

@@ -18,8 +18,7 @@ again: it carries its factor's check, with the tolerances scaled by d.
 as 2x2 states: d copies of two pure states span a two-dimensional space, so
 the pair costs the same at every d and needs no cap.
 
-Everything is dense complex numpy; randomness comes from caller-supplied
-generators so property batches stay reproducible.
+Everything is dense complex numpy.
 """
 
 from __future__ import annotations
@@ -357,30 +356,3 @@ def check_no_signaling(t: CorrelationTable) -> NoSignalingVerdict:
     dev_a = float((marg_a.max(axis=2) - marg_a.min(axis=2)).max())
     worst = max(dev_a, dev_b)
     return NoSignalingVerdict(passed=worst <= 1e-10, max_violation=worst)
-
-
-def random_density_matrix(dim: int, rng: np.random.Generator) -> DensityMatrix:
-    """Full-rank random state: normalized G G^dagger with Ginibre G."""
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    m = g @ g.conj().T
-    return DensityMatrix(m / np.trace(m).real)
-
-def random_pure_state(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random ket (complex Gaussian, normalized)."""
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return v / np.linalg.norm(v)
-
-
-def random_povm(dim: int, outcomes: int, rng: np.random.Generator) -> Povm:
-    """Random measurement: Ginibre PSD blocks B_i conjugated by S^{-1/2} with
-    S = sum B_i, so the elements sum to the identity exactly (up to float)."""
-    if outcomes < 1:
-        raise ValueError("need at least one outcome")
-    blocks = []
-    for _ in range(outcomes):
-        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        blocks.append(g @ g.conj().T)
-    s = sum(blocks)
-    w, v = np.linalg.eigh(_hermitize(s))
-    s_inv_half = v @ np.diag(1.0 / np.sqrt(w)) @ v.conj().T
-    return Povm([s_inv_half @ b @ s_inv_half for b in blocks])

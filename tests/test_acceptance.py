@@ -25,7 +25,6 @@ from plab.coarse import UniformBinsMap, coarse_learn, pullback, pushforward
 from plab.emx import (
     FinSupportDist,
     IndexedDomain,
-    draw_sample,
     mass,
     quantile_learn,
     sample_complexity,
@@ -49,13 +48,11 @@ from plab.quantum import (
     helstrom,
     pure_distance_formula,
     quantum_correlation,
-    random_density_matrix,
-    random_povm,
-    random_pure_state,
     tensor_power,
     trace_distance,
 )
 from plab.tasks import TaskSpec
+from random_fixtures import draw_sample, random_density_matrix, random_povm, random_pure_state
 
 F = Fraction
 THIRD = F(1, 3)

@@ -17,7 +17,8 @@ from plab.coarse import (
     pullback,
     pushforward,
 )
-from plab.emx import FinSupportDist, FiniteHypothesis, draw_sample, mass
+from plab.emx import FinSupportDist, FiniteHypothesis, mass
+from random_fixtures import draw_sample
 
 
 def rational_dist(rng, n_points):

@@ -17,7 +17,8 @@ from plab.compression import (
     required_n,
     segment_scheme,
 )
-from plab.emx import FinSupportDist, FiniteHypothesis, IndexedDomain, draw_sample, quantile_learn
+from plab.emx import FinSupportDist, FiniteHypothesis, IndexedDomain, quantile_learn
+from random_fixtures import draw_sample
 
 DOM = IndexedDomain(tuple("abcdefg"))
 

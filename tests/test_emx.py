@@ -19,7 +19,6 @@ from plab.emx import (
     IndexedDomain,
     RationalLiteralError,
     as_fraction,
-    draw_sample,
     mass,
     parse_weight,
     quantile_learn,
@@ -28,6 +27,7 @@ from plab.emx import (
     substream,
     verify_guarantee,
 )
+from random_fixtures import draw_sample
 
 LETTERS = tuple("abcdefghij")
 

@@ -28,8 +28,9 @@ from plab.feasibility import (
     no_signaling_polytope,
     sdp_feasible,
 )
-from plab.quantum import DensityMatrix, ResourceCapError, delta_min, random_density_matrix, tensor_power
+from plab.quantum import DensityMatrix, ResourceCapError, delta_min, tensor_power
 from plab.tasks import TaskSpec
+from random_fixtures import random_density_matrix
 
 F = Fraction
 IDENTITY_TASK = TaskSpec(["t0", "t1"], ["h0", "h1"], [[1, 0], [0, 1]])

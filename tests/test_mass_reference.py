@@ -42,11 +42,11 @@ from plab.emx import (
     FiniteHypothesis,
     IndexedDomain,
     SegmentLearner,
-    draw_sample,
     mass,
     quantile_learn,
     verify_guarantee,
 )
+from random_fixtures import draw_sample
 
 
 def reference_mass(P, F):
@@ -360,11 +360,12 @@ def test_the_first_point_the_map_rejects_in_the_sample_names_the_error():
 
 
 def rank_path_only(monkeypatch):
-    """Make label samples and label learner calls fail."""
+    """Make label learner calls and ``mass`` checks fail: the rank pass makes
+    neither, the label branch both."""
     def refuse(*args):
         raise AssertionError("label path taken")
 
-    monkeypatch.setattr(FinSupportDist, "sample", refuse)
+    monkeypatch.setattr(emx, "mass", refuse)
     monkeypatch.setattr(SegmentLearner, "__call__", refuse)
 
 
@@ -421,6 +422,41 @@ def test_rank_path_draws_trial_k_from_substream_seed_k(monkeypatch, learner_of):
         ref = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
         ref.random(d)
         assert gen.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("d, trials", [(300, 500), (2**16 + 1, 3)], ids=["three_blocks", "one_trial_a_block"])
+def test_label_path_gets_trial_ks_sample_across_blocks(d, trials):
+    """A block holds 2^16 // d trials, at least one: 218, 218 and 64 at
+    d = 300; one at a d past 2^16.  Every trial k, in order, hands the
+    learner the label tuple ``P.sample`` draws from substream (seed, k), and
+    the rate counts the masses of what the learner returned."""
+    P = FinSupportDist([0.1, 0.3, 0.5, 0.7, 0.9], ["1/10", "2/10", "3/10", "1/10", "3/10"])
+    seed, seen = 2**64 + 3, []
+
+    def learner(sample):
+        seen.append(sample)
+        return frozenset(sample[:3])
+
+    rep = verify_guarantee(learner, P, "1/3", "1/3", d, trials, seed)
+    assert seen == [P.sample(emx.substream(seed, k), d) for k in range(trials)]
+    assert rep.empirical_rate == sum(mass(P, frozenset(s[:3])) >= Fraction(2, 3) for s in seen) / trials
+
+
+@pytest.mark.parametrize("learner_of", [
+    SegmentLearner,
+    lambda dom: lambda s: quantile_learn(s, dom),
+], ids=["segment", "labels"])
+def test_an_empty_sample_reaches_the_learner(monkeypatch, learner_of):
+    """d = 0 sizes no block by d: a block holds one trial, and trial 0 calls
+    the learner on (), which raises its own error after one generator."""
+    P = FinSupportDist("abc", ["1/2", "1/4", "1/4"])
+    learner = learner_of(IndexedDomain(P.support))
+    built = []
+    substreams = emx.substreams
+    monkeypatch.setattr(emx, "substreams", lambda *key: (built.append(g) or g for g in substreams(*key)))
+    with pytest.raises(ValueError, match="^empty sample: maximum index undefined$"):
+        verify_guarantee(learner, P, "1/3", "1/3", 0, 70_000, 11)
+    assert len(built) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -30,12 +30,10 @@ from plab.quantum import (
     pure_distance_formula,
     pure_pair,
     quantum_correlation,
-    random_density_matrix,
-    random_povm,
-    random_pure_state,
     tensor_power,
     trace_distance,
 )
+from random_fixtures import random_density_matrix, random_povm, random_pure_state
 
 KET0 = DensityMatrix.pure([1.0, 0.0])
 KET1 = DensityMatrix.pure([0.0, 1.0])
