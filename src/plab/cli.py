@@ -110,31 +110,12 @@ class RunReport:
     version: str
 
     def to_text(self) -> str:
-        """The report as written: ``json.dumps(_pin(payload), indent=2, sort_keys=True)``,
-        rendered by ``_render`` (a witness matrix may be held as its array)."""
+        """The report as written by ``_render``: the text of the reference writer
+        in ``tests/reference_writer.py`` (a witness matrix may be held as its array)."""
         out = dict(vars(self))
         if self.sweep is None:
             del out["sweep"]
         return _render(out)
-
-
-def _pin(obj):
-    """Normalize a report payload: string keys, lists for tuples, a 2-D array as
-    ``quantum.matrix_to_json`` lists it, leaves by ``_leaf``."""
-    if isinstance(obj, dict):
-        return {str(k): _pin(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_pin(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _pin(quantum.matrix_to_json(_matrix(obj)))
-    return _leaf(obj)
-
-
-def _matrix(a: np.ndarray) -> np.ndarray:
-    """A report array as a contiguous complex matrix; TypeError unless it is 2-D."""
-    if a.ndim != 2:
-        raise TypeError(f"cannot serialize a {a.ndim}-D array in a report")
-    return np.ascontiguousarray(a, dtype=complex)
 
 
 def _leaf(obj):
@@ -179,10 +160,12 @@ def _leaf_text(obj) -> str:
 
 
 def _matrix_text(a: np.ndarray, indent: str) -> str:
-    """JSON text of ``_pin(a)`` for a 2-D array at ``indent``: the layout of
-    ``matrix_to_json`` as one template, filled with the text of each distinct
-    float, found by its bits so that 0.0 and -0.0 stay apart."""
-    m = _matrix(a)
+    """JSON text of a 2-D array at ``indent`` as the reference writer gives it:
+    the layout of ``matrix_to_json`` as one template, filled with the text of
+    each distinct float, found by its bits so that 0.0 and -0.0 stay apart."""
+    if a.ndim != 2:
+        raise TypeError(f"cannot serialize a {a.ndim}-D array in a report")
+    m = np.ascontiguousarray(a, dtype=complex)
     rows, cols = m.shape
     if not rows:
         return "[]"
@@ -196,9 +179,9 @@ def _matrix_text(a: np.ndarray, indent: str) -> str:
 
 
 def _render(obj, indent: str = "\n") -> str:
-    """``json.dumps(_pin(obj), indent=2, sort_keys=True)``, in one walk that
-    pins each leaf as it writes it (``indent`` is the walk's line start); a
-    2-D array is written by ``_matrix_text``."""
+    """The reference writer's ``json.dumps(pin(obj), indent=2, sort_keys=True)``,
+    in one walk that pins each leaf as it writes it (``indent`` is the walk's
+    line start); a 2-D array is written by ``_matrix_text``."""
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -226,10 +209,10 @@ def write_report(report: RunReport, path: str) -> None:
 
 
 def emit_table(report: RunReport, path: str) -> None:
-    """One CSV row per sweep point; header keys come from the first row."""
+    """One CSV row per flat sweep point, values pinned by ``_leaf``; header keys from the first row."""
     if not report.sweep:
         raise ValueError("report has no sweep to tabulate")
-    rows = _pin(report.sweep)
+    rows = [{str(k): _leaf(v) for k, v in row.items()} for row in report.sweep]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()

@@ -1,5 +1,5 @@
-"""Finite-precision interfaces: binning maps, pushforward, pullback, and the
-reduction that runs a discrete learner on coarse-grained observations.
+"""Finite-precision interfaces: binning maps, pushforward and pullback (the
+learner behind a map pi is ``emx.SegmentLearner(pi.domain, pi, eps, delta)``).
 
 A coarse-graining map pi sends continuum points to a countable label alphabet
 with its own index order.  Pushing a distribution forward merges weights
@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Container, Iterable
 
-from .emx import FiniteHypothesis, FinSupportDist, IndexedDomain, SegmentLearner
+from .emx import FiniteHypothesis, FinSupportDist, IndexedDomain
 
 
 class UniformBinsMap:
@@ -123,13 +123,3 @@ def pullback(F, pi) -> PulledBackHypothesis:
     """Hypothesis denoting exactly the preimage of the finite label set F."""
     return PulledBackHypothesis(F, pi)
 
-
-def coarse_learn(sample: Iterable, pi, epsilon, delta) -> PulledBackHypothesis:
-    """Discretize the sample through pi, run the quantile learner over the
-    label alphabet, and pull the learned segment back: the label call of
-    ``SegmentLearner(pi.domain, pi, epsilon, delta)``.
-
-    Requires len(sample) >= sample_complexity(epsilon, delta) so the discrete
-    guarantee transfers.
-    """
-    return SegmentLearner(pi.domain, pi, epsilon, delta)(sample)

@@ -192,7 +192,9 @@ class IndexedDomain:
         return self.labels[rank - 1]
 
     def initial_segment(self, t: int) -> "FiniteHypothesis":
-        return FiniteHypothesis.initial_segment(self, t)
+        if t < 0:
+            raise ValueError("segment threshold must be >= 0")
+        return FiniteHypothesis(None, self, t)
 
     def __repr__(self) -> str:
         if self._rank is None:
@@ -220,12 +222,6 @@ class FiniteHypothesis:
     @classmethod
     def from_elements(cls, elements: Iterable) -> "FiniteHypothesis":
         return cls(frozenset(elements), None, None)
-
-    @classmethod
-    def initial_segment(cls, domain: IndexedDomain, t: int) -> "FiniteHypothesis":
-        if t < 0:
-            raise ValueError("segment threshold must be >= 0")
-        return cls(None, domain, t)
 
     @property
     def is_segment(self) -> bool:
@@ -443,9 +439,9 @@ def quantile_learn(sample: Iterable, dom: IndexedDomain) -> FiniteHypothesis:
 
 @dataclass(frozen=True)
 class SegmentLearner:
-    """Max-rank learner over ``dom`` after the map ``pi`` (None: identity).
-    On a sample it returns what ``quantile_learn`` (with a map, ``coarse_learn``)
-    does; ``verify_guarantee`` answers its trials from support ranks instead."""
+    """Max-rank learner over ``dom`` after the map ``pi`` (None: identity): on a
+    sample, ``quantile_learn`` of its labels, pulled back through ``pi``.
+    ``verify_guarantee`` answers its trials from support ranks instead."""
 
     dom: IndexedDomain
     pi: Callable | None = None
@@ -500,18 +496,6 @@ class GuaranteeReport:
     empirical_rate: float
     ci_halfwidth: float
     bound: float
-
-    def to_json(self) -> dict:
-        return {
-            "epsilon": str(self.epsilon),
-            "delta": str(self.delta),
-            "d": self.d,
-            "trials": self.trials,
-            "seed": self.seed,
-            "empirical_rate": self.empirical_rate,
-            "ci_halfwidth": self.ci_halfwidth,
-            "bound": self.bound,
-        }
 
 
 def verify_guarantee(

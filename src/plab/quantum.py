@@ -263,13 +263,18 @@ def discrimination_sum(povm: Povm, rho0: DensityMatrix, rho1: DensityMatrix) -> 
 
 def delta_min(gamma: float, d: int) -> float:
     """Smallest worst-case error of any two-sided test on d copies of pure
-    states with overlap gamma: (1 - sqrt(1 - gamma^(2d)))/2."""
-    return (1.0 - pure_distance_formula(gamma, d) / 2.0) / 2.0
+    states with overlap gamma: (1 - sqrt(1 - g))/2 with g = gamma^(2d),
+    computed as g / (2(1 + sqrt(1 - g))), which does not cancel."""
+    _check_overlap(gamma, d)
+    g = gamma ** (2 * d)
+    return g / (2.0 * (1.0 + math.sqrt(1.0 - g)))
 
 
 def copies_min(gamma: float, delta: float) -> int:
-    """Smallest integer d >= ln(1/(4*delta*(1-delta)))/(-2*ln(gamma)), at
-    least 1; the copy count below which worst-case error delta is impossible.
+    """Smallest integer d >= 1 with delta_min(gamma, d) <= delta, that is
+    d >= ln(1/(4*delta*(1-delta)))/(-2*ln(gamma)); the copy count below which
+    worst-case error delta is impossible.  The float ratio is a first guess,
+    settled by stepping on ``delta_min``, so the two never disagree.
 
     gamma in {0,1} is degenerate (orthogonal states need no copies; identical
     states never separate) and raises.
@@ -278,8 +283,12 @@ def copies_min(gamma: float, delta: float) -> int:
         raise ValueError("gamma in {0,1} is degenerate for a copy count")
     if not 0.0 < delta < 0.5:
         raise ValueError("delta must lie in (0, 1/2)")
-    r = math.log(1.0 / (4.0 * delta * (1.0 - delta))) / (-2.0 * math.log(gamma))
-    return max(1, math.ceil(r - 1e-12))
+    d = max(1, math.ceil(math.log(1.0 / (4.0 * delta * (1.0 - delta))) / (-2.0 * math.log(gamma))))
+    while d > 1 and delta_min(gamma, d - 1) <= delta:
+        d -= 1
+    while delta_min(gamma, d) > delta:
+        d += 1
+    return d
 
 
 class CorrelationTable:

@@ -1,0 +1,22 @@
+"""The reference report writer: a report is ``json.dumps(pin(payload),
+indent=2, sort_keys=True)``.  ``plab.cli._render`` writes the same text in
+one walk; the tests and the CI fixed-point check hold it to this."""
+
+import numpy as np
+
+from plab import quantum
+from plab.cli import _leaf
+
+
+def pin(obj):
+    """Normalize a report payload: string keys, lists for tuples, a 2-D array as
+    ``quantum.matrix_to_json`` lists it, leaves by ``_leaf``."""
+    if isinstance(obj, dict):
+        return {str(k): pin(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [pin(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        if obj.ndim != 2:
+            raise TypeError(f"cannot serialize a {obj.ndim}-D array in a report")
+        return pin(quantum.matrix_to_json(np.ascontiguousarray(obj, dtype=complex)))
+    return _leaf(obj)

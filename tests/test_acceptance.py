@@ -21,10 +21,11 @@ from plab.compression import (
     required_n,
     segment_scheme,
 )
-from plab.coarse import UniformBinsMap, coarse_learn, pullback, pushforward
+from plab.coarse import UniformBinsMap, pullback, pushforward
 from plab.emx import (
     FinSupportDist,
     IndexedDomain,
+    SegmentLearner,
     mass,
     quantile_learn,
     sample_complexity,
@@ -37,10 +38,12 @@ from plab.feasibility import (
     kernel_polytope,
     kernel_variables,
     lp_feasible,
+    no_signaling_polytope,
     sdp_feasible,
 )
 from plab.quantum import (
     DensityMatrix,
+    Povm,
     check_no_signaling,
     copies_min,
     delta_min,
@@ -120,13 +123,15 @@ def test_coarse_graining_mass_identity_is_exact():
 
 
 def test_finite_precision_learner_success_floor():
-    """coarse_learn at eps=delta=1/3, d=3, 8 bits: success rate >= 2/3 - 3sigma
-    over 10,000 trials."""
+    """SegmentLearner behind an 8-bit map at eps=delta=1/3, d=3: success rate
+    >= 2/3 - 3sigma over 10,000 trials.  The learner is wrapped in a lambda,
+    so every trial runs on labels through the map."""
     trials = 10_000
     P = FinSupportDist.uniform([k / 20 for k in range(20)])
     pi = UniformBinsMap(8)
+    learner = SegmentLearner(pi.domain, pi, THIRD, THIRD)
     rep = verify_guarantee(
-        lambda s: coarse_learn(s, pi, THIRD, THIRD), P, THIRD, THIRD,
+        lambda s: learner(s), P, THIRD, THIRD,
         d=3, trials=trials, seed=31,
     )
     floor = 2.0 / 3.0 - 3.0 * math.sqrt((2.0 / 3.0) * (1.0 / 3.0) / trials)
@@ -327,3 +332,50 @@ def test_no_signaling_verification_on_quantum_and_planted_tables():
     assert verdict.max_violation >= 0.5
     print(f"PASS no-signaling: 500 quantum tables clean, planted violation "
           f"{verdict.max_violation:.2f}")
+
+
+def chsh_wins(a: int, b: int, x: int, y: int) -> bool:
+    """The CHSH game, settings uniform: the parties win iff a XOR b = x AND y."""
+    return a ^ b == x & y
+
+
+def test_chsh_hierarchy_local_quantum_no_signaling():
+    """CHSH separates three access models, each decided with code in plab:
+    local strategies reach 3/4 exactly (an LP over the 16 deterministic
+    strategies), no-signaling boxes reach 1 exactly (the PR box), and
+    Tsirelson's quantum strategy reaches cos^2(pi/8) strictly in between."""
+    settings4 = list(itertools.product(range(2), repeat=2))
+    # local: a = f(x), b = g(y), one kernel coordinate per strategy (f, g)
+    strategies = list(itertools.product(itertools.product(range(2), repeat=2), repeat=2))
+    wins = [F(sum(chsh_wins(f[x], g[y], x, y) for x, y in settings4), 4) for f, g in strategies]
+    local = kernel_polytope(TaskSpec(["chsh"], [f"f{f}g{g}" for f, g in strategies], [wins]))
+
+    def local_row(delta):
+        return LinearConstraint.from_terms(len(wins), enumerate(wins), ">=", 1 - delta)
+
+    assert lp_feasible(local, [local_row(F(1, 4))]).feasible
+    assert not lp_feasible(local, [local_row(F(1, 4) - F(1, 10**9))]).feasible
+
+    # no-signaling: the CHSH row over p(a,b|x,y), feasible at delta = 0
+    boxes = no_signaling_polytope(2, 2, 2, 2)
+    cells = [(a, b, x, y) for x, y in settings4 for a in range(2) for b in range(2)]  # the polytope's order
+    row = LinearConstraint.from_terms(len(cells), [(j, F(1, 4)) for j, c in enumerate(cells) if chsh_wins(*c)],
+                                      ">=", 1)
+    result = lp_feasible(boxes, [row])
+    assert result.feasible
+    assert list(result.witness.values()) == [F(1, 2) if chsh_wins(*c) else 0 for c in cells]  # the PR box
+
+    # quantum: Phi+ with Z, X against (Z + X)/sqrt2, (Z - X)/sqrt2
+    z, xm = np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
+
+    def observable(o):
+        return Povm([(np.eye(2) + o) / 2, (np.eye(2) - o) / 2])
+
+    phi = DensityMatrix.pure(np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0))
+    table = quantum_correlation(phi, [observable(z), observable(xm)],
+                                [observable((z + xm) / math.sqrt(2.0)), observable((z - xm) / math.sqrt(2.0))])
+    assert check_no_signaling(table).passed
+    value = sum(table.p[a, b, x, y] for a, b, x, y in cells if chsh_wins(a, b, x, y)) / 4
+    assert value == pytest.approx(math.cos(math.pi / 8) ** 2, abs=1e-12)
+    assert 3 / 4 < value < 1
+    print(f"PASS CHSH: local 3/4, quantum {value:.5f}, no-signaling 1 ({result.pivots} pivots)")

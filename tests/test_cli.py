@@ -6,6 +6,7 @@ non-reproducible field).  Input files are staged under relative names so the
 config echo inside each report is path-stable.
 """
 
+import csv
 import json
 import math
 import os
@@ -21,13 +22,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_writer import pin
 
 from plab import cli, emx, quantum
 from plab.cli import (
     DEFAULT_SEED,
     ExperimentConfig,
     RunReport,
-    _pin,
     emit_table,
     main,
     run_config,
@@ -93,6 +94,25 @@ def test_sweep_table_matches_golden(workdir):
     assert main(GOLDEN_RUNS["emx.json"]) == 0
     got = (workdir / "table.csv").read_text()
     assert got == (GOLDEN / "emx_table.csv").read_text()
+
+
+SWEEP_RUNS = {
+    "emx": ["emx", "--dist", "dist.json", "--trials", "50", "--sweep-d", "1,2,7"],
+    "coarse": ["coarse", "--dist", "points.json", "--trials", "50", "--sweep-bits", "0,3,9"],
+    "compress": ["compress", "--mode", "lemma1", "--dist", "dist.json", "--trials", "30", "--sweep-n", "4,12"],
+    "quantum": ["quantum", "discriminate", "--gamma", "0.3468", "--delta", "1e-7",
+                "--sweep-copies", "1,5,7,40"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_RUNS))
+def test_sweep_table_cells_are_the_report_sweep_as_text(workdir, name):
+    assert main([*SWEEP_RUNS[name], "--out", "r.json", "--table", "t.csv"]) == 0
+    sweep = json.loads((workdir / "r.json").read_text())["sweep"]
+    with open(workdir / "t.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(sweep) >= 2
+    assert rows == [{key: str(value) for key, value in point.items()} for point in sweep]
 
 
 def test_repeated_runs_are_identical_up_to_wall_clock(workdir):
@@ -298,27 +318,27 @@ PAYLOADS = st.recursive(LEAVES | MATRICES, lambda children: st.one_of(
 
 class TestReportPlumbing:
     def test_pin_rounds_to_12_significant_digits(self):
-        assert _pin(0.1 + 0.2) == 0.3
-        assert _pin(1.0 / 3.0) == 0.333333333333
-        assert _pin(Fraction(2, 3)) == "2/3"
-        assert _pin({"a": [1, None, True]}) == {"a": [1, None, True]}
+        assert pin(0.1 + 0.2) == 0.3
+        assert pin(1.0 / 3.0) == 0.333333333333
+        assert pin(Fraction(2, 3)) == "2/3"
+        assert pin({"a": [1, None, True]}) == {"a": [1, None, True]}
 
     def test_pin_rejects_unknown_types(self):
         with pytest.raises(TypeError):
-            _pin(object())
+            pin(object())
         with pytest.raises(TypeError):
             cli._render({"a": [object()]})
 
     @settings(max_examples=300, deadline=None)
     @given(obj=PAYLOADS)
     def test_render_equals_dumps_of_pinned_payload(self, obj):
-        assert cli._render(obj) == json.dumps(_pin(obj), indent=2, sort_keys=True)
+        assert cli._render(obj) == json.dumps(pin(obj), indent=2, sort_keys=True)
 
     @pytest.mark.parametrize("shape", [(4,), (2, 2, 2), ()])
     def test_arrays_other_than_matrices_rejected(self, shape):
         a = np.zeros(shape, dtype=complex)
         with pytest.raises(TypeError):
-            _pin({"a": a})
+            pin({"a": a})
         with pytest.raises(TypeError):
             cli._render({"a": [a]})
 
@@ -337,7 +357,7 @@ class TestReportPlumbing:
         m = np.array([[0.0, complex(-0.0, -0.0)], [complex(0.0, -0.0), complex(-0.0, 0.0)]])
         payload = {"witness": {"elements": [m]}}
         text = cli._render(payload)
-        assert text == json.dumps(_pin(payload), indent=2, sort_keys=True)
+        assert text == json.dumps(pin(payload), indent=2, sort_keys=True)
         first = json.loads(text)["witness"]["elements"][0]
         assert [math.copysign(1.0, x) for row in first for pair in row for x in pair] == \
             [1, 1, -1, -1, 1, -1, -1, 1]
@@ -372,7 +392,7 @@ class TestReportPlumbing:
         povm = quantum.Povm(witness["elements"], witness["labels"])
         reference = {k: v for k, v in vars(report).items() if k != "sweep"}
         reference["metrics"] = {**report.metrics, "witness": povm.to_json()}
-        assert (workdir / "r.json").read_text() == json.dumps(_pin(reference), indent=2, sort_keys=True) + "\n"
+        assert (workdir / "r.json").read_text() == json.dumps(pin(reference), indent=2, sort_keys=True) + "\n"
 
     def test_report_embeds_version_and_full_config(self, workdir):
         assert main(["feasible", "lp", "--task", "task.json", "--out", "r.json"]) == 0

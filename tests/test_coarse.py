@@ -13,11 +13,10 @@ from plab.coarse import (
     PulledBackHypothesis,
     TableMap,
     UniformBinsMap,
-    coarse_learn,
     pullback,
     pushforward,
 )
-from plab.emx import FinSupportDist, FiniteHypothesis, mass
+from plab.emx import FinSupportDist, FiniteHypothesis, SegmentLearner, mass
 from random_fixtures import draw_sample
 
 
@@ -160,7 +159,7 @@ class TestPullbackIdentity:
 class TestCoarseLearn:
     def test_returns_preimage_of_learned_segment(self):
         pi = UniformBinsMap(3)
-        h = coarse_learn([0.05, 0.3, 0.15], pi, Fraction(1, 3), Fraction(1, 3))
+        h = SegmentLearner(pi.domain, pi, Fraction(1, 3), Fraction(1, 3))([0.05, 0.3, 0.15])
         assert isinstance(h, PulledBackHypothesis)
         # max bin among {0, 2, 1} is 2 -> all of [0, 3/8) is in
         assert 0.37 in h and 0.38 not in h
@@ -170,25 +169,27 @@ class TestCoarseLearn:
         pi = UniformBinsMap(6)
         for _ in range(25):
             pts = [float(x) for x in rng.random(5)]
-            h = coarse_learn(pts, pi, Fraction(1, 3), Fraction(1, 3))
+            h = SegmentLearner(pi.domain, pi, Fraction(1, 3), Fraction(1, 3))(pts)
             assert all(x in h for x in pts)
 
     def test_small_samples_rejected(self):
         pi = UniformBinsMap(4)
+        learner = SegmentLearner(pi.domain, pi, Fraction(1, 3), Fraction(1, 3))
         with pytest.raises(ValueError):
-            coarse_learn([], pi, Fraction(1, 3), Fraction(1, 3))
+            learner([])
         with pytest.raises(ValueError):
             # sample_complexity(1/3, 1/3) = 3
-            coarse_learn([0.1, 0.2], pi, Fraction(1, 3), Fraction(1, 3))
+            learner([0.1, 0.2])
 
     def test_guarantee_transfers_through_the_map(self):
         P = FinSupportDist.uniform([float(k) / 20 for k in range(20)])
         pi = UniformBinsMap(8)
         eps = delta = Fraction(1, 3)
+        learner = SegmentLearner(pi.domain, pi, eps, delta)
         trials, wins = 300, 0
         for k in range(trials):
             S = draw_sample(P, 3, seed=99, stream=(k,))
-            if mass(P, coarse_learn(S, pi, eps, delta)) >= 1 - eps:
+            if mass(P, learner(S)) >= 1 - eps:
                 wins += 1
         # success probability is >= 1-(2/3)^3 ~ 0.704; 0.6 leaves ~4 sigma
         assert wins / trials >= 0.6

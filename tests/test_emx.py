@@ -5,6 +5,7 @@ Frozen values are hand-derived from the closed forms; exact comparisons use
 Fraction end to end so no assertion sits on a float boundary.
 """
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -130,7 +131,7 @@ class TestFiniteHypothesis:
 
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError, match=">= 0"):
-            FiniteHypothesis.initial_segment(IndexedDomain("abc"), -1)
+            IndexedDomain("abc").initial_segment(-1)
 
     def test_never_equal_to_other_types(self):
         assert (IndexedDomain("abc").initial_segment(1) == 3) is False
@@ -391,12 +392,12 @@ class TestVerifyGuarantee:
         P = uniform_on("ab")
         dom = IndexedDomain("ab")
         rep = verify_guarantee(self.learner(dom), P, Fraction(1, 2), Fraction(1, 2), 2, 10, seed=1)
-        obj = rep.to_json()
+        obj = dataclasses.asdict(rep)
         assert set(obj) == {
             "epsilon", "delta", "d", "trials", "seed",
             "empirical_rate", "ci_halfwidth", "bound",
         }
-        assert obj["epsilon"] == "1/2"
+        assert obj["epsilon"] == Fraction(1, 2)
         assert obj["bound"] == pytest.approx(0.75)
 
     def test_rational_strings_accepted(self):
@@ -405,7 +406,7 @@ class TestVerifyGuarantee:
         rep = verify_guarantee(self.learner(dom), P, "1/2", "1/2", 2, 10, seed=1)
         want = verify_guarantee(self.learner(dom), P, Fraction(1, 2), Fraction(1, 2), 2, 10, seed=1)
         assert rep == want
-        assert rep.to_json()["delta"] == "1/2"
+        assert rep.delta == Fraction(1, 2)
 
     def test_trials_validated(self):
         P = uniform_on("ab")

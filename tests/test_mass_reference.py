@@ -198,8 +198,8 @@ def test_empty_segment_is_an_exact_zero_for_float_weights():
 
 
 def reference_segment_learn(sample, dom, pi, epsilon, delta):
-    """``quantile_learn``, or for a map the ``coarse_learn`` body of before
-    ``SegmentLearner``."""
+    """``quantile_learn``, or for a map the segment of the labels pulled back
+    through it: the rule ``SegmentLearner`` is held to."""
     pts = tuple(sample)
     if epsilon is not None:
         need = emx.sample_complexity(epsilon, delta)

@@ -9,6 +9,7 @@ Frozen numeric targets:
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -328,6 +329,15 @@ class TestPurePair:
             pure_pair(0.5, 0)
 
 
+def mp_delta_min(gamma: float, d: int):
+    """delta_min at 50 digits, in the stable form g / (2(1 + sqrt(1 - g))) with
+    g = gamma^(2d): (1 - sqrt(1 - g))/2 loses every digit even at 50 digits
+    once g < 1e-50."""
+    with mpmath.workdps(50):
+        g = mpmath.mpf(gamma) ** (2 * d)
+        return g / (2 * (1 + mpmath.sqrt(1 - g)))
+
+
 class TestReliabilityBounds:
     def test_delta_min_closed_form(self):
         g = 1.0 / math.sqrt(2.0)
@@ -346,6 +356,38 @@ class TestReliabilityBounds:
                 while delta_min(gamma, want) > target:
                     want += 1
                 assert copies_min(gamma, target) == want, (gamma, target)
+
+    @settings(max_examples=400, deadline=None)
+    @given(gamma=st.floats(0.0, 1.0), d=st.integers(1, 400))
+    def test_delta_min_matches_50_digit_mpmath(self, gamma, d):
+        got = delta_min(gamma, d)
+        want = float(mp_delta_min(gamma, d))
+        assert math.isclose(got, want, rel_tol=1e-14, abs_tol=1e-300), (gamma, d, got, want)
+
+    def test_delta_min_does_not_cancel(self):
+        # (1 - sqrt(1 - g))/2 printed 0.0 here, and 9.10012361022e-08 for the second
+        assert delta_min(0.5, 30) == pytest.approx(2.168404344971e-19, rel=1e-12)
+        assert f"{delta_min(0.3468, 7):.12g}" == "9.10012360842e-08"
+        assert f"{delta_min(0.8, 40):.12g}" == "4.41711768146e-09"
+
+    @settings(max_examples=400, deadline=None)
+    @given(gamma=st.floats(0.05, 0.99), d=st.integers(1, 60),
+           where=st.sampled_from(["below", "at", "above", "1e-10 below", "1e-10 above"]))
+    def test_copies_min_settles_on_delta_min(self, gamma, d, where):
+        at = delta_min(gamma, d)
+        delta = {"below": math.nextafter(at, 0.0), "at": at, "above": math.nextafter(at, 1.0),
+                 "1e-10 below": at * (1 - 1e-10), "1e-10 above": at * (1 + 1e-10)}[where]
+        d_min = copies_min(gamma, delta)
+        assert delta_min(gamma, d_min) <= delta
+        assert d_min == 1 or delta < delta_min(gamma, d_min - 1)
+        assert d_min == (d + 1 if where.endswith("below") else d)  # delta_min falls by >= 2% a copy here
+
+    @settings(max_examples=200, deadline=None)
+    @given(gamma=st.floats(1e-300, 1.0, exclude_max=True), delta=st.floats(1e-300, 0.5, exclude_max=True))
+    def test_copies_min_is_the_least_d_anywhere(self, gamma, delta):
+        d_min = copies_min(gamma, delta)
+        assert delta_min(gamma, d_min) <= delta
+        assert d_min == 1 or delta < delta_min(gamma, d_min - 1)
 
     def test_degenerate_arguments_rejected(self):
         with pytest.raises(ValueError):
