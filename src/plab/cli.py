@@ -242,8 +242,9 @@ def _run_emx(p: dict, seed: int):
     dist = _load_json(p["dist"], FinSupportDist.from_json)
     learner = SegmentLearner(IndexedDomain(dist.support))
     need = sample_complexity(p["epsilon"], p["delta"])
-    metrics = {**_guarantee(p, seed, learner, dist, need if p["d"] is None else p["d"]), "sample_complexity": need}
-    sweep = [_guarantee(p, seed, learner, dist, d) for d in p["sweep_d"] or ()]
+    run = functools.cache(lambda d: _guarantee(p, seed, learner, dist, d))  # each distinct d runs once
+    metrics = {**run(need if p["d"] is None else p["d"]), "sample_complexity": need}
+    sweep = [run(d) for d in p["sweep_d"] or ()]
     return metrics, sweep or None
 
 
@@ -252,12 +253,13 @@ def _run_coarse(p: dict, seed: int):
                                                             raw["weights"]))
     d = sample_complexity(p["epsilon"], p["delta"]) if p["d"] is None else p["d"]
 
+    @functools.cache  # each distinct resolution runs once
     def run(bits: int) -> dict:
         pi = coarse.UniformBinsMap(bits)
         learner = SegmentLearner(pi.domain, pi, p["epsilon"], p["delta"])
         return {"bits": bits, **_guarantee(p, seed, learner, dist, d)}
 
-    metrics = run(p["bits"])
+    metrics = {**run(p["bits"])}
     sweep = [run(b) for b in p["sweep_bits"] or ()]
     return metrics, sweep or None
 
@@ -284,6 +286,7 @@ def _run_compress(p: dict, seed: int):
     scheme = compression.segment_scheme(dom, p["m"])
     learner = lambda s: compression.compression_learner(scheme, s, dom)  # noqa: E731
 
+    @functools.cache  # each distinct sample size runs once
     def run(n: int) -> dict:
         rep = verify_guarantee(learner, dist, p["epsilon"], p["delta"], n, p["trials"], seed)
         return {"n": n, "empirical_rate": rep.empirical_rate, "ci_halfwidth": rep.ci_halfwidth,

@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_right
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
-from .emx import FiniteHypothesis, IndexedDomain, _mass, _prefix_table, quantile_learn
+from .emx import FiniteHypothesis, IndexedDomain, quantile_learn
 
 ALPHA = Fraction(1, 6)  # weak-learning slack; the three n-conditions below use it
 CANDIDATE_LIMIT = 4096  # value subtuples a scheme keeps reconstructed; past it they are rebuilt per call
@@ -38,10 +37,10 @@ class CompressionScheme:
     always gives an equal hypothesis, and calling it has no effect that
     matters.  ``compression_learner`` relies on this: it keeps the
     reconstruction of each value subtuple it meets (with its size and
-    ``segment_form()``) in a table on the scheme, up to ``CANDIDATE_LIMIT``
-    entries, and reconstructs only subtuples the table does not hold.  The
-    table is not a field of the constructor, so ``dataclasses.replace``
-    starts a scheme with an empty one.
+    ``segment_form()``, which sorts it into a nested family) in a table on
+    the scheme, up to ``CANDIDATE_LIMIT`` entries, and reconstructs only
+    subtuples the table does not hold.  The table is not a field of the
+    constructor, so ``dataclasses.replace`` starts a scheme with an empty one.
     """
 
     m_in: int
@@ -101,34 +100,30 @@ def required_n(m: int) -> int:
         n += 1
 
 
-def _distinct_subtuples(pts: tuple, m: int) -> Iterator[tuple]:
+def _distinct_subtuples(pts: tuple, m: int) -> list[tuple]:
     """Each distinct value m-subsequence of pts once, in the order of its
     leftmost embedding: the order of dict.fromkeys(combinations(pts, m)).
 
     The first position tuple that combinations() yields for a value tuple is
-    its greedy leftmost embedding, so a depth-first walk that extends each
-    prefix by the first occurrence after its last position of every value,
-    in position order, meets the value tuples in that same order.  Each step
-    holds one first-occurrence list over the u distinct values.
+    its greedy leftmost embedding, so extending each prefix by the first
+    occurrence from its start position on of every value, in position order,
+    meets the value tuples in that same order.  Each level is one list of
+    (prefix, start) pairs; one backward scan per level gives the sorted
+    first occurrences from every start the level holds.
     """
     if m == 1:  # the walk's one level: the values in first-occurrence order
-        return ((x,) for x in dict.fromkeys(pts))
-    where = defaultdict(list)
-    for i, x in enumerate(pts):
-        where[x].append(i)
-    last = len(pts)
-
-    def extend(prefix: tuple, after: int, left: int) -> Iterator[tuple]:
-        firsts = sorted(pos[k] for pos in where.values() if (k := bisect_right(pos, after)) < len(pos))
-        for q in firsts:
-            if q > last - left:  # too few positions after q to finish the tuple
-                break
-            if left == 1:
-                yield prefix + (pts[q],)
-            else:
-                yield from extend(prefix + (pts[q],), q, left - 1)
-
-    return extend((), -1, m)
+        return [(x,) for x in dict.fromkeys(pts)]
+    n, level = len(pts), [((), 0)]
+    for left in range(m, 0, -1):
+        at, firsts = dict.fromkeys((s for _, s in level), ()), {}  # start -> sorted first occurrences from it
+        for s in range(n - 1, min(at, default=n) - 1, -1):  # firsts: each value's first position >= s
+            firsts[pts[s]] = s
+            if s in at:
+                at[s] = sorted(firsts.values())
+        if left == 1:
+            return [prefix + (pts[q],) for prefix, s in level for q in at[s]]
+        # q <= n - left leaves enough positions to finish the tuple
+        level = [(prefix + (pts[q],), q + 1) for prefix, s in level for q in at[s] if q <= n - left]
 
 
 def compression_learner(
@@ -147,21 +142,20 @@ def compression_learner(
     reconstructed once per scheme: its hypothesis, size and segment form
     are kept in the scheme's candidate table (see ``CompressionScheme``),
     so a scheme's first call makes exactly the reconstruct calls above and
-    later calls only those for subtuples the table does not hold.  n is
-    fixed within a call, so empirical masses are compared as integer counts
-    of sample hits; a segment candidate's count is one ``bisect`` in a
-    prefix table over the ranks of the distinct values
-    (``emx._prefix_table``), built once per call.
+    later calls only those for subtuples the table does not hold.
+
+    Candidates whose ``segment_form()`` shares (pi, domain) are nested, so
+    of each such family only the first-met candidate of largest size can
+    win (nested sets of equal size are equal).  These and every candidate
+    without a segment form are scored in the order met, by a count of
+    sample hits over the sample's distinct values (n is fixed within a
+    call, so counts order like empirical masses).
     """
     pts = tuple(sample)
     n, m = len(pts), scheme.m_out
     if n < m + 1:
         raise ValueError(f"sample size {n} below m+1 = {m + 1}")
-    counts = Counter(pts)
-    values, mults, tables = tuple(counts), tuple(counts.values()), {}
-    candidates = scheme._candidates
-
-    best = best_key = best_desc = None  # best_key is (hits, cardinality); description computed lazily
+    candidates, finalists = scheme._candidates, {}  # finalists: family -> (hyp, size, form), in met order
     for sub in _distinct_subtuples(pts, m):
         entry = candidates.get(sub)
         if entry is None:
@@ -169,14 +163,15 @@ def compression_learner(
             entry = (hyp, len(hyp), hyp.segment_form())
             if len(candidates) < CANDIDATE_LIMIT:
                 candidates[sub] = entry
-        hyp, size, form = entry
-        if form is None:
-            hits = _mass(values, mults, hyp, tables, 0)
-        else:  # integer weights: the prefix table is always in order
-            pi, seg_dom, t = form
-            ranks, prefix, _, _ = _prefix_table(tables, values, mults, pi, seg_dom, 0)
-            hits = prefix[bisect_right(ranks, t)]
-        key = (hits, size)
+        family = (sub,) if entry[2] is None else entry[2][:2]  # (pi, domain); an explicit set stands alone
+        if family not in finalists or entry[1] > finalists[family][1]:
+            finalists.pop(family, None)  # a larger member takes its own place in the met order
+            finalists[family] = entry
+
+    counts = Counter(pts)
+    best = best_key = best_desc = None  # best_key is (hits, cardinality); description computed lazily
+    for hyp, size, _ in finalists.values():
+        key = (sum(c for x, c in counts.items() if x in hyp), size)
         if best is None or key > best_key:
             best, best_key, best_desc = hyp, key, None
         elif key == best_key and hyp != best:

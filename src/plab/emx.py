@@ -288,10 +288,12 @@ class FinSupportDist:
     ``support`` holds distinct points; ``weights`` are finite, strictly
     positive and sum to exactly 1 when all rational, or to 1 within 1e-12 when
     floats are involved.  Sampling uses the inverse CDF over the declared
-    support order.
+    support order, read from a guide table: a draw in one of K >= 16 |support|
+    dyadic buckets (K a power of two) that no CDF value splits maps straight
+    to its position, and only the others search the CDF.
     """
 
-    __slots__ = ("support", "weights", "_cdf", "_tables")
+    __slots__ = ("support", "weights", "_labels", "_cdf", "_guide", "_tables")
 
     def __init__(self, support: Sequence, weights: Sequence):
         self.support = tuple(support)
@@ -312,9 +314,16 @@ class FinSupportDist:
                 raise ValueError(f"rational weights must sum to exactly 1, got {total}")
         elif abs(float(total) - 1.0) > 1e-12:
             raise ValueError(f"float weights must sum to 1 within 1e-12, got {float(total)!r}")
+        self._labels = np.fromiter(self.support, dtype=object, count=len(self.support))  # a tuple label stays whole
         cdf = np.cumsum(np.asarray([float(w) for w in self.weights]))
         cdf[-1] = 1.0  # guard against u >= sum from rounding
         self._cdf = cdf
+        buckets = 1 << (16 * len(cdf) - 1).bit_length()
+        scaled = cdf * buckets  # exact: the bucket count is a power of two
+        cells = scaled.astype(np.intp)  # the bucket of each CDF value
+        # every draw in bucket b lies at #{cdf < (b + 1) / buckets}, unless a CDF value is inside b: then -1
+        self._guide = np.cumsum(np.bincount(cells, minlength=buckets)[:buckets])
+        self._guide[cells[(cells < buckets) & (cells != scaled)]] = -1
         self._tables: dict = {}  # (map, domain) -> prefix-mass table, see _prefix_table
 
     @property
@@ -326,12 +335,16 @@ class FinSupportDist:
         pts = tuple(points)
         return cls(pts, [Fraction(1, len(pts))] * len(pts))
 
-    def _positions(self, U: np.ndarray) -> np.ndarray:  # inverse CDF of uniform draws
-        return self._cdf.searchsorted(U, "right")
+    def _positions(self, U: np.ndarray) -> np.ndarray:  # inverse CDF of draws in [0, 1): _cdf.searchsorted(U, "right")
+        pos = self._guide.take((U * len(self._guide)).astype(np.intp))  # bucket floor(U K), exact: K is dyadic
+        miss = pos < 0
+        if miss.any():
+            pos[miss] = self._cdf.searchsorted(U[miss], "right")
+        return pos
 
     def sample(self, rng: np.random.Generator, d: int) -> tuple:
         """d i.i.d. points via the inverse CDF over the ordered support."""
-        return tuple(map(self.support.__getitem__, self._positions(rng.random(d)).tolist()))
+        return tuple(self._labels[self._positions(rng.random(d))].tolist())
 
     def to_json(self) -> dict:
         weights = [str(w) if isinstance(w, Fraction) else w for w in self.weights]
@@ -517,7 +530,8 @@ def verify_guarantee(
     substream (``substreams`` hashes them in one batch), so the report is
     reproducible and independent of trial execution order.  A block of
     trials is drawn at a time; a ``SegmentLearner`` decides it in one array
-    pass over the prefix table of ``mass``, any other learner gets labels.
+    pass over the prefix table of ``mass``, any other learner gets its label
+    tuples from one gather.
     ci_halfwidth is the 3-sigma binomial half-width at the empirical rate;
     bound is 1-(1-eps)^d.
     """
@@ -529,7 +543,8 @@ def verify_guarantee(
     target = 1 - epsilon
     table = learner._table(P, d) if isinstance(learner, SegmentLearner) else None
     if table is not None:  # (ranks, prefix, ordered, point_ranks): does the segment to each point's rank win?
-        wins_at = np.array([table[1][bisect_right(table[0], r)] >= target for r in table[3]])
+        k = bisect_left(table[1], target)  # the ordered prefix is nondecreasing: segments from the k-th rank win
+        wins_at = np.array([bisect_right(table[0], r) >= k for r in table[3]])
     streams = substreams(seed, trials)
     block = np.empty((min(trials, max(1, 2**16 // (d or 2**16))), d))  # <= 2^16 doubles, >= 1 trial, 1 at d = 0
     wins = 0
@@ -541,8 +556,8 @@ def verify_guarantee(
         if table is not None:  # segments grow with the rank: a trial's largest wins iff any of its points' does
             wins += int(wins_at[positions].any(axis=1).sum())
         else:
-            for row in positions:  # one label tuple at a time
-                wins += mass(P, learner(tuple(map(P.support.__getitem__, row.tolist())))) >= target
+            for sample in map(tuple, P._labels[positions].tolist()):  # one label gather per block
+                wins += mass(P, learner(sample)) >= target
     rate = wins / trials
     return GuaranteeReport(
         epsilon=epsilon,

@@ -273,8 +273,9 @@ def delta_min(gamma: float, d: int) -> float:
 def copies_min(gamma: float, delta: float) -> int:
     """Smallest integer d >= 1 with delta_min(gamma, d) <= delta, that is
     d >= ln(1/(4*delta*(1-delta)))/(-2*ln(gamma)); the copy count below which
-    worst-case error delta is impossible.  The float ratio is a first guess,
-    settled by stepping on ``delta_min``, so the two never disagree.
+    worst-case error delta is impossible.  The ratio, taken from logs so that
+    no subnormal delta overflows it, is a first guess, settled by bisection
+    on ``delta_min``, so the two never disagree.
 
     gamma in {0,1} is degenerate (orthogonal states need no copies; identical
     states never separate) and raises.
@@ -283,12 +284,16 @@ def copies_min(gamma: float, delta: float) -> int:
         raise ValueError("gamma in {0,1} is degenerate for a copy count")
     if not 0.0 < delta < 0.5:
         raise ValueError("delta must lie in (0, 1/2)")
-    d = max(1, math.ceil(math.log(1.0 / (4.0 * delta * (1.0 - delta))) / (-2.0 * math.log(gamma))))
-    while d > 1 and delta_min(gamma, d - 1) <= delta:
-        d -= 1
-    while delta_min(gamma, d) > delta:
-        d += 1
-    return d
+    d = max(1, math.ceil((-math.log(4.0) - math.log(delta) - math.log1p(-delta)) / (-2.0 * math.log(gamma))))
+    lo, hi = d - 1, d  # bracket: lo = 0 or delta_min(lo) > delta >= delta_min(hi)
+    while delta_min(gamma, hi) > delta:
+        lo, hi = hi, 2 * hi
+    while lo > 0 and delta_min(gamma, lo) <= delta:
+        lo, hi = lo // 2, lo
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if delta_min(gamma, mid) <= delta else (mid, hi)
+    return hi
 
 
 class CorrelationTable:

@@ -115,6 +115,24 @@ def test_sweep_table_cells_are_the_report_sweep_as_text(workdir, name):
     assert rows == [{key: str(value) for key, value in point.items()} for point in sweep]
 
 
+@pytest.mark.parametrize("argv", [
+    ["emx", "--dist", "dist.json", "--d", "3", "--sweep-d", "3,1,1"],
+    ["coarse", "--dist", "points.json", "--bits", "3", "--sweep-bits", "3,0,0"],
+    ["compress", "--mode", "lemma1", "--dist", "dist.json", "--n", "12", "--sweep-n", "12,4,4"],
+], ids=["emx", "coarse", "compress"])
+def test_each_distinct_point_of_a_run_is_checked_once(workdir, monkeypatch, argv):
+    """The run's own point comes first in the sweep, and the last two sweep
+    points are equal: two ``verify_guarantee`` calls make all four entries."""
+    calls = []
+    monkeypatch.setattr(cli, "verify_guarantee", lambda *args: calls.append(args) or emx.verify_guarantee(*args))
+    assert main([*argv, "--trials", "40", "--out", "r.json"]) == 0
+    report = json.loads((workdir / "r.json").read_text())
+    assert len(calls) == 2
+    first, *rest = report["sweep"]
+    assert first == {key: report["metrics"][key] for key in first}
+    assert rest[0] == rest[1]
+
+
 def test_repeated_runs_are_identical_up_to_wall_clock(workdir):
     argv = ["emx", "--dist", "dist.json", "--trials", "120", "--seed", "9", "--out", "a.json"]
     assert main(argv) == 0

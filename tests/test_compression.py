@@ -120,6 +120,14 @@ class TestCompressionLearner:
         for perm in itertools.islice(itertools.permutations(pts), 6):
             assert compression_learner(scheme, perm, DOM) == base
 
+    def test_equal_sets_keep_the_first_met(self):
+        # the explicit {a, b, c} is met after the first segment of DOM's
+        # family and before the segment equal to it, which ties and loses
+        recon = {"a": DOM.initial_segment(1), "c": FiniteHypothesis.from_elements("abc"), "d": DOM.initial_segment(3)}
+        scheme = CompressionScheme(m_in=2, m_out=1, reconstruct=lambda sub: recon[sub[0]])
+        h = compression_learner(scheme, ("a", "c", "d"), DOM)
+        assert h == DOM.initial_segment(3) and not h.is_segment
+
     def test_tie_breaks_toward_larger_then_lex_smaller(self):
         # non-nested candidates: reconstruct is the kept point alone
         point_scheme = CompressionScheme(

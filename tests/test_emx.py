@@ -262,6 +262,33 @@ class TestSampling:
         assert P.sample(rng, d) == tuple(P.support[i] for i in np.searchsorted(P._cdf, ref.random(d), side="right"))
         assert rng.bit_generator.state == ref.bit_generator.state
 
+    @settings(max_examples=200, deadline=None)
+    @given(weights=st.one_of(
+        st.just([Fraction(1)]),  # one point: every bucket maps to it
+        st.integers(3, 40).map(  # a cluster in the bucket that starts at 1/2
+            lambda k: [Fraction(1, 2)] + [Fraction(1, 10**6)] * (k - 2) + [Fraction(1, 2) - Fraction(k - 2, 10**6)]),
+        st.lists(st.integers(1, 10**6), min_size=1, max_size=40).map(lambda c: [x / sum(c) for x in c]),
+        st.tuples(st.lists(st.integers(1, 100), min_size=2, max_size=20), st.floats(1e-14, 4e-13)).map(
+            lambda t: [x / sum(t[0]) for x in t[0][:-2]] + [(t[0][-2] + t[0][-1]) / sum(t[0]) + t[1], 1e-13]),
+    ))
+    def test_guide_table_draws_are_the_cdf_search(self, weights):
+        """The guide table gives ``_cdf.searchsorted(U, "right")`` for draws
+        in [0, 1): at every CDF value and its neighbours, at each bucket edge
+        b/K and just below it, and at the largest draw 1 - 2^-53.  The last
+        kind of weights has a running sum that passes 1 before its last point."""
+        P = FinSupportDist([f"x{i}" for i in range(len(weights))], weights)
+        if weights[-1] == 1e-13:
+            assert P._cdf[-2] > 1.0
+        K = len(P._guide)
+        assert K >= 16 * len(weights) and K & (K - 1) == 0
+        edges = np.arange(K) / K
+        U = np.concatenate([P._cdf, np.nextafter(P._cdf, 0.0), np.nextafter(P._cdf, 2.0), edges,
+                            np.nextafter(edges, -1.0), [1 - 2**-53]])
+        U = U[(U >= 0) & (U < 1)]
+        want = P._cdf.searchsorted(U, "right")
+        assert np.array_equal(P._positions(U), want)
+        assert np.array_equal(P._positions(U[:, None]), want[:, None])
+
     def test_frequencies_track_weights(self):
         P = FinSupportDist("abc", ["1/2", "1/4", "1/4"])
         pts = draw_sample(P, 40_000, seed=5)

@@ -429,17 +429,20 @@ def test_label_path_gets_trial_ks_sample_across_blocks(d, trials):
     """A block holds 2^16 // d trials, at least one: 218, 218 and 64 at
     d = 300; one at a d past 2^16.  Every trial k, in order, hands the
     learner the label tuple ``P.sample`` draws from substream (seed, k), and
-    the rate counts the masses of what the learner returned."""
-    P = FinSupportDist([0.1, 0.3, 0.5, 0.7, 0.9], ["1/10", "2/10", "3/10", "1/10", "3/10"])
-    seed, seen = 2**64 + 3, []
+    the rate counts the masses of what the learner returned.  A tuple label
+    reaches the learner whole."""
+    for labels in ([0.1, 0.3, 0.5, 0.7, 0.9], [("a", 1), ("b", 2), ("c", 3), ("d", 4), ("e", 5)]):
+        P = FinSupportDist(labels, ["1/10", "2/10", "3/10", "1/10", "3/10"])
+        seed, seen = 2**64 + 3, []
 
-    def learner(sample):
-        seen.append(sample)
-        return frozenset(sample[:3])
+        def learner(sample):
+            seen.append(sample)
+            return frozenset(sample[:3])
 
-    rep = verify_guarantee(learner, P, "1/3", "1/3", d, trials, seed)
-    assert seen == [P.sample(emx.substream(seed, k), d) for k in range(trials)]
-    assert rep.empirical_rate == sum(mass(P, frozenset(s[:3])) >= Fraction(2, 3) for s in seen) / trials
+        rep = verify_guarantee(learner, P, "1/3", "1/3", d, trials, seed)
+        assert seen == [P.sample(emx.substream(seed, k), d) for k in range(trials)]
+        assert {len(s) for s in seen} == {d} and set(itertools.chain.from_iterable(seen)) <= set(labels)
+        assert rep.empirical_rate == sum(mass(P, frozenset(s[:3])) >= Fraction(2, 3) for s in seen) / trials
 
 
 @pytest.mark.parametrize("learner_of", [
@@ -480,18 +483,36 @@ def min_segment_scheme(dom, m):
     return CompressionScheme(m + 1, m, lambda sub: dom.initial_segment(min(dom.idx(x) for x in sub)))
 
 
+def families_scheme(dom, m):
+    """The initial segment up to the largest kept rank, as a segment over
+    ``dom``, a segment over a second domain object with the same labels, or
+    an explicit set, by the kept ranks' sum: two nested families whose
+    finalists tie with equal sets met before them."""
+    twin = IndexedDomain(dom.labels)
+
+    def reconstruct(sub):
+        ranks = [dom.idx(x) for x in sub]
+        t = max(ranks)
+        return (dom.initial_segment(t), twin.initial_segment(t), FiniteHypothesis.from_elements(dom.labels[:t]))[
+            sum(ranks) % 3]
+
+    return CompressionScheme(m + 1, m, reconstruct)
+
+
 def scheme_for(kind, dom, m):
     if kind in ("segment", "two_to_one"):  # the 2->1 scheme is segment_scheme(dom, 1)
         return segment_scheme(dom, m)
     if kind == "min_segment":
         return min_segment_scheme(dom, m)
+    if kind == "families":
+        return families_scheme(dom, m)
     # learner_to_compression with d = 1 or 2 keeps m = 2 or 3 points
     return learner_to_compression(lambda s: quantile_learn(s, dom), m - 1, dom)
 
 
 @settings(max_examples=300, deadline=None)
 @given(
-    kind=st.sampled_from(["segment", "two_to_one", "min_segment", "learner"]),
+    kind=st.sampled_from(["segment", "two_to_one", "min_segment", "families", "learner"]),
     m=st.integers(1, 4),
     size=st.integers(1, 6),
     limit=st.sampled_from([compression.CANDIDATE_LIMIT, 0, 1, 3, 7]),

@@ -389,6 +389,15 @@ class TestReliabilityBounds:
         assert delta_min(gamma, d_min) <= delta
         assert d_min == 1 or delta < delta_min(gamma, d_min - 1)
 
+    @pytest.mark.parametrize("gamma", [0.5, 1 - 2**-53])
+    @pytest.mark.parametrize("delta", [1e-310, 5e-324])
+    def test_copies_min_returns_for_subnormal_delta(self, gamma, delta):
+        """1/(4 delta (1 - delta)) overflows a float here.  Next to gamma = 1
+        the answer is about 3e18 copies; at delta = 5e-324 the first guess
+        is 1.4e15 copies above it, out of reach of unit steps."""
+        d_min = copies_min(gamma, delta)
+        assert delta_min(gamma, d_min) <= delta < delta_min(gamma, d_min - 1)
+
     def test_degenerate_arguments_rejected(self):
         with pytest.raises(ValueError):
             copies_min(1.0, 0.05)
