@@ -297,36 +297,19 @@ def _run_compress(p: dict, seed: int):
     return metrics, sweep or None
 
 
-def _discrimination_point(gamma: float, d: int, delta) -> dict:
-    r0, r1 = quantum.pure_pair(gamma, d)
-    povm, distance = quantum.helstrom(r0, r1)
-    point = {
-        "gamma": gamma,
-        "copies": d,
-        "trace_distance": distance,
-        "formula": quantum.pure_distance_formula(gamma, d),
-        "bound": 1.0 + 0.5 * distance,
-        "achieved": quantum.discrimination_sum(povm, r0, r1),
-        "delta_min": quantum.delta_min(gamma, d),
-    }
-    if delta is not None:
-        point["d_min"] = quantum.copies_min(gamma, delta)
-    return point
-
-
 def _run_quantum(p: dict, seed: int):
     gamma, d, delta = p["gamma"], p["copies"], p["delta"]
     if p["sweep_gamma"] and p["sweep_copies"]:
         raise ValueError("give sweep_gamma or sweep_copies, not both")
-    metrics = _discrimination_point(gamma, d, delta)
-    if p["sweep_gamma"]:
-        points = [_discrimination_point(g, d, delta) for g in p["sweep_gamma"]]
-        fixed = "copies"
-    else:
-        points = [_discrimination_point(gamma, dd, delta) for dd in p["sweep_copies"] or ()]
-        fixed = "gamma"
-    sweep = [{k: v for k, v in point.items() if k != fixed} for point in points]
-    return metrics, sweep or None
+    points = [(gamma, d), *((g, d) for g in p["sweep_gamma"] or ()), *((gamma, dd) for dd in p["sweep_copies"] or ())]
+    distinct = list(dict.fromkeys(points))  # one stack, each distinct (gamma, d) once
+    found = dict(zip(distinct, zip(*(a.tolist() for a in quantum.pure_pair_helstrom(distinct)))))
+    d_min = functools.cache(lambda g: {} if delta is None else {"d_min": quantum.copies_min(g, delta)})
+    rows = [{"gamma": g, "copies": dd, "trace_distance": found[g, dd][0],
+             "formula": quantum.pure_distance_formula(g, dd), "bound": 1.0 + 0.5 * found[g, dd][0],
+             "achieved": found[g, dd][1], "delta_min": quantum.delta_min(g, dd), **d_min(g)} for g, dd in points]
+    fixed = "copies" if p["sweep_gamma"] else "gamma"
+    return rows[0], [{k: v for k, v in row.items() if k != fixed} for row in rows[1:]] or None
 
 
 def _run_feasible_lp(p: dict, seed: int):

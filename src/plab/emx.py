@@ -486,15 +486,39 @@ class SegmentLearner:
         return table if table[2] and None not in table[3] else None
 
 
+_TIE_BITS = 1 << 18  # largest power, in bits, that ``sample_complexity`` computes to settle a tie
+
+
+def _ln(x: Fraction) -> float:
+    """ln x for a rational x in (0, 1) to well within 2^-46 relative: log1p
+    above 1/2, where ln x would cancel, and integer logs below the normal floats."""
+    if x > 0.5:
+        return math.log1p(-float(1 - x))
+    return math.log(x) if x >= 2.0**-1022 else math.log(x.numerator) - math.log(x.denominator)
+
+
 def sample_complexity(epsilon, delta) -> int:
-    """Smallest integer d >= ln(1/delta)/(-ln(1-epsilon)), at least 1."""
+    """Smallest integer d >= 1 with (1-epsilon)^d <= delta.
+
+    The float ratio r = ln(delta)/ln(1-epsilon) gives d = ceil(r).  Within
+    2^-46 r of an integer n (64 units in the last place, well above the
+    ratio's rounding error), r could put d on the wrong side of n, so there d
+    is settled exactly: with 1 - epsilon = s/q and delta = a/b, d = n when
+    s^n * b <= a * q^n and n + 1 otherwise.  A tie needing powers of more than
+    2^18 bits raises ValueError rather than stalling.
+    """
     eps, dlt = accuracy(epsilon, delta)
-    # log(delta)/log1p(-eps) is the exact ratio; the nudge keeps integer
-    # ratios (e.g. 0.5,0.5 -> 1.0) from ceiling up on representation noise.
     try:
-        return max(1, math.ceil(math.log(dlt) / math.log1p(-float(eps)) - 1e-12))
+        r = _ln(dlt) / _ln(1 - eps)
+        n = round(r)
     except (ValueError, ArithmeticError):  # ln 0, or a ratio beyond the float range
         raise ValueError("sample complexity needs delta > 0 and a d within the float range") from None
+    if abs(r - n) > 2.0**-46 * max(1.0, r):
+        return max(1, math.ceil(r))
+    (s, q), (a, b) = (1 - eps).as_integer_ratio(), dlt.as_integer_ratio()
+    if n * q.bit_length() + b.bit_length() > _TIE_BITS:
+        raise ValueError(f"sample complexity near d = {n} is too close to a tie to settle within 2^18 bits")
+    return max(1, n if s**n * b <= a * q**n else n + 1)
 
 
 @dataclass(frozen=True)
@@ -533,7 +557,7 @@ def verify_guarantee(
     pass over the prefix table of ``mass``, any other learner gets its label
     tuples from one gather.
     ci_halfwidth is the 3-sigma binomial half-width at the empirical rate;
-    bound is 1-(1-eps)^d.
+    bound is 1-(1-eps)^d, computed as -expm1(d*log1p(-eps)), which does not cancel.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -567,5 +591,5 @@ def verify_guarantee(
         seed=seed,
         empirical_rate=rate,
         ci_halfwidth=3.0 * math.sqrt(rate * (1.0 - rate) / trials),
-        bound=1.0 - (1.0 - float(epsilon)) ** d,
+        bound=-math.expm1(d * math.log1p(-float(epsilon))),
     )

@@ -368,7 +368,7 @@ def sdp_feasible(states: Sequence[DensityMatrix], task: TaskSpec, epsilon, delta
             m = _jrf_step(a, m)
             steps += 1
             avg += (m - avg) / steps
-            for cand in (m, avg):
+            for cand in (m, avg) if steps > 1 else (m,):  # after one step avg equals m
                 worst = float(successes(cand).min())
                 if worst > lo:
                     with contextlib.suppress(ValueError):  # an invalid candidate never sets lo

@@ -18,6 +18,13 @@ again: it carries its factor's check, with the tolerances scaled by d.
 as 2x2 states: d copies of two pure states span a two-dimensional space, so
 the pair costs the same at every d and needs no cap.
 
+The state and POVM checks, the Helstrom eigendecomposition and the success
+sums work on stacks (..., n, n): numpy's stacked linalg runs the same LAPACK
+routine on every slice, so a stack costs one call per step and gives each
+slice the bits of a call on it alone.  ``pure_pair_helstrom`` discriminates
+a whole list of (gamma, d) points that way; ``DensityMatrix``, ``Povm``,
+``pure_pair``, ``helstrom`` and ``discrimination_sum`` are the one-slice case.
+
 Everything is dense complex numpy.
 """
 
@@ -54,16 +61,33 @@ def _hermitize(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().swapaxes(-1, -2)) / 2.0
 
 
-def _check_psd(m: np.ndarray, what: str, herm_tol: float) -> None:
-    """Raise ValueError unless m is finite, Hermitian within herm_tol and has
-    no eigenvalue below -1e-10.  Finiteness comes first: every comparison
-    with NaN is False, so the later checks would pass a NaN matrix."""
+def _checked(m: np.ndarray, povm: bool = False) -> np.ndarray:
+    """m frozen once every state of the stack m (..., n, n), or POVM of m (..., k, n, n), passes the rules
+    above: one eigvalsh for all matrices, one for all POVM sums.  Finiteness comes first: every
+    comparison with NaN is False, so the later checks would pass a NaN matrix."""
+    what, herm_tol = ("POVM element", POVM_TOL) if povm else ("state", HERM_TOL)
     if not np.isfinite(m).all():
         raise ValueError(f"{what} has a non-finite entry")
-    if np.max(np.abs(m - m.conj().T)) > herm_tol:
+    if np.max(np.abs(m - m.conj().swapaxes(-1, -2))) > herm_tol:
         raise ValueError(f"{what} is not Hermitian within {herm_tol:g}")
     if np.linalg.eigvalsh(_hermitize(m)).min() < -STATE_EIG_TOL:
         raise ValueError(f"{what} has an eigenvalue below -1e-10")
+    if povm:
+        gap = np.linalg.eigvalsh(_hermitize(m.sum(axis=-3) - np.eye(m.shape[-1])))
+        if np.max(np.abs(gap)) > POVM_TOL:
+            raise ValueError("POVM elements do not sum to the identity within 1e-10")
+    else:
+        tr = np.trace(m, axis1=-2, axis2=-1)
+        if np.abs(tr.real - 1.0).max() > TRACE_TOL or np.abs(tr.imag).max() > TRACE_TOL:
+            raise ValueError("state trace is not 1 within 1e-12")
+    m.setflags(write=False)
+    return m
+
+
+def _trusted(mat: np.ndarray) -> "DensityMatrix":
+    rho = object.__new__(DensityMatrix)  # skips __init__: the caller checked mat
+    rho.mat = mat
+    return rho
 
 
 class DensityMatrix:
@@ -75,11 +99,7 @@ class DensityMatrix:
         m = np.array(mat, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("state must be a square matrix")
-        _check_psd(m, "state", HERM_TOL)
-        if abs(np.trace(m).real - 1.0) > TRACE_TOL or abs(np.trace(m).imag) > TRACE_TOL:
-            raise ValueError("state trace is not 1 within 1e-12")
-        m.setflags(write=False)
-        self.mat = m
+        self.mat = _checked(m)
 
     @property
     def dim(self) -> int:
@@ -128,19 +148,12 @@ class Povm:
     __slots__ = ("elements", "labels")
 
     def __init__(self, elements: Sequence, labels: Sequence | None = None):
-        mats = [np.array(e, dtype=complex) for e in elements]
+        mats = [np.asarray(e, dtype=complex) for e in elements]
         if not mats:
             raise ValueError("POVM needs at least one element")
-        dim = mats[0].shape[0]
-        for e in mats:
-            if e.ndim != 2 or e.shape != (dim, dim):
-                raise ValueError("POVM elements must be square matrices of equal dimension")
-            _check_psd(e, "POVM element", POVM_TOL)
-            e.setflags(write=False)
-        gap = np.linalg.eigvalsh(_hermitize(sum(mats) - np.eye(dim)))
-        if np.max(np.abs(gap)) > POVM_TOL:
-            raise ValueError("POVM elements do not sum to the identity within 1e-10")
-        self.elements = tuple(mats)
+        if any(e.ndim != 2 or e.shape != mats[0].shape or e.shape[0] != e.shape[1] for e in mats):
+            raise ValueError("POVM elements must be square matrices of equal dimension")
+        self.elements = tuple(_checked(np.array(mats), povm=True))
         self.labels = tuple(labels) if labels is not None else tuple(range(len(mats)))
         if len(self.labels) != len(self.elements):
             raise ValueError("one label per element required")
@@ -192,9 +205,7 @@ def tensor_power(rho: DensityMatrix, d: int) -> DensityMatrix:
     for _ in range(d - 1):
         out = np.kron(out, rho.mat)
     out.setflags(write=False)
-    power = object.__new__(DensityMatrix)  # skips __init__: rho's check covers the power
-    power.mat = out
-    return power
+    return _trusted(out)  # rho's check covers the power
 
 
 def _check_overlap(gamma: float, d: int) -> None:
@@ -202,6 +213,16 @@ def _check_overlap(gamma: float, d: int) -> None:
         raise ValueError("overlap gamma must lie in [0,1]")
     if d < 1:
         raise ValueError("d must be >= 1")
+
+
+def _pure_pairs(points: Sequence[tuple[float, int]]) -> np.ndarray:
+    """The pairs of ``pure_pair`` for every (gamma, d) of points, one checked stack (P, 2, 2, 2)."""
+    for gamma, d in points:
+        _check_overlap(gamma, d)
+    kets = np.array([[[1, 0], [g, math.sqrt(max(0.0, 1.0 - g * g))]] for g in (x**d for x, d in points)], complex)
+    re = kets.real[..., None, :]  # each norm as np.linalg.norm takes it for one ket, as in DensityMatrix.pure
+    kets /= np.sqrt(re @ re.swapaxes(-1, -2))[..., 0]
+    return _checked(kets[..., :, None] * kets[..., None, :].conj())
 
 
 def pure_pair(gamma: float, d: int) -> tuple[DensityMatrix, DensityMatrix]:
@@ -214,9 +235,7 @@ def pure_pair(gamma: float, d: int) -> tuple[DensityMatrix, DensityMatrix]:
     that of the dense pair from ``tensor_power``; at d = 1 the states are the
     single-copy states themselves.
     """
-    _check_overlap(gamma, d)
-    g = gamma**d
-    return DensityMatrix.pure([1.0, 0.0]), DensityMatrix.pure([g, math.sqrt(max(0.0, 1.0 - g * g))])
+    return tuple(map(_trusted, _pure_pairs([(gamma, d)])[0]))
 
 
 def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -233,6 +252,21 @@ def pure_distance_formula(gamma: float, d: int) -> float:
     return 2.0 * math.sqrt(max(0.0, 1.0 - gamma ** (2 * d)))
 
 
+def _helstrom(r0: np.ndarray, r1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unchecked Helstrom POVMs (..., 2, n, n) and ||r0 - r1||_1 for stacks of states, from one eigh."""
+    w, v = np.linalg.eigh(_hermitize(r0 - r1))
+    k, m0 = (w > 1e-10).sum(axis=-1), np.empty_like(v)
+    for kk in set(k.flat):  # the eigenvalues ascend: the last kk columns span the positive part
+        pos = v[k == kk][..., v.shape[-1] - kk:]
+        m0[k == kk] = pos @ pos.conj().swapaxes(-1, -2)
+    return np.stack([m0, np.eye(r0.shape[-1]) - m0], axis=-3), np.abs(w).sum(axis=-1)
+
+
+def _success_sums(m: np.ndarray, r0: np.ndarray, r1: np.ndarray) -> np.ndarray:
+    """tr(M0 r0) + tr(M1 r1) along stacks m (..., 2, n, n) and r0, r1 (..., n, n)."""
+    return np.trace(m @ np.stack([r0, r1], axis=-3), axis1=-2, axis2=-1).real.sum(axis=-1)
+
+
 def helstrom(rho0: DensityMatrix, rho1: DensityMatrix) -> tuple[Povm, float]:
     """Optimal two-outcome measurement for rho0 vs rho1 (d-copy states from
     ``pure_pair`` or ``tensor_power`` for d-copy discrimination) and
@@ -245,11 +279,8 @@ def helstrom(rho0: DensityMatrix, rho1: DensityMatrix) -> tuple[Povm, float]:
     """
     if rho0.dim != rho1.dim:
         raise ValueError("dimension mismatch")
-    w, v = np.linalg.eigh(_hermitize(rho0.mat - rho1.mat))
-    pos = v[:, w > 1e-10]
-    m0 = pos @ pos.conj().T
-    m1 = np.eye(rho0.dim, dtype=complex) - m0
-    return Povm([m0, m1], labels=(0, 1)), float(np.sum(np.abs(w)))
+    m, distance = _helstrom(rho0.mat, rho1.mat)
+    return Povm(m, labels=(0, 1)), float(distance)
 
 
 def discrimination_sum(povm: Povm, rho0: DensityMatrix, rho1: DensityMatrix) -> float:
@@ -258,7 +289,15 @@ def discrimination_sum(povm: Povm, rho0: DensityMatrix, rho1: DensityMatrix) -> 
         raise ValueError("binary discrimination needs a two-outcome POVM")
     if povm.dim != rho0.dim:
         raise ValueError("POVM dimension does not match the states")
-    return float(np.trace(povm.elements[0] @ rho0.mat).real + np.trace(povm.elements[1] @ rho1.mat).real)
+    return float(_success_sums(np.array(povm.elements), rho0.mat, rho1.mat))
+
+
+def pure_pair_helstrom(points: Sequence[tuple[float, int]]) -> tuple[np.ndarray, np.ndarray]:
+    """||rho0 - rho1||_1 and the success sum of ``helstrom`` on ``pure_pair(gamma, d)`` for every (gamma, d)
+    of points: the same values, from one state check, one eigh and one POVM check of the stack."""
+    r = _pure_pairs(points)
+    m, distance = _helstrom(r[:, 0], r[:, 1])
+    return distance, _success_sums(_checked(m, povm=True), r[:, 0], r[:, 1])
 
 
 def delta_min(gamma: float, d: int) -> float:

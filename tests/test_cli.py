@@ -133,6 +133,56 @@ def test_each_distinct_point_of_a_run_is_checked_once(workdir, monkeypatch, argv
     assert rest[0] == rest[1]
 
 
+def test_each_distinct_discrimination_point_is_one_slice_of_one_stack(workdir, monkeypatch):
+    stacks, d_mins = [], []
+    monkeypatch.setattr(quantum, "pure_pair_helstrom", lambda points, f=quantum.pure_pair_helstrom:
+                        stacks.append(list(points)) or f(points))
+    monkeypatch.setattr(quantum, "copies_min", lambda g, delta, f=quantum.copies_min: d_mins.append(g) or f(g, delta))
+    argv = ["quantum", "discriminate", "--gamma", "0.8", "--copies", "2", "--delta", "0.05", "--sweep-copies", "2,1,1"]
+    assert main([*argv, "--out", "r.json"]) == 0
+    report = json.loads((workdir / "r.json").read_text())
+    assert stacks == [[(0.8, 2), (0.8, 1)]] and d_mins == [0.8]
+    assert [pt["copies"] for pt in report["sweep"]] == [2, 1, 1]
+    assert report["sweep"][0] == {k: v for k, v in report["metrics"].items() if k != "gamma"}
+
+
+def test_discrimination_eigensolves_do_not_grow_with_the_sweep(workdir, monkeypatch):
+    calls = []
+
+    def counting(name):
+        solve = getattr(np.linalg, name)
+        return lambda *args, **kwargs: calls.append(name) or solve(*args, **kwargs)
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counting(name))
+    seen = []
+    for sweep in ("2", ",".join(map(str, range(1, 61)))):
+        calls.clear()
+        assert main(["quantum", "discriminate", "--gamma", "0.7", "--delta", "0.05", "--sweep-copies", sweep]) == 0
+        seen.append(sorted(calls))
+    # one eigh of every difference; eigvalsh of every state, every POVM element, every POVM sum
+    assert seen[0] == seen[1] == ["eigh", "eigvalsh", "eigvalsh", "eigvalsh"]
+
+
+def test_a_300_point_copy_sweep_is_its_points_one_by_one(workdir):
+    copies = list(range(1, 301))
+    argv = ["quantum", "discriminate", "--gamma", "0.97", "--delta", "1e-6",
+            "--sweep-copies", ",".join(map(str, copies))]
+    assert main([*argv, "--out", "r.json", "--table", "t.csv"]) == 0
+    report = json.loads((workdir / "r.json").read_text())
+    assert [pt["copies"] for pt in report["sweep"]] == copies
+    for pt in report["sweep"]:
+        r0, r1 = quantum.pure_pair(0.97, pt["copies"])
+        povm, distance = quantum.helstrom(r0, r1)
+        assert pt["trace_distance"] == cli._leaf(distance)
+        assert pt["bound"] == cli._leaf(1.0 + 0.5 * distance)
+        assert pt["achieved"] == cli._leaf(quantum.discrimination_sum(povm, r0, r1))
+        assert pt["delta_min"] == cli._leaf(quantum.delta_min(0.97, pt["copies"]))
+        assert pt["d_min"] == quantum.copies_min(0.97, 1e-6)
+    with open(workdir / "t.csv", encoding="utf-8", newline="") as fh:
+        assert len(list(csv.DictReader(fh))) == 300
+
+
 def test_repeated_runs_are_identical_up_to_wall_clock(workdir):
     argv = ["emx", "--dist", "dist.json", "--trials", "120", "--seed", "9", "--out", "a.json"]
     assert main(argv) == 0

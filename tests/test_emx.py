@@ -9,6 +9,7 @@ import dataclasses
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -385,6 +386,36 @@ class TestSampleComplexity:
             for dlt in [Fraction(1, 2), Fraction(1, 3), Fraction(1, 10), Fraction(1, 100)]:
                 assert sample_complexity(eps, dlt) == exact_min_d(eps, dlt), (eps, dlt)
 
+    def test_a_near_tie_is_settled_exactly(self):
+        # (1/2)^10 exceeds delta = 2^-10 - 2^-70 by 2^-70: the float ratio says 10
+        dlt = Fraction(1152921504606846975, 1180591620717411303424)
+        assert dlt == Fraction(1, 2**10) - Fraction(1, 2**70)
+        assert sample_complexity("1/2", dlt) == 11 == exact_min_d(Fraction(1, 2), dlt)
+
+    @settings(max_examples=300, deadline=None)
+    @given(eps=st.fractions(Fraction(1, 1000), Fraction(999, 1000), max_denominator=1000),
+           d=st.integers(1, 300), k=st.integers(-3, 3), bits=st.integers(30, 90))
+    def test_matches_exact_search_next_to_ties(self, eps, d, k, bits):
+        """delta within 3 * 2^-bits (relative) of (1-eps)^d, or equal to it."""
+        dlt = (1 - eps) ** d * (1 + Fraction(k, 2**bits))
+        assert sample_complexity(eps, dlt) == exact_min_d(eps, dlt), (eps, d, k, bits)
+
+    @settings(max_examples=200, deadline=None)
+    @given(eps=st.fractions(Fraction(1, 100), Fraction(99, 100), max_denominator=10**6),
+           dlt=st.fractions(Fraction(1, 100), Fraction(99, 100), max_denominator=10**6))
+    def test_matches_exact_search_anywhere(self, eps, dlt):
+        assert sample_complexity(eps, dlt) == exact_min_d(eps, dlt)
+
+    @pytest.mark.parametrize("dlt", [Fraction(1, 10**320), Fraction(1, 2**1070), Fraction(3, 10**400)])
+    def test_delta_below_the_normal_floats(self, dlt):
+        assert sample_complexity(Fraction(1, 2), dlt) == exact_min_d(Fraction(1, 2), dlt)
+
+    def test_a_tie_beyond_the_bit_cap_fails_loudly(self):
+        # r = 1e17 ln 3 lies beyond 2^53, where every float is an integer:
+        # settling it would take 1e17-fold powers
+        with pytest.raises(ValueError, match="too close to a tie to settle within 2\\^18 bits"):
+            sample_complexity(Fraction(1, 10**17), "1/3")
+
     def test_monotone_in_both_arguments(self):
         grid = [Fraction(k, 20) for k in range(1, 20)]
         for dlt in (Fraction(1, 10), Fraction(1, 3)):
@@ -393,6 +424,29 @@ class TestSampleComplexity:
         for eps in (Fraction(1, 10), Fraction(1, 3)):
             ds = [sample_complexity(eps, dl) for dl in grid]
             assert ds == sorted(ds, reverse=True)
+
+
+class TestGuaranteeBound:
+    """GuaranteeReport.bound, 1 - (1-eps)^d, computed without cancellation."""
+
+    @staticmethod
+    def bound(eps, d: int) -> float:
+        P = FinSupportDist(["a"], [Fraction(1)])
+        return verify_guarantee(lambda s: {"a"}, P, eps, Fraction(1, 3), d, 1, seed=0).bound
+
+    def test_small_epsilon_keeps_every_printed_digit(self):
+        # 1 - (1 - eps)^d printed 1.00000008274e-10 and 7.00000057918e-10 here
+        assert f"{self.bound(Fraction(1, 10**10), 1):.12g}" == "1e-10"
+        assert f"{self.bound(Fraction(1, 10**10), 7):.12g}" == "6.9999999979e-10"
+
+    @settings(max_examples=200, deadline=None)
+    @given(eps=st.one_of(st.fractions(Fraction(1, 10**15), Fraction(999, 1000), max_denominator=10**15),
+                         st.sampled_from([Fraction(1, 10**10), Fraction(1, 3), Fraction(1, 2)])),
+           d=st.integers(1, 5000))
+    def test_matches_50_digit_mpmath(self, eps, d):
+        with mpmath.workdps(50):
+            want = 1 - (1 - mpmath.mpf(eps.numerator) / eps.denominator) ** d
+        assert math.isclose(self.bound(eps, d), float(want), rel_tol=1e-14), (eps, d)
 
 
 class TestVerifyGuarantee:

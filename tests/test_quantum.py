@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plab import quantum
 from plab.quantum import (
     CorrelationTable,
     DensityMatrix,
@@ -30,6 +31,7 @@ from plab.quantum import (
     matrix_to_json,
     pure_distance_formula,
     pure_pair,
+    pure_pair_helstrom,
     quantum_correlation,
     tensor_power,
     trace_distance,
@@ -327,6 +329,86 @@ class TestPurePair:
             pure_pair(1.5, 1)
         with pytest.raises(ValueError, match="d must be"):
             pure_pair(0.5, 0)
+
+
+overlaps = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def sweep_points(draw):
+    """The (gamma, d) list of one discrimination call: its own point, then a
+    gamma sweep at its d or a copy sweep at its gamma, with repeats."""
+    gamma, d = draw(overlaps), draw(st.integers(1, 60))
+    if draw(st.booleans()):
+        sweep = [(g, d) for g in draw(st.lists(overlaps, min_size=1, max_size=8))]
+    else:
+        sweep = [(gamma, c) for c in draw(st.lists(st.integers(1, 60), min_size=1, max_size=8))]
+    return [(gamma, d), *sweep, *draw(st.lists(st.sampled_from(sweep), max_size=3))]
+
+
+def bad_slice(kind: str) -> np.ndarray:
+    """A 2x2 matrix failing one check of the module docstring."""
+    return {"nan": np.array([[math.nan, 0.0], [0.0, 0.5]]),
+            "non-hermitian": np.array([[0.5, 0.1], [0.3, 0.5]]),
+            "non-psd": np.diag([1.5, -0.5]),
+            "trace": np.eye(2)}[kind].astype(complex)
+
+
+class TestStacks:
+    """pure_pair_helstrom is the stacked form of helstrom on pure_pair, and the
+    stacked checks keep the rules and messages of the one-matrix checks."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(points=sweep_points())
+    def test_every_stacked_point_is_the_one_pair_result(self, points):
+        distance, achieved = pure_pair_helstrom(points)
+        assert distance.shape == achieved.shape == (len(points),)
+        for (gamma, d), got_distance, got_achieved in zip(points, distance, achieved):
+            r0, r1 = pure_pair(gamma, d)
+            povm, want_distance = helstrom(r0, r1)
+            assert got_distance == want_distance
+            assert got_achieved == discrimination_sum(povm, r0, r1)
+
+    def test_points_are_validated(self):
+        with pytest.raises(ValueError, match="gamma"):
+            pure_pair_helstrom([(0.5, 2), (1.5, 1)])
+        with pytest.raises(ValueError, match="d must be"):
+            pure_pair_helstrom([(0.5, 2), (0.5, 0)])
+
+    @pytest.mark.parametrize("kind", ["nan", "non-hermitian", "non-psd", "trace"])
+    @pytest.mark.parametrize("where", [0, 3, 6])
+    def test_a_state_stack_with_one_bad_slice_fails_as_that_state(self, kind, where):
+        with pytest.raises(ValueError) as one:
+            DensityMatrix(bad_slice(kind))
+        stack = np.array([DensityMatrix.maximally_mixed(2).mat] * 7)
+        stack[where] = bad_slice(kind)
+        with pytest.raises(ValueError) as stacked:
+            quantum._checked(stack)
+        assert str(stacked.value) == str(one.value)
+
+    @pytest.mark.parametrize("kind", ["nan", "non-hermitian", "non-psd", "sum"])
+    @pytest.mark.parametrize("where", [0, 4])
+    def test_a_povm_stack_with_one_bad_slice_fails_as_that_povm(self, kind, where):
+        good = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], dtype=complex)
+        bad = good.copy()
+        if kind == "sum":
+            bad[1] = np.eye(2)
+        else:
+            bad[0] = bad_slice(kind)
+        with pytest.raises(ValueError) as one:
+            Povm(bad)
+        stack = np.array([good] * 5)
+        stack[where] = bad
+        with pytest.raises(ValueError) as stacked:
+            quantum._checked(stack, povm=True)
+        assert str(stacked.value) == str(one.value)
+        assert ("sum to the identity" in str(one.value)) == (kind == "sum")
+
+    def test_checked_stacks_are_frozen(self):
+        r0, r1 = pure_pair(0.5, 3)
+        assert not r0.mat.flags.writeable and not r1.mat.flags.writeable
+        povm, _ = helstrom(r0, r1)
+        assert all(not e.flags.writeable for e in povm.elements)
 
 
 def mp_delta_min(gamma: float, d: int):
