@@ -111,15 +111,9 @@ class PulledBackHypothesis:
     def segment_form(self) -> tuple | None:
         """(pi, domain, t) when the cells are a segment: x is a member iff
         domain.idx(pi(x)) <= t.  None for any other cell set."""
-        if isinstance(self.cells, FiniteHypothesis) and self.cells.is_segment:
-            return self.pi, self.cells.domain, self.cells.threshold
-        return None
+        form = self.cells.segment_form() if isinstance(self.cells, FiniteHypothesis) else None
+        return None if form is None else (self.pi, *form[1:])
 
     def __repr__(self) -> str:
         return f"PulledBackHypothesis({self.cells!r})"
-
-
-def pullback(F, pi) -> PulledBackHypothesis:
-    """Hypothesis denoting exactly the preimage of the finite label set F."""
-    return PulledBackHypothesis(F, pi)
 

@@ -18,15 +18,15 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Iterable
 
 from .emx import FiniteHypothesis, IndexedDomain, quantile_learn
 
-ALPHA = Fraction(1, 6)  # weak-learning slack; the three n-conditions below use it
 CANDIDATE_LIMIT = 4096  # value subtuples a scheme keeps reconstructed; past it they are rebuilt per call
+LEVEL_LIMIT = 1 << 16  # value subtuples one level of the ERM's walk may hold; a larger level is refused
 
 
 @dataclass(frozen=True)
@@ -109,7 +109,8 @@ def _distinct_subtuples(pts: tuple, m: int) -> list[tuple]:
     occurrence from its start position on of every value, in position order,
     meets the value tuples in that same order.  Each level is one list of
     (prefix, start) pairs; one backward scan per level gives the sorted
-    first occurrences from every start the level holds.
+    first occurrences from every start the level holds.  For m >= 2 a level
+    of more than ``LEVEL_LIMIT`` subtuples raises ValueError before it is built.
     """
     if m == 1:  # the walk's one level: the values in first-occurrence order
         return [(x,) for x in dict.fromkeys(pts)]
@@ -120,6 +121,9 @@ def _distinct_subtuples(pts: tuple, m: int) -> list[tuple]:
             firsts[pts[s]] = s
             if s in at:
                 at[s] = sorted(firsts.values())
+        if len(level) * len(firsts) > LEVEL_LIMIT:  # the next level may be too large: count it
+            if sum(bisect_right(at[s], n - left) for _, s in level) > LEVEL_LIMIT:
+                raise ValueError(f"m = {m} walks more than {LEVEL_LIMIT} distinct value subtuples of the sample")
         if left == 1:
             return [prefix + (pts[q],) for prefix, s in level for q in at[s]]
         # q <= n - left leaves enough positions to finish the tuple

@@ -224,10 +224,6 @@ class FiniteHypothesis:
         return cls(frozenset(elements), None, None)
 
     @property
-    def is_segment(self) -> bool:
-        return self.threshold is not None
-
-    @property
     def elements(self) -> frozenset:
         if self._explicit is not None:
             return self._explicit
@@ -264,7 +260,7 @@ class FiniteHypothesis:
     def __eq__(self, other) -> bool:
         if not isinstance(other, FiniteHypothesis):
             return NotImplemented
-        if self.is_segment and other.is_segment and (
+        if self.threshold is not None and other.threshold is not None and (
             self.domain is other.domain or self.domain.labels == other.domain.labels
         ):
             n = self.domain.size
@@ -277,7 +273,7 @@ class FiniteHypothesis:
         return hash(self._size)
 
     def __repr__(self) -> str:
-        if self.is_segment:
+        if self.threshold is not None:
             return f"FiniteHypothesis(segment t={self.threshold})"
         return f"FiniteHypothesis({set(self._explicit)!r})"
 
@@ -358,47 +354,36 @@ class FinSupportDist:
         return f"FinSupportDist({len(self.support)} points)"
 
 
-def _prefix_table(tables: dict, points: Sequence, weights: Sequence, pi, dom: IndexedDomain, start) -> tuple:
-    """(ranks, prefix, ordered, point_ranks) for the ranks dom.idx(pi(x))
-    (pi None: identity), built once and cached in ``tables`` under (pi, dom).
-    ``point_ranks`` lists them in point order (None outside ``dom``), ``ranks``
-    ascending, and ``prefix[k]`` is ``start`` plus the first k ranked weights.
+def _prefix_table(P: FinSupportDist, pi, dom: IndexedDomain) -> tuple:
+    """(ranks, prefix, ordered, point_ranks) for the ranks dom.idx(pi(x)) of
+    P's support (pi None: identity), built once and cached on P under (pi, dom).
+    ``point_ranks`` lists them in support order (None outside ``dom``),
+    ``ranks`` ascending, and ``prefix[k]`` is Fraction(0) plus the first k
+    ranked weights.
 
     ``ordered`` says whether ``prefix[k]`` is bit for bit the left-to-right
-    sum in point order of the points with rank <= ranks[k-1]: always for
+    sum in support order of the points with rank <= ranks[k-1]: always for
     exact weights (Fraction or int), for floats only when the ranks are
-    nondecreasing in point order.  The sort is stable, so points of equal
+    nondecreasing in support order.  The sort is stable, so points of equal
     rank keep their order.
     """
-    table = tables.get((pi, dom))
+    table = P._tables.get((pi, dom))
     if table is not None:
         return table
     point_ranks = []
-    for x in points:
+    for x in P.support:
         y = x if pi is None else pi(x)
         try:
             point_ranks.append(dom.idx(y))
         except KeyError:
             point_ranks.append(None)
-    ranked = [(r, w) for r, w in zip(point_ranks, weights) if r is not None]
+    ranked = [(r, w) for r, w in zip(point_ranks, P.weights) if r is not None]
     exact = not any(isinstance(w, float) for _, w in ranked)
     ordered = exact or all(a[0] <= b[0] for a, b in zip(ranked, ranked[1:]))
     ranked.sort(key=lambda rw: rw[0])
-    prefix = list(accumulate((w for _, w in ranked), initial=start))
-    table = tables[(pi, dom)] = ([r for r, _ in ranked], prefix, ordered, point_ranks)
+    prefix = list(accumulate((w for _, w in ranked), initial=Fraction(0)))
+    table = P._tables[(pi, dom)] = ([r for r, _ in ranked], prefix, ordered, point_ranks)
     return table
-
-
-def _mass(points: Sequence, weights: Sequence, F: Container, tables: dict, start):
-    """Sum of the weights of the points in F, from ``start``; a segment-shaped
-    F is answered from the prefix table cached in ``tables``."""
-    form = F.segment_form() if hasattr(F, "segment_form") else None
-    if form is not None:
-        pi, dom, t = form
-        ranks, prefix, ordered, _ = _prefix_table(tables, points, weights, pi, dom, start)
-        if ordered:
-            return prefix[bisect_right(ranks, t)]
-    return sum((w for x, w in zip(points, weights) if x in F), start=start)
 
 
 def mass(P: FinSupportDist, F: Container) -> Fraction | float:
@@ -418,7 +403,13 @@ def mass(P: FinSupportDist, F: Container) -> Fraction | float:
     sets included, sums over the support testing membership point by point.
     Both paths return the same value and type.
     """
-    return _mass(P.support, P.weights, F, P._tables, Fraction(0))
+    form = F.segment_form() if hasattr(F, "segment_form") else None
+    if form is not None:
+        pi, dom, t = form
+        ranks, prefix, ordered, _ = _prefix_table(P, pi, dom)
+        if ordered:
+            return prefix[bisect_right(ranks, t)]
+    return sum((w for x, w in zip(P.support, P.weights) if x in F), start=Fraction(0))
 
 
 def quantile_success(P: FinSupportDist, dom: IndexedDomain, epsilon, d: int) -> Fraction | float:
@@ -431,7 +422,7 @@ def quantile_success(P: FinSupportDist, dom: IndexedDomain, epsilon, d: int) -> 
     prefix.
     """
     epsilon = accuracy(epsilon, 0)[0]
-    prefix = _prefix_table(P._tables, P.support, P.weights, None, dom, Fraction(0))[1]
+    prefix = _prefix_table(P, None, dom)[1]
     k = bisect_left(prefix, 1 - epsilon)
     if k == len(prefix):
         raise ValueError("the masses of the ranked support points never reach 1 - epsilon")
@@ -471,8 +462,8 @@ class SegmentLearner:
             raise ValueError(f"sample size {len(pts)} below required {self.need}")
         if self.pi is None:
             return quantile_learn(pts, self.dom)
-        from .coarse import pullback  # plab.coarse imports this module
-        return pullback(quantile_learn(map(self.pi, pts), self.dom), self.pi)
+        from .coarse import PulledBackHypothesis  # plab.coarse imports this module
+        return PulledBackHypothesis(quantile_learn(map(self.pi, pts), self.dom), self.pi)
 
     def _table(self, P: FinSupportDist, d: int) -> tuple | None:
         """P's prefix table if one bisect in it answers every trial of size d;
@@ -480,7 +471,7 @@ class SegmentLearner:
         try:
             if d < max(1, self.need):
                 return None
-            table = _prefix_table(P._tables, P.support, P.weights, self.pi, self.dom, Fraction(0))
+            table = _prefix_table(P, self.pi, self.dom)
         except Exception:  # need or the map raised: trial 0 on labels raises it, or an earlier error
             return None
         return table if table[2] and None not in table[3] else None

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -116,12 +117,6 @@ class DensityMatrix:
         return cls(np.outer(v, v.conj()))
 
     @classmethod
-    def basis_state(cls, dim: int, k: int) -> "DensityMatrix":
-        v = np.zeros(dim, dtype=complex)
-        v[k] = 1.0
-        return cls.pure(v)
-
-    @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityMatrix":
         return cls(np.eye(dim, dtype=complex) / dim)
 
@@ -201,9 +196,9 @@ def tensor_power(rho: DensityMatrix, d: int) -> DensityMatrix:
         raise ResourceCapError(f"dimension {rho.dim}^{d} exceeds cap {limit}")
     if d == 1:
         return rho
-    out = rho.mat
-    for _ in range(d - 1):
-        out = np.kron(out, rho.mat)
+    out, m = rho.mat, rho.mat[None, :, None, :]
+    for _ in range(d - 1):  # np.kron(out, rho.mat) entry for entry, one broadcast product
+        out = (out[:, None, :, None] * m).reshape(len(out) * rho.dim, -1)
     out.setflags(write=False)
     return _trusted(out)  # rho's check covers the power
 
@@ -213,6 +208,8 @@ def _check_overlap(gamma: float, d: int) -> None:
         raise ValueError("overlap gamma must lie in [0,1]")
     if d < 1:
         raise ValueError("d must be >= 1")
+    if d > sys.float_info.max / 2:  # gamma^d and gamma^(2d) are float powers: 2d must convert to a float
+        raise ValueError(f"d must be at most {sys.float_info.max / 2!r}")
 
 
 def _pure_pairs(points: Sequence[tuple[float, int]]) -> np.ndarray:
@@ -355,10 +352,6 @@ class CorrelationTable:
         arr = np.clip(arr, 0.0, None)
         arr.setflags(write=False)
         self.p = arr
-
-    @property
-    def shape(self) -> tuple[int, int, int, int]:
-        return self.p.shape
 
     def __repr__(self) -> str:
         return f"CorrelationTable(shape={self.p.shape})"

@@ -21,7 +21,7 @@ from plab.compression import (
     required_n,
     segment_scheme,
 )
-from plab.coarse import UniformBinsMap, pullback, pushforward
+from plab.coarse import PulledBackHypothesis, UniformBinsMap, pushforward
 from plab.emx import (
     FinSupportDist,
     IndexedDomain,
@@ -114,7 +114,7 @@ def test_coarse_graining_mass_identity_is_exact():
         cells = frozenset(
             int(b) for b in rng.choice(256, size=int(rng.integers(1, 64)), replace=False)
         )
-        lhs, rhs = mass(P, pullback(cells, pi)), mass(Q, cells)
+        lhs, rhs = mass(P, PulledBackHypothesis(cells, pi)), mass(Q, cells)
         assert isinstance(lhs, F) and isinstance(rhs, F)
         assert lhs == rhs
     elapsed = time.perf_counter() - t0

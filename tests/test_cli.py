@@ -285,6 +285,17 @@ class TestErrorPaths:
         assert main(["feasible", "sdp", "--task", "task.json", "--states", "states", "--copies", "11"]) == 1
         assert "plab: error: dimension 2^11 exceeds cap 1024" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--copies", "--sweep-copies"])
+    @pytest.mark.parametrize("gamma", ["0.5", "1"])
+    def test_copies_past_the_float_range(self, workdir, capsys, flag, gamma):
+        # gamma^(2d) is a float power: 2d must convert to a float
+        argv = ["quantum", "discriminate", "--gamma", gamma, "--out", "r.json", flag]
+        largest = int(sys.float_info.max) // 2
+        assert main(argv + [str(largest)]) == 0
+        for d in (str(largest + 1), "9" * 330):
+            assert main(argv + [d]) == 1
+            assert capsys.readouterr().err == "plab: error: d must be at most 8.988465674311579e+307\n"
+
     @pytest.mark.parametrize("argv", [
         ["feasible", "lp", "--task", "task.json"],
         ["feasible", "sdp", "--task", "task.json", "--states", "states"],

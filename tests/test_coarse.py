@@ -13,7 +13,6 @@ from plab.coarse import (
     PulledBackHypothesis,
     TableMap,
     UniformBinsMap,
-    pullback,
     pushforward,
 )
 from plab.emx import FinSupportDist, FiniteHypothesis, SegmentLearner, mass
@@ -123,13 +122,13 @@ class TestPushforward:
 class TestPullbackIdentity:
     def test_membership_goes_through_the_map(self):
         pi = UniformBinsMap(3)
-        G = pullback(frozenset({0, 1}), pi)
+        G = PulledBackHypothesis(frozenset({0, 1}), pi)
         assert 0.01 in G and 0.2 in G and 0.5 not in G
 
     def test_pullback_accepts_segment_hypotheses(self):
         pi = UniformBinsMap(2)
         seg = pi.domain.initial_segment(2)  # bins {0, 1}
-        G = pullback(seg, pi)
+        G = PulledBackHypothesis(seg, pi)
         assert 0.45 in G and 0.55 not in G
 
     def test_exact_identity_on_random_instances(self):
@@ -142,7 +141,7 @@ class TestPullbackIdentity:
             cells = frozenset(
                 int(b) for b in rng.choice(256, size=int(rng.integers(1, 40)), replace=False)
             )
-            lhs = mass(P, pullback(cells, pi))
+            lhs = mass(P, PulledBackHypothesis(cells, pi))
             rhs = mass(Q, cells)
             assert isinstance(lhs, Fraction) and isinstance(rhs, Fraction)
             assert lhs == rhs

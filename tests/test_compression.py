@@ -2,6 +2,7 @@
 size threshold, and the learner->scheme direction."""
 
 import itertools
+import time
 
 import mpmath
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from plab.compression import (
+    LEVEL_LIMIT,
     CompressionScheme,
     check_monotone_coverage,
     compress_two_to_one,
@@ -126,7 +128,17 @@ class TestCompressionLearner:
         recon = {"a": DOM.initial_segment(1), "c": FiniteHypothesis.from_elements("abc"), "d": DOM.initial_segment(3)}
         scheme = CompressionScheme(m_in=2, m_out=1, reconstruct=lambda sub: recon[sub[0]])
         h = compression_learner(scheme, ("a", "c", "d"), DOM)
-        assert h == DOM.initial_segment(3) and not h.is_segment
+        assert h == DOM.initial_segment(3) and h.segment_form() is None
+
+    def test_a_walk_level_past_the_limit_is_refused_before_it_is_built(self):
+        # 3 values and m = 18: the walk's levels grow toward 3^k value subtuples
+        P = FinSupportDist(tuple("abc"), ["1/2", "1/4", "1/4"])
+        dom = IndexedDomain(P.support)
+        sample = draw_sample(P, required_n(18), seed=1)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"m = 18 walks more than {LEVEL_LIMIT} distinct value subtuples"):
+            compression_learner(segment_scheme(dom, 18), sample, dom)
+        assert time.perf_counter() - start < 10.0
 
     def test_tie_breaks_toward_larger_then_lex_smaller(self):
         # non-nested candidates: reconstruct is the kept point alone

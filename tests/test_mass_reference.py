@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 import numpy as np
 
 from plab import compression, emx
-from plab.coarse import TableMap, UniformBinsMap, pullback
+from plab.coarse import PulledBackHypothesis, TableMap, UniformBinsMap
 from plab.compression import (
     CompressionScheme,
     _distinct_subtuples,
@@ -146,9 +146,9 @@ def test_pullbacks_through_uniform_bins(xs, data):
     # a segment over a domain other than pi's own alphabet gets its own table
     other = IndexedDomain(data.draw(st.permutations(range(n))) if n <= 64 else range(n))
     check_all(P, [
-        *(pullback(pi.domain.initial_segment(t), pi) for t in ts),
-        *(pullback(other.initial_segment(t), pi) for t in ts),
-        pullback(cells, pi),
+        *(PulledBackHypothesis(pi.domain.initial_segment(t), pi) for t in ts),
+        *(PulledBackHypothesis(other.initial_segment(t), pi) for t in ts),
+        PulledBackHypothesis(cells, pi),
     ])
 
 
@@ -163,13 +163,16 @@ def test_pullbacks_through_table_maps(support, data):
     pairs = data.draw(st.permutations(list(zip(support, outputs))))
     pi = TableMap(pairs)
     ts = data.draw(st.lists(st.integers(0, len(pi.domain) + 1), min_size=1, max_size=4))
-    check_all(P, [*(pullback(pi.domain.initial_segment(t), pi) for t in ts), pullback(frozenset("ab"), pi)])
+    check_all(P, [
+        *(PulledBackHypothesis(pi.domain.initial_segment(t), pi) for t in ts),
+        PulledBackHypothesis(frozenset("ab"), pi),
+    ])
 
 
 def test_points_outside_the_table_raise_on_both_paths():
     P = FinSupportDist([1, 2], ["1/2", "1/2"])
     pi = TableMap([(1, "a")])
-    for F in (pullback(pi.domain.initial_segment(1), pi), pullback(frozenset("a"), pi)):
+    for F in (PulledBackHypothesis(pi.domain.initial_segment(1), pi), PulledBackHypothesis(frozenset("a"), pi)):
         with pytest.raises(ValueError):
             reference_mass(P, F)
         with pytest.raises(ValueError):
@@ -185,7 +188,7 @@ def test_out_of_order_float_weights_keep_the_support_order_sum():
     assert (0.7 + 0.2) + 0.1 != 1.0
     assert same(mass(P, dom.initial_segment(3)), 1.0)
     pi = TableMap([("a", 2), ("b", 1), ("c", 0)])
-    assert same(mass(P, pullback(pi.domain.initial_segment(3), pi)), 1.0)
+    assert same(mass(P, PulledBackHypothesis(pi.domain.initial_segment(3), pi)), 1.0)
 
 
 def test_empty_segment_is_an_exact_zero_for_float_weights():
@@ -207,7 +210,7 @@ def reference_segment_learn(sample, dom, pi, epsilon, delta):
             raise ValueError(f"sample size {len(pts)} below required {need}")
     if pi is None:
         return quantile_learn(pts, dom)
-    return pullback(quantile_learn((pi(x) for x in pts), dom), pi)
+    return PulledBackHypothesis(quantile_learn((pi(x) for x in pts), dom), pi)
 
 
 def outcome(call):
@@ -537,7 +540,7 @@ def test_compression_learner_matches_the_position_enumeration(kind, m, size, lim
             before, start = list(new_scheme._candidates), len(log)
             got = compression_learner(new_scheme, pts, dom)
             want = reference_compression_learner(scheme, pts, dom)
-            assert got == want and got.is_segment == want.is_segment
+            assert got == want and (got.segment_form() is None) == (want.segment_form() is None)
             unseen = [s for s in dict.fromkeys(itertools.combinations(pts, m)) if s not in before]
             assert log[start:] == unseen
             assert list(new_scheme._candidates) == before + unseen[: max(limit - len(before), 0)]

@@ -12,7 +12,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from plab import quantum
@@ -50,7 +50,7 @@ def overlap_pair(gamma):
 class TestDensityMatrix:
     def test_accepts_valid_states(self):
         assert DensityMatrix.maximally_mixed(3).dim == 3
-        assert DensityMatrix.basis_state(4, 2).mat[2, 2] == 1.0
+        assert DensityMatrix.pure([0, 0, 1, 0]).mat[2, 2] == 1.0
         assert PLUS.mat[0, 1] == pytest.approx(0.5)
 
     def test_rejects_non_hermitian(self):
@@ -191,6 +191,20 @@ class TestTensorPower:
             power = tensor_power(rho, d)
             assert np.array_equal(power.mat, kron) and not power.mat.flags.writeable
             kron = np.kron(kron, rho.mat)
+
+    @settings(max_examples=60, deadline=None)
+    @given(dim=st.integers(2, 4), d=st.integers(2, 6), seed=st.integers(0, 2**32 - 1), pure=st.booleans())
+    def test_power_is_the_kron_chain_bit_for_bit(self, dim, d, seed, pure):
+        # a pure state of a ket with signed zero parts puts zeros of both signs in the matrix
+        assume(dim**d <= dim_cap())
+        rng = np.random.default_rng(seed)
+        ket = [1.0, *rng.choice(np.array([0.0, -0.0, 0.5, -1.0, 0.5j, -0.0j, -1j]), dim - 1)]
+        rho = DensityMatrix.pure(ket) if pure else random_density_matrix(dim, rng)
+        kron = rho.mat
+        for _ in range(d - 1):
+            kron = np.kron(kron, rho.mat)
+        power = tensor_power(rho, d).mat
+        assert power.shape == kron.shape and power.tobytes() == kron.tobytes()
 
     @pytest.mark.parametrize("raw", ["abc", "0", "-3", "2.5"])
     def test_env_var_must_be_a_positive_integer(self, monkeypatch, raw):
