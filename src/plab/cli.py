@@ -238,14 +238,19 @@ def _guarantee(p: dict, seed: int, learner, dist: FinSupportDist, d: int) -> dic
     return {key: getattr(rep, key) for key in ("d", "empirical_rate", "ci_halfwidth", "bound")}
 
 
+def _sweep(run, first, points) -> tuple[dict, list[dict] | None]:
+    """Metrics run(first), then the sweep of each point's run or None; each distinct point runs once."""
+    run = functools.cache(run)
+    return run(first), [run(x) for x in points or ()] or None
+
+
 def _run_emx(p: dict, seed: int):
     dist = _load_json(p["dist"], FinSupportDist.from_json)
     learner = SegmentLearner(IndexedDomain(dist.support))
     need = sample_complexity(p["epsilon"], p["delta"])
-    run = functools.cache(lambda d: _guarantee(p, seed, learner, dist, d))  # each distinct d runs once
-    metrics = {**run(need if p["d"] is None else p["d"]), "sample_complexity": need}
-    sweep = [run(d) for d in p["sweep_d"] or ()]
-    return metrics, sweep or None
+    run = functools.partial(_guarantee, p, seed, learner, dist)
+    metrics, sweep = _sweep(run, need if p["d"] is None else p["d"], p["sweep_d"])
+    return {**metrics, "sample_complexity": need}, sweep
 
 
 def _run_coarse(p: dict, seed: int):
@@ -253,15 +258,12 @@ def _run_coarse(p: dict, seed: int):
                                                             raw["weights"]))
     d = sample_complexity(p["epsilon"], p["delta"]) if p["d"] is None else p["d"]
 
-    @functools.cache  # each distinct resolution runs once
     def run(bits: int) -> dict:
         pi = coarse.UniformBinsMap(bits)
         learner = SegmentLearner(pi.domain, pi, p["epsilon"], p["delta"])
         return {"bits": bits, **_guarantee(p, seed, learner, dist, d)}
 
-    metrics = {**run(p["bits"])}
-    sweep = [run(b) for b in p["sweep_bits"] or ()]
-    return metrics, sweep or None
+    return _sweep(run, p["bits"], p["sweep_bits"])
 
 
 def _run_compress(p: dict, seed: int):
@@ -270,10 +272,9 @@ def _run_compress(p: dict, seed: int):
         if len(pair) != 2:
             raise ValueError("demo mode wants exactly two points")
         dom = IndexedDomain(p["domain"])
-        kept = compression.compress_two_to_one(pair[0], pair[1], dom)
         scheme = compression.segment_scheme(dom, 1)
-        sub = compression.check_monotone_coverage(scheme, pair)
-        reconstructed = sorted(scheme.reconstruct((kept,)).elements, key=dom.idx)
+        sub = compression.check_monotone_coverage(scheme, pair)  # the point of larger index: it covers both
+        reconstructed = sorted(scheme.reconstruct(sub).elements, key=dom.idx)
         return {
             "input": list(pair),
             "chosen_subtuple": list(sub) if sub is not None else None,
@@ -286,15 +287,13 @@ def _run_compress(p: dict, seed: int):
     scheme = compression.segment_scheme(dom, p["m"])
     learner = lambda s: compression.compression_learner(scheme, s, dom)  # noqa: E731
 
-    @functools.cache  # each distinct sample size runs once
     def run(n: int) -> dict:
         rep = verify_guarantee(learner, dist, p["epsilon"], p["delta"], n, p["trials"], seed)
         return {"n": n, "empirical_rate": rep.empirical_rate, "ci_halfwidth": rep.ci_halfwidth,
                 "target_rate": 1.0 - float(p["delta"])}
 
-    metrics = {"m": p["m"], "required_n": need, **run(need if p["n"] is None else p["n"])}
-    sweep = [run(n) for n in p["sweep_n"] or ()]
-    return metrics, sweep or None
+    metrics, sweep = _sweep(run, need if p["n"] is None else p["n"], p["sweep_n"])
+    return {"m": p["m"], "required_n": need, **metrics}, sweep
 
 
 def _run_quantum(p: dict, seed: int):

@@ -46,28 +46,22 @@ class UniformBinsMap:
 
 
 class TableMap:
-    """Explicit finite map given as (input, output) pairs.
-
-    Output alphabet order is first appearance among the pair outputs; inputs
-    outside the table are a domain error.
+    """Explicit finite map given as (input, output) pairs; a repeated input
+    must repeat its output.  Output alphabet order is first appearance among
+    the pair outputs, the order of the outputs in the input-to-output table;
+    inputs outside the table are a domain error.
     """
 
     def __init__(self, pairs: Iterable[tuple]):
-        self.pairs = tuple((x, y) for x, y in pairs)
         self._map = {}
-        for x, y in self.pairs:
+        for x, y in pairs:
             if x in self._map and self._map[x] != y:
                 raise ValueError(f"conflicting outputs for input {x!r}")
             self._map[x] = y
 
     @cached_property
     def domain(self) -> IndexedDomain:
-        seen, order = set(), []
-        for _, y in self.pairs:
-            if y not in seen:
-                seen.add(y)
-                order.append(y)
-        return IndexedDomain(order)
+        return IndexedDomain(dict.fromkeys(self._map.values()))
 
     def __call__(self, x):
         try:

@@ -53,11 +53,6 @@ class CompressionScheme:
             raise ValueError("need 0 < m_out < m_in")
 
 
-def compress_two_to_one(x1, x2, dom: IndexedDomain):
-    """Keep the point of larger index; its segment covers both inputs."""
-    return x1 if dom.idx(x1) >= dom.idx(x2) else x2
-
-
 def segment_scheme(dom: IndexedDomain, m: int) -> CompressionScheme:
     """Keep m points, reconstruct with the quantile learner: the initial
     segment up to the largest kept index; m = 1 is the 2->1 scheme.

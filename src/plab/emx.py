@@ -30,6 +30,8 @@ from typing import Callable, Container, Iterable, Iterator, Sequence
 
 import numpy as np
 
+SAMPLE_LIMIT = 1 << 24  # largest sample size d ``verify_guarantee`` draws: a block holds one whole trial
+
 
 class RationalLiteralError(ValueError):
     """A string that does not spell a rational, such as "abc"."""
@@ -71,11 +73,6 @@ def accuracy(epsilon, delta) -> tuple[Fraction, Fraction]:
     if not (0 < eps < 1) or not (0 <= dlt < 1):
         raise ValueError("need epsilon in (0,1) and delta in [0,1)")
     return eps, dlt
-
-
-def parse_weight(value: Fraction | int | float | str) -> Fraction | float:
-    """Probability weight: floats stay float, anything else goes to ``as_fraction``."""
-    return value if isinstance(value, float) else as_fraction(value)
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:
@@ -281,19 +278,20 @@ class FiniteHypothesis:
 class FinSupportDist:
     """Finitely supported probability distribution.
 
-    ``support`` holds distinct points; ``weights`` are finite, strictly
-    positive and sum to exactly 1 when all rational, or to 1 within 1e-12 when
-    floats are involved.  Sampling uses the inverse CDF over the declared
-    support order, read from a guide table: a draw in one of K >= 16 |support|
-    dyadic buckets (K a power of two) that no CDF value splits maps straight
-    to its position, and only the others search the CDF.
+    ``support`` holds distinct points.  A float weight stays a float, any
+    other goes to ``as_fraction`` (a bool raises TypeError); the weights are
+    finite, strictly positive and sum to exactly 1 when all rational, or to 1
+    within 1e-12 when floats are involved.  Sampling uses the inverse CDF over
+    the declared support order, read from a guide table: a draw in one of
+    K >= 16 |support| dyadic buckets (K a power of two) that no CDF value
+    splits maps straight to its position, and only the others search the CDF.
     """
 
     __slots__ = ("support", "weights", "_labels", "_cdf", "_guide", "_tables")
 
     def __init__(self, support: Sequence, weights: Sequence):
         self.support = tuple(support)
-        self.weights = tuple(parse_weight(w) for w in weights)
+        self.weights = tuple(w if isinstance(w, float) else as_fraction(w) for w in weights)
         if len(self.support) != len(self.weights):
             raise ValueError("support and weights must have equal length")
         if not self.support:
@@ -547,6 +545,7 @@ def verify_guarantee(
     trials is drawn at a time; a ``SegmentLearner`` decides it in one array
     pass over the prefix table of ``mass``, any other learner gets its label
     tuples from one gather.
+    A d above ``SAMPLE_LIMIT`` (2^24) raises ValueError before anything is drawn.
     ci_halfwidth is the 3-sigma binomial half-width at the empirical rate;
     bound is 1-(1-eps)^d, computed as -expm1(d*log1p(-eps)), which does not cancel.
     """
@@ -555,6 +554,8 @@ def verify_guarantee(
     epsilon, delta = accuracy(epsilon, delta)
     if d < 0:
         raise ValueError("sample size must be >= 0")
+    if d > SAMPLE_LIMIT:  # refused before the block of d doubles is allocated
+        raise ValueError(f"sample size d = {d} is above the limit of {SAMPLE_LIMIT} points")
     target = 1 - epsilon
     table = learner._table(P, d) if isinstance(learner, SegmentLearner) else None
     if table is not None:  # (ranks, prefix, ordered, point_ranks): does the segment to each point's rank win?

@@ -244,9 +244,10 @@ def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
 def pure_distance_formula(gamma: float, d: int) -> float:
     """Closed-form ||.||_1 distance of d copies of pure states with overlap
-    gamma: 2*sqrt(1 - gamma^(2d))."""
+    gamma: 2*sqrt(1 - gamma^(2d)), with 1 - gamma^(2d) computed as
+    -expm1(2d ln gamma), which does not cancel as gamma nears 1."""
     _check_overlap(gamma, d)
-    return 2.0 * math.sqrt(max(0.0, 1.0 - gamma ** (2 * d)))
+    return 2.0 * math.sqrt(max(0.0, -math.expm1(2 * d * (math.log(gamma) if gamma else -math.inf))))
 
 
 def _helstrom(r0: np.ndarray, r1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -309,9 +310,9 @@ def delta_min(gamma: float, d: int) -> float:
 def copies_min(gamma: float, delta: float) -> int:
     """Smallest integer d >= 1 with delta_min(gamma, d) <= delta, that is
     d >= ln(1/(4*delta*(1-delta)))/(-2*ln(gamma)); the copy count below which
-    worst-case error delta is impossible.  The ratio, taken from logs so that
-    no subnormal delta overflows it, is a first guess, settled by bisection
-    on ``delta_min``, so the two never disagree.
+    worst-case error delta is impossible.  Found on ``delta_min`` itself, so
+    the two never disagree: hi doubles from 1 until it is enough, then
+    bisection between hi/2 and hi.
 
     gamma in {0,1} is degenerate (orthogonal states need no copies; identical
     states never separate) and raises.
@@ -320,12 +321,9 @@ def copies_min(gamma: float, delta: float) -> int:
         raise ValueError("gamma in {0,1} is degenerate for a copy count")
     if not 0.0 < delta < 0.5:
         raise ValueError("delta must lie in (0, 1/2)")
-    d = max(1, math.ceil((-math.log(4.0) - math.log(delta) - math.log1p(-delta)) / (-2.0 * math.log(gamma))))
-    lo, hi = d - 1, d  # bracket: lo = 0 or delta_min(lo) > delta >= delta_min(hi)
+    lo, hi = 0, 1  # bracket: lo = 0 or delta_min(lo) > delta >= delta_min(hi)
     while delta_min(gamma, hi) > delta:
         lo, hi = hi, 2 * hi
-    while lo > 0 and delta_min(gamma, lo) <= delta:
-        lo, hi = lo // 2, lo
     while hi - lo > 1:
         mid = (lo + hi) // 2
         lo, hi = (lo, mid) if delta_min(gamma, mid) <= delta else (mid, hi)

@@ -697,8 +697,10 @@ def test_two_calls_in_one_process_build_the_parser_once(workdir, monkeypatch):
     (["emx", "--dist", "dist.json", "--trials", "5", "--sweep-d", "0"], "empty sample: maximum index undefined"),
     (["coarse", "--dist", "points.json", "--trials", "5", "--d", "2"], "sample size 2 below required 3"),
     (["coarse", "--dist", str(DATA / "dist_points_outside.json"), "--trials", "5"], "point 1.5 outside [0,1]"),
+    (["emx", "--dist", "dist.json", "--epsilon", "1/1000000000", "--delta", "1/1000000000", "--trials", "1"],
+     "sample size d = 20723265827 is above the limit of 16777216 points"),
 ], ids=["d", "sweep-d", "coarse-d", "seed", "pair-outside-domain", "d-zero", "sweep-d-zero", "coarse-d-below-need",
-        "coarse-point-outside"])
+        "coarse-point-outside", "d-past-the-sample-limit"])
 def test_out_of_range_input_fails_with_its_own_message(workdir, capsys, argv, message):
     assert main(argv) == 1
     assert capsys.readouterr().err == f"plab: error: {message}\n"

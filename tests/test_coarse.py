@@ -88,6 +88,12 @@ class TestTableMap:
         assert pi("w") == "hi"
         assert pi.domain.labels == ("hi", "lo")
 
+    @given(data=st.data())
+    def test_domain_is_the_first_appearance_order_of_the_outputs(self, data):
+        table = data.draw(st.dictionaries(st.integers(0, 9), st.sampled_from("pqrst"), min_size=1))
+        pairs = [(x, table[x]) for x in data.draw(st.lists(st.sampled_from(sorted(table)), min_size=1))]
+        assert TableMap(pairs).domain.labels == tuple(dict.fromkeys(y for _, y in pairs))
+
     def test_conflicting_entries_rejected(self):
         with pytest.raises(ValueError):
             TableMap([("u", 0), ("u", 1)])

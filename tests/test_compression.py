@@ -13,7 +13,6 @@ from plab.compression import (
     LEVEL_LIMIT,
     CompressionScheme,
     check_monotone_coverage,
-    compress_two_to_one,
     compression_learner,
     learner_to_compression,
     required_n,
@@ -27,9 +26,10 @@ DOM = IndexedDomain(tuple("abcdefg"))
 
 class TestTwoToOne:
     def test_keeps_larger_index(self):
-        assert compress_two_to_one("f", "c", DOM) == "f"
-        assert compress_two_to_one("c", "f", DOM) == "f"
-        assert compress_two_to_one("d", "d", DOM) == "d"
+        scheme = segment_scheme(DOM, 1)
+        assert check_monotone_coverage(scheme, ("f", "c")) == ("f",)
+        assert check_monotone_coverage(scheme, ("c", "f")) == ("f",)
+        assert check_monotone_coverage(scheme, ("d", "d")) == ("d",)
 
     def test_reconstruction_is_initial_segment(self):
         assert quantile_learn(("d",), DOM).elements == frozenset("abcd")

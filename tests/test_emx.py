@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plab import emx
 from plab.emx import (
     FinSupportDist,
     FiniteHypothesis,
@@ -22,7 +23,6 @@ from plab.emx import (
     RationalLiteralError,
     as_fraction,
     mass,
-    parse_weight,
     quantile_learn,
     quantile_success,
     sample_complexity,
@@ -66,10 +66,11 @@ class TestRationalParsing:
             with pytest.raises(RationalLiteralError):
                 as_fraction("abc")
 
-    def test_parse_weight_keeps_floats_inexact(self):
-        w = parse_weight(0.25)
-        assert isinstance(w, float)
-        assert isinstance(parse_weight("1/4"), Fraction)
+    def test_weights_keep_floats_inexact(self):
+        P = FinSupportDist("abcd", [0.25, "1/4", Fraction(1, 4), 0.25])
+        assert [type(w) for w in P.weights] == [float, Fraction, Fraction, float]
+        with pytest.raises(TypeError):
+            FinSupportDist("a", [True])
 
 
 class TestIndexedDomain:
@@ -488,6 +489,14 @@ class TestVerifyGuarantee:
         want = verify_guarantee(self.learner(dom), P, Fraction(1, 2), Fraction(1, 2), 2, 10, seed=1)
         assert rep == want
         assert rep.delta == Fraction(1, 2)
+
+    def test_a_sample_size_past_the_limit_is_refused_before_drawing(self, monkeypatch):
+        monkeypatch.setattr(emx, "SAMPLE_LIMIT", 64)
+        learner, P = self.learner(IndexedDomain("ab")), uniform_on("ab")
+        assert verify_guarantee(learner, P, "1/2", "1/2", 64, 3, seed=0).d == 64
+        monkeypatch.setattr(emx, "substreams", lambda seed, count: pytest.fail("drew a trial"))
+        with pytest.raises(ValueError, match=r"^sample size d = 65 is above the limit of 64 points$"):
+            verify_guarantee(learner, P, "1/2", "1/2", 65, 3, seed=0)
 
     def test_trials_validated(self):
         P = uniform_on("ab")

@@ -255,6 +255,16 @@ class TestPureDistanceFormula:
         assert pure_distance_formula(0.0, 1) == 2.0
         assert pure_distance_formula(1.0, 7) == 0.0
 
+    @settings(max_examples=400, deadline=None)
+    @given(gamma=st.floats(0.0, 1.0 - 2**-52) | st.floats(2**-52, 1e-3).map(lambda t: 1.0 - t),
+           d=st.integers(1, 400))
+    def test_matches_50_digit_mpmath(self, gamma, d):
+        """1 - gamma^(2d) taken directly cancels as gamma nears 1: at
+        gamma = 0.999999999 it gives 8.94427178352e-05 for 8.94427178128e-05."""
+        with mpmath.workdps(50):
+            want = float(2 * mpmath.sqrt(1 - mpmath.mpf(gamma) ** (2 * d)))
+        assert math.isclose(pure_distance_formula(gamma, d), want, rel_tol=1e-14), (gamma, d)
+
     def test_domain_validated(self):
         with pytest.raises(ValueError):
             pure_distance_formula(1.5, 1)
