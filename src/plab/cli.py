@@ -221,9 +221,9 @@ def emit_table(report: RunReport, path: str) -> None:
 
 def _load_json(path: str, parse):
     """``parse`` of the JSON in ``path``; wrong types, keys or numbers (a string that is not a
-    rational, a rational dividing by zero, a float overflow) in it raise ValueError naming the
-    file.  A value that fails a check of its meaning, such as a state with a NaN entry, keeps
-    the check's own message."""
+    rational, a NaN or infinite number, a rational dividing by zero, a float overflow) in it
+    raise ValueError naming the file.  A value that fails a check of its meaning, such as a
+    state with a NaN entry, keeps the check's own message."""
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
     try:

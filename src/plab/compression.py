@@ -80,19 +80,32 @@ def required_n(m: int) -> int:
 
     Evaluated in log form to avoid overflow; the boundary gaps are orders of
     magnitude above float error (see tests for a high-precision cross-check).
+    The first and third conditions hold from a threshold on.  The log of the
+    second's left side rises up to n ~ 18.5*m and falls after it, and at
+    n = m + 1 it is already above log(1/6), so the second condition first
+    holds on the falling side and then for every larger n: all three hold
+    exactly from the answer on, which doubling and then bisection find.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     log_alpha = math.log(1.0 / 6.0)
-    n = m + 1
-    while True:
-        cond_ratio = 6 * m <= n
+
+    def holds(n: int) -> bool:
         log_comb = math.lgamma(n + 1) - math.lgamma(m + 1) - math.lgamma(n - m + 1)
-        cond_union = math.log(2.0) + log_comb - (n - m) / 18.0 <= log_alpha
-        cond_tail = -n / 18.0 <= log_alpha
-        if cond_ratio and cond_union and cond_tail:
-            return n
-        n += 1
+        return (6 * m <= n
+                and math.log(2.0) + log_comb - (n - m) / 18.0 <= log_alpha
+                and -n / 18.0 <= log_alpha)
+
+    lo, hi = m, m + 1  # holds(m + 1) is false: 6m > m + 1
+    while not holds(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def _distinct_subtuples(pts: tuple, m: int) -> list[tuple]:

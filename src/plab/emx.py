@@ -61,8 +61,8 @@ def as_fraction(value: Fraction | int | float | str) -> Fraction:
         raise TypeError("bool is not a rational value")
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(str(value))
+    if isinstance(value, float):  # nan and inf raise RationalLiteralError
+        return _parse_literal(str(value))
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 

@@ -12,19 +12,32 @@ with the number of pivots it made.  A row that says x_j >= 0 alone
 row, and x_j gets one nonnegative column.  Every other variable is a free
 real, split as u - v.
 
+Rows that share no variable, directly or through other rows, form
+independent blocks (the kernel polytope has one per environment), and each
+block gets its own tableau, with its columns and rows in their original
+relative order.  In the one tableau of all rows a pivot in one block leaves
+every other block's rows and objective entries as they are, and Bland's
+rule picks the least eligible column over all blocks, so that tableau makes
+each block's own pivots in some interleaving: the pivot count is the sum
+over blocks, and the witness is the same point.  Every block is run, even
+after one is infeasible, so the count stays that of the whole tableau.  A
+row with no terms is a block of its own, and a variable in no row stays 0.
+
 The tableau is fraction-free (Edmonds, Bareiss): each row, the objective
 included, is a list of ints equal to the rational row times a positive scale
 that is never stored.  A constraint row starts at the row's integer form as
 stored, and the objective at the sum of the artificial rows brought to the
-lcm of their scales.  A pivot on entry p > 0 leaves the pivot row as it is
-and turns every other row with entry f != 0 in the entering column into
-p*row - f*pivot_row, divided by the gcd of its entries.  Rows with a zero
-there are not touched.  The entering test (objective entry > 0) and the
-min-ratio test (b/a < b'/a' as b*a' < b'*a) do not change under positive row
-scales, so the pivot path is that of the rational tableau, and the witness
-reads each basic variable as rhs entry / basic entry, the same rational.
-``affine_dimension`` in ``plab.feasibility`` runs its Gauss-Jordan steps,
-whose pivots may be negative, through the same elimination core.
+lcm of their scales.  A pivot on entry p leaves the pivot row as it is and
+turns every other row with entry f != 0 in the entering column into
+|p|*row - sign(p)*f*pivot_row.  Rows with a zero there are not touched.
+When |p| = 1 a row keeps exactly its scale; when |p| > 1 its scale is
+multiplied by |p|, so the row is divided by the gcd of its entries.  The
+entering test (objective entry > 0) and the min-ratio test (b/a < b'/a' as
+b*a' < b'*a) do not change under positive row scales, so the pivot path is
+that of the rational tableau, and the witness reads each basic variable as
+rhs entry / basic entry, the same rational.  ``affine_dimension`` in
+``plab.feasibility`` runs its Gauss-Jordan steps, whose pivots may be
+negative, through the same elimination core.
 """
 
 from __future__ import annotations
@@ -38,15 +51,18 @@ RELATIONS = ("<=", "=", ">=")
 _FLIPPED = {"<=": ">=", ">=": "<=", "=": "="}  # the relation of the row times -1
 _positive = (0).__lt__  # _positive(v) is v > 0; map(_positive, ...) scans rows in C
 
+_Row = tuple[int, Sequence[tuple[int, int]], int, str]  # (scale, integer terms, integer rhs, relation)
+
 
 def _eliminate(rows: list[list[int]], r: int, col: int) -> None:
     """Fraction-free Gauss-Jordan step in place on integer rows.  Row r
     keeps its pivot p = rows[r][col]: it is the rational row scaled to 1 in
     col, times p.  Every other row with entry f != 0 in col becomes
-    |p|*row - sign(p)*f*row_r, divided by the gcd of its entries: its
-    rational row cleared in col, times a positive scale.  Rows with a zero
-    in col are not touched, and when |p| = 1 no row is multiplied, so only
-    the nonzero columns of row r change before the gcd division."""
+    |p|*row - sign(p)*f*row_r: its rational row cleared in col, times its
+    old scale times |p|.  When |p| = 1 that is exactly its old scale, so only
+    the nonzero columns of row r change, in place, and no gcd is taken; when
+    |p| > 1 the row is divided by the gcd of its entries.  Rows with a zero
+    in col are not touched."""
     prow = rows[r]
     p = prow[col]
     ap = abs(p)
@@ -57,8 +73,11 @@ def _eliminate(rows: list[list[int]], r: int, col: int) -> None:
             continue
         if p < 0:
             f = -f
-        if ap != 1:
-            row = [ap * v for v in row]
+        if ap == 1:
+            for j in nz:
+                row[j] -= f * prow[j]
+            continue
+        row = [ap * v for v in row]
         for j in nz:
             row[j] -= f * prow[j]
         g = gcd(*row)
@@ -70,8 +89,7 @@ def feasible_point(num_vars: int, constraints: Iterable) -> tuple[list[Fraction]
     infeasible; the number of pivots made).  Each constraint has ``arity``,
     ``relation`` and the integer form ``scale``, ``iterms``, ``irhs``, as a
     ``LinearConstraint`` has."""
-    rows: list[tuple[int, Sequence[tuple[int, int]], int]] = []  # (scale, integer terms, integer rhs)
-    rels: list[str] = []
+    rows: list[_Row] = []
     bounded = set()  # variables with a sign bound x_j >= 0
     for row in constraints:
         if row.arity != num_vars:
@@ -82,27 +100,63 @@ def feasible_point(num_vars: int, constraints: Iterable) -> tuple[list[Fraction]
             continue
         if irhs < 0 or (irhs == 0 and rel == ">="):  # canonical: rhs >= 0, and no needless artificial
             ints, irhs, rel = [(j, -c) for j, c in ints], -irhs, _FLIPPED[rel]
-        rows.append((scale, ints, irhs))
-        rels.append(rel)
+        rows.append((scale, ints, irhs, rel))
 
-    # column j is x_j, or u_j of x_j = u_j - v_j for a free x_j; the v
-    # columns follow in variable order, then slacks, then artificials
+    # union-find over the variables the rows share; a row with no terms is
+    # keyed by its own (negative) index
+    parent = list(range(num_vars))
+
+    def root(j: int) -> int:
+        while parent[j] != j:
+            parent[j] = parent[parent[j]]
+            j = parent[j]
+        return j
+
+    for _, ints, _, _ in rows:
+        for j, _ in ints[1:]:
+            parent[root(j)] = root(ints[0][0])
+    blocks: dict[int, list[_Row]] = {}
+    for i, row in enumerate(rows):
+        blocks.setdefault(root(row[1][0][0]) if row[1] else -1 - i, []).append(row)
+
+    point = [Fraction(0)] * num_vars
+    feasible, pivots = True, 0
+    for block in blocks.values():
+        variables = sorted({j for _, ints, _, _ in block for j, _ in ints})
+        values, n = _phase1(variables, block, bounded)
+        pivots += n
+        if values is None:
+            feasible = False
+        else:
+            for j, v in zip(variables, values):
+                point[j] = v
+    return (point if feasible else None), pivots
+
+
+def _phase1(variables: list[int], rows: list[_Row], bounded: set) -> tuple[list[Fraction] | None, int]:
+    """Phase-1 simplex on canonical rows (rhs >= 0) whose terms read only
+    ``variables``, in increasing order; those in ``bounded`` have a sign
+    bound.  Returns (the values of ``variables`` at the point found, or None
+    if the rows are infeasible; the number of pivots made)."""
+    # column k is the k-th variable x, or u of x = u - v for a free x; the
+    # v columns follow in variable order, then slacks, then artificials
+    col_of = {j: k for k, j in enumerate(variables)}
     neg_of = {}
-    col = num_vars
-    for j in range(num_vars):
+    col = len(variables)
+    for k, j in enumerate(variables):
         if j not in bounded:
-            neg_of[j] = col
+            neg_of[k] = col
             col += 1
     first_slack = col
     m = len(rows)
     slack_of = {}
     art_of = {}
-    for i, r in enumerate(rels):
-        if r != "=":
+    for i, (*_, rel) in enumerate(rows):
+        if rel != "=":
             slack_of[i] = col
             col += 1
-    for i, r in enumerate(rels):
-        if r != "<=":
+    for i, (*_, rel) in enumerate(rows):
+        if rel != "<=":
             art_of[i] = col
             col += 1
     width = col + 1  # + rhs
@@ -111,14 +165,15 @@ def feasible_point(num_vars: int, constraints: Iterable) -> tuple[list[Fraction]
     # rows 0..m-1 are the constraints, row m is the objective
     tableau: list[list[int]] = []
     basis: list[int] = []
-    for i, (scale, ints, irhs) in enumerate(rows):
+    for i, (scale, ints, irhs, rel) in enumerate(rows):
         row = [0] * width
         for j, c in ints:
-            row[j] = c
-            if j in neg_of:
-                row[neg_of[j]] = -c
+            k = col_of[j]
+            row[k] = c
+            if k in neg_of:
+                row[neg_of[k]] = -c
         if i in slack_of:
-            row[slack_of[i]] = scale if rels[i] == "<=" else -scale
+            row[slack_of[i]] = scale if rel == "<=" else -scale
         if i in art_of:
             row[art_of[i]] = scale
             basis.append(art_of[i])
@@ -170,8 +225,8 @@ def feasible_point(num_vars: int, constraints: Iterable) -> tuple[list[Fraction]
             row = tableau[i]
             values[b] = Fraction(row[rhs_col], row[b])
     zero = Fraction(0)
-    point = [values.get(j, zero) for j in range(num_vars)]
-    for j, v in neg_of.items():
+    point = [values.get(k, zero) for k in range(len(variables))]
+    for k, v in neg_of.items():
         if v in values:
-            point[j] -= values[v]
+            point[k] -= values[v]
     return point, pivots

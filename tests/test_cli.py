@@ -585,6 +585,14 @@ BAD_FILES = {
                                      {"labels": ["1e400", 0.5], "weights": ["1/2", "1/2"]}),
     "dist-weight-not-a-rational": (["emx", "--dist", "bad.json"], "bad.json",
                                    {"labels": ["a", "b"], "weights": ["abc", "1/2"]}),
+    "task-utility-nan": (["feasible", "lp", "--task", "bad.json"], "bad.json",
+                         {"thetas": ["t0", "t1"], "hyps": ["h0", "h1"], "utility": [[math.nan, 0], [0, 1]]}),
+    "polytope-coefficient-infinity": (POLYTOPE, "bad.json",
+                                      {"variables": ["a", "b", "c", "d"],
+                                       "constraints": [{"coeffs": [math.inf, 0, 0, 0], "relation": ">=",
+                                                        "rhs": "0"}]}),
+    "coarse-label-nan": (["coarse", "--dist", "bad.json"], "bad.json",
+                         {"labels": [math.nan, 0.5], "weights": ["1/2", "1/2"]}),
     "state-dim-not-integer": (["feasible", "sdp", "--task", "task.json", "--states", "states"], "states/t0.json",
                               {"dim": 2.5, "entries": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]}),
 }

@@ -2,6 +2,7 @@
 size threshold, and the learner->scheme direction."""
 
 import itertools
+import math
 import time
 
 import mpmath
@@ -98,6 +99,35 @@ class TestRequiredN:
     def test_m_validated(self):
         with pytest.raises(ValueError):
             required_n(0)
+
+    def test_bisection_matches_the_scan(self):
+        """The float conditions, scanned one n at a time from m + 1."""
+        log_alpha = math.log(1.0 / 6.0)
+
+        def scan(m):
+            n = m + 1
+            while True:
+                cond_ratio = 6 * m <= n
+                log_comb = math.lgamma(n + 1) - math.lgamma(m + 1) - math.lgamma(n - m + 1)
+                cond_union = math.log(2.0) + log_comb - (n - m) / 18.0 <= log_alpha
+                cond_tail = -n / 18.0 <= log_alpha
+                if cond_ratio and cond_union and cond_tail:
+                    return n
+                n += 1
+
+        assert [required_n(m) for m in range(1, 301)] == [scan(m) for m in range(1, 301)]
+
+    @pytest.mark.parametrize("m", [10**4, 10**6])
+    def test_large_m_is_the_threshold_at_high_precision(self, m):
+        def holds(n):
+            with mpmath.workdps(50):
+                alpha = mpmath.mpf(1) / 6
+                return (mpmath.mpf(m) / n <= alpha
+                        and mpmath.log(2 * mpmath.binomial(n, m)) - mpmath.mpf(n - m) / 18 <= mpmath.log(alpha)
+                        and mpmath.e ** (-mpmath.mpf(n) / 18) <= alpha)
+
+        n = required_n(m)
+        assert holds(n) and not holds(n - 1)
 
 
 class TestCompressionLearner:

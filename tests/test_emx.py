@@ -52,6 +52,11 @@ class TestRationalParsing:
         assert as_fraction(2) == Fraction(2)
         assert as_fraction(Fraction(7, 3)) == Fraction(7, 3)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_floats_are_literal_errors(self, value):
+        with pytest.raises(RationalLiteralError):
+            as_fraction(value)
+
     def test_bool_rejected(self):
         with pytest.raises(TypeError):
             as_fraction(True)

@@ -242,6 +242,24 @@ def equality_systems(draw, coeffs=coeff, leading_negative=False):
     return PolytopeSpec(tuple(f"x{j}" for j in range(n)), eqs)
 
 
+@st.composite
+def block_systems(draw):
+    """Two to four systems, some of them infeasible, on disjoint variables:
+    their columns interleaved and their rows shuffled."""
+    parts = draw(st.lists(st.one_of(systems(), bounded_systems(), split_systems()), min_size=2, max_size=4))
+    total = sum(n for n, _ in parts)
+    columns = draw(st.permutations(range(total)))
+    rows, at = [], 0
+    for n, part in parts:
+        cols, at = columns[at:at + n], at + n
+        for coeffs, rel, rhs in part:
+            full = [F(0)] * total
+            for j, c in zip(cols, coeffs):
+                full[j] = c
+            rows.append((tuple(full), rel, rhs))
+    return total, draw(st.permutations(rows))
+
+
 @settings(max_examples=400, deadline=None)
 @given(st.one_of(systems(), bounded_systems()))
 def test_random_systems_match_dense_reference(system):
@@ -275,6 +293,15 @@ def test_infeasible_systems_match_dense_reference(system):
 def test_wide_rationals_match_dense_reference(system):
     """Integer rows scaled by products of coprime 10^9-sized denominators
     take the same pivots to the same point as the Fraction tableau."""
+    n, rows = system
+    assert_same(n, rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(block_systems())
+def test_independent_blocks_match_dense_reference(system):
+    """Solving each block of rows that share no variable on its own tableau
+    takes the whole tableau's pivot count to the same point (or None)."""
     n, rows = system
     assert_same(n, rows)
 
@@ -314,6 +341,26 @@ def test_eliminate_gives_positive_multiples_of_rational_rows(rows, data):
             assert not any(g)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda w: st.lists(st.lists(st.integers(-10**6, 10**6), min_size=w, max_size=w),
+                                                      min_size=2, max_size=5)),
+       st.data())
+def test_eliminate_on_a_unit_pivot_gives_the_rational_rows_exactly(rows, data):
+    """A pivot of +-1 leaves every row at its scale: each updated row is the
+    rational Gauss-Jordan row itself, not a multiple of it."""
+    r = data.draw(st.integers(0, len(rows) - 1))
+    col = data.draw(st.integers(0, len(rows[0]) - 1))
+    rows[r][col] = data.draw(st.sampled_from([1, -1]))
+    want = [[F(v) for v in row] for row in rows]
+    for i, row in enumerate(want):
+        if i != r:
+            f = row[col] / want[r][col]
+            want[i] = [v - f * w for v, w in zip(row, want[r])]
+    got = [list(row) for row in rows]
+    simplex._eliminate(got, r, col)
+    assert got == want
+
+
 def test_min_ratio_tie_is_broken_by_basic_index_under_unequal_scales(monkeypatch):
     """(2/3)x >= 2/3 and (5/7)x <= 5/7 tie at ratio 1 for x, with integer
     rows scaled by 3 and 7.  The first row's basic variable is its
@@ -348,6 +395,22 @@ def test_kernel_polytopes_match_dense_reference(shape, delta):
     res = lp_feasible(poly, pl)
     assert res.feasible and res.pivots == pivots > 0
     assert list(res.witness.values()) == point
+
+
+def test_lp_feasible_makes_one_feasible_point_call_for_all_blocks(monkeypatch):
+    """A 6 x 6 kernel polytope has six independent blocks, solved inside
+    one call of the public entry."""
+    calls = []
+    solve = simplex.feasible_point
+
+    def count(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(simplex, "feasible_point", count)
+    task = random_task(random.Random("blocks"), 6, 6)
+    res = lp_feasible(kernel_polytope(task), build_pl_constraints(task, F(1, 4), F(1, 5)))
+    assert res.feasible and len(calls) == 1
 
 
 def chsh_rows(poly, win):
