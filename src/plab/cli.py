@@ -489,12 +489,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _config_from_args(args)
         report = run_config(cfg)
+        if args.table:  # first: a report without a sweep exits 1 having written nothing
+            emit_table(report, args.table)
         if cfg.out:
             write_report(report, cfg.out)
         else:
             print(report.to_text())
-        if args.table:
-            emit_table(report, args.table)
     except (ValueError, KeyError, OSError, quantum.ResourceCapError) as exc:
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc  # str() would quote it
         print(f"plab: error: {message}", file=sys.stderr)

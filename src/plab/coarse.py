@@ -105,8 +105,9 @@ class PulledBackHypothesis:
     def segment_form(self) -> tuple | None:
         """(pi, domain, t) when the cells are a segment: x is a member iff
         domain.idx(pi(x)) <= t.  None for any other cell set."""
-        form = self.cells.segment_form() if isinstance(self.cells, FiniteHypothesis) else None
-        return None if form is None else (self.pi, *form[1:])
+        if isinstance(self.cells, FiniteHypothesis):
+            return self.pi, self.cells.domain, self.cells.threshold
+        return None
 
     def __repr__(self) -> str:
         return f"PulledBackHypothesis({self.cells!r})"

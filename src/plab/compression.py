@@ -33,11 +33,11 @@ LEVEL_LIMIT = 1 << 16  # value subtuples one level of the ERM's walk may hold; a
 class CompressionScheme:
     """Reconstruction rule from m_out-tuples, with declared sizes.
 
-    ``reconstruct`` must be a pure function of its tuple: the same tuple
-    always gives an equal hypothesis, and calling it has no effect that
-    matters.  ``compression_learner`` relies on this: it keeps the
-    reconstruction of each value subtuple it meets (with its size and
-    ``segment_form()``, which sorts it into a nested family) in a table on
+    ``reconstruct`` (to a segment or a frozenset) must be a pure function
+    of its tuple: the same tuple always gives an equal set, and calling it
+    has no effect that matters.  ``compression_learner`` relies on this: it
+    keeps the reconstruction of each value subtuple it meets (with its size
+    and segment form, which sorts it into a nested family) in a table on
     the scheme, up to ``CANDIDATE_LIMIT`` entries, and reconstructs only
     subtuples the table does not hold.  The table is not a field of the
     constructor, so ``dataclasses.replace`` starts a scheme with an empty one.
@@ -45,7 +45,7 @@ class CompressionScheme:
 
     m_in: int
     m_out: int
-    reconstruct: Callable[[tuple], FiniteHypothesis] = field(repr=False)
+    reconstruct: Callable[[tuple], FiniteHypothesis | frozenset] = field(repr=False)
     _candidates: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -140,7 +140,7 @@ def _distinct_subtuples(pts: tuple, m: int) -> list[tuple]:
 
 def compression_learner(
     scheme: CompressionScheme, sample: Iterable, dom: IndexedDomain
-) -> FiniteHypothesis:
+) -> FiniteHypothesis | frozenset:
     """ERM over the candidate family {reconstruct(m-subtuple of S)}.
 
     Returns the candidate of maximum empirical mass; ties break toward larger
@@ -159,9 +159,9 @@ def compression_learner(
     Candidates whose ``segment_form()`` shares (pi, domain) are nested, so
     of each such family only the first-met candidate of largest size can
     win (nested sets of equal size are equal).  These and every candidate
-    without a segment form are scored in the order met, by a count of
-    sample hits over the sample's distinct values (n is fixed within a
-    call, so counts order like empirical masses).
+    without a segment form, such as a frozenset, are scored in the order
+    met, by a count of sample hits over the sample's distinct values (n is
+    fixed within a call, so counts order like empirical masses).
     """
     pts = tuple(sample)
     n, m = len(pts), scheme.m_out
@@ -172,10 +172,10 @@ def compression_learner(
         entry = candidates.get(sub)
         if entry is None:
             hyp = scheme.reconstruct(sub)
-            entry = (hyp, len(hyp), hyp.segment_form())
+            entry = (hyp, len(hyp), hyp.segment_form() if hasattr(hyp, "segment_form") else None)
             if len(candidates) < CANDIDATE_LIMIT:
                 candidates[sub] = entry
-        family = (sub,) if entry[2] is None else entry[2][:2]  # (pi, domain); an explicit set stands alone
+        family = (sub,) if entry[2] is None else entry[2][:2]  # (pi, domain); a frozenset stands alone
         if family not in finalists or entry[1] > finalists[family][1]:
             finalists.pop(family, None)  # a larger member takes its own place in the met order
             finalists[family] = entry
@@ -188,34 +188,34 @@ def compression_learner(
             best, best_key, best_desc = hyp, key, None
         elif key == best_key and hyp != best:
             if best_desc is None:
-                best_desc = tuple(sorted(dom.idx(x) for x in best.elements))
-            desc = tuple(sorted(dom.idx(x) for x in hyp.elements))
+                best_desc = tuple(sorted(map(dom.idx, best)))
+            desc = tuple(sorted(map(dom.idx, hyp)))
             if desc < best_desc:
                 best, best_desc = hyp, desc
     return best
 
 
 def learner_to_compression(
-    learner: Callable[[tuple], FiniteHypothesis], d: int, dom: IndexedDomain
+    learner: Callable[[tuple], Iterable], d: int, dom: IndexedDomain
 ) -> CompressionScheme:
     """Scheme with m = ceil(3d/2): reconstruct an m-tuple as the union of its
     own points with the learner's output on every d-tuple (with repetition)
     drawn from them.
 
-    For finite-subset learners the union is itself a finite hypothesis; tuples
-    over repeated values are taken once.
+    For finite-subset learners the union is a finite set, returned as a
+    frozenset; tuples over repeated values are taken once.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
     m = math.ceil(3 * d / 2)
 
-    def reconstruct(sub: tuple) -> FiniteHypothesis:
+    def reconstruct(sub: tuple) -> frozenset:
         if len(sub) != m:
             raise ValueError(f"expected an m={m} tuple, got {len(sub)} points")
         out = set(sub)
         values = sorted(set(sub), key=dom.idx)
         for tup in itertools.product(values, repeat=d):
-            out.update(learner(tup).elements)
-        return FiniteHypothesis.from_elements(out)
+            out.update(learner(tup))
+        return frozenset(out)
 
     return CompressionScheme(m_in=m + 1, m_out=m, reconstruct=reconstruct)

@@ -3,7 +3,7 @@
 Implements:
   • IndexedDomain — ordered countable domain with a 1-based rank ``idx``
   • FinSupportDist — finitely supported distribution (exact rationals preferred)
-  • FiniteHypothesis — finite subset, with a compact initial-segment form
+  • FiniteHypothesis — initial segment stored as its threshold (an explicit set is a frozenset)
   • quantile_learn — keep everything up to the largest observed index
   • SegmentLearner — the same rule after a map, answered from support ranks
   • accuracy — the one (eps, delta) rule: exact eps in (0,1), delta in [0,1)
@@ -191,7 +191,7 @@ class IndexedDomain:
     def initial_segment(self, t: int) -> "FiniteHypothesis":
         if t < 0:
             raise ValueError("segment threshold must be >= 0")
-        return FiniteHypothesis(None, self, t)
+        return FiniteHypothesis(self, t)
 
     def __repr__(self) -> str:
         if self._rank is None:
@@ -202,33 +202,22 @@ class IndexedDomain:
 
 
 class FiniteHypothesis:
-    """Finite subset of a domain.
-
-    Two forms: an explicit element set, or a compact initial segment storing
-    only the threshold t and denoting exactly {x : idx(x) <= t}.  Membership,
-    size and equality behave identically in both forms.
+    """Initial segment {x : domain.idx(x) <= threshold} of a domain, stored
+    as the threshold alone.  An explicit finite set is a plain ``frozenset``,
+    which no segment equals.
     """
 
-    __slots__ = ("_explicit", "domain", "threshold")
+    __slots__ = ("domain", "threshold")
 
-    def __init__(self, explicit: frozenset | None, domain: IndexedDomain | None, threshold: int | None):
-        self._explicit = explicit
+    def __init__(self, domain: IndexedDomain, threshold: int):
         self.domain = domain
         self.threshold = threshold
 
-    @classmethod
-    def from_elements(cls, elements: Iterable) -> "FiniteHypothesis":
-        return cls(frozenset(elements), None, None)
-
     @property
     def elements(self) -> frozenset:
-        if self._explicit is not None:
-            return self._explicit
         return frozenset(self.domain.labels[: self.threshold])
 
     def __contains__(self, x) -> bool:
-        if self._explicit is not None:
-            return x in self._explicit
         try:
             return self.domain.idx(x) <= self.threshold
         except KeyError:
@@ -237,42 +226,33 @@ class FiniteHypothesis:
     @property
     def _size(self) -> int:
         """Cardinality, exact also past the 2^63 - 1 that ``len`` can return."""
-        if self._explicit is not None:
-            return len(self._explicit)
         return min(self.threshold, self.domain.size)
 
     def __len__(self) -> int:
         return self._size
 
     def __iter__(self) -> Iterator:
-        if self._explicit is not None:
-            return iter(self._explicit)
         return iter(self.domain.labels[: self.threshold])
 
-    def segment_form(self) -> tuple | None:
-        """(None, domain, t) for a segment: x is a member iff domain.idx(x) <= t.
-        None for an explicit set."""
-        return None if self.threshold is None else (None, self.domain, self.threshold)
+    def segment_form(self) -> tuple:
+        """(None, domain, t): x is a member iff domain.idx(x) <= t."""
+        return None, self.domain, self.threshold
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FiniteHypothesis):
             return NotImplemented
-        if self.threshold is not None and other.threshold is not None and (
-            self.domain is other.domain or self.domain.labels == other.domain.labels
-        ):
+        if self.domain is other.domain or self.domain.labels == other.domain.labels:
             n = self.domain.size
             return min(self.threshold, n) == min(other.threshold, n)
         return self.elements == other.elements
 
     def __hash__(self) -> int:
-        # Equal hypotheses have equal sizes, and the size is O(1) in both
-        # forms, so hashing a segment never builds its element set.
+        # Equal segments have equal sizes, and the size is O(1), so hashing
+        # never builds the element set.
         return hash(self._size)
 
     def __repr__(self) -> str:
-        if self.threshold is not None:
-            return f"FiniteHypothesis(segment t={self.threshold})"
-        return f"FiniteHypothesis({set(self._explicit)!r})"
+        return f"FiniteHypothesis(segment t={self.threshold})"
 
 
 class FinSupportDist:
@@ -397,8 +377,8 @@ def mass(P: FinSupportDist, F: Container) -> Fraction | float:
     (distribution, pi, domain) and cached on P.  Exact weights always use
     it.  Float or mixed weights use it only when the ranks are nondecreasing
     in support order, because only then is each prefix the same
-    left-to-right float sum as the loop below.  Every other case, explicit
-    sets included, sums over the support testing membership point by point.
+    left-to-right float sum as the loop below.  Every other case, frozensets
+    included, sums over the support testing membership point by point.
     Both paths return the same value and type.
     """
     form = F.segment_form() if hasattr(F, "segment_form") else None

@@ -158,10 +158,8 @@ class PolytopeSpec:
 
 def epsilon_optimal_sets(task: TaskSpec, epsilon) -> dict[str, tuple[str, ...]]:
     """G_theta(eps) = {h : U(theta,h) >= opt(theta) - eps}; the maximizer
-    always qualifies, so no set is empty."""
-    eps = as_fraction(epsilon)
-    if not 0 < eps:
-        raise ValueError("epsilon must be positive")
+    always qualifies, so no set is empty.  epsilon is checked by ``accuracy``."""
+    eps = accuracy(epsilon, 0)[0]
     out = {}
     for i, theta in enumerate(task.thetas):
         cut = task.opt(i) - eps

@@ -271,11 +271,16 @@ class TestErrorPaths:
         assert "error" in capsys.readouterr().err
 
     def test_table_without_sweep(self, workdir, capsys):
+        # the run exits 1 before it writes or prints the report
         rc = main(["emx", "--dist", "dist.json", "--trials", "10",
                    "--out", "r.json", "--table", "t.csv"])
         assert rc == 1
         assert "no sweep" in capsys.readouterr().err
         assert not (workdir / "t.csv").exists()
+        assert not (workdir / "r.json").exists()
+        assert main(["emx", "--dist", "dist.json", "--trials", "10", "--table", "t.csv"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "plab: error: report has no sweep to tabulate\n"
 
     def test_bad_compress_mode(self, workdir, capsys):
         assert main(["compress", "--mode", "demo", "--domain", "a,b", "--pair", "a,b,a"]) == 1

@@ -19,7 +19,7 @@ from plab.compression import (
     required_n,
     segment_scheme,
 )
-from plab.emx import FinSupportDist, FiniteHypothesis, IndexedDomain, quantile_learn
+from plab.emx import FinSupportDist, IndexedDomain, quantile_learn
 from random_fixtures import draw_sample
 
 DOM = IndexedDomain(tuple("abcdefg"))
@@ -51,7 +51,7 @@ class TestTwoToOne:
 
     def test_no_covering_subtuple_gives_none(self):
         # reconstructing a kept point as itself alone always misses the other
-        scheme = CompressionScheme(m_in=2, m_out=1, reconstruct=FiniteHypothesis.from_elements)
+        scheme = CompressionScheme(m_in=2, m_out=1, reconstruct=frozenset)
         assert check_monotone_coverage(scheme, ("a", "b")) is None
 
     def test_scheme_sizes_validated(self):
@@ -153,12 +153,12 @@ class TestCompressionLearner:
             assert compression_learner(scheme, perm, DOM) == base
 
     def test_equal_sets_keep_the_first_met(self):
-        # the explicit {a, b, c} is met after the first segment of DOM's
-        # family and before the segment equal to it, which ties and loses
-        recon = {"a": DOM.initial_segment(1), "c": FiniteHypothesis.from_elements("abc"), "d": DOM.initial_segment(3)}
+        # the frozenset {a, b, c} is met after the first segment of DOM's
+        # family and before the segment with its elements, which ties and loses
+        recon = {"a": DOM.initial_segment(1), "c": frozenset("abc"), "d": DOM.initial_segment(3)}
         scheme = CompressionScheme(m_in=2, m_out=1, reconstruct=lambda sub: recon[sub[0]])
         h = compression_learner(scheme, ("a", "c", "d"), DOM)
-        assert h == DOM.initial_segment(3) and h.segment_form() is None
+        assert type(h) is frozenset and h == frozenset("abc")
 
     def test_a_walk_level_past_the_limit_is_refused_before_it_is_built(self):
         # 3 values and m = 18: the walk's levels grow toward 3^k value subtuples
@@ -173,21 +173,19 @@ class TestCompressionLearner:
     def test_tie_breaks_toward_larger_then_lex_smaller(self):
         # non-nested candidates: reconstruct is the kept point alone
         point_scheme = CompressionScheme(
-            m_in=2, m_out=1, reconstruct=lambda sub: FiniteHypothesis.from_elements(sub)
+            m_in=2, m_out=1, reconstruct=frozenset
         )
         # equal mass, equal size -> smaller index description wins
         h = compression_learner(point_scheme, ("e", "b"), DOM)
-        assert h.elements == frozenset("b")
+        assert h == frozenset("b")
         # equal mass, different size -> larger hypothesis wins
         pair_scheme = CompressionScheme(
             m_in=3,
             m_out=2,
-            reconstruct=lambda sub: FiniteHypothesis.from_elements(
-                sub if sub[0] != sub[1] else (sub[0], "g")
-            ),
+            reconstruct=lambda sub: frozenset(sub if sub[0] != sub[1] else (sub[0], "g")),
         )
         h = compression_learner(pair_scheme, ("c", "c", "c"), DOM)
-        assert h.elements == frozenset("cg")
+        assert h == frozenset("cg")
 
 
 class TestLearnerToCompression:
@@ -203,7 +201,7 @@ class TestLearnerToCompression:
         scheme = self.make(3)
         hyp = scheme.reconstruct(("a", "b", "c", "d", "e"))
         # the quantile learner on any tuple from {a..e} tops out at segment e
-        assert hyp.elements == frozenset("abcde")
+        assert type(hyp) is frozenset and hyp == frozenset("abcde")
 
     def test_reconstruction_arity_checked(self):
         with pytest.raises(ValueError):

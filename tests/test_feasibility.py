@@ -66,9 +66,11 @@ class TestEpsilonOptimalSets:
             "t1": ("h1",),
         }
 
-    def test_large_epsilon_admits_everything(self):
-        got = epsilon_optimal_sets(IDENTITY_TASK, 1)
-        assert got == {"t0": ("h0", "h1"), "t1": ("h0", "h1")}
+    def test_epsilon_of_one_is_refused(self):
+        # the accuracy rule: epsilon lies in (0, 1)
+        for epsilon in (1, "3/2"):
+            with pytest.raises(ValueError, match="epsilon in \\(0,1\\)"):
+                epsilon_optimal_sets(IDENTITY_TASK, epsilon)
 
     def test_ties_at_the_optimum(self):
         task = TaskSpec(["t"], ["h0", "h1"], [["0.9", "0.9"]])

@@ -39,7 +39,6 @@ from plab.compression import (
 )
 from plab.emx import (
     FinSupportDist,
-    FiniteHypothesis,
     IndexedDomain,
     SegmentLearner,
     mass,
@@ -69,8 +68,8 @@ def reference_compression_learner(scheme, sample, dom):
             continue
         if (emp, len(hyp)) == (best[0], best[1]) and hyp != best[2]:
             if best_desc is None:
-                best_desc = tuple(sorted(dom.idx(x) for x in best[2].elements))
-            desc = tuple(sorted(dom.idx(x) for x in hyp.elements))
+                best_desc = tuple(sorted(dom.idx(x) for x in best[2]))
+            desc = tuple(sorted(dom.idx(x) for x in hyp))
             if desc < best_desc:
                 best, best_desc = (emp, len(hyp), hyp), desc
     return best[2]
@@ -127,7 +126,7 @@ def test_segments_and_explicit_sets(case, data):
     P, dom = case
     ts = data.draw(st.lists(st.integers(0, len(dom) + 2), min_size=1, max_size=6))
     sets = data.draw(st.lists(st.frozensets(st.integers(0, 40)), max_size=3))
-    check_all(P, [*(dom.initial_segment(t) for t in ts), *sets, *(FiniteHypothesis.from_elements(s) for s in sets)])
+    check_all(P, [*(dom.initial_segment(t) for t in ts), *sets])
 
 
 @settings(max_examples=200, deadline=None)
@@ -489,15 +488,14 @@ def min_segment_scheme(dom, m):
 def families_scheme(dom, m):
     """The initial segment up to the largest kept rank, as a segment over
     ``dom``, a segment over a second domain object with the same labels, or
-    an explicit set, by the kept ranks' sum: two nested families whose
+    a frozenset, by the kept ranks' sum: two nested families whose
     finalists tie with equal sets met before them."""
     twin = IndexedDomain(dom.labels)
 
     def reconstruct(sub):
         ranks = [dom.idx(x) for x in sub]
         t = max(ranks)
-        return (dom.initial_segment(t), twin.initial_segment(t), FiniteHypothesis.from_elements(dom.labels[:t]))[
-            sum(ranks) % 3]
+        return (dom.initial_segment(t), twin.initial_segment(t), frozenset(dom.labels[:t]))[sum(ranks) % 3]
 
     return CompressionScheme(m + 1, m, reconstruct)
 
@@ -540,7 +538,7 @@ def test_compression_learner_matches_the_position_enumeration(kind, m, size, lim
             before, start = list(new_scheme._candidates), len(log)
             got = compression_learner(new_scheme, pts, dom)
             want = reference_compression_learner(scheme, pts, dom)
-            assert got == want and (got.segment_form() is None) == (want.segment_form() is None)
+            assert same(got, want)
             unseen = [s for s in dict.fromkeys(itertools.combinations(pts, m)) if s not in before]
             assert log[start:] == unseen
             assert list(new_scheme._candidates) == before + unseen[: max(limit - len(before), 0)]
@@ -558,6 +556,26 @@ def test_a_replaced_scheme_starts_with_an_empty_table():
     assert traced._candidates == {}
     assert compression_learner(traced, "abca", dom) == dom.initial_segment(3)
     assert log == [("a",), ("b",), ("c",)]
+
+
+def test_a_frozenset_scheme_runs_through_the_erm_and_the_label_path():
+    """A scheme whose ``reconstruct`` returns plain frozensets, the prefix
+    up to the largest kept rank.  Each candidate stands alone, so the ERM
+    scores all of them; it returns the reference ERM's frozenset, which has
+    the elements of the quantile learner's segment but never equals it.  On
+    the label path ``verify_guarantee`` then reports what the segment
+    learner reports from support ranks."""
+    P = FinSupportDist(tuple("abcde"), ["1/2", "1/4", "1/8", "1/16", "1/16"])
+    dom = IndexedDomain(P.support)
+    scheme = CompressionScheme(3, 2, lambda sub: frozenset(dom.labels[: max(map(dom.idx, sub))]))
+    for seed in range(20):
+        pts = draw_sample(P, 6, seed=seed)
+        got = compression_learner(scheme, pts, dom)
+        assert same(got, reference_compression_learner(scheme, pts, dom))
+        assert got == quantile_learn(pts, dom).elements and got != quantile_learn(pts, dom)
+    learner = lambda s: compression_learner(scheme, s, dom)  # noqa: E731
+    assert verify_guarantee(learner, P, "1/8", "1/4", 6, 300, 11) == verify_guarantee(
+        SegmentLearner(dom), P, "1/8", "1/4", 6, 300, 11)
 
 
 @settings(max_examples=300, deadline=None)
