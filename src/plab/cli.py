@@ -14,6 +14,7 @@ The default seed is 20177.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
@@ -200,12 +201,21 @@ def _render(obj, indent: str = "\n") -> str:
 
 
 def write_report(report: RunReport, path: str) -> None:
-    """Serialize deterministically and write via temp file + rename."""
+    """Serialize deterministically and write via temp file + rename; a failed write leaves no temp file."""
     text = report.to_text() + "\n"
     tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        _remove(tmp)
+
+
+def _remove(path: str) -> None:
+    """Delete ``path`` if it is there."""
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(path)
 
 
 def emit_table(report: RunReport, path: str) -> None:
@@ -486,19 +496,25 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    table = args.table and f"{args.table}.tmp"  # renamed into place once the report is written too
     try:
         cfg = _config_from_args(args)
         report = run_config(cfg)
-        if args.table:  # first: a report without a sweep exits 1 having written nothing
-            emit_table(report, args.table)
+        if table:  # first: a report without a sweep exits 1 having written nothing
+            emit_table(report, table)
         if cfg.out:
             write_report(report, cfg.out)
-        else:
+        if table:
+            os.replace(table, args.table)
+        if not cfg.out:
             print(report.to_text())
     except (ValueError, KeyError, OSError, quantum.ResourceCapError) as exc:
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc  # str() would quote it
         print(f"plab: error: {message}", file=sys.stderr)
         return 1
+    finally:
+        if table:
+            _remove(table)
     return 0
 
 

@@ -36,11 +36,12 @@ class CompressionScheme:
     ``reconstruct`` (to a segment or a frozenset) must be a pure function
     of its tuple: the same tuple always gives an equal set, and calling it
     has no effect that matters.  ``compression_learner`` relies on this: it
-    keeps the reconstruction of each value subtuple it meets (with its size
-    and segment form, which sorts it into a nested family) in a table on
-    the scheme, up to ``CANDIDATE_LIMIT`` entries, and reconstructs only
-    subtuples the table does not hold.  The table is not a field of the
-    constructor, so ``dataclasses.replace`` starts a scheme with an empty one.
+    keeps each value subtuple it meets as an entry (hyp, size, family) in a
+    table on the scheme, up to ``CANDIDATE_LIMIT`` entries, and reconstructs
+    only subtuples the table does not hold; the family is a segment form's
+    (pi, domain), or (subtuple,) for a candidate without one.  The table is
+    not a field of the constructor, so ``dataclasses.replace`` starts a
+    scheme with an empty one.
     """
 
     m_in: int
@@ -151,34 +152,38 @@ def compression_learner(
     of its leftmost embedding in the sample (the order of
     ``dict.fromkeys(combinations(sample, m))``): at most u^m candidates for
     u distinct values instead of C(n, m) tuples.  A subtuple is
-    reconstructed once per scheme: its hypothesis, size and segment form
-    are kept in the scheme's candidate table (see ``CompressionScheme``),
-    so a scheme's first call makes exactly the reconstruct calls above and
-    later calls only those for subtuples the table does not hold.
+    reconstructed once per scheme: its entry (hyp, size, family) is kept in
+    the scheme's candidate table (see ``CompressionScheme``), so a scheme's
+    first call makes exactly the reconstruct calls above and later calls
+    only those for subtuples the table does not hold.
 
-    Candidates whose ``segment_form()`` shares (pi, domain) are nested, so
-    of each such family only the first-met candidate of largest size can
-    win (nested sets of equal size are equal).  These and every candidate
-    without a segment form, such as a frozenset, are scored in the order
-    met, by a count of sample hits over the sample's distinct values (n is
-    fixed within a call, so counts order like empirical masses).
+    Candidates of one family are nested, so of each family only the
+    first-met candidate of largest size can win (nested sets of equal size
+    are equal); a candidate without a segment form, such as a frozenset, is
+    a family of its own.  One finalist left is the answer, unscored: with
+    ``segment_scheme`` every candidate is in one family.  Two or more are
+    scored in the order met, by a count of sample hits over the sample's
+    distinct values (n is fixed within a call, so counts order like
+    empirical masses).
     """
     pts = tuple(sample)
     n, m = len(pts), scheme.m_out
     if n < m + 1:
         raise ValueError(f"sample size {n} below m+1 = {m + 1}")
-    candidates, finalists = scheme._candidates, {}  # finalists: family -> (hyp, size, form), in met order
+    candidates, finalists = scheme._candidates, {}  # finalists: family -> (hyp, size, family), in met order
     for sub in _distinct_subtuples(pts, m):
         entry = candidates.get(sub)
-        if entry is None:
+        if entry is None:  # family: (pi, domain) of the segment form; a frozenset stands alone
             hyp = scheme.reconstruct(sub)
-            entry = (hyp, len(hyp), hyp.segment_form() if hasattr(hyp, "segment_form") else None)
+            entry = (hyp, len(hyp), hyp.segment_form()[:2] if hasattr(hyp, "segment_form") else (sub,))
             if len(candidates) < CANDIDATE_LIMIT:
                 candidates[sub] = entry
-        family = (sub,) if entry[2] is None else entry[2][:2]  # (pi, domain); a frozenset stands alone
-        if family not in finalists or entry[1] > finalists[family][1]:
-            finalists.pop(family, None)  # a larger member takes its own place in the met order
-            finalists[family] = entry
+        held = finalists.get(entry[2])
+        if held is None or entry[1] > held[1]:
+            finalists.pop(entry[2], None)  # a larger member takes its own place in the met order
+            finalists[entry[2]] = entry
+    if len(finalists) == 1:  # a lone finalist is the maximum whatever its hits
+        return next(iter(finalists.values()))[0]
 
     counts = Counter(pts)
     best = best_key = best_desc = None  # best_key is (hits, cardinality); description computed lazily

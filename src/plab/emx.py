@@ -241,9 +241,16 @@ class FiniteHypothesis:
     def __eq__(self, other) -> bool:
         if not isinstance(other, FiniteHypothesis):
             return NotImplemented
-        if self.domain is other.domain or self.domain.labels == other.domain.labels:
-            n = self.domain.size
-            return min(self.threshold, n) == min(other.threshold, n)
+        size, a, b = self._size, self.domain.labels, other.domain.labels
+        if size != other._size:
+            return False
+        if self.domain is other.domain or a == b:
+            return True
+        if isinstance(a, range) and isinstance(b, range):
+            # read ascending, equal windows are equal sets; range equality
+            # already matches windows of length <= 1 by their one element
+            a, b = a[:size], b[:size]
+            return (a if a.step > 0 else a[::-1]) == (b if b.step > 0 else b[::-1])
         return self.elements == other.elements
 
     def __hash__(self) -> int:

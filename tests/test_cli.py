@@ -282,6 +282,25 @@ class TestErrorPaths:
         out, err = capsys.readouterr()
         assert out == "" and err == "plab: error: report has no sweep to tabulate\n"
 
+    def test_a_failed_report_write_leaves_no_table(self, workdir, capsys):
+        # the table is renamed into place only once the report is written
+        rc = main(["emx", "--dist", "dist.json", "--trials", "10", "--sweep-d", "1,2",
+                   "--out", "nodir/r.json", "--table", "t.csv"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("plab: error: [Errno 2] No such file or directory")
+        assert not (workdir / "t.csv").exists()
+        assert not list(workdir.rglob("*.tmp"))
+        # without --out the report is printed only once the table is in place
+        (workdir / "t.csv").mkdir()
+        assert main(["emx", "--dist", "dist.json", "--trials", "10", "--sweep-d", "1,2", "--table", "t.csv"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("plab: error: ")
+        assert not list(workdir.rglob("*.tmp"))
+        assert main(["emx", "--dist", "dist.json", "--trials", "10", "--sweep-d", "1,2",
+                     "--out", "r.json", "--table", "s.csv"]) == 0
+        assert (workdir / "r.json").exists() and len((workdir / "s.csv").read_text().splitlines()) == 3
+        assert not list(workdir.rglob("*.tmp"))
+
     def test_bad_compress_mode(self, workdir, capsys):
         assert main(["compress", "--mode", "demo", "--domain", "a,b", "--pair", "a,b,a"]) == 1
         assert "two points" in capsys.readouterr().err

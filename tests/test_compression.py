@@ -19,10 +19,19 @@ from plab.compression import (
     required_n,
     segment_scheme,
 )
-from plab.emx import FinSupportDist, IndexedDomain, quantile_learn
+from plab.emx import FiniteHypothesis, FinSupportDist, IndexedDomain, quantile_learn
 from random_fixtures import draw_sample
 
 DOM = IndexedDomain(tuple("abcdefg"))
+
+
+class UntestableSegment(FiniteHypothesis):
+    """A segment whose membership test raises."""
+
+    __slots__ = ()
+
+    def __contains__(self, x):
+        raise AssertionError(f"membership of {x!r} tested")
 
 
 class TestTwoToOne:
@@ -159,6 +168,19 @@ class TestCompressionLearner:
         scheme = CompressionScheme(m_in=2, m_out=1, reconstruct=lambda sub: recon[sub[0]])
         h = compression_learner(scheme, ("a", "c", "d"), DOM)
         assert type(h) is frozenset and h == frozenset("abc")
+
+    def test_one_nested_family_is_answered_without_membership_tests(self):
+        # every candidate is a segment over DOM: the largest wins whatever its hits
+        scheme = CompressionScheme(m_in=3, m_out=2,
+                                   reconstruct=lambda sub: UntestableSegment(DOM, max(map(DOM.idx, sub))))
+        h = compression_learner(scheme, ("b", "e", "c", "b"), DOM)
+        assert type(h) is UntestableSegment and h == DOM.initial_segment(5)
+        # a second domain object is a second family: the two finalists are scored
+        twin = IndexedDomain(DOM.labels)
+        two = CompressionScheme(m_in=2, m_out=1,
+                                reconstruct=lambda sub: UntestableSegment(DOM if sub == ("b",) else twin, DOM.idx(sub[0])))
+        with pytest.raises(AssertionError, match="membership of .* tested"):
+            compression_learner(two, ("b", "e"), DOM)
 
     def test_a_walk_level_past_the_limit_is_refused_before_it_is_built(self):
         # 3 values and m = 18: the walk's levels grow toward 3^k value subtuples

@@ -171,6 +171,22 @@ class TestFiniteHypothesis:
         assert a.initial_segment(2**20) == b.initial_segment(2**20)
         assert a.initial_segment(2**20) != b.initial_segment(2**20 + 1)
         assert a.initial_segment(2**22) == b.initial_segment(2**21)  # both are the whole domain
+        # ranges with other label sequences compare their label windows as sets
+        r = 2**64
+        assert IndexedDomain(range(r)).initial_segment(r) == IndexedDomain(range(r - 1, -1, -1)).initial_segment(r)
+        assert IndexedDomain(range(r)).initial_segment(r) != IndexedDomain(range(1, r + 1)).initial_segment(r)
+        assert IndexedDomain(range(r)).initial_segment(2) != IndexedDomain(range(r - 1, -1, -1)).initial_segment(2)
+        assert IndexedDomain(range(r)).initial_segment(3) != IndexedDomain(range(0, 2 * r, 2)).initial_segment(3)
+        assert IndexedDomain(range(r)).initial_segment(r) != IndexedDomain(range(r + 1)).initial_segment(r + 1)
+        assert IndexedDomain(range(5)).initial_segment(1) == IndexedDomain(range(0, 9, 4)).initial_segment(1)
+        assert IndexedDomain(range(5)).initial_segment(0) == IndexedDomain(range(7, 0, -1)).initial_segment(0)
+
+    @given(ranges=st.lists(st.builds(range, st.integers(-6, 6), st.integers(-6, 6), st.integers(-3, 3).filter(bool)),
+                           min_size=2, max_size=2),
+           ts=st.lists(st.integers(0, 14), min_size=2, max_size=2))
+    def test_range_segments_equal_iff_their_element_sets_are(self, ranges, ts):
+        a, b = (IndexedDomain(r).initial_segment(t) for r, t in zip(ranges, ts))
+        assert (a == b) == (set(a) == set(b))
 
     @given(start=st.integers(-20, 20), stop=st.integers(-20, 20),
            step=st.integers(-5, 5).filter(bool))
