@@ -496,9 +496,13 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    table = args.table and f"{args.table}.tmp"  # renamed into place once the report is written too
+    table = None
     try:
         cfg = _config_from_args(args)
+        names = [os.path.realpath(q) for p in (cfg.out, args.table) if p for q in (p, f"{p}.tmp")]
+        if len(set(names)) < len(names):  # each file is written to PATH.tmp, then renamed into place
+            raise ValueError(f"--out {cfg.out} and --table {args.table} collide: they and their .tmp files must differ")
+        table = args.table and f"{args.table}.tmp"  # renamed into place once the report is written too
         report = run_config(cfg)
         if table:  # first: a report without a sweep exits 1 having written nothing
             emit_table(report, table)

@@ -1,18 +1,19 @@
-"""Finite-precision interfaces: binning maps, pushforward and pullback (the
-learner behind a map pi is ``emx.SegmentLearner(pi.domain, pi, eps, delta)``).
+"""Finite-precision interfaces: binning maps and pushforward (the pullback of
+a label set F is ``emx.PulledBackHypothesis(F, pi)``, and the learner behind a
+map pi is ``emx.SegmentLearner(pi.domain, pi, eps, delta)``).
 
 A coarse-graining map pi sends continuum points to a countable label alphabet
 with its own index order.  Pushing a distribution forward merges weights
-exactly; pulling a label set back gives the preimage hypothesis, and
-P(preimage(F)) = (pushforward P)(F) holds as an identity of rationals.
+exactly, and P(preimage(F)) = (pushforward P)(F) holds as an identity of
+rationals.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Container, Iterable
+from typing import Iterable
 
-from .emx import FiniteHypothesis, FinSupportDist, IndexedDomain
+from .emx import FinSupportDist, IndexedDomain
 
 
 class UniformBinsMap:
@@ -85,30 +86,4 @@ def pushforward(P: FinSupportDist, pi) -> FinSupportDist:
         acc[y] = acc.get(y, 0) + w
     labels = sorted(acc, key=pi.domain.idx)
     return FinSupportDist(labels, [acc[y] for y in labels])
-
-
-class PulledBackHypothesis:
-    """Preimage pi^{-1}(F) of a finite label set F; membership tests one point
-    by mapping it through pi."""
-
-    __slots__ = ("cells", "pi")
-
-    def __init__(self, cells: Container, pi):
-        if not isinstance(cells, (FiniteHypothesis, frozenset)):
-            cells = frozenset(cells)
-        self.cells = cells
-        self.pi = pi
-
-    def __contains__(self, x) -> bool:
-        return self.pi(x) in self.cells
-
-    def segment_form(self) -> tuple | None:
-        """(pi, domain, t) when the cells are a segment: x is a member iff
-        domain.idx(pi(x)) <= t.  None for any other cell set."""
-        if isinstance(self.cells, FiniteHypothesis):
-            return self.pi, self.cells.domain, self.cells.threshold
-        return None
-
-    def __repr__(self) -> str:
-        return f"PulledBackHypothesis({self.cells!r})"
 

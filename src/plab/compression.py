@@ -87,8 +87,8 @@ def required_n(m: int) -> int:
     holds on the falling side and then for every larger n: all three hold
     exactly from the answer on, which doubling and then bisection find.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    if not 1 <= m <= 2**53:  # lgamma's arguments: past 2^53 m + 1 is not exact as a float, past ~1.8e308 no float
+        raise ValueError("m must lie in [1, 2^53]")
     log_alpha = math.log(1.0 / 6.0)
 
     def holds(n: int) -> bool:

@@ -4,6 +4,7 @@ Implements:
   • IndexedDomain — ordered countable domain with a 1-based rank ``idx``
   • FinSupportDist — finitely supported distribution (exact rationals preferred)
   • FiniteHypothesis — initial segment stored as its threshold (an explicit set is a frozenset)
+  • PulledBackHypothesis — preimage of a segment or frozenset of labels under a map
   • quantile_learn — keep everything up to the largest observed index
   • SegmentLearner — the same rule after a map, answered from support ranks
   • accuracy — the one (eps, delta) rule: exact eps in (0,1), delta in [0,1)
@@ -262,6 +263,30 @@ class FiniteHypothesis:
         return f"FiniteHypothesis(segment t={self.threshold})"
 
 
+class PulledBackHypothesis:
+    """Preimage pi^{-1}(F) of a finite label set F, a segment or a frozenset;
+    membership tests one point by mapping it through pi."""
+
+    __slots__ = ("cells", "pi")
+
+    def __init__(self, cells: FiniteHypothesis | frozenset, pi):
+        self.cells = cells
+        self.pi = pi
+
+    def __contains__(self, x) -> bool:
+        return self.pi(x) in self.cells
+
+    def segment_form(self) -> tuple | None:
+        """(pi, domain, t) when the cells are a segment: x is a member iff
+        domain.idx(pi(x)) <= t.  None for any other cell set."""
+        if isinstance(self.cells, FiniteHypothesis):
+            return self.pi, self.cells.domain, self.cells.threshold
+        return None
+
+    def __repr__(self) -> str:
+        return f"PulledBackHypothesis({self.cells!r})"
+
+
 class FinSupportDist:
     """Finitely supported probability distribution.
 
@@ -447,7 +472,6 @@ class SegmentLearner:
             raise ValueError(f"sample size {len(pts)} below required {self.need}")
         if self.pi is None:
             return quantile_learn(pts, self.dom)
-        from .coarse import PulledBackHypothesis  # plab.coarse imports this module
         return PulledBackHypothesis(quantile_learn(map(self.pi, pts), self.dom), self.pi)
 
     def _table(self, P: FinSupportDist, d: int) -> tuple | None:

@@ -3,7 +3,7 @@
 States are density matrices (finite, Hermitian within 1e-12, eigenvalues
 >= -1e-10, unit trace within 1e-12); measurements are POVMs (finite PSD
 elements within 1e-10 summing to the identity within 1e-10 in operator
-norm).  The module provides tensor powers under a dimension cap, the
+norm).  The module provides tensor powers under the cap DIM_CAP, the
 d-copy pure pair in its two-dimensional span, trace distance, the
 closed-form pure state distance 2*sqrt(1-gamma^(2d)), the Helstrom
 measurement for binary discrimination together with the trace distance
@@ -12,7 +12,7 @@ both), reliability bounds (delta_min, d_min), bipartite correlation tables,
 and a no-signaling checker.
 
 ``tensor_power`` is the one place that builds dense d-copy states
-rho^(x)d and enforces the dimension cap.  A d-fold power is not checked
+rho^(x)d and enforces the cap DIM_CAP.  A d-fold power is not checked
 again: it carries its factor's check, with the tolerances scaled by d.
 ``pure_pair`` builds d copies of two pure qubit states with overlap gamma
 as 2x2 states: d copies of two pure states span a two-dimensional space, so
@@ -31,7 +31,6 @@ Everything is dense complex numpy.
 from __future__ import annotations
 
 import math
-import os
 import sys
 from dataclasses import dataclass
 from typing import Sequence
@@ -42,20 +41,11 @@ HERM_TOL = 1e-12
 TRACE_TOL = 1e-12
 STATE_EIG_TOL = 1e-10
 POVM_TOL = 1e-10
-DEFAULT_DIM_CAP = 1 << 10
+DIM_CAP = 1 << 10  # largest dimension dim^d that ``tensor_power`` builds
 
 
 class ResourceCapError(RuntimeError):
-    """Raised when a tensor power would exceed the configured dimension cap."""
-
-
-def dim_cap() -> int:
-    """Current tensor-dimension cap; the PLAB_DIM_CAP env var, a positive
-    integer, overrides the default of 2^10 (read at call time)."""
-    raw = os.environ.get("PLAB_DIM_CAP")
-    if raw and not (raw.isdecimal() and int(raw) > 0):
-        raise ValueError(f"PLAB_DIM_CAP must be a positive integer, got {raw!r}")
-    return int(raw) if raw else DEFAULT_DIM_CAP
+    """Raised when a tensor power would exceed the dimension cap."""
 
 
 def _hermitize(m: np.ndarray) -> np.ndarray:
@@ -187,13 +177,13 @@ def matrix_from_json(rows: list) -> np.ndarray:
 def tensor_power(rho: DensityMatrix, d: int) -> DensityMatrix:
     """d-fold Kronecker power of a state; trace stays 1.
 
-    Raises ResourceCapError when dim^d exceeds dim_cap().
+    Raises ResourceCapError when dim^d exceeds DIM_CAP.  dim^d is never formed:
+    for dim >= 2 the exponent DIM_CAP.bit_length() already passes the cap.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
-    limit = dim_cap()
-    if rho.dim**d > limit:
-        raise ResourceCapError(f"dimension {rho.dim}^{d} exceeds cap {limit}")
+    if rho.dim ** min(d, DIM_CAP.bit_length()) > DIM_CAP:
+        raise ResourceCapError(f"dimension {rho.dim}^{d} exceeds cap {DIM_CAP}")
     if d == 1:
         return rho
     out, m = rho.mat, rho.mat[None, :, None, :]
@@ -253,10 +243,8 @@ def pure_distance_formula(gamma: float, d: int) -> float:
 def _helstrom(r0: np.ndarray, r1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Unchecked Helstrom POVMs (..., 2, n, n) and ||r0 - r1||_1 for stacks of states, from one eigh."""
     w, v = np.linalg.eigh(_hermitize(r0 - r1))
-    k, m0 = (w > 1e-10).sum(axis=-1), np.empty_like(v)
-    for kk in set(k.flat):  # the eigenvalues ascend: the last kk columns span the positive part
-        pos = v[k == kk][..., v.shape[-1] - kk:]
-        m0[k == kk] = pos @ pos.conj().swapaxes(-1, -2)
+    pos = v * (w > 1e-10)[..., None, :]  # the eigenvectors of the positive part, the others zeroed
+    m0 = pos @ pos.conj().swapaxes(-1, -2)
     return np.stack([m0, np.eye(r0.shape[-1]) - m0], axis=-3), np.abs(w).sum(axis=-1)
 
 
@@ -374,14 +362,9 @@ def quantum_correlation(
     da, db = da.pop(), db.pop()
     if da * db != rho_ab.dim:
         raise ValueError(f"local dims {da}x{db} do not compose to {rho_ab.dim}")
-    nA, nB, nX, nY = n_a.pop(), n_b.pop(), len(alice_povms), len(bob_povms)
-    table = np.empty((nA, nB, nX, nY))
-    for x, ma in enumerate(alice_povms):
-        for y, nb in enumerate(bob_povms):
-            for a, ea in enumerate(ma.elements):
-                for b, eb in enumerate(nb.elements):
-                    table[a, b, x, y] = np.trace(np.kron(ea, eb) @ rho_ab.mat).real
-    return CorrelationTable(table)
+    A, B = (np.array([p.elements for p in povms]) for povms in (alice_povms, bob_povms))
+    rho = rho_ab.mat.reshape(da, db, da, db)
+    return CorrelationTable(np.einsum("xaij,ybkl,jlik->abxy", A, B, rho).real)
 
 
 @dataclass(frozen=True)

@@ -21,10 +21,11 @@ from plab.compression import (
     required_n,
     segment_scheme,
 )
-from plab.coarse import PulledBackHypothesis, UniformBinsMap, pushforward
+from plab.coarse import UniformBinsMap, pushforward
 from plab.emx import (
     FinSupportDist,
     IndexedDomain,
+    PulledBackHypothesis,
     SegmentLearner,
     mass,
     quantile_learn,

@@ -331,11 +331,25 @@ class TestErrorPaths:
         assert main(argv + ["--epsilon", "2"]) == 1
         assert "plab: error: need epsilon in (0,1)" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("raw", ["abc", "0", "-3"])
-    def test_dimension_cap_must_be_a_positive_integer(self, workdir, capsys, monkeypatch, raw):
+    @pytest.mark.parametrize("raw", ["abc", "0", "-3", "8"])
+    def test_dimension_cap_ignores_the_environment(self, workdir, capsys, monkeypatch, raw):
+        # PLAB_DIM_CAP once set the cap; no value of it, valid or not, changes anything now
         monkeypatch.setenv("PLAB_DIM_CAP", raw)
-        assert main(["feasible", "sdp", "--task", "task.json", "--states", "states"]) == 1
-        assert "plab: error: PLAB_DIM_CAP must be a positive integer" in capsys.readouterr().err
+        argv = ["feasible", "sdp", "--task", "task.json", "--states", "states"]
+        assert main(argv + ["--copies", "4", "--out", "r.json"]) == 0
+        assert main(argv + ["--copies", "11"]) == 1
+        assert capsys.readouterr().err == "plab: error: dimension 2^11 exceeds cap 1024\n"
+
+    @pytest.mark.parametrize("out, table", [("same.json", "same.json"), ("r.json.tmp", "r.json"),
+                                            ("./r.json", "r.json.tmp")])
+    def test_out_and_table_that_collide_are_refused(self, workdir, capsys, out, table):
+        # each file is written to PATH.tmp and renamed into place: the four names must be distinct files
+        before = sorted(workdir.rglob("*"))
+        argv = ["emx", "--dist", "dist.json", "--trials", "10", "--sweep-d", "1,2", "--out", out, "--table", table]
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"plab: error: --out {out} and --table {table} collide: "
+                                           "they and their .tmp files must differ\n")
+        assert sorted(workdir.rglob("*")) == before
 
     def test_copies_of_a_state_at_the_trace_tolerance(self, workdir):
         # trace 1 + 9e-13 is within 1e-12; two copies carry the one check
@@ -444,6 +458,12 @@ class TestReportPlumbing:
             pin({"a": a})
         with pytest.raises(TypeError):
             cli._render({"a": [a]})
+
+    def test_render_of_infinities_equals_the_reference_writer(self):
+        payload = {"a": [math.inf, -math.inf], "b": np.float64(-math.inf), "c": (np.float32(math.inf),)}
+        text = cli._render(payload)
+        assert text == json.dumps(pin(payload), indent=2, sort_keys=True)
+        assert text.count("-Infinity") == 2 and text.count("Infinity") == 4
 
     def test_witness_negative_zero_renders_negative(self, tmp_path):
         # 0.0 comes first, so text looked up by value would print -0.0 as 0.0
@@ -731,8 +751,12 @@ def test_two_calls_in_one_process_build_the_parser_once(workdir, monkeypatch):
     (["coarse", "--dist", str(DATA / "dist_points_outside.json"), "--trials", "5"], "point 1.5 outside [0,1]"),
     (["emx", "--dist", "dist.json", "--epsilon", "1/1000000000", "--delta", "1/1000000000", "--trials", "1"],
      "sample size d = 20723265827 is above the limit of 16777216 points"),
+    (["compress", "--mode", "lemma1", "--m", str(10**309), "--dist", "dist.json", "--trials", "1"],
+     "m must lie in [1, 2^53]"),
+    (["feasible", "sdp", "--task", "task.json", "--states", "states", "--copies", str(10**12)],
+     "dimension 2^1000000000000 exceeds cap 1024"),
 ], ids=["d", "sweep-d", "coarse-d", "seed", "pair-outside-domain", "d-zero", "sweep-d-zero", "coarse-d-below-need",
-        "coarse-point-outside", "d-past-the-sample-limit"])
+        "coarse-point-outside", "d-past-the-sample-limit", "m-past-2^53", "copies-far-past-the-cap"])
 def test_out_of_range_input_fails_with_its_own_message(workdir, capsys, argv, message):
     assert main(argv) == 1
     assert capsys.readouterr().err == f"plab: error: {message}\n"

@@ -10,12 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plab.coarse import (
-    PulledBackHypothesis,
     TableMap,
     UniformBinsMap,
     pushforward,
 )
-from plab.emx import FinSupportDist, FiniteHypothesis, SegmentLearner, mass
+from plab.emx import FinSupportDist, FiniteHypothesis, PulledBackHypothesis, SegmentLearner, mass
 from random_fixtures import draw_sample
 
 

@@ -108,6 +108,10 @@ class TestRequiredN:
     def test_m_validated(self):
         with pytest.raises(ValueError):
             required_n(0)
+        assert required_n(2**53) > 6 * 2**53
+        for m in (2**53 + 1, 10**309):  # 10^309 does not even convert to a float
+            with pytest.raises(ValueError, match=r"^m must lie in \[1, 2\^53\]$"):
+                required_n(m)
 
     def test_bisection_matches_the_scan(self):
         """The float conditions, scanned one n at a time from m + 1."""

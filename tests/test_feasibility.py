@@ -323,11 +323,13 @@ class TestSdpFeasible:
         with pytest.raises(ValueError, match="epsilon in"):
             build_pl_constraints(IDENTITY_TASK, epsilon, F(1, 5))
 
-    def test_dimension_cap_comes_from_the_environment(self, monkeypatch):
+    def test_dimension_cap_ignores_the_environment(self, monkeypatch):
+        # PLAB_DIM_CAP once set the cap; the cap is now the constant quantum.DIM_CAP
         monkeypatch.setenv("PLAB_DIM_CAP", "8")
-        with pytest.raises(ResourceCapError, match="2\\^4 exceeds cap 8"):
-            sdp_feasible([KET0, PLUS], IDENTITY_TASK, F(1, 2), "0.2", d=4)
-        assert sdp_feasible([KET0, PLUS], IDENTITY_TASK, F(1, 2), "0.08", d=3).verdict == "feasible"
+        assert sdp_feasible([KET0, PLUS], IDENTITY_TASK, F(1, 2), "0.08", d=4).verdict == "feasible"
+        monkeypatch.setenv("PLAB_DIM_CAP", "4096")
+        with pytest.raises(ResourceCapError, match="2\\^11 exceeds cap 1024"):
+            sdp_feasible([KET0, PLUS], IDENTITY_TASK, F(1, 2), "0.2", d=11)
 
 
 def identity_task(n):

@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 import numpy as np
 
 from plab import compression, emx
-from plab.coarse import PulledBackHypothesis, TableMap, UniformBinsMap
+from plab.coarse import TableMap, UniformBinsMap
 from plab.compression import (
     CompressionScheme,
     _distinct_subtuples,
@@ -40,6 +40,7 @@ from plab.compression import (
 from plab.emx import (
     FinSupportDist,
     IndexedDomain,
+    PulledBackHypothesis,
     SegmentLearner,
     mass,
     quantile_learn,

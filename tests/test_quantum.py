@@ -8,6 +8,7 @@ Frozen numeric targets:
 """
 
 import math
+import time
 
 import mpmath
 import numpy as np
@@ -24,7 +25,6 @@ from plab.quantum import (
     check_no_signaling,
     copies_min,
     delta_min,
-    dim_cap,
     discrimination_sum,
     helstrom,
     matrix_from_json,
@@ -158,25 +158,39 @@ class TestTensorPower:
         rho = random_density_matrix(3, np.random.default_rng(2))
         assert np.trace(tensor_power(rho, 3).mat).real == pytest.approx(1.0)
 
-    def test_cap_enforced(self, monkeypatch):
-        monkeypatch.setenv("PLAB_DIM_CAP", "8")
-        with pytest.raises(ResourceCapError):
-            tensor_power(KET0, 4)
-        monkeypatch.setenv("PLAB_DIM_CAP", "16")
-        assert tensor_power(KET0, 4).dim == 16
+    def test_cap_enforced(self):
+        assert tensor_power(KET0, 10).dim == 1024
+        with pytest.raises(ResourceCapError, match=r"^dimension 2\^11 exceeds cap 1024$"):
+            tensor_power(KET0, 11)
 
     def test_default_cap_is_1024(self):
-        assert dim_cap() == 1024
+        assert quantum.DIM_CAP == 1024
         with pytest.raises(ResourceCapError):
             tensor_power(DensityMatrix.maximally_mixed(2), 11)
 
-    def test_env_var_overrides_cap(self, monkeypatch):
-        monkeypatch.setenv("PLAB_DIM_CAP", "8")
-        assert dim_cap() == 8
-        with pytest.raises(ResourceCapError):
-            tensor_power(KET0, 4)
-        monkeypatch.setenv("PLAB_DIM_CAP", "32")
-        assert tensor_power(KET0, 5).dim == 32
+    def test_a_huge_copy_count_is_refused_without_forming_the_dimension(self):
+        start = time.perf_counter()
+        with pytest.raises(ResourceCapError, match=r"^dimension 2\^1000000000000 exceeds cap 1024$"):
+            tensor_power(KET0, 10**12)
+        assert time.perf_counter() - start < 1.0
+
+    def test_cap_decides_as_the_full_power_does(self):
+        for dim in range(1, 6):
+            rho = DensityMatrix.maximally_mixed(dim)
+            for d in range(1, 41):
+                if dim**d > quantum.DIM_CAP:
+                    with pytest.raises(ResourceCapError, match=rf"^dimension {dim}\^{d} exceeds cap 1024$"):
+                        tensor_power(rho, d)
+                else:
+                    assert tensor_power(rho, d).dim == dim**d
+
+    @pytest.mark.parametrize("raw", ["abc", "0", "-3", "2.5", "8", "4096"])
+    def test_env_var_is_ignored(self, monkeypatch, raw):
+        # PLAB_DIM_CAP once overrode the cap; any value of it, valid or not, now changes nothing
+        monkeypatch.setenv("PLAB_DIM_CAP", raw)
+        assert tensor_power(KET0, 10).dim == 1024
+        with pytest.raises(ResourceCapError, match=r"^dimension 2\^11 exceeds cap 1024$"):
+            tensor_power(KET0, 11)
 
     def test_d_validated(self):
         with pytest.raises(ValueError):
@@ -187,7 +201,7 @@ class TestTensorPower:
         # (1 + 9e-13)^d and carries the factor's check instead of its own
         rho = DensityMatrix(np.diag([0.5 + 9e-13, 0.5]))
         kron = rho.mat
-        for d in range(1, dim_cap().bit_length()):
+        for d in range(1, quantum.DIM_CAP.bit_length()):
             power = tensor_power(rho, d)
             assert np.array_equal(power.mat, kron) and not power.mat.flags.writeable
             kron = np.kron(kron, rho.mat)
@@ -196,7 +210,7 @@ class TestTensorPower:
     @given(dim=st.integers(2, 4), d=st.integers(2, 6), seed=st.integers(0, 2**32 - 1), pure=st.booleans())
     def test_power_is_the_kron_chain_bit_for_bit(self, dim, d, seed, pure):
         # a pure state of a ket with signed zero parts puts zeros of both signs in the matrix
-        assume(dim**d <= dim_cap())
+        assume(dim**d <= quantum.DIM_CAP)
         rng = np.random.default_rng(seed)
         ket = [1.0, *rng.choice(np.array([0.0, -0.0, 0.5, -1.0, 0.5j, -0.0j, -1j]), dim - 1)]
         rho = DensityMatrix.pure(ket) if pure else random_density_matrix(dim, rng)
@@ -205,12 +219,6 @@ class TestTensorPower:
             kron = np.kron(kron, rho.mat)
         power = tensor_power(rho, d).mat
         assert power.shape == kron.shape and power.tobytes() == kron.tobytes()
-
-    @pytest.mark.parametrize("raw", ["abc", "0", "-3", "2.5"])
-    def test_env_var_must_be_a_positive_integer(self, monkeypatch, raw):
-        monkeypatch.setenv("PLAB_DIM_CAP", raw)
-        with pytest.raises(ValueError, match="PLAB_DIM_CAP must be a positive integer"):
-            dim_cap()
 
 
 class TestTraceDistance:
@@ -393,6 +401,33 @@ class TestStacks:
             assert got_distance == want_distance
             assert got_achieved == discrimination_sum(povm, r0, r1)
 
+    def test_a_stack_mixing_positive_ranks_0_and_1_is_the_one_pair_result(self):
+        # gamma = 1 gives equal states, whose difference has no positive part
+        points = [(1.0, 1), (0.5, 2), (1.0, 3), (0.9, 1), (1.0, 7), (0.0, 1)]
+        r = quantum._pure_pairs(points)
+        assert sorted(set((np.linalg.eigvalsh(r[:, 0] - r[:, 1]) > 1e-10).sum(axis=-1))) == [0, 1]
+        distance, achieved = pure_pair_helstrom(points)
+        for (gamma, d), got_distance, got_achieved in zip(points, distance, achieved):
+            r0, r1 = pure_pair(gamma, d)
+            povm, want_distance = helstrom(r0, r1)
+            assert got_distance.tobytes() == np.float64(want_distance).tobytes()
+            assert got_achieved.tobytes() == np.float64(discrimination_sum(povm, r0, r1)).tobytes()
+
+    def test_a_stack_of_tensor_power_pairs_is_the_one_pair_result(self):
+        # 4x4 pairs: two copies of qubit pairs (positive parts of rank 0, 1 or 3; never 2 in random
+        # draws) beside one copy of 4-dimensional mixed pairs, which give rank 2
+        rng = np.random.default_rng(11)
+        pairs = [tuple(tensor_power(random_density_matrix(dim, rng), d) for _ in range(2))
+                 for dim, d in [(2, 2), (4, 1)] * 4]
+        pairs += [(tensor_power(PLUS, 2),) * 2, tuple(tensor_power(rho, 2) for rho in overlap_pair(0.6))]
+        r0, r1 = (np.array([pair[k].mat for pair in pairs]) for k in (0, 1))
+        assert {0, 1, 2, 3} <= set((np.linalg.eigvalsh(r0 - r1) > 1e-10).sum(axis=-1))
+        m, distance = quantum._helstrom(r0, r1)
+        for k, pair in enumerate(pairs):
+            povm, want_distance = helstrom(*pair)
+            assert m[k].tobytes() == np.array(povm.elements).tobytes()
+            assert distance[k].tobytes() == np.float64(want_distance).tobytes()
+
     def test_points_are_validated(self):
         with pytest.raises(ValueError, match="gamma"):
             pure_pair_helstrom([(0.5, 2), (1.5, 1)])
@@ -570,6 +605,18 @@ class TestQuantumCorrelation:
         verdict = check_no_signaling(t)
         assert verdict.passed
         assert verdict.max_violation < 1e-12
+
+    def test_table_is_the_per_entry_born_rule(self):
+        rng = np.random.default_rng(12)
+        for da, db, na, nb in [(2, 2, 2, 2), (2, 3, 3, 2), (3, 2, 2, 4)]:
+            rho = random_density_matrix(da * db, rng)
+            alice = [random_povm(da, na, rng) for _ in range(2)]
+            bob = [random_povm(db, nb, rng) for _ in range(3)]
+            t = quantum_correlation(rho, alice, bob)
+            assert t.p.shape == (na, nb, 2, 3)
+            for a, b, x, y in np.ndindex(t.p.shape):
+                want = np.trace(np.kron(alice[x].elements[a], bob[y].elements[b]) @ rho.mat).real
+                assert abs(t.p[a, b, x, y] - want) <= 1e-13
 
     def test_dimension_composition_checked(self):
         with pytest.raises(ValueError):
