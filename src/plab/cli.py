@@ -264,6 +264,9 @@ def _run_emx(p: dict, seed: int):
 
 
 def _run_coarse(p: dict, seed: int):
+    if (bits := max([p["bits"], *(p["sweep_bits"] or ())])) > coarse.BITS_LIMIT:
+        raise ValueError(f"bits = {bits} is above the limit of {coarse.BITS_LIMIT}: every double in [0,1] is a "
+                         f"multiple of 2^-{coarse.BITS_LIMIT}, so more bits separate no further points")
     dist = _load_json(p["dist"], lambda raw: FinSupportDist([float(as_fraction(x)) for x in raw["labels"]],
                                                             raw["weights"]))
     d = sample_complexity(p["epsilon"], p["delta"]) if p["d"] is None else p["d"]

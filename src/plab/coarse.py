@@ -15,6 +15,10 @@ from typing import Iterable
 
 from .emx import FinSupportDist, IndexedDomain
 
+# Every double in [0,1] is a multiple of 2^-1074, so past 1074 bits floor(2^bits * x)
+# separates no further pair of points; ``plab coarse`` refuses more bits.
+BITS_LIMIT = 1074
+
 
 class UniformBinsMap:
     """x -> floor(2^bits * x) on [0,1], clamped into [0, 2^bits - 1].

@@ -1,17 +1,14 @@
 """Monotone sample compression for finite-subset hypotheses.
 
-A scheme keeps m_out of m_in sample points and reconstructs a finite set that
-must cover the whole input tuple for some kept subtuple (the monotone
-condition).  Both constructive directions live here:
+A scheme keeps m_out of m_in = m_out + 1 sample points and reconstructs a
+finite set that must cover the whole input tuple for some kept subtuple (the
+monotone condition):
 
   • segment_scheme: keep m points, reconstruct the initial segment up to the
     largest kept index (the quantile learner); m = 1 is the 2->1 scheme,
     whose compress map keeps the point of larger index;
   • compression_learner: ERM over the reconstructions of all m-subtuples,
-    which turns any scheme into a learner once n >= required_n(m);
-  • learner_to_compression: any proper learner with sample size d yields a
-    scheme with m = ceil(3d/2) by uniting the learner's outputs over all
-    d-tuples from the kept points.
+    which turns any scheme into a learner once n >= required_n(m).
 """
 
 from __future__ import annotations
@@ -31,7 +28,7 @@ LEVEL_LIMIT = 1 << 16  # value subtuples one level of the ERM's walk may hold; a
 
 @dataclass(frozen=True)
 class CompressionScheme:
-    """Reconstruction rule from m_out-tuples, with declared sizes.
+    """Reconstruction rule from m_out-tuples of an m_in = m_out + 1 tuple.
 
     ``reconstruct`` (to a segment or a frozenset) must be a pure function
     of its tuple: the same tuple always gives an equal set, and calling it
@@ -44,14 +41,17 @@ class CompressionScheme:
     scheme with an empty one.
     """
 
-    m_in: int
     m_out: int
     reconstruct: Callable[[tuple], FiniteHypothesis | frozenset] = field(repr=False)
     _candidates: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not 0 < self.m_out < self.m_in:
-            raise ValueError("need 0 < m_out < m_in")
+        if self.m_out < 1:
+            raise ValueError("need m_out >= 1")
+
+    @property
+    def m_in(self) -> int:
+        return self.m_out + 1
 
 
 def segment_scheme(dom: IndexedDomain, m: int) -> CompressionScheme:
@@ -59,7 +59,7 @@ def segment_scheme(dom: IndexedDomain, m: int) -> CompressionScheme:
     segment up to the largest kept index; m = 1 is the 2->1 scheme.
     Candidates are nested, which makes the ERM below coincide with the
     quantile learner."""
-    return CompressionScheme(m_in=m + 1, m_out=m, reconstruct=lambda sub: quantile_learn(sub, dom))
+    return CompressionScheme(m_out=m, reconstruct=lambda sub: quantile_learn(sub, dom))
 
 
 def check_monotone_coverage(scheme: CompressionScheme, pts: tuple) -> tuple | None:
@@ -199,28 +199,3 @@ def compression_learner(
                 best, best_desc = hyp, desc
     return best
 
-
-def learner_to_compression(
-    learner: Callable[[tuple], Iterable], d: int, dom: IndexedDomain
-) -> CompressionScheme:
-    """Scheme with m = ceil(3d/2): reconstruct an m-tuple as the union of its
-    own points with the learner's output on every d-tuple (with repetition)
-    drawn from them.
-
-    For finite-subset learners the union is a finite set, returned as a
-    frozenset; tuples over repeated values are taken once.
-    """
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    m = math.ceil(3 * d / 2)
-
-    def reconstruct(sub: tuple) -> frozenset:
-        if len(sub) != m:
-            raise ValueError(f"expected an m={m} tuple, got {len(sub)} points")
-        out = set(sub)
-        values = sorted(set(sub), key=dom.idx)
-        for tup in itertools.product(values, repeat=d):
-            out.update(learner(tup))
-        return frozenset(out)
-
-    return CompressionScheme(m_in=m + 1, m_out=m, reconstruct=reconstruct)

@@ -41,18 +41,6 @@ def _json_list(obj: dict, key: str) -> list:
     return value
 
 
-def _integer_form(relation: str, terms, rhs) -> dict:
-    """scale, iterms and irhs of the row with exact nonzero ``terms`` in index
-    order, read after the relation check: the terms and rhs times scale, the
-    lcm of their denominators."""
-    if relation not in simplex.RELATIONS:
-        raise ValueError(f"unknown relation {relation!r}")
-    terms, rhs = tuple(terms), as_fraction(rhs)
-    scale = lcm(rhs.denominator, *(c.denominator for _, c in terms))
-    return {"scale": scale, "iterms": tuple((j, c.numerator * (scale // c.denominator)) for j, c in terms),
-            "irhs": rhs.numerator * (scale // rhs.denominator)}
-
-
 _HOLDS = {"<=": operator.le, "=": operator.eq, ">=": operator.ge}
 
 
@@ -82,23 +70,16 @@ class LinearConstraint:
     irhs: int
 
     def __init__(self, coeffs: Sequence, relation: str, rhs):
-        """The row with dense coefficients ``coeffs``."""
+        """The row with dense coefficients ``coeffs``; the relation is checked first."""
+        if relation not in simplex.RELATIONS:
+            raise ValueError(f"unknown relation {relation!r}")
         # the literal "0" is skipped unparsed: most literals of a dense row are "0"
-        terms = ((j, f) for j, c in enumerate(coeffs) if c != "0" and (f := as_fraction(c)))
-        vars(self).update(arity=len(coeffs), relation=relation, **_integer_form(relation, terms, rhs))
-
-    @classmethod
-    def from_terms(cls, arity: int, terms, relation: str, rhs) -> "LinearConstraint":
-        """The row whose coefficient at each index of (index, coefficient)
-        ``terms`` is given, and zero elsewhere; ValueError for an index that
-        is repeated or outside 0..arity-1."""
-        exact = {}
-        for j, c in terms:
-            if not 0 <= j < arity or j in exact:
-                raise ValueError(f"term index {j} repeated or outside 0..{arity - 1}")
-            exact[j] = as_fraction(c)
-        terms = ((j, exact[j]) for j in sorted(exact) if exact[j])
-        return cls._of(arity, relation, **_integer_form(relation, terms, rhs))
+        terms = tuple((j, f) for j, c in enumerate(coeffs) if c != "0" and (f := as_fraction(c)))
+        rhs = as_fraction(rhs)
+        scale = lcm(rhs.denominator, *(c.denominator for _, c in terms))
+        vars(self).update(arity=len(coeffs), relation=relation, scale=scale,
+                          iterms=tuple((j, c.numerator * (scale // c.denominator)) for j, c in terms),
+                          irhs=rhs.numerator * (scale // rhs.denominator))
 
     @classmethod
     def _of(cls, arity: int, relation: str, *, scale: int, iterms: tuple, irhs: int) -> "LinearConstraint":

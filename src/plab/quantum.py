@@ -3,27 +3,24 @@
 States are density matrices (finite, Hermitian within 1e-12, eigenvalues
 >= -1e-10, unit trace within 1e-12); measurements are POVMs (finite PSD
 elements within 1e-10 summing to the identity within 1e-10 in operator
-norm).  The module provides tensor powers under the cap DIM_CAP, the
-d-copy pure pair in its two-dimensional span, trace distance, the
-closed-form pure state distance 2*sqrt(1-gamma^(2d)), the Helstrom
-measurement for binary discrimination together with the trace distance
-fixing its success sum 1 + ||rho0 - rho1||_1 / 2 (one eigendecomposition for
-both), reliability bounds (delta_min, d_min), bipartite correlation tables,
-and a no-signaling checker.
+norm).  The module provides tensor powers under the cap DIM_CAP, trace
+distance, the closed-form pure state distance 2*sqrt(1-gamma^(2d)), the
+Helstrom measurement for binary discrimination together with the trace
+distance fixing its success sum 1 + ||rho0 - rho1||_1 / 2 (one
+eigendecomposition for both), the same for d-copy pure pairs at any d
+(``pure_pair_helstrom``), reliability bounds (delta_min, d_min), bipartite
+correlation tables, and a no-signaling checker.
 
 ``tensor_power`` is the one place that builds dense d-copy states
 rho^(x)d and enforces the cap DIM_CAP.  A d-fold power is not checked
 again: it carries its factor's check, with the tolerances scaled by d.
-``pure_pair`` builds d copies of two pure qubit states with overlap gamma
-as 2x2 states: d copies of two pure states span a two-dimensional space, so
-the pair costs the same at every d and needs no cap.
 
 The state and POVM checks, the Helstrom eigendecomposition and the success
 sums work on stacks (..., n, n): numpy's stacked linalg runs the same LAPACK
 routine on every slice, so a stack costs one call per step and gives each
 slice the bits of a call on it alone.  ``pure_pair_helstrom`` discriminates
-a whole list of (gamma, d) points that way; ``DensityMatrix``, ``Povm``,
-``pure_pair``, ``helstrom`` and ``discrimination_sum`` are the one-slice case.
+a whole list of (gamma, d) points that way; ``DensityMatrix``, ``Povm`` and
+``helstrom`` are the one-slice case.
 
 Everything is dense complex numpy.
 """
@@ -178,13 +175,14 @@ def tensor_power(rho: DensityMatrix, d: int) -> DensityMatrix:
     """d-fold Kronecker power of a state; trace stays 1.
 
     Raises ResourceCapError when dim^d exceeds DIM_CAP.  dim^d is never formed:
-    for dim >= 2 the exponent DIM_CAP.bit_length() already passes the cap.
+    for dim >= 2 the exponent DIM_CAP.bit_length() already passes the cap.  A
+    1x1 state is [[1]] within the check's tolerance and is its own power.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
     if rho.dim ** min(d, DIM_CAP.bit_length()) > DIM_CAP:
         raise ResourceCapError(f"dimension {rho.dim}^{d} exceeds cap {DIM_CAP}")
-    if d == 1:
+    if d == 1 or rho.dim == 1:
         return rho
     out, m = rho.mat, rho.mat[None, :, None, :]
     for _ in range(d - 1):  # np.kron(out, rho.mat) entry for entry, one broadcast product
@@ -203,26 +201,22 @@ def _check_overlap(gamma: float, d: int) -> None:
 
 
 def _pure_pairs(points: Sequence[tuple[float, int]]) -> np.ndarray:
-    """The pairs of ``pure_pair`` for every (gamma, d) of points, one checked stack (P, 2, 2, 2)."""
+    """d copies of |0> and gamma|0> + sqrt(1-gamma^2)|1>, written isometrically in their
+    two-dimensional span, for every (gamma, d) of points: one checked stack (P, 2, 2, 2).
+
+    The d-copy kets have Gram matrix [[1, g], [g, 1]] with g = gamma^d; its
+    triangular factor gives |0> and g|0> + sqrt(1-g^2)|1>.  Every quantity
+    invariant under isometries (trace distance, Helstrom success sum) equals
+    that of the dense pair from ``tensor_power``, so a pair costs the same at
+    every d and needs no cap; at d = 1 the states are the single-copy states
+    themselves.
+    """
     for gamma, d in points:
         _check_overlap(gamma, d)
     kets = np.array([[[1, 0], [g, math.sqrt(max(0.0, 1.0 - g * g))]] for g in (x**d for x, d in points)], complex)
     re = kets.real[..., None, :]  # each norm as np.linalg.norm takes it for one ket, as in DensityMatrix.pure
     kets /= np.sqrt(re @ re.swapaxes(-1, -2))[..., 0]
     return _checked(kets[..., :, None] * kets[..., None, :].conj())
-
-
-def pure_pair(gamma: float, d: int) -> tuple[DensityMatrix, DensityMatrix]:
-    """d copies of |0> and gamma|0> + sqrt(1-gamma^2)|1>, written isometrically
-    in their two-dimensional span.
-
-    The d-copy kets have Gram matrix [[1, g], [g, 1]] with g = gamma^d; its
-    triangular factor gives |0> and g|0> + sqrt(1-g^2)|1>.  Every quantity
-    invariant under isometries (trace distance, Helstrom success sum) equals
-    that of the dense pair from ``tensor_power``; at d = 1 the states are the
-    single-copy states themselves.
-    """
-    return tuple(map(_trusted, _pure_pairs([(gamma, d)])[0]))
 
 
 def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -255,7 +249,7 @@ def _success_sums(m: np.ndarray, r0: np.ndarray, r1: np.ndarray) -> np.ndarray:
 
 def helstrom(rho0: DensityMatrix, rho1: DensityMatrix) -> tuple[Povm, float]:
     """Optimal two-outcome measurement for rho0 vs rho1 (d-copy states from
-    ``pure_pair`` or ``tensor_power`` for d-copy discrimination) and
+    ``tensor_power`` for d-copy discrimination) and
     ||rho0 - rho1||_1, both from one eigendecomposition of Delta = rho0 - rho1.
 
     M_0 projects onto the eigenspace of Delta with eigenvalues > 1e-10;
@@ -269,17 +263,8 @@ def helstrom(rho0: DensityMatrix, rho1: DensityMatrix) -> tuple[Povm, float]:
     return Povm(m, labels=(0, 1)), float(distance)
 
 
-def discrimination_sum(povm: Povm, rho0: DensityMatrix, rho1: DensityMatrix) -> float:
-    """Success sum tr(M0 rho0) + tr(M1 rho1) for a two-outcome POVM."""
-    if len(povm.elements) != 2:
-        raise ValueError("binary discrimination needs a two-outcome POVM")
-    if povm.dim != rho0.dim:
-        raise ValueError("POVM dimension does not match the states")
-    return float(_success_sums(np.array(povm.elements), rho0.mat, rho1.mat))
-
-
 def pure_pair_helstrom(points: Sequence[tuple[float, int]]) -> tuple[np.ndarray, np.ndarray]:
-    """||rho0 - rho1||_1 and the success sum of ``helstrom`` on ``pure_pair(gamma, d)`` for every (gamma, d)
+    """||rho0 - rho1||_1 and the success sum of ``helstrom`` on the pair of ``_pure_pairs`` for every (gamma, d)
     of points: the same values, from one state check, one eigh and one POVM check of the stack."""
     r = _pure_pairs(points)
     m, distance = _helstrom(r[:, 0], r[:, 1])

@@ -1,0 +1,56 @@
+"""Reference constructions the tests hold the package to, and that no
+subcommand runs: a scheme built from any proper learner, the d-copy pure pair
+one (gamma, d) at a time, and the success sum of a two-outcome POVM."""
+
+from __future__ import annotations
+
+import itertools
+import math
+from typing import Callable, Iterable
+
+import numpy as np
+
+from plab.compression import CompressionScheme
+from plab.emx import IndexedDomain
+from plab.quantum import DensityMatrix, Povm, _pure_pairs, _success_sums, _trusted
+
+
+def learner_to_compression(
+    learner: Callable[[tuple], Iterable], d: int, dom: IndexedDomain
+) -> CompressionScheme:
+    """Scheme with m = ceil(3d/2): reconstruct an m-tuple as the union of its
+    own points with the learner's output on every d-tuple (with repetition)
+    drawn from them.
+
+    For finite-subset learners the union is a finite set, returned as a
+    frozenset; tuples over repeated values are taken once.
+    """
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    m = math.ceil(3 * d / 2)
+
+    def reconstruct(sub: tuple) -> frozenset:
+        if len(sub) != m:
+            raise ValueError(f"expected an m={m} tuple, got {len(sub)} points")
+        out = set(sub)
+        values = sorted(set(sub), key=dom.idx)
+        for tup in itertools.product(values, repeat=d):
+            out.update(learner(tup))
+        return frozenset(out)
+
+    return CompressionScheme(m_out=m, reconstruct=reconstruct)
+
+
+def pure_pair(gamma: float, d: int) -> tuple[DensityMatrix, DensityMatrix]:
+    """d copies of |0> and gamma|0> + sqrt(1-gamma^2)|1>, written isometrically
+    in their two-dimensional span: the one-slice case of ``_pure_pairs``."""
+    return tuple(map(_trusted, _pure_pairs([(gamma, d)])[0]))
+
+
+def discrimination_sum(povm: Povm, rho0: DensityMatrix, rho1: DensityMatrix) -> float:
+    """Success sum tr(M0 rho0) + tr(M1 rho1) for a two-outcome POVM."""
+    if len(povm.elements) != 2:
+        raise ValueError("binary discrimination needs a two-outcome POVM")
+    if povm.dim != rho0.dim:
+        raise ValueError("POVM dimension does not match the states")
+    return float(_success_sums(np.array(povm.elements), rho0.mat, rho1.mat))

@@ -17,7 +17,6 @@ import pytest
 from plab.compression import (
     check_monotone_coverage,
     compression_learner,
-    learner_to_compression,
     required_n,
     segment_scheme,
 )
@@ -48,7 +47,6 @@ from plab.quantum import (
     check_no_signaling,
     copies_min,
     delta_min,
-    discrimination_sum,
     helstrom,
     pure_distance_formula,
     quantum_correlation,
@@ -56,6 +54,7 @@ from plab.quantum import (
     trace_distance,
 )
 from plab.tasks import TaskSpec
+from oracles import discrimination_sum, learner_to_compression
 from random_fixtures import draw_sample, random_density_matrix, random_povm, random_pure_state
 
 F = Fraction
@@ -352,7 +351,7 @@ def test_chsh_hierarchy_local_quantum_no_signaling():
     local = kernel_polytope(TaskSpec(["chsh"], [f"f{f}g{g}" for f, g in strategies], [wins]))
 
     def local_row(delta):
-        return LinearConstraint.from_terms(len(wins), enumerate(wins), ">=", 1 - delta)
+        return LinearConstraint(wins, ">=", 1 - delta)
 
     assert lp_feasible(local, [local_row(F(1, 4))]).feasible
     assert not lp_feasible(local, [local_row(F(1, 4) - F(1, 10**9))]).feasible
@@ -360,8 +359,7 @@ def test_chsh_hierarchy_local_quantum_no_signaling():
     # no-signaling: the CHSH row over p(a,b|x,y), feasible at delta = 0
     boxes = no_signaling_polytope(2, 2, 2, 2)
     cells = [(a, b, x, y) for x, y in settings4 for a in range(2) for b in range(2)]  # the polytope's order
-    row = LinearConstraint.from_terms(len(cells), [(j, F(1, 4)) for j, c in enumerate(cells) if chsh_wins(*c)],
-                                      ">=", 1)
+    row = LinearConstraint([F(1, 4) if chsh_wins(*c) else 0 for c in cells], ">=", 1)
     result = lp_feasible(boxes, [row])
     assert result.feasible
     assert list(result.witness.values()) == [F(1, 2) if chsh_wins(*c) else 0 for c in cells]  # the PR box

@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import discrimination_sum, pure_pair
 from reference_writer import pin
 
 from plab import cli, emx, quantum
@@ -172,11 +173,11 @@ def test_a_300_point_copy_sweep_is_its_points_one_by_one(workdir):
     report = json.loads((workdir / "r.json").read_text())
     assert [pt["copies"] for pt in report["sweep"]] == copies
     for pt in report["sweep"]:
-        r0, r1 = quantum.pure_pair(0.97, pt["copies"])
+        r0, r1 = pure_pair(0.97, pt["copies"])
         povm, distance = quantum.helstrom(r0, r1)
         assert pt["trace_distance"] == cli._leaf(distance)
         assert pt["bound"] == cli._leaf(1.0 + 0.5 * distance)
-        assert pt["achieved"] == cli._leaf(quantum.discrimination_sum(povm, r0, r1))
+        assert pt["achieved"] == cli._leaf(discrimination_sum(povm, r0, r1))
         assert pt["delta_min"] == cli._leaf(quantum.delta_min(0.97, pt["copies"]))
         assert pt["d_min"] == quantum.copies_min(0.97, 1e-6)
     with open(workdir / "t.csv", encoding="utf-8", newline="") as fh:
@@ -257,7 +258,7 @@ class TestConfigFileHandling:
 
 
 class TestCoarseBits:
-    @pytest.mark.parametrize("bits", [1024, 1100])
+    @pytest.mark.parametrize("bits", [1024, 1074])
     def test_bits_beyond_float_range_run(self, workdir, bits):
         rc = main(["coarse", "--dist", "points.json", "--bits", str(bits), "--trials", "2", "--out", "r.json"])
         assert rc == 0
@@ -739,6 +740,10 @@ def test_two_calls_in_one_process_build_the_parser_once(workdir, monkeypatch):
     assert len(built) == 1
 
 
+PAST_BITS_LIMIT = ("is above the limit of 1074: every double in [0,1] is a multiple of 2^-1074, "
+                   "so more bits separate no further points")
+
+
 @pytest.mark.parametrize("argv, message", [
     (["emx", "--dist", "dist.json", "--trials", "5", "--d", "-1"], "sample size must be >= 0"),
     (["emx", "--dist", "dist.json", "--trials", "5", "--sweep-d", "2,-1"], "sample size must be >= 0"),
@@ -755,8 +760,11 @@ def test_two_calls_in_one_process_build_the_parser_once(workdir, monkeypatch):
      "m must lie in [1, 2^53]"),
     (["feasible", "sdp", "--task", "task.json", "--states", "states", "--copies", str(10**12)],
      "dimension 2^1000000000000 exceeds cap 1024"),
+    (["coarse", "--dist", "points.json", "--trials", "5", "--bits", "1075"], f"bits = 1075 {PAST_BITS_LIMIT}"),
+    (["coarse", "--dist", "points.json", "--trials", "5", "--sweep-bits", "4,2000"], f"bits = 2000 {PAST_BITS_LIMIT}"),
 ], ids=["d", "sweep-d", "coarse-d", "seed", "pair-outside-domain", "d-zero", "sweep-d-zero", "coarse-d-below-need",
-        "coarse-point-outside", "d-past-the-sample-limit", "m-past-2^53", "copies-far-past-the-cap"])
+        "coarse-point-outside", "d-past-the-sample-limit", "m-past-2^53", "copies-far-past-the-cap",
+        "bits-past-the-limit", "sweep-bits-past-the-limit"])
 def test_out_of_range_input_fails_with_its_own_message(workdir, capsys, argv, message):
     assert main(argv) == 1
     assert capsys.readouterr().err == f"plab: error: {message}\n"

@@ -15,11 +15,11 @@ from plab.compression import (
     CompressionScheme,
     check_monotone_coverage,
     compression_learner,
-    learner_to_compression,
     required_n,
     segment_scheme,
 )
 from plab.emx import FiniteHypothesis, FinSupportDist, IndexedDomain, quantile_learn
+from oracles import learner_to_compression
 from random_fixtures import draw_sample
 
 DOM = IndexedDomain(tuple("abcdefg"))
@@ -60,14 +60,14 @@ class TestTwoToOne:
 
     def test_no_covering_subtuple_gives_none(self):
         # reconstructing a kept point as itself alone always misses the other
-        scheme = CompressionScheme(m_in=2, m_out=1, reconstruct=frozenset)
+        scheme = CompressionScheme(m_out=1, reconstruct=frozenset)
         assert check_monotone_coverage(scheme, ("a", "b")) is None
 
     def test_scheme_sizes_validated(self):
-        with pytest.raises(ValueError):
-            CompressionScheme(m_in=1, m_out=1, reconstruct=lambda s: None)
-        with pytest.raises(ValueError):
-            CompressionScheme(m_in=2, m_out=0, reconstruct=lambda s: None)
+        for k in (1, 2, 7):
+            assert CompressionScheme(m_out=k, reconstruct=frozenset).m_in == k + 1
+        with pytest.raises(ValueError, match="need m_out >= 1"):
+            CompressionScheme(m_out=0, reconstruct=lambda s: None)
 
 
 def oracle_required_n(m: int) -> int:
@@ -169,19 +169,19 @@ class TestCompressionLearner:
         # the frozenset {a, b, c} is met after the first segment of DOM's
         # family and before the segment with its elements, which ties and loses
         recon = {"a": DOM.initial_segment(1), "c": frozenset("abc"), "d": DOM.initial_segment(3)}
-        scheme = CompressionScheme(m_in=2, m_out=1, reconstruct=lambda sub: recon[sub[0]])
+        scheme = CompressionScheme(m_out=1, reconstruct=lambda sub: recon[sub[0]])
         h = compression_learner(scheme, ("a", "c", "d"), DOM)
         assert type(h) is frozenset and h == frozenset("abc")
 
     def test_one_nested_family_is_answered_without_membership_tests(self):
         # every candidate is a segment over DOM: the largest wins whatever its hits
-        scheme = CompressionScheme(m_in=3, m_out=2,
+        scheme = CompressionScheme(m_out=2,
                                    reconstruct=lambda sub: UntestableSegment(DOM, max(map(DOM.idx, sub))))
         h = compression_learner(scheme, ("b", "e", "c", "b"), DOM)
         assert type(h) is UntestableSegment and h == DOM.initial_segment(5)
         # a second domain object is a second family: the two finalists are scored
         twin = IndexedDomain(DOM.labels)
-        two = CompressionScheme(m_in=2, m_out=1,
+        two = CompressionScheme(m_out=1,
                                 reconstruct=lambda sub: UntestableSegment(DOM if sub == ("b",) else twin, DOM.idx(sub[0])))
         with pytest.raises(AssertionError, match="membership of .* tested"):
             compression_learner(two, ("b", "e"), DOM)
@@ -198,15 +198,12 @@ class TestCompressionLearner:
 
     def test_tie_breaks_toward_larger_then_lex_smaller(self):
         # non-nested candidates: reconstruct is the kept point alone
-        point_scheme = CompressionScheme(
-            m_in=2, m_out=1, reconstruct=frozenset
-        )
+        point_scheme = CompressionScheme(m_out=1, reconstruct=frozenset)
         # equal mass, equal size -> smaller index description wins
         h = compression_learner(point_scheme, ("e", "b"), DOM)
         assert h == frozenset("b")
         # equal mass, different size -> larger hypothesis wins
         pair_scheme = CompressionScheme(
-            m_in=3,
             m_out=2,
             reconstruct=lambda sub: frozenset(sub if sub[0] != sub[1] else (sub[0], "g")),
         )

@@ -453,16 +453,5 @@ class TestLinearConstraintIntegerForm:
 class TestLinearConstraintTerms:
     def test_dense_and_sparse_rows_agree(self):
         dense = LinearConstraint(["0", "1/2", 0, F(-3), 0.25], ">=", "1")
-        sparse = LinearConstraint.from_terms(5, [(4, "1/4"), (1, F(1, 2)), (2, 0), (3, -3)], ">=", 1)
-        assert dense == sparse
         assert dense.terms == ((1, F(1, 2)), (3, F(-3)), (4, F(1, 4)))
         assert dense.coeffs == (0, F(1, 2), 0, -3, F(1, 4))
-
-    def test_repeated_index_rejected(self):
-        with pytest.raises(ValueError, match="term index 1 repeated or outside 0..2"):
-            LinearConstraint.from_terms(3, [(1, 1), (0, 2), (1, 3)], "<=", 1)
-
-    @pytest.mark.parametrize("index", [3, 7, -1])
-    def test_index_outside_the_arity_rejected(self, index):
-        with pytest.raises(ValueError, match=f"term index {index} repeated or outside 0..2"):
-            LinearConstraint.from_terms(3, [(0, 1), (index, 2)], "<=", 1)

@@ -34,7 +34,6 @@ from plab.compression import (
     CompressionScheme,
     _distinct_subtuples,
     compression_learner,
-    learner_to_compression,
     segment_scheme,
 )
 from plab.emx import (
@@ -46,6 +45,7 @@ from plab.emx import (
     quantile_learn,
     verify_guarantee,
 )
+from oracles import learner_to_compression
 from random_fixtures import draw_sample
 
 
@@ -477,13 +477,13 @@ def recording(scheme):
         log.append(sub)
         return scheme.reconstruct(sub)
 
-    return CompressionScheme(scheme.m_in, scheme.m_out, reconstruct), log
+    return CompressionScheme(scheme.m_out, reconstruct), log
 
 
 def min_segment_scheme(dom, m):
     """Segment at the smallest index of the kept tuple: candidates are not
     nested in subtuple order, so the ERM's tie-breaks matter."""
-    return CompressionScheme(m + 1, m, lambda sub: dom.initial_segment(min(dom.idx(x) for x in sub)))
+    return CompressionScheme(m, lambda sub: dom.initial_segment(min(dom.idx(x) for x in sub)))
 
 
 def families_scheme(dom, m):
@@ -498,7 +498,7 @@ def families_scheme(dom, m):
         t = max(ranks)
         return (dom.initial_segment(t), twin.initial_segment(t), frozenset(dom.labels[:t]))[sum(ranks) % 3]
 
-    return CompressionScheme(m + 1, m, reconstruct)
+    return CompressionScheme(m, reconstruct)
 
 
 def scheme_for(kind, dom, m):
@@ -568,7 +568,7 @@ def test_a_frozenset_scheme_runs_through_the_erm_and_the_label_path():
     learner reports from support ranks."""
     P = FinSupportDist(tuple("abcde"), ["1/2", "1/4", "1/8", "1/16", "1/16"])
     dom = IndexedDomain(P.support)
-    scheme = CompressionScheme(3, 2, lambda sub: frozenset(dom.labels[: max(map(dom.idx, sub))]))
+    scheme = CompressionScheme(2, lambda sub: frozenset(dom.labels[: max(map(dom.idx, sub))]))
     for seed in range(20):
         pts = draw_sample(P, 6, seed=seed)
         got = compression_learner(scheme, pts, dom)

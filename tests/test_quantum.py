@@ -25,17 +25,16 @@ from plab.quantum import (
     check_no_signaling,
     copies_min,
     delta_min,
-    discrimination_sum,
     helstrom,
     matrix_from_json,
     matrix_to_json,
     pure_distance_formula,
-    pure_pair,
     pure_pair_helstrom,
     quantum_correlation,
     tensor_power,
     trace_distance,
 )
+from oracles import discrimination_sum, pure_pair
 from random_fixtures import random_density_matrix, random_povm, random_pure_state
 
 KET0 = DensityMatrix.pure([1.0, 0.0])
@@ -195,6 +194,12 @@ class TestTensorPower:
     def test_d_validated(self):
         with pytest.raises(ValueError):
             tensor_power(KET0, 0)
+
+    def test_a_1x1_state_is_its_own_power(self):
+        one = DensityMatrix([[1.0]])
+        start = time.perf_counter()
+        assert tensor_power(one, 10**12) is one
+        assert time.perf_counter() - start < 1.0
 
     def test_factor_within_tolerance_has_every_power_up_to_the_cap(self):
         # trace 1 + 9e-13 passes the 1e-12 check; the d-fold power has trace
