@@ -13,7 +13,8 @@ lo <= p* <= hi.  lo is the worst-environment success of a POVM that passed
 Z shifted by eigvalsh until Z >= A_h(y) = sum_{theta: h in G_theta}
 y_theta rho_theta^(x)d for every h; weak duality makes it an upper bound.
 "feasible" iff lo >= 1-delta, "infeasible" iff hi < 1-delta, "undetermined"
-only when the step budget runs out with 1-delta inside [lo, hi].
+only when the step budget runs out with 1-delta inside [lo, hi].  Both
+come from the states' joint support, lifted back to dim^d x dim^d.
 """
 
 from __future__ import annotations
@@ -262,8 +263,8 @@ def affine_dimension(poly: PolytopeSpec) -> int:
 
 
 # Step budget: _OUTER_STEPS weight updates, each after _INNER_STEPS POVM
-# steps.  Eigenvalues of R below _SUPPORT_TOL times its largest are its
-# kernel; _EIG_MARGIN keeps eigvalsh rounding from pushing hi below p*.
+# steps.  Eigenvalues of R, or of the states' sum, below _SUPPORT_TOL times its
+# largest are its kernel; _EIG_MARGIN keeps eigvalsh rounding from pushing hi below p*.
 _OUTER_STEPS = 400
 _INNER_STEPS = 30
 _SUPPORT_TOL = 1e-12
@@ -311,6 +312,15 @@ def sdp_feasible(states: Sequence[DensityMatrix], task: TaskSpec, epsilon, delta
     hi through its Yuen-Kennedy-Lax operator Y = herm(sum_h A_h M_h): with
     lambda = max(0, max_h lambda_max(A_h - Y)) from eigvalsh (plus a rounding
     margin), Z = Y + lambda*I >= A_h(y) for every h, so p* <= tr Z.
+
+    When the states' joint support S is smaller than the space (V holds the
+    eigenvectors of sum_i rho_i^(x)d above _SUPPORT_TOL times its largest
+    eigenvalue, P = V V^+, r = dim S), the loop sees V^+ rho_i V; at return
+    M_h = V W_h V^+ + (I - P)/n_h, the dense iterate, is checked again by
+    ``Povm`` and Z = V(Y + lambda*I_r)V^+ + lambda*(I - P) has tr Z = hi.
+    Z >= A_h(y): Z - P A_h P >= _EIG_MARGIN*I less rounding, and A_h - P A_h P
+    has norm at most max_i ||rho_i - P rho_i P||_F, which S must keep within
+    _EIG_MARGIN/2 (a dropped eigenvalue t^2 has cross terms of size t).
     """
     if len(states) != len(task.thetas):
         raise ValueError("one state per environment required")
@@ -334,13 +344,32 @@ def sdp_feasible(states: Sequence[DensityMatrix], task: TaskSpec, epsilon, delta
         return SdpResult(verdict="feasible", witness=Povm(blocks, labels=task.hyps),
                          certificate="common-optimum", lo=1.0)
 
+    w, v = np.linalg.eigh(_hermitize(rhos.sum(axis=0)))  # S, V and r of the docstring
+    v = v[:, w > _SUPPORT_TOL * w[-1]]
+    if v.shape[1] < dim:
+        small = v.conj().T @ rhos @ v
+        if np.linalg.norm(rhos - v @ small @ v.conj().T, axis=(1, 2)).max() <= _EIG_MARGIN / 2:
+            rhos = small
+    r = rhos.shape[1]
+
+    def lift(x, pad):  # V x V^+ + pad*(I - V V^+) on the full space, for a matrix or a stack
+        return x if r == dim else _hermitize(v @ x @ v.conj().T + pad * (np.eye(dim) - v @ v.conj().T))
+
+    def done(verdict, witness, certificate):
+        if witness is not None and r < dim:
+            try:  # would indicate a lifting bug; never return an unchecked witness
+                witness = Povm(lift(np.array(witness.elements), 1.0 / n_h), labels=task.hyps)
+            except ValueError as exc:
+                raise AssertionError(f"lifted witness is not a POVM: {exc}") from None
+        return SdpResult(verdict, witness, certificate, lo, hi, cert[0], lift(*cert[1:]), steps)
+
     def successes(m):  # s_i = sum_{h in G_i} tr(M_h rho_i)
         return (np.einsum("hab,iba->ih", m, rhos).real * member).sum(axis=1)
 
     y = np.full(len(rhos), 1.0 / len(rhos))
-    m = np.repeat(np.eye(dim, dtype=complex)[None] / n_h, n_h, axis=0)
+    m = np.repeat(np.eye(r, dtype=complex)[None] / n_h, n_h, axis=0)
     avg = np.zeros_like(m)
-    lo, hi, witness, cert, steps = 0.0, np.inf, None, (None, None), 0
+    lo, hi, witness, cert, steps = 0.0, np.inf, None, None, 0
     for t in range(1, _OUTER_STEPS + 1):
         a = np.einsum("ih,iab->hab", y[:, None] * member, rhos)
         for _ in range(_INNER_STEPS):
@@ -354,13 +383,14 @@ def sdp_feasible(states: Sequence[DensityMatrix], task: TaskSpec, epsilon, delta
                         witness, lo = Povm(cand, labels=task.hyps), worst
                 opt = _hermitize((a @ cand).sum(axis=0))
                 lam = max(0.0, float(np.linalg.eigvalsh(a - opt)[:, -1].max())) + _EIG_MARGIN
-                z = opt + lam * np.eye(dim)
-                if np.trace(z).real < hi:
-                    hi, cert = float(np.trace(z).real), (tuple(float(v) for v in y), z)
+                z = opt + lam * np.eye(r)
+                tr = float(np.trace(z).real + lam * (dim - r))  # tr Z: lam on each dimension off S
+                if tr < hi:
+                    hi, cert = tr, (tuple(float(v) for v in y), z, lam)
                 if lo >= target:
-                    return SdpResult("feasible", witness, "validated-povm", lo, hi, *cert, steps)
+                    return done("feasible", witness, "validated-povm")
                 if hi < target:
-                    return SdpResult("infeasible", None, "weak-duality", lo, hi, *cert, steps)
+                    return done("infeasible", None, "weak-duality")
         y = y * np.exp(-successes(m) / np.sqrt(t))
         y /= y.sum()
-    return SdpResult("undetermined", None, None, lo, hi, *cert, steps)
+    return done("undetermined", None, None)

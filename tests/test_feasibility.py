@@ -9,13 +9,14 @@ closed forms, and re-check every dual certificate without the solver.
 
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plab import simplex
+from plab import cli, feasibility, simplex
 from plab.feasibility import (
     LinearConstraint,
     PolytopeSpec,
@@ -28,9 +29,9 @@ from plab.feasibility import (
     no_signaling_polytope,
     sdp_feasible,
 )
-from plab.quantum import DensityMatrix, ResourceCapError, delta_min, tensor_power
+from plab.quantum import DensityMatrix, Povm, ResourceCapError, delta_min, tensor_power
 from plab.tasks import TaskSpec
-from random_fixtures import random_density_matrix
+from random_fixtures import random_density_matrix, random_pure_state
 
 F = Fraction
 IDENTITY_TASK = TaskSpec(["t0", "t1"], ["h0", "h1"], [[1, 0], [0, 1]])
@@ -372,7 +373,7 @@ class TestSdpBracket:
             check_certificate(res, trine, task)
 
     @pytest.mark.parametrize("gamma", [0.85, 0.92])
-    @pytest.mark.parametrize("d", range(1, 7))
+    @pytest.mark.parametrize("d", range(1, 9))
     def test_pair_bracket_meets_the_closed_form(self, gamma, d):
         pair = [KET0, DensityMatrix.pure([gamma, math.sqrt(1 - gamma * gamma)])]
         res = sdp_feasible(pair, IDENTITY_TASK, F(1, 2), 0, d=d)
@@ -380,6 +381,83 @@ class TestSdpBracket:
         p_star = 1 - delta_min(gamma, d)
         assert abs(res.lo - p_star) <= 1e-9 and abs(res.hi - p_star) <= 1e-9
         check_certificate(res, pair, IDENTITY_TASK, d)
+
+    def test_a_six_copy_pure_pair_is_decided_as_a_2x2_problem(self, monkeypatch):
+        # the steps see the states' joint support; the report is 64 x 64
+        shapes, step = set(), feasibility._jrf_step
+        monkeypatch.setattr(feasibility, "_jrf_step", lambda a, m: shapes.add(m.shape) or step(a, m))
+        res = sdp_feasible([KET0, PLUS], IDENTITY_TASK, F(1, 2), "0.2", d=6)
+        assert shapes == {(2, 2, 2)}
+        assert res.verdict == "feasible" and res.witness.dim == 64 and res.dual.shape == (64, 64)
+        check_certificate(res, [KET0, PLUS], IDENTITY_TASK, 6)
+
+    def test_states_just_off_their_support_stay_dense(self, monkeypatch):
+        # (1, +-t): the sum of the states has eigenvalue ~2t^2 < _SUPPORT_TOL times
+        # its largest, but the states differ by t off that support; decided on the
+        # 1-dimensional support, hi would fall below p* = (1 + 2t/(1+t^2))/2
+        t = math.sqrt(1e-13)
+        pair = [DensityMatrix.pure([1.0, t]), DensityMatrix.pure([1.0, -t])]
+        shapes, step = set(), feasibility._jrf_step
+        monkeypatch.setattr(feasibility, "_jrf_step", lambda a, m: shapes.add(m.shape) or step(a, m))
+        res = sdp_feasible(pair, IDENTITY_TASK, F(1, 2), 0)
+        assert shapes == {(2, 2, 2)}
+        assert res.hi >= (1 + 2 * t / (1 + t * t)) / 2
+        check_certificate(res, pair, IDENTITY_TASK)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_rank_deficient_families_lift_to_the_full_space(self, seed):
+        # 2-4 pure states in C^2 or C^3, or (every fourth seed) a rank-2 mixed
+        # pair in C^4: the d-copy states span fewer than dim^d dimensions
+        rng = np.random.default_rng(1000 + seed)
+        if seed % 4 == 3:
+            isometries = [np.linalg.qr(rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)))[0]
+                          for _ in range(2)]
+            states = [DensityMatrix(v @ np.diag([p, 1 - p]) @ v.conj().T)
+                      for v, p in zip(isometries, rng.uniform(0.2, 0.8, 2))]
+        else:
+            dim, n = int(rng.integers(2, 4)), int(rng.integers(2, 5))
+            states = [DensityMatrix.pure(random_pure_state(dim, rng)) for _ in range(n)]
+        task = identity_task(len(states))
+        for d in (1, 2, 3):
+            first = sdp_feasible(states, task, F(1, 2), 0, d=d)
+            # the steps do not depend on delta: a target just under first.lo is
+            # met, and one above first.hi refuted, by the step that ended first
+            delta = F(1 - first.lo) + F(1, 10**6)
+            above = sdp_feasible(states, task, F(1, 2), delta, d=d)
+            below = sdp_feasible(states, task, F(1, 2), F((1 - first.hi) / 2), d=d)
+            assert (first.verdict, above.verdict, below.verdict) == ("infeasible", "feasible", "infeasible")
+            rhos = [tensor_power(s, d).mat for s in states]
+            elements = above.witness.elements
+            assert Povm(elements).dim == len(rhos[0])
+            worst = min(float(np.trace(e @ r).real) for e, r in zip(elements, rhos))
+            assert worst >= 1 - float(delta) - 1e-6
+            for res in (first, above, below):
+                assert res.lo <= res.hi
+                check_certificate(res, states, task, d)
+
+    def test_common_optimum_blocks_are_full_size(self):
+        task = TaskSpec(["t0", "t1"], ["h0", "h1"], [["1", "0"], ["1", "1/4"]])
+        res = sdp_feasible([KET0, PLUS], task, F(1, 2), 0, d=2)
+        assert res.certificate == "common-optimum"
+        assert [e.shape for e in res.witness.elements] == [(4, 4), (4, 4)]
+
+    def test_a_lifted_witness_that_fails_its_check_is_an_assertion(self, monkeypatch):
+        # the loop checks each r x r candidate; the lift is checked again on the
+        # full space, and a failure there is a decider bug, not a plab: error line
+        real = feasibility.Povm
+
+        def povm(elements, labels=None):
+            if np.shape(elements)[-1] == 4:
+                raise ValueError("POVM elements do not sum to the identity within 1e-10")
+            return real(elements, labels)
+
+        monkeypatch.setattr(feasibility, "Povm", povm)
+        with pytest.raises(AssertionError, match="lifted witness is not a POVM"):
+            sdp_feasible([KET0, PLUS], IDENTITY_TASK, F(1, 2), "0.15", d=2)
+        data = Path(__file__).with_name("data")
+        with pytest.raises(AssertionError, match="lifted witness is not a POVM"):
+            cli.main(["feasible", "sdp", "--task", str(data / "task_identity.json"), "--states",
+                      str(data / "states"), "--copies", "2", "--epsilon", "1/2", "--delta", "3/20"])
 
     def test_sqrt2_overlap_pair_bracket(self):
         res = sdp_feasible([KET0, PLUS], IDENTITY_TASK, F(1, 2), 0)
