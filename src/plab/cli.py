@@ -18,7 +18,6 @@ import contextlib
 import csv
 import functools
 import json
-import math
 import os
 import sys
 import time
@@ -134,30 +133,11 @@ def _leaf(obj):
 
 
 def _float_text(x) -> str:
-    """JSON text of ``_leaf(x)`` for a float, spelled as ``json.dumps`` spells it."""
+    """JSON text of ``_leaf(x)`` for a float: its ``%.12g`` text when that has a point and no
+    exponent (then it is the repr of the pinned float), else ``json.dumps`` of the pinned float
+    (NaN, ±Infinity, exponent and integral forms)."""
     text = "%.12g" % x
-    if "." in text and "e" not in text:
-        return text  # already repr of the pinned float: at most 12 digits, fixed notation
-    x = float(text)
-    if x != x:
-        return "NaN"
-    if math.isinf(x):
-        return "Infinity" if x > 0 else "-Infinity"
-    return repr(x)
-
-
-def _leaf_text(obj) -> str:
-    """JSON text of ``_leaf(obj)``, spelled as ``json.dumps`` spells it."""
-    if isinstance(obj, (float, np.floating)):
-        return _float_text(obj)
-    value = _leaf(obj)
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return int.__repr__(value)
+    return text if "." in text and "e" not in text else json.dumps(float(text))
 
 
 def _matrix_text(a: np.ndarray, indent: str) -> str:
@@ -182,7 +162,8 @@ def _matrix_text(a: np.ndarray, indent: str) -> str:
 def _render(obj, indent: str = "\n") -> str:
     """The reference writer's ``json.dumps(pin(obj), indent=2, sort_keys=True)``,
     in one walk that pins each leaf as it writes it (``indent`` is the walk's
-    line start); a 2-D array is written by ``_matrix_text``."""
+    line start); a 2-D array is written by ``_matrix_text``.  Only the leaves a report holds
+    by the hundred are spelled here (fixed-notation floats, strings, ints); ``json.dumps`` spells the rest."""
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -197,7 +178,12 @@ def _render(obj, indent: str = "\n") -> str:
         return "[" + inner + ("," + inner).join([_render(v, inner) for v in obj]) + indent + "]"
     if isinstance(obj, np.ndarray):
         return _matrix_text(obj, indent)
-    return _leaf_text(obj)
+    if isinstance(obj, (float, np.floating)):
+        return _float_text(obj)
+    value = _leaf(obj)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    return int.__repr__(value) if type(value) is int else json.dumps(value)  # json spells null, true, false
 
 
 def write_report(report: RunReport, path: str) -> None:

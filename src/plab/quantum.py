@@ -204,18 +204,19 @@ def _pure_pairs(points: Sequence[tuple[float, int]]) -> np.ndarray:
     """d copies of |0> and gamma|0> + sqrt(1-gamma^2)|1>, written isometrically in their
     two-dimensional span, for every (gamma, d) of points: one checked stack (P, 2, 2, 2).
 
-    The d-copy kets have Gram matrix [[1, g], [g, 1]] with g = gamma^d; its
-    triangular factor gives |0> and g|0> + sqrt(1-g^2)|1>.  Every quantity
-    invariant under isometries (trace distance, Helstrom success sum) equals
-    that of the dense pair from ``tensor_power``, so a pair costs the same at
-    every d and needs no cap; at d = 1 the states are the single-copy states
-    themselves.
+    The d-copy kets have Gram matrix [[1, g], [g, 1]] with g = gamma^d; its triangular
+    factor gives |0> and g|0> + sqrt((1-g)(1+g))|1>, with 1 - g as 1 - gamma at d = 1
+    (exact for gamma >= 1/2) and as -expm1(d ln gamma) beyond; neither cancels as gamma
+    nears 1, so the kets are unit to rounding.  Every quantity invariant under isometries
+    (trace distance, Helstrom success sum) equals that of the dense pair from
+    ``tensor_power``, so a pair costs the same at every d and needs no cap; at d = 1 the
+    states are the single-copy states, to rounding.
     """
     for gamma, d in points:
         _check_overlap(gamma, d)
-    kets = np.array([[[1, 0], [g, math.sqrt(max(0.0, 1.0 - g * g))]] for g in (x**d for x, d in points)], complex)
-    re = kets.real[..., None, :]  # each norm as np.linalg.norm takes it for one ket, as in DensityMatrix.pure
-    kets /= np.sqrt(re @ re.swapaxes(-1, -2))[..., 0]
+    gaps = [1.0 - x if d == 1 or not x else -math.expm1(d * math.log(x)) for x, d in points]  # 1 - gamma^d
+    kets = np.array([[[1, 0], [x**d, math.sqrt(max(0.0, gap * (1.0 + x**d)))]]
+                     for (x, d), gap in zip(points, gaps)], complex)
     return _checked(kets[..., :, None] * kets[..., None, :].conj())
 
 

@@ -184,6 +184,14 @@ def test_a_300_point_copy_sweep_is_its_points_one_by_one(workdir):
         assert len(list(csv.DictReader(fh))) == 300
 
 
+def test_trace_distance_prints_as_the_formula_as_gamma_nears_1(workdir):
+    argv = ["quantum", "discriminate", "--gamma", "0.9999999", "--sweep-copies", "1,2,3,5,8,13", "--out", "r.json"]
+    assert main(argv) == 0
+    report = json.loads((workdir / "r.json").read_text())
+    rows = [report["metrics"], *report["sweep"]]
+    assert len(rows) == 7 and all(row["trace_distance"] == row["formula"] for row in rows)
+
+
 def test_repeated_runs_are_identical_up_to_wall_clock(workdir):
     argv = ["emx", "--dist", "dist.json", "--trials", "120", "--seed", "9", "--out", "a.json"]
     assert main(argv) == 0

@@ -361,6 +361,15 @@ class TestPurePair:
             assert povm.dim == 2
             assert abs(distance - 2.0 * math.sqrt(1.0 - gamma ** (2 * d))) <= 1e-12
 
+    @pytest.mark.parametrize("gamma, d", [(0.999999999, 1), (1.0 - 2**-40, 1), (0.9999999, 3), (0.9999999, 13)])
+    def test_distance_near_overlap_1_matches_50_digit_mpmath(self, gamma, d):
+        """The second amplitude sqrt((1 - g)(1 + g)) takes 1 - g without cancelling:
+        sqrt(1 - g^2) would be 2.5e-10 off at (0.999999999, 1)."""
+        (distance,), _ = pure_pair_helstrom([(gamma, d)])
+        with mpmath.workdps(50):
+            want = float(2 * mpmath.sqrt(1 - mpmath.mpf(gamma) ** (2 * d)))
+        assert math.isclose(distance, want, rel_tol=1e-15), (distance, want)
+
     def test_domain_validated(self):
         with pytest.raises(ValueError, match="gamma"):
             pure_pair(1.5, 1)
