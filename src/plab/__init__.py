@@ -7,4 +7,26 @@ exact LP decider and a certified-bracket SDP decider (plab.feasibility),
 with a seeded, report-writing CLI (plab.cli).
 """
 
+import importlib.util
+import sys
+
 __version__ = "0.1.0"
+
+
+def _lazy(name: str):
+    """Module ``name`` as ``sys.modules`` holds it (None where it is blocked), else a module
+    executed on its first attribute access: the ``importlib.util.LazyLoader`` recipe."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    if spec is None:  # a missing module still fails at import time
+        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# The exact LP and the 2->1 demo never touch numpy, so they never load it.  plab modules take
+# ``np`` from here: an ``import numpy`` statement reads the module's __spec__ and loads it at once.
+_np = _lazy("numpy")

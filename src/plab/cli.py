@@ -26,9 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
-import numpy as np
-
-from . import __version__, coarse, compression, feasibility, quantum
+from . import __version__, _np as np, coarse, compression, feasibility, quantum
 from .emx import (
     FinSupportDist,
     IndexedDomain,
@@ -120,12 +118,13 @@ class RunReport:
 
 def _leaf(obj):
     """Pin one report value that is not a dict, list, tuple or array: floats to 12
-    significant digits, exact rationals to strings, numpy scalars unwrapped."""
-    if isinstance(obj, Fraction):
-        return str(obj)
+    significant digits, exact rationals to strings, numpy scalars unwrapped.  Python
+    types are tested first, so that a report without numpy values never loads numpy."""
     if isinstance(obj, (bool, type(None), str, int)):
         return obj
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, Fraction):
+        return str(obj)
+    if isinstance(obj, float) or isinstance(obj, np.floating):
         return float(f"{float(obj):.12g}")
     if isinstance(obj, np.integer):
         return int(obj)
@@ -176,10 +175,13 @@ def _render(obj, indent: str = "\n") -> str:
             return "[]"
         inner = indent + "  "
         return "[" + inner + ("," + inner).join([_render(v, inner) for v in obj]) + indent + "]"
-    if isinstance(obj, np.ndarray):
-        return _matrix_text(obj, indent)
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, float):
         return _float_text(obj)
+    if not isinstance(obj, (str, int, type(None), Fraction)):  # numpy types last, as in _leaf
+        if isinstance(obj, np.ndarray):
+            return _matrix_text(obj, indent)
+        if isinstance(obj, np.floating):
+            return _float_text(obj)
     value = _leaf(obj)
     if isinstance(value, str):
         return encode_basestring_ascii(value)
@@ -355,8 +357,8 @@ _Kind = namedtuple("_Kind", "words help run params")
 
 
 def _accuracy(epsilon: str, delta: str) -> tuple[_Param, _Param]:
-    return (_Param("epsilon", Fraction, Fraction(epsilon), "accuracy epsilon, a rational such as 1/3"),
-            _Param("delta", Fraction, Fraction(delta), "failure probability delta, a rational such as 1/5"))
+    return (_Param("epsilon", Fraction, as_fraction(epsilon), "accuracy epsilon, a rational such as 1/3"),
+            _Param("delta", Fraction, as_fraction(delta), "failure probability delta, a rational such as 1/5"))
 
 
 _KINDS = {

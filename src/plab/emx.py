@@ -29,7 +29,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Callable, Container, Iterable, Iterator, Sequence
 
-import numpy as np
+from . import _np as np  # numpy, loaded on first use
 
 SAMPLE_LIMIT = 1 << 24  # largest sample size d ``verify_guarantee`` draws: a block holds one whole trial
 

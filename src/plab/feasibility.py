@@ -26,8 +26,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-import numpy as np
-
+from . import _np as np  # numpy, loaded on first use
 from . import simplex
 from .emx import accuracy, as_fraction
 from .quantum import DensityMatrix, Povm, _hermitize, tensor_power

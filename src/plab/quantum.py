@@ -32,7 +32,7 @@ import sys
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
+from . import _np as np  # numpy, loaded on first use
 
 HERM_TOL = 1e-12
 TRACE_TOL = 1e-12

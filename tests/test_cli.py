@@ -799,15 +799,72 @@ def test_batched_substreams_write_the_reports_of_one_substream_per_trial(workdir
     assert CLOCK_LINE.sub("", batched) == CLOCK_LINE.sub("", single.replace("single.json", "batched.json"))
 
 
+def run_fresh(code: str, cwd=None) -> list[str]:
+    """The words ``code`` prints in a fresh interpreter that imports plab from this tree."""
+    src = str(HERE.parent / "src")
+    done = subprocess.run([sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r})\n{code}"],
+                          cwd=cwd, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
+
+
 def test_importing_the_cli_leaves_numpy_random_unloaded():
     """numpy 2 loads numpy.random on first use, at about 20 ms; plab's start-up
     must not pay for it."""
-    src = str(HERE.parent / "src")
-    code = (f"import sys; sys.path.insert(0, {src!r}); import numpy; eager = 'numpy.random' in sys.modules; "
-            "import plab.cli; print(eager, 'numpy.random' in sys.modules)")
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr
-    eager, after_cli = done.stdout.split()
+    eager, after_cli = run_fresh("import numpy; eager = 'numpy.random' in sys.modules; "
+                                 "import plab.cli; print(eager, 'numpy.random' in sys.modules)")
     if eager == "True":
         pytest.skip("this numpy imports numpy.random with numpy")
     assert after_cli == "False"
+
+
+def fresh_runs(workdir, runs: dict, before: str = "") -> list[str]:
+    """Run each ``name: argv`` (written to report.json) through plab.cli.main in one fresh
+    interpreter, after ``before``, keeping each report as ``name``.  Whether numpy.linalg,
+    loaded with numpy itself, is in sys.modules after ``import plab.cli`` and after each run."""
+    return run_fresh(f"{before}\nimport os, plab.cli\nprint('numpy.linalg' in sys.modules)\n"
+                     f"for name, argv in {list(runs.items())!r}:\n"
+                     "    assert plab.cli.main(argv) == 0\n"
+                     "    os.replace('report.json', name)\n"
+                     "    print('numpy.linalg' in sys.modules)", cwd=workdir)
+
+
+def assert_goldens(workdir, names):
+    for name in names:
+        assert CLOCK_LINE.sub("", (workdir / name).read_text()) == CLOCK_LINE.sub("", (GOLDEN / name).read_text())
+
+
+EXACT_GOLDENS = ("feasible_lp.json", "compress_demo.json")
+
+
+def test_exact_runs_never_load_numpy(workdir):
+    """The exact LP and the 2->1 demo do no float work: plab binds numpy lazily, and
+    their reports hold no numpy value, so numpy is never loaded."""
+    shutil.copy(DATA / "polytope_mixed_literals.json", workdir / "poly.json")
+    runs = {"feasible_lp.json": GOLDEN_RUNS["feasible_lp.json"],
+            "poly.out.json": ["feasible", "lp", "--task", "task.json", "--polytope", "poly.json",
+                              "--epsilon", "1/2", "--delta", "1/5", "--out", "report.json"],
+            "compress_demo.json": GOLDEN_RUNS["compress_demo.json"]}
+    assert fresh_runs(workdir, runs) == ["False"] * 4
+    assert_goldens(workdir, EXACT_GOLDENS)
+
+
+def test_exact_runs_need_no_numpy(workdir):
+    """With numpy blocked, plab.cli still imports and the exact runs write their golden reports."""
+    runs = {name: GOLDEN_RUNS[name] for name in EXACT_GOLDENS}
+    assert fresh_runs(workdir, runs, before="sys.modules['numpy'] = None") == ["False"] * 3
+    assert_goldens(workdir, EXACT_GOLDENS)
+
+
+def test_numpy_imported_first_is_the_numpy_plab_uses():
+    got = run_fresh("import numpy, types\nimport plab.cli\n"
+                    "print(type(numpy) is types.ModuleType, plab._np is numpy, "
+                    "all(sys.modules[f'plab.{m}'].np is numpy for m in ('cli', 'emx', 'feasibility', 'quantum')))")
+    assert got == ["True"] * 3
+
+
+def test_float_goldens_when_numpy_loads_inside_plab(workdir):
+    """numpy first loaded by a plab call, not by an import: the float reports do not change."""
+    names = ("quantum.json", "feasible_sdp.json")
+    assert fresh_runs(workdir, {name: GOLDEN_RUNS[name] for name in names}) == ["False", "True", "True"]
+    assert_goldens(workdir, names)

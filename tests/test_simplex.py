@@ -110,6 +110,16 @@ def test_import_needs_no_numpy():
     assert done.returncode == 0, done.stderr
 
 
+def test_import_without_numpy_installed_fails_at_import_time():
+    """plab binds numpy lazily, but a missing numpy still fails ``import plab``, not a later call."""
+    src = str(Path(plab.__file__).parents[1])
+    code = (f"import os, sys; sys.path[:] = [{src!r}] + [p for p in sys.path if not os.path.isdir(os.path.join(p or '.', 'numpy'))]; "
+            "import plab")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert done.returncode == 1
+    assert done.stderr.splitlines()[-1] == "ModuleNotFoundError: No module named 'numpy'"
+
+
 def test_random_consistent_systems_are_solved():
     rng = np.random.default_rng(20177)
     for trial in range(40):
