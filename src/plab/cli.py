@@ -32,6 +32,7 @@ from .emx import (
     IndexedDomain,
     RationalLiteralError,
     SegmentLearner,
+    _json_list,
     as_fraction,
     sample_complexity,
     verify_guarantee,
@@ -140,8 +141,8 @@ def _float_text(x) -> str:
 
 
 def _matrix_text(a: np.ndarray, indent: str) -> str:
-    """JSON text of a 2-D array at ``indent`` as the reference writer gives it:
-    the layout of ``matrix_to_json`` as one template, filled with the text of
+    """JSON text of a 2-D array at ``indent`` as the reference writer ``tests/reference_writer.py`` gives it:
+    its layout of row-major [re, im] pairs as one template, filled with the text of
     each distinct float, found by its bits so that 0.0 and -0.0 stay apart."""
     if a.ndim != 2:
         raise TypeError(f"cannot serialize a {a.ndim}-D array in a report")
@@ -255,8 +256,8 @@ def _run_coarse(p: dict, seed: int):
     if (bits := max([p["bits"], *(p["sweep_bits"] or ())])) > coarse.BITS_LIMIT:
         raise ValueError(f"bits = {bits} is above the limit of {coarse.BITS_LIMIT}: every double in [0,1] is a "
                          f"multiple of 2^-{coarse.BITS_LIMIT}, so more bits separate no further points")
-    dist = _load_json(p["dist"], lambda raw: FinSupportDist([float(as_fraction(x)) for x in raw["labels"]],
-                                                            raw["weights"]))
+    dist = _load_json(p["dist"], lambda raw: FinSupportDist([float(as_fraction(x)) for x in _json_list(raw, "labels")],
+                                                            _json_list(raw, "weights")))
     d = sample_complexity(p["epsilon"], p["delta"]) if p["d"] is None else p["d"]
 
     def run(bits: int) -> dict:
@@ -339,7 +340,7 @@ def _run_feasible_sdp(p: dict, seed: int):
             raise ValueError(f"missing state file for environment {theta!r}: {path}")
         states.append(_load_json(path, quantum.DensityMatrix.from_json))
     result = feasibility.sdp_feasible(states, task, p["epsilon"], p["delta"], d=p["copies"])
-    w = result.witness  # the keys of Povm.to_json, elements kept as arrays for _render
+    w = result.witness  # elements kept as arrays for _render
     metrics = {"verdict": result.verdict, "sweeps": result.sweeps, "lo": result.lo,
                "hi": result.hi, "weights": result.weights, "certificate": result.certificate,
                "witness": {"labels": list(w.labels), "elements": list(w.elements)} if w else None}

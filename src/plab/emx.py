@@ -67,6 +67,16 @@ def as_fraction(value: Fraction | int | float | str) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 
+def _json_list(obj, key, name: str = "") -> list:
+    """obj[key], which an input file must give as a JSON list: a string there
+    would be read character by character.  The TypeError calls it ``name``,
+    by default ``repr(key)``."""
+    value = obj[key]
+    if not isinstance(value, list):
+        raise TypeError(f"{name or repr(key)} must be a list, not {type(value).__name__}")
+    return value
+
+
 def accuracy(epsilon, delta) -> tuple[Fraction, Fraction]:
     """epsilon and delta as exact rationals by ``as_fraction``, checked to lie
     in (0,1) and [0,1): the one epsilon/delta check of every plab entry point."""
@@ -182,12 +192,6 @@ class IndexedDomain:
             return self._rank[x]
         except KeyError:
             raise KeyError(f"{x!r} not in domain") from None
-
-    def label(self, rank: int):
-        """Element with the given 1-based rank."""
-        if not 1 <= rank <= self.size:
-            raise IndexError(f"rank {rank} outside 1..{self.size}")
-        return self.labels[rank - 1]
 
     def initial_segment(self, t: int) -> "FiniteHypothesis":
         if t < 0:
@@ -352,13 +356,9 @@ class FinSupportDist:
         """d i.i.d. points via the inverse CDF over the ordered support."""
         return tuple(self._labels[self._positions(rng.random(d))].tolist())
 
-    def to_json(self) -> dict:
-        weights = [str(w) if isinstance(w, Fraction) else w for w in self.weights]
-        return {"labels": [str(x) for x in self.support], "weights": weights}
-
     @classmethod
     def from_json(cls, obj: dict) -> "FinSupportDist":
-        return cls(obj["labels"], obj["weights"])
+        return cls(_json_list(obj, "labels"), _json_list(obj, "weights"))
 
     def __repr__(self) -> str:
         return f"FinSupportDist({len(self.support)} points)"

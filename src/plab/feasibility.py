@@ -28,17 +28,9 @@ from typing import Sequence
 
 from . import _np as np  # numpy, loaded on first use
 from . import simplex
-from .emx import accuracy, as_fraction
+from .emx import _json_list, accuracy, as_fraction
 from .quantum import DensityMatrix, Povm, _hermitize, tensor_power
 from .tasks import TaskSpec
-
-
-def _json_list(obj: dict, key: str) -> list:
-    """obj[key], which a polytope file must give as a JSON list."""
-    value = obj[key]
-    if not isinstance(value, list):
-        raise TypeError(f"{key!r} must be a list, not {type(value).__name__}")
-    return value
 
 
 _HOLDS = {"<=": operator.le, "=": operator.eq, ">=": operator.ge}
@@ -59,9 +51,9 @@ class LinearConstraint:
     data held as integers, built once at construction: ``iterms`` are the
     nonzero (index, coefficient) pairs in index order and ``irhs`` the rhs,
     each times ``scale`` > 0, the lcm of their denominators.  The simplex
-    pivots on this form; ``satisfied_by`` and the witness re-check of
-    ``lp_feasible`` check a point against it in integers.  ``terms``,
-    ``coeffs`` (the dense row) and ``rhs`` are rational views."""
+    pivots on this form; the witness re-check of ``lp_feasible`` checks a
+    point against it in integers.  ``coeffs`` (the dense row) and ``rhs``
+    are rational views."""
 
     arity: int
     relation: str
@@ -89,20 +81,13 @@ class LinearConstraint:
         return row
 
     @property
-    def terms(self) -> tuple[tuple[int, Fraction], ...]:
-        return tuple((j, Fraction(c, self.scale)) for j, c in self.iterms)
-
-    @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        terms = dict(self.terms)
-        return tuple(terms.get(j, Fraction(0)) for j in range(self.arity))
+        terms = dict(self.iterms)
+        return tuple(Fraction(terms.get(j, 0), self.scale) for j in range(self.arity))
 
     @property
     def rhs(self) -> Fraction:
         return Fraction(self.irhs, self.scale)
-
-    def satisfied_by(self, x: Sequence[Fraction]) -> bool:
-        return not _violated((self,), x)
 
     def to_json(self) -> dict:
         return {"coeffs": [str(c) for c in self.coeffs], "relation": self.relation, "rhs": str(self.rhs)}

@@ -107,9 +107,6 @@ class DensityMatrix:
     def maximally_mixed(cls, dim: int) -> "DensityMatrix":
         return cls(np.eye(dim, dtype=complex) / dim)
 
-    def to_json(self) -> dict:
-        return {"dim": self.dim, "entries": matrix_to_json(self.mat)}
-
     @classmethod
     def from_json(cls, obj: dict) -> "DensityMatrix":
         m = matrix_from_json(obj["entries"])
@@ -144,30 +141,19 @@ class Povm:
     def dim(self) -> int:
         return self.elements[0].shape[0]
 
-    def to_json(self) -> dict:
-        return {"labels": list(self.labels), "elements": [matrix_to_json(e) for e in self.elements]}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Povm":
-        return cls([matrix_from_json(e) for e in obj["elements"]], obj.get("labels"))
-
     def __repr__(self) -> str:
         return f"Povm({len(self.elements)} outcomes, dim={self.dim})"
 
 
-def matrix_to_json(m: np.ndarray) -> list:
-    """Complex matrix as row-major [re, im] pairs."""
-    m = np.asarray(m, dtype=complex)
-    return [[[re, im] for re, im in zip(*rows)] for rows in zip(m.real.tolist(), m.imag.tolist())]
-
-
 def matrix_from_json(rows: list) -> np.ndarray:
     """Complex matrix from row-major [re, im] pairs; TypeError for an entry
-    that is not such a pair."""
+    that is not such a pair and for rows of unequal lengths."""
     try:
         entries = [[complex(re, im) for re, im in row] for row in rows]
     except ValueError:  # unpacking an entry with other than two parts
         raise TypeError("matrix entries must be [re, im] pairs") from None
+    if len(set(map(len, entries))) > 1:
+        raise TypeError("matrix rows must have equal lengths")
     return np.array(entries, dtype=complex)
 
 

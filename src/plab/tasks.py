@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .emx import as_fraction
+from .emx import _json_list, as_fraction
 
 
 class TaskSpec:
@@ -43,16 +43,10 @@ class TaskSpec:
         """Best utility in environment i (max over the finite hypothesis set)."""
         return max(self.utility[i])
 
-    def to_json(self) -> dict:
-        return {
-            "thetas": list(self.thetas),
-            "hyps": list(self.hyps),
-            "utility": [[str(u) for u in row] for row in self.utility],
-        }
-
     @classmethod
     def from_json(cls, obj: dict) -> "TaskSpec":
-        return cls(obj["thetas"], obj["hyps"], obj["utility"])
+        thetas, hyps, utility = (_json_list(obj, key) for key in ("thetas", "hyps", "utility"))
+        return cls(thetas, hyps, [_json_list(utility, i, f"'utility' row {i}") for i in range(len(utility))])
 
     def __repr__(self) -> str:
         return f"TaskSpec({len(self.thetas)} environments x {len(self.hyps)} hypotheses)"

@@ -4,13 +4,19 @@ one walk; the tests and the CI fixed-point check hold it to this."""
 
 import numpy as np
 
-from plab import quantum
 from plab.cli import _leaf
+
+
+def matrix_to_json(m: np.ndarray) -> list:
+    """Complex matrix as row-major [re, im] pairs: the layout of a state file's
+    ``entries``, which ``plab.quantum.matrix_from_json`` reads."""
+    m = np.asarray(m, dtype=complex)
+    return [[[re, im] for re, im in zip(*rows)] for rows in zip(m.real.tolist(), m.imag.tolist())]
 
 
 def pin(obj):
     """Normalize a report payload: string keys, lists for tuples, a 2-D array as
-    ``quantum.matrix_to_json`` lists it, leaves by ``_leaf``."""
+    ``matrix_to_json`` lists it, leaves by ``_leaf``."""
     if isinstance(obj, dict):
         return {str(k): pin(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -18,5 +24,5 @@ def pin(obj):
     if isinstance(obj, np.ndarray):
         if obj.ndim != 2:
             raise TypeError(f"cannot serialize a {obj.ndim}-D array in a report")
-        return pin(quantum.matrix_to_json(np.ascontiguousarray(obj, dtype=complex)))
+        return pin(matrix_to_json(np.ascontiguousarray(obj, dtype=complex)))
     return _leaf(obj)

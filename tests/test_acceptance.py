@@ -33,6 +33,7 @@ from plab.emx import (
 )
 from plab.feasibility import (
     LinearConstraint,
+    _violated,
     PolytopeSpec,
     build_pl_constraints,
     kernel_polytope,
@@ -254,7 +255,7 @@ def test_lp_decider_verdicts_and_monotonicity():
     res = lp_feasible(kernel_polytope(task), rows)
     assert res.feasible
     point = [res.witness[v] for v in kernel_variables(task)]
-    assert all(c.satisfied_by(point) for c in rows)
+    assert _violated(rows, point) == []
 
     base = kernel_polytope(task)
     names = kernel_variables(task)

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import discrimination_sum, pure_pair
-from reference_writer import pin
+from reference_writer import matrix_to_json, pin
 
 from plab import cli, emx, quantum
 from plab.cli import (
@@ -477,7 +477,7 @@ class TestReportPlumbing:
     def test_witness_negative_zero_renders_negative(self, tmp_path):
         # 0.0 comes first, so text looked up by value would print -0.0 as 0.0
         m = np.array([[0.5, complex(-0.0, 0.0)], [complex(0.0, -0.0), 0.5]])
-        rep = RunReport(config={}, metrics={"witness": {"elements": [quantum.matrix_to_json(m)] * 2}},
+        rep = RunReport(config={}, metrics={"witness": {"elements": [matrix_to_json(m)] * 2}},
                         sweep=None, wall_clock_s=0.0, version="0")
         write_report(rep, str(tmp_path / "r.json"))
         for element in json.loads((tmp_path / "r.json").read_text())["metrics"]["witness"]["elements"]:
@@ -521,9 +521,7 @@ class TestReportPlumbing:
         witness = report.metrics["witness"]
         assert report.metrics["verdict"] == "feasible"
         assert [e.shape for e in witness["elements"]] == [(16, 16)] * 2
-        povm = quantum.Povm(witness["elements"], witness["labels"])
         reference = {k: v for k, v in vars(report).items() if k != "sweep"}
-        reference["metrics"] = {**report.metrics, "witness": povm.to_json()}
         assert (workdir / "r.json").read_text() == json.dumps(pin(reference), indent=2, sort_keys=True) + "\n"
 
     def test_report_embeds_version_and_full_config(self, workdir):
@@ -603,7 +601,7 @@ def test_unwritable_report_path_fails_cleanly(workdir, capsys):
 
 # (command line, file to write, its JSON content): malformed input files
 # whose parse raised TypeError, or read a string where a list belongs
-# element by element.
+# element by element, or failed in numpy on rows of unequal lengths.
 POLYTOPE = ["feasible", "lp", "--task", "task.json", "--polytope", "bad.json"]
 BAD_FILES = {
     "dist-weight-bool": (["emx", "--dist", "bad.json"], "bad.json",
@@ -648,6 +646,16 @@ BAD_FILES = {
                          {"labels": [math.nan, 0.5], "weights": ["1/2", "1/2"]}),
     "state-dim-not-integer": (["feasible", "sdp", "--task", "task.json", "--states", "states"], "states/t0.json",
                               {"dim": 2.5, "entries": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]}),
+    "state-entries-ragged": (["feasible", "sdp", "--task", "task.json", "--states", "states"], "states/t0.json",
+                             {"dim": 2, "entries": [[[1, 0], [0, 0]], [[0, 0]]]}),
+    "task-thetas-string": (["feasible", "lp", "--task", "bad.json"], "bad.json",
+                           {"thetas": "ab", "hyps": "xy", "utility": ["10", "01"]}),
+    "task-utility-row-string": (["feasible", "lp", "--task", "bad.json"], "bad.json",
+                                {"thetas": ["a", "b"], "hyps": ["x", "y"], "utility": [["1", "0"], "01"]}),
+    "dist-labels-string": (["emx", "--dist", "bad.json"], "bad.json", {"labels": "ab", "weights": ["1/2", "1/2"]}),
+    "dist-weights-string": (["emx", "--dist", "bad.json"], "bad.json", {"labels": ["a"], "weights": "1"}),
+    "coarse-labels-string": (["coarse", "--dist", "bad.json"], "bad.json", {"labels": "01", "weights": ["1/2", "1/2"]}),
+    "coarse-weights-string": (["coarse", "--dist", "bad.json"], "bad.json", {"labels": [0.5], "weights": "1"}),
 }
 
 
@@ -656,7 +664,8 @@ def test_malformed_input_file_fails_cleanly(workdir, capsys, case):
     argv, name, content = BAD_FILES[case]
     (workdir / name).write_text(json.dumps(content))
     assert main(argv) == 1
-    assert capsys.readouterr().err.startswith(f"plab: error: malformed {name}: ")
+    err = capsys.readouterr().err
+    assert err.startswith(f"plab: error: malformed {name}: ") and err.count("\n") == 1
 
 
 def test_polytope_size_mismatch_names_both_counts_and_the_file(workdir, capsys):

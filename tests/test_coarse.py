@@ -48,12 +48,12 @@ class TestUniformBinsMap:
         assert UniformBinsMap(bits)(x) == min(math.floor(Fraction(x) * 2**bits), top)
 
     def test_segments_over_2_to_the_64_labels(self):
-        """len, hash, == and label on an alphabet too long for len(range)."""
+        """len, hash, == and idx on an alphabet too long for len(range)."""
         h = UniformBinsMap(64).domain.initial_segment(3)
         assert len(h) == 3
         assert hash(h) == hash(3)
         assert h == UniformBinsMap(64).domain.initial_segment(3)
-        assert UniformBinsMap(64).domain.label(3) == 2
+        assert UniformBinsMap(64).domain.idx(2) == 3
         assert UniformBinsMap(64).domain.size == 2**64
 
     def test_bits_beyond_float_range(self):

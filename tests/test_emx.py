@@ -83,17 +83,11 @@ class TestIndexedDomain:
         dom = IndexedDomain(LETTERS)
         assert dom.idx("a") == 1
         assert dom.idx("j") == 10
-        assert dom.label(3) == "c"
         assert len(dom) == 10
 
-    def test_unknown_label_and_bad_rank(self):
-        dom = IndexedDomain("abc")
+    def test_unknown_label(self):
         with pytest.raises(KeyError):
-            dom.idx("z")
-        with pytest.raises(IndexError):
-            dom.label(0)
-        with pytest.raises(IndexError):
-            dom.label(4)
+            IndexedDomain("abc").idx("z")
 
     def test_duplicates_rejected(self):
         with pytest.raises(ValueError):
@@ -228,10 +222,17 @@ class TestFinSupportDist:
         assert P.is_exact
 
     def test_json_roundtrip_preserves_exactness(self):
-        P = FinSupportDist("abc", ["1/2", "1/4", "1/4"])
-        Q = FinSupportDist.from_json(P.to_json())
-        assert Q.weights == P.weights
-        assert Q.support == ("a", "b", "c")
+        obj = {"labels": ["a", "b", "c"], "weights": ["1/2", "0.25", "1/4"]}
+        Q = FinSupportDist.from_json(obj)
+        assert Q.weights == (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)) and Q.is_exact
+        assert {"labels": list(Q.support), "weights": [str(w) for w in Q.weights]} == \
+            {**obj, "weights": ["1/2", "1/4", "1/4"]}
+
+    @pytest.mark.parametrize("key, value", [("labels", "ab"), ("weights", "1")])
+    def test_json_string_for_a_list_is_a_type_error(self, key, value):
+        obj = {"labels": ["a", "b"], "weights": ["1/2", "1/2"], key: value}
+        with pytest.raises(TypeError, match=f"^'{key}' must be a list, not str$"):
+            FinSupportDist.from_json(obj)
 
 
 class TestSampling:

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from plab import cli, feasibility, simplex
 from plab.feasibility import (
     LinearConstraint,
+    _violated,
     PolytopeSpec,
     affine_dimension,
     build_pl_constraints,
@@ -178,8 +179,7 @@ class TestLpFeasible:
             res = lp_feasible(kernel_polytope(task), rows)
             if res.feasible:
                 point = [res.witness[v] for v in kernel_variables(task)]
-                for c in list(kernel_polytope(task).constraints) + list(rows):
-                    assert c.satisfied_by(point)
+                assert _violated(kernel_polytope(task).constraints + rows, point) == []
 
     def test_witness_violating_only_a_sign_bound_is_refused(self, monkeypatch):
         # the simplex reads q >= 0 rows as bounds; the re-check still reads them
@@ -518,7 +518,7 @@ class TestLinearConstraintIntegerForm:
         assert row.irhs == row.scale * rhs
         assert (row.coeffs, row.rhs) == (tuple(coeffs), rhs)
         want = {"<=": lhs <= rhs, "=": lhs == rhs, ">=": lhs >= rhs}[relation]
-        assert row.satisfied_by(x) is want
+        assert (_violated((row,), x) == []) is want
 
     def test_rows_built_as_integers_equal_their_parsed_rational_rows(self):
         task = TaskSpec(["t0", "t1", "t2"], ["h0", "h1"], [[1, F(2, 3)], [0, 1], [F(1, 2), F(1, 3)]])
@@ -531,5 +531,5 @@ class TestLinearConstraintIntegerForm:
 class TestLinearConstraintTerms:
     def test_dense_and_sparse_rows_agree(self):
         dense = LinearConstraint(["0", "1/2", 0, F(-3), 0.25], ">=", "1")
-        assert dense.terms == ((1, F(1, 2)), (3, F(-3)), (4, F(1, 4)))
+        assert dense.scale == 4 and dense.iterms == ((1, 2), (3, -12), (4, 1))
         assert dense.coeffs == (0, F(1, 2), 0, -3, F(1, 4))

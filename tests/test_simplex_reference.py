@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from plab import simplex
 from plab.feasibility import (
     LinearConstraint,
+    _violated,
     PolytopeSpec,
     affine_dimension,
     build_pl_constraints,
@@ -276,8 +277,7 @@ def test_verdict_matches_all_split_reference(system):
     split, _ = dense_feasible_point(n, rows, sign_bounds=False)
     assert (point is None) == (split is None)
     if point is not None:
-        for coeffs, rel, rhs in rows:
-            assert LinearConstraint(coeffs, rel, rhs).satisfied_by(point)
+        assert _violated([LinearConstraint(*row) for row in rows], point) == []
 
 
 @settings(max_examples=100, deadline=None)

@@ -7,10 +7,6 @@ import pytest
 from plab.tasks import TaskSpec
 
 
-def identity_task():
-    return TaskSpec(["t0", "t1"], ["h0", "h1"], [[1, 0], [0, 1]])
-
-
 class TestTaskSpec:
     def test_utilities_parsed_exactly(self):
         task = TaskSpec(["t"], ["h0", "h1"], [["0.9", "1/4"]])
@@ -40,8 +36,21 @@ class TestTaskSpec:
             TaskSpec(["t0", "t1"], ["h"], [[1]])
 
     def test_json_roundtrip(self):
-        task = identity_task()
-        again = TaskSpec.from_json(task.to_json())
-        assert again.thetas == task.thetas
-        assert again.utility == task.utility
+        obj = {"thetas": ["t0", "t1"], "hyps": ["h0", "h1"], "utility": [["1", "1/3"], ["0", "0.5"]]}
+        task = TaskSpec.from_json(obj)
+        assert task.utility == ((1, Fraction(1, 3)), (0, Fraction(1, 2)))
+        again = {"thetas": list(task.thetas), "hyps": list(task.hyps),
+                 "utility": [[str(u) for u in row] for row in task.utility]}
+        assert again == {**obj, "utility": [["1", "1/3"], ["0", "1/2"]]}
+
+    @pytest.mark.parametrize("key, value, name", [
+        ("thetas", "ab", "'thetas'"),
+        ("hyps", "xy", "'hyps'"),
+        ("utility", "10", "'utility'"),
+        ("utility", [["1", "0"], "01"], "'utility' row 1"),
+    ])
+    def test_json_string_for_a_list_is_a_type_error(self, key, value, name):
+        obj = {"thetas": ["a", "b"], "hyps": ["x", "y"], "utility": [["1", "0"], ["0", "1"]], key: value}
+        with pytest.raises(TypeError, match=f"^{name} must be a list, not str$"):
+            TaskSpec.from_json(obj)
 
