@@ -221,14 +221,16 @@ def emit_table(report: RunReport, path: str) -> None:
 def _load_json(path: str, parse):
     """``parse`` of the JSON in ``path``; wrong types, keys or numbers (a string that is not a
     rational, a NaN or infinite number, a rational dividing by zero, a float overflow) in it
-    raise ValueError naming the file.  A value that fails a check of its meaning, such as a
-    state with a NaN entry, keeps the check's own message."""
+    raise ValueError "malformed PATH: ...".  A value that fails a check of its meaning, such as
+    a state with a NaN entry, raises ValueError "PATH: " and the check's own message."""
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
     try:
         return parse(obj)
     except (TypeError, KeyError, AttributeError, ArithmeticError, RationalLiteralError) as exc:
         raise ValueError(f"malformed {path}: {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _guarantee(p: dict, seed: int, learner, dist: FinSupportDist, d: int) -> dict:
@@ -258,11 +260,14 @@ def _run_coarse(p: dict, seed: int):
                          f"multiple of 2^-{coarse.BITS_LIMIT}, so more bits separate no further points")
     dist = _load_json(p["dist"], lambda raw: FinSupportDist([float(as_fraction(x)) for x in _json_list(raw, "labels")],
                                                             _json_list(raw, "weights")))
-    d = sample_complexity(p["epsilon"], p["delta"]) if p["d"] is None else p["d"]
+    need = sample_complexity(p["epsilon"], p["delta"])
+    d = need if p["d"] is None else p["d"]
+    if 0 <= d < need:  # a negative d is verify_guarantee's to refuse
+        raise ValueError(f"sample size {d} below required {need}")
 
     def run(bits: int) -> dict:
         pi = coarse.UniformBinsMap(bits)
-        learner = SegmentLearner(pi.domain, pi, p["epsilon"], p["delta"])
+        learner = SegmentLearner(pi.domain, pi)
         return {"bits": bits, **_guarantee(p, seed, learner, dist, d)}
 
     return _sweep(run, p["bits"], p["sweep_bits"])

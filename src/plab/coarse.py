@@ -1,6 +1,5 @@
-"""Finite-precision interfaces: binning maps and pushforward (the pullback of
-a label set F is ``emx.PulledBackHypothesis(F, pi)``, and the learner behind a
-map pi is ``emx.SegmentLearner(pi.domain, pi, eps, delta)``).
+"""Finite-precision interfaces: binning maps and pushforward (the learner
+behind a map pi is ``emx.SegmentLearner(pi.domain, pi)``).
 
 A coarse-graining map pi sends continuum points to a countable label alphabet
 with its own index order.  Pushing a distribution forward merges weights

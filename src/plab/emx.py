@@ -4,7 +4,6 @@ Implements:
   • IndexedDomain — ordered countable domain with a 1-based rank ``idx``
   • FinSupportDist — finitely supported distribution (exact rationals preferred)
   • FiniteHypothesis — initial segment stored as its threshold (an explicit set is a frozenset)
-  • PulledBackHypothesis — preimage of a segment or frozenset of labels under a map
   • quantile_learn — keep everything up to the largest observed index
   • SegmentLearner — the same rule after a map, answered from support ranks
   • accuracy — the one (eps, delta) rule: exact eps in (0,1), delta in [0,1)
@@ -15,8 +14,9 @@ Implements:
   • verify_guarantee — seeded Monte Carlo check of (eps, delta), every trial drawn as support positions
 
 Success of a learner on an episode means the learned set captures mass at least
-opt - eps, where opt = 1 for the class of all finite subsets.  With rational
-weights every mass comparison is exact.
+opt - eps, where opt = 1 for the class of all finite subsets.  A float weight is
+read as the exact dyadic rational it is, so every mass is a Fraction and every
+mass comparison is exact, whatever the order of the support.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from typing import Callable, Container, Iterable, Iterator, Sequence
 from . import _np as np  # numpy, loaded on first use
 
 SAMPLE_LIMIT = 1 << 24  # largest sample size d ``verify_guarantee`` draws: a block holds one whole trial
+FLOAT_SUM_TOL = 1e-12  # how far from 1 the float sum of a distribution's weights may be
 
 
 class RationalLiteralError(ValueError):
@@ -267,40 +268,17 @@ class FiniteHypothesis:
         return f"FiniteHypothesis(segment t={self.threshold})"
 
 
-class PulledBackHypothesis:
-    """Preimage pi^{-1}(F) of a finite label set F, a segment or a frozenset;
-    membership tests one point by mapping it through pi."""
-
-    __slots__ = ("cells", "pi")
-
-    def __init__(self, cells: FiniteHypothesis | frozenset, pi):
-        self.cells = cells
-        self.pi = pi
-
-    def __contains__(self, x) -> bool:
-        return self.pi(x) in self.cells
-
-    def segment_form(self) -> tuple | None:
-        """(pi, domain, t) when the cells are a segment: x is a member iff
-        domain.idx(pi(x)) <= t.  None for any other cell set."""
-        if isinstance(self.cells, FiniteHypothesis):
-            return self.pi, self.cells.domain, self.cells.threshold
-        return None
-
-    def __repr__(self) -> str:
-        return f"PulledBackHypothesis({self.cells!r})"
-
-
 class FinSupportDist:
     """Finitely supported probability distribution.
 
     ``support`` holds distinct points.  A float weight stays a float, any
     other goes to ``as_fraction`` (a bool raises TypeError); the weights are
-    finite, strictly positive and sum to exactly 1 when all rational, or to 1
-    within 1e-12 when floats are involved.  Sampling uses the inverse CDF over
-    the declared support order, read from a guide table: a draw in one of
-    K >= 16 |support| dyadic buckets (K a power of two) that no CDF value
-    splits maps straight to its position, and only the others search the CDF.
+    finite, strictly positive and sum to exactly 1 when all rational, or,
+    when floats are involved, to 1 within ``FLOAT_SUM_TOL`` by ``math.fsum``,
+    so in any support order.  Sampling uses the inverse CDF over the declared
+    support order, read from a guide table: a draw in one of K >= 16
+    |support| dyadic buckets (K a power of two) that no CDF value splits maps
+    straight to its position, and only the others search the CDF.
     """
 
     __slots__ = ("support", "weights", "_labels", "_cdf", "_guide", "_tables")
@@ -318,12 +296,11 @@ class FinSupportDist:
             raise ValueError("weights must be finite")  # NaN passes every comparison below
         if any(w <= 0 for w in self.weights):
             raise ValueError("weights must be strictly positive")
-        total = sum(self.weights)
         if self.is_exact:
-            if total != 1:
+            if (total := sum(self.weights)) != 1:
                 raise ValueError(f"rational weights must sum to exactly 1, got {total}")
-        elif abs(float(total) - 1.0) > 1e-12:
-            raise ValueError(f"float weights must sum to 1 within 1e-12, got {float(total)!r}")
+        elif abs((total := math.fsum(map(float, self.weights))) - 1.0) > FLOAT_SUM_TOL:  # fsum: one sum in any order
+            raise ValueError(f"float weights must sum to 1 within {FLOAT_SUM_TOL}, got {total!r}")
         self._labels = np.fromiter(self.support, dtype=object, count=len(self.support))  # a tuple label stays whole
         cdf = np.cumsum(np.asarray([float(w) for w in self.weights]))
         cdf[-1] = 1.0  # guard against u >= sum from rounding
@@ -365,17 +342,12 @@ class FinSupportDist:
 
 
 def _prefix_table(P: FinSupportDist, pi, dom: IndexedDomain) -> tuple:
-    """(ranks, prefix, ordered, point_ranks) for the ranks dom.idx(pi(x)) of
-    P's support (pi None: identity), built once and cached on P under (pi, dom).
+    """(ranks, prefix, den, point_ranks) for the ranks dom.idx(pi(x)) of P's
+    support (pi None: identity), built once and cached on P under (pi, dom).
     ``point_ranks`` lists them in support order (None outside ``dom``),
-    ``ranks`` ascending, and ``prefix[k]`` is Fraction(0) plus the first k
-    ranked weights.
-
-    ``ordered`` says whether ``prefix[k]`` is bit for bit the left-to-right
-    sum in support order of the points with rank <= ranks[k-1]: always for
-    exact weights (Fraction or int), for floats only when the ranks are
-    nondecreasing in support order.  The sort is stable, so points of equal
-    rank keep their order.
+    ``ranks`` ascending, and the integer ``prefix[k] / den`` is the exact sum
+    of the first k ranked weights, a float read as the dyadic rational it
+    is: ``den`` is the lcm of the weights' denominators.
     """
     table = P._tables.get((pi, dom))
     if table is not None:
@@ -387,56 +359,48 @@ def _prefix_table(P: FinSupportDist, pi, dom: IndexedDomain) -> tuple:
             point_ranks.append(dom.idx(y))
         except KeyError:
             point_ranks.append(None)
-    ranked = [(r, w) for r, w in zip(point_ranks, P.weights) if r is not None]
-    exact = not any(isinstance(w, float) for _, w in ranked)
-    ordered = exact or all(a[0] <= b[0] for a, b in zip(ranked, ranked[1:]))
-    ranked.sort(key=lambda rw: rw[0])
-    prefix = list(accumulate((w for _, w in ranked), initial=Fraction(0)))
-    table = P._tables[(pi, dom)] = ([r for r, _ in ranked], prefix, ordered, point_ranks)
+    ranked = sorted(((r, w.as_integer_ratio()) for r, w in zip(point_ranks, P.weights) if r is not None),
+                    key=lambda rw: rw[0])
+    den = math.lcm(*(q for _, (_, q) in ranked))
+    prefix = list(accumulate((p * (den // q) for _, (p, q) in ranked), initial=0))
+    table = P._tables[(pi, dom)] = ([r for r, _ in ranked], prefix, den, point_ranks)
     return table
 
 
-def mass(P: FinSupportDist, F: Container) -> Fraction | float:
-    """Probability P(F) = sum of weights of support points in F.
+def mass(P: FinSupportDist, F: Container) -> Fraction:
+    """Probability P(F) = sum of weights of support points in F, exact: a
+    float weight counts as the dyadic rational it is.
 
-    F is anything with membership (FiniteHypothesis, pulled-back sets,
-    frozenset).  Exact when the weights are rational.
-
+    F is anything with membership (FiniteHypothesis, a pullback, frozenset).
     A hypothesis whose ``segment_form()`` gives (pi, domain, t), meaning
     x in F iff domain.idx(pi(x)) <= t (a ``FiniteHypothesis`` segment with
     pi None, or a pullback of one), is answered with one ``bisect`` in a
-    prefix-mass table over ranks.  The table is built once per
-    (distribution, pi, domain) and cached on P.  Exact weights always use
-    it.  Float or mixed weights use it only when the ranks are nondecreasing
-    in support order, because only then is each prefix the same
-    left-to-right float sum as the loop below.  Every other case, frozensets
-    included, sums over the support testing membership point by point.
-    Both paths return the same value and type.
+    prefix-mass table over ranks, built once per (distribution, pi, domain)
+    and cached on P.  Any other F is summed over the support, testing
+    membership point by point.
     """
     form = F.segment_form() if hasattr(F, "segment_form") else None
     if form is not None:
         pi, dom, t = form
-        ranks, prefix, ordered, _ = _prefix_table(P, pi, dom)
-        if ordered:
-            return prefix[bisect_right(ranks, t)]
-    return sum((w for x, w in zip(P.support, P.weights) if x in F), start=Fraction(0))
+        ranks, prefix, den, _ = _prefix_table(P, pi, dom)
+        return Fraction(prefix[bisect_right(ranks, t)], den)
+    return sum((Fraction(w) for x, w in zip(P.support, P.weights) if x in F), start=Fraction(0))
 
 
-def quantile_success(P: FinSupportDist, dom: IndexedDomain, epsilon, d: int) -> Fraction | float:
+def quantile_success(P: FinSupportDist, dom: IndexedDomain, epsilon, d: int) -> Fraction:
     """Exact probability 1 - F(t*-1)^d that the quantile learner on d points
     captures mass at least 1 - epsilon, where F(t) is the mass of ranks <= t
     and t* is the smallest rank whose prefix mass reaches 1 - epsilon.
 
-    Read from the same prefix table as ``mass``; a Fraction for exact
-    weights.  Support points outside ``dom`` carry no rank and count in no
-    prefix.
+    Read from the same prefix table as ``mass``.  Support points outside
+    ``dom`` carry no rank and count in no prefix.
     """
     epsilon = accuracy(epsilon, 0)[0]
-    prefix = _prefix_table(P, None, dom)[1]
-    k = bisect_left(prefix, 1 - epsilon)
+    _, prefix, den, _ = _prefix_table(P, None, dom)
+    k = bisect_left(prefix, (1 - epsilon) * den)
     if k == len(prefix):
         raise ValueError("the masses of the ranked support points never reach 1 - epsilon")
-    return 1 - prefix[k - 1] ** d
+    return 1 - Fraction(prefix[k - 1], den) ** d
 
 
 def quantile_learn(sample: Iterable, dom: IndexedDomain) -> FiniteHypothesis:
@@ -454,36 +418,23 @@ def quantile_learn(sample: Iterable, dom: IndexedDomain) -> FiniteHypothesis:
 @dataclass(frozen=True)
 class SegmentLearner:
     """Max-rank learner over ``dom`` after the map ``pi`` (None: identity): on a
-    sample, ``quantile_learn`` of its labels, pulled back through ``pi``.
-    ``verify_guarantee`` answers its trials from support ranks instead."""
+    sample, the segment up to the largest rank of its labels, pulled back
+    through ``pi``.  ``verify_guarantee`` answers its trials from support ranks."""
 
     dom: IndexedDomain
     pi: Callable | None = None
-    epsilon: Fraction | str | None = None
-    delta: Fraction | str | None = None
 
-    @property
-    def need(self) -> int:  # the smallest sample it accepts
-        return 0 if self.epsilon is None else sample_complexity(self.epsilon, self.delta)
-
-    def __call__(self, sample: Iterable) -> Container:
-        pts = tuple(sample)
-        if len(pts) < self.need:
-            raise ValueError(f"sample size {len(pts)} below required {self.need}")
-        if self.pi is None:
-            return quantile_learn(pts, self.dom)
-        return PulledBackHypothesis(quantile_learn(map(self.pi, pts), self.dom), self.pi)
-
-    def _table(self, P: FinSupportDist, d: int) -> tuple | None:
-        """P's prefix table if one bisect in it answers every trial of size d;
-        None leaves the trials, and any error, to the label path."""
-        try:
-            if d < max(1, self.need):
-                return None
-            table = _prefix_table(P, self.pi, self.dom)
-        except Exception:  # need or the map raised: trial 0 on labels raises it, or an earlier error
-            return None
-        return table if table[2] and None not in table[3] else None
+    def _table(self, P: FinSupportDist, d: int) -> tuple:
+        """P's prefix table, where one bisect answers every trial of size d.
+        Raises for an empty sample, a support point the map rejects (the
+        map's own error) or one with no rank in ``dom`` (KeyError)."""
+        if d == 0:
+            raise ValueError("empty sample: maximum index undefined")
+        table = _prefix_table(P, self.pi, self.dom)
+        if None in table[3]:
+            x = P.support[table[3].index(None)]
+            self.dom.idx(x if self.pi is None else self.pi(x))  # raises the domain's KeyError
+        return table
 
 
 _TIE_BITS = 1 << 18  # largest power, in bits, that ``sample_complexity`` computes to settle a tie
@@ -548,14 +499,13 @@ def verify_guarantee(
 
     epsilon and delta are checked once by ``accuracy`` ("1/3", 0.2 -> 1/5).
     An episode succeeds when mass(P, learner(S)) >= 1 - epsilon (opt = 1,
-    since the support itself is a finite subset); the comparison is exact
-    when the weights are rational.  Trial k is drawn as support positions,
-    ``FinSupportDist.sample``'s inverse CDF of one random(d) of the (seed, k)
-    substream (``substreams`` hashes them in one batch), so the report is
-    reproducible and independent of trial execution order.  A block of
-    trials is drawn at a time; a ``SegmentLearner`` decides it in one array
-    pass over the prefix table of ``mass``, any other learner gets its label
-    tuples from one gather.
+    since the support itself is a finite subset); the comparison is exact.
+    Trial k is drawn as support positions, ``FinSupportDist.sample``'s
+    inverse CDF of one random(d) of the (seed, k) substream (``substreams``
+    hashes them in one batch), so the report is reproducible and independent
+    of trial execution order.  A block of trials is drawn at a time; a
+    ``SegmentLearner`` decides it in one array pass over the prefix table of
+    ``mass``, any other learner gets its label tuples from one gather.
     A d above ``SAMPLE_LIMIT`` (2^24) raises ValueError before anything is drawn.
     ci_halfwidth is the 3-sigma binomial half-width at the empirical rate;
     bound is 1-(1-eps)^d, computed as -expm1(d*log1p(-eps)), which does not cancel.
@@ -569,8 +519,8 @@ def verify_guarantee(
         raise ValueError(f"sample size d = {d} is above the limit of {SAMPLE_LIMIT} points")
     target = 1 - epsilon
     table = learner._table(P, d) if isinstance(learner, SegmentLearner) else None
-    if table is not None:  # (ranks, prefix, ordered, point_ranks): does the segment to each point's rank win?
-        k = bisect_left(table[1], target)  # the ordered prefix is nondecreasing: segments from the k-th rank win
+    if table is not None:  # (ranks, prefix, den, point_ranks): does the segment to each point's rank win?
+        k = bisect_left(table[1], target * table[2])  # the prefix is nondecreasing: segments from the k-th rank win
         wins_at = np.array([bisect_right(table[0], r) >= k for r in table[3]])
     streams = substreams(seed, trials)
     block = np.empty((min(trials, max(1, 2**16 // (d or 2**16))), d))  # <= 2^16 doubles, >= 1 trial, 1 at d = 0

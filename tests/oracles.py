@@ -1,6 +1,7 @@
 """Reference constructions the tests hold the package to, and that no
-subcommand runs: a scheme built from any proper learner, the d-copy pure pair
-one (gamma, d) at a time, and the success sum of a two-outcome POVM."""
+subcommand runs: a segment learner called on labels, a scheme built from any
+proper learner, the d-copy pure pair one (gamma, d) at a time, and the
+success sum of a two-outcome POVM."""
 
 from __future__ import annotations
 
@@ -11,8 +12,42 @@ from typing import Callable, Iterable
 import numpy as np
 
 from plab.compression import CompressionScheme
-from plab.emx import IndexedDomain
+from plab.emx import FiniteHypothesis, IndexedDomain, SegmentLearner, quantile_learn
 from plab.quantum import DensityMatrix, Povm, _pure_pairs, _success_sums, _trusted
+
+
+class PulledBackHypothesis:
+    """Preimage pi^{-1}(F) of a finite label set F, a segment or a frozenset;
+    membership tests one point by mapping it through pi."""
+
+    __slots__ = ("cells", "pi")
+
+    def __init__(self, cells: FiniteHypothesis | frozenset, pi):
+        self.cells = cells
+        self.pi = pi
+
+    def __contains__(self, x) -> bool:
+        return self.pi(x) in self.cells
+
+    def segment_form(self) -> tuple | None:
+        """(pi, domain, t) when the cells are a segment: x is a member iff
+        domain.idx(pi(x)) <= t, so ``mass`` reads it from a prefix table.
+        None for any other cell set."""
+        if isinstance(self.cells, FiniteHypothesis):
+            return self.pi, self.cells.domain, self.cells.threshold
+        return None
+
+    def __repr__(self) -> str:
+        return f"PulledBackHypothesis({self.cells!r})"
+
+
+def segment_learn(learner: SegmentLearner, sample: Iterable) -> FiniteHypothesis | PulledBackHypothesis:
+    """``learner`` called on a tuple of labels, the rule its rank path in
+    ``verify_guarantee`` is held to: ``quantile_learn`` of the sample, or for
+    a map the segment of the sample's labels pulled back through it."""
+    if learner.pi is None:
+        return quantile_learn(sample, learner.dom)
+    return PulledBackHypothesis(quantile_learn(map(learner.pi, sample), learner.dom), learner.pi)
 
 
 def learner_to_compression(

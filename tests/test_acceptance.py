@@ -24,7 +24,6 @@ from plab.coarse import UniformBinsMap, pushforward
 from plab.emx import (
     FinSupportDist,
     IndexedDomain,
-    PulledBackHypothesis,
     SegmentLearner,
     mass,
     quantile_learn,
@@ -55,7 +54,7 @@ from plab.quantum import (
     trace_distance,
 )
 from plab.tasks import TaskSpec
-from oracles import discrimination_sum, learner_to_compression
+from oracles import PulledBackHypothesis, discrimination_sum, learner_to_compression, segment_learn
 from random_fixtures import draw_sample, random_density_matrix, random_povm, random_pure_state
 
 F = Fraction
@@ -125,14 +124,14 @@ def test_coarse_graining_mass_identity_is_exact():
 
 def test_finite_precision_learner_success_floor():
     """SegmentLearner behind an 8-bit map at eps=delta=1/3, d=3: success rate
-    >= 2/3 - 3sigma over 10,000 trials.  The learner is wrapped in a lambda,
-    so every trial runs on labels through the map."""
+    >= 2/3 - 3sigma over 10,000 trials.  The learner is called on labels by
+    ``segment_learn``, so every trial runs on labels through the map."""
     trials = 10_000
     P = FinSupportDist.uniform([k / 20 for k in range(20)])
     pi = UniformBinsMap(8)
-    learner = SegmentLearner(pi.domain, pi, THIRD, THIRD)
+    learner = SegmentLearner(pi.domain, pi)
     rep = verify_guarantee(
-        lambda s: learner(s), P, THIRD, THIRD,
+        lambda s: segment_learn(learner, s), P, THIRD, THIRD,
         d=3, trials=trials, seed=31,
     )
     floor = 2.0 / 3.0 - 3.0 * math.sqrt((2.0 / 3.0) * (1.0 / 3.0) / trials)

@@ -384,7 +384,7 @@ class TestErrorPaths:
         state = {"dim": 2, "entries": [[[math.nan, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]}
         (workdir / "states" / "t0.json").write_text(json.dumps(state))
         assert main(["feasible", "sdp", "--task", "task.json", "--states", "states", "--out", "r.json"]) == 1
-        assert capsys.readouterr().err.startswith("plab: error: state has a non-finite entry")
+        assert capsys.readouterr().err == "plab: error: states/t0.json: state has a non-finite entry\n"
         assert not (workdir / "r.json").exists()
 
     @pytest.mark.parametrize("gamma", ["nan", "1.5"])
@@ -666,6 +666,40 @@ def test_malformed_input_file_fails_cleanly(workdir, capsys, case):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"plab: error: malformed {name}: ") and err.count("\n") == 1
+
+
+# (command line, file to write, its JSON content): input files that parse but
+# fail a check of their meaning; the error names the file.
+STATES = ["feasible", "sdp", "--task", "task.json", "--states", "states"]
+MEANINGLESS_FILES = {
+    "state-two-rows-of-three": (STATES, "states/t0.json", {"entries": [[[1, 0], [0, 0], [0, 0]], [[0, 0]] * 3]}),
+    "state-not-hermitian": (STATES, "states/t0.json",
+                            {"dim": 2, "entries": [[[0.5, 0], [0.5, 0]], [[0, 0], [0.5, 0]]]}),
+    "state-trace-two": (STATES, "states/t0.json", {"dim": 2, "entries": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}),
+    "dist-weights-sum-to-5/6": (["emx", "--dist", "bad.json"], "bad.json",
+                                {"labels": ["a", "b"], "weights": ["1/2", "1/3"]}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MEANINGLESS_FILES))
+def test_input_file_failing_a_check_of_its_meaning_is_named(workdir, capsys, case):
+    argv, name, content = MEANINGLESS_FILES[case]
+    (workdir / name).write_text(json.dumps(content))
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"plab: error: {name}: ") and err.count("\n") == 1
+
+
+def test_float_weights_are_summed_exactly(workdir):
+    """Three float(1/6) add to exactly 0.5 in floats, but their exact sum is
+    below 1/2: a segment wins at epsilon = 1/2 only from its fourth label,
+    so the success rate at d = 2 is 1 - (1/2)^2 = 3/4, not 1 - (1/3)^2."""
+    (workdir / "sixths.json").write_text(json.dumps({"labels": list("abcdef"), "weights": [1 / 6] * 6}))
+    argv = ["emx", "--dist", "sixths.json", "--epsilon", "1/2", "--delta", "1/3", "--d", "2",
+            "--trials", "400", "--seed", "5", "--out", "r.json"]
+    assert main(argv) == 0
+    rate = json.loads((workdir / "r.json").read_text())["metrics"]["empirical_rate"]
+    assert abs(rate - 0.75) <= 4 * math.sqrt(0.75 * 0.25 / 400)
 
 
 def test_polytope_size_mismatch_names_both_counts_and_the_file(workdir, capsys):

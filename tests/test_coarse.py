@@ -14,7 +14,9 @@ from plab.coarse import (
     UniformBinsMap,
     pushforward,
 )
-from plab.emx import FinSupportDist, FiniteHypothesis, PulledBackHypothesis, SegmentLearner, mass
+from plab.cli import main
+from plab.emx import FinSupportDist, FiniteHypothesis, SegmentLearner, mass, verify_guarantee
+from oracles import PulledBackHypothesis, segment_learn
 from random_fixtures import draw_sample
 
 
@@ -163,7 +165,7 @@ class TestPullbackIdentity:
 class TestCoarseLearn:
     def test_returns_preimage_of_learned_segment(self):
         pi = UniformBinsMap(3)
-        h = SegmentLearner(pi.domain, pi, Fraction(1, 3), Fraction(1, 3))([0.05, 0.3, 0.15])
+        h = segment_learn(SegmentLearner(pi.domain, pi), [0.05, 0.3, 0.15])
         assert isinstance(h, PulledBackHypothesis)
         # max bin among {0, 2, 1} is 2 -> all of [0, 3/8) is in
         assert 0.37 in h and 0.38 not in h
@@ -173,27 +175,33 @@ class TestCoarseLearn:
         pi = UniformBinsMap(6)
         for _ in range(25):
             pts = [float(x) for x in rng.random(5)]
-            h = SegmentLearner(pi.domain, pi, Fraction(1, 3), Fraction(1, 3))(pts)
+            h = segment_learn(SegmentLearner(pi.domain, pi), pts)
             assert all(x in h for x in pts)
 
-    def test_small_samples_rejected(self):
+    def test_small_samples_rejected(self, tmp_path, monkeypatch, capsys):
+        """The learner refuses an empty sample; ``plab coarse`` refuses a
+        sample below sample_complexity(1/3, 1/3) = 3."""
         pi = UniformBinsMap(4)
-        learner = SegmentLearner(pi.domain, pi, Fraction(1, 3), Fraction(1, 3))
-        with pytest.raises(ValueError):
-            learner([])
-        with pytest.raises(ValueError):
-            # sample_complexity(1/3, 1/3) = 3
-            learner([0.1, 0.2])
+        learner = SegmentLearner(pi.domain, pi)
+        P = FinSupportDist([0.1, 0.6], ["1/2", "1/2"])
+        with pytest.raises(ValueError, match="^empty sample"):
+            verify_guarantee(learner, P, "1/3", "1/3", 0, 5, 0)
+        with pytest.raises(ValueError, match="^empty sample"):
+            segment_learn(learner, [])
+        (tmp_path / "points.json").write_text('{"labels": [0.1, 0.6], "weights": ["1/2", "1/2"]}')
+        monkeypatch.chdir(tmp_path)
+        assert main(["coarse", "--dist", "points.json", "--epsilon", "1/3", "--delta", "1/3", "--d", "2"]) == 1
+        assert capsys.readouterr().err == "plab: error: sample size 2 below required 3\n"
 
     def test_guarantee_transfers_through_the_map(self):
         P = FinSupportDist.uniform([float(k) / 20 for k in range(20)])
         pi = UniformBinsMap(8)
-        eps = delta = Fraction(1, 3)
-        learner = SegmentLearner(pi.domain, pi, eps, delta)
+        eps = Fraction(1, 3)
+        learner = SegmentLearner(pi.domain, pi)
         trials, wins = 300, 0
         for k in range(trials):
             S = draw_sample(P, 3, seed=99, stream=(k,))
-            if mass(P, learner(S)) >= 1 - eps:
+            if mass(P, segment_learn(learner, S)) >= 1 - eps:
                 wins += 1
         # success probability is >= 1-(2/3)^3 ~ 0.704; 0.6 leaves ~4 sigma
         assert wins / trials >= 0.6

@@ -6,6 +6,7 @@ Fraction end to end so no assertion sits on a float boundary.
 """
 
 import dataclasses
+import itertools
 import math
 from fractions import Fraction
 
@@ -196,8 +197,22 @@ class TestFinSupportDist:
 
     def test_float_weights_tolerate_1e12(self):
         FinSupportDist("ab", [0.5, 0.5 + 1e-13])
+        # 1/7 written with 13 digits: seven of them sum to 1 - 3.0e-13
+        FinSupportDist("abcdefg", [float("0.1428571428571")] * 7)
         with pytest.raises(ValueError):
             FinSupportDist("ab", [0.5, 0.51])
+
+    def test_float_sum_check_does_not_depend_on_the_support_order(self):
+        """Summed left to right, these weights land on either side of the
+        tolerance by their order; their exact sum is inside it."""
+        ws = [0.16374008178396418, 0.282301761355241, 0.25806283068013236, 0.2958953261816624]
+        assert abs(sum(ws) - 1) <= 1e-12 < abs(sum(ws[::-1]) - 1)
+        for order in itertools.permutations(range(4)):
+            FinSupportDist(order, [ws[i] for i in order])
+
+    def test_float_weights_off_by_2e12_rejected(self):
+        with pytest.raises(ValueError, match=r"^float weights must sum to 1 within 1e-12, got 1\.000000000002"):
+            FinSupportDist("ab", [0.5, 0.5 + 2e-12])
 
     def test_rejects_nonpositive_weights_and_duplicates(self):
         with pytest.raises(ValueError):
@@ -573,10 +588,14 @@ class TestQuantileSuccess:
         # target (n-k)/n is reached at rank n-k, so F(t*-1) = (n-k-1)/n
         assert quantile_success(P, IndexedDomain(range(n)), Fraction(k, n), d) == 1 - Fraction(n - k - 1, n) ** d
 
-    def test_float_weights_give_a_float(self):
+    def test_float_weights_give_an_exact_fraction(self):
         P = FinSupportDist("abc", [0.5, 0.25, 0.25])
-        got = quantile_success(P, IndexedDomain("abc"), "1/4", 2)  # t* = 2, F(1) = 0.5
-        assert isinstance(got, float) and got == 0.75
+        got = quantile_success(P, IndexedDomain("abc"), "1/4", 2)  # t* = 2, F(1) = 1/2
+        assert isinstance(got, Fraction) and got == Fraction(3, 4)
+        # three float(1/6) add to 0.5 in floats, but their exact sum is below 1/2: t* = 4, not 3
+        P = FinSupportDist("abcdef", [1 / 6] * 6)
+        assert (1 / 6 + 1 / 6) + 1 / 6 == 0.5 > 3 * Fraction(1 / 6)
+        assert quantile_success(P, IndexedDomain("abcdef"), "1/2", 2) == 1 - (3 * Fraction(1 / 6)) ** 2
 
     def test_target_beyond_the_ranked_mass_rejected(self):
         # only a and b carry a rank, and their mass 2/3 never reaches 3/4

@@ -1,18 +1,19 @@
 """Table-backed ``mass`` and the distinct-subtuple ERM against the loops they
 replaced.
 
-``reference_mass`` sums the weights of the support points in F left to
-right, testing membership point by point; ``reference_compression_learner``
-runs the ERM over ``dict.fromkeys(combinations(sample, m))`` with
-``Fraction`` empirical masses.  Both are the code ``plab.emx`` and
-``plab.compression`` used before the prefix tables.  The new code must
-return the identical value and type, the identical hypothesis and, on a
-scheme's first call, make the identical sequence of ``reconstruct`` calls.
+``reference_mass`` sums the exact weights of the support points in F (a
+float as the dyadic rational it is), testing membership point by point;
+``reference_compression_learner`` runs the ERM over
+``dict.fromkeys(combinations(sample, m))`` with ``Fraction`` empirical
+masses.  Both are the code ``plab.emx`` and ``plab.compression`` used before
+the prefix tables.  The new code must return the identical value and type,
+the identical hypothesis and, on a scheme's first call, make the identical
+sequence of ``reconstruct`` calls.
 
 ``verify_guarantee`` answers a ``SegmentLearner`` from support ranks; the
-same learner wrapped in a lambda takes the label path (a tuple of labels,
-the learner call, ``mass``).  Both must give the identical report, or the
-identical error.
+same learner called on labels by ``oracles.segment_learn`` takes the label
+path (a tuple of labels, the learner call, ``mass``).  Both must give the
+identical report, or the identical error.
 """
 
 import dataclasses
@@ -39,18 +40,18 @@ from plab.compression import (
 from plab.emx import (
     FinSupportDist,
     IndexedDomain,
-    PulledBackHypothesis,
     SegmentLearner,
     mass,
     quantile_learn,
+    quantile_success,
     verify_guarantee,
 )
-from oracles import learner_to_compression
+from oracles import PulledBackHypothesis, learner_to_compression, segment_learn
 from random_fixtures import draw_sample
 
 
 def reference_mass(P, F):
-    return sum((w for x, w in zip(P.support, P.weights) if x in F), start=Fraction(0))
+    return sum((Fraction(w) for x, w in zip(P.support, P.weights) if x in F), start=Fraction(0))
 
 
 def reference_compression_learner(scheme, sample, dom):
@@ -179,16 +180,51 @@ def test_points_outside_the_table_raise_on_both_paths():
             mass(P, F)
 
 
-def test_out_of_order_float_weights_keep_the_support_order_sum():
+def test_out_of_order_float_weights_sum_exactly():
     """(0.1 + 0.2) + 0.7 == 1.0 but (0.7 + 0.2) + 0.1 < 1.0: the domain order
-    reverses the support order, so a prefix table in domain order would give
-    the second sum."""
+    reverses the support order, and neither float sum is the mass, which is
+    the exact sum of the three dyadic weights."""
     P = FinSupportDist("abc", [0.1, 0.2, 0.7])
     dom = IndexedDomain("cba")
-    assert (0.7 + 0.2) + 0.1 != 1.0
-    assert same(mass(P, dom.initial_segment(3)), 1.0)
+    assert (0.1 + 0.2) + 0.7 != (0.7 + 0.2) + 0.1
+    exact = Fraction(0.1) + Fraction(0.2) + Fraction(0.7)
+    assert exact not in ((0.1 + 0.2) + 0.7, (0.7 + 0.2) + 0.1)
+    assert same(mass(P, dom.initial_segment(3)), exact)
     pi = TableMap([("a", 2), ("b", 1), ("c", 0)])
-    assert same(mass(P, PulledBackHypothesis(pi.domain.initial_segment(3), pi)), 1.0)
+    assert same(mass(P, PulledBackHypothesis(pi.domain.initial_segment(3), pi)), exact)
+
+
+@st.composite
+def float_case(draw):
+    """(weights, domain, support order) over the labels 0..k-1: float or mixed
+    weights, or k equal float weights 1.0/k, whose float sums land on either
+    side of j/k by the order of summation."""
+    if draw(st.booleans()):
+        k = draw(st.integers(1, 29))
+        ws = [1.0 / k] * k
+    else:
+        ws = draw(weights(draw(st.integers(1, 12))))
+    labels = range(len(ws))
+    return ws, IndexedDomain(draw(st.permutations(labels))), draw(st.permutations(labels))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=float_case(), d=st.integers(1, 5))
+@example(case=([1.0 / 6] * 6, IndexedDomain(range(6)), [5, 4, 3, 2, 1, 0]), d=2)
+def test_masses_do_not_depend_on_the_support_order(case, d):
+    """For the support in label order and permuted, every segment's mass and
+    every quantile success probability at a target j/k is the Fraction the
+    exact weights of the ranked points give."""
+    ws, dom, order = case
+    k = len(ws)
+    prefix = list(itertools.accumulate((Fraction(ws[x]) for x in dom.labels), initial=Fraction(0)))
+    for support in (range(k), order):
+        P = FinSupportDist(support, [ws[x] for x in support])
+        for t in range(k + 2):
+            assert same(mass(P, dom.initial_segment(t)), prefix[min(t, k)])
+        for j in range(1, k):
+            below = max(p for p in prefix if p < Fraction(j, k))  # the mass a losing segment holds
+            assert same(quantile_success(P, dom, Fraction(k - j, k), d), 1 - below**d)
 
 
 def test_empty_segment_is_an_exact_zero_for_float_weights():
@@ -198,19 +234,6 @@ def test_empty_segment_is_an_exact_zero_for_float_weights():
 
 # ---------------------------------------------------------------------------
 # verify_guarantee: segment learners from support ranks against label samples
-
-
-def reference_segment_learn(sample, dom, pi, epsilon, delta):
-    """``quantile_learn``, or for a map the segment of the labels pulled back
-    through it: the rule ``SegmentLearner`` is held to."""
-    pts = tuple(sample)
-    if epsilon is not None:
-        need = emx.sample_complexity(epsilon, delta)
-        if len(pts) < need:
-            raise ValueError(f"sample size {len(pts)} below required {need}")
-    if pi is None:
-        return quantile_learn(pts, dom)
-    return PulledBackHypothesis(quantile_learn((pi(x) for x in pts), dom), pi)
 
 
 def outcome(call):
@@ -269,7 +292,6 @@ BINS3 = UniformBinsMap(3)
 @given(
     case=segment_case(),
     accuracy=st.sampled_from([("1/3", "1/3"), ("1/20", "1/10"), ("1/2", "0"), (Fraction(2, 3), "1/2")]),
-    own_accuracy=st.booleans(),
     d=st.sampled_from([0, 1, 2, 7, 45]),
     trials=st.integers(0, 12),
     seed=st.integers(0, 2**40),
@@ -278,31 +300,27 @@ BINS3 = UniformBinsMap(3)
     # wins only if it draws the last-ranked point, 0, of weight 1/55
     case=(FinSupportDist(range(10), [Fraction(i + 1, 55) for i in range(10)]),
           IndexedDomain([3, 1, 4, 9, 5, 7, 2, 6, 8, 0]), None),
-    accuracy=("1/60", "1/2"), own_accuracy=True, d=45, trials=1500, seed=2**64 + 3,
+    accuracy=("1/60", "1/2"), d=45, trials=1500, seed=2**64 + 3,
 )
 @example(  # a d past 2^15: a block holds one trial
     case=(FinSupportDist([0.05, 0.5, 0.95], ["1/3", "1/3", "1/3"]), BINS3.domain, BINS3),
-    accuracy=("1/3", "1/3"), own_accuracy=False, d=40000, trials=3, seed=7,
+    accuracy=("1/3", "1/3"), d=40000, trials=3, seed=7,
 )
-def test_rank_path_reports_what_the_label_path_reports(case, accuracy, own_accuracy, d, trials, seed):
+def test_rank_path_reports_what_the_label_path_reports(case, accuracy, d, trials, seed):
+    """The rank path gives the label path's report or error, except that a
+    support point the map rejects, or that ``dom`` does not rank, raises
+    from the support whether or not a trial draws it."""
     P, dom, pi = case
     epsilon, delta = accuracy
-    learner = SegmentLearner(dom, pi, *(accuracy if own_accuracy else ()))
+    learner = SegmentLearner(dom, pi)
     fresh = FinSupportDist(P.support, P.weights)
-    want = report_fields(lambda s: learner(s), fresh, epsilon, delta, d, trials, seed)
+    want = report_fields(lambda s: segment_learn(learner, s), fresh, epsilon, delta, d, trials, seed)
+    unranked = outcome(lambda: [dom.idx(x if pi is None else pi(x)) for x in P.support])
+    if isinstance(unranked, tuple) and trials >= 1 and d > 0:
+        want = unranked
     assert report_fields(learner, P, epsilon, delta, d, trials, seed) == want
     # again on the tables the label path left behind
     assert report_fields(learner, fresh, epsilon, delta, d, trials, seed) == want
-
-    # called on labels, the learner is the code it replaced
-    if d >= 0:
-        S = draw_sample(P, d, seed)
-        got = outcome(lambda: learner(S))
-        ref = outcome(lambda: reference_segment_learn(S, dom, pi, *(accuracy if own_accuracy else (None, None))))
-        if pi is None or isinstance(got, tuple):
-            assert type(got) is type(ref) and got == ref
-        else:
-            assert (got.pi, got.cells) == (ref.pi, ref.cells)
 
 
 SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**200]
@@ -335,41 +353,47 @@ def test_substreams_reject_bad_seeds_as_substream_does(seed):
     assert outcome(lambda: list(emx.substreams(seed, 3))) == want
 
 
-def test_out_of_order_float_weights_answer_from_the_support_order_sum():
-    """The support order sums (0.1 + 0.2) + 0.3 = 0.6000000000000001 >= 3/5,
-    the domain order sums (0.3 + 0.2) + 0.1 = 0.6 < 3/5: a trial whose
-    largest rank is a's wins only by the support order sum, as ``mass``
-    computes it."""
+def test_out_of_order_float_weights_answer_from_the_exact_sum():
+    """The domain order sums (0.3 + 0.2) + 0.1 = 0.6 < 3/5 in floats, but
+    the exact sum of the three dyadic weights reaches 3/5: a trial whose
+    largest rank is a's wins, as the label path's ``mass`` says."""
     P = FinSupportDist("abcd", [0.1, 0.2, 0.3, 0.4])
     learner = SegmentLearner(IndexedDomain("cbad"))
-    assert (0.1 + 0.2) + 0.3 >= Fraction(3, 5) > (0.3 + 0.2) + 0.1
+    assert Fraction(0.1) + Fraction(0.2) + Fraction(0.3) >= Fraction(3, 5) > (0.3 + 0.2) + 0.1
     rep = verify_guarantee(learner, P, "2/5", "1/2", 1, 200, 5)
-    assert rep == verify_guarantee(lambda s: learner(s), P, "2/5", "1/2", 1, 200, 5)
-    # wins: a (ranks <= 3 hold 0.6000000000000001) and d (all of P)
+    assert rep == verify_guarantee(lambda s: segment_learn(learner, s), P, "2/5", "1/2", 1, 200, 5)
+    # wins: a (ranks <= 3 hold 3/5 and more) and d (all of P)
     assert rep.empirical_rate == sum(P.sample(emx.substream(5, k), 1) in (("a",), ("d",)) for k in range(200)) / 200
 
 
-def test_the_first_point_the_map_rejects_in_the_sample_names_the_error():
-    """None is the support's first rejected point (a TypeError), but trial
-    0's sample meets 1.5 first, so the label path raises 1.5's ValueError;
-    the rank path must too."""
-    P = FinSupportDist([None, 0.5, 1.5], ["1/100", "1/100", "98/100"])
+def test_the_first_support_point_the_map_rejects_names_the_error():
+    """1.5 is the support's first rejected point, though trial 0's sample
+    meets None first: the rank path raises 1.5's ValueError, not the label
+    path's TypeError.  A support point the domain does not rank raises its
+    KeyError though no trial draws it."""
+    P = FinSupportDist([0.5, 1.5, None], ["1/100", "1/100", "98/100"])
     pi = UniformBinsMap(3)
     learner = SegmentLearner(pi.domain, pi)
-    assert None not in draw_sample(P, 7, 0, (0,))
-    for run in (learner, lambda s: learner(s)):
-        with pytest.raises(ValueError, match=r"^point 1\.5 outside \[0,1\]$"):
-            verify_guarantee(run, P, "1/3", "1/3", 7, 5, 0)
+    assert draw_sample(P, 7, 0, (0,))[0] is None
+    with pytest.raises(TypeError):
+        verify_guarantee(lambda s: segment_learn(learner, s), P, "1/3", "1/3", 7, 5, 0)
+    with pytest.raises(ValueError, match=r"^point 1\.5 outside \[0,1\]$"):
+        verify_guarantee(learner, P, "1/3", "1/3", 7, 5, 0)
+    P = FinSupportDist("abc", ["1/2", "499999/1000000", "1/1000000"])
+    learner = SegmentLearner(IndexedDomain("ab"))
+    assert "c" not in draw_sample(P, 7, 0, (0,))
+    verify_guarantee(lambda s: segment_learn(learner, s), P, "1/3", "1/3", 7, 1, 0)
+    with pytest.raises(KeyError, match="'c' not in domain"):
+        verify_guarantee(learner, P, "1/3", "1/3", 7, 1, 0)
 
 
 def rank_path_only(monkeypatch):
-    """Make label learner calls and ``mass`` checks fail: the rank pass makes
-    neither, the label branch both."""
+    """Make ``mass`` checks fail: the rank pass makes none, the label path
+    one a trial."""
     def refuse(*args):
         raise AssertionError("label path taken")
 
     monkeypatch.setattr(emx, "mass", refuse)
-    monkeypatch.setattr(SegmentLearner, "__call__", refuse)
 
 
 class CountingBins(UniformBinsMap):
@@ -384,8 +408,9 @@ def test_rank_path_maps_each_support_point_once_and_builds_no_sample(monkeypatch
     xs = [i / 40 for i in range(1, 40)]
     P = FinSupportDist(xs, [Fraction(1, len(xs))] * len(xs))
     pi = CountingBins(8)
-    learner = SegmentLearner(pi.domain, pi, "1/20", "1/10")
-    want = verify_guarantee(lambda s: learner(s), FinSupportDist(xs, P.weights), "1/20", "1/10", 45, 30, 7)
+    learner = SegmentLearner(pi.domain, pi)
+    fresh = FinSupportDist(xs, P.weights)
+    want = verify_guarantee(lambda s: segment_learn(learner, s), fresh, "1/20", "1/10", 45, 30, 7)
     rank_path_only(monkeypatch)
     CountingBins.calls = 0
     for _ in range(3):
@@ -395,8 +420,8 @@ def test_rank_path_maps_each_support_point_once_and_builds_no_sample(monkeypatch
 
 @pytest.mark.parametrize("learner_of", [
     lambda P: SegmentLearner(IndexedDomain(P.support)),
-    lambda P: SegmentLearner(UniformBinsMap(3).domain, UniformBinsMap(3), "1/3", "1/3"),
-    lambda P: lambda s: SegmentLearner(IndexedDomain(P.support))(s),
+    lambda P: SegmentLearner(UniformBinsMap(3).domain, UniformBinsMap(3)),
+    lambda P: lambda s: segment_learn(SegmentLearner(IndexedDomain(P.support)), s),
 ], ids=["identity", "bins", "labels"])
 def test_rank_path_draws_trial_k_from_substream_seed_k(monkeypatch, learner_of):
     """The trials ask ``substreams`` for keys 0..trials-1 in order, and trial
@@ -448,13 +473,14 @@ def test_label_path_gets_trial_ks_sample_across_blocks(d, trials):
         assert rep.empirical_rate == sum(mass(P, frozenset(s[:3])) >= Fraction(2, 3) for s in seen) / trials
 
 
-@pytest.mark.parametrize("learner_of", [
-    SegmentLearner,
-    lambda dom: lambda s: quantile_learn(s, dom),
+@pytest.mark.parametrize("learner_of, generators", [
+    (SegmentLearner, 0),
+    (lambda dom: lambda s: quantile_learn(s, dom), 1),
 ], ids=["segment", "labels"])
-def test_an_empty_sample_reaches_the_learner(monkeypatch, learner_of):
+def test_an_empty_sample_reaches_the_learner(monkeypatch, learner_of, generators):
     """d = 0 sizes no block by d: a block holds one trial, and trial 0 calls
-    the learner on (), which raises its own error after one generator."""
+    the learner on (), which raises its own error after one generator.  A
+    ``SegmentLearner`` raises the same error before any generator is built."""
     P = FinSupportDist("abc", ["1/2", "1/4", "1/4"])
     learner = learner_of(IndexedDomain(P.support))
     built = []
@@ -462,7 +488,7 @@ def test_an_empty_sample_reaches_the_learner(monkeypatch, learner_of):
     monkeypatch.setattr(emx, "substreams", lambda *key: (built.append(g) or g for g in substreams(*key)))
     with pytest.raises(ValueError, match="^empty sample: maximum index undefined$"):
         verify_guarantee(learner, P, "1/3", "1/3", 0, 70_000, 11)
-    assert len(built) == 1
+    assert len(built) == generators
 
 
 # ---------------------------------------------------------------------------
