@@ -108,13 +108,17 @@ class RunReport:
     wall_clock_s: float
     version: str
 
-    def to_text(self) -> str:
-        """The report as written by ``_render``: the text of the reference writer
-        in ``tests/reference_writer.py`` (a witness matrix may be held as its array)."""
+    def parts(self):
+        """The report's text as ``_parts`` streams it: the text of the reference writer in
+        ``tests/reference_writer.py`` (a witness matrix may be held as its array)."""
         out = dict(vars(self))
         if self.sweep is None:
             del out["sweep"]
-        return _render(out)
+        return _parts(out)
+
+    def to_text(self) -> str:
+        """The stream of ``parts`` joined, as stdout prints it whole."""
+        return "".join(self.parts())
 
 
 def _leaf(obj):
@@ -140,62 +144,72 @@ def _float_text(x) -> str:
     return text if "." in text and "e" not in text else json.dumps(float(text))
 
 
-def _matrix_text(a: np.ndarray, indent: str) -> str:
-    """JSON text of a 2-D array at ``indent`` as the reference writer ``tests/reference_writer.py`` gives it:
-    its layout of row-major [re, im] pairs as one template, filled with the text of
-    each distinct float, found by its bits so that 0.0 and -0.0 stay apart."""
-    if a.ndim != 2:
-        raise TypeError(f"cannot serialize a {a.ndim}-D array in a report")
-    m = np.ascontiguousarray(a, dtype=complex)
-    rows, cols = m.shape
-    if not rows:
-        return "[]"
-    i1, i2, i3 = indent + "  ", indent + "    ", indent + "      "
-    pair = f"[{i3}%s,{i3}%s{i2}]"
-    row = f"[{i2}" + f",{i2}".join([pair] * cols) + f"{i1}]" if cols else "[]"
-    template = f"[{i1}" + f",{i1}".join([row] * rows) + f"{indent}]"
-    bits, at = np.unique(m.ravel().view(np.int64), return_inverse=True)
-    texts = [_float_text(x) for x in bits.view(np.float64).tolist()]
-    return template % tuple(map(texts.__getitem__, at.tolist()))
+def _parts(obj, indent: str = "\n"):
+    """The reference writer's ``json.dumps(pin(obj), indent=2, sort_keys=True)`` as a stream of
+    fragments, in one walk that pins each leaf as it yields it (``indent`` is the walk's line
+    start).  A 2-D array yields one fragment per row of [re, im] pairs: each distinct float,
+    found by its bits so that 0.0 and -0.0 stay apart, is spelled once.  Only the leaves a report
+    holds by the hundred are spelled here (fixed-notation floats, strings, ints); ``json.dumps``
+    spells the rest."""
+    if isinstance(obj, (dict, list, tuple)):
+        if not obj:
+            yield "{}" if isinstance(obj, dict) else "[]"
+            return
+        inner = indent + "  "
+        sep, close = ("{" + inner, indent + "}") if isinstance(obj, dict) else ("[" + inner, indent + "]")
+        items = sorted({str(k): v for k, v in obj.items()}.items()) if isinstance(obj, dict) else enumerate(obj)
+        for k, v in items:  # a dict's keys are strings, a list's indices are not written
+            yield f"{sep}{encode_basestring_ascii(k)}: " if isinstance(k, str) else sep
+            yield from _parts(v, inner)
+            sep = "," + inner
+        yield close
+    elif isinstance(obj, (str, int, type(None), Fraction)):  # Python types before numpy types, as in _leaf
+        value = _leaf(obj)
+        yield (encode_basestring_ascii(value) if isinstance(value, str) else
+               int.__repr__(value) if type(value) is int else json.dumps(value))  # json spells null, true, false
+    elif isinstance(obj, float) or isinstance(obj, np.floating):
+        yield _float_text(obj)
+    elif isinstance(obj, np.ndarray):
+        if obj.ndim != 2:
+            raise TypeError(f"cannot serialize a {obj.ndim}-D array in a report")
+        m = np.ascontiguousarray(obj, dtype=complex)
+        if not m.size:  # no floats: the nested lists of the same shape have the same text
+            yield from _parts(m.tolist(), indent)
+            return
+        i1, i2, i3 = indent + "  ", indent + "    ", indent + "      "
+        bits, at = np.unique(m.ravel().view(np.int64), return_inverse=True)
+        texts = np.array([_float_text(x) for x in bits.view(np.float64).tolist()], dtype=object)
+        row = np.empty(4 * m.shape[1] + 1, dtype=object)  # one row's texts, separators interleaved
+        row[0], row[2::4], row[4:-1:4], row[-1] = f"[{i1}[{i2}[{i3}", f",{i3}", f"{i2}],{i2}[{i3}", f"{i2}]{i1}]"
+        for k in at.reshape(len(m), -1):
+            row[1::2] = texts[k]
+            yield "".join(row.tolist())
+            row[0] = f",{i1}[{i2}[{i3}"
+        yield indent + "]"
+    else:
+        yield json.dumps(_leaf(obj))  # a numpy integer; _leaf refuses any other type
 
 
-def _render(obj, indent: str = "\n") -> str:
-    """The reference writer's ``json.dumps(pin(obj), indent=2, sort_keys=True)``,
-    in one walk that pins each leaf as it writes it (``indent`` is the walk's
-    line start); a 2-D array is written by ``_matrix_text``.  Only the leaves a report holds
-    by the hundred are spelled here (fixed-notation floats, strings, ints); ``json.dumps`` spells the rest."""
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        inner = indent + "  "
-        items = sorted({str(k): v for k, v in obj.items()}.items())
-        body = ("," + inner).join([f"{encode_basestring_ascii(k)}: {_render(v, inner)}" for k, v in items])
-        return "{" + inner + body + indent + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        inner = indent + "  "
-        return "[" + inner + ("," + inner).join([_render(v, inner) for v in obj]) + indent + "]"
-    if isinstance(obj, float):
-        return _float_text(obj)
-    if not isinstance(obj, (str, int, type(None), Fraction)):  # numpy types last, as in _leaf
-        if isinstance(obj, np.ndarray):
-            return _matrix_text(obj, indent)
-        if isinstance(obj, np.floating):
-            return _float_text(obj)
-    value = _leaf(obj)
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    return int.__repr__(value) if type(value) is int else json.dumps(value)  # json spells null, true, false
+def _render(obj) -> str:
+    """The text ``_parts`` streams for ``obj``, joined."""
+    return "".join(_parts(obj))
 
 
 def write_report(report: RunReport, path: str) -> None:
-    """Serialize deterministically and write via temp file + rename; a failed write leaves no temp file."""
-    text = report.to_text() + "\n"
+    """Stream the report's text into a temp file in writes of at least 64 KiB (one write for a
+    small report), then rename it into place; the text is never held whole, and a failed write
+    leaves no temp file."""
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            chunk, size = [], 0
+            for part in report.parts():
+                chunk.append(part)
+                size += len(part)
+                if size >= 1 << 16:
+                    fh.write("".join(chunk))
+                    chunk, size = [], 0
+            fh.write("".join(chunk) + "\n")
         os.replace(tmp, path)
     finally:
         _remove(tmp)

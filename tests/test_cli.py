@@ -14,13 +14,14 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import discrimination_sum, pure_pair
 from reference_writer import matrix_to_json, pin
@@ -440,6 +441,9 @@ PAYLOADS = st.recursive(LEAVES | MATRICES, lambda children: st.one_of(
     st.lists(children, max_size=4).map(tuple),
     st.dictionaries(st.sampled_from(["0", "1"]) | st.integers(0, 2) | TEXT, children, max_size=4),
 ), max_leaves=40)
+# A 64x64 witness of about 300 KB of text, with signed zeros, NaN and infinities.
+WIDE = np.random.default_rng(7).standard_normal((64, 128)).view(complex)
+WIDE[0, :4] = [complex(0.0, -0.0), complex(-0.0, 0.0), complex(math.nan, math.inf), complex(-math.inf, 1e16)]
 
 
 class TestReportPlumbing:
@@ -457,8 +461,14 @@ class TestReportPlumbing:
 
     @settings(max_examples=300, deadline=None)
     @given(obj=PAYLOADS)
-    def test_render_equals_dumps_of_pinned_payload(self, obj):
+    @example(obj={"witness": [WIDE]})  # its rows cross write_report's 64 KiB writes
+    def test_render_equals_dumps_of_pinned_payload(self, obj, tmp_path_factory):
         assert cli._render(obj) == json.dumps(pin(obj), indent=2, sort_keys=True)
+        rep = RunReport(config={}, metrics=obj, sweep=None, wall_clock_s=0.5, version="0")
+        path = tmp_path_factory.getbasetemp() / "payload.json"
+        write_report(rep, str(path))
+        reference = {"config": {}, "metrics": obj, "wall_clock_s": 0.5, "version": "0"}
+        assert path.read_text(encoding="utf-8") == json.dumps(pin(reference), indent=2, sort_keys=True) + "\n"
 
     @pytest.mark.parametrize("shape", [(4,), (2, 2, 2), ()])
     def test_arrays_other_than_matrices_rejected(self, shape):
@@ -500,6 +510,36 @@ class TestReportPlumbing:
         write_report(rep, str(path))
         assert json.loads(path.read_text())["metrics"] == {"x": 1.0}
         assert list(tmp_path.iterdir()) == [path]  # no stray temp files
+
+    def test_a_write_that_fails_part_way_keeps_the_old_report(self, tmp_path, monkeypatch):
+        path = tmp_path / "r.json"
+        path.write_text("the old report\n")
+        # version sorts after metrics, so the witness rows reach the temp file before it fails
+        rep = RunReport(config={}, metrics={"witness": WIDE}, sweep=None, wall_clock_s=0.0, version=object())
+        written = []
+        leaf = cli._leaf
+        monkeypatch.setattr(cli, "_leaf", lambda obj: (written.append(os.path.getsize(f"{path}.tmp")), leaf(obj))[1])
+        with pytest.raises(TypeError):
+            write_report(rep, str(path))
+        assert written[0] >= 1 << 16
+        assert path.read_text() == "the old report\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_writing_a_report_does_not_hold_its_text(self, workdir, monkeypatch):
+        written = []
+        monkeypatch.setattr(cli, "write_report", lambda report, path: written.append(report))
+        assert main(["feasible", "sdp", "--task", "task.json", "--states", "states", "--copies", "8",
+                     "--out", "r.json"]) == 0
+        (report,) = written
+        tracemalloc.start()
+        try:
+            write_report(report, "r.json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = os.path.getsize("r.json")
+        assert peak < size, (peak, size)  # one copy of the text is 1x; a whole-text writer holds 3x
+        assert (workdir / "r.json").read_text() == report.to_text() + "\n"
 
     def test_emit_table_requires_sweep(self, tmp_path):
         rep = RunReport(config={}, metrics={}, sweep=None, wall_clock_s=0.0, version="0")
