@@ -150,7 +150,8 @@ def _parts(obj, indent: str = "\n"):
     start).  A 2-D array yields one fragment per row of [re, im] pairs: each distinct float,
     found by its bits so that 0.0 and -0.0 stay apart, is spelled once.  Only the leaves a report
     holds by the hundred are spelled here (fixed-notation floats, strings, ints); ``json.dumps``
-    spells the rest."""
+    spells the rest.  A container spells its str, int and float members in its own loop, one
+    fragment with their key, so a leaf costs no generator."""
     if isinstance(obj, (dict, list, tuple)):
         if not obj:
             yield "{}" if isinstance(obj, dict) else "[]"
@@ -159,9 +160,17 @@ def _parts(obj, indent: str = "\n"):
         sep, close = ("{" + inner, indent + "}") if isinstance(obj, dict) else ("[" + inner, indent + "]")
         items = sorted({str(k): v for k, v in obj.items()}.items()) if isinstance(obj, dict) else enumerate(obj)
         for k, v in items:  # a dict's keys are strings, a list's indices are not written
-            yield f"{sep}{encode_basestring_ascii(k)}: " if isinstance(k, str) else sep
-            yield from _parts(v, inner)
-            sep = "," + inner
+            key = f"{sep}{encode_basestring_ascii(k)}: " if isinstance(k, str) else sep
+            sep, kind = "," + inner, type(v)  # exact types: bool, subclasses and numpy scalars recurse
+            if kind is str:
+                yield key + encode_basestring_ascii(v)
+            elif kind is int:
+                yield key + int.__repr__(v)
+            elif kind is float:
+                yield key + _float_text(v)
+            else:
+                yield key
+                yield from _parts(v, inner)
         yield close
     elif isinstance(obj, (str, int, type(None), Fraction)):  # Python types before numpy types, as in _leaf
         value = _leaf(obj)
@@ -247,24 +256,27 @@ def _load_json(path: str, parse):
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _guarantee(p: dict, seed: int, learner, dist: FinSupportDist, d: int) -> dict:
-    """Monte Carlo guarantee check at sample size d with the run's epsilon, delta and trials."""
-    rep = verify_guarantee(learner, dist, p["epsilon"], p["delta"], d, p["trials"], seed)
+def _guarantee_run(p: dict, seed: int, dist: FinSupportDist, first, sweep, point, row):
+    """(row of ``first``, the sweep's rows or None), from one ``verify_guarantee`` call with the
+    run's epsilon, delta and trials that carries each distinct point x of the run once, as the
+    (learner, d) of ``point(x)``; ``row(x, report)`` is a point's row."""
+    distinct = list(dict.fromkeys([first, *(sweep or ())]))
+    reports = verify_guarantee([point(x) for x in distinct], dist, p["epsilon"], p["delta"], p["trials"], seed)
+    rows = {x: row(x, rep) for x, rep in zip(distinct, reports)}
+    return rows[first], [rows[x] for x in sweep or ()] or None
+
+
+def _guarantee_fields(rep) -> dict:
+    """The sweep-row fields of a ``GuaranteeReport``."""
     return {key: getattr(rep, key) for key in ("d", "empirical_rate", "ci_halfwidth", "bound")}
-
-
-def _sweep(run, first, points) -> tuple[dict, list[dict] | None]:
-    """Metrics run(first), then the sweep of each point's run or None; each distinct point runs once."""
-    run = functools.cache(run)
-    return run(first), [run(x) for x in points or ()] or None
 
 
 def _run_emx(p: dict, seed: int):
     dist = _load_json(p["dist"], FinSupportDist.from_json)
     learner = SegmentLearner(IndexedDomain(dist.support))
     need = sample_complexity(p["epsilon"], p["delta"])
-    run = functools.partial(_guarantee, p, seed, learner, dist)
-    metrics, sweep = _sweep(run, need if p["d"] is None else p["d"], p["sweep_d"])
+    metrics, sweep = _guarantee_run(p, seed, dist, need if p["d"] is None else p["d"], p["sweep_d"],
+                                    lambda d: (learner, d), lambda d, rep: _guarantee_fields(rep))
     return {**metrics, "sample_complexity": need}, sweep
 
 
@@ -279,12 +291,12 @@ def _run_coarse(p: dict, seed: int):
     if 0 <= d < need:  # a negative d is verify_guarantee's to refuse
         raise ValueError(f"sample size {d} below required {need}")
 
-    def run(bits: int) -> dict:
+    def point(bits: int) -> tuple:
         pi = coarse.UniformBinsMap(bits)
-        learner = SegmentLearner(pi.domain, pi)
-        return {"bits": bits, **_guarantee(p, seed, learner, dist, d)}
+        return SegmentLearner(pi.domain, pi), d
 
-    return _sweep(run, p["bits"], p["sweep_bits"])
+    return _guarantee_run(p, seed, dist, p["bits"], p["sweep_bits"], point,
+                          lambda bits, rep: {"bits": bits, **_guarantee_fields(rep)})
 
 
 def _run_compress(p: dict, seed: int):
@@ -308,12 +320,12 @@ def _run_compress(p: dict, seed: int):
     scheme = compression.segment_scheme(dom, p["m"])
     learner = lambda s: compression.compression_learner(scheme, s, dom)  # noqa: E731
 
-    def run(n: int) -> dict:
-        rep = verify_guarantee(learner, dist, p["epsilon"], p["delta"], n, p["trials"], seed)
+    def row(n: int, rep) -> dict:
         return {"n": n, "empirical_rate": rep.empirical_rate, "ci_halfwidth": rep.ci_halfwidth,
                 "target_rate": 1.0 - float(p["delta"])}
 
-    metrics, sweep = _sweep(run, need if p["n"] is None else p["n"], p["sweep_n"])
+    metrics, sweep = _guarantee_run(p, seed, dist, need if p["n"] is None else p["n"], p["sweep_n"],
+                                    lambda n: (learner, n), row)
     return {"m": p["m"], "required_n": need, **metrics}, sweep
 
 

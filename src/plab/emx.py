@@ -11,7 +11,8 @@ Implements:
   • mass — exact P(F), from a per-distribution prefix table for segments
   • quantile_success — exact success probability of the quantile learner
   • substream, substreams — the generator of (seed, *path); of (seed, k) for every k, hashed in one batch
-  • verify_guarantee — seeded Monte Carlo check of (eps, delta), every trial drawn as support positions
+  • verify_guarantee — seeded Monte Carlo check of (eps, delta) at all of a run's (learner, d) points, in one
+    trial loop that draws each trial once, as support positions
 
 Success of a learner on an episode means the learned set captures mass at least
 opt - eps, where opt = 1 for the class of all finite subsets.  A float weight is
@@ -272,16 +273,20 @@ class FinSupportDist:
     """Finitely supported probability distribution.
 
     ``support`` holds distinct points.  A float weight stays a float, any
-    other goes to ``as_fraction`` (a bool raises TypeError); the weights are
-    finite, strictly positive and sum to exactly 1 when all rational, or,
-    when floats are involved, to 1 within ``FLOAT_SUM_TOL`` by ``math.fsum``,
-    so in any support order.  Sampling uses the inverse CDF over the declared
-    support order, read from a guide table: a draw in one of K >= 16
-    |support| dyadic buckets (K a power of two) that no CDF value splits maps
-    straight to its position, and only the others search the CDF.
+    other goes to ``as_fraction`` (a bool raises TypeError).  Every weight is
+    also stored once in integer form, ``_nums[i] / _den`` over the lcm of the
+    denominators, a float as the dyadic rational it is; the checks, the
+    prefix tables of ``mass`` and the frozenset sum read that form.  The
+    weights are finite, strictly positive and sum to exactly 1 when all
+    rational, or, when floats are involved, to 1 within ``FLOAT_SUM_TOL``
+    after one rounding of their exact sum (``math.fsum``'s value), so in any
+    support order.  Sampling uses the inverse CDF over the declared support
+    order, read from a guide table: a draw in one of K >= 16 |support|
+    dyadic buckets (K a power of two) that no CDF value splits maps straight
+    to its position, and only the others search the CDF.
     """
 
-    __slots__ = ("support", "weights", "_labels", "_cdf", "_guide", "_tables")
+    __slots__ = ("support", "weights", "_nums", "_den", "_labels", "_cdf", "_guide", "_tables")
 
     def __init__(self, support: Sequence, weights: Sequence):
         self.support = tuple(support)
@@ -293,13 +298,17 @@ class FinSupportDist:
         if len(set(self.support)) != len(self.support):
             raise ValueError("support points must be distinct")
         if any(isinstance(w, float) and not math.isfinite(w) for w in self.weights):
-            raise ValueError("weights must be finite")  # NaN passes every comparison below
-        if any(w <= 0 for w in self.weights):
+            raise ValueError("weights must be finite")  # NaN and inf have no integer ratio
+        ratios = [w.as_integer_ratio() for w in self.weights]
+        self._den = den = math.lcm(*(q for _, q in ratios))
+        self._nums = tuple(p * (den // q) for p, q in ratios)
+        if min(self._nums) <= 0:
             raise ValueError("weights must be strictly positive")
+        total = sum(self._nums)
         if self.is_exact:
-            if (total := sum(self.weights)) != 1:
-                raise ValueError(f"rational weights must sum to exactly 1, got {total}")
-        elif abs((total := math.fsum(map(float, self.weights))) - 1.0) > FLOAT_SUM_TOL:  # fsum: one sum in any order
+            if total != den:
+                raise ValueError(f"rational weights must sum to exactly 1, got {Fraction(total, den)}")
+        elif abs((total := total / den) - 1.0) > FLOAT_SUM_TOL:  # int / int rounds once, as fsum does
             raise ValueError(f"float weights must sum to 1 within {FLOAT_SUM_TOL}, got {total!r}")
         self._labels = np.fromiter(self.support, dtype=object, count=len(self.support))  # a tuple label stays whole
         cdf = np.cumsum(np.asarray([float(w) for w in self.weights]))
@@ -346,8 +355,7 @@ def _prefix_table(P: FinSupportDist, pi, dom: IndexedDomain) -> tuple:
     support (pi None: identity), built once and cached on P under (pi, dom).
     ``point_ranks`` lists them in support order (None outside ``dom``),
     ``ranks`` ascending, and the integer ``prefix[k] / den`` is the exact sum
-    of the first k ranked weights, a float read as the dyadic rational it
-    is: ``den`` is the lcm of the weights' denominators.
+    of the first k ranked weights: P's integer form, accumulated.
     """
     table = P._tables.get((pi, dom))
     if table is not None:
@@ -359,12 +367,16 @@ def _prefix_table(P: FinSupportDist, pi, dom: IndexedDomain) -> tuple:
             point_ranks.append(dom.idx(y))
         except KeyError:
             point_ranks.append(None)
-    ranked = sorted(((r, w.as_integer_ratio()) for r, w in zip(point_ranks, P.weights) if r is not None),
-                    key=lambda rw: rw[0])
-    den = math.lcm(*(q for _, (_, q) in ranked))
-    prefix = list(accumulate((p * (den // q) for _, (p, q) in ranked), initial=0))
-    table = P._tables[(pi, dom)] = ([r for r, _ in ranked], prefix, den, point_ranks)
+    ranked = sorted(((r, p) for r, p in zip(point_ranks, P._nums) if r is not None), key=lambda rp: rp[0])
+    prefix = list(accumulate((p for _, p in ranked), initial=0))
+    table = P._tables[(pi, dom)] = ([r for r, _ in ranked], prefix, P._den, point_ranks)
     return table
+
+
+def _reaching(table: tuple, target: Fraction) -> int:
+    """The least k whose prefix of ``_prefix_table``'s ``table`` holds mass >= target, in integers
+    (len(prefix) when none does): prefix[k] / den >= p / q iff prefix[k] >= ceil(p den / q)."""
+    return bisect_left(table[1], -(-target.numerator * table[2] // target.denominator))
 
 
 def mass(P: FinSupportDist, F: Container) -> Fraction:
@@ -384,7 +396,7 @@ def mass(P: FinSupportDist, F: Container) -> Fraction:
         pi, dom, t = form
         ranks, prefix, den, _ = _prefix_table(P, pi, dom)
         return Fraction(prefix[bisect_right(ranks, t)], den)
-    return sum((Fraction(w) for x, w in zip(P.support, P.weights) if x in F), start=Fraction(0))
+    return Fraction(sum(p for x, p in zip(P.support, P._nums) if x in F), P._den)
 
 
 def quantile_success(P: FinSupportDist, dom: IndexedDomain, epsilon, d: int) -> Fraction:
@@ -395,12 +407,11 @@ def quantile_success(P: FinSupportDist, dom: IndexedDomain, epsilon, d: int) -> 
     Read from the same prefix table as ``mass``.  Support points outside
     ``dom`` carry no rank and count in no prefix.
     """
-    epsilon = accuracy(epsilon, 0)[0]
-    _, prefix, den, _ = _prefix_table(P, None, dom)
-    k = bisect_left(prefix, (1 - epsilon) * den)
-    if k == len(prefix):
+    table = _prefix_table(P, None, dom)
+    k = _reaching(table, 1 - accuracy(epsilon, 0)[0])
+    if k == len(table[1]):
         raise ValueError("the masses of the ranked support points never reach 1 - epsilon")
-    return 1 - Fraction(prefix[k - 1], den) ** d
+    return 1 - Fraction(table[1][k - 1], table[2]) ** d
 
 
 def quantile_learn(sample: Iterable, dom: IndexedDomain) -> FiniteHypothesis:
@@ -487,62 +498,75 @@ class GuaranteeReport:
 
 
 def verify_guarantee(
-    learner: Callable[[tuple], Container],
+    points: Sequence[tuple[Callable[[tuple], Container], int]],
     P: FinSupportDist,
     epsilon,
     delta,
-    d: int,
     trials: int,
     seed: int,
-) -> GuaranteeReport:
-    """Run seeded episodes of ``learner`` on samples of size d from P.
+) -> list[GuaranteeReport]:
+    """One report per (learner, d) of points: seeded episodes of the learner on samples of size d from P.
 
     epsilon and delta are checked once by ``accuracy`` ("1/3", 0.2 -> 1/5).
     An episode succeeds when mass(P, learner(S)) >= 1 - epsilon (opt = 1,
     since the support itself is a finite subset); the comparison is exact.
-    Trial k is drawn as support positions, ``FinSupportDist.sample``'s
-    inverse CDF of one random(d) of the (seed, k) substream (``substreams``
-    hashes them in one batch), so the report is reproducible and independent
-    of trial execution order.  A block of trials is drawn at a time; a
-    ``SegmentLearner`` decides it in one array pass over the prefix table of
-    ``mass``, any other learner gets its label tuples from one gather.
-    A d above ``SAMPLE_LIMIT`` (2^24) raises ValueError before anything is drawn.
+    Every point is checked before anything is drawn: a d below 0 or above
+    ``SAMPLE_LIMIT`` (2^24) raises ValueError, as does a ``SegmentLearner``
+    that cannot answer (see its ``_table``).  All points share one trial
+    loop: trial k draws one random(d_max), d_max the largest d, from the
+    (seed, k) substream (``substreams`` hashes them in one batch) as support
+    positions by ``FinSupportDist.sample``'s inverse CDF, and a point of
+    size d reads the first d, which are the draws of random(d); so a point's
+    report is the one it gets alone, and does not depend on execution order.
+    Blocks of trials (at most 2^16 doubles, at least one trial) are drawn at
+    a time.  A ``SegmentLearner`` decides a block in one array pass over the
+    prefix table of ``mass``; any other learner gets its label tuples from
+    one gather, and ``mass`` is asked once per distinct learned segment.
     ci_halfwidth is the 3-sigma binomial half-width at the empirical rate;
     bound is 1-(1-eps)^d, computed as -expm1(d*log1p(-eps)), which does not cancel.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     epsilon, delta = accuracy(epsilon, delta)
-    if d < 0:
-        raise ValueError("sample size must be >= 0")
-    if d > SAMPLE_LIMIT:  # refused before the block of d doubles is allocated
-        raise ValueError(f"sample size d = {d} is above the limit of {SAMPLE_LIMIT} points")
     target = 1 - epsilon
-    table = learner._table(P, d) if isinstance(learner, SegmentLearner) else None
-    if table is not None:  # (ranks, prefix, den, point_ranks): does the segment to each point's rank win?
-        k = bisect_left(table[1], target * table[2])  # the prefix is nondecreasing: segments from the k-th rank win
-        wins_at = np.array([bisect_right(table[0], r) >= k for r in table[3]])
+    points, deciders = list(points), []  # per point: the rank path's wins by support position, or None
+    for learner, d in points:
+        if d < 0:
+            raise ValueError("sample size must be >= 0")
+        if d > SAMPLE_LIMIT:  # refused before the block of d doubles is allocated
+            raise ValueError(f"sample size d = {d} is above the limit of {SAMPLE_LIMIT} points")
+        if isinstance(learner, SegmentLearner):  # does the segment to each point's rank win?
+            table = learner._table(P, d)
+            k = _reaching(table, target)  # the prefix is nondecreasing: segments from the k-th rank win
+            deciders.append(np.array([bisect_right(table[0], r) >= k for r in table[3]]))
+        else:
+            deciders.append(None)
+    won: dict = {}  # segment form -> does it win: the label path asks mass once per distinct segment
+
+    def wins_with(F) -> bool:
+        form = F.segment_form() if hasattr(F, "segment_form") else None
+        if form is None:
+            return mass(P, F) >= target
+        if form not in won:
+            won[form] = mass(P, F) >= target
+        return won[form]
+
+    d_max = max((d for _, d in points), default=0)
     streams = substreams(seed, trials)
-    block = np.empty((min(trials, max(1, 2**16 // (d or 2**16))), d))  # <= 2^16 doubles, >= 1 trial, 1 at d = 0
-    wins = 0
+    block = np.empty((min(trials, max(1, 2**16 // (d_max or 2**16))), d_max))  # 1 trial a block at d_max = 0
+    wins = [0] * len(points)
     for start in range(0, trials, len(block)):
         U = block[: trials - start]
         for row, rng in zip(U, streams):
             rng.random(out=row)
-        positions = P._positions(U)
-        if table is not None:  # segments grow with the rank: a trial's largest wins iff any of its points' does
-            wins += int(wins_at[positions].any(axis=1).sum())
-        else:
-            for sample in map(tuple, P._labels[positions].tolist()):  # one label gather per block
-                wins += mass(P, learner(sample)) >= target
-    rate = wins / trials
-    return GuaranteeReport(
-        epsilon=epsilon,
-        delta=delta,
-        d=d,
-        trials=trials,
-        seed=seed,
-        empirical_rate=rate,
-        ci_halfwidth=3.0 * math.sqrt(rate * (1.0 - rate) / trials),
-        bound=-math.expm1(d * math.log1p(-float(epsilon))),
-    )
+        positions, samples = P._positions(U), None
+        for i, ((learner, d), wins_at) in enumerate(zip(points, deciders)):
+            if wins_at is not None:  # segments grow with the rank: a trial's largest wins iff any of its points' does
+                wins[i] += int(wins_at[positions[:, :d]].any(axis=1).sum())
+                continue
+            if samples is None:
+                samples = P._labels[positions].tolist()  # one label gather per block
+            wins[i] += sum(wins_with(learner(tuple(sample[:d]))) for sample in samples)
+    rates = [n / trials for n in wins]
+    return [GuaranteeReport(epsilon, delta, d, trials, seed, rate, 3.0 * math.sqrt(rate * (1.0 - rate) / trials),
+                            -math.expm1(d * math.log1p(-float(epsilon)))) for (_, d), rate in zip(points, rates)]

@@ -1,15 +1,16 @@
 """Finite-dimensional quantum environments and d-copy discrimination.
 
-States are density matrices (finite, Hermitian within 1e-12, eigenvalues
->= -1e-10, unit trace within 1e-12); measurements are POVMs (finite PSD
-elements within 1e-10 summing to the identity within 1e-10 in operator
-norm).  The module provides tensor powers under the cap DIM_CAP, trace
-distance, the closed-form pure state distance 2*sqrt(1-gamma^(2d)), the
-Helstrom measurement for binary discrimination together with the trace
-distance fixing its success sum 1 + ||rho0 - rho1||_1 / 2 (one
-eigendecomposition for both), the same for d-copy pure pairs at any d
-(``pure_pair_helstrom``), reliability bounds (delta_min, d_min), bipartite
-correlation tables, and a no-signaling checker.
+States are density matrices (finite, Hermitian within HERM_TOL, eigenvalues
+>= -STATE_EIG_TOL, unit trace within TRACE_TOL); measurements are POVMs
+(finite PSD elements within STATE_EIG_TOL summing to the identity within
+POVM_TOL in operator norm).  Each tolerance is a constant below, named once,
+and every message about it is spelled from it.  The module provides tensor
+powers under the cap DIM_CAP, trace distance, the closed-form pure state
+distance 2*sqrt(1-gamma^(2d)), the Helstrom measurement for binary
+discrimination together with the trace distance fixing its success sum
+1 + ||rho0 - rho1||_1 / 2 (one eigendecomposition for both), the same for
+d-copy pure pairs at any d (``pure_pair_helstrom``), reliability bounds
+(delta_min, d_min), bipartite correlation tables, and a no-signaling checker.
 
 ``tensor_power`` is the one place that builds dense d-copy states
 rho^(x)d and enforces the cap DIM_CAP.  A d-fold power is not checked
@@ -38,6 +39,10 @@ HERM_TOL = 1e-12
 TRACE_TOL = 1e-12
 STATE_EIG_TOL = 1e-10
 POVM_TOL = 1e-10
+HELSTROM_BAND = 1e-10  # eigenvalues of rho0 - rho1 at or below it join M_1
+CORR_FLOOR_TOL = 1e-12  # how far below 0 a CorrelationTable entry may lie; it is clamped to 0
+CORR_SUM_TOL = 1e-12  # how far from 1 a CorrelationTable's outcome sum may lie
+NO_SIGNALING_TOL = 1e-10  # the largest marginal deviation check_no_signaling passes
 DIM_CAP = 1 << 10  # largest dimension dim^d that ``tensor_power`` builds
 
 
@@ -59,15 +64,15 @@ def _checked(m: np.ndarray, povm: bool = False) -> np.ndarray:
     if np.max(np.abs(m - m.conj().swapaxes(-1, -2))) > herm_tol:
         raise ValueError(f"{what} is not Hermitian within {herm_tol:g}")
     if np.linalg.eigvalsh(_hermitize(m)).min() < -STATE_EIG_TOL:
-        raise ValueError(f"{what} has an eigenvalue below -1e-10")
+        raise ValueError(f"{what} has an eigenvalue below -{STATE_EIG_TOL:g}")
     if povm:
         gap = np.linalg.eigvalsh(_hermitize(m.sum(axis=-3) - np.eye(m.shape[-1])))
         if np.max(np.abs(gap)) > POVM_TOL:
-            raise ValueError("POVM elements do not sum to the identity within 1e-10")
+            raise ValueError(f"POVM elements do not sum to the identity within {POVM_TOL:g}")
     else:
         tr = np.trace(m, axis1=-2, axis2=-1)
         if np.abs(tr.real - 1.0).max() > TRACE_TOL or np.abs(tr.imag).max() > TRACE_TOL:
-            raise ValueError("state trace is not 1 within 1e-12")
+            raise ValueError(f"state trace is not 1 within {TRACE_TOL:g}")
     m.setflags(write=False)
     return m
 
@@ -224,7 +229,7 @@ def pure_distance_formula(gamma: float, d: int) -> float:
 def _helstrom(r0: np.ndarray, r1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Unchecked Helstrom POVMs (..., 2, n, n) and ||r0 - r1||_1 for stacks of states, from one eigh."""
     w, v = np.linalg.eigh(_hermitize(r0 - r1))
-    pos = v * (w > 1e-10)[..., None, :]  # the eigenvectors of the positive part, the others zeroed
+    pos = v * (w > HELSTROM_BAND)[..., None, :]  # the eigenvectors of the positive part, the others zeroed
     m0 = pos @ pos.conj().swapaxes(-1, -2)
     return np.stack([m0, np.eye(r0.shape[-1]) - m0], axis=-3), np.abs(w).sum(axis=-1)
 
@@ -239,10 +244,11 @@ def helstrom(rho0: DensityMatrix, rho1: DensityMatrix) -> tuple[Povm, float]:
     ``tensor_power`` for d-copy discrimination) and
     ||rho0 - rho1||_1, both from one eigendecomposition of Delta = rho0 - rho1.
 
-    M_0 projects onto the eigenspace of Delta with eigenvalues > 1e-10;
-    M_1 = I - M_0.  Eigenvalues in [-1e-10, 1e-10] join M_1; the achieved
-    success sum tr(M0 rho0) + tr(M1 rho1) is the Helstrom bound
-    1 + ||rho0 - rho1||_1 / 2 up to tolerance.
+    M_0 projects onto the eigenspace of Delta with eigenvalues >
+    HELSTROM_BAND; M_1 = I - M_0.  Eigenvalues in [-HELSTROM_BAND,
+    HELSTROM_BAND] join M_1; the achieved success sum tr(M0 rho0) +
+    tr(M1 rho1) is the Helstrom bound 1 + ||rho0 - rho1||_1 / 2 up to
+    tolerance.
     """
     if rho0.dim != rho1.dim:
         raise ValueError("dimension mismatch")
@@ -292,7 +298,8 @@ def copies_min(gamma: float, delta: float) -> int:
 
 class CorrelationTable:
     """Bipartite conditional probabilities p[a][b][x][y] over finite
-    alphabets; nonnegative and normalized per setting pair within 1e-12."""
+    alphabets; nonnegative within CORR_FLOOR_TOL (then clamped to 0) and
+    normalized per setting pair within CORR_SUM_TOL."""
 
     __slots__ = ("p",)
 
@@ -302,11 +309,11 @@ class CorrelationTable:
             raise ValueError("table must have axes (a, b, x, y)")
         if not np.isfinite(arr).all():  # NaN passes every comparison below
             raise ValueError("table has a non-finite entry")
-        if arr.min() < -1e-12:
-            raise ValueError(f"negative probability {arr.min()!r}")
+        if arr.min() < -CORR_FLOOR_TOL:
+            raise ValueError(f"negative probability {float(arr.min())!r}")  # not numpy 2's np.float64(...)
         sums = arr.sum(axis=(0, 1))
-        if np.max(np.abs(sums - 1.0)) > 1e-12:
-            raise ValueError("outcome sums must be 1 within 1e-12 for every setting pair")
+        if np.max(np.abs(sums - 1.0)) > CORR_SUM_TOL:
+            raise ValueError(f"outcome sums must be 1 within {CORR_SUM_TOL:g} for every setting pair")
         arr = np.clip(arr, 0.0, None)
         arr.setflags(write=False)
         self.p = arr
@@ -348,10 +355,10 @@ class NoSignalingVerdict:
 def check_no_signaling(t: CorrelationTable) -> NoSignalingVerdict:
     """Marginals must ignore the far party's setting: sum_a p(a,b|x,y) equal
     across x for each (b,y), and sum_b p(a,b|x,y) across y for each (a,x).
-    Passes when the worst deviation found, which it reports, is <= 1e-10."""
+    Passes when the worst deviation found, which it reports, is <= NO_SIGNALING_TOL."""
     marg_b = t.p.sum(axis=0)  # (B, X, Y); must not depend on x
     dev_b = float((marg_b.max(axis=1) - marg_b.min(axis=1)).max())
     marg_a = t.p.sum(axis=1)  # (A, X, Y); must not depend on y
     dev_a = float((marg_a.max(axis=2) - marg_a.min(axis=2)).max())
     worst = max(dev_a, dev_b)
-    return NoSignalingVerdict(passed=worst <= 1e-10, max_violation=worst)
+    return NoSignalingVerdict(passed=worst <= NO_SIGNALING_TOL, max_violation=worst)

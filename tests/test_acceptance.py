@@ -87,9 +87,8 @@ def test_quantile_learner_sample_complexity_and_success_floor():
                     ("geometric-tail", geometric_tail()),
                     ("two-tier", two_tier())]:
         dom = IndexedDomain(P.support)
-        rep = verify_guarantee(
-            lambda s, dom=dom: quantile_learn(s, dom), P, THIRD, THIRD,
-            d=3, trials=10_000, seed=20177,
+        (rep,) = verify_guarantee(
+            [(lambda s, dom=dom: quantile_learn(s, dom), 3)], P, THIRD, THIRD, trials=10_000, seed=20177,
         )
         assert rep.bound == pytest.approx(1.0 - (2.0 / 3.0) ** 3)
         assert rep.empirical_rate >= 0.690, (name, rep.empirical_rate)
@@ -130,9 +129,8 @@ def test_finite_precision_learner_success_floor():
     P = FinSupportDist.uniform([k / 20 for k in range(20)])
     pi = UniformBinsMap(8)
     learner = SegmentLearner(pi.domain, pi)
-    rep = verify_guarantee(
-        lambda s: segment_learn(learner, s), P, THIRD, THIRD,
-        d=3, trials=trials, seed=31,
+    (rep,) = verify_guarantee(
+        [(lambda s: segment_learn(learner, s), 3)], P, THIRD, THIRD, trials=trials, seed=31,
     )
     floor = 2.0 / 3.0 - 3.0 * math.sqrt((2.0 / 3.0) * (1.0 / 3.0) / trials)
     assert rep.empirical_rate >= floor

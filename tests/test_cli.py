@@ -10,6 +10,7 @@ import csv
 import json
 import math
 import os
+import random
 import re
 import shutil
 import subprocess
@@ -122,17 +123,85 @@ def test_sweep_table_cells_are_the_report_sweep_as_text(workdir, name):
     ["coarse", "--dist", "points.json", "--bits", "3", "--sweep-bits", "3,0,0"],
     ["compress", "--mode", "lemma1", "--dist", "dist.json", "--n", "12", "--sweep-n", "12,4,4"],
 ], ids=["emx", "coarse", "compress"])
-def test_each_distinct_point_of_a_run_is_checked_once(workdir, monkeypatch, argv):
+def test_one_verify_guarantee_call_carries_each_distinct_point_once(workdir, monkeypatch, argv):
     """The run's own point comes first in the sweep, and the last two sweep
-    points are equal: two ``verify_guarantee`` calls make all four entries."""
+    points are equal: one ``verify_guarantee`` call of two points makes all
+    four entries."""
     calls = []
     monkeypatch.setattr(cli, "verify_guarantee", lambda *args: calls.append(args) or emx.verify_guarantee(*args))
     assert main([*argv, "--trials", "40", "--out", "r.json"]) == 0
     report = json.loads((workdir / "r.json").read_text())
-    assert len(calls) == 2
+    assert len(calls) == 1
+    assert [d for _, d in calls[0][0]] == {"emx": [3, 1], "coarse": [3, 3], "compress": [12, 4]}[argv[0]]
     first, *rest = report["sweep"]
     assert first == {key: report["metrics"][key] for key in first}
     assert rest[0] == rest[1]
+
+
+def point_run(argv: list[str], flag: str, value) -> dict:
+    """The metrics of ``argv`` run at the one point ``flag value``, without a sweep."""
+    assert main([*argv, flag, str(value), "--out", "point.json"]) == 0
+    return json.loads(Path("point.json").read_text())["metrics"]
+
+
+def random_dist(rng: random.Random, exact: bool, unit: bool) -> dict:
+    """A distribution file of 2 to 40 points: labels in [0,1] (``unit``) or
+    strings, weights exact rational strings or floats."""
+    n = rng.randint(2, 40)
+    labels = sorted({round(rng.random(), 6) for _ in range(n)}) if unit else [f"p{i}" for i in range(n)]
+    counts = [rng.randint(1, 9) for _ in labels]
+    total = sum(counts)
+    return {"labels": labels, "weights": [f"{c}/{total}" if exact else c / total for c in counts]}
+
+
+@pytest.mark.parametrize("case", range(6))
+@pytest.mark.parametrize("run", ["emx", "coarse", "compress"])
+def test_every_sweep_row_is_its_own_single_point_run(workdir, run, case):
+    """Sweep rows and single-point runs, byte for byte, on seeded random
+    exact (even cases) and float (odd cases) distributions: a sweep point
+    reads the first d draws of trial k's random(d_max), which are the draws
+    of the point's own run."""
+    rng = random.Random(f"{run}:{case}")
+    Path("rand.json").write_text(json.dumps(random_dist(rng, case % 2 == 0, run == "coarse")))
+    seed = str(rng.randrange(2**64))
+    if run == "emx":
+        argv = ["emx", "--dist", "rand.json", "--epsilon", "1/5", "--delta", "1/5", "--trials", "60", "--seed", seed]
+        flag, sweep, key = "--d", rng.sample(range(1, 40), 4) + [1000], "d"
+    elif run == "coarse":
+        argv = ["coarse", "--dist", "rand.json", "--epsilon", "1/4", "--delta", "1/4", "--trials", "60", "--seed", seed]
+        flag, sweep, key = "--bits", rng.sample(range(0, 30), 4) + [64], "bits"
+    else:
+        argv = ["compress", "--mode", "lemma1", "--m", "1", "--dist", "rand.json", "--epsilon", "1/4",
+                "--trials", "20", "--seed", seed]
+        flag, sweep, key = "--n", rng.sample(range(2, 60), 4), "n"
+    assert main([*argv, f"--sweep-{key}", ",".join(map(str, sweep)), "--out", "sweep.json"]) == 0
+    rows = json.loads(Path("sweep.json").read_text())["sweep"]
+    assert [row[key] for row in rows] == sweep
+    for row, value in zip(rows, sweep):
+        single = point_run(argv, flag, value)
+        assert json.dumps(row, sort_keys=True) == json.dumps({k: single[k] for k in row}, sort_keys=True)
+
+
+def test_a_sweep_builds_each_trials_generator_once(workdir, monkeypatch):
+    """A 5-point run of 70 trials asks ``substreams`` once, for 70 keys, and
+    builds 70 generators: trial k's draws serve every point."""
+    requested, built = [], []
+    substreams = emx.substreams
+
+    def recording(seed, count):
+        requested.append(count)
+        for gen in substreams(seed, count):
+            built.append(gen)
+            yield gen
+
+    monkeypatch.setattr(emx, "substreams", recording)
+    for argv in (["emx", "--dist", "dist.json", "--sweep-d", "1,2,7,30"],
+                 ["coarse", "--dist", "points.json", "--sweep-bits", "0,1,5,12"],
+                 ["compress", "--mode", "lemma1", "--dist", "dist.json", "--n", "4", "--sweep-n", "5,6,9,12"]):
+        requested.clear()
+        built.clear()
+        assert main([*argv, "--trials", "70", "--out", "r.json"]) == 0
+        assert requested == [70] and len(built) == 70, argv
 
 
 def test_each_distinct_discrimination_point_is_one_slice_of_one_stack(workdir, monkeypatch):

@@ -185,7 +185,7 @@ class TestCoarseLearn:
         learner = SegmentLearner(pi.domain, pi)
         P = FinSupportDist([0.1, 0.6], ["1/2", "1/2"])
         with pytest.raises(ValueError, match="^empty sample"):
-            verify_guarantee(learner, P, "1/3", "1/3", 0, 5, 0)
+            verify_guarantee([(learner, 0)], P, "1/3", "1/3", 5, 0)
         with pytest.raises(ValueError, match="^empty sample"):
             segment_learn(learner, [])
         (tmp_path / "points.json").write_text('{"labels": [0.1, 0.6], "weights": ["1/2", "1/2"]}')

@@ -243,6 +243,59 @@ class TestFinSupportDist:
         assert {"labels": list(Q.support), "weights": [str(w) for w in Q.weights]} == \
             {**obj, "weights": ["1/2", "1/4", "1/4"]}
 
+    @staticmethod
+    def fraction_sum_check(weights) -> str | None:
+        """The checks as ``Fraction`` sums made them: the message, or None."""
+        ws = [w if isinstance(w, float) else as_fraction(w) for w in weights]
+        if any(w <= 0 for w in ws):
+            return "weights must be strictly positive"
+        if all(isinstance(w, Fraction) for w in ws):
+            total = sum(ws)
+            return None if total == 1 else f"rational weights must sum to exactly 1, got {total}"
+        total = math.fsum(ws)
+        return None if abs(total - 1.0) <= emx.FLOAT_SUM_TOL else \
+            f"float weights must sum to 1 within {emx.FLOAT_SUM_TOL}, got {total!r}"
+
+    @pytest.mark.parametrize("weights, message", [
+        (["1/2", "1/3"], "rational weights must sum to exactly 1, got 5/6"),
+        (["1/2", "0", "1/2"], "weights must be strictly positive"),
+        ([0.5, 0.0, 0.5], "weights must be strictly positive"),
+        ([0.5, -0.0, 0.5], "weights must be strictly positive"),
+        ([0.5, 0.5 + 3e-12], "float weights must sum to 1 within 1e-12, got 1.000000000003"),
+        ([0.5, 0.5 - 3e-12], "float weights must sum to 1 within 1e-12, got 0.999999999997"),
+        (["1/3", "1/3", "1/3"], None),
+        ([0.1] * 10, None),
+    ])
+    def test_integer_form_checks_as_the_fraction_sums_did(self, weights, message):
+        assert self.fraction_sum_check(weights) == message
+        if message is None:
+            P = FinSupportDist(range(len(weights)), weights)
+            assert [Fraction(n, P._den) for n in P._nums] == [Fraction(w) for w in P.weights]
+        else:
+            with pytest.raises(ValueError) as refused:
+                FinSupportDist(range(len(weights)), weights)
+            assert str(refused.value) == message
+
+    @settings(max_examples=300, deadline=None)
+    @given(counts=st.lists(st.integers(-1, 9), min_size=1, max_size=12),
+           total_shift=st.integers(-1, 1), floats=st.booleans(), jitter=st.sampled_from([0.0, 5e-13, 3e-12, -3e-12]))
+    def test_integer_form_accepts_and_refuses_what_the_fraction_sums_did(self, counts, total_shift, floats, jitter):
+        """Exact weights k/(total + shift) and float weights k/total with
+        the last one moved by jitter: the same verdict and message."""
+        total = max(1, sum(counts) + total_shift)
+        if floats:
+            weights = [c / total for c in counts]
+            weights[-1] += jitter
+        else:
+            weights = [f"{c}/{total}" for c in counts]
+        want = self.fraction_sum_check(weights)
+        try:
+            FinSupportDist(range(len(weights)), weights)
+        except ValueError as exc:
+            assert str(exc) == want
+        else:
+            assert want is None
+
     @pytest.mark.parametrize("key, value", [("labels", "ab"), ("weights", "1")])
     def test_json_string_for_a_list_is_a_type_error(self, key, value):
         obj = {"labels": ["a", "b"], "weights": ["1/2", "1/2"], key: value}
@@ -333,12 +386,12 @@ class TestSampling:
     def test_guarantee_check_rejects_a_negative_size(self):
         dom = IndexedDomain("ab")
         with pytest.raises(ValueError, match="sample size must be >= 0"):
-            verify_guarantee(lambda s: quantile_learn(s, dom), uniform_on("ab"), "1/2", "1/2", -1, 5, seed=0)
+            verify_guarantee([(lambda s: quantile_learn(s, dom), -1)], uniform_on("ab"), "1/2", "1/2", 5, seed=0)
 
     def test_trial_k_draws_from_substream_seed_k(self):
         P = uniform_on("abcdef")
         drawn = []
-        verify_guarantee(lambda s: drawn.append(s) or frozenset(), P, "1/2", "1/2", 4, 3, seed=9)
+        verify_guarantee([(lambda s: drawn.append(s) or frozenset(), 4)], P, "1/2", "1/2", 3, seed=9)
         assert drawn == [draw_sample(P, 4, 9, (k,)) for k in range(3)]
 
 
@@ -460,7 +513,7 @@ class TestGuaranteeBound:
     @staticmethod
     def bound(eps, d: int) -> float:
         P = FinSupportDist(["a"], [Fraction(1)])
-        return verify_guarantee(lambda s: {"a"}, P, eps, Fraction(1, 3), d, 1, seed=0).bound
+        return verify_guarantee([(lambda s: {"a"}, d)], P, eps, Fraction(1, 3), 1, seed=0)[0].bound
 
     def test_small_epsilon_keeps_every_printed_digit(self):
         # 1 - (1 - eps)^d printed 1.00000008274e-10 and 7.00000057918e-10 here
@@ -484,23 +537,23 @@ class TestVerifyGuarantee:
     def test_point_mass_always_succeeds(self):
         P = FinSupportDist(["a"], [Fraction(1)])
         dom = IndexedDomain("a")
-        rep = verify_guarantee(self.learner(dom), P, Fraction(1, 3), Fraction(1, 3), 1, 50, seed=0)
+        rep = verify_guarantee([(self.learner(dom), 1)], P, Fraction(1, 3), Fraction(1, 3), 50, seed=0)[0]
         assert rep.empirical_rate == 1.0
         assert rep.ci_halfwidth == 0.0
 
     def test_reports_are_reproducible(self):
         P = FinSupportDist("abc", ["1/2", "1/4", "1/4"])
         dom = IndexedDomain("abc")
-        a = verify_guarantee(self.learner(dom), P, Fraction(1, 3), Fraction(1, 3), 3, 400, seed=7)
-        b = verify_guarantee(self.learner(dom), P, Fraction(1, 3), Fraction(1, 3), 3, 400, seed=7)
+        a = verify_guarantee([(self.learner(dom), 3)], P, Fraction(1, 3), Fraction(1, 3), 400, seed=7)[0]
+        b = verify_guarantee([(self.learner(dom), 3)], P, Fraction(1, 3), Fraction(1, 3), 400, seed=7)[0]
         assert a == b
-        c = verify_guarantee(self.learner(dom), P, Fraction(1, 3), Fraction(1, 3), 3, 400, seed=8)
+        c = verify_guarantee([(self.learner(dom), 3)], P, Fraction(1, 3), Fraction(1, 3), 400, seed=8)[0]
         assert c.empirical_rate != a.empirical_rate or c.seed != a.seed
 
     def test_report_fields_and_json(self):
         P = uniform_on("ab")
         dom = IndexedDomain("ab")
-        rep = verify_guarantee(self.learner(dom), P, Fraction(1, 2), Fraction(1, 2), 2, 10, seed=1)
+        rep = verify_guarantee([(self.learner(dom), 2)], P, Fraction(1, 2), Fraction(1, 2), 10, seed=1)[0]
         obj = dataclasses.asdict(rep)
         assert set(obj) == {
             "epsilon", "delta", "d", "trials", "seed",
@@ -512,28 +565,28 @@ class TestVerifyGuarantee:
     def test_rational_strings_accepted(self):
         P = uniform_on("ab")
         dom = IndexedDomain("ab")
-        rep = verify_guarantee(self.learner(dom), P, "1/2", "1/2", 2, 10, seed=1)
-        want = verify_guarantee(self.learner(dom), P, Fraction(1, 2), Fraction(1, 2), 2, 10, seed=1)
+        rep = verify_guarantee([(self.learner(dom), 2)], P, "1/2", "1/2", 10, seed=1)[0]
+        want = verify_guarantee([(self.learner(dom), 2)], P, Fraction(1, 2), Fraction(1, 2), 10, seed=1)[0]
         assert rep == want
         assert rep.delta == Fraction(1, 2)
 
     def test_a_sample_size_past_the_limit_is_refused_before_drawing(self, monkeypatch):
         monkeypatch.setattr(emx, "SAMPLE_LIMIT", 64)
         learner, P = self.learner(IndexedDomain("ab")), uniform_on("ab")
-        assert verify_guarantee(learner, P, "1/2", "1/2", 64, 3, seed=0).d == 64
+        assert verify_guarantee([(learner, 64)], P, "1/2", "1/2", 3, seed=0)[0].d == 64
         monkeypatch.setattr(emx, "substreams", lambda seed, count: pytest.fail("drew a trial"))
         with pytest.raises(ValueError, match=r"^sample size d = 65 is above the limit of 64 points$"):
-            verify_guarantee(learner, P, "1/2", "1/2", 65, 3, seed=0)
+            verify_guarantee([(learner, 65)], P, "1/2", "1/2", 3, seed=0)
 
     def test_trials_validated(self):
         P = uniform_on("ab")
         with pytest.raises(ValueError):
-            verify_guarantee(lambda s: frozenset("ab"), P, 0.5, 0.5, 1, 0, seed=0)
+            verify_guarantee([(lambda s: frozenset("ab"), 1)], P, 0.5, 0.5, 0, seed=0)
 
     @pytest.mark.parametrize("eps, dlt", [(0, "1/2"), (1, "1/2"), (2, "1/2"), ("1/2", 1), ("1/2", 5)])
     def test_epsilon_and_delta_validated(self, eps, dlt):
         with pytest.raises(ValueError, match=r"need epsilon in \(0,1\) and delta in \[0,1\)"):
-            verify_guarantee(lambda s: frozenset("ab"), uniform_on("ab"), eps, dlt, 1, 5, seed=0)
+            verify_guarantee([(lambda s: frozenset("ab"), 1)], uniform_on("ab"), eps, dlt, 5, seed=0)
 
     @pytest.mark.parametrize("eps", [Fraction(1, 10), Fraction(3, 10), Fraction(1, 2)])
     @pytest.mark.parametrize("size", [2, 10, 50])
@@ -544,7 +597,7 @@ class TestVerifyGuarantee:
         dom = IndexedDomain(range(size))
         d = sample_complexity(eps, Fraction(1, 3))
         trials = 250
-        rep = verify_guarantee(self.learner(dom), P, eps, Fraction(1, 3), d, trials, seed=20177 + size)
+        rep = verify_guarantee([(self.learner(dom), d)], P, eps, Fraction(1, 3), trials, seed=20177 + size)[0]
         floor = rep.bound - 4.0 * math.sqrt(rep.bound * (1.0 - rep.bound) / trials) - 1e-12
         assert rep.empirical_rate >= floor
 
@@ -554,7 +607,7 @@ class TestVerifyGuarantee:
         """One-trial reports agree with a by-hand success check."""
         P = FinSupportDist("abcd", ["1/2", "1/4", "1/8", "1/8"])
         dom = IndexedDomain("abcd")
-        rep = verify_guarantee(self.learner(dom), P, Fraction(1, 3), Fraction(1, 3), d, 1, seed=seed)
+        rep = verify_guarantee([(self.learner(dom), d)], P, Fraction(1, 3), Fraction(1, 3), 1, seed=seed)[0]
         S = draw_sample(P, d, seed=seed, stream=(0,))
         expected = mass(P, quantile_learn(S, dom)) >= Fraction(2, 3)
         assert rep.empirical_rate == (1.0 if expected else 0.0)
@@ -621,5 +674,5 @@ class TestQuantileSuccess:
         trials, eps, d = 400, Fraction(1, 10), 10
         p = float(quantile_success(P, dom, eps, d))
         assert 0.2 < p < 0.95  # far enough from 1 for the check to bite
-        rep = verify_guarantee(lambda s: quantile_learn(s, dom), P, eps, Fraction(1, 10), d, trials, seed)
+        rep = verify_guarantee([(lambda s: quantile_learn(s, dom), d)], P, eps, Fraction(1, 10), trials, seed)[0]
         assert abs(rep.empirical_rate - p) <= 4.0 * math.sqrt(p * (1.0 - p) / trials)

@@ -246,7 +246,7 @@ def outcome(call):
 
 def report_fields(learner, P, epsilon, delta, d, trials, seed):
     """Every report field with its type, or the error's type and message."""
-    rep = outcome(lambda: verify_guarantee(learner, P, epsilon, delta, d, trials, seed))
+    rep = outcome(lambda: verify_guarantee([(learner, d)], P, epsilon, delta, trials, seed)[0])
     if isinstance(rep, tuple):
         return rep
     return [(f.name, type(getattr(rep, f.name)), getattr(rep, f.name)) for f in dataclasses.fields(rep)]
@@ -360,8 +360,8 @@ def test_out_of_order_float_weights_answer_from_the_exact_sum():
     P = FinSupportDist("abcd", [0.1, 0.2, 0.3, 0.4])
     learner = SegmentLearner(IndexedDomain("cbad"))
     assert Fraction(0.1) + Fraction(0.2) + Fraction(0.3) >= Fraction(3, 5) > (0.3 + 0.2) + 0.1
-    rep = verify_guarantee(learner, P, "2/5", "1/2", 1, 200, 5)
-    assert rep == verify_guarantee(lambda s: segment_learn(learner, s), P, "2/5", "1/2", 1, 200, 5)
+    rep = verify_guarantee([(learner, 1)], P, "2/5", "1/2", 200, 5)[0]
+    assert rep == verify_guarantee([(lambda s: segment_learn(learner, s), 1)], P, "2/5", "1/2", 200, 5)[0]
     # wins: a (ranks <= 3 hold 3/5 and more) and d (all of P)
     assert rep.empirical_rate == sum(P.sample(emx.substream(5, k), 1) in (("a",), ("d",)) for k in range(200)) / 200
 
@@ -376,15 +376,15 @@ def test_the_first_support_point_the_map_rejects_names_the_error():
     learner = SegmentLearner(pi.domain, pi)
     assert draw_sample(P, 7, 0, (0,))[0] is None
     with pytest.raises(TypeError):
-        verify_guarantee(lambda s: segment_learn(learner, s), P, "1/3", "1/3", 7, 5, 0)
+        verify_guarantee([(lambda s: segment_learn(learner, s), 7)], P, "1/3", "1/3", 5, 0)
     with pytest.raises(ValueError, match=r"^point 1\.5 outside \[0,1\]$"):
-        verify_guarantee(learner, P, "1/3", "1/3", 7, 5, 0)
+        verify_guarantee([(learner, 7)], P, "1/3", "1/3", 5, 0)
     P = FinSupportDist("abc", ["1/2", "499999/1000000", "1/1000000"])
     learner = SegmentLearner(IndexedDomain("ab"))
     assert "c" not in draw_sample(P, 7, 0, (0,))
-    verify_guarantee(lambda s: segment_learn(learner, s), P, "1/3", "1/3", 7, 1, 0)
+    verify_guarantee([(lambda s: segment_learn(learner, s), 7)], P, "1/3", "1/3", 1, 0)
     with pytest.raises(KeyError, match="'c' not in domain"):
-        verify_guarantee(learner, P, "1/3", "1/3", 7, 1, 0)
+        verify_guarantee([(learner, 7)], P, "1/3", "1/3", 1, 0)
 
 
 def rank_path_only(monkeypatch):
@@ -410,11 +410,11 @@ def test_rank_path_maps_each_support_point_once_and_builds_no_sample(monkeypatch
     pi = CountingBins(8)
     learner = SegmentLearner(pi.domain, pi)
     fresh = FinSupportDist(xs, P.weights)
-    want = verify_guarantee(lambda s: segment_learn(learner, s), fresh, "1/20", "1/10", 45, 30, 7)
+    want = verify_guarantee([(lambda s: segment_learn(learner, s), 45)], fresh, "1/20", "1/10", 30, 7)[0]
     rank_path_only(monkeypatch)
     CountingBins.calls = 0
     for _ in range(3):
-        assert verify_guarantee(learner, P, "1/20", "1/10", 45, 30, 7) == want
+        assert verify_guarantee([(learner, 45)], P, "1/20", "1/10", 30, 7)[0] == want
     assert CountingBins.calls == len(xs)
 
 
@@ -443,7 +443,7 @@ def test_rank_path_draws_trial_k_from_substream_seed_k(monkeypatch, learner_of):
     monkeypatch.setattr(emx, "substreams", recording)
     if isinstance(learner, SegmentLearner):
         rank_path_only(monkeypatch)
-    verify_guarantee(learner, P, "1/3", "1/3", d, trials, seed)
+    verify_guarantee([(learner, d)], P, "1/3", "1/3", trials, seed)
     assert requested == [(seed, trials)]
     assert len(generators) == trials
     for k, gen in enumerate(generators):
@@ -467,7 +467,7 @@ def test_label_path_gets_trial_ks_sample_across_blocks(d, trials):
             seen.append(sample)
             return frozenset(sample[:3])
 
-        rep = verify_guarantee(learner, P, "1/3", "1/3", d, trials, seed)
+        rep = verify_guarantee([(learner, d)], P, "1/3", "1/3", trials, seed)[0]
         assert seen == [P.sample(emx.substream(seed, k), d) for k in range(trials)]
         assert {len(s) for s in seen} == {d} and set(itertools.chain.from_iterable(seen)) <= set(labels)
         assert rep.empirical_rate == sum(mass(P, frozenset(s[:3])) >= Fraction(2, 3) for s in seen) / trials
@@ -487,8 +487,38 @@ def test_an_empty_sample_reaches_the_learner(monkeypatch, learner_of, generators
     substreams = emx.substreams
     monkeypatch.setattr(emx, "substreams", lambda *key: (built.append(g) or g for g in substreams(*key)))
     with pytest.raises(ValueError, match="^empty sample: maximum index undefined$"):
-        verify_guarantee(learner, P, "1/3", "1/3", 0, 70_000, 11)
+        verify_guarantee([(learner, 0)], P, "1/3", "1/3", 70_000, 11)
     assert len(built) == generators
+
+
+@settings(max_examples=60, deadline=None)
+@given(P=labelled_case().map(lambda case: case[0]), seed=st.integers(0, 2**70), trials=st.integers(1, 40),
+       ds=st.lists(st.sampled_from([1, 2, 5, 45, 3000]), min_size=1, max_size=4))
+def test_one_call_of_k_points_reports_what_k_calls_report(P, seed, trials, ds):
+    """Rank-path and label-path points, mixed in one call, each get the
+    report of a call of that point alone, and the label path asks ``mass``
+    once per distinct learned segment."""
+    dom = IndexedDomain(P.support)
+    points = [(SegmentLearner(dom) if i % 2 else (lambda s: quantile_learn(s, dom)), d) for i, d in enumerate(ds)]
+    alone = [verify_guarantee([point], P, "1/4", "1/4", trials, seed)[0] for point in points]
+    asked = []
+    with unittest.mock.patch.object(emx, "mass", lambda P, F, f=emx.mass: asked.append(F) or f(P, F)):
+        assert verify_guarantee(points, P, "1/4", "1/4", trials, seed) == alone
+    assert len(asked) == len(set(asked)) <= len(P.support)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ((SegmentLearner(IndexedDomain("abc")), -1), "^sample size must be >= 0$"),
+    ((lambda s: frozenset(s), 2**24 + 1), "^sample size d = 16777217 is above the limit of 16777216 points$"),
+    ((SegmentLearner(IndexedDomain("abc")), 0), "^empty sample: maximum index undefined$"),
+], ids=["negative", "past-the-limit", "segment-d-zero"])
+def test_an_invalid_point_fails_before_anything_is_drawn(monkeypatch, bad, message):
+    """Behind a valid point, an invalid one raises its own message before
+    ``substreams`` is asked for a generator."""
+    P = FinSupportDist("abc", ["1/2", "1/4", "1/4"])
+    monkeypatch.setattr(emx, "substreams", lambda *key: pytest.fail("drew a trial"))
+    with pytest.raises(ValueError, match=message):
+        verify_guarantee([(SegmentLearner(IndexedDomain("abc")), 3), bad], P, "1/3", "1/3", 10, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -601,8 +631,8 @@ def test_a_frozenset_scheme_runs_through_the_erm_and_the_label_path():
         assert same(got, reference_compression_learner(scheme, pts, dom))
         assert got == quantile_learn(pts, dom).elements and got != quantile_learn(pts, dom)
     learner = lambda s: compression_learner(scheme, s, dom)  # noqa: E731
-    assert verify_guarantee(learner, P, "1/8", "1/4", 6, 300, 11) == verify_guarantee(
-        SegmentLearner(dom), P, "1/8", "1/4", 6, 300, 11)
+    assert verify_guarantee([(learner, 6)], P, "1/8", "1/4", 300, 11) == verify_guarantee(
+        [(SegmentLearner(dom), 6)], P, "1/8", "1/4", 300, 11)
 
 
 @settings(max_examples=300, deadline=None)

@@ -675,6 +675,91 @@ class TestNoSignaling:
             assert check_no_signaling(t).passed
 
 
+def signaling_table(eps: float) -> np.ndarray:
+    """The uniform (2, 2, 2, 2) table with eps of Alice's a = 1 mass moved to
+    a = 0 at settings (0, 0): her marginal then depends on Bob's y by eps."""
+    p = np.full((2, 2, 2, 2), 0.25)
+    p[0, 0, 0, 0] += eps
+    p[1, 0, 0, 0] -= eps
+    return p
+
+
+class TestTolerancesFromBothSides:
+    """HERM_TOL, STATE_EIG_TOL, the CorrelationTable floor and the
+    no-signaling pass line, each with an input 5x outside its tolerance,
+    refused (a tolerance loosened 10x would pass it), and a legitimate
+    input 5x inside, accepted (a tolerance tightened 10x would refuse it)."""
+
+    def test_constants(self):
+        assert (quantum.HERM_TOL, quantum.STATE_EIG_TOL, quantum.CORR_FLOOR_TOL, quantum.NO_SIGNALING_TOL) == (
+            1e-12, 1e-10, 1e-12, 1e-10)
+
+    def test_a_state_5e_12_from_hermitian_is_refused(self):
+        m = np.array([[0.5, 0.25 + 5e-12], [0.25, 0.5]], dtype=complex)
+        with pytest.raises(ValueError, match=r"^state is not Hermitian within 1e-12$"):
+            DensityMatrix(m)
+
+    def test_a_state_typed_to_12_and_13_decimals_is_hermitian(self):
+        # the two off-diagonal halves of 1/(2 sqrt 2) differ by 5e-13
+        rho = DensityMatrix.from_json({"entries": [[[0.5, 0], [0.353553390593, 0]],
+                                                   [[0.3535533905935, 0], [0.5, 0]]]})
+        assert abs(rho.mat[0, 1] - rho.mat[1, 0]) == pytest.approx(5e-13, rel=1e-3)
+
+    @pytest.mark.parametrize("povm", [False, True], ids=["state", "povm-element"])
+    def test_an_eigenvalue_of_minus_5e_10_is_refused(self, povm):
+        m = np.diag([1.0 + 5e-10, -5e-10]).astype(complex)
+        what = "POVM element" if povm else "state"
+        with pytest.raises(ValueError, match=rf"^{what} has an eigenvalue below -1e-10$"):
+            Povm([m, np.eye(2) - m]) if povm else DensityMatrix(m)
+
+    @pytest.mark.parametrize("povm", [False, True], ids=["state", "povm-element"])
+    def test_an_eigenvalue_of_minus_5e_11_is_rounding(self, povm):
+        # a rank-one projector that rounding left 5e-11 below PSD
+        m = np.diag([1.0 + 5e-11, -5e-11]).astype(complex)
+        if povm:
+            assert Povm([m, np.eye(2) - m]).dim == 2
+        else:
+            assert np.linalg.eigvalsh(DensityMatrix(m).mat).min() == pytest.approx(-5e-11)
+
+    def test_a_probability_of_minus_5e_12_is_refused(self):
+        p = np.full((2, 2, 1, 1), 0.25)
+        p[0, 0, 0, 0], p[1, 1, 0, 0] = -5e-12, 0.5 + 5e-12
+        with pytest.raises(ValueError, match=r"^negative probability -5e-12$"):
+            CorrelationTable(p)
+
+    def test_a_probability_of_minus_5e_13_is_clamped_to_zero(self):
+        # a Born-rule zero, rounded below 0
+        p = np.full((2, 2, 1, 1), 0.25)
+        p[0, 0, 0, 0], p[1, 1, 0, 0] = -5e-13, 0.5 + 5e-13
+        assert CorrelationTable(p).p[0, 0, 0, 0] == 0.0
+
+    def test_signaling_of_5e_10_fails(self):
+        verdict = check_no_signaling(CorrelationTable(signaling_table(5e-10)))
+        assert not verdict.passed and verdict.max_violation == pytest.approx(5e-10, rel=1e-5)
+
+    def test_signaling_of_5e_11_passes(self):
+        verdict = check_no_signaling(CorrelationTable(signaling_table(5e-11)))
+        assert verdict.passed and verdict.max_violation == pytest.approx(5e-11, rel=1e-4)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: DensityMatrix(np.array([[0.5, 0.1], [0.3, 0.5]])), "state is not Hermitian within 1e-12"),
+        (lambda: Povm([np.array([[0.5, 0.1], [0.3, 0.5]]), np.eye(2) / 2]),
+         "POVM element is not Hermitian within 1e-10"),
+        (lambda: DensityMatrix(np.diag([1.5, -0.5])), "state has an eigenvalue below -1e-10"),
+        (lambda: Povm([np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])]), "POVM element has an eigenvalue below -1e-10"),
+        (lambda: Povm([np.diag([1.0, 0.0]), np.diag([0.0, 0.5])]),
+         "POVM elements do not sum to the identity within 1e-10"),
+        (lambda: DensityMatrix(np.eye(2)), "state trace is not 1 within 1e-12"),
+        (lambda: CorrelationTable(np.full((2, 2, 1, 1), 0.3)),
+         "outcome sums must be 1 within 1e-12 for every setting pair"),
+    ], ids=["state-hermitian", "povm-hermitian", "state-eigenvalue", "povm-eigenvalue", "povm-sum", "trace",
+            "table-sum"])
+    def test_tolerance_messages_are_spelled_from_their_constants(self, build, message):
+        with pytest.raises(ValueError) as refused:
+            build()
+        assert str(refused.value) == message
+
+
 class TestRandomEnsembles:
     def test_random_state_is_valid_and_reproducible(self):
         a = random_density_matrix(5, np.random.default_rng(42))
