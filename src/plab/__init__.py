@@ -13,9 +13,16 @@ import sys
 __version__ = "0.1.0"
 
 
+class ResourceCapError(RuntimeError):
+    """Raised when a tensor power would exceed the dimension cap (``plab.quantum.DIM_CAP``).  It lives
+    here so that ``plab.cli`` can catch it without executing ``plab.quantum``."""
+
+
 def _lazy(name: str):
     """Module ``name`` as ``sys.modules`` holds it (None where it is blocked), else a module
-    executed on its first attribute access: the ``importlib.util.LazyLoader`` recipe."""
+    executed on its first attribute access: the ``importlib.util.LazyLoader`` recipe.  A new
+    submodule is also bound on its package, as an import statement binds it, so that
+    ``plab.quantum.tensor_power`` and ``from plab import quantum`` find it unexecuted."""
     if name in sys.modules:
         return sys.modules[name]
     spec = importlib.util.find_spec(name)
@@ -24,6 +31,9 @@ def _lazy(name: str):
     spec.loader = importlib.util.LazyLoader(spec.loader)
     module = sys.modules[name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    package, _, child = name.rpartition(".")
+    if package:
+        setattr(sys.modules[package], child, module)
     return module
 
 

@@ -9,24 +9,27 @@ Reports are JSON {config, metrics, sweep?, wall_clock_s, version} written
 atomically; floats are pinned to 12 significant digits so identical
 (config, seed) runs produce byte-identical reports apart from wall_clock_s.
 The default seed is 20177.
+
+Every layer but ``emx`` is bound through ``plab._lazy``, so a process executes only the layers its
+subcommand runs; the run config is a namespace and the report a named tuple, so start-up loads
+neither ``dataclasses`` nor ``inspect``.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
 import json
 import os
 import sys
 import time
 from collections import namedtuple
-from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 
-from . import __version__, _np as np, coarse, compression, feasibility, quantum
+from . import ResourceCapError, __version__, _lazy, _np as np
 from .emx import (
     FinSupportDist,
     IndexedDomain,
@@ -37,19 +40,22 @@ from .emx import (
     sample_complexity,
     verify_guarantee,
 )
-from .tasks import TaskSpec
+
+coarse, compression, feasibility, quantum, tasks = map(_lazy, ("plab.coarse", "plab.compression", "plab.feasibility",
+                                                            "plab.quantum", "plab.tasks"))
+_lazy("plab.simplex")  # only feasibility runs it; registered so that every plab module is in sys.modules
 
 DEFAULT_SEED = 20177
 
 
-@dataclass
-class ExperimentConfig:
-    kind: str
-    parameters: dict = field(default_factory=dict)
-    seed: int = DEFAULT_SEED
-    out: str | None = None
+class ExperimentConfig(SimpleNamespace):
+    """One run: ``kind``, ``parameters`` (a fresh dict when not given; None is refused), ``seed`` and ``out``."""
 
-    def __post_init__(self) -> None:
+    def __init__(self, kind: str, parameters: dict = ..., seed: int = DEFAULT_SEED, out: str | None = None):
+        super().__init__(kind=kind, parameters={} if parameters is ... else parameters, seed=seed, out=out)
+        self._check_shape()
+
+    def _check_shape(self) -> None:
         for key, types, want in (("kind", str, "a string"), ("parameters", dict, "an object"),
                                  ("seed", int, "an integer"), ("out", (str, type(None)), "a string or null")):
             value = getattr(self, key)
@@ -62,7 +68,7 @@ class ExperimentConfig:
         """Every parameter the kind declares: the value converted to its declared type (rationals
         by ``as_fraction``), else the default, null counting as absent.  Raise ValueError naming the
         key for a malformed config, unknown kind or parameter, mistyped or missing value."""
-        self.__post_init__()  # the shape may have changed since construction
+        self._check_shape()  # the shape may have changed since construction
         if self.kind not in _KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r} (known: {', '.join(_KINDS)})")
         declared = _KINDS[self.kind].params
@@ -100,18 +106,15 @@ class ExperimentConfig:
         return cls(**obj)
 
 
-@dataclass
-class RunReport:
-    config: dict
-    metrics: dict
-    sweep: list[dict] | None
-    wall_clock_s: float
-    version: str
+class RunReport(namedtuple("RunReport", "config metrics sweep wall_clock_s version")):
+    """A run's report; ``sweep`` is None for a run without a sweep."""
+
+    __slots__ = ()
 
     def parts(self):
         """The report's text as ``_parts`` streams it: the text of the reference writer in
         ``tests/reference_writer.py`` (a witness matrix may be held as its array)."""
-        out = dict(vars(self))
+        out = self._asdict()
         if self.sweep is None:
             del out["sweep"]
         return _parts(out)
@@ -232,6 +235,7 @@ def _remove(path: str) -> None:
 
 def emit_table(report: RunReport, path: str) -> None:
     """One CSV row per flat sweep point, values pinned by ``_leaf``; header keys from the first row."""
+    import csv  # only a --table run needs it
     if not report.sweep:
         raise ValueError("report has no sweep to tabulate")
     rows = [{str(k): _leaf(v) for k, v in row.items()} for row in report.sweep]
@@ -345,7 +349,7 @@ def _run_quantum(p: dict, seed: int):
 
 
 def _run_feasible_lp(p: dict, seed: int):
-    task = _load_json(p["task"], TaskSpec.from_json)
+    task = _load_json(p["task"], tasks.TaskSpec.from_json)
     if p["polytope"]:
         poly = _load_json(p["polytope"], feasibility.PolytopeSpec.from_json)
         n_t, n_h = len(task.thetas), len(task.hyps)
@@ -363,7 +367,7 @@ def _run_feasible_lp(p: dict, seed: int):
 
 
 def _run_feasible_sdp(p: dict, seed: int):
-    task = _load_json(p["task"], TaskSpec.from_json)
+    task = _load_json(p["task"], tasks.TaskSpec.from_json)
     states = []
     for theta in task.thetas:
         path = os.path.join(p["states"], f"{theta}.json")
@@ -535,7 +539,7 @@ def main(argv: list[str] | None = None) -> int:
             os.replace(table, args.table)
         if not cfg.out:
             print(report.to_text())
-    except (ValueError, KeyError, OSError, quantum.ResourceCapError) as exc:
+    except (ValueError, KeyError, OSError, ResourceCapError) as exc:
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc  # str() would quote it
         print(f"plab: error: {message}", file=sys.stderr)
         return 1

@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate
 from typing import Callable, Container, Iterable, Iterator, Sequence
@@ -110,9 +110,9 @@ def _fixed_state() -> type:
     on first use, since importing numpy.random costs about 20 ms."""
     from numpy.random.bit_generator import ISeedSequence
 
-    @dataclass
     class FixedState(ISeedSequence):
-        row: np.ndarray  # C-contiguous: PCG64 reads its raw buffer
+        def __init__(self, row: np.ndarray):
+            self.row = row  # C-contiguous: PCG64 reads its raw buffer
 
         def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
             return self.row
@@ -426,14 +426,12 @@ def quantile_learn(sample: Iterable, dom: IndexedDomain) -> FiniteHypothesis:
     return dom.initial_segment(max(map(dom.idx, pts)))
 
 
-@dataclass(frozen=True)
-class SegmentLearner:
+class SegmentLearner(namedtuple("SegmentLearner", "dom pi", defaults=(None,))):
     """Max-rank learner over ``dom`` after the map ``pi`` (None: identity): on a
     sample, the segment up to the largest rank of its labels, pulled back
     through ``pi``.  ``verify_guarantee`` answers its trials from support ranks."""
 
-    dom: IndexedDomain
-    pi: Callable | None = None
+    __slots__ = ()
 
     def _table(self, P: FinSupportDist, d: int) -> tuple:
         """P's prefix table, where one bisect answers every trial of size d.
@@ -483,18 +481,8 @@ def sample_complexity(epsilon, delta) -> int:
     return max(1, n if s**n * b <= a * q**n else n + 1)
 
 
-@dataclass(frozen=True)
-class GuaranteeReport:
-    """Monte Carlo verdict for a learner against the (eps, delta) guarantee."""
-
-    epsilon: Fraction
-    delta: Fraction
-    d: int
-    trials: int
-    seed: int
-    empirical_rate: float
-    ci_halfwidth: float
-    bound: float
+GuaranteeReport = namedtuple("GuaranteeReport", "epsilon delta d trials seed empirical_rate ci_halfwidth bound")
+GuaranteeReport.__doc__ = "Monte Carlo verdict for a learner against the (eps, delta) guarantee."
 
 
 def verify_guarantee(

@@ -30,9 +30,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Sequence
 
+from . import ResourceCapError
 from . import _np as np  # numpy, loaded on first use
 
 HERM_TOL = 1e-12
@@ -46,33 +47,30 @@ NO_SIGNALING_TOL = 1e-10  # the largest marginal deviation check_no_signaling pa
 DIM_CAP = 1 << 10  # largest dimension dim^d that ``tensor_power`` builds
 
 
-class ResourceCapError(RuntimeError):
-    """Raised when a tensor power would exceed the dimension cap."""
-
-
 def _hermitize(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().swapaxes(-1, -2)) / 2.0
 
 
 def _checked(m: np.ndarray, povm: bool = False) -> np.ndarray:
     """m frozen once every state of the stack m (..., n, n), or POVM of m (..., k, n, n), passes the rules
-    above: one eigvalsh for all matrices, one for all POVM sums.  Finiteness comes first: every
-    comparison with NaN is False, so the later checks would pass a NaN matrix."""
+    above: one eigvalsh for all matrices, one for all POVM sums.  NaN fails every test, and numpy's float
+    warnings are off: entries near the float limit overflow in a sum, to NaN eigenvalues, which refuse m."""
     what, herm_tol = ("POVM element", POVM_TOL) if povm else ("state", HERM_TOL)
-    if not np.isfinite(m).all():
-        raise ValueError(f"{what} has a non-finite entry")
-    if np.max(np.abs(m - m.conj().swapaxes(-1, -2))) > herm_tol:
-        raise ValueError(f"{what} is not Hermitian within {herm_tol:g}")
-    if np.linalg.eigvalsh(_hermitize(m)).min() < -STATE_EIG_TOL:
-        raise ValueError(f"{what} has an eigenvalue below -{STATE_EIG_TOL:g}")
-    if povm:
-        gap = np.linalg.eigvalsh(_hermitize(m.sum(axis=-3) - np.eye(m.shape[-1])))
-        if np.max(np.abs(gap)) > POVM_TOL:
-            raise ValueError(f"POVM elements do not sum to the identity within {POVM_TOL:g}")
-    else:
-        tr = np.trace(m, axis1=-2, axis2=-1)
-        if np.abs(tr.real - 1.0).max() > TRACE_TOL or np.abs(tr.imag).max() > TRACE_TOL:
-            raise ValueError(f"state trace is not 1 within {TRACE_TOL:g}")
+    with np.errstate(all="ignore"):
+        if not np.isfinite(m).all():
+            raise ValueError(f"{what} has a non-finite entry")
+        if not np.max(np.abs(m - m.conj().swapaxes(-1, -2))) <= herm_tol:
+            raise ValueError(f"{what} is not Hermitian within {herm_tol:g}")
+        if not np.linalg.eigvalsh(_hermitize(m)).min() >= -STATE_EIG_TOL:
+            raise ValueError(f"{what} has an eigenvalue below -{STATE_EIG_TOL:g}")
+        if povm:
+            gap = np.linalg.eigvalsh(_hermitize(m.sum(axis=-3) - np.eye(m.shape[-1])))
+            if not np.max(np.abs(gap)) <= POVM_TOL:
+                raise ValueError(f"POVM elements do not sum to the identity within {POVM_TOL:g}")
+        else:
+            tr = np.trace(m, axis1=-2, axis2=-1)
+            if not (np.abs(tr.real - 1.0).max() <= TRACE_TOL and np.abs(tr.imag).max() <= TRACE_TOL):
+                raise ValueError(f"state trace is not 1 within {TRACE_TOL:g}")
     m.setflags(write=False)
     return m
 
@@ -346,10 +344,7 @@ def quantum_correlation(
     return CorrelationTable(np.einsum("xaij,ybkl,jlik->abxy", A, B, rho).real)
 
 
-@dataclass(frozen=True)
-class NoSignalingVerdict:
-    passed: bool
-    max_violation: float
+NoSignalingVerdict = namedtuple("NoSignalingVerdict", "passed max_violation")
 
 
 def check_no_signaling(t: CorrelationTable) -> NoSignalingVerdict:

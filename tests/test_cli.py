@@ -630,7 +630,7 @@ class TestReportPlumbing:
         witness = report.metrics["witness"]
         assert report.metrics["verdict"] == "feasible"
         assert [e.shape for e in witness["elements"]] == [(16, 16)] * 2
-        reference = {k: v for k, v in vars(report).items() if k != "sweep"}
+        reference = {k: v for k, v in report._asdict().items() if k != "sweep"}
         assert (workdir / "r.json").read_text() == json.dumps(pin(reference), indent=2, sort_keys=True) + "\n"
 
     def test_report_embeds_version_and_full_config(self, workdir):
@@ -785,6 +785,9 @@ MEANINGLESS_FILES = {
     "state-not-hermitian": (STATES, "states/t0.json",
                             {"dim": 2, "entries": [[[0.5, 0], [0.5, 0]], [[0, 0], [0.5, 0]]]}),
     "state-trace-two": (STATES, "states/t0.json", {"dim": 2, "entries": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}),
+    # eigenvalues of about +-1e308, which overflow to NaN in the check; a numpy warning fails the test
+    "state-eigenvalues-overflow": (STATES, "states/t0.json",
+                                   {"dim": 2, "entries": [[[1, 0], [1e308, 0]], [[1e308, 0], [0, 0]]]}),
     "dist-weights-sum-to-5/6": (["emx", "--dist", "bad.json"], "bad.json",
                                 {"labels": ["a", "b"], "weights": ["1/2", "1/3"]}),
 }
@@ -970,15 +973,16 @@ def test_importing_the_cli_leaves_numpy_random_unloaded():
     assert after_cli == "False"
 
 
-def fresh_runs(workdir, runs: dict, before: str = "") -> list[str]:
+def fresh_runs(workdir, runs: dict, before: str = "", after: str = "") -> list[str]:
     """Run each ``name: argv`` (written to report.json) through plab.cli.main in one fresh
-    interpreter, after ``before``, keeping each report as ``name``.  Whether numpy.linalg,
-    loaded with numpy itself, is in sys.modules after ``import plab.cli`` and after each run."""
+    interpreter, after ``before`` and followed by ``after``, keeping each report as ``name``.
+    Whether numpy.linalg, loaded with numpy itself, is in sys.modules after ``import plab.cli``
+    and after each run, then what ``after`` prints."""
     return run_fresh(f"{before}\nimport os, plab.cli\nprint('numpy.linalg' in sys.modules)\n"
                      f"for name, argv in {list(runs.items())!r}:\n"
                      "    assert plab.cli.main(argv) == 0\n"
                      "    os.replace('report.json', name)\n"
-                     "    print('numpy.linalg' in sys.modules)", cwd=workdir)
+                     f"    print('numpy.linalg' in sys.modules)\n{after}", cwd=workdir)
 
 
 def assert_goldens(workdir, names):
@@ -1013,6 +1017,50 @@ def test_numpy_imported_first_is_the_numpy_plab_uses():
                     "print(type(numpy) is types.ModuleType, plab._np is numpy, "
                     "all(sys.modules[f'plab.{m}'].np is numpy for m in ('cli', 'emx', 'feasibility', 'quantum')))")
     assert got == ["True"] * 3
+
+
+LAYERS = ("coarse", "compression", "feasibility", "quantum", "simplex", "tasks")
+
+
+def executed(names: tuple) -> str:
+    """Code that prints, for each plab module in ``names``, whether it has executed: a lazy one has not."""
+    return f"import types\nprint(*(type(sys.modules['plab.' + m]) is types.ModuleType for m in {names!r}))"
+
+
+def test_importing_the_cli_executes_no_layer():
+    """Every layer is in sys.modules and bound on plab, unexecuted (still a lazy module); no record on the
+    start-up path is a dataclass, so neither dataclasses nor inspect is loaded."""
+    got = run_fresh(f"import plab.cli\n{executed(LAYERS)}\n"
+                    f"print(*(getattr(plab, m) is sys.modules['plab.' + m] for m in {LAYERS!r}))\n"
+                    "print('dataclasses' in sys.modules, 'inspect' in sys.modules)")
+    assert got == ["False"] * 6 + ["True"] * 6 + ["False", "False"]
+
+
+def test_learner_and_quantum_runs_never_execute_the_deciders(workdir):
+    """The emx, coarse, 2->1 demo and discrimination goldens in one interpreter: the LP and SDP
+    deciders' modules are never executed, and every report is its golden."""
+    names = ("emx.json", "coarse.json", "compress_demo.json", "quantum.json")
+    got = fresh_runs(workdir, {name: GOLDEN_RUNS[name] for name in names},
+                     after=executed(("feasibility", "simplex", "tasks")))
+    assert got[-3:] == ["False"] * 3
+    assert_goldens(workdir, names)
+
+
+def test_a_failing_run_executes_no_layer(workdir):
+    """main's error clause names ResourceCapError from the package, so an emx run that fails still
+    executes no layer."""
+    got = run_fresh("import plab.cli\nassert plab.cli.main(['emx', '--dist', 'missing.json']) == 1\n"
+                    f"{executed(LAYERS)}", cwd=workdir)
+    assert got == ["False"] * 6
+
+
+def test_a_layer_imported_first_is_the_layer_plab_uses():
+    """feasibility imported before plab.cli executes quantum, simplex and tasks with it; plab.cli
+    binds those modules, not new lazy ones."""
+    bound = ("feasibility", "quantum", "tasks")
+    got = run_fresh(f"import plab.feasibility, plab.cli\n{executed((*bound, 'simplex'))}\n"
+                    f"print(*(getattr(plab.cli, m) is sys.modules['plab.' + m] for m in {bound!r}))")
+    assert got == ["True"] * 7
 
 
 def test_float_goldens_when_numpy_loads_inside_plab(workdir):

@@ -5,7 +5,6 @@ Frozen values are hand-derived from the closed forms; exact comparisons use
 Fraction end to end so no assertion sits on a float boundary.
 """
 
-import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -554,7 +553,7 @@ class TestVerifyGuarantee:
         P = uniform_on("ab")
         dom = IndexedDomain("ab")
         rep = verify_guarantee([(self.learner(dom), 2)], P, Fraction(1, 2), Fraction(1, 2), 10, seed=1)[0]
-        obj = dataclasses.asdict(rep)
+        obj = rep._asdict()
         assert set(obj) == {
             "epsilon", "delta", "d", "trials", "seed",
             "empirical_rate", "ci_halfwidth", "bound",

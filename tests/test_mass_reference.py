@@ -39,6 +39,7 @@ from plab.compression import (
 )
 from plab.emx import (
     FinSupportDist,
+    GuaranteeReport,
     IndexedDomain,
     SegmentLearner,
     mass,
@@ -247,9 +248,9 @@ def outcome(call):
 def report_fields(learner, P, epsilon, delta, d, trials, seed):
     """Every report field with its type, or the error's type and message."""
     rep = outcome(lambda: verify_guarantee([(learner, d)], P, epsilon, delta, trials, seed)[0])
-    if isinstance(rep, tuple):
+    if not isinstance(rep, GuaranteeReport):
         return rep
-    return [(f.name, type(getattr(rep, f.name)), getattr(rep, f.name)) for f in dataclasses.fields(rep)]
+    return [(name, type(getattr(rep, name)), getattr(rep, name)) for name in rep._fields]
 
 
 @st.composite

@@ -685,14 +685,15 @@ def signaling_table(eps: float) -> np.ndarray:
 
 
 class TestTolerancesFromBothSides:
-    """HERM_TOL, STATE_EIG_TOL, the CorrelationTable floor and the
-    no-signaling pass line, each with an input 5x outside its tolerance,
-    refused (a tolerance loosened 10x would pass it), and a legitimate
-    input 5x inside, accepted (a tolerance tightened 10x would refuse it)."""
+    """HERM_TOL, STATE_EIG_TOL, TRACE_TOL, POVM_TOL, the CorrelationTable
+    floor and the no-signaling pass line, each with an input 5x outside its
+    tolerance, refused (a tolerance loosened 10x would pass it), and a
+    legitimate input at least 2x inside it, accepted (a tolerance
+    tightened 10x would refuse it)."""
 
     def test_constants(self):
-        assert (quantum.HERM_TOL, quantum.STATE_EIG_TOL, quantum.CORR_FLOOR_TOL, quantum.NO_SIGNALING_TOL) == (
-            1e-12, 1e-10, 1e-12, 1e-10)
+        assert (quantum.HERM_TOL, quantum.STATE_EIG_TOL, quantum.TRACE_TOL, quantum.POVM_TOL, quantum.CORR_FLOOR_TOL,
+                quantum.NO_SIGNALING_TOL) == (1e-12, 1e-10, 1e-12, 1e-10, 1e-12, 1e-10)
 
     def test_a_state_5e_12_from_hermitian_is_refused(self):
         m = np.array([[0.5, 0.25 + 5e-12], [0.25, 0.5]], dtype=complex)
@@ -720,6 +721,39 @@ class TestTolerancesFromBothSides:
             assert Povm([m, np.eye(2) - m]).dim == 2
         else:
             assert np.linalg.eigvalsh(DensityMatrix(m).mat).min() == pytest.approx(-5e-11)
+
+    def test_a_trace_5e_12_from_1_is_refused(self):
+        with pytest.raises(ValueError, match=r"^state trace is not 1 within 1e-12$"):
+            DensityMatrix(np.diag([0.5 + 5e-12, 0.5]))
+
+    def test_a_pure_state_typed_to_12_digits_has_unit_trace(self):
+        # cos(pi/16)|0> + sin(pi/16)|1>, each entry to 12 significant digits: the trace is 4e-13 from 1
+        rho = DensityMatrix.from_json({"entries": [[[0.961939766256, 0], [0.191341716183, 0]],
+                                                   [[0.191341716183, 0], [0.0380602337444, 0]]]})
+        assert np.trace(rho.mat).real - 1.0 == pytest.approx(4e-13, rel=1e-2)
+
+    def test_povm_elements_5e_10_from_the_identity_are_refused(self):
+        with pytest.raises(ValueError, match=r"^POVM elements do not sum to the identity within 1e-10$"):
+            Povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0 + 5e-10])])
+
+    def test_povm_elements_5e_11_from_the_identity_are_rounding(self):
+        # the two projectors onto |+> and |->, with one entry of each rounded 2.5e-11 up
+        plus, minus = np.full((2, 2), 0.5), np.array([[0.5, -0.5], [-0.5, 0.5]])
+        plus[1, 1] += 2.5e-11
+        minus[1, 1] += 2.5e-11
+        total = sum(Povm([plus, minus]).elements)
+        assert np.abs(total - np.eye(2)).max() == pytest.approx(5e-11, rel=1e-4)
+
+    @pytest.mark.parametrize("povm", [False, True], ids=["state", "povm-element"])
+    def test_eigenvalues_that_overflow_are_refused(self, povm):
+        # finite and Hermitian, of trace 1 or summing to I, with eigenvalues of about +-1e308: hermitizing
+        # overflows, and the eigenvalues of the overflowed matrix are NaN, which the check must refuse
+        what = "POVM element" if povm else "state"
+        with pytest.raises(ValueError, match=rf"^{what} has an eigenvalue below -1e-10$"):
+            if povm:
+                Povm([np.array([[0.5, 1e308], [1e308, 0.5]]), np.array([[0.5, -1e308], [-1e308, 0.5]])])
+            else:
+                DensityMatrix([[1, 1e308], [1e308, 0]])
 
     def test_a_probability_of_minus_5e_12_is_refused(self):
         p = np.full((2, 2, 1, 1), 0.25)
