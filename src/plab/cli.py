@@ -202,11 +202,6 @@ def _parts(obj, indent: str = "\n"):
         yield json.dumps(_leaf(obj))  # a numpy integer; _leaf refuses any other type
 
 
-def _render(obj) -> str:
-    """The text ``_parts`` streams for ``obj``, joined."""
-    return "".join(_parts(obj))
-
-
 def write_report(report: RunReport, path: str) -> None:
     """Stream the report's text into a temp file in writes of at least 64 KiB (one write for a
     small report), then rename it into place; the text is never held whole, and a failed write
@@ -375,7 +370,7 @@ def _run_feasible_sdp(p: dict, seed: int):
             raise ValueError(f"missing state file for environment {theta!r}: {path}")
         states.append(_load_json(path, quantum.DensityMatrix.from_json))
     result = feasibility.sdp_feasible(states, task, p["epsilon"], p["delta"], d=p["copies"])
-    w = result.witness  # elements kept as arrays for _render
+    w = result.witness  # elements kept as arrays for _parts
     metrics = {"verdict": result.verdict, "sweeps": result.sweeps, "lo": result.lo,
                "hi": result.hi, "weights": result.weights, "certificate": result.certificate,
                "witness": {"labels": list(w.labels), "elements": list(w.elements)} if w else None}

@@ -20,6 +20,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
+from . import _least
 from .emx import FiniteHypothesis, IndexedDomain, quantile_learn
 
 CANDIDATE_LIMIT = 4096  # value subtuples a scheme keeps reconstructed; past it they are rebuilt per call
@@ -97,16 +98,7 @@ def required_n(m: int) -> int:
                 and math.log(2.0) + log_comb - (n - m) / 18.0 <= log_alpha
                 and -n / 18.0 <= log_alpha)
 
-    lo, hi = m, m + 1  # holds(m + 1) is false: 6m > m + 1
-    while not holds(hi):
-        lo, hi = hi, 2 * hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if holds(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return _least(holds, m, m + 1)  # holds(m + 1) is false: 6m > m + 1
 
 
 def _distinct_subtuples(pts: tuple, m: int) -> list[tuple]:

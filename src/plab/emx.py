@@ -32,7 +32,7 @@ from typing import Callable, Container, Iterable, Iterator, Sequence
 
 from . import _np as np  # numpy, loaded on first use
 
-SAMPLE_LIMIT = 1 << 24  # largest sample size d ``verify_guarantee`` draws: a block holds one whole trial
+SAMPLE_LIMIT = 1 << 24  # largest d (a block holds one whole trial) and trial count ``verify_guarantee`` runs
 FLOAT_SUM_TOL = 1e-12  # how far from 1 the float sum of a distribution's weights may be
 
 
@@ -498,9 +498,9 @@ def verify_guarantee(
     epsilon and delta are checked once by ``accuracy`` ("1/3", 0.2 -> 1/5).
     An episode succeeds when mass(P, learner(S)) >= 1 - epsilon (opt = 1,
     since the support itself is a finite subset); the comparison is exact.
-    Every point is checked before anything is drawn: a d below 0 or above
-    ``SAMPLE_LIMIT`` (2^24) raises ValueError, as does a ``SegmentLearner``
-    that cannot answer (see its ``_table``).  All points share one trial
+    trials and every point are checked before anything is drawn: trials or
+    a d above ``SAMPLE_LIMIT`` (2^24), or a d below 0, raises ValueError, as
+    does a ``SegmentLearner`` that cannot answer (see its ``_table``).  All points share one trial
     loop: trial k draws one random(d_max), d_max the largest d, from the
     (seed, k) substream (``substreams`` hashes them in one batch) as support
     positions by ``FinSupportDist.sample``'s inverse CDF, and a point of
@@ -515,6 +515,8 @@ def verify_guarantee(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if trials > SAMPLE_LIMIT:
+        raise ValueError(f"trials = {trials} is above the limit of {SAMPLE_LIMIT}")
     epsilon, delta = accuracy(epsilon, delta)
     target = 1 - epsilon
     points, deciders = list(points), []  # per point: the rank path's wins by support position, or None

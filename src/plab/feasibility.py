@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import contextlib
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 from typing import Sequence
@@ -45,23 +45,19 @@ def _violated(rows: Sequence["LinearConstraint"], x: Sequence[Fraction]) -> list
     return [i for i, r in enumerate(rows) if not _HOLDS[r.relation](sum([c * xs[j] for j, c in r.iterms]), r.irhs * d)]
 
 
-@dataclass(frozen=True, init=False)
-class LinearConstraint:
+class LinearConstraint(namedtuple("LinearConstraint", "arity relation scale iterms irhs")):
     """terms . x  <relation>  rhs over ``arity`` variables, with exact rational
     data held as integers, built once at construction: ``iterms`` are the
     nonzero (index, coefficient) pairs in index order and ``irhs`` the rhs,
     each times ``scale`` > 0, the lcm of their denominators.  The simplex
     pivots on this form; the witness re-check of ``lp_feasible`` checks a
     point against it in integers.  ``coeffs`` (the dense row) and ``rhs``
-    are rational views."""
+    are rational views.  ``_make((arity, relation, scale, iterms, irhs))``
+    builds a row from its integer form, unchecked."""
 
-    arity: int
-    relation: str
-    scale: int
-    iterms: tuple[tuple[int, int], ...]
-    irhs: int
+    __slots__ = ()
 
-    def __init__(self, coeffs: Sequence, relation: str, rhs):
+    def __new__(cls, coeffs: Sequence, relation: str, rhs):
         """The row with dense coefficients ``coeffs``; the relation is checked first."""
         if relation not in simplex.RELATIONS:
             raise ValueError(f"unknown relation {relation!r}")
@@ -69,16 +65,9 @@ class LinearConstraint:
         terms = tuple((j, f) for j, c in enumerate(coeffs) if c != "0" and (f := as_fraction(c)))
         rhs = as_fraction(rhs)
         scale = lcm(rhs.denominator, *(c.denominator for _, c in terms))
-        vars(self).update(arity=len(coeffs), relation=relation, scale=scale,
-                          iterms=tuple((j, c.numerator * (scale // c.denominator)) for j, c in terms),
-                          irhs=rhs.numerator * (scale // rhs.denominator))
-
-    @classmethod
-    def _of(cls, arity: int, relation: str, *, scale: int, iterms: tuple, irhs: int) -> "LinearConstraint":
-        """The row given in integer form, unchecked."""
-        row = cls.__new__(cls)
-        vars(row).update(arity=arity, relation=relation, scale=scale, iterms=iterms, irhs=irhs)
-        return row
+        return cls._make((len(coeffs), relation, scale,
+                          tuple((j, c.numerator * (scale // c.denominator)) for j, c in terms),
+                          rhs.numerator * (scale // rhs.denominator)))
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -97,19 +86,17 @@ class LinearConstraint:
         return cls(_json_list(obj, "coeffs"), obj["relation"], obj["rhs"])
 
 
-@dataclass(frozen=True)
-class PolytopeSpec:
+class PolytopeSpec(namedtuple("PolytopeSpec", "variables constraints")):
     """Named, ordered variables plus rational constraint rows."""
 
-    variables: tuple[str, ...]
-    constraints: tuple[LinearConstraint, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(set(self.variables)) != len(self.variables):
+    def __new__(cls, variables: tuple[str, ...], constraints: tuple[LinearConstraint, ...]):
+        if len(set(variables)) != len(variables):
             raise ValueError("variable names must be distinct")
-        for c in self.constraints:
-            if c.arity != len(self.variables):
-                raise ValueError("constraint arity does not match variable count")
+        if any(c.arity != len(variables) for c in constraints):
+            raise ValueError("constraint arity does not match variable count")
+        return super().__new__(cls, variables, constraints)
 
     def to_json(self) -> dict:
         return {"variables": list(self.variables), "constraints": [c.to_json() for c in self.constraints]}
@@ -142,10 +129,10 @@ def _kernel_rows(blocks: int, k: int) -> list[LinearConstraint]:
     """Rows making blocks*k block-major coordinates a kernel: every entry
     >= 0, then each block of k consecutive entries summing to exactly 1."""
     n = blocks * k
-    rows = [LinearConstraint._of(n, ">=", scale=1, iterms=((j, 1),), irhs=0) for j in range(n)]
+    rows = [LinearConstraint._make((n, ">=", 1, ((j, 1),), 0)) for j in range(n)]
     for i in range(blocks):
         block = tuple((j, 1) for j in range(i * k, (i + 1) * k))
-        rows.append(LinearConstraint._of(n, "=", scale=1, iterms=block, irhs=1))
+        rows.append(LinearConstraint._make((n, "=", 1, block, 1)))
     return rows
 
 
@@ -167,15 +154,12 @@ def build_pl_constraints(task: TaskSpec, epsilon, delta) -> tuple[LinearConstrai
     for i, theta in enumerate(task.thetas):
         members = set(good[theta])
         terms = tuple((i * k + j, scale) for j, h in enumerate(task.hyps) if h in members)
-        rows.append(LinearConstraint._of(n, ">=", scale=scale, iterms=terms, irhs=win.numerator))
+        rows.append(LinearConstraint._make((n, ">=", scale, terms, win.numerator)))
     return tuple(rows)
 
 
-@dataclass(frozen=True)
-class LpResult:
-    feasible: bool
-    witness: dict[str, Fraction] | None
-    pivots: int  # simplex pivots taken to reach the verdict
+LpResult = namedtuple("LpResult", "feasible witness pivots")
+LpResult.__doc__ = "Exact verdict, its kernel witness (None if infeasible) and the simplex pivots taken."
 
 
 def lp_feasible(poly: PolytopeSpec, pl: Sequence[LinearConstraint] = ()) -> LpResult:
@@ -220,7 +204,7 @@ def no_signaling_polytope(n_a: int, n_b: int, n_x: int, n_y: int) -> PolytopeSpe
               for a in range(n_a) for x in range(n_x) for y in range(1, n_y)]
     for first, other in sides:
         terms = tuple((j, 1) for j in first) + tuple((j, -1) for j in other)
-        rows.append(LinearConstraint._of(len(names), "=", scale=1, iterms=terms, irhs=0))
+        rows.append(LinearConstraint._make((len(names), "=", 1, terms, 0)))
     return PolytopeSpec(names, tuple(rows))
 
 
@@ -255,21 +239,12 @@ _SUPPORT_TOL = 1e-12
 _EIG_MARGIN = 1e-12
 
 
-@dataclass(frozen=True, eq=False)  # dual is an array, so compare fields, not results
-class SdpResult:
-    """Verdict with its bracket lo <= p* <= hi.  ``witness`` is the validated
-    POVM achieving lo (on "feasible" only); ``weights`` y and ``dual`` Z, with
-    Z >= A_h(y) for every h and tr Z = hi, certify hi; ``sweeps`` counts the
-    fixed-point steps taken."""
-
-    verdict: str  # "feasible" | "infeasible" | "undetermined"
-    witness: Povm | None = None
-    certificate: str | None = None
-    lo: float = 0.0
-    hi: float = 1.0
-    weights: tuple[float, ...] | None = None
-    dual: np.ndarray | None = None
-    sweeps: int = 0
+SdpResult = namedtuple("SdpResult", "verdict witness certificate lo hi weights dual sweeps",
+                       defaults=(None, None, 0.0, 1.0, None, None, 0))
+SdpResult.__doc__ = """Verdict ("feasible", "infeasible" or "undetermined") with its bracket
+lo <= p* <= hi.  ``witness`` is the validated POVM achieving lo (on "feasible"
+only); ``weights`` y and ``dual`` Z, with Z >= A_h(y) for every h and tr Z = hi,
+certify hi; ``sweeps`` counts the fixed-point steps taken."""
 
 
 def _jrf_step(a: np.ndarray, m: np.ndarray) -> np.ndarray:

@@ -33,7 +33,7 @@ import sys
 from collections import namedtuple
 from typing import Sequence
 
-from . import ResourceCapError
+from . import ResourceCapError, _least
 from . import _np as np  # numpy, loaded on first use
 
 HERM_TOL = 1e-12
@@ -285,13 +285,7 @@ def copies_min(gamma: float, delta: float) -> int:
         raise ValueError("gamma in {0,1} is degenerate for a copy count")
     if not 0.0 < delta < 0.5:
         raise ValueError("delta must lie in (0, 1/2)")
-    lo, hi = 0, 1  # bracket: lo = 0 or delta_min(lo) > delta >= delta_min(hi)
-    while delta_min(gamma, hi) > delta:
-        lo, hi = hi, 2 * hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if delta_min(gamma, mid) <= delta else (mid, hi)
-    return hi
+    return _least(lambda d: delta_min(gamma, d) <= delta, 0, 1)
 
 
 class CorrelationTable:

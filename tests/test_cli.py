@@ -526,13 +526,13 @@ class TestReportPlumbing:
         with pytest.raises(TypeError):
             pin(object())
         with pytest.raises(TypeError):
-            cli._render({"a": [object()]})
+            "".join(cli._parts({"a": [object()]}))
 
     @settings(max_examples=300, deadline=None)
     @given(obj=PAYLOADS)
     @example(obj={"witness": [WIDE]})  # its rows cross write_report's 64 KiB writes
     def test_render_equals_dumps_of_pinned_payload(self, obj, tmp_path_factory):
-        assert cli._render(obj) == json.dumps(pin(obj), indent=2, sort_keys=True)
+        assert "".join(cli._parts(obj)) == json.dumps(pin(obj), indent=2, sort_keys=True)
         rep = RunReport(config={}, metrics=obj, sweep=None, wall_clock_s=0.5, version="0")
         path = tmp_path_factory.getbasetemp() / "payload.json"
         write_report(rep, str(path))
@@ -545,11 +545,11 @@ class TestReportPlumbing:
         with pytest.raises(TypeError):
             pin({"a": a})
         with pytest.raises(TypeError):
-            cli._render({"a": [a]})
+            "".join(cli._parts({"a": [a]}))
 
     def test_render_of_infinities_equals_the_reference_writer(self):
         payload = {"a": [math.inf, -math.inf], "b": np.float64(-math.inf), "c": (np.float32(math.inf),)}
-        text = cli._render(payload)
+        text = "".join(cli._parts(payload))
         assert text == json.dumps(pin(payload), indent=2, sort_keys=True)
         assert text.count("-Infinity") == 2 and text.count("Infinity") == 4
 
@@ -567,7 +567,7 @@ class TestReportPlumbing:
         # 0.0 comes first, so text looked up by value (not bits) would print -0.0 as 0.0
         m = np.array([[0.0, complex(-0.0, -0.0)], [complex(0.0, -0.0), complex(-0.0, 0.0)]])
         payload = {"witness": {"elements": [m]}}
-        text = cli._render(payload)
+        text = "".join(cli._parts(payload))
         assert text == json.dumps(pin(payload), indent=2, sort_keys=True)
         first = json.loads(text)["witness"]["elements"][0]
         assert [math.copysign(1.0, x) for row in first for pair in row for x in pair] == \
@@ -656,6 +656,8 @@ BAD_CONFIGS = {
     "sweep-as-string": (["emx"], {"kind": "emx", "parameters": {**EMX_PARAMS, "sweep_d": "1,2"}}, "'sweep_d'"),
     "unknown-parameter": (["emx"], {"kind": "emx", "parameters": {**EMX_PARAMS, "epsilom": "1/2"}}, "'epsilom'"),
     "string-number": (["emx"], {"kind": "emx", "parameters": {**EMX_PARAMS, "trials": "5"}}, "'trials'"),
+    "trials-past-the-sample-limit": (["emx"], {"kind": "emx", "parameters": {**EMX_PARAMS, "trials": 2**63}},
+                                     "trials = 9223372036854775808 is above the limit of 16777216"),
     "float-for-int": (["emx"], {"kind": "emx", "parameters": {**EMX_PARAMS, "d": 3.0}}, "'d'"),
     "bool-for-rational": (["emx"], {"kind": "emx", "parameters": {**EMX_PARAMS, "epsilon": True}}, "'epsilon'"),
     "zero-denominator": (["emx"], {"kind": "emx", "parameters": {**EMX_PARAMS, "delta": "1/0"}}, "'delta'"),
@@ -919,6 +921,8 @@ PAST_BITS_LIMIT = ("is above the limit of 1074: every double in [0,1] is a multi
     (["coarse", "--dist", str(DATA / "dist_points_outside.json"), "--trials", "5"], "point 1.5 outside [0,1]"),
     (["emx", "--dist", "dist.json", "--epsilon", "1/1000000000", "--delta", "1/1000000000", "--trials", "1"],
      "sample size d = 20723265827 is above the limit of 16777216 points"),
+    (["emx", "--dist", "dist.json", "--trials", str(10**20)],
+     "trials = 100000000000000000000 is above the limit of 16777216"),
     (["compress", "--mode", "lemma1", "--m", str(10**309), "--dist", "dist.json", "--trials", "1"],
      "m must lie in [1, 2^53]"),
     (["feasible", "sdp", "--task", "task.json", "--states", "states", "--copies", str(10**12)],
@@ -926,8 +930,8 @@ PAST_BITS_LIMIT = ("is above the limit of 1074: every double in [0,1] is a multi
     (["coarse", "--dist", "points.json", "--trials", "5", "--bits", "1075"], f"bits = 1075 {PAST_BITS_LIMIT}"),
     (["coarse", "--dist", "points.json", "--trials", "5", "--sweep-bits", "4,2000"], f"bits = 2000 {PAST_BITS_LIMIT}"),
 ], ids=["d", "sweep-d", "coarse-d", "seed", "pair-outside-domain", "d-zero", "sweep-d-zero", "coarse-d-below-need",
-        "coarse-point-outside", "d-past-the-sample-limit", "m-past-2^53", "copies-far-past-the-cap",
-        "bits-past-the-limit", "sweep-bits-past-the-limit"])
+        "coarse-point-outside", "d-past-the-sample-limit", "trials-past-the-sample-limit", "m-past-2^53",
+        "copies-far-past-the-cap", "bits-past-the-limit", "sweep-bits-past-the-limit"])
 def test_out_of_range_input_fails_with_its_own_message(workdir, capsys, argv, message):
     assert main(argv) == 1
     assert capsys.readouterr().err == f"plab: error: {message}\n"
@@ -1044,6 +1048,17 @@ def test_learner_and_quantum_runs_never_execute_the_deciders(workdir):
                      after=executed(("feasibility", "simplex", "tasks")))
     assert got[-3:] == ["False"] * 3
     assert_goldens(workdir, names)
+
+
+def test_decider_runs_load_no_dataclasses(workdir):
+    """The deciders' records are named tuples: a feasible lp run loads neither dataclasses nor inspect,
+    and a feasible sdp run loads no dataclasses (numpy itself imports inspect).  Both reports are golden."""
+    lp = fresh_runs(workdir, {"feasible_lp.json": GOLDEN_RUNS["feasible_lp.json"]},
+                    after="print('dataclasses' in sys.modules, 'inspect' in sys.modules)")
+    sdp = fresh_runs(workdir, {"feasible_sdp.json": GOLDEN_RUNS["feasible_sdp.json"]},
+                     after="print('dataclasses' in sys.modules)")
+    assert lp[-2:] == ["False", "False"] and sdp[-1] == "False"
+    assert_goldens(workdir, ("feasible_lp.json", "feasible_sdp.json"))
 
 
 def test_a_failing_run_executes_no_layer(workdir):

@@ -577,6 +577,14 @@ class TestVerifyGuarantee:
         with pytest.raises(ValueError, match=r"^sample size d = 65 is above the limit of 64 points$"):
             verify_guarantee([(learner, 65)], P, "1/2", "1/2", 3, seed=0)
 
+    def test_trials_past_the_limit_are_refused_before_drawing(self, monkeypatch):
+        monkeypatch.setattr(emx, "SAMPLE_LIMIT", 64)
+        learner, P = self.learner(IndexedDomain("ab")), uniform_on("ab")
+        assert verify_guarantee([(learner, 2)], P, "1/2", "1/2", 64, seed=0)[0].trials == 64
+        monkeypatch.setattr(emx, "substreams", lambda seed, count: pytest.fail("drew a trial"))
+        with pytest.raises(ValueError, match=r"^trials = 65 is above the limit of 64$"):
+            verify_guarantee([(learner, 2)], P, "1/2", "1/2", 65, seed=0)
+
     def test_trials_validated(self):
         P = uniform_on("ab")
         with pytest.raises(ValueError):

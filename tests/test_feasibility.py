@@ -11,6 +11,7 @@ import math
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -486,6 +487,77 @@ class TestSdpBracket:
                 assert res.lo < target <= res.hi
             check_certificate(res, states, task)
         assert max(r.lo for r in results) <= min(r.hi for r in results)
+
+
+def steps_and_result(states, delta=0):
+    """The shapes of the POVM iterates (n_h, r, r) the steps saw, and the result."""
+    shapes, step = set(), feasibility._jrf_step
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(feasibility, "_jrf_step", lambda a, m: shapes.add(m.shape) or step(a, m))
+        res = sdp_feasible(states, IDENTITY_TASK, F(1, 2), delta)
+    return shapes, res
+
+
+def diagonal_pair(e):
+    """Two 16 x 16 diagonal states on disjoint coordinates, 0..7 and 8..14, each with weight e
+    on coordinate 15: the states' sum has its smallest eigenvalue at 14e times its largest, and
+    each state lies e off the support that drops coordinate 15."""
+    a, b = np.zeros(16), np.zeros(16)
+    a[:8], b[8:15], a[15], b[15] = (1 - e) / 8, (1 - e) / 7, e, e
+    return [DensityMatrix(np.diag(a)), DensityMatrix(np.diag(b))]
+
+
+def off_support_pair(t):
+    """(1, +-t), whose sum has eigenvalue ~2t^2 (dropped by the support cut) and whose
+    states lie sqrt(2)*t off that 1-dimensional support."""
+    return [DensityMatrix.pure([1.0, t]), DensityMatrix.pure([1.0, -t])]
+
+
+class TestTolerancesFromBothSides:
+    """_SUPPORT_TOL and _EIG_MARGIN, each with an input 5x outside its cut, on
+    the dense path (a cut loosened 10x would take the support path), and a
+    legitimate input at least 2x inside it, on the support path (a cut
+    tightened 10x would keep it dense)."""
+
+    def test_constants(self):
+        assert (feasibility._SUPPORT_TOL, feasibility._EIG_MARGIN) == (1e-12, 1e-12)
+
+    def test_an_eigenvalue_at_5e_12_of_the_largest_stays_in_the_support(self):
+        shapes, res = steps_and_result(diagonal_pair(5e-12 / 14), "1/10")
+        assert shapes == {(2, 16, 16)} and res.verdict == "feasible" and res.witness.dim == 16
+
+    def test_an_eigenvalue_at_5e_13_of_the_largest_is_off_the_support(self):
+        # rounding-level weight on a 16th coordinate: decided on the other 15
+        shapes, res = steps_and_result(diagonal_pair(5e-13 / 14), "1/10")
+        assert shapes == {(2, 15, 15)} and res.verdict == "feasible" and res.witness.dim == 16
+
+    def test_states_2_5e_12_off_their_support_stay_dense(self):
+        # the residual past the support cut is 5x _EIG_MARGIN / 2
+        states = off_support_pair(2.5e-12 / math.sqrt(2))
+        shapes, res = steps_and_result(states)
+        assert shapes == {(2, 2, 2)}
+        check_certificate(res, states, IDENTITY_TASK)
+
+    def test_states_2e_13_off_their_support_are_decided_on_it(self):
+        states = off_support_pair(2e-13 / math.sqrt(2))
+        shapes, res = steps_and_result(states)
+        assert shapes == {(2, 1, 1)} and res.dual.shape == (2, 2)
+        check_certificate(res, states, IDENTITY_TASK)
+
+    def test_a_lifted_certificate_on_the_margin_dominates_in_exact_arithmetic(self):
+        # 4.2e-13 off the support, just inside the cut: Z is lifted from the support, and
+        # Z - A_h(y), with A_h(y) = y_i rho_i for the identity task's h_i, is checked in
+        # 50-digit arithmetic from the floats of Z, y and the states
+        states = off_support_pair(3e-13)
+        shapes, res = steps_and_result(states)
+        assert shapes == {(2, 1, 1)}
+        margin, worst = feasibility._EIG_MARGIN, []
+        with mpmath.workdps(50):
+            z = mpmath.matrix(res.dual.tolist())
+            for y, s in zip(res.weights, states):
+                a = mpmath.mpf(y) * mpmath.matrix(s.mat.tolist())
+                worst.append(min(mpmath.re(e) for e in mpmath.eigh(z - a, eigvals_only=True)))
+        assert margin / 2 <= min(worst) < margin
 
 
 class TestLinearConstraintJson:

@@ -685,15 +685,16 @@ def signaling_table(eps: float) -> np.ndarray:
 
 
 class TestTolerancesFromBothSides:
-    """HERM_TOL, STATE_EIG_TOL, TRACE_TOL, POVM_TOL, the CorrelationTable
-    floor and the no-signaling pass line, each with an input 5x outside its
-    tolerance, refused (a tolerance loosened 10x would pass it), and a
-    legitimate input at least 2x inside it, accepted (a tolerance
-    tightened 10x would refuse it)."""
+    """HERM_TOL, STATE_EIG_TOL, TRACE_TOL, POVM_TOL, the Helstrom band, the
+    CorrelationTable floor and sum, and the no-signaling pass line, each
+    with an input 5x outside its tolerance, refused (a tolerance loosened
+    10x would pass it), and a legitimate input at least 2x inside it,
+    accepted (a tolerance tightened 10x would refuse it)."""
 
     def test_constants(self):
-        assert (quantum.HERM_TOL, quantum.STATE_EIG_TOL, quantum.TRACE_TOL, quantum.POVM_TOL, quantum.CORR_FLOOR_TOL,
-                quantum.NO_SIGNALING_TOL) == (1e-12, 1e-10, 1e-12, 1e-10, 1e-12, 1e-10)
+        assert (quantum.HERM_TOL, quantum.STATE_EIG_TOL, quantum.TRACE_TOL, quantum.POVM_TOL, quantum.HELSTROM_BAND,
+                quantum.CORR_FLOOR_TOL, quantum.CORR_SUM_TOL, quantum.NO_SIGNALING_TOL) == \
+            (1e-12, 1e-10, 1e-12, 1e-10, 1e-10, 1e-12, 1e-12, 1e-10)
 
     def test_a_state_5e_12_from_hermitian_is_refused(self):
         m = np.array([[0.5, 0.25 + 5e-12], [0.25, 0.5]], dtype=complex)
@@ -766,6 +767,29 @@ class TestTolerancesFromBothSides:
         p = np.full((2, 2, 1, 1), 0.25)
         p[0, 0, 0, 0], p[1, 1, 0, 0] = -5e-13, 0.5 + 5e-13
         assert CorrelationTable(p).p[0, 0, 0, 0] == 0.0
+
+    def test_a_difference_of_5e_10_is_measured(self):
+        # rho0 - rho1 = diag(5e-10, -5e-10): M_0 projects onto |0>
+        m, distance = helstrom(DensityMatrix(np.diag([0.5 + 5e-10, 0.5 - 5e-10])), DensityMatrix(np.eye(2) / 2))
+        assert np.array_equal(m.elements[0], np.diag([1.0, 0.0]).astype(complex))
+        assert distance == pytest.approx(1e-9, rel=1e-5)
+
+    def test_a_difference_of_5e_11_is_a_tie(self):
+        # the maximally mixed state, its diagonal rounded 5e-11 apart: the whole space joins M_1
+        m, _ = helstrom(DensityMatrix(np.diag([0.5 + 5e-11, 0.5 - 5e-11])), DensityMatrix(np.eye(2) / 2))
+        assert not m.elements[0].any() and np.array_equal(m.elements[1], np.eye(2, dtype=complex))
+
+    def test_an_outcome_sum_5e_12_from_1_is_refused(self):
+        p = np.full((2, 2, 1, 1), 0.25)
+        p[0, 0, 0, 0] += 5e-12
+        with pytest.raises(ValueError, match=r"^outcome sums must be 1 within 1e-12 for every setting pair$"):
+            CorrelationTable(p)
+
+    def test_born_probabilities_typed_to_12_digits_sum_to_1(self):
+        # cos^2(pi/16)/2 and sin^2(pi/16)/2, each to 12 significant digits: the outcome sum is 4e-13 from 1
+        c, s = 0.480969883128, 0.0190301168722
+        table = CorrelationTable(np.array([[c, s], [s, c]]).reshape(2, 2, 1, 1))
+        assert table.p.sum() - 1.0 == pytest.approx(4e-13, rel=1e-2)
 
     def test_signaling_of_5e_10_fails(self):
         verdict = check_no_signaling(CorrelationTable(signaling_table(5e-10)))
