@@ -11,7 +11,7 @@ atomically; floats are pinned to 12 significant digits so identical
 The default seed is 20177.
 
 Every layer but ``emx`` is bound through ``plab._lazy``, so a process executes only the layers its
-subcommand runs; the run config is a namespace and the report a named tuple, so start-up loads
+subcommand runs; the run config is a namespace and the report a plain dict, so start-up loads
 neither ``dataclasses`` nor ``inspect``.
 """
 
@@ -106,24 +106,6 @@ class ExperimentConfig(SimpleNamespace):
         return cls(**obj)
 
 
-class RunReport(namedtuple("RunReport", "config metrics sweep wall_clock_s version")):
-    """A run's report; ``sweep`` is None for a run without a sweep."""
-
-    __slots__ = ()
-
-    def parts(self):
-        """The report's text as ``_parts`` streams it: the text of the reference writer in
-        ``tests/reference_writer.py`` (a witness matrix may be held as its array)."""
-        out = self._asdict()
-        if self.sweep is None:
-            del out["sweep"]
-        return _parts(out)
-
-    def to_text(self) -> str:
-        """The stream of ``parts`` joined, as stdout prints it whole."""
-        return "".join(self.parts())
-
-
 def _leaf(obj):
     """Pin one report value that is not a dict, list, tuple or array: floats to 12
     significant digits, exact rationals to strings, numpy scalars unwrapped.  Python
@@ -175,13 +157,9 @@ def _parts(obj, indent: str = "\n"):
                 yield key
                 yield from _parts(v, inner)
         yield close
-    elif isinstance(obj, (str, int, type(None), Fraction)):  # Python types before numpy types, as in _leaf
-        value = _leaf(obj)
-        yield (encode_basestring_ascii(value) if isinstance(value, str) else
-               int.__repr__(value) if type(value) is int else json.dumps(value))  # json spells null, true, false
-    elif isinstance(obj, float) or isinstance(obj, np.floating):
-        yield _float_text(obj)
-    elif isinstance(obj, np.ndarray):
+    elif getattr(obj, "ndim", 0) == 0:  # a scalar: _leaf tests Python types before numpy types, or refuses it
+        yield json.dumps(_leaf(obj))
+    else:
         if obj.ndim != 2:
             raise TypeError(f"cannot serialize a {obj.ndim}-D array in a report")
         m = np.ascontiguousarray(obj, dtype=complex)
@@ -198,58 +176,66 @@ def _parts(obj, indent: str = "\n"):
             yield "".join(row.tolist())
             row[0] = f",{i1}[{i2}[{i3}"
         yield indent + "]"
-    else:
-        yield json.dumps(_leaf(obj))  # a numpy integer; _leaf refuses any other type
 
 
-def write_report(report: RunReport, path: str) -> None:
-    """Stream the report's text into a temp file in writes of at least 64 KiB (one write for a
-    small report), then rename it into place; the text is never held whole, and a failed write
-    leaves no temp file."""
+@contextlib.contextmanager
+def _atomic(path: str):
+    """The text file ``PATH.tmp``, open for the block and renamed to ``path`` when the block
+    succeeds; the temp file never outlives the block.  Newlines are not translated: csv writes
+    its own, and a report ends its lines in "\\n" on every platform."""
     tmp = f"{path}.tmp"
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            chunk, size = [], 0
-            for part in report.parts():
-                chunk.append(part)
-                size += len(part)
-                if size >= 1 << 16:
-                    fh.write("".join(chunk))
-                    chunk, size = [], 0
-            fh.write("".join(chunk) + "\n")
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
         os.replace(tmp, path)
     finally:
-        _remove(tmp)
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
 
 
-def _remove(path: str) -> None:
-    """Delete ``path`` if it is there."""
-    with contextlib.suppress(FileNotFoundError):
-        os.remove(path)
+def _stream(report: dict, fh) -> None:
+    """Write the report's text and a newline to ``fh`` in writes of at least 64 KiB (one write for
+    a small report), never holding the text whole: the text of the reference writer in
+    ``tests/reference_writer.py`` (a witness matrix may be held as its array)."""
+    chunk, size = [], 0
+    for part in _parts(report):
+        chunk.append(part)
+        size += len(part)
+        if size >= 1 << 16:
+            fh.write("".join(chunk))
+            chunk, size = [], 0
+    fh.write("".join(chunk) + "\n")
 
 
-def emit_table(report: RunReport, path: str) -> None:
-    """One CSV row per flat sweep point, values pinned by ``_leaf``; header keys from the first row."""
+def write_report(report: dict, path: str) -> None:
+    """Stream the report into ``path`` atomically: a write that fails leaves the old file in place
+    and no temp file."""
+    with _atomic(path) as fh:
+        _stream(report, fh)
+
+
+def emit_table(report: dict, fh) -> None:
+    """One CSV row per flat sweep point to the open file ``fh``, values pinned by ``_leaf``; header
+    keys from the first row."""
     import csv  # only a --table run needs it
-    if not report.sweep:
+    if not report.get("sweep"):
         raise ValueError("report has no sweep to tabulate")
-    rows = [{str(k): _leaf(v) for k, v in row.items()} for row in report.sweep]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-        writer.writeheader()
-        writer.writerows(rows)
+    rows = [{str(k): _leaf(v) for k, v in row.items()} for row in report["sweep"]]
+    writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+    writer.writeheader()
+    writer.writerows(rows)
 
 
 def _load_json(path: str, parse):
-    """``parse`` of the JSON in ``path``; wrong types, keys or numbers (a string that is not a
-    rational, a NaN or infinite number, a rational dividing by zero, a float overflow) in it
-    raise ValueError "malformed PATH: ...".  A value that fails a check of its meaning, such as
-    a state with a NaN entry, raises ValueError "PATH: " and the check's own message."""
+    """``parse`` of the JSON in ``path``; text that is not JSON, or wrong types, keys or numbers (a
+    string that is not a rational, a NaN or infinite number, a rational dividing by zero, a float
+    overflow) in it raise ValueError "malformed PATH: ...".  A value that fails a check of its
+    meaning, such as a state with a NaN entry, raises ValueError "PATH: " and the check's own message."""
     with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+        text = fh.read()
     try:
-        return parse(obj)
-    except (TypeError, KeyError, AttributeError, ArithmeticError, RationalLiteralError) as exc:
+        return parse(json.loads(text))
+    except (json.JSONDecodeError, TypeError, KeyError, AttributeError, ArithmeticError, RationalLiteralError) as exc:
         raise ValueError(f"malformed {path}: {exc}") from None
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
@@ -453,18 +439,17 @@ def _fits(p: _Param, value) -> bool:
     return accepted and (p.choices is None or value in p.choices)
 
 
-def run_config(cfg: ExperimentConfig) -> RunReport:
-    """Validate, dispatch, time, and assemble the report."""
+def run_config(cfg: ExperimentConfig) -> dict:
+    """Validate, dispatch, time, and assemble the report: the dict that is written, with ``sweep``
+    only for a run that has one."""
     params = cfg.validate()
     t0 = time.perf_counter()
     metrics, sweep = _KINDS[cfg.kind].run(params, cfg.seed)
-    return RunReport(
-        config=cfg.to_json(),
-        metrics=metrics,
-        sweep=sweep,
-        wall_clock_s=time.perf_counter() - t0,
-        version=__version__,
-    )
+    report = {"config": cfg.to_json(), "metrics": metrics, "wall_clock_s": time.perf_counter() - t0,
+              "version": __version__}
+    if sweep is not None:
+        report["sweep"] = sweep
+    return report
 
 
 def _flag_type(p: _Param):
@@ -518,29 +503,23 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    table = None
     try:
         cfg = _config_from_args(args)
         names = [os.path.realpath(q) for p in (cfg.out, args.table) if p for q in (p, f"{p}.tmp")]
         if len(set(names)) < len(names):  # each file is written to PATH.tmp, then renamed into place
             raise ValueError(f"--out {cfg.out} and --table {args.table} collide: they and their .tmp files must differ")
-        table = args.table and f"{args.table}.tmp"  # renamed into place once the report is written too
         report = run_config(cfg)
-        if table:  # first: a report without a sweep exits 1 having written nothing
-            emit_table(report, table)
-        if cfg.out:
-            write_report(report, cfg.out)
-        if table:
-            os.replace(table, args.table)
+        with _atomic(args.table) if args.table else contextlib.nullcontext() as table:
+            if table:  # first: a report without a sweep exits 1 having written nothing
+                emit_table(report, table)
+            if cfg.out:  # inside the table's block, so the table is renamed into place only once the report is
+                write_report(report, cfg.out)
         if not cfg.out:
-            print(report.to_text())
+            _stream(report, sys.stdout)
     except (ValueError, KeyError, OSError, ResourceCapError) as exc:
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc  # str() would quote it
         print(f"plab: error: {message}", file=sys.stderr)
         return 1
-    finally:
-        if table:
-            _remove(table)
     return 0
 
 

@@ -1,7 +1,8 @@
 """The reference report writer: a report is ``json.dumps(pin(payload),
 indent=2, sort_keys=True)``.  ``plab.cli._parts`` streams the same text in
-one walk, which ``plab.cli.write_report`` writes and the tests join; the
-tests and the CI fixed-point check hold both to this."""
+one walk, which ``plab.cli._stream`` writes to stdout or, through
+``plab.cli.write_report``, to a report file; the tests and the CI
+fixed-point check hold both to this."""
 
 import numpy as np
 

@@ -6,7 +6,9 @@ non-reproducible field).  Input files are staged under relative names so the
 config echo inside each report is path-stable.
 """
 
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -31,7 +33,6 @@ from plab import cli, emx, quantum
 from plab.cli import (
     DEFAULT_SEED,
     ExperimentConfig,
-    RunReport,
     emit_table,
     main,
     run_config,
@@ -533,11 +534,10 @@ class TestReportPlumbing:
     @example(obj={"witness": [WIDE]})  # its rows cross write_report's 64 KiB writes
     def test_render_equals_dumps_of_pinned_payload(self, obj, tmp_path_factory):
         assert "".join(cli._parts(obj)) == json.dumps(pin(obj), indent=2, sort_keys=True)
-        rep = RunReport(config={}, metrics=obj, sweep=None, wall_clock_s=0.5, version="0")
+        rep = {"config": {}, "metrics": obj, "wall_clock_s": 0.5, "version": "0"}
         path = tmp_path_factory.getbasetemp() / "payload.json"
         write_report(rep, str(path))
-        reference = {"config": {}, "metrics": obj, "wall_clock_s": 0.5, "version": "0"}
-        assert path.read_text(encoding="utf-8") == json.dumps(pin(reference), indent=2, sort_keys=True) + "\n"
+        assert path.read_text(encoding="utf-8") == json.dumps(pin(rep), indent=2, sort_keys=True) + "\n"
 
     @pytest.mark.parametrize("shape", [(4,), (2, 2, 2), ()])
     def test_arrays_other_than_matrices_rejected(self, shape):
@@ -556,8 +556,8 @@ class TestReportPlumbing:
     def test_witness_negative_zero_renders_negative(self, tmp_path):
         # 0.0 comes first, so text looked up by value would print -0.0 as 0.0
         m = np.array([[0.5, complex(-0.0, 0.0)], [complex(0.0, -0.0), 0.5]])
-        rep = RunReport(config={}, metrics={"witness": {"elements": [matrix_to_json(m)] * 2}},
-                        sweep=None, wall_clock_s=0.0, version="0")
+        rep = {"config": {}, "metrics": {"witness": {"elements": [matrix_to_json(m)] * 2}},
+               "wall_clock_s": 0.0, "version": "0"}
         write_report(rep, str(tmp_path / "r.json"))
         for element in json.loads((tmp_path / "r.json").read_text())["metrics"]["witness"]["elements"]:
             assert [math.copysign(1.0, x) for row in element for pair in row for x in pair] == \
@@ -574,7 +574,7 @@ class TestReportPlumbing:
             [1, 1, -1, -1, 1, -1, -1, 1]
 
     def test_write_report_is_atomic(self, tmp_path):
-        rep = RunReport(config={}, metrics={"x": 1.0}, sweep=None, wall_clock_s=0.1, version="0")
+        rep = {"config": {}, "metrics": {"x": 1.0}, "wall_clock_s": 0.1, "version": "0"}
         path = tmp_path / "r.json"
         write_report(rep, str(path))
         assert json.loads(path.read_text())["metrics"] == {"x": 1.0}
@@ -584,7 +584,7 @@ class TestReportPlumbing:
         path = tmp_path / "r.json"
         path.write_text("the old report\n")
         # version sorts after metrics, so the witness rows reach the temp file before it fails
-        rep = RunReport(config={}, metrics={"witness": WIDE}, sweep=None, wall_clock_s=0.0, version=object())
+        rep = {"config": {}, "metrics": {"witness": WIDE}, "wall_clock_s": 0.0, "version": object()}
         written = []
         leaf = cli._leaf
         monkeypatch.setattr(cli, "_leaf", lambda obj: (written.append(os.path.getsize(f"{path}.tmp")), leaf(obj))[1])
@@ -608,17 +608,58 @@ class TestReportPlumbing:
             tracemalloc.stop()
         size = os.path.getsize("r.json")
         assert peak < size, (peak, size)  # one copy of the text is 1x; a whole-text writer holds 3x
-        assert (workdir / "r.json").read_text() == report.to_text() + "\n"
+        assert (workdir / "r.json").read_text() == "".join(cli._parts(report)) + "\n"
 
-    def test_emit_table_requires_sweep(self, tmp_path):
-        rep = RunReport(config={}, metrics={}, sweep=None, wall_clock_s=0.0, version="0")
+    def test_emit_table_requires_sweep(self):
+        rep = {"config": {}, "metrics": {}, "wall_clock_s": 0.0, "version": "0"}
+        fh = io.StringIO()
         with pytest.raises(ValueError):
-            emit_table(rep, str(tmp_path / "t.csv"))
+            emit_table(rep, fh)
+        assert fh.getvalue() == ""
 
     def test_stdout_when_no_out_path(self, workdir, capsys):
         assert main(["quantum", "discriminate", "--gamma", "0.5"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["metrics"]["delta_min"] == pytest.approx(0.0669872981078)
+
+    def test_printing_a_report_does_not_hold_its_text(self, workdir, monkeypatch):
+        # stdout is a real file: capsys would keep a copy of the text
+        argv = ["feasible", "sdp", "--task", "task.json", "--states", "states", "--copies", "8"]
+        report = run_config(cli._config_from_args(cli._build_parser().parse_args(argv)))
+        monkeypatch.setattr(cli, "run_config", lambda cfg: report)
+        with open("printed.json", "w", encoding="utf-8") as fh, contextlib.redirect_stdout(fh):
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        size = os.path.getsize("printed.json")
+        assert peak < size, (peak, size)  # printing the joined text holds it at least once
+        assert (workdir / "printed.json").read_text() == "".join(cli._parts(report)) + "\n"
+
+    @pytest.mark.parametrize("argv", [*SWEEP_RUNS.values(), GOLDEN_RUNS["feasible_lp.json"][:-2],
+                                      GOLDEN_RUNS["feasible_sdp.json"][:-2]],
+                             ids=[*SWEEP_RUNS, "feasible-lp", "feasible-sdp"])
+    def test_stdout_prints_the_report_that_out_writes(self, workdir, capsys, argv):
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        assert main([*argv, "--out", "r.json"]) == 0
+        assert capsys.readouterr().out == ""
+        written = CLOCK_LINE.sub("", (workdir / "r.json").read_text())
+        assert CLOCK_LINE.sub("", printed) == written.replace('"out": "r.json"', '"out": null', 1)
+
+    @pytest.mark.parametrize("argv", [
+        ["emx", "--dist", "dist.json", "--trials", "10", "--table", "t.csv"],
+        ["quantum", "discriminate", "--gamma", "0.5", "--out", "nodir/r.json"],
+        ["quantum", "discriminate", "--gamma", "0.5", "--sweep-copies", "1,2", "--out", "nodir/r.json",
+         "--table", "t.csv"],
+    ], ids=["table-without-sweep", "out-in-missing-dir", "out-in-missing-dir-with-table"])
+    def test_a_failed_run_prints_nothing_and_leaves_no_temp_file(self, workdir, capsys, argv):
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("plab: error: ") and err.count("\n") == 1
+        assert not list(workdir.rglob("*.tmp")) and not (workdir / "t.csv").exists()
 
     def test_sdp_report_text_equals_dumps_of_the_json_witness(self, workdir, monkeypatch):
         written = []
@@ -627,11 +668,10 @@ class TestReportPlumbing:
         assert main(["feasible", "sdp", "--task", "task.json", "--states", "states", "--copies", "4",
                      "--out", "r.json"]) == 0
         (report,) = written
-        witness = report.metrics["witness"]
-        assert report.metrics["verdict"] == "feasible"
+        witness = report["metrics"]["witness"]
+        assert report["metrics"]["verdict"] == "feasible" and "sweep" not in report
         assert [e.shape for e in witness["elements"]] == [(16, 16)] * 2
-        reference = {k: v for k, v in report._asdict().items() if k != "sweep"}
-        assert (workdir / "r.json").read_text() == json.dumps(pin(reference), indent=2, sort_keys=True) + "\n"
+        assert (workdir / "r.json").read_text() == json.dumps(pin(report), indent=2, sort_keys=True) + "\n"
 
     def test_report_embeds_version_and_full_config(self, workdir):
         assert main(["feasible", "lp", "--task", "task.json", "--out", "r.json"]) == 0
@@ -802,6 +842,15 @@ def test_input_file_failing_a_check_of_its_meaning_is_named(workdir, capsys, cas
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"plab: error: {name}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", ["", "{", "{}\n{}"], ids=["empty", "unclosed", "two-texts"])
+def test_input_file_that_is_not_json_is_named(workdir, capsys, text):
+    # the second state file: with two files read, a JSON error that names none is no help
+    (workdir / "states" / "t1.json").write_text(text)
+    assert main(STATES) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("plab: error: malformed states/t1.json: ") and err.count("\n") == 1
 
 
 def test_float_weights_are_summed_exactly(workdir):
