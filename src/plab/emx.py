@@ -69,11 +69,20 @@ def as_fraction(value: Fraction | int | float | str) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 
+def _json_field(obj, key):
+    """obj[key] of an input file; a missing key is a TypeError that says so.
+    Only the lookup's own KeyError is relabelled."""
+    try:
+        return obj[key]
+    except KeyError:
+        raise TypeError(f"missing key {key!r}") from None
+
+
 def _json_list(obj, key, name: str = "") -> list:
-    """obj[key], which an input file must give as a JSON list: a string there
-    would be read character by character.  The TypeError calls it ``name``,
-    by default ``repr(key)``."""
-    value = obj[key]
+    """obj[key] by ``_json_field``, which an input file must give as a JSON
+    list: a string there would be read character by character.  The
+    TypeError calls it ``name``, by default ``repr(key)``."""
+    value = _json_field(obj, key)
     if not isinstance(value, list):
         raise TypeError(f"{name or repr(key)} must be a list, not {type(value).__name__}")
     return value

@@ -28,7 +28,7 @@ from typing import Sequence
 
 from . import _np as np  # numpy, loaded on first use
 from . import simplex
-from .emx import _json_list, accuracy, as_fraction
+from .emx import _json_field, _json_list, accuracy, as_fraction
 from .quantum import DensityMatrix, Povm, _hermitize, tensor_power
 from .tasks import TaskSpec
 
@@ -83,7 +83,7 @@ class LinearConstraint(namedtuple("LinearConstraint", "arity relation scale iter
 
     @classmethod
     def from_json(cls, obj: dict) -> "LinearConstraint":
-        return cls(_json_list(obj, "coeffs"), obj["relation"], obj["rhs"])
+        return cls(_json_list(obj, "coeffs"), _json_field(obj, "relation"), _json_field(obj, "rhs"))
 
 
 class PolytopeSpec(namedtuple("PolytopeSpec", "variables constraints")):
@@ -111,12 +111,14 @@ class PolytopeSpec(namedtuple("PolytopeSpec", "variables constraints")):
 
 def epsilon_optimal_sets(task: TaskSpec, epsilon) -> dict[str, tuple[str, ...]]:
     """G_theta(eps) = {h : U(theta,h) >= opt(theta) - eps}; the maximizer
-    always qualifies, so no set is empty.  epsilon is checked by ``accuracy``."""
-    eps = accuracy(epsilon, 0)[0]
+    always qualifies, so no set is empty.  epsilon is checked by ``accuracy``.
+    With eps = p/q and a row n/scale of the task's integer form, times
+    scale*q > 0 the test reads n*q >= max(n)*q - p*scale."""
+    p, q = accuracy(epsilon, 0)[0].as_integer_ratio()
     out = {}
-    for i, theta in enumerate(task.thetas):
-        cut = task.opt(i) - eps
-        out[theta] = tuple(h for h, u in zip(task.hyps, task.utility[i]) if u >= cut)
+    for theta, scale, row in zip(task.thetas, task.scales, task.iutility):
+        cut = max(row) * q - p * scale
+        out[theta] = tuple(h for h, n in zip(task.hyps, row) if n * q >= cut)
     return out
 
 

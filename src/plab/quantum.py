@@ -35,6 +35,7 @@ from typing import Sequence
 
 from . import ResourceCapError, _least
 from . import _np as np  # numpy, loaded on first use
+from .emx import _json_field
 
 HERM_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -112,7 +113,7 @@ class DensityMatrix:
 
     @classmethod
     def from_json(cls, obj: dict) -> "DensityMatrix":
-        m = matrix_from_json(obj["entries"])
+        m = matrix_from_json(_json_field(obj, "entries"))
         dim = obj.get("dim", m.shape[0])
         if type(dim) is not int:
             raise TypeError(f"dim must be an integer, not {dim!r}")

@@ -1,12 +1,14 @@
 """Reference constructions the tests hold the package to, and that no
 subcommand runs: a segment learner called on labels, a scheme built from any
-proper learner, the d-copy pure pair one (gamma, d) at a time, and the
-success sum of a two-outcome POVM."""
+proper learner, the d-copy pure pair one (gamma, d) at a time, the success
+sum of a two-outcome POVM, and the epsilon-optimal sets of a task from their
+rational definition."""
 
 from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 from typing import Callable, Iterable
 
 import numpy as np
@@ -89,3 +91,9 @@ def discrimination_sum(povm: Povm, rho0: DensityMatrix, rho1: DensityMatrix) -> 
     if povm.dim != rho0.dim:
         raise ValueError("POVM dimension does not match the states")
     return float(_success_sums(np.array(povm.elements), rho0.mat, rho1.mat))
+
+
+def epsilon_optimal_sets(thetas, hyps, utility, epsilon: Fraction) -> dict[str, tuple]:
+    """G_theta(eps) = {h : U(theta,h) >= max_h' U(theta,h') - eps} in Fractions,
+    the definition ``feasibility.epsilon_optimal_sets`` cuts in integers."""
+    return {t: tuple(h for h, u in zip(hyps, row) if u >= max(row) - epsilon) for t, row in zip(thetas, utility)}

@@ -750,10 +750,12 @@ def test_unwritable_report_path_fails_cleanly(workdir, capsys):
     assert capsys.readouterr().err.startswith("plab: error:")
 
 
-# (command line, file to write, its JSON content): malformed input files
-# whose parse raised TypeError, or read a string where a list belongs
-# element by element, or failed in numpy on rows of unequal lengths.
+# (command line, file to write, its JSON content[, the error after "malformed FILE: "]):
+# malformed input files whose parse raised TypeError, or read a string where a
+# list belongs element by element, or failed in numpy on rows of unequal
+# lengths, or turned a label that is not a string into a name.
 POLYTOPE = ["feasible", "lp", "--task", "task.json", "--polytope", "bad.json"]
+STATES = ["feasible", "sdp", "--task", "task.json", "--states", "states"]
 BAD_FILES = {
     "dist-weight-bool": (["emx", "--dist", "bad.json"], "bad.json",
                          {"labels": ["a", "b"], "weights": [True, "1/2"]}),
@@ -807,21 +809,39 @@ BAD_FILES = {
     "dist-weights-string": (["emx", "--dist", "bad.json"], "bad.json", {"labels": ["a"], "weights": "1"}),
     "coarse-labels-string": (["coarse", "--dist", "bad.json"], "bad.json", {"labels": "01", "weights": ["1/2", "1/2"]}),
     "coarse-weights-string": (["coarse", "--dist", "bad.json"], "bad.json", {"labels": [0.5], "weights": "1"}),
+    "task-theta-a-list": (["feasible", "lp", "--task", "bad.json"], "bad.json",
+                          {"thetas": ["t0", ["t1"]], "hyps": ["h0", "h1"], "utility": [["1", "0"], ["0", "1"]]},
+                          "'thetas' labels must be strings, not list"),
+    "task-hypothesis-a-number": (["feasible", "sdp", "--task", "bad.json", "--states", "states"], "bad.json",
+                                 {"thetas": ["t0", "t1"], "hyps": ["h0", 1], "utility": [["1", "0"], ["0", "1"]]},
+                                 "'hyps' labels must be strings, not int"),
+    "dist-weights-missing": (["emx", "--dist", "bad.json"], "bad.json", {"labels": ["a", "b"]},
+                             "missing key 'weights'"),
+    "state-entries-missing": (STATES, "states/t0.json", {"dim": 2}, "missing key 'entries'"),
+    "polytope-relation-missing": (POLYTOPE, "bad.json",
+                                  {"variables": ["a", "b", "c", "d"],
+                                   "constraints": [{"coeffs": ["1", "0", "0", "0"], "rhs": "0"}]},
+                                  "missing key 'relation'"),
+    "polytope-rhs-missing": (POLYTOPE, "bad.json",
+                             {"variables": ["a", "b", "c", "d"],
+                              "constraints": [{"coeffs": ["1", "0", "0", "0"], "relation": ">="}]},
+                             "missing key 'rhs'"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_FILES))
 def test_malformed_input_file_fails_cleanly(workdir, capsys, case):
-    argv, name, content = BAD_FILES[case]
+    argv, name, content, *message = BAD_FILES[case]
     (workdir / name).write_text(json.dumps(content))
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"plab: error: malformed {name}: ") and err.count("\n") == 1
+    if message:
+        assert err == f"plab: error: malformed {name}: {message[0]}\n"
 
 
 # (command line, file to write, its JSON content): input files that parse but
 # fail a check of their meaning; the error names the file.
-STATES = ["feasible", "sdp", "--task", "task.json", "--states", "states"]
 MEANINGLESS_FILES = {
     "state-two-rows-of-three": (STATES, "states/t0.json", {"entries": [[[1, 0], [0, 0], [0, 0]], [[0, 0]] * 3]}),
     "state-not-hermitian": (STATES, "states/t0.json",

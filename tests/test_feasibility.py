@@ -33,6 +33,7 @@ from plab.feasibility import (
 )
 from plab.quantum import DensityMatrix, Povm, ResourceCapError, delta_min, tensor_power
 from plab.tasks import TaskSpec
+import oracles
 from random_fixtures import random_density_matrix, random_pure_state
 
 F = Fraction
@@ -86,6 +87,32 @@ class TestEpsilonOptimalSets:
     def test_epsilon_must_be_positive(self):
         with pytest.raises(ValueError):
             epsilon_optimal_sets(IDENTITY_TASK, 0)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_integer_cut_is_the_rational_definition(self, data):
+        """Rows of mixed denominators up to 10^12.  A utility is drawn freely,
+        or put exactly on the cut max(row) - eps, or one 10^-12-sized step
+        either side of it, where a strict, rounded or one-denominator cut errs."""
+        big = 10**12
+        unit = st.integers(1, big).flatmap(lambda q: st.integers(0, q).map(lambda p: F(p, q)))
+        eps = data.draw(st.integers(2, big).flatmap(lambda q: st.integers(1, q - 1).map(lambda p: F(p, q))))
+        n_h = data.draw(st.integers(1, 6))
+        rows = []
+        for _ in range(data.draw(st.integers(1, 4))):
+            row = data.draw(st.lists(unit, min_size=n_h, max_size=n_h))
+            top = max(row)
+            for j, place in enumerate(data.draw(st.lists(st.sampled_from("free on below above".split()),
+                                                         min_size=n_h, max_size=n_h))):
+                step = F(1, data.draw(st.integers(1, big)))
+                u = top - eps + {"free": row[j] - top + eps, "on": 0, "below": -step, "above": step}[place]
+                if row[j] != top and 0 <= u < top:  # the row keeps its maximum
+                    row[j] = u
+            rows.append(row)
+        thetas, hyps = [f"t{i}" for i in range(len(rows))], [f"h{j}" for j in range(n_h)]
+        task = TaskSpec(thetas, hyps, rows)
+        assert task.utility == tuple(map(tuple, rows))
+        assert epsilon_optimal_sets(task, eps) == oracles.epsilon_optimal_sets(thetas, hyps, rows, eps)
 
 
 class TestPlConstraints:
