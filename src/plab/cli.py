@@ -35,6 +35,7 @@ from .emx import (
     IndexedDomain,
     RationalLiteralError,
     SegmentLearner,
+    _json_field,
     _json_list,
     as_fraction,
     sample_complexity,
@@ -100,9 +101,12 @@ class ExperimentConfig(SimpleNamespace):
 
     @classmethod
     def from_json(cls, obj) -> "ExperimentConfig":
-        """Config from parsed JSON; TypeError on an unknown or missing key, ValueError on a bad shape."""
+        """Config from parsed JSON; TypeError naming an unknown or missing key, ValueError on a bad shape."""
         if not isinstance(obj, dict):
             raise ValueError(f"config must be a JSON object, got {type(obj).__name__}")
+        if unknown := [key for key in obj if key not in ("kind", "parameters", "seed", "out")]:
+            raise TypeError(f"unknown config key {unknown[0]!r} (known: kind, parameters, seed, out)")
+        _json_field(obj, "kind")  # the one required key
         return cls(**obj)
 
 
@@ -266,9 +270,6 @@ def _run_emx(p: dict, seed: int):
 
 
 def _run_coarse(p: dict, seed: int):
-    if (bits := max([p["bits"], *(p["sweep_bits"] or ())])) > coarse.BITS_LIMIT:
-        raise ValueError(f"bits = {bits} is above the limit of {coarse.BITS_LIMIT}: every double in [0,1] is a "
-                         f"multiple of 2^-{coarse.BITS_LIMIT}, so more bits separate no further points")
     dist = _load_json(p["dist"], lambda raw: FinSupportDist([float(as_fraction(x)) for x in _json_list(raw, "labels")],
                                                             _json_list(raw, "weights")))
     need = sample_complexity(p["epsilon"], p["delta"])

@@ -15,7 +15,7 @@ from typing import Iterable
 from .emx import FinSupportDist, IndexedDomain
 
 # Every double in [0,1] is a multiple of 2^-1074, so past 1074 bits floor(2^bits * x)
-# separates no further pair of points; ``plab coarse`` refuses more bits.
+# separates no further pair of points; ``UniformBinsMap`` refuses more bits.
 BITS_LIMIT = 1074
 
 
@@ -25,13 +25,16 @@ class UniformBinsMap:
     The output alphabet is the integer range 0..2^bits-1 in numeric order
     (rank of bin b is b+1).  Points outside [0,1] are a domain error; x = 1.0
     lands in the top bin via the clamp.  The bin is computed exactly from the
-    float's integer ratio, so any number of bits works (a float 2^bits
-    overflows from 1024 bits on).
+    float's integer ratio, so every bit count up to ``BITS_LIMIT`` works (a
+    float 2^bits overflows from 1024 bits on); more bits are refused.
     """
 
     def __init__(self, bits: int):
         if not isinstance(bits, int) or bits < 0:
             raise ValueError("bits must be a nonnegative integer")
+        if bits > BITS_LIMIT:
+            raise ValueError(f"bits = {bits} is above the limit of {BITS_LIMIT}: every double in [0,1] is a "
+                             f"multiple of 2^-{BITS_LIMIT}, so more bits separate no further points")
         self.bits = bits
 
     @cached_property

@@ -10,7 +10,7 @@ Implements:
   • sample_complexity — smallest d with (1-eps)^d <= delta, clamped to >= 1
   • mass — exact P(F), from a per-distribution prefix table for segments
   • quantile_success — exact success probability of the quantile learner
-  • substream, substreams — the generator of (seed, *path); of (seed, k) for every k, hashed in one batch
+  • substreams — the generator of (seed, k) for every k, their seed sequences hashed in one batch
   • verify_guarantee — seeded Monte Carlo check of (eps, delta) at all of a run's (learner, d) points, in one
     trial loop that draws each trial once, as support positions
 
@@ -69,6 +69,15 @@ def as_fraction(value: Fraction | int | float | str) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 
+def _integer_form(values: Iterable, parse: Callable | None = None) -> tuple[int, tuple[int, ...]]:
+    """(scale, nums) with nums[i] / scale == values[i] exactly, scale the lcm of the denominators of
+    the values' ``as_integer_ratio()`` (a float is the dyadic rational it is): the one integer form of
+    plab's exact data.  Callers parse their values first, or pass ``parse``, applied in this pass."""
+    ratios = [v.as_integer_ratio() for v in values] if parse is None else [parse(v).as_integer_ratio() for v in values]
+    scale = math.lcm(*[q for _, q in ratios])
+    return scale, tuple([p * (scale // q) for p, q in ratios])
+
+
 def _json_field(obj, key):
     """obj[key] of an input file; a missing key is a TypeError that says so.
     Only the lookup's own KeyError is relabelled."""
@@ -97,17 +106,6 @@ def accuracy(epsilon, delta) -> tuple[Fraction, Fraction]:
     return eps, dlt
 
 
-def substream(seed: int, *path: int) -> np.random.Generator:
-    """Independent generator for (seed, *path): PCG64 on
-    SeedSequence(entropy=seed, spawn_key=path), the generator that
-    ``np.random.default_rng`` makes from that seed sequence, built directly.
-
-    Streams are derived by spawn key, not by drawing, so trial k's stream does
-    not depend on execution order or parallelism degree.
-    """
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=path)))
-
-
 def _hash_consts(g: int, mult: int, first: int, last: int) -> np.ndarray:
     """SeedSequence's hash constants g * mult^i mod 2^32, i = first..last."""
     return np.array([g * pow(mult, i, 1 << 32) & 0xFFFFFFFF for i in range(first, last + 1)], dtype=np.uint64)
@@ -130,19 +128,22 @@ def _fixed_state() -> type:
 
 
 def substreams(seed: int, count: int) -> Iterator[np.random.Generator]:
-    """``substream(seed, k)`` for k = 0..count-1 in order.  numpy pools the
-    seed's uint32 words, padded to 4; key k is mixed in, and the state
-    generated, for 1024 keys at once in np.uint64 arrays (numpy 1.x casts
-    uint64 with a Python int to float64).  The first row is checked against
-    numpy's SeedSequence, which also rejects a bad seed with numpy's error."""
+    """For k = 0..count-1 in order, the generator of (seed, k): PCG64 on SeedSequence(entropy=seed,
+    spawn_key=(k,)), as ``np.random.default_rng`` makes it.  A key is one uint32 word, so a count
+    above 2^32 raises ValueError.  numpy pools the seed's uint32 words, padded to 4; key k is mixed
+    in, and the state generated, for 1024 keys at once in np.uint64 arrays (numpy 1.x casts uint64
+    with a Python int to float64).  The first row is checked against numpy's SeedSequence, which
+    also rejects a bad seed with numpy's error."""
+    if count > 1 << 32:
+        raise ValueError(f"count = {count} is above 2^32: a substream key is one uint32 word")
     want = np.random.SeedSequence(entropy=seed, spawn_key=(0,)).generate_state(4, np.uint64)
     words = [int(seed) >> s & 0xFFFFFFFF for s in range(0, max(128, int(seed).bit_length()), 32)]
     u, m32, s16, fixed = np.uint64, np.uint64(0xFFFFFFFF), np.uint64(16), _fixed_state()
     pool = np.random.SeedSequence(words).pool.astype(u) * u(0xCA01F9DD) & m32  # mix's first term
     key = _hash_consts(0x43B0D7E5, 0x931E8875, 4 * len(words), 4 * len(words) + 4)  # after 4 per word
     out = _hash_consts(0x8B51F9DD, 0x58F38DED, 0, 8)
-    for start in range(0, min(count, 1 << 32), 1024):  # keys of one uint32 word; no product overflows
-        v = np.arange(start, min(count, start + 1024, 1 << 32), dtype=u)[:, None]
+    for start in range(0, count, 1024):  # keys of one uint32 word: no product overflows
+        v = np.arange(start, min(count, start + 1024), dtype=u)[:, None]
         v = (v ^ key[:-1]) * key[1:] & m32  # hashmix of the key, once per pool word
         v = (pool + (u(0xB68C08EB) * (v ^ v >> s16) & m32)) & m32  # mix: 0xB68C08EB = -0x4973F715
         v = np.tile(v ^ v >> s16, 2)  # generate_state(4, np.uint64) hashes the pool twice over
@@ -153,7 +154,6 @@ def substreams(seed: int, count: int) -> Iterator[np.random.Generator]:
             raise AssertionError(f"batched seed sequence {rows[0]} differs from numpy's {want}")
         for row in rows:
             yield np.random.Generator(np.random.PCG64(fixed(row)))
-    yield from map(functools.partial(substream, seed), range(1 << 32, count))
 
 
 class IndexedDomain:
@@ -308,12 +308,10 @@ class FinSupportDist:
             raise ValueError("support points must be distinct")
         if any(isinstance(w, float) and not math.isfinite(w) for w in self.weights):
             raise ValueError("weights must be finite")  # NaN and inf have no integer ratio
-        ratios = [w.as_integer_ratio() for w in self.weights]
-        self._den = den = math.lcm(*(q for _, q in ratios))
-        self._nums = tuple(p * (den // q) for p, q in ratios)
-        if min(self._nums) <= 0:
+        self._den, self._nums = den, nums = _integer_form(self.weights)
+        if min(nums) <= 0:
             raise ValueError("weights must be strictly positive")
-        total = sum(self._nums)
+        total = sum(nums)
         if self.is_exact:
             if total != den:
                 raise ValueError(f"rational weights must sum to exactly 1, got {Fraction(total, den)}")

@@ -23,12 +23,11 @@ import contextlib
 import operator
 from collections import namedtuple
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 from . import _np as np  # numpy, loaded on first use
 from . import simplex
-from .emx import _json_field, _json_list, accuracy, as_fraction
+from .emx import _integer_form, _json_field, _json_list, accuracy, as_fraction
 from .quantum import DensityMatrix, Povm, _hermitize, tensor_power
 from .tasks import TaskSpec
 
@@ -38,10 +37,9 @@ _HOLDS = {"<=": operator.le, "=": operator.eq, ">=": operator.ge}
 
 def _violated(rows: Sequence["LinearConstraint"], x: Sequence[Fraction]) -> list[int]:
     """Indices of the rows that the exact point x violates, checked in
-    integers: with d the lcm of the denominators of x, each row times scale*d
-    reads sum of c_j*(d*x_j) <relation> irhs*d, with scale*d > 0."""
-    d = lcm(*(v.denominator for v in x))
-    xs = [v.numerator * (d // v.denominator) for v in x]
+    integers: with x_j = xs_j/d in ``_integer_form``, each row times scale*d
+    reads sum of c_j*xs_j <relation> irhs*d, with scale*d > 0."""
+    d, xs = _integer_form(x)
     return [i for i, r in enumerate(rows) if not _HOLDS[r.relation](sum([c * xs[j] for j, c in r.iterms]), r.irhs * d)]
 
 
@@ -49,7 +47,7 @@ class LinearConstraint(namedtuple("LinearConstraint", "arity relation scale iter
     """terms . x  <relation>  rhs over ``arity`` variables, with exact rational
     data held as integers, built once at construction: ``iterms`` are the
     nonzero (index, coefficient) pairs in index order and ``irhs`` the rhs,
-    each times ``scale`` > 0, the lcm of their denominators.  The simplex
+    each times ``scale`` > 0, the lcm of their denominators (``emx._integer_form``).  The simplex
     pivots on this form; the witness re-check of ``lp_feasible`` checks a
     point against it in integers.  ``coeffs`` (the dense row) and ``rhs``
     are rational views.  ``_make((arity, relation, scale, iterms, irhs))``
@@ -61,13 +59,14 @@ class LinearConstraint(namedtuple("LinearConstraint", "arity relation scale iter
         """The row with dense coefficients ``coeffs``; the relation is checked first."""
         if relation not in simplex.RELATIONS:
             raise ValueError(f"unknown relation {relation!r}")
-        # the literal "0" is skipped unparsed: most literals of a dense row are "0"
-        terms = tuple((j, f) for j, c in enumerate(coeffs) if c != "0" and (f := as_fraction(c)))
-        rhs = as_fraction(rhs)
-        scale = lcm(rhs.denominator, *(c.denominator for _, c in terms))
-        return cls._make((len(coeffs), relation, scale,
-                          tuple((j, c.numerator * (scale // c.denominator)) for j, c in terms),
-                          rhs.numerator * (scale // rhs.denominator)))
+        cols, values = [], []
+        for j, c in enumerate(coeffs):  # the literal "0" is skipped unparsed: most literals of a dense row are "0"
+            if c != "0" and (f := as_fraction(c)):
+                cols.append(j)
+                values.append(f)
+        values.append(as_fraction(rhs))
+        scale, (*ints, irhs) = _integer_form(values)
+        return cls._make((len(coeffs), relation, scale, tuple(zip(cols, ints)), irhs))
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:

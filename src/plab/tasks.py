@@ -7,7 +7,7 @@ probability row per environment, are the coordinates of the LP deciders in
 
 Utilities are held in integer form, built once at construction: row i is
 ``iutility[i]``, its utilities times ``scales[i]`` > 0, the lcm of that
-row's denominators.  The [0,1] check reads 0 <= n <= scale, and
+row's denominators (``emx._integer_form``).  The [0,1] check reads 0 <= n <= scale, and
 ``feasibility.epsilon_optimal_sets`` cuts each row at epsilon in integers.
 ``utility`` and ``opt`` are exact rational views of that form.
 """
@@ -15,10 +15,9 @@ row's denominators.  The [0,1] check reads 0 <= n <= scale, and
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
-from .emx import _json_list, as_fraction
+from .emx import _integer_form, _json_list, as_fraction
 
 
 class TaskSpec:
@@ -40,11 +39,9 @@ class TaskSpec:
             raise ValueError("need at least one environment and one hypothesis")
         scales, rows = [], []
         for row in utility:
-            ratios = [as_fraction(u).as_integer_ratio() for u in row]
-            if len(ratios) != len(self.hyps):
+            scale, row = _integer_form(row, as_fraction)
+            if len(row) != len(self.hyps):
                 raise ValueError("utility row length must match hypothesis count")
-            scale = lcm(*[d for _, d in ratios])
-            row = tuple([n * (scale // d) for n, d in ratios])
             if min(row) < 0 or max(row) > scale:
                 raise ValueError("utilities must lie in [0,1]")
             scales.append(scale)

@@ -1,8 +1,8 @@
 """Reference constructions the tests hold the package to, and that no
 subcommand runs: a segment learner called on labels, a scheme built from any
 proper learner, the d-copy pure pair one (gamma, d) at a time, the success
-sum of a two-outcome POVM, and the epsilon-optimal sets of a task from their
-rational definition."""
+sum of a two-outcome POVM, the epsilon-optimal sets of a task from their
+rational definition, and the generator of one (seed, *path) substream."""
 
 from __future__ import annotations
 
@@ -91,6 +91,14 @@ def discrimination_sum(povm: Povm, rho0: DensityMatrix, rho1: DensityMatrix) -> 
     if povm.dim != rho0.dim:
         raise ValueError("POVM dimension does not match the states")
     return float(_success_sums(np.array(povm.elements), rho0.mat, rho1.mat))
+
+
+def substream(seed: int, *path: int) -> np.random.Generator:
+    """Independent generator for (seed, *path): PCG64 on
+    SeedSequence(entropy=seed, spawn_key=path), the generator that
+    ``np.random.default_rng`` makes from that seed sequence, built directly.
+    ``emx.substreams`` must yield the generator of (seed, k) for each k."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=path)))
 
 
 def epsilon_optimal_sets(thetas, hyps, utility, epsilon: Fraction) -> dict[str, tuple]:

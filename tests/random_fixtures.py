@@ -4,7 +4,8 @@ generator, so property batches stay reproducible."""
 
 import numpy as np
 
-from plab.emx import FinSupportDist, substream
+from oracles import substream
+from plab.emx import FinSupportDist
 from plab.quantum import DensityMatrix, Povm, _hermitize
 
 

@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import discrimination_sum, pure_pair
+from oracles import discrimination_sum, pure_pair, substream
 from reference_writer import matrix_to_json, pin
 
 from plab import cli, emx, quantum
@@ -826,6 +826,10 @@ BAD_FILES = {
                              {"variables": ["a", "b", "c", "d"],
                               "constraints": [{"coeffs": ["1", "0", "0", "0"], "relation": ">="}]},
                              "missing key 'rhs'"),
+    "config-key-unknown": (["emx", "--config", "bad.json"], "bad.json", {"kind": "emx", "sed": 3},
+                           "unknown config key 'sed' (known: kind, parameters, seed, out)"),
+    "config-kind-missing": (["emx", "--config", "bad.json"], "bad.json", {"parameters": {"dist": "dist.json"}},
+                            "missing key 'kind'"),
 }
 
 
@@ -1021,7 +1025,7 @@ def test_batched_substreams_write_the_reports_of_one_substream_per_trial(workdir
     separate ``substream(seed, k)`` per trial writes."""
     argv = MULTI_WORD_RUNS[run] + ["--seed", seed, "--out"]
     assert main(argv + ["batched.json"]) == 0
-    monkeypatch.setattr(emx, "substreams", lambda s, n: (emx.substream(s, k) for k in range(n)))
+    monkeypatch.setattr(emx, "substreams", lambda s, n: (substream(s, k) for k in range(n)))
     assert main(argv + ["single.json"]) == 0
     batched, single = ((workdir / name).read_text() for name in ("batched.json", "single.json"))
     assert CLOCK_LINE.sub("", batched) == CLOCK_LINE.sub("", single.replace("single.json", "batched.json"))

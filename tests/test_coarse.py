@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plab.coarse import (
+    BITS_LIMIT,
     TableMap,
     UniformBinsMap,
     pushforward,
@@ -43,9 +44,9 @@ class TestUniformBinsMap:
         assert len(pi.domain) == 1
 
     @settings(max_examples=200, deadline=None)
-    @given(x=st.floats(0.0, 1.0), bits=st.integers(0, 1200))
+    @given(x=st.floats(0.0, 1.0), bits=st.integers(0, BITS_LIMIT))
     def test_bin_is_the_exact_floor(self, x, bits):
-        """floor(x * 2^bits) of the exact rational value of x, at any bits."""
+        """floor(x * 2^bits) of the exact rational value of x, at every bit count the map takes."""
         top = (1 << bits) - 1
         assert UniformBinsMap(bits)(x) == min(math.floor(Fraction(x) * 2**bits), top)
 
@@ -59,7 +60,7 @@ class TestUniformBinsMap:
         assert UniformBinsMap(64).domain.size == 2**64
 
     def test_bits_beyond_float_range(self):
-        for bits in (1023, 1024, 1100):
+        for bits in (1023, 1024, BITS_LIMIT):
             pi = UniformBinsMap(bits)
             assert pi(0.5) == 1 << (bits - 1)
             assert pi(1.0) == (1 << bits) - 1
@@ -77,6 +78,10 @@ class TestUniformBinsMap:
             UniformBinsMap(-1)
         with pytest.raises(ValueError):
             UniformBinsMap(2.0)
+        # past BITS_LIMIT a library caller gets the refusal ``plab coarse`` prints
+        with pytest.raises(ValueError, match=r"^bits = 1075 is above the limit of 1074: every double in \[0,1\] "
+                                             r"is a multiple of 2\^-1074, so more bits separate no further points$"):
+            UniformBinsMap(1075)
         pi = UniformBinsMap(4)
         for x in (-0.01, 1.01):
             with pytest.raises(ValueError):

@@ -26,9 +26,10 @@ from plab.emx import (
     quantile_learn,
     quantile_success,
     sample_complexity,
-    substream,
     verify_guarantee,
 )
+from plab.tasks import TaskSpec
+from oracles import substream
 from random_fixtures import draw_sample
 
 LETTERS = tuple("abcdefghij")
@@ -76,6 +77,33 @@ class TestRationalParsing:
         assert [type(w) for w in P.weights] == [float, Fraction, Fraction, float]
         with pytest.raises(TypeError):
             FinSupportDist("a", [True])
+
+
+EXACT_VALUES = st.one_of(
+    st.fractions(), st.integers(-(2**80), 2**80), st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([5e-324, -5e-324, 2**64 + 1, -(2**70) - 3, 1.7976931348623157e308]),
+)
+
+
+class TestIntegerForm:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(values=st.lists(EXACT_VALUES, max_size=12))
+    def test_numerators_over_the_lcm_of_the_denominators(self, values):
+        """Fractions, ints past 2^64 and floats down to 5e-324, a float as the dyadic rational it is."""
+        scale, nums = emx._integer_form(values)
+        assert scale == math.lcm(*(Fraction(v).denominator for v in values))
+        assert len(nums) == len(values) and all(type(n) is int for n in nums)
+        assert all(Fraction(n, scale) == Fraction(v) for n, v in zip(nums, values))
+
+    def test_parse_runs_on_each_value(self):
+        assert emx._integer_form(["1/3", "0.5", 2, 0.1], as_fraction) == (30, (10, 15, 60, 3))
+        assert emx._integer_form([]) == (1, ())
+
+    def test_the_two_float_rules_stay_apart(self):
+        """One helper, two rules: a distribution weight is read as the double it is,
+        a utility by ``as_fraction`` as the decimal it spells."""
+        assert FinSupportDist(["a", "b"], [0.1, 0.9])._den == 2**55
+        assert TaskSpec(["t"], ["h0", "h1"], [[0.1, 1]]).scales == (10,)
 
 
 class TestIndexedDomain:

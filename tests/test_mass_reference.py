@@ -47,7 +47,7 @@ from plab.emx import (
     quantile_success,
     verify_guarantee,
 )
-from oracles import PulledBackHypothesis, learner_to_compression, segment_learn
+from oracles import PulledBackHypothesis, learner_to_compression, segment_learn, substream
 from random_fixtures import draw_sample
 
 
@@ -331,7 +331,7 @@ def assert_substreams_match(seed, n):
     gens = list(emx.substreams(seed, n))
     assert len(gens) == n
     for k, gen in enumerate(gens):
-        assert gen.bit_generator.state == emx.substream(seed, k).bit_generator.state, k
+        assert gen.bit_generator.state == substream(seed, k).bit_generator.state, k
 
 
 @pytest.mark.parametrize("n", [0, 1, 1030], ids=["none", "one", "two_blocks"])
@@ -347,9 +347,16 @@ def test_substreams_match_substream_below_2_to_the_256(seed, n):
     assert_substreams_match(seed, n)
 
 
+def test_substreams_refuse_a_count_past_one_uint32_key():
+    """Keys 0..2^32-1 are one uint32 word each; one more key is refused before anything is hashed."""
+    assert next(emx.substreams(0, 2**32)).bit_generator.state == substream(0, 0).bit_generator.state
+    with pytest.raises(ValueError, match=r"^count = 4294967297 is above 2\^32"):
+        next(emx.substreams(0, 2**32 + 1))
+
+
 @pytest.mark.parametrize("seed", [-1, 1.5, "7"])
 def test_substreams_reject_bad_seeds_as_substream_does(seed):
-    want = outcome(lambda: emx.substream(seed, 0))
+    want = outcome(lambda: substream(seed, 0))
     assert isinstance(want, tuple)
     assert outcome(lambda: list(emx.substreams(seed, 3))) == want
 
@@ -364,7 +371,7 @@ def test_out_of_order_float_weights_answer_from_the_exact_sum():
     rep = verify_guarantee([(learner, 1)], P, "2/5", "1/2", 200, 5)[0]
     assert rep == verify_guarantee([(lambda s: segment_learn(learner, s), 1)], P, "2/5", "1/2", 200, 5)[0]
     # wins: a (ranks <= 3 hold 3/5 and more) and d (all of P)
-    assert rep.empirical_rate == sum(P.sample(emx.substream(5, k), 1) in (("a",), ("d",)) for k in range(200)) / 200
+    assert rep.empirical_rate == sum(P.sample(substream(5, k), 1) in (("a",), ("d",)) for k in range(200)) / 200
 
 
 def test_the_first_support_point_the_map_rejects_names_the_error():
@@ -469,7 +476,7 @@ def test_label_path_gets_trial_ks_sample_across_blocks(d, trials):
             return frozenset(sample[:3])
 
         rep = verify_guarantee([(learner, d)], P, "1/3", "1/3", trials, seed)[0]
-        assert seen == [P.sample(emx.substream(seed, k), d) for k in range(trials)]
+        assert seen == [P.sample(substream(seed, k), d) for k in range(trials)]
         assert {len(s) for s in seen} == {d} and set(itertools.chain.from_iterable(seen)) <= set(labels)
         assert rep.empirical_rate == sum(mass(P, frozenset(s[:3])) >= Fraction(2, 3) for s in seen) / trials
 
