@@ -18,17 +18,6 @@ class ResourceCapError(RuntimeError):
     here so that ``plab.cli`` can catch it without executing ``plab.quantum``."""
 
 
-def _least(holds, lo: int, hi: int) -> int:
-    """Least n > lo with holds(n), for a holds that is false at lo (or lo = 0) and true from
-    its answer on: hi doubles until it holds, then bisection between the last two probes."""
-    while not holds(hi):
-        lo, hi = hi, 2 * hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if holds(mid) else (mid, hi)
-    return hi
-
-
 def _lazy(name: str):
     """Module ``name`` as ``sys.modules`` holds it (None where it is blocked), else a module
     executed on its first attribute access: the ``importlib.util.LazyLoader`` recipe.  A new

@@ -30,7 +30,7 @@ class UniformBinsMap:
     """
 
     def __init__(self, bits: int):
-        if not isinstance(bits, int) or bits < 0:
+        if type(bits) is not int or bits < 0:  # a bool is an int, but not a bit count
             raise ValueError("bits must be a nonnegative integer")
         if bits > BITS_LIMIT:
             raise ValueError(f"bits = {bits} is above the limit of {BITS_LIMIT}: every double in [0,1] is a "

@@ -20,7 +20,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
-from . import _least
 from .emx import FiniteHypothesis, IndexedDomain, quantile_learn
 
 CANDIDATE_LIMIT = 4096  # value subtuples a scheme keeps reconstructed; past it they are rebuilt per call
@@ -98,7 +97,13 @@ def required_n(m: int) -> int:
                 and math.log(2.0) + log_comb - (n - m) / 18.0 <= log_alpha
                 and -n / 18.0 <= log_alpha)
 
-    return _least(holds, m, m + 1)  # holds(m + 1) is false: 6m > m + 1
+    lo, hi = m + 1, 2 * m + 2  # holds(m + 1) is false: 6m > m + 1
+    while not holds(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if holds(mid) else (mid, hi)
+    return hi
 
 
 def _distinct_subtuples(pts: tuple, m: int) -> list[tuple]:

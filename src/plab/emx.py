@@ -453,7 +453,7 @@ class SegmentLearner(namedtuple("SegmentLearner", "dom pi", defaults=(None,))):
         return table
 
 
-_TIE_BITS = 1 << 18  # largest power, in bits, that ``sample_complexity`` computes to settle a tie
+_TIE_BITS = 1 << 18  # precision, in bits, to which ``sample_complexity`` takes powers to settle a tie
 
 
 def _ln(x: Fraction) -> float:
@@ -464,15 +464,27 @@ def _ln(x: Fraction) -> float:
     return math.log(x) if x >= 2.0**-1022 else math.log(x.numerator) - math.log(x.denominator)
 
 
+def _power_bounds(x: int, n: int, bits: int) -> tuple:
+    """(lo, hi, e) with lo * 2^e <= x^n <= hi * 2^e, squaring with each result cut to ``bits`` bits (lo
+    rounded down, hi up); exact, lo == hi == x^n and e == 0, while x^n has at most ``bits`` bits."""
+    if n <= 1:
+        return (x, x, 0) if n else (1, 1, 0)
+    lo, hi, e = _power_bounds(x, n >> 1, bits)
+    lo, hi = lo * lo * x ** (n & 1), hi * hi * x ** (n & 1)
+    cut = max(hi.bit_length() - bits, 0)
+    return lo >> cut, -(-hi >> cut), 2 * e + cut
+
+
 def sample_complexity(epsilon, delta) -> int:
     """Smallest integer d >= 1 with (1-epsilon)^d <= delta.
 
-    The float ratio r = ln(delta)/ln(1-epsilon) gives d = ceil(r).  Within
-    2^-46 r of an integer n (64 units in the last place, well above the
-    ratio's rounding error), r could put d on the wrong side of n, so there d
-    is settled exactly: with 1 - epsilon = s/q and delta = a/b, d = n when
-    s^n * b <= a * q^n and n + 1 otherwise.  A tie needing powers of more than
-    2^18 bits raises ValueError rather than stalling.
+    The float ratio r = ln(delta)/ln(1-epsilon) gives d = ceil(r).  Within 2^-46 r of an integer n (64
+    units in the last place, well above the ratio's rounding error), r could put d on the wrong side of
+    n, so there d is settled exactly: with 1 - epsilon = s/q and delta = a/b, d = n when s^n * b <= a * q^n
+    and n + 1 otherwise, decided on ``_power_bounds`` at 64 bits, then twice as many up to 2^18.  Only
+    powers that small can tie exactly (s^n * b = a * q^n needs q^n to divide b).  Past r = 2^45 the window
+    is wider than 1/2 and does not tell n; there, and at a tie still open at 2^18 bits, ValueError is raised
+    rather than stalling.
     """
     eps, dlt = accuracy(epsilon, delta)
     try:
@@ -483,9 +495,14 @@ def sample_complexity(epsilon, delta) -> int:
     if abs(r - n) > 2.0**-46 * max(1.0, r):
         return max(1, math.ceil(r))
     (s, q), (a, b) = (1 - eps).as_integer_ratio(), dlt.as_integer_ratio()
-    if n * q.bit_length() + b.bit_length() > _TIE_BITS:
-        raise ValueError(f"sample complexity near d = {n} is too close to a tie to settle within 2^18 bits")
-    return max(1, n if s**n * b <= a * q**n else n + 1)
+    for bits in [1 << k for k in range(6, _TIE_BITS.bit_length())] if r <= 2.0**45 else []:
+        (slo, shi, se), (qlo, qhi, qe) = _power_bounds(s, n, bits), _power_bounds(q, n, bits)
+        lift = min(se, qe)  # s^n * b against a * q^n at their shared exponent; b > a, so never n = 0
+        if shi * b << (se - lift) <= a * qlo << (qe - lift):
+            return n
+        if slo * b << (se - lift) > a * qhi << (qe - lift):
+            return n + 1
+    raise ValueError(f"the least d near {n} is too close to a tie to settle within 2^18 bits")
 
 
 GuaranteeReport = namedtuple("GuaranteeReport", "epsilon delta d trials seed empirical_rate ci_halfwidth bound")

@@ -10,7 +10,8 @@ distance 2*sqrt(1-gamma^(2d)), the Helstrom measurement for binary
 discrimination together with the trace distance fixing its success sum
 1 + ||rho0 - rho1||_1 / 2 (one eigendecomposition for both), the same for
 d-copy pure pairs at any d (``pure_pair_helstrom``), reliability bounds
-(delta_min, d_min), bipartite correlation tables, and a no-signaling checker.
+(delta_min, and d_min exactly: ``copies_min``), bipartite correlation
+tables, and a no-signaling checker.
 
 ``tensor_power`` is the one place that builds dense d-copy states
 rho^(x)d and enforces the cap DIM_CAP.  A d-fold power is not checked
@@ -31,11 +32,12 @@ from __future__ import annotations
 import math
 import sys
 from collections import namedtuple
+from fractions import Fraction
 from typing import Sequence
 
-from . import ResourceCapError, _least
+from . import ResourceCapError
 from . import _np as np  # numpy, loaded on first use
-from .emx import _json_field
+from .emx import _json_field, sample_complexity
 
 HERM_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -273,20 +275,17 @@ def delta_min(gamma: float, d: int) -> float:
 
 
 def copies_min(gamma: float, delta: float) -> int:
-    """Smallest integer d >= 1 with delta_min(gamma, d) <= delta, that is
-    d >= ln(1/(4*delta*(1-delta)))/(-2*ln(gamma)); the copy count below which
-    worst-case error delta is impossible.  Found on ``delta_min`` itself, so
-    the two never disagree: hi doubles from 1 until it is enough, then
-    bisection between hi/2 and hi.
-
-    gamma in {0,1} is degenerate (orthogonal states need no copies; identical
-    states never separate) and raises.
+    """Smallest integer d >= 1 with delta_min(gamma, d) <= delta (Helstrom): for delta < 1/2, gamma^(2d) <=
+    4*delta*(1-delta), so ``emx.sample_complexity(1 - gamma^2, 4*delta*(1-delta))`` on the dyadic rationals
+    the floats are.  At a near-tie delta_min(gamma, d_min) may print one rounding above delta; past
+    ln(4*delta*(1-delta)) / ln(gamma^2) = 2^45 the tie cap raises ValueError.  gamma in {0,1} is degenerate.
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma in {0,1} is degenerate for a copy count")
     if not 0.0 < delta < 0.5:
         raise ValueError("delta must lie in (0, 1/2)")
-    return _least(lambda d: delta_min(gamma, d) <= delta, 0, 1)
+    g, dlt = Fraction(gamma), Fraction(delta)
+    return sample_complexity(1 - g * g, 4 * dlt * (1 - dlt))
 
 
 class CorrelationTable:

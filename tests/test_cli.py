@@ -255,6 +255,13 @@ def test_a_300_point_copy_sweep_is_its_points_one_by_one(workdir):
         assert len(list(csv.DictReader(fh))) == 300
 
 
+def test_a_near_tie_past_exact_powers_prints_its_count(workdir):
+    # 0.999^6000 has about 318 kbit; the printed delta_min(0.999, 3000) is one rounding below it
+    argv = ["quantum", "discriminate", "--gamma", "0.999", "--delta", repr(quantum.delta_min(0.999, 3000))]
+    assert main([*argv, "--out", "r.json"]) == 0
+    assert json.loads((workdir / "r.json").read_text())["metrics"]["d_min"] == 3001
+
+
 def test_trace_distance_prints_as_the_formula_as_gamma_nears_1(workdir):
     argv = ["quantum", "discriminate", "--gamma", "0.9999999", "--sweep-copies", "1,2,3,5,8,13", "--out", "r.json"]
     assert main(argv) == 0
@@ -399,6 +406,15 @@ class TestErrorPaths:
         for d in (str(largest + 1), "9" * 330):
             assert main(argv + [d]) == 1
             assert capsys.readouterr().err == "plab: error: d must be at most 8.988465674311579e+307\n"
+
+    def test_copy_count_too_close_to_a_tie(self, workdir, capsys):
+        # about 3.2e18 copies: ln(4 delta (1 - delta)) / ln(gamma^2) is past 2^45, where a float ratio cannot settle d
+        assert main(["quantum", "discriminate", "--gamma", "0.9999999999999999", "--delta", "1e-310",
+                     "--out", "r.json"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("plab: error: the least d near ") and "too close to a tie to settle within 2^18 bits" in err
+        assert not (workdir / "r.json").exists()
 
     @pytest.mark.parametrize("argv", [
         ["feasible", "lp", "--task", "task.json"],

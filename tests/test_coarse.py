@@ -78,6 +78,8 @@ class TestUniformBinsMap:
             UniformBinsMap(-1)
         with pytest.raises(ValueError):
             UniformBinsMap(2.0)
+        with pytest.raises(ValueError, match="^bits must be a nonnegative integer$"):
+            UniformBinsMap(True)  # an int to isinstance, which built a 2-bin map
         # past BITS_LIMIT a library caller gets the refusal ``plab coarse`` prints
         with pytest.raises(ValueError, match=r"^bits = 1075 is above the limit of 1074: every double in \[0,1\] "
                                              r"is a multiple of 2\^-1074, so more bits separate no further points$"):

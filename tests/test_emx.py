@@ -518,6 +518,29 @@ class TestSampleComplexity:
     def test_delta_below_the_normal_floats(self, dlt):
         assert sample_complexity(Fraction(1, 2), dlt) == exact_min_d(Fraction(1, 2), dlt)
 
+    @settings(max_examples=40, deadline=None)
+    @given(x=st.integers(2, 2**120), n=st.integers(0, 3000), bits=st.sampled_from([64, 128, 1024, 1 << 18]))
+    def test_power_bounds_bracket_the_power(self, x, n, bits):
+        lo, hi, e = emx._power_bounds(x, n, bits)
+        assert lo << e <= x**n <= hi << e
+        assert hi.bit_length() <= bits or x**n == hi == lo
+        if (x**n).bit_length() <= bits:
+            assert lo == hi == x**n and e == 0
+
+    @settings(max_examples=25, deadline=None)
+    @given(eps=st.fractions(Fraction(1, 10**6), Fraction(1, 10**3), max_denominator=10**6),
+           ulps=st.integers(-2, 2), extra=st.integers(0, 10**4))
+    def test_settles_ties_past_exact_powers(self, eps, ulps, extra):
+        """delta a float next to (1-eps)^d, where the powers of 1 - eps have more than 2^18 bits."""
+        d = emx._TIE_BITS // (1 - eps).denominator.bit_length() + 1 + extra
+        with mpmath.workprec(200):
+            dlt = float(mpmath.power(mpmath.mpf(1 - eps.numerator / mpmath.mpf(eps.denominator)), d))
+        for _ in range(abs(ulps)):
+            dlt = math.nextafter(dlt, ulps)
+        dlt = Fraction(dlt)  # the float's own value, not its decimal reading
+        got = sample_complexity(eps, dlt)
+        assert (1 - eps) ** got <= dlt < (1 - eps) ** (got - 1)
+
     def test_a_tie_beyond_the_bit_cap_fails_loudly(self):
         # r = 1e17 ln 3 lies beyond 2^53, where every float is an integer:
         # settling it would take 1e17-fold powers

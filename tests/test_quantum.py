@@ -9,6 +9,7 @@ Frozen numeric targets:
 
 import math
 import time
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -493,6 +494,42 @@ def mp_delta_min(gamma: float, d: int):
         return g / (2 * (1 + mpmath.sqrt(1 - g)))
 
 
+TIE_CAP = "too close to a tie to settle within 2^18 bits"
+
+
+def copies_reach(gamma: float, delta: float, d: int) -> bool:
+    """gamma^(2d) <= 4 delta (1 - delta), that is delta_min(gamma, d) <= delta for delta < 1/2, with the
+    floats read as the rationals they are: in Fractions while the power has at most 2^16 bits, else by
+    logarithms at 3,000 bits, which resolve 1 - delta for every float delta and must set the sides apart."""
+    g, dlt = Fraction(gamma), Fraction(delta)
+    if d * g.denominator.bit_length() <= 1 << 15:
+        return g ** (2 * d) <= 4 * dlt * (1 - dlt)
+    with mpmath.workprec(3000):
+        x = mpmath.mpf(delta)
+        gap = 2 * d * mpmath.log(mpmath.mpf(gamma)) - mpmath.log(4 * x * (1 - x))
+        assert abs(gap) > mpmath.mpf(2) ** -2900, (gamma, delta, d)
+        return gap <= 0
+
+
+def checked_copies_min(gamma: float, delta: float) -> int | None:
+    """copies_min(gamma, delta), checked to be the least d >= 1 with ``copies_reach`` at d and d - 1; or
+    None where it raised the tie cap.  With r = ln(4 delta (1 - delta)) / ln(gamma^2) the cap must fire
+    past r = 2^45, where sample_complexity's tie window is wider than 1/2, and nowhere below it (2^-40
+    relative is left either side for its float r)."""
+    with mpmath.workprec(3000):
+        x = mpmath.mpf(delta)
+        r = mpmath.log(4 * x * (1 - x)) / (2 * mpmath.log(mpmath.mpf(gamma)))
+    try:
+        d_min = copies_min(gamma, delta)
+    except ValueError as err:
+        assert r > 2**45 * (1 - 2**-40) and TIE_CAP in str(err), (gamma, delta, float(r), err)
+        return None
+    assert r <= 2**45 * (1 + 2**-40), (gamma, delta, float(r), d_min)
+    assert copies_reach(gamma, delta, d_min), (gamma, delta, d_min)
+    assert d_min == 1 or not copies_reach(gamma, delta, d_min - 1), (gamma, delta, d_min)
+    return d_min
+
+
 class TestReliabilityBounds:
     def test_delta_min_closed_form(self):
         g = 1.0 / math.sqrt(2.0)
@@ -529,30 +566,41 @@ class TestReliabilityBounds:
     @given(gamma=st.floats(0.05, 0.99), d=st.integers(1, 60),
            where=st.sampled_from(["below", "at", "above", "1e-10 below", "1e-10 above"]))
     def test_copies_min_settles_on_delta_min(self, gamma, d, where):
+        """At a printed delta_min and one rounding either side d_min is the exact least d, d or d + 1.  The
+        printed delta_min may then read one rounding above delta at d_min, or one below at d_min - 1."""
         at = delta_min(gamma, d)
         delta = {"below": math.nextafter(at, 0.0), "at": at, "above": math.nextafter(at, 1.0),
                  "1e-10 below": at * (1 - 1e-10), "1e-10 above": at * (1 + 1e-10)}[where]
-        d_min = copies_min(gamma, delta)
-        assert delta_min(gamma, d_min) <= delta
-        assert d_min == 1 or delta < delta_min(gamma, d_min - 1)
-        assert d_min == (d + 1 if where.endswith("below") else d)  # delta_min falls by >= 2% a copy here
+        d_min = checked_copies_min(gamma, delta)
+        assert delta_min(gamma, d_min) <= math.nextafter(delta, 1.0)
+        assert d_min == 1 or math.nextafter(delta, 0.0) <= delta_min(gamma, d_min - 1)
+        want = {"1e-10 below": (d + 1,), "1e-10 above": (d,)}.get(where, (d, d + 1))
+        assert d_min in want  # delta_min falls by >= 2% a copy here
 
     @settings(max_examples=200, deadline=None)
     @given(gamma=st.floats(1e-300, 1.0, exclude_max=True), delta=st.floats(1e-300, 0.5, exclude_max=True))
     def test_copies_min_is_the_least_d_anywhere(self, gamma, delta):
-        d_min = copies_min(gamma, delta)
-        assert delta_min(gamma, d_min) <= delta
-        assert d_min == 1 or delta < delta_min(gamma, d_min - 1)
+        checked_copies_min(gamma, delta)
 
     @pytest.mark.parametrize("gamma", [0.5, 1 - 2**-53])
     @pytest.mark.parametrize("delta", [1e-310, 5e-324])
     def test_copies_min_returns_for_subnormal_delta(self, gamma, delta):
-        """1/(4 delta (1 - delta)) overflows a float here, so no closed form
-        is evaluated.  Next to gamma = 1 the answer is about 3e18 copies,
-        which doubling from 1 brackets in about 62 steps and bisection
-        settles in as many more."""
-        d_min = copies_min(gamma, delta)
-        assert delta_min(gamma, d_min) <= delta < delta_min(gamma, d_min - 1)
+        """1/(4 delta (1 - delta)) overflows a float here, and 4 delta (1 - delta) is exact only as a
+        rational.  At gamma = 1/2 and the least subnormal delta the count is 537, as (1/4)^536 = 2^-1072 is
+        above 4 delta (1 - delta); a float search over delta_min gave 536.  Next to gamma = 1 the count is
+        about 3.2e18 copies, r past 2^45, and copies_min refuses it with the tie cap."""
+        want = {(0.5, 1e-310): 514, (0.5, 5e-324): 537}.get((gamma, delta))
+        assert checked_copies_min(gamma, delta) == want
+
+    @pytest.mark.parametrize("gamma, d", [(0.999, 2450), (0.999, 3000), (1 - 2**-20, 10**7), (1 - 2**-40, 10**13)])
+    @pytest.mark.parametrize("ulps", [-1, 0, 1])
+    def test_copies_min_settles_ties_past_exact_powers(self, gamma, d, ulps):
+        """A printed delta_min(gamma, d) and its neighbours are near-ties, and from about 2,450 copies at
+        these gammas gamma^(2d) has more than 2^18 bits; the count is still the exact least d."""
+        delta = delta_min(gamma, d)
+        for _ in range(abs(ulps)):
+            delta = math.nextafter(delta, ulps)
+        assert checked_copies_min(gamma, delta) in (d, d + 1)
 
     def test_degenerate_arguments_rejected(self):
         with pytest.raises(ValueError):
