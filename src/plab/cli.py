@@ -274,8 +274,6 @@ def _run_coarse(p: dict, seed: int):
                                                             _json_list(raw, "weights")))
     need = sample_complexity(p["epsilon"], p["delta"])
     d = need if p["d"] is None else p["d"]
-    if 0 <= d < need:  # a negative d is verify_guarantee's to refuse
-        raise ValueError(f"sample size {d} below required {need}")
 
     def point(bits: int) -> tuple:
         pi = coarse.UniformBinsMap(bits)

@@ -31,14 +31,14 @@ class CompressionScheme:
     """Reconstruction rule from m_out-tuples of an m_in = m_out + 1 tuple.
 
     ``reconstruct`` (to a segment or a frozenset) must be a pure function
-    of its tuple: the same tuple always gives an equal set, and calling it
-    has no effect that matters.  ``compression_learner`` relies on this: it
-    keeps each value subtuple it meets as an entry (hyp, size, family) in a
-    table on the scheme, up to ``CANDIDATE_LIMIT`` entries, and reconstructs
-    only subtuples the table does not hold; the family is a segment form's
-    (pi, domain), or (subtuple,) for a candidate without one.  The table is
-    not a field of the constructor, so ``dataclasses.replace`` starts a
-    scheme with an empty one.
+    of its tuple: the same tuple always gives an equal set (a segment over
+    the same domain object), and calling it has no effect that matters.
+    ``compression_learner`` relies on this: it keeps each value subtuple it
+    meets as an entry (hyp, size, family) in a table on the scheme, up to
+    ``CANDIDATE_LIMIT`` entries, and reconstructs only subtuples the table
+    does not hold; the family is a segment's domain, or the subtuple itself
+    for any other candidate.  The table is not a field of the constructor,
+    so ``dataclasses.replace`` starts a scheme with an empty one.
     """
 
     m_out: int
@@ -75,29 +75,42 @@ def check_monotone_coverage(scheme: CompressionScheme, pts: tuple) -> tuple | No
     return None
 
 
-def required_n(m: int) -> int:
-    """Smallest n with m/n <= 1/6, 2*C(n,m)*e^{-(n-m)/18} <= 1/6 and
-    e^{-n/18} <= 1/6.
+def _stirling_rest(x: int) -> list:
+    """ln x! - (x + 1/2) ln x + x as float terms: lgamma's below 2^7, from there Stirling's series
+    ln sqrt(2 pi) + 1/(12x) - 1/(360x^3) + 1/(1260x^5), whose next term is below 2^-59."""
+    if x < 128:
+        return [math.lgamma(x + 1), -(x + 0.5) * math.log(x), x]
+    return [0.9189385332046727, 1 / (12 * x) - 1 / (360 * x**3) + 1 / (1260 * x**5)]
 
-    Evaluated in log form to avoid overflow; the boundary gaps are orders of
-    magnitude above float error (see tests for a high-precision cross-check).
-    The first and third conditions hold from a threshold on.  The log of the
-    second's left side rises up to n ~ 18.5*m and falls after it, and at
-    n = m + 1 it is already above log(1/6), so the second condition first
-    holds on the falling side and then for every larger n: all three hold
-    exactly from the answer on, which doubling and then bisection find.
+
+def required_n(m: int) -> int:
+    """Smallest n with m/n <= 1/6, 2*C(n,m)*e^{-(n-m)/18} <= 1/6 and e^{-n/18} <= 1/6.
+
+    The union bound, the second, implies the others for m >= 1: below n = 6m, C(n,m) >= (n/m)^m keeps its
+    left side above 2, and C(n,m) >= 1 gives e^{-n/18} <= 1/12.  In logs f(n) = ln 12 + ln C(n,m) - k/18
+    <= 0 with k = n - m; f is concave and f(m + 1) > 0, so doubling and bisection find the least n.  ln C is
+    summed in Stirling's form k ln(n/k) + m ln(n/m) + ln(n/(km))/2 + the ``_stirling_rest`` terms, where
+    the n ln n parts of the log-factorials cancel in closed form: the terms' sizes add to about 11 m at the
+    answer, against 2,000 to 6,000 m (m from 2^10 to 2^38) for three lgamma values.  Each term is within 5
+    units of 2^-53 of its size, a log of a ratio near 1 within one unit (lgamma's error against mpmath is
+    the largest), and ``math.fsum`` rounds once, so a probe is decided only when |f| exceeds 2^-48 times
+    that sum; nearer a tie ValueError is raised rather than a guess.  25 random m per octave first meet it
+    near m = 2^33, and every m from 2^39 on.
     """
-    if not 1 <= m <= 2**53:  # lgamma's arguments: past 2^53 m + 1 is not exact as a float, past ~1.8e308 no float
+    if not 1 <= m <= 2**53:  # the m read in; floats settle none from about 2^39 on
         raise ValueError("m must lie in [1, 2^53]")
-    log_alpha = math.log(1.0 / 6.0)
+    rest_m = [-t for t in _stirling_rest(m)]
 
     def holds(n: int) -> bool:
-        log_comb = math.lgamma(n + 1) - math.lgamma(m + 1) - math.lgamma(n - m + 1)
-        return (6 * m <= n
-                and math.log(2.0) + log_comb - (n - m) / 18.0 <= log_alpha
-                and -n / 18.0 <= log_alpha)
+        k = n - m
+        terms = [math.log(12.0), k * math.log1p(m / k), m * math.log(n / m), 0.5 * math.log(n / (k * m)), -k / 18,
+                 *_stirling_rest(n), *[-t for t in _stirling_rest(k)], *rest_m]
+        f = math.fsum(terms)
+        if abs(f) <= 2.0**-48 * math.fsum(map(abs, terms)):
+            raise ValueError(f"the least n for m = {m} is too close to a float tie to settle")
+        return f < 0
 
-    lo, hi = m + 1, 2 * m + 2  # holds(m + 1) is false: 6m > m + 1
+    lo, hi = m + 1, 2 * m + 2  # holds(m + 1) is false: f(m + 1) = ln 12 + ln(m + 1) - 1/18 > 0
     while not holds(hi):
         lo, hi = hi, 2 * hi
     while hi - lo > 1:
@@ -156,8 +169,8 @@ def compression_learner(
 
     Candidates of one family are nested, so of each family only the
     first-met candidate of largest size can win (nested sets of equal size
-    are equal); a candidate without a segment form, such as a frozenset, is
-    a family of its own.  One finalist left is the answer, unscored: with
+    are equal); any other candidate, such as a frozenset, is a family of
+    its own.  One finalist left is the answer, unscored: with
     ``segment_scheme`` every candidate is in one family.  Two or more are
     scored in the order met, by a count of sample hits over the sample's
     distinct values (n is fixed within a call, so counts order like
@@ -170,9 +183,9 @@ def compression_learner(
     candidates, finalists = scheme._candidates, {}  # finalists: family -> (hyp, size, family), in met order
     for sub in _distinct_subtuples(pts, m):
         entry = candidates.get(sub)
-        if entry is None:  # family: (pi, domain) of the segment form; a frozenset stands alone
+        if entry is None:  # family: a segment's domain; a frozenset stands alone
             hyp = scheme.reconstruct(sub)
-            entry = (hyp, len(hyp), hyp.segment_form()[:2] if hasattr(hyp, "segment_form") else (sub,))
+            entry = (hyp, len(hyp), hyp.domain if isinstance(hyp, FiniteHypothesis) else sub)
             if len(candidates) < CANDIDATE_LIMIT:
                 candidates[sub] = entry
         held = finalists.get(entry[2])

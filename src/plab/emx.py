@@ -219,8 +219,9 @@ class IndexedDomain:
 
 class FiniteHypothesis:
     """Initial segment {x : domain.idx(x) <= threshold} of a domain, stored
-    as the threshold alone.  An explicit finite set is a plain ``frozenset``,
-    which no segment equals.
+    as the threshold alone.  Two segments are equal when they are over the
+    same domain object and have the same size; an explicit finite set is a
+    plain ``frozenset``, which no segment equals.
     """
 
     __slots__ = ("domain", "threshold")
@@ -250,29 +251,13 @@ class FiniteHypothesis:
     def __iter__(self) -> Iterator:
         return iter(self.domain.labels[: self.threshold])
 
-    def segment_form(self) -> tuple:
-        """(None, domain, t): x is a member iff domain.idx(x) <= t."""
-        return None, self.domain, self.threshold
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, FiniteHypothesis):
             return NotImplemented
-        size, a, b = self._size, self.domain.labels, other.domain.labels
-        if size != other._size:
-            return False
-        if self.domain is other.domain or a == b:
-            return True
-        if isinstance(a, range) and isinstance(b, range):
-            # read ascending, equal windows are equal sets; range equality
-            # already matches windows of length <= 1 by their one element
-            a, b = a[:size], b[:size]
-            return (a if a.step > 0 else a[::-1]) == (b if b.step > 0 else b[::-1])
-        return self.elements == other.elements
+        return self.domain is other.domain and self._size == other._size
 
     def __hash__(self) -> int:
-        # Equal segments have equal sizes, and the size is O(1), so hashing
-        # never builds the element set.
-        return hash(self._size)
+        return hash((self.domain, self._size))  # O(1): never builds the element set
 
     def __repr__(self) -> str:
         return f"FiniteHypothesis(segment t={self.threshold})"
@@ -390,19 +375,15 @@ def mass(P: FinSupportDist, F: Container) -> Fraction:
     """Probability P(F) = sum of weights of support points in F, exact: a
     float weight counts as the dyadic rational it is.
 
-    F is anything with membership (FiniteHypothesis, a pullback, frozenset).
-    A hypothesis whose ``segment_form()`` gives (pi, domain, t), meaning
-    x in F iff domain.idx(pi(x)) <= t (a ``FiniteHypothesis`` segment with
-    pi None, or a pullback of one), is answered with one ``bisect`` in a
-    prefix-mass table over ranks, built once per (distribution, pi, domain)
-    and cached on P.  Any other F is summed over the support, testing
+    F is anything with membership.  A ``FiniteHypothesis`` segment is
+    answered with one ``bisect`` at its threshold in the prefix-mass table
+    of its domain, built once per (distribution, domain) and cached on P.
+    Any other F (a frozenset, say) is summed over the support, testing
     membership point by point.
     """
-    form = F.segment_form() if hasattr(F, "segment_form") else None
-    if form is not None:
-        pi, dom, t = form
-        ranks, prefix, den, _ = _prefix_table(P, pi, dom)
-        return Fraction(prefix[bisect_right(ranks, t)], den)
+    if isinstance(F, FiniteHypothesis):
+        ranks, prefix, den, _ = _prefix_table(P, None, F.domain)
+        return Fraction(prefix[bisect_right(ranks, F.threshold)], den)
     return Fraction(sum(p for x, p in zip(P.support, P._nums) if x in F), P._den)
 
 
@@ -555,15 +536,14 @@ def verify_guarantee(
             deciders.append(np.array([bisect_right(table[0], r) >= k for r in table[3]]))
         else:
             deciders.append(None)
-    won: dict = {}  # segment form -> does it win: the label path asks mass once per distinct segment
+    won: dict = {}  # segment -> does it win: the label path asks mass once per distinct segment
 
     def wins_with(F) -> bool:
-        form = F.segment_form() if hasattr(F, "segment_form") else None
-        if form is None:
+        if not isinstance(F, FiniteHypothesis):
             return mass(P, F) >= target
-        if form not in won:
-            won[form] = mass(P, F) >= target
-        return won[form]
+        if F not in won:
+            won[F] = mass(P, F) >= target
+        return won[F]
 
     d_max = max((d for _, d in points), default=0)
     streams = substreams(seed, trials)

@@ -275,15 +275,20 @@ def delta_min(gamma: float, d: int) -> float:
 
 
 def copies_min(gamma: float, delta: float) -> int:
-    """Smallest integer d >= 1 with delta_min(gamma, d) <= delta (Helstrom): for delta < 1/2, gamma^(2d) <=
-    4*delta*(1-delta), so ``emx.sample_complexity(1 - gamma^2, 4*delta*(1-delta))`` on the dyadic rationals
-    the floats are.  At a near-tie delta_min(gamma, d_min) may print one rounding above delta; past
-    ln(4*delta*(1-delta)) / ln(gamma^2) = 2^45 the tie cap raises ValueError.  gamma in {0,1} is degenerate.
+    """Smallest integer d >= 1 with delta_min(gamma, d) <= delta (Helstrom): 1 at gamma = 0 (delta_min is 0)
+    or delta >= 1/2 (delta_min(gamma, 1) <= 1/2).  Otherwise gamma^(2d) <= 4*delta*(1-delta), so
+    ``emx.sample_complexity(1 - gamma^2, 4*delta*(1-delta))`` on the dyadic rationals the floats are.  At a
+    near-tie delta_min(gamma, d_min) may print one rounding above delta; past ln(4*delta*(1-delta)) /
+    ln(gamma^2) = 2^45 the tie cap raises ValueError.  ValueError too for delta outside [0, 1), gamma
+    outside [0, 1], and where no d reaches delta: gamma = 1 with delta < 1/2, delta = 0 with gamma > 0.
     """
-    if not 0.0 < gamma < 1.0:
-        raise ValueError("gamma in {0,1} is degenerate for a copy count")
-    if not 0.0 < delta < 0.5:
-        raise ValueError("delta must lie in (0, 1/2)")
+    if not 0.0 <= delta < 1.0:
+        raise ValueError("delta must lie in [0, 1)")
+    _check_overlap(gamma, 1)
+    if gamma == 0.0 or delta >= 0.5:
+        return 1
+    if gamma == 1.0 or delta == 0.0:
+        raise ValueError(f"no copy count reaches delta = {delta!r} at gamma = {gamma!r}")
     g, dlt = Fraction(gamma), Fraction(delta)
     return sample_complexity(1 - g * g, 4 * dlt * (1 - dlt))
 

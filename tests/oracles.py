@@ -20,7 +20,8 @@ from plab.quantum import DensityMatrix, Povm, _pure_pairs, _success_sums, _trust
 
 class PulledBackHypothesis:
     """Preimage pi^{-1}(F) of a finite label set F, a segment or a frozenset;
-    membership tests one point by mapping it through pi."""
+    membership tests one point by mapping it through pi, so ``mass`` sums it
+    over the support point by point."""
 
     __slots__ = ("cells", "pi")
 
@@ -30,14 +31,6 @@ class PulledBackHypothesis:
 
     def __contains__(self, x) -> bool:
         return self.pi(x) in self.cells
-
-    def segment_form(self) -> tuple | None:
-        """(pi, domain, t) when the cells are a segment: x is a member iff
-        domain.idx(pi(x)) <= t, so ``mass`` reads it from a prefix table.
-        None for any other cell set."""
-        if isinstance(self.cells, FiniteHypothesis):
-            return self.pi, self.cells.domain, self.cells.threshold
-        return None
 
     def __repr__(self) -> str:
         return f"PulledBackHypothesis({self.cells!r})"

@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 from oracles import discrimination_sum, pure_pair, substream
 from reference_writer import matrix_to_json, pin
 
-from plab import cli, emx, quantum
+from plab import cli, coarse, emx, quantum
 from plab.cli import (
     DEFAULT_SEED,
     ExperimentConfig,
@@ -1006,7 +1006,6 @@ PAST_BITS_LIMIT = ("is above the limit of 1074: every double in [0,1] is a multi
     (["compress", "--mode", "demo", "--domain", "a,b,c", "--pair", "a,z"], "'z' not in domain"),
     (["emx", "--dist", "dist.json", "--trials", "5", "--d", "0"], "empty sample: maximum index undefined"),
     (["emx", "--dist", "dist.json", "--trials", "5", "--sweep-d", "0"], "empty sample: maximum index undefined"),
-    (["coarse", "--dist", "points.json", "--trials", "5", "--d", "2"], "sample size 2 below required 3"),
     (["coarse", "--dist", str(DATA / "dist_points_outside.json"), "--trials", "5"], "point 1.5 outside [0,1]"),
     (["emx", "--dist", "dist.json", "--epsilon", "1/1000000000", "--delta", "1/1000000000", "--trials", "1"],
      "sample size d = 20723265827 is above the limit of 16777216 points"),
@@ -1018,12 +1017,24 @@ PAST_BITS_LIMIT = ("is above the limit of 1074: every double in [0,1] is a multi
      "dimension 2^1000000000000 exceeds cap 1024"),
     (["coarse", "--dist", "points.json", "--trials", "5", "--bits", "1075"], f"bits = 1075 {PAST_BITS_LIMIT}"),
     (["coarse", "--dist", "points.json", "--trials", "5", "--sweep-bits", "4,2000"], f"bits = 2000 {PAST_BITS_LIMIT}"),
-], ids=["d", "sweep-d", "coarse-d", "seed", "pair-outside-domain", "d-zero", "sweep-d-zero", "coarse-d-below-need",
-        "coarse-point-outside", "d-past-the-sample-limit", "trials-past-the-sample-limit", "m-past-2^53",
-        "copies-far-past-the-cap", "bits-past-the-limit", "sweep-bits-past-the-limit"])
+], ids=["d", "sweep-d", "coarse-d", "seed", "pair-outside-domain", "d-zero", "sweep-d-zero", "coarse-point-outside",
+        "d-past-the-sample-limit", "trials-past-the-sample-limit", "m-past-2^53", "copies-far-past-the-cap",
+        "bits-past-the-limit", "sweep-bits-past-the-limit"])
 def test_out_of_range_input_fails_with_its_own_message(workdir, capsys, argv, message):
     assert main(argv) == 1
     assert capsys.readouterr().err == f"plab: error: {message}\n"
+
+
+def test_coarse_runs_a_sample_below_the_sample_complexity(workdir):
+    """One rule for a d below sample_complexity(1/3, 1/3) = 3: ``plab coarse`` runs it, as ``plab emx``
+    does, and reports that d with the rate and bound of the same point in a library call."""
+    assert main(["coarse", "--dist", "points.json", "--trials", "300", "--d", "2", "--out", "r.json"]) == 0
+    metrics = json.loads((workdir / "r.json").read_text())["metrics"]
+    P = emx.FinSupportDist([float(Fraction(k, 20)) for k in range(1, 20, 2)], ["1/10"] * 10)
+    pi = coarse.UniformBinsMap(8)
+    [rep] = emx.verify_guarantee([(emx.SegmentLearner(pi.domain, pi), 2)], P, "1/3", "1/3", 300, DEFAULT_SEED)
+    assert metrics["d"] == 2 and metrics["bits"] == 8
+    assert (metrics["empirical_rate"], metrics["bound"]) == (cli._leaf(rep.empirical_rate), cli._leaf(rep.bound))
 
 
 MULTI_WORD_RUNS = {

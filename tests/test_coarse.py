@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import json
 import math
 
 import numpy as np
@@ -52,12 +53,13 @@ class TestUniformBinsMap:
 
     def test_segments_over_2_to_the_64_labels(self):
         """len, hash, == and idx on an alphabet too long for len(range)."""
-        h = UniformBinsMap(64).domain.initial_segment(3)
+        dom = UniformBinsMap(64).domain
+        h = dom.initial_segment(3)
         assert len(h) == 3
-        assert hash(h) == hash(3)
-        assert h == UniformBinsMap(64).domain.initial_segment(3)
-        assert UniformBinsMap(64).domain.idx(2) == 3
-        assert UniformBinsMap(64).domain.size == 2**64
+        assert h == dom.initial_segment(3) and hash(h) == hash(dom.initial_segment(3))
+        assert dom.initial_segment(2**64) == dom.initial_segment(2**65) != dom.initial_segment(2**64 - 1)
+        assert dom.idx(2) == 3
+        assert dom.size == 2**64
 
     def test_bits_beyond_float_range(self):
         for bits in (1023, 1024, BITS_LIMIT):
@@ -186,8 +188,8 @@ class TestCoarseLearn:
             assert all(x in h for x in pts)
 
     def test_small_samples_rejected(self, tmp_path, monkeypatch, capsys):
-        """The learner refuses an empty sample; ``plab coarse`` refuses a
-        sample below sample_complexity(1/3, 1/3) = 3."""
+        """The learner refuses an empty sample; ``plab coarse`` runs a sample
+        below sample_complexity(1/3, 1/3) = 3, as ``plab emx`` does."""
         pi = UniformBinsMap(4)
         learner = SegmentLearner(pi.domain, pi)
         P = FinSupportDist([0.1, 0.6], ["1/2", "1/2"])
@@ -197,8 +199,10 @@ class TestCoarseLearn:
             segment_learn(learner, [])
         (tmp_path / "points.json").write_text('{"labels": [0.1, 0.6], "weights": ["1/2", "1/2"]}')
         monkeypatch.chdir(tmp_path)
-        assert main(["coarse", "--dist", "points.json", "--epsilon", "1/3", "--delta", "1/3", "--d", "2"]) == 1
-        assert capsys.readouterr().err == "plab: error: sample size 2 below required 3\n"
+        assert main(["coarse", "--dist", "points.json", "--epsilon", "1/3", "--delta", "1/3", "--d", "2",
+                     "--trials", "50"]) == 0
+        metrics = json.loads(capsys.readouterr().out)["metrics"]
+        assert metrics["d"] == 2 and 0 <= metrics["empirical_rate"] <= 1
 
     def test_guarantee_transfers_through_the_map(self):
         P = FinSupportDist.uniform([float(k) / 20 for k in range(20)])

@@ -3,7 +3,9 @@ size threshold, and the learner->scheme direction."""
 
 import itertools
 import math
+import random
 import time
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -18,7 +20,7 @@ from plab.compression import (
     required_n,
     segment_scheme,
 )
-from plab.emx import FiniteHypothesis, FinSupportDist, IndexedDomain, quantile_learn
+from plab.emx import FiniteHypothesis, FinSupportDist, IndexedDomain, SegmentLearner, quantile_learn, verify_guarantee
 from oracles import learner_to_compression
 from random_fixtures import draw_sample
 
@@ -108,7 +110,9 @@ class TestRequiredN:
     def test_m_validated(self):
         with pytest.raises(ValueError):
             required_n(0)
-        assert required_n(2**53) > 6 * 2**53
+        # at m = 2^53 the float spacing of the terms is far above the gap at the answer
+        with pytest.raises(ValueError, match=r"^the least n for m = 9007199254740992 is too close to a float tie"):
+            required_n(2**53)
         for m in (2**53 + 1, 10**309):  # 10^309 does not even convert to a float
             with pytest.raises(ValueError, match=r"^m must lie in \[1, 2\^53\]$"):
                 required_n(m)
@@ -130,7 +134,7 @@ class TestRequiredN:
 
         assert [required_n(m) for m in range(1, 301)] == [scan(m) for m in range(1, 301)]
 
-    @pytest.mark.parametrize("m", [10**4, 10**6])
+    @pytest.mark.parametrize("m", [18, 10**4, 200000, 10**6])
     def test_large_m_is_the_threshold_at_high_precision(self, m):
         def holds(n):
             with mpmath.workdps(50):
@@ -143,6 +147,33 @@ class TestRequiredN:
         assert holds(n) and not holds(n - 1)
 
 
+    def test_least_n_at_60_digits_or_refused(self):
+        """Wherever required_n returns, it is the least n with f(n) = ln 12 +
+        ln C(n,m) - (n-m)/18 <= 0 at 60 digits: f is concave in n and
+        f(m + 1) > 0, so f(n) <= 0 < f(n - 1) pins the least n.  Sampled at 25
+        random m per octave up to 2^53, none of which up to 2^20 is refused,
+        and at two m where the three-lgamma form was wrong: 22,424 too high,
+        and one too low at m = 106,972,384."""
+        def union_holds(m, n):
+            with mpmath.workdps(60):
+                return mpmath.log(12) + mpmath.loggamma(n + 1) - mpmath.loggamma(m + 1) \
+                    - mpmath.loggamma(n - m + 1) - mpmath.mpf(n - m) / 18 <= 0
+
+        rng = random.Random(47)
+        ms = [rng.randrange(1 << e, 2 << e) for e in range(53) for _ in range(25)] + [5338035485622270, 106972384]
+        answered = {}
+        for m in ms:
+            try:
+                answered[m] = required_n(m)
+            except ValueError as exc:
+                assert m > 2**20 and str(exc) == f"the least n for m = {m} is too close to a float tie to settle"
+        assert len(answered) > 25 * 30
+        for m, n in answered.items():
+            assert union_holds(m, n) and not union_holds(m, n - 1), m
+        assert answered.get(5338035485622270) != 545523999733637150
+        assert answered[106972384] == 10932112019
+
+
 class TestCompressionLearner:
     def test_needs_one_extra_point(self):
         with pytest.raises(ValueError):
@@ -152,11 +183,27 @@ class TestCompressionLearner:
         h = compression_learner(segment_scheme(DOM, 1), ("b", "e", "b"), DOM)
         assert h.elements == frozenset("abcde")
 
-    @given(st.lists(st.sampled_from(DOM.labels), min_size=2, max_size=10))
-    def test_erm_over_segments_equals_quantile_learner(self, pts):
+    @given(m=st.integers(1, 3), data=st.data())
+    def test_erm_over_segments_equals_quantile_learner(self, m, data):
         # candidates are nested initial segments, so the largest one dominates
-        got = compression_learner(segment_scheme(DOM, 1), tuple(pts), DOM)
-        assert got == quantile_learn(tuple(pts), DOM)
+        pts = tuple(data.draw(st.lists(st.sampled_from(DOM.labels), min_size=m + 1, max_size=10)))
+        assert compression_learner(segment_scheme(DOM, m), pts, DOM) == quantile_learn(pts, DOM)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_erm_rate_is_the_segment_learners(self, m):
+        """One ``verify_guarantee`` call carries the ERM of ``segment_scheme(dom, m)`` and
+        ``SegmentLearner(dom)`` at the same n, on seeded random rational P and a shuffled domain
+        order: both points read the same draws, and the ERM is the quantile learner on each, so
+        the rates are equal.  An epsilon of at most 1/5 keeps most rates below 1."""
+        rng = random.Random(m)
+        for _ in range(8):
+            counts = [rng.randint(1, 9) for _ in range(rng.randint(2, 8))]
+            P = FinSupportDist(tuple(f"x{i}" for i in range(len(counts))), [Fraction(c, sum(counts)) for c in counts])
+            dom = IndexedDomain(rng.sample(P.support, len(counts)))
+            scheme, n = segment_scheme(dom, m), rng.randint(m + 1, m + 6)
+            erm, seg = verify_guarantee([(lambda s: compression_learner(scheme, s, dom), n), (SegmentLearner(dom), n)],
+                                        P, Fraction(rng.randint(1, 4), 20), "1/4", 200, rng.randrange(2**32))
+            assert erm.empirical_rate == seg.empirical_rate
 
     @given(st.lists(st.sampled_from(DOM.labels), min_size=3, max_size=8))
     def test_result_ignores_sample_order(self, pts):

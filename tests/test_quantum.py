@@ -603,12 +603,23 @@ class TestReliabilityBounds:
         assert checked_copies_min(gamma, delta) in (d, d + 1)
 
     def test_degenerate_arguments_rejected(self):
-        with pytest.raises(ValueError):
-            copies_min(1.0, 0.05)
-        with pytest.raises(ValueError):
-            copies_min(0.0, 0.05)
-        with pytest.raises(ValueError):
-            copies_min(0.5, 0.5)
+        """Only a delta outside [0, 1), a gamma outside [0, 1], and the pairs no copy count reaches are
+        refused, each in its own terms rather than sample complexity's."""
+        for gamma, delta, message in [(1.0, 0.05, "^no copy count reaches delta = 0.05 at gamma = 1.0$"),
+                                      (1.0, 0.0, "no copy count"), (0.5, 0.0, "no copy count"),
+                                      (0.5, 1.0, "delta must lie"),
+                                      (0.5, -0.1, "delta must lie"), (0.5, math.nan, "delta must lie"),
+                                      (1.5, 0.1, "overlap gamma"), (math.nan, 0.6, "overlap gamma")]:
+            with pytest.raises(ValueError, match=message) as err:
+                copies_min(gamma, delta)
+            assert "sample" not in str(err.value) and "epsilon" not in str(err.value)
+
+    @pytest.mark.parametrize("gamma, delta", [(0.0, 0.05), (0.0, 0.0), (0.0, 0.9), (0.5, 0.5), (1.0, 0.5),
+                                              (0.999, 0.75), (5e-324, 0.5)])
+    def test_one_copy_at_zero_overlap_or_half_error(self, gamma, delta):
+        """delta_min(0, d) = 0 and delta_min(gamma, 1) <= 1/2, so one copy reaches these targets."""
+        assert copies_min(gamma, delta) == 1
+        assert delta_min(gamma, 1) <= delta
 
 
 def measurement_at(theta: float) -> Povm:
