@@ -11,8 +11,8 @@ atomically; floats are pinned to 12 significant digits so identical
 The default seed is 20177.
 
 Every layer but ``emx`` is bound through ``plab._lazy``, so a process executes only the layers its
-subcommand runs; the run config is a namespace and the report a plain dict, so start-up loads
-neither ``dataclasses`` nor ``inspect``.
+subcommand runs; the run config and the report are plain dicts, so start-up loads neither
+``dataclasses`` nor ``inspect``.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import time
 from collections import namedtuple
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from types import SimpleNamespace
 
 from . import ResourceCapError, __version__, _lazy, _np as np
 from .emx import (
@@ -49,65 +48,55 @@ _lazy("plab.simplex")  # only feasibility runs it; registered so that every plab
 DEFAULT_SEED = 20177
 
 
-class ExperimentConfig(SimpleNamespace):
-    """One run: ``kind``, ``parameters`` (a fresh dict when not given; None is refused), ``seed`` and ``out``."""
+def _checked(cfg) -> dict:
+    """The run config ``cfg`` (parsed JSON) as a fresh dict, ``parameters``, ``seed`` and ``out``
+    defaulted to {}, DEFAULT_SEED and null.  TypeError for a non-object, an unknown key or no ``kind``;
+    ValueError naming the key of a mistyped value."""
+    if not isinstance(cfg, dict):
+        raise TypeError(f"config must be a JSON object, got {type(cfg).__name__}")
+    if unknown := [key for key in cfg if key not in ("kind", "parameters", "seed", "out")]:
+        raise TypeError(f"unknown config key {unknown[0]!r} (known: kind, parameters, seed, out)")
+    _json_field(cfg, "kind")  # the one required key
+    cfg = {"parameters": {}, "seed": DEFAULT_SEED, "out": None, **cfg}
+    for key, types, want in (("kind", str, "a string"), ("parameters", dict, "an object"),
+                             ("seed", int, "an integer"), ("out", (str, type(None)), "a string or null")):
+        if not isinstance(cfg[key], types) or isinstance(cfg[key], bool):
+            raise ValueError(f"config key {key!r} must be {want}, got {cfg[key]!r}")
+    if cfg["seed"] < 0:  # numpy seeds only non-negative integers
+        raise ValueError(f"config key 'seed' must be >= 0, got {cfg['seed']!r}")
+    return {**cfg, "parameters": dict(cfg["parameters"])}
 
-    def __init__(self, kind: str, parameters: dict = ..., seed: int = DEFAULT_SEED, out: str | None = None):
-        super().__init__(kind=kind, parameters={} if parameters is ... else parameters, seed=seed, out=out)
-        self._check_shape()
 
-    def _check_shape(self) -> None:
-        for key, types, want in (("kind", str, "a string"), ("parameters", dict, "an object"),
-                                 ("seed", int, "an integer"), ("out", (str, type(None)), "a string or null")):
-            value = getattr(self, key)
-            if not isinstance(value, types) or isinstance(value, bool):
-                raise ValueError(f"config key {key!r} must be {want}, got {value!r}")
-        if self.seed < 0:  # numpy seeds only non-negative integers
-            raise ValueError(f"config key 'seed' must be >= 0, got {self.seed!r}")
-
-    def validate(self) -> dict:
-        """Every parameter the kind declares: the value converted to its declared type (rationals
-        by ``as_fraction``), else the default, null counting as absent.  Raise ValueError naming the
-        key for a malformed config, unknown kind or parameter, mistyped or missing value."""
-        self._check_shape()  # the shape may have changed since construction
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown experiment kind {self.kind!r} (known: {', '.join(_KINDS)})")
-        declared = _KINDS[self.kind].params
-        names = [p.name for p in declared]
-        unknown = [key for key in self.parameters if key not in names]
-        if unknown:
-            raise ValueError(f"unknown {self.kind} parameter {unknown[0]!r} (known: {', '.join(names)})")
-        out = {}
-        for p in declared:
-            value = self.parameters.get(p.name)
-            if value is None:
-                if p.required in (True, self.parameters.get("mode")):
-                    raise ValueError(f"{self.kind} config missing required parameter {p.name!r}")
-                out[p.name] = p.default
-                continue
-            if not _fits(p, value):
-                what = f"one of {p.choices}" if p.choices else " or ".join(t.__name__ for t in _JSON_TYPES[p.type])
-                what = f"a list of {what}" if p.many else what
-                raise ValueError(f"{self.kind} parameter {p.name!r} must be {what}, got {value!r}")
-            convert = as_fraction if p.type is Fraction else p.type
-            try:
-                out[p.name] = [convert(v) for v in value] if p.many else convert(value)
-            except (ValueError, ArithmeticError) as exc:  # a bad rational, a huge integer
-                raise ValueError(f"{self.kind} parameter {p.name!r}: {exc}") from None
-        return out
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "parameters": dict(self.parameters), "seed": self.seed, "out": self.out}
-
-    @classmethod
-    def from_json(cls, obj) -> "ExperimentConfig":
-        """Config from parsed JSON; TypeError naming an unknown or missing key, ValueError on a bad shape."""
-        if not isinstance(obj, dict):
-            raise ValueError(f"config must be a JSON object, got {type(obj).__name__}")
-        if unknown := [key for key in obj if key not in ("kind", "parameters", "seed", "out")]:
-            raise TypeError(f"unknown config key {unknown[0]!r} (known: kind, parameters, seed, out)")
-        _json_field(obj, "kind")  # the one required key
-        return cls(**obj)
+def validate(cfg: dict) -> dict:
+    """Every parameter the kind of the checked config ``cfg`` declares: the value converted to its
+    declared type (rationals by ``as_fraction``), else the default, null counting as absent.  Raise
+    ValueError naming the key for an unknown kind or parameter, a mistyped or missing value."""
+    kind, given = cfg["kind"], cfg["parameters"]
+    if kind not in _KINDS:
+        raise ValueError(f"unknown experiment kind {kind!r} (known: {', '.join(_KINDS)})")
+    declared = _KINDS[kind].params
+    names = [p.name for p in declared]
+    unknown = [key for key in given if key not in names]
+    if unknown:
+        raise ValueError(f"unknown {kind} parameter {unknown[0]!r} (known: {', '.join(names)})")
+    out = {}
+    for p in declared:
+        value = given.get(p.name)
+        if value is None:
+            if p.required in (True, given.get("mode")):
+                raise ValueError(f"{kind} config missing required parameter {p.name!r}")
+            out[p.name] = p.default
+            continue
+        if not _fits(p, value):
+            what = f"one of {p.choices}" if p.choices else " or ".join(t.__name__ for t in _JSON_TYPES[p.type])
+            what = f"a list of {what}" if p.many else what
+            raise ValueError(f"{kind} parameter {p.name!r} must be {what}, got {value!r}")
+        convert = as_fraction if p.type is Fraction else p.type
+        try:
+            out[p.name] = [convert(v) for v in value] if p.many else convert(value)
+        except (ValueError, ArithmeticError) as exc:  # a bad rational, a huge integer
+            raise ValueError(f"{kind} parameter {p.name!r}: {exc}") from None
+    return out
 
 
 def _leaf(obj):
@@ -291,11 +280,10 @@ def _run_compress(p: dict, seed: int):
         dom = IndexedDomain(p["domain"])
         scheme = compression.segment_scheme(dom, 1)
         sub = compression.check_monotone_coverage(scheme, pair)  # the point of larger index: it covers both
-        reconstructed = sorted(scheme.reconstruct(sub).elements, key=dom.idx)
         return {
             "input": list(pair),
-            "chosen_subtuple": list(sub) if sub is not None else None,
-            "reconstructed": reconstructed,
+            "chosen_subtuple": list(sub),
+            "reconstructed": list(scheme.reconstruct(sub)),
             "covered": sub is not None,
         }, None
     dist = _load_json(p["dist"], FinSupportDist.from_json)
@@ -438,14 +426,14 @@ def _fits(p: _Param, value) -> bool:
     return accepted and (p.choices is None or value in p.choices)
 
 
-def run_config(cfg: ExperimentConfig) -> dict:
-    """Validate, dispatch, time, and assemble the report: the dict that is written, with ``sweep``
-    only for a run that has one."""
-    params = cfg.validate()
+def run_config(cfg: dict) -> dict:
+    """Check, validate, dispatch, time, and assemble the report: the dict that is written, with
+    ``sweep`` only for a run that has one, echoing the checked ``cfg`` as its ``config``."""
+    cfg = _checked(cfg)
+    params = validate(cfg)
     t0 = time.perf_counter()
-    metrics, sweep = _KINDS[cfg.kind].run(params, cfg.seed)
-    report = {"config": cfg.to_json(), "metrics": metrics, "wall_clock_s": time.perf_counter() - t0,
-              "version": __version__}
+    metrics, sweep = _KINDS[cfg["kind"]].run(params, cfg["seed"])
+    report = {"config": cfg, "metrics": metrics, "wall_clock_s": time.perf_counter() - t0, "version": __version__}
     if sweep is not None:
         report["sweep"] = sweep
     return report
@@ -485,18 +473,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    cfg = _load_json(args.config, ExperimentConfig.from_json) if args.config else ExperimentConfig(args.kind)
-    if cfg.kind != args.kind:
-        raise ValueError(f"config kind {cfg.kind!r} does not match subcommand {args.kind!r}")
+def _config_from_args(args: argparse.Namespace) -> dict:
+    cfg = _load_json(args.config, _checked) if args.config else _checked({"kind": args.kind})
+    if cfg["kind"] != args.kind:
+        raise ValueError(f"config kind {cfg['kind']!r} does not match subcommand {args.kind!r}")
     for a in _KINDS[args.kind].params:
         if getattr(args, a.name, None) is not None:
-            cfg.parameters[a.name] = getattr(args, a.name)
+            cfg["parameters"][a.name] = getattr(args, a.name)
         elif not a.flag:
-            cfg.parameters.setdefault(a.name, a.default)
-    for key in ("seed", "out"):
-        if getattr(args, key) is not None:
-            setattr(cfg, key, getattr(args, key))
+            cfg["parameters"].setdefault(a.name, a.default)
+    cfg.update({key: getattr(args, key) for key in ("seed", "out") if getattr(args, key) is not None})
     return cfg
 
 
@@ -504,16 +490,17 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _config_from_args(args)
-        names = [os.path.realpath(q) for p in (cfg.out, args.table) if p for q in (p, f"{p}.tmp")]
+        out = cfg["out"]
+        names = [os.path.realpath(q) for p in (out, args.table) if p for q in (p, f"{p}.tmp")]
         if len(set(names)) < len(names):  # each file is written to PATH.tmp, then renamed into place
-            raise ValueError(f"--out {cfg.out} and --table {args.table} collide: they and their .tmp files must differ")
+            raise ValueError(f"--out {out} and --table {args.table} collide: they and their .tmp files must differ")
         report = run_config(cfg)
         with _atomic(args.table) if args.table else contextlib.nullcontext() as table:
             if table:  # first: a report without a sweep exits 1 having written nothing
                 emit_table(report, table)
-            if cfg.out:  # inside the table's block, so the table is renamed into place only once the report is
-                write_report(report, cfg.out)
-        if not cfg.out:
+            if out:  # inside the table's block, so the table is renamed into place only once the report is
+                write_report(report, out)
+        if not out:
             _stream(report, sys.stdout)
     except (ValueError, KeyError, OSError, ResourceCapError) as exc:
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc  # str() would quote it

@@ -2,13 +2,14 @@
 behind a map pi is ``emx.SegmentLearner(pi.domain, pi)``).
 
 A coarse-graining map pi sends continuum points to a countable label alphabet
-with its own index order.  Pushing a distribution forward merges weights
-exactly, and P(preimage(F)) = (pushforward P)(F) holds as an identity of
-rationals.
+with its own index order.  Pushing a distribution forward merges weights in
+their integer form, so rational weights merge exactly and float weights give
+each cell's exact mass rounded once, in any support order.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import cached_property
 from typing import Iterable
 
@@ -83,13 +84,14 @@ class TableMap:
 def pushforward(P: FinSupportDist, pi) -> FinSupportDist:
     """Distribution of pi(X): Q(y) = sum of P(x) over x with pi(x) = y.
 
-    Weights merge exactly (rational adds stay rational); the output support is
-    ordered by the label alphabet's index order.
+    Each cell sums P's integer form, ``_nums`` over ``_den``: exact ``Fraction`` weights for a rational P,
+    else each cell's exact mass as a float.  The support is in the label alphabet's index order.
     """
     acc: dict = {}
-    for x, w in zip(P.support, P.weights):
+    for x, n in zip(P.support, P._nums):
         y = pi(x)
-        acc[y] = acc.get(y, 0) + w
+        acc[y] = acc.get(y, 0) + n
     labels = sorted(acc, key=pi.domain.idx)
-    return FinSupportDist(labels, [acc[y] for y in labels])
+    cell = Fraction if P.is_exact else int.__truediv__  # int / int rounds once
+    return FinSupportDist(labels, [cell(acc[y], P._den) for y in labels])
 

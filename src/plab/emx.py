@@ -230,10 +230,6 @@ class FiniteHypothesis:
         self.domain = domain
         self.threshold = threshold
 
-    @property
-    def elements(self) -> frozenset:
-        return frozenset(self.domain.labels[: self.threshold])
-
     def __contains__(self, x) -> bool:
         try:
             return self.domain.idx(x) <= self.threshold

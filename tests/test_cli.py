@@ -32,10 +32,11 @@ from reference_writer import matrix_to_json, pin
 from plab import cli, coarse, emx, quantum
 from plab.cli import (
     DEFAULT_SEED,
-    ExperimentConfig,
+    _checked,
     emit_table,
     main,
     run_config,
+    validate,
     write_report,
 )
 
@@ -290,24 +291,51 @@ def test_different_seed_changes_metrics(workdir):
     assert first["metrics"]["empirical_rate"] != second["metrics"]["empirical_rate"]
 
 
-class TestExperimentConfig:
+class TestConfigDict:
     def test_defaults(self):
-        cfg = ExperimentConfig(kind="emx", parameters={"dist": "d.json"})
-        assert cfg.seed == DEFAULT_SEED == 20177
-        cfg.validate()
+        cfg = _checked({"kind": "emx", "parameters": {"dist": "d.json"}})
+        assert cfg == {"kind": "emx", "parameters": {"dist": "d.json"}, "seed": 20177, "out": None}
+        assert DEFAULT_SEED == 20177
+        validate(cfg)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown experiment kind"):
-            ExperimentConfig(kind="foo").validate()
+            validate(_checked({"kind": "foo"}))
 
     def test_missing_required_parameters(self):
         with pytest.raises(ValueError, match="missing required"):
-            ExperimentConfig(kind="feasible-sdp", parameters={"task": "t.json"}).validate()
+            validate(_checked({"kind": "feasible-sdp", "parameters": {"task": "t.json"}}))
 
     def test_json_roundtrip(self):
-        cfg = ExperimentConfig(kind="quantum", parameters={"gamma": 0.5}, seed=3, out="x.json")
-        again = ExperimentConfig.from_json(cfg.to_json())
-        assert again == cfg
+        raw = {"kind": "quantum", "parameters": {"gamma": 0.5}, "seed": 3, "out": "x.json"}
+        cfg = _checked(raw)
+        assert cfg == raw and cfg is not raw and cfg["parameters"] is not raw["parameters"]
+        assert _checked(json.loads(json.dumps(cfg))) == cfg
+
+    def test_run_config_echoes_the_checked_dict_and_leaves_its_argument(self):
+        raw = {"kind": "quantum", "parameters": {"gamma": 0.5}}
+        report = run_config(raw)
+        assert report["config"] == {"kind": "quantum", "parameters": {"gamma": 0.5}, "seed": 20177, "out": None}
+        assert raw == {"kind": "quantum", "parameters": {"gamma": 0.5}}
+        assert report["config"]["parameters"] is not raw["parameters"]
+
+    @pytest.mark.parametrize("cfg, error, needle", [
+        ([1, 2], TypeError, "config must be a JSON object, got list"),
+        ({"kind": "emx", "sed": 3}, TypeError, "unknown config key 'sed'"),
+        ({"parameters": {}}, TypeError, "missing key 'kind'"),
+        ({"kind": "emx", "parameters": None}, ValueError, "config key 'parameters' must be an object, got None"),
+        ({"kind": "emx", "out": 3}, ValueError, "config key 'out' must be a string or null, got 3"),
+    ], ids=["not-an-object", "unknown-key", "no-kind", "null-parameters", "out-not-a-string"])
+    def test_run_config_refuses_a_bad_shape(self, cfg, error, needle):
+        with pytest.raises(error, match=re.escape(needle)):
+            run_config(cfg)
+
+
+@pytest.mark.parametrize("golden_name", sorted(GOLDEN_RUNS))
+def test_a_reports_echoed_config_reruns_to_the_report(workdir, golden_name):
+    want = (GOLDEN / golden_name).read_text()
+    write_report(run_config(json.loads(want)["config"]), "again.json")
+    assert CLOCK_LINE.sub("", (workdir / "again.json").read_text()) == CLOCK_LINE.sub("", want)
 
 
 class TestConfigFileHandling:
@@ -340,7 +368,7 @@ class TestConfigFileHandling:
 
     def test_run_config_rejects_unknown_kind_directly(self):
         with pytest.raises(ValueError):
-            run_config(ExperimentConfig(kind="foo"))
+            run_config({"kind": "foo"})
 
 
 class TestCoarseBits:
@@ -737,11 +765,11 @@ def test_bad_config_fails_at_the_boundary_naming_the_key(workdir, capsys, case):
 
 def test_validate_names_the_mistyped_key():
     with pytest.raises(ValueError, match="'gamma' must be int or float"):
-        ExperimentConfig(kind="quantum", parameters={"gamma": "0.5"}).validate()
+        validate(_checked({"kind": "quantum", "parameters": {"gamma": "0.5"}}))
     with pytest.raises(ValueError, match="'sweep_copies' must be a list of int"):
-        ExperimentConfig(kind="quantum", parameters={"gamma": 0.5, "sweep_copies": [1, True]}).validate()
+        validate(_checked({"kind": "quantum", "parameters": {"gamma": 0.5, "sweep_copies": [1, True]}}))
     with pytest.raises(ValueError, match="'seed' must be an integer"):
-        ExperimentConfig(kind="emx", seed=True)
+        run_config({"kind": "emx", "seed": True})
 
 
 def test_null_parameter_means_absent(workdir):

@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 import numpy as np
 
 from plab import compression, emx
-from plab.coarse import TableMap, UniformBinsMap
+from plab.coarse import TableMap, UniformBinsMap, pushforward
 from plab.compression import (
     CompressionScheme,
     _distinct_subtuples,
@@ -226,6 +226,25 @@ def test_masses_do_not_depend_on_the_support_order(case, d):
         for j in range(1, k):
             below = max(p for p in prefix if p < Fraction(j, k))  # the mass a losing segment holds
             assert same(quantile_success(P, dom, Fraction(k - j, k), d), 1 - below**d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=float_case(), cells=st.integers(1, 4))
+@example(case=([0.1, 0.2, 0.7], IndexedDomain(range(3)), [2, 1, 0]), cells=1)
+def test_pushforward_does_not_depend_on_the_support_order(case, cells):
+    """For the support in label order and permuted, each cell of a pushforward
+    weighs the exact mass of its points: a Fraction when every weight is one,
+    else that mass rounded once (0.1 + 0.2 + 0.7 in one cell is 1.0 both ways)."""
+    ws, dom, order = case
+    pi = TableMap((x, x % cells) for x in dom.labels)
+    exact = {}
+    for x, w in enumerate(ws):
+        exact[x % cells] = exact.get(x % cells, 0) + Fraction(w)
+    cast = Fraction if all(isinstance(w, Fraction) for w in ws) else float
+    for support in (range(len(ws)), order):
+        Q = pushforward(FinSupportDist(support, [ws[x] for x in support]), pi)
+        assert sorted(Q.support) == sorted(exact)
+        assert all(same(w, cast(exact[y])) for y, w in zip(Q.support, Q.weights))
 
 
 def test_empty_segment_is_an_exact_zero_for_float_weights():
@@ -637,7 +656,7 @@ def test_a_frozenset_scheme_runs_through_the_erm_and_the_label_path():
         pts = draw_sample(P, 6, seed=seed)
         got = compression_learner(scheme, pts, dom)
         assert same(got, reference_compression_learner(scheme, pts, dom))
-        assert got == quantile_learn(pts, dom).elements and got != quantile_learn(pts, dom)
+        assert got == frozenset(quantile_learn(pts, dom)) and got != quantile_learn(pts, dom)
     learner = lambda s: compression_learner(scheme, s, dom)  # noqa: E731
     assert verify_guarantee([(learner, 6)], P, "1/8", "1/4", 300, 11) == verify_guarantee(
         [(SegmentLearner(dom), 6)], P, "1/8", "1/4", 300, 11)

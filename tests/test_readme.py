@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from plab.cli import _KINDS, ExperimentConfig, _build_parser
+from plab.cli import _KINDS, _build_parser, _checked, validate
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 TEXT = README.read_text(encoding="utf-8")
@@ -34,4 +34,4 @@ def test_readme_commands_parse_and_cover_every_subcommand():
 
 def test_readme_config_example_validates():
     (example,) = re.findall(r"^```json\n(.*?)^```", TEXT, re.M | re.S)
-    ExperimentConfig.from_json(json.loads(example)).validate()
+    validate(_checked(json.loads(example)))
