@@ -261,8 +261,7 @@ def _run_emx(p: dict, seed: int):
 def _run_coarse(p: dict, seed: int):
     dist = _load_json(p["dist"], lambda raw: FinSupportDist([float(as_fraction(x)) for x in _json_list(raw, "labels")],
                                                             _json_list(raw, "weights")))
-    need = sample_complexity(p["epsilon"], p["delta"])
-    d = need if p["d"] is None else p["d"]
+    d = sample_complexity(p["epsilon"], p["delta"]) if p["d"] is None else p["d"]
 
     def point(bits: int) -> tuple:
         pi = coarse.UniformBinsMap(bits)

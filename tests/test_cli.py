@@ -160,7 +160,8 @@ def random_dist(rng: random.Random, exact: bool, unit: bool) -> dict:
 @pytest.mark.parametrize("run", ["emx", "coarse", "compress"])
 def test_every_sweep_row_is_its_own_single_point_run(workdir, run, case):
     """Sweep rows and single-point runs, byte for byte, on seeded random
-    exact (even cases) and float (odd cases) distributions: a sweep point
+    exact (even cases) and float (odd cases) distributions, with compress
+    keeping m = 1 (cases 0-2) and m = 2 (cases 3-5) points: a sweep point
     reads the first d draws of trial k's random(d_max), which are the draws
     of the point's own run."""
     rng = random.Random(f"{run}:{case}")
@@ -173,7 +174,7 @@ def test_every_sweep_row_is_its_own_single_point_run(workdir, run, case):
         argv = ["coarse", "--dist", "rand.json", "--epsilon", "1/4", "--delta", "1/4", "--trials", "60", "--seed", seed]
         flag, sweep, key = "--bits", rng.sample(range(0, 30), 4) + [64], "bits"
     else:
-        argv = ["compress", "--mode", "lemma1", "--m", "1", "--dist", "rand.json", "--epsilon", "1/4",
+        argv = ["compress", "--mode", "lemma1", "--m", str(1 + case // 3), "--dist", "rand.json", "--epsilon", "1/4",
                 "--trials", "20", "--seed", seed]
         flag, sweep, key = "--n", rng.sample(range(2, 60), 4), "n"
     assert main([*argv, f"--sweep-{key}", ",".join(map(str, sweep)), "--out", "sweep.json"]) == 0
@@ -263,6 +264,14 @@ def test_a_near_tie_past_exact_powers_prints_its_count(workdir):
     assert json.loads((workdir / "r.json").read_text())["metrics"]["d_min"] == 3001
 
 
+def test_a_gamma_sweep_through_overlap_0_reports_one_copy(workdir):
+    # orthogonal states: one copy reaches any delta
+    assert main(["quantum", "discriminate", "--gamma", "0.5", "--sweep-gamma", "0,0.5", "--delta", "0.1",
+                 "--out", "r.json"]) == 0
+    row = json.loads((workdir / "r.json").read_text())["sweep"][0]
+    assert row["gamma"] == 0.0 and row["d_min"] == 1
+
+
 def test_trace_distance_prints_as_the_formula_as_gamma_nears_1(workdir):
     argv = ["quantum", "discriminate", "--gamma", "0.9999999", "--sweep-copies", "1,2,3,5,8,13", "--out", "r.json"]
     assert main(argv) == 0
@@ -333,9 +342,14 @@ class TestConfigDict:
 
 @pytest.mark.parametrize("golden_name", sorted(GOLDEN_RUNS))
 def test_a_reports_echoed_config_reruns_to_the_report(workdir, golden_name):
+    """Through ``run_config`` and through ``--config``, which writes to the echoed ``out``."""
     want = (GOLDEN / golden_name).read_text()
-    write_report(run_config(json.loads(want)["config"]), "again.json")
+    config = json.loads(want)["config"]
+    write_report(run_config(config), "again.json")
     assert CLOCK_LINE.sub("", (workdir / "again.json").read_text()) == CLOCK_LINE.sub("", want)
+    (workdir / "config.json").write_text(json.dumps(config))
+    assert main([*cli._KINDS[config["kind"]].words, "--config", "config.json"]) == 0
+    assert CLOCK_LINE.sub("", (workdir / config["out"]).read_text()) == CLOCK_LINE.sub("", want)
 
 
 class TestConfigFileHandling:
@@ -888,8 +902,8 @@ def test_malformed_input_file_fails_cleanly(workdir, capsys, case):
         assert err == f"plab: error: malformed {name}: {message[0]}\n"
 
 
-# (command line, file to write, its JSON content): input files that parse but
-# fail a check of their meaning; the error names the file.
+# (command line, file to write, its JSON content[, the error after "FILE: "]):
+# input files that parse but fail a check of their meaning; the error names the file.
 MEANINGLESS_FILES = {
     "state-two-rows-of-three": (STATES, "states/t0.json", {"entries": [[[1, 0], [0, 0], [0, 0]], [[0, 0]] * 3]}),
     "state-not-hermitian": (STATES, "states/t0.json",
@@ -897,7 +911,8 @@ MEANINGLESS_FILES = {
     "state-trace-two": (STATES, "states/t0.json", {"dim": 2, "entries": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}),
     # eigenvalues of about +-1e308, which overflow to NaN in the check; a numpy warning fails the test
     "state-eigenvalues-overflow": (STATES, "states/t0.json",
-                                   {"dim": 2, "entries": [[[1, 0], [1e308, 0]], [[1e308, 0], [0, 0]]]}),
+                                   {"dim": 2, "entries": [[[1, 0], [1e308, 0]], [[1e308, 0], [0, 0]]]},
+                                   "state has an eigenvalue below -1e-10"),
     "dist-weights-sum-to-5/6": (["emx", "--dist", "bad.json"], "bad.json",
                                 {"labels": ["a", "b"], "weights": ["1/2", "1/3"]}),
 }
@@ -905,11 +920,13 @@ MEANINGLESS_FILES = {
 
 @pytest.mark.parametrize("case", sorted(MEANINGLESS_FILES))
 def test_input_file_failing_a_check_of_its_meaning_is_named(workdir, capsys, case):
-    argv, name, content = MEANINGLESS_FILES[case]
+    argv, name, content, *message = MEANINGLESS_FILES[case]
     (workdir / name).write_text(json.dumps(content))
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"plab: error: {name}: ") and err.count("\n") == 1
+    if message:
+        assert err == f"plab: error: {name}: {message[0]}\n"
 
 
 @pytest.mark.parametrize("text", ["", "{", "{}\n{}"], ids=["empty", "unclosed", "two-texts"])
@@ -1041,12 +1058,19 @@ PAST_BITS_LIMIT = ("is above the limit of 1074: every double in [0,1] is a multi
      "trials = 100000000000000000000 is above the limit of 16777216"),
     (["compress", "--mode", "lemma1", "--m", str(10**309), "--dist", "dist.json", "--trials", "1"],
      "m must lie in [1, 2^53]"),
+    (["compress", "--mode", "lemma1", "--m", "18", "--dist", "dist.json", "--trials", "1"],
+     "m = 18 walks more than 65536 distinct value subtuples of the sample"),
+    (["compress", "--mode", "lemma1", "--m", "200000", "--dist", "dist.json", "--trials", "1"],
+     "sample size d = 20439031 is above the limit of 16777216 points"),
+    (["compress", "--mode", "lemma1", "--m", "5338035485622270", "--dist", "dist.json", "--trials", "1"],
+     "the least n for m = 5338035485622270 is too close to a float tie to settle"),
     (["feasible", "sdp", "--task", "task.json", "--states", "states", "--copies", str(10**12)],
      "dimension 2^1000000000000 exceeds cap 1024"),
     (["coarse", "--dist", "points.json", "--trials", "5", "--bits", "1075"], f"bits = 1075 {PAST_BITS_LIMIT}"),
     (["coarse", "--dist", "points.json", "--trials", "5", "--sweep-bits", "4,2000"], f"bits = 2000 {PAST_BITS_LIMIT}"),
 ], ids=["d", "sweep-d", "coarse-d", "seed", "pair-outside-domain", "d-zero", "sweep-d-zero", "coarse-point-outside",
-        "d-past-the-sample-limit", "trials-past-the-sample-limit", "m-past-2^53", "copies-far-past-the-cap",
+        "d-past-the-sample-limit", "trials-past-the-sample-limit", "m-past-2^53", "m-walk-past-the-level-limit",
+        "m-sample-past-the-sample-limit", "m-too-close-to-a-tie", "copies-far-past-the-cap",
         "bits-past-the-limit", "sweep-bits-past-the-limit"])
 def test_out_of_range_input_fails_with_its_own_message(workdir, capsys, argv, message):
     assert main(argv) == 1
@@ -1063,6 +1087,10 @@ def test_coarse_runs_a_sample_below_the_sample_complexity(workdir):
     [rep] = emx.verify_guarantee([(emx.SegmentLearner(pi.domain, pi), 2)], P, "1/3", "1/3", 300, DEFAULT_SEED)
     assert metrics["d"] == 2 and metrics["bits"] == 8
     assert (metrics["empirical_rate"], metrics["bound"]) == (cli._leaf(rep.empirical_rate), cli._leaf(rep.bound))
+    # delta = 0 has no sample complexity, but a run given its d needs none
+    assert main(["coarse", "--dist", "points.json", "--trials", "3", "--d", "4", "--delta", "0",
+                 "--out", "r.json"]) == 0
+    assert json.loads((workdir / "r.json").read_text())["metrics"]["d"] == 4
 
 
 MULTI_WORD_RUNS = {
@@ -1093,6 +1121,17 @@ def run_fresh(code: str, cwd=None) -> list[str]:
                           cwd=cwd, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     return done.stdout.split()
+
+
+def test_the_module_entry_point_exits_with_mains_status(workdir):
+    """``python -m plab.cli`` exits 0 on a run and 1 on bad input, with one error line."""
+    env = {**os.environ, "PYTHONPATH": str(HERE.parent / "src")}
+    entry = [sys.executable, "-m", "plab.cli", "emx", "--dist", "dist.json", "--trials", "10"]
+    ok = subprocess.run(entry, cwd=workdir, env=env, capture_output=True, text=True)
+    assert ok.returncode == 0 and ok.stderr == "" and json.loads(ok.stdout)["metrics"]["d"] == 3
+    bad = subprocess.run([*entry, "--epsilon", "2"], cwd=workdir, env=env, capture_output=True, text=True)
+    assert bad.returncode == 1 and bad.stdout == ""
+    assert bad.stderr.startswith("plab: error: need epsilon in (0,1)") and bad.stderr.count("\n") == 1
 
 
 def test_importing_the_cli_leaves_numpy_random_unloaded():
@@ -1130,10 +1169,12 @@ def test_exact_runs_never_load_numpy(workdir):
     their reports hold no numpy value, so numpy is never loaded."""
     shutil.copy(DATA / "polytope_mixed_literals.json", workdir / "poly.json")
     runs = {"feasible_lp.json": GOLDEN_RUNS["feasible_lp.json"],
+            "delta0.out.json": ["feasible", "lp", "--task", "task.json", "--epsilon", "1/2", "--delta", "0",
+                                "--out", "report.json"],
             "poly.out.json": ["feasible", "lp", "--task", "task.json", "--polytope", "poly.json",
                               "--epsilon", "1/2", "--delta", "1/5", "--out", "report.json"],
             "compress_demo.json": GOLDEN_RUNS["compress_demo.json"]}
-    assert fresh_runs(workdir, runs) == ["False"] * 4
+    assert fresh_runs(workdir, runs) == ["False"] * 5
     assert_goldens(workdir, EXACT_GOLDENS)
 
 
@@ -1180,13 +1221,15 @@ def test_learner_and_quantum_runs_never_execute_the_deciders(workdir):
 
 def test_decider_runs_load_no_dataclasses(workdir):
     """The deciders' records are named tuples: a feasible lp run loads neither dataclasses nor inspect,
-    and a feasible sdp run loads no dataclasses (numpy itself imports inspect).  Both reports are golden."""
+    and a feasible sdp run, after an emx and a discrimination run in the same interpreter, loads no
+    dataclasses (numpy itself imports inspect).  Every report is golden."""
     lp = fresh_runs(workdir, {"feasible_lp.json": GOLDEN_RUNS["feasible_lp.json"]},
                     after="print('dataclasses' in sys.modules, 'inspect' in sys.modules)")
-    sdp = fresh_runs(workdir, {"feasible_sdp.json": GOLDEN_RUNS["feasible_sdp.json"]},
-                     after="print('dataclasses' in sys.modules)")
-    assert lp[-2:] == ["False", "False"] and sdp[-1] == "False"
-    assert_goldens(workdir, ("feasible_lp.json", "feasible_sdp.json"))
+    names = ("emx.json", "quantum.json", "feasible_sdp.json")
+    others = fresh_runs(workdir, {name: GOLDEN_RUNS[name] for name in names},
+                        after="print('dataclasses' in sys.modules)")
+    assert lp[-2:] == ["False", "False"] and others[-1] == "False"
+    assert_goldens(workdir, ("feasible_lp.json", *names))
 
 
 def test_a_failing_run_executes_no_layer(workdir):

@@ -112,6 +112,7 @@ class TestIndexedDomain:
         assert dom.idx("a") == 1
         assert dom.idx("j") == 10
         assert len(dom) == 10
+        assert "j" in dom and "k" not in dom
 
     def test_unknown_label(self):
         with pytest.raises(KeyError):

@@ -284,6 +284,16 @@ class TestSdpFeasible:
         assert res.verdict == "feasible"
         assert res.certificate == "common-optimum"
 
+    @pytest.mark.parametrize("epsilon, certificate", [(F(1, 999999937), "common-optimum"),
+                                                      (F(1, 999999938), "weak-duality")])
+    def test_the_epsilon_cut_is_exact_and_not_strict(self, epsilon, certificate):
+        """h1 sits exactly 1/999999937 below the maximum 1/5 of both rows: at that epsilon it is
+        epsilon-optimal in both environments and the all-h1 POVM decides the run.  A strict cut, or one
+        in floats, leaves h1 out, as epsilon = 1/999999938 does, and the SDP then ends on weak duality."""
+        u = "999999932/4999999685"
+        task = TaskSpec(["t0", "t1"], ["h0", "h1", "h2"], [["1/5", u, "0"], ["0", u, "1/5"]])
+        assert sdp_feasible([KET0, PLUS], task, epsilon, F(1, 100)).certificate == certificate
+
     def test_below_threshold_certified_infeasible(self):
         res = sdp_feasible([KET0, PLUS], IDENTITY_TASK, F(1, 2), "0.10")
         assert res.verdict == "infeasible"

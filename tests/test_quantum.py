@@ -18,6 +18,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from plab import quantum
+from plab.feasibility import sdp_feasible
 from plab.quantum import (
     CorrelationTable,
     DensityMatrix,
@@ -34,6 +35,7 @@ from plab.quantum import (
     tensor_power,
     trace_distance,
 )
+from plab.tasks import TaskSpec
 from oracles import discrimination_sum, pure_pair
 from random_fixtures import random_density_matrix, random_povm, random_pure_state
 from reference_writer import matrix_to_json
@@ -197,9 +199,12 @@ class TestTensorPower:
             tensor_power(KET0, 0)
 
     def test_a_1x1_state_is_its_own_power(self):
-        one = DensityMatrix([[1.0]])
+        """Read from a state file, it is also its own power to the SDP decider, which decides 10^12 copies."""
+        one = DensityMatrix.from_json({"dim": 1, "entries": [[[1.0, 0.0]]]})
+        task = TaskSpec(["t0", "t1"], ["h0", "h1"], [["1", "0"], ["0", "1"]])
         start = time.perf_counter()
         assert tensor_power(one, 10**12) is one
+        assert sdp_feasible([one, one], task, "1/2", "1/5", d=10**12).verdict == "infeasible"
         assert time.perf_counter() - start < 1.0
 
     def test_factor_within_tolerance_has_every_power_up_to_the_cap(self):
