@@ -220,15 +220,19 @@ def emit_table(report: dict, fh) -> None:
 
 
 def _load_json(path: str, parse):
-    """``parse`` of the JSON in ``path``; text that is not JSON, or wrong types, keys or numbers (a
-    string that is not a rational, a NaN or infinite number, a rational dividing by zero, a float
-    overflow) in it raise ValueError "malformed PATH: ...".  A value that fails a check of its
-    meaning, such as a state with a NaN entry, raises ValueError "PATH: " and the check's own message."""
+    """``parse`` of the JSON in ``path``; text that is not UTF-8 JSON (nested too deep or holding a
+    number past the int-string limit included), or wrong types, keys or numbers (a string that is
+    not a rational, a NaN or infinite number, a rational dividing by zero, a float overflow) in it
+    raise ValueError "malformed PATH: ...".  A value that fails a check of its meaning, such as a
+    state with a NaN entry, raises ValueError "PATH: " and the check's own message."""
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            raw = json.loads(fh.read())
+        except (ValueError, RecursionError) as exc:  # not UTF-8 or JSON, nested too deep, a number too long
+            raise ValueError(f"malformed {path}: {exc}") from None
     try:
-        return parse(json.loads(text))
-    except (json.JSONDecodeError, TypeError, KeyError, AttributeError, ArithmeticError, RationalLiteralError) as exc:
+        return parse(raw)
+    except (TypeError, KeyError, AttributeError, ArithmeticError, RationalLiteralError) as exc:
         raise ValueError(f"malformed {path}: {exc}") from None
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

@@ -153,11 +153,14 @@ class Povm:
 
 def matrix_from_json(rows: list) -> np.ndarray:
     """Complex matrix from row-major [re, im] pairs; TypeError for an entry
-    that is not such a pair and for rows of unequal lengths."""
+    that is not such a pair, a boolean part included, and for rows of unequal
+    lengths."""
     try:
         entries = [[complex(re, im) for re, im in row] for row in rows]
     except ValueError:  # unpacking an entry with other than two parts
         raise TypeError("matrix entries must be [re, im] pairs") from None
+    if any(type(part) is bool for row in rows for pair in row for part in pair):  # complex(True, False) is 1
+        raise TypeError("matrix entries must be [re, im] pairs")
     if len(set(map(len, entries))) > 1:
         raise TypeError("matrix rows must have equal lengths")
     return np.array(entries, dtype=complex)

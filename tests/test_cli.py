@@ -9,6 +9,7 @@ config echo inside each report is path-stable.
 import contextlib
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -808,10 +809,11 @@ def test_unwritable_report_path_fails_cleanly(workdir, capsys):
     assert capsys.readouterr().err.startswith("plab: error:")
 
 
-# (command line, file to write, its JSON content[, the error after "malformed FILE: "]):
+# (command line, file to write, its JSON content or raw bytes[, the error after "malformed FILE: "]):
 # malformed input files whose parse raised TypeError, or read a string where a
 # list belongs element by element, or failed in numpy on rows of unequal
-# lengths, or turned a label that is not a string into a name.
+# lengths, or turned a label that is not a string into a name; and text that is
+# not UTF-8, nests too deep or holds a number past the int-string limit.
 POLYTOPE = ["feasible", "lp", "--task", "task.json", "--polytope", "bad.json"]
 STATES = ["feasible", "sdp", "--task", "task.json", "--states", "states"]
 BAD_FILES = {
@@ -828,6 +830,9 @@ BAD_FILES = {
                                 {"dim": 2, "entries": [[[1, 0, 0], [0, 0]], [[0, 0], [0, 0]]]}),
     "state-entry-one-part": (["feasible", "sdp", "--task", "task.json", "--states", "states"], "states/t0.json",
                              {"dim": 2, "entries": [[[1], [0, 0]], [[0, 0], [0, 0]]]}),
+    "state-entry-bool": (STATES, "states/t0.json",
+                         {"dim": 2, "entries": [[[True, False], [False, False]], [[False, False], [False, False]]]},
+                         "matrix entries must be [re, im] pairs"),
     "polytope-coefficient-bool": (POLYTOPE, "bad.json",
                                   {"variables": ["x"], "constraints": [{"coeffs": [True], "relation": ">=", "rhs": "0"}]}),
     "polytope-coeffs-string": (POLYTOPE, "bad.json",
@@ -888,13 +893,21 @@ BAD_FILES = {
                            "unknown config key 'sed' (known: kind, parameters, seed, out)"),
     "config-kind-missing": (["emx", "--config", "bad.json"], "bad.json", {"parameters": {"dist": "dist.json"}},
                             "missing key 'kind'"),
+    "dist-not-utf-8": (["emx", "--dist", "bad.json"], "bad.json", b'\xff{"labels": ["a"], "weights": ["1"]}'),
+    "dist-nested-too-deep": (["emx", "--dist", "bad.json"], "bad.json", b"[" * 200_000),
+    "config-nested-too-deep": (["emx", "--config", "bad.json"], "bad.json", b"[" * 200_000),
+    "dist-weight-past-the-int-string-limit": (["emx", "--dist", "bad.json"], "bad.json",
+                                              b'{"labels": ["a"], "weights": [1' + b"0" * 4999 + b"]}"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_FILES))
 def test_malformed_input_file_fails_cleanly(workdir, capsys, case):
     argv, name, content, *message = BAD_FILES[case]
-    (workdir / name).write_text(json.dumps(content))
+    if isinstance(content, bytes):
+        (workdir / name).write_bytes(content)
+    else:
+        (workdir / name).write_text(json.dumps(content))
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"plab: error: malformed {name}: ") and err.count("\n") == 1
@@ -1132,6 +1145,59 @@ def test_the_module_entry_point_exits_with_mains_status(workdir):
     bad = subprocess.run([*entry, "--epsilon", "2"], cwd=workdir, env=env, capture_output=True, text=True)
     assert bad.returncode == 1 and bad.stdout == ""
     assert bad.stderr.startswith("plab: error: need epsilon in (0,1)") and bad.stderr.count("\n") == 1
+
+
+linux_rusage = pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB only on Linux")
+
+
+def sdp_peak(*argv: str, stdout=os.devnull) -> int:
+    """Whole-process peak in bytes of ``python -m plab.cli feasible sdp`` on the identity task with
+    ``argv`` and its stdout in the file ``stdout``, read from the run's ``os.wait4``.  Linux counts
+    the memory of the process a child is spawned from in the child's ru_maxrss, so the run is the
+    child of a small interpreter that prints its exit status and ru_maxrss in KiB, not of this one."""
+    peak_of = ("import os, subprocess, sys\n"
+               "with open(sys.argv[1], 'w') as out:\n"
+               "    _, status, usage = os.wait4(subprocess.Popen(sys.argv[2:], stdout=out).pid, 0)\n"
+               "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)")
+    run = [sys.executable, "-m", "plab.cli", "feasible", "sdp", "--task", str(DATA / "task_identity.json"),
+           "--states", str(DATA / "states"), *argv]
+    done = subprocess.run([sys.executable, "-c", peak_of, stdout, *run], capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": str(HERE.parent / "src")})
+    status, kib = map(int, done.stdout.split())
+    assert status == 0, (argv, done.stderr)
+    return kib * 1024
+
+
+@pytest.fixture(scope="module")
+def sdp9_written(tmp_path_factory):
+    """(peak, report path) of the d = 9 run that writes its 42 MB witness report with --out."""
+    path = tmp_path_factory.mktemp("sdp9") / "r.json"
+    return sdp_peak("--copies", "9", "--out", str(path)), path
+
+
+@linux_rusage
+def test_a_d9_witness_report_is_written_within_memory(sdp9_written, tmp_path):
+    """The d = 1 run's peak holds the interpreter, numpy and its BLAS, so what the d = 9 run adds
+    over it is what its report costs.  A writer that holds the text whole needs nearly 4x the
+    report's size; the streaming writer about 0.8x."""
+    peak, path = sdp9_written
+    grown = peak - sdp_peak("--copies", "1", "--out", str(tmp_path / "r.json"))
+    size = path.stat().st_size
+    assert grown < 1.5 * size, (grown, size)
+
+
+@linux_rusage
+def test_a_d9_report_printed_is_the_written_report_in_the_same_memory(sdp9_written, tmp_path):
+    """Printing streams the text as --out does: printing the d = 9 text joined added about 69 MB.
+    The texts are compared line by line, so neither is held whole here."""
+    written_peak, written = sdp9_written
+    printed = tmp_path / "printed.json"
+    peak = sdp_peak("--copies", "9", stdout=str(printed))
+    assert peak < written_peak + 10e6, (peak, written_peak)
+    with open(printed, encoding="utf-8") as a, open(written, encoding="utf-8") as b:
+        differ = [pair for pair in itertools.zip_longest(a, b)
+                  if pair[0] != pair[1] and not all(line and line.startswith('  "wall_clock_s": ') for line in pair)]
+    assert differ == [('    "out": null,\n', f'    "out": {json.dumps(str(written))},\n')]
 
 
 def test_importing_the_cli_leaves_numpy_random_unloaded():

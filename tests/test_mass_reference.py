@@ -373,6 +373,14 @@ def test_substreams_refuse_a_count_past_one_uint32_key():
         next(emx.substreams(0, 2**32 + 1))
 
 
+def test_substreams_check_their_first_batched_row_against_numpy(monkeypatch):
+    """A wrong hash constant fails the first row's check before any generator is yielded."""
+    consts = emx._hash_consts
+    monkeypatch.setattr(emx, "_hash_consts", lambda g, *rest: consts(g + (g == 0x8B51F9DD), *rest))
+    with pytest.raises(AssertionError, match="^batched seed sequence [^a-z]* differs from numpy's"):
+        next(emx.substreams(20177, 3))
+
+
 @pytest.mark.parametrize("seed", [-1, 1.5, "7"])
 def test_substreams_reject_bad_seeds_as_substream_does(seed):
     want = outcome(lambda: substream(seed, 0))
