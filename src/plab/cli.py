@@ -51,7 +51,7 @@ DEFAULT_SEED = 20177
 def _checked(cfg) -> dict:
     """The run config ``cfg`` (parsed JSON) as a fresh dict, ``parameters``, ``seed`` and ``out``
     defaulted to {}, DEFAULT_SEED and null.  TypeError for a non-object, an unknown key or no ``kind``;
-    ValueError naming the key of a mistyped value."""
+    ValueError naming the key of a mistyped value or an empty ``out``."""
     if not isinstance(cfg, dict):
         raise TypeError(f"config must be a JSON object, got {type(cfg).__name__}")
     if unknown := [key for key in cfg if key not in ("kind", "parameters", "seed", "out")]:
@@ -64,6 +64,8 @@ def _checked(cfg) -> dict:
             raise ValueError(f"config key {key!r} must be {want}, got {cfg[key]!r}")
     if cfg["seed"] < 0:  # numpy seeds only non-negative integers
         raise ValueError(f"config key 'seed' must be >= 0, got {cfg['seed']!r}")
+    if cfg["out"] == "":  # no file has the empty path, and null already means print
+        raise ValueError("config key 'out' must be a file path or null, got ''")
     return {**cfg, "parameters": dict(cfg["parameters"])}
 
 
@@ -171,21 +173,6 @@ def _parts(obj, indent: str = "\n"):
         yield indent + "]"
 
 
-@contextlib.contextmanager
-def _atomic(path: str):
-    """The text file ``PATH.tmp``, open for the block and renamed to ``path`` when the block
-    succeeds; the temp file never outlives the block.  Newlines are not translated: csv writes
-    its own, and a report ends its lines in "\\n" on every platform."""
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            yield fh
-        os.replace(tmp, path)
-    finally:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-
-
 def _stream(report: dict, fh) -> None:
     """Write the report's text and a newline to ``fh`` in writes of at least 64 KiB (one write for
     a small report), never holding the text whole: the text of the reference writer in
@@ -201,22 +188,17 @@ def _stream(report: dict, fh) -> None:
 
 
 def write_report(report: dict, path: str) -> None:
-    """Stream the report into ``path`` atomically: a write that fails leaves the old file in place
-    and no temp file."""
-    with _atomic(path) as fh:
-        _stream(report, fh)
-
-
-def emit_table(report: dict, fh) -> None:
-    """One CSV row per flat sweep point to the open file ``fh``, values pinned by ``_leaf``; header
-    keys from the first row."""
-    import csv  # only a --table run needs it
-    if not report.get("sweep"):
-        raise ValueError("report has no sweep to tabulate")
-    rows = [{str(k): _leaf(v) for k, v in row.items()} for row in report["sweep"]]
-    writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-    writer.writeheader()
-    writer.writerows(rows)
+    """Stream the report into ``PATH.tmp`` and rename it to ``path``: a write that fails leaves the
+    old file in place and no temp file.  Newlines are not translated, so a report ends its lines
+    in "\\n" on every platform."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            _stream(report, fh)
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
 
 
 def _load_json(path: str, parse):
@@ -466,7 +448,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON experiment config; flags override its keys")
         p.add_argument("--seed", type=int, help=f"RNG seed (default {DEFAULT_SEED})")
         p.add_argument("--out", help="report path (default: print to stdout)")
-        p.add_argument("--table", help="also write the sweep as CSV to this path")
         for a in spec.params:
             if a.flag:
                 note = "" if a.default is None else f" (default {a.default})"
@@ -493,17 +474,10 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _config_from_args(args)
-        out = cfg["out"]
-        names = [os.path.realpath(q) for p in (out, args.table) if p for q in (p, f"{p}.tmp")]
-        if len(set(names)) < len(names):  # each file is written to PATH.tmp, then renamed into place
-            raise ValueError(f"--out {out} and --table {args.table} collide: they and their .tmp files must differ")
         report = run_config(cfg)
-        with _atomic(args.table) if args.table else contextlib.nullcontext() as table:
-            if table:  # first: a report without a sweep exits 1 having written nothing
-                emit_table(report, table)
-            if out:  # inside the table's block, so the table is renamed into place only once the report is
-                write_report(report, out)
-        if not out:
+        if cfg["out"] is not None:
+            write_report(report, cfg["out"])
+        else:
             _stream(report, sys.stdout)
     except (ValueError, KeyError, OSError, ResourceCapError) as exc:
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc  # str() would quote it

@@ -6,9 +6,8 @@ non-reproducible field).  Input files are staged under relative names so the
 config echo inside each report is path-stable.
 """
 
+import argparse
 import contextlib
-import csv
-import io
 import itertools
 import json
 import math
@@ -34,7 +33,6 @@ from plab import cli, coarse, emx, quantum
 from plab.cli import (
     DEFAULT_SEED,
     _checked,
-    emit_table,
     main,
     run_config,
     validate,
@@ -48,7 +46,7 @@ GOLDEN = HERE / "golden"
 GOLDEN_RUNS = {
     "emx.json": ["emx", "--dist", "dist.json", "--epsilon", "1/3", "--delta", "1/3",
                  "--trials", "400", "--seed", "20177", "--d", "3", "--sweep-d", "1,2,3,4",
-                 "--out", "report.json", "--table", "table.csv"],
+                 "--out", "report.json"],
     "coarse.json": ["coarse", "--bits", "6", "--dist", "points.json", "--trials", "200",
                     "--seed", "5", "--out", "report.json"],
     "compress_demo.json": ["compress", "--mode", "demo", "--domain", "a,b,c,d,e,f,g",
@@ -96,12 +94,6 @@ def test_reports_match_frozen_goldens(workdir, golden_name):
     assert CLOCK_LINE.sub("", got) == CLOCK_LINE.sub("", want)
 
 
-def test_sweep_table_matches_golden(workdir):
-    assert main(GOLDEN_RUNS["emx.json"]) == 0
-    got = (workdir / "table.csv").read_text()
-    assert got == (GOLDEN / "emx_table.csv").read_text()
-
-
 SWEEP_RUNS = {
     "emx": ["emx", "--dist", "dist.json", "--trials", "50", "--sweep-d", "1,2,7"],
     "coarse": ["coarse", "--dist", "points.json", "--trials", "50", "--sweep-bits", "0,3,9"],
@@ -109,16 +101,6 @@ SWEEP_RUNS = {
     "quantum": ["quantum", "discriminate", "--gamma", "0.3468", "--delta", "1e-7",
                 "--sweep-copies", "1,5,7,40"],
 }
-
-
-@pytest.mark.parametrize("name", sorted(SWEEP_RUNS))
-def test_sweep_table_cells_are_the_report_sweep_as_text(workdir, name):
-    assert main([*SWEEP_RUNS[name], "--out", "r.json", "--table", "t.csv"]) == 0
-    sweep = json.loads((workdir / "r.json").read_text())["sweep"]
-    with open(workdir / "t.csv", encoding="utf-8", newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(sweep) >= 2
-    assert rows == [{key: str(value) for key, value in point.items()} for point in sweep]
 
 
 @pytest.mark.parametrize("argv", [
@@ -243,7 +225,7 @@ def test_a_300_point_copy_sweep_is_its_points_one_by_one(workdir):
     copies = list(range(1, 301))
     argv = ["quantum", "discriminate", "--gamma", "0.97", "--delta", "1e-6",
             "--sweep-copies", ",".join(map(str, copies))]
-    assert main([*argv, "--out", "r.json", "--table", "t.csv"]) == 0
+    assert main([*argv, "--out", "r.json"]) == 0
     report = json.loads((workdir / "r.json").read_text())
     assert [pt["copies"] for pt in report["sweep"]] == copies
     for pt in report["sweep"]:
@@ -254,8 +236,6 @@ def test_a_300_point_copy_sweep_is_its_points_one_by_one(workdir):
         assert pt["achieved"] == cli._leaf(discrimination_sum(povm, r0, r1))
         assert pt["delta_min"] == cli._leaf(quantum.delta_min(0.97, pt["copies"]))
         assert pt["d_min"] == quantum.copies_min(0.97, 1e-6)
-    with open(workdir / "t.csv", encoding="utf-8", newline="") as fh:
-        assert len(list(csv.DictReader(fh))) == 300
 
 
 def test_a_near_tie_past_exact_powers_prints_its_count(workdir):
@@ -335,7 +315,8 @@ class TestConfigDict:
         ({"parameters": {}}, TypeError, "missing key 'kind'"),
         ({"kind": "emx", "parameters": None}, ValueError, "config key 'parameters' must be an object, got None"),
         ({"kind": "emx", "out": 3}, ValueError, "config key 'out' must be a string or null, got 3"),
-    ], ids=["not-an-object", "unknown-key", "no-kind", "null-parameters", "out-not-a-string"])
+        ({"kind": "emx", "out": ""}, ValueError, "config key 'out' must be a file path or null, got ''"),
+    ], ids=["not-an-object", "unknown-key", "no-kind", "null-parameters", "out-not-a-string", "empty-out"])
     def test_run_config_refuses_a_bad_shape(self, cfg, error, needle):
         with pytest.raises(error, match=re.escape(needle)):
             run_config(cfg)
@@ -400,37 +381,6 @@ class TestErrorPaths:
         assert main(["emx", "--dist", "nope.json"]) == 1
         assert "error" in capsys.readouterr().err
 
-    def test_table_without_sweep(self, workdir, capsys):
-        # the run exits 1 before it writes or prints the report
-        rc = main(["emx", "--dist", "dist.json", "--trials", "10",
-                   "--out", "r.json", "--table", "t.csv"])
-        assert rc == 1
-        assert "no sweep" in capsys.readouterr().err
-        assert not (workdir / "t.csv").exists()
-        assert not (workdir / "r.json").exists()
-        assert main(["emx", "--dist", "dist.json", "--trials", "10", "--table", "t.csv"]) == 1
-        out, err = capsys.readouterr()
-        assert out == "" and err == "plab: error: report has no sweep to tabulate\n"
-
-    def test_a_failed_report_write_leaves_no_table(self, workdir, capsys):
-        # the table is renamed into place only once the report is written
-        rc = main(["emx", "--dist", "dist.json", "--trials", "10", "--sweep-d", "1,2",
-                   "--out", "nodir/r.json", "--table", "t.csv"])
-        assert rc == 1
-        assert capsys.readouterr().err.startswith("plab: error: [Errno 2] No such file or directory")
-        assert not (workdir / "t.csv").exists()
-        assert not list(workdir.rglob("*.tmp"))
-        # without --out the report is printed only once the table is in place
-        (workdir / "t.csv").mkdir()
-        assert main(["emx", "--dist", "dist.json", "--trials", "10", "--sweep-d", "1,2", "--table", "t.csv"]) == 1
-        out, err = capsys.readouterr()
-        assert out == "" and err.startswith("plab: error: ")
-        assert not list(workdir.rglob("*.tmp"))
-        assert main(["emx", "--dist", "dist.json", "--trials", "10", "--sweep-d", "1,2",
-                     "--out", "r.json", "--table", "s.csv"]) == 0
-        assert (workdir / "r.json").exists() and len((workdir / "s.csv").read_text().splitlines()) == 3
-        assert not list(workdir.rglob("*.tmp"))
-
     def test_bad_compress_mode(self, workdir, capsys):
         assert main(["compress", "--mode", "demo", "--domain", "a,b", "--pair", "a,b,a"]) == 1
         assert "two points" in capsys.readouterr().err
@@ -478,17 +428,6 @@ class TestErrorPaths:
         assert main(argv + ["--copies", "4", "--out", "r.json"]) == 0
         assert main(argv + ["--copies", "11"]) == 1
         assert capsys.readouterr().err == "plab: error: dimension 2^11 exceeds cap 1024\n"
-
-    @pytest.mark.parametrize("out, table", [("same.json", "same.json"), ("r.json.tmp", "r.json"),
-                                            ("./r.json", "r.json.tmp")])
-    def test_out_and_table_that_collide_are_refused(self, workdir, capsys, out, table):
-        # each file is written to PATH.tmp and renamed into place: the four names must be distinct files
-        before = sorted(workdir.rglob("*"))
-        argv = ["emx", "--dist", "dist.json", "--trials", "10", "--sweep-d", "1,2", "--out", out, "--table", table]
-        assert main(argv) == 1
-        assert capsys.readouterr() == ("", f"plab: error: --out {out} and --table {table} collide: "
-                                           "they and their .tmp files must differ\n")
-        assert sorted(workdir.rglob("*")) == before
 
     def test_copies_of_a_state_at_the_trace_tolerance(self, workdir):
         # trace 1 + 9e-13 is within 1e-12; two copies carry the one check
@@ -669,13 +608,6 @@ class TestReportPlumbing:
         assert peak < size, (peak, size)  # one copy of the text is 1x; a whole-text writer holds 3x
         assert (workdir / "r.json").read_text() == "".join(cli._parts(report)) + "\n"
 
-    def test_emit_table_requires_sweep(self):
-        rep = {"config": {}, "metrics": {}, "wall_clock_s": 0.0, "version": "0"}
-        fh = io.StringIO()
-        with pytest.raises(ValueError):
-            emit_table(rep, fh)
-        assert fh.getvalue() == ""
-
     def test_stdout_when_no_out_path(self, workdir, capsys):
         assert main(["quantum", "discriminate", "--gamma", "0.5"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -709,16 +641,14 @@ class TestReportPlumbing:
         assert CLOCK_LINE.sub("", printed) == written.replace('"out": "r.json"', '"out": null', 1)
 
     @pytest.mark.parametrize("argv", [
-        ["emx", "--dist", "dist.json", "--trials", "10", "--table", "t.csv"],
         ["quantum", "discriminate", "--gamma", "0.5", "--out", "nodir/r.json"],
-        ["quantum", "discriminate", "--gamma", "0.5", "--sweep-copies", "1,2", "--out", "nodir/r.json",
-         "--table", "t.csv"],
-    ], ids=["table-without-sweep", "out-in-missing-dir", "out-in-missing-dir-with-table"])
+        ["quantum", "discriminate", "--gamma", "0.5", "--out", ""],
+    ], ids=["out-in-missing-dir", "empty-out"])
     def test_a_failed_run_prints_nothing_and_leaves_no_temp_file(self, workdir, capsys, argv):
         assert main(argv) == 1
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("plab: error: ") and err.count("\n") == 1
-        assert not list(workdir.rglob("*.tmp")) and not (workdir / "t.csv").exists()
+        assert not list(workdir.rglob("*.tmp"))
 
     def test_sdp_report_text_equals_dumps_of_the_json_witness(self, workdir, monkeypatch):
         written = []
@@ -1009,8 +939,15 @@ def help_of(capsys, words: list) -> str:
 @pytest.mark.parametrize("kind", sorted(cli._KINDS), ids=lambda kind: " ".join(cli._KINDS[kind].words))
 def test_leaf_help_lists_every_option_with_its_help(capsys, kind):
     spec = cli._KINDS[kind]
+    parser = cli._build_parser()
+    for word in spec.words:
+        (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        parser = subparsers.choices[word]
+    declared = {"--" + p.name.replace("_", "-") for p in spec.params if p.flag}
+    assert {s for a in parser._actions for s in a.option_strings} == {"-h", "--help", "--config", "--seed", "--out",
+                                                                      *declared}
     text = help_of(capsys, list(spec.words))
-    for flag in ("--config", "--seed", "--out", "--table"):
+    for flag in ("--config", "--seed", "--out"):
         assert flag in text
     for p in spec.params:
         if p.flag:

@@ -1,9 +1,13 @@
-"""Task specifications."""
+"""Task specifications, and the text the value types of every layer print as."""
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from plab.coarse import TableMap
+from plab.emx import IndexedDomain
+from plab.quantum import CorrelationTable, DensityMatrix, Povm
 from plab.tasks import TaskSpec
 
 
@@ -88,3 +92,15 @@ class TestTaskSpec:
         with pytest.raises(TypeError, match=f"^{name} must be a list, not str$"):
             TaskSpec.from_json(obj)
 
+
+@pytest.mark.parametrize("make, text", [
+    (lambda: TableMap([(1, "a"), (2, "b"), (3, "a")]), "TableMap(3 entries)"),
+    (lambda: IndexedDomain("abcde").initial_segment(2), "FiniteHypothesis(segment t=2)"),
+    (lambda: DensityMatrix(np.eye(3) / 3), "DensityMatrix(dim=3)"),
+    (lambda: Povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]), "Povm(2 outcomes, dim=2)"),
+    (lambda: CorrelationTable(np.full((2, 2, 3, 1), 0.25)), "CorrelationTable(shape=(2, 2, 3, 1))"),
+    (lambda: TaskSpec(["t0", "t1"], ["h0", "h1", "h2"], [[1, 0, 0], [0, 1, 0]]),
+     "TaskSpec(2 environments x 3 hypotheses)"),
+], ids=["TableMap", "FiniteHypothesis", "DensityMatrix", "Povm", "CorrelationTable", "TaskSpec"])
+def test_repr_names_the_class_and_its_size(make, text):
+    assert repr(make()) == text
