@@ -69,11 +69,11 @@ def as_fraction(value: Fraction | int | float | str) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 
-def _integer_form(values: Iterable, parse: Callable | None = None) -> tuple[int, tuple[int, ...]]:
+def _integer_form(values: Iterable) -> tuple[int, tuple[int, ...]]:
     """(scale, nums) with nums[i] / scale == values[i] exactly, scale the lcm of the denominators of
     the values' ``as_integer_ratio()`` (a float is the dyadic rational it is): the one integer form of
-    plab's exact data.  Callers parse their values first, or pass ``parse``, applied in this pass."""
-    ratios = [v.as_integer_ratio() for v in values] if parse is None else [parse(v).as_integer_ratio() for v in values]
+    plab's exact data.  Callers parse their values first."""
+    ratios = [v.as_integer_ratio() for v in values]
     scale = math.lcm(*[q for _, q in ratios])
     return scale, tuple([p * (scale // q) for p, q in ratios])
 

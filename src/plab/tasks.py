@@ -9,12 +9,10 @@ Utilities are held in integer form, built once at construction: row i is
 ``iutility[i]``, its utilities times ``scales[i]`` > 0, the lcm of that
 row's denominators (``emx._integer_form``).  The [0,1] check reads 0 <= n <= scale, and
 ``feasibility.epsilon_optimal_sets`` cuts each row at epsilon in integers.
-``utility`` and ``opt`` are exact rational views of that form.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
 from .emx import _integer_form, _json_list, as_fraction
@@ -39,7 +37,7 @@ class TaskSpec:
             raise ValueError("need at least one environment and one hypothesis")
         scales, rows = [], []
         for row in utility:
-            scale, row = _integer_form(row, as_fraction)
+            scale, row = _integer_form([as_fraction(u) for u in row])
             if len(row) != len(self.hyps):
                 raise ValueError("utility row length must match hypothesis count")
             if min(row) < 0 or max(row) > scale:
@@ -49,14 +47,6 @@ class TaskSpec:
         if len(rows) != len(self.thetas):
             raise ValueError("utility row count must match environment count")
         self.scales, self.iutility = tuple(scales), tuple(rows)
-
-    @property
-    def utility(self) -> tuple[tuple[Fraction, ...], ...]:
-        return tuple(tuple(Fraction(n, s) for n in row) for s, row in zip(self.scales, self.iutility))
-
-    def opt(self, i: int) -> Fraction:
-        """Best utility in environment i (max over the finite hypothesis set)."""
-        return Fraction(max(self.iutility[i]), self.scales[i])
 
     @classmethod
     def from_json(cls, obj: dict) -> "TaskSpec":

@@ -1,8 +1,9 @@
 """The reference report writer: a report is ``json.dumps(pin(payload),
 indent=2, sort_keys=True)``.  ``plab.cli._parts`` streams the same text in
 one walk, which ``plab.cli._stream`` writes to stdout or, through
-``plab.cli.write_report``, to a report file; the tests and the CI
-fixed-point check hold both to this."""
+``plab.cli.write_report``, to a report file.  ``TestReportPlumbing``'s
+``test_render_equals_dumps_of_pinned_payload`` and
+``test_sdp_report_text_equals_dumps_of_the_json_witness`` hold both to this."""
 
 import numpy as np
 

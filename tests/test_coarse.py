@@ -17,7 +17,7 @@ from plab.coarse import (
     pushforward,
 )
 from plab.cli import main
-from plab.emx import FinSupportDist, FiniteHypothesis, SegmentLearner, mass, verify_guarantee
+from plab.emx import FinSupportDist, SegmentLearner, mass, verify_guarantee
 from oracles import PulledBackHypothesis, segment_learn
 from random_fixtures import draw_sample
 

@@ -95,8 +95,8 @@ class TestIntegerForm:
         assert len(nums) == len(values) and all(type(n) is int for n in nums)
         assert all(Fraction(n, scale) == Fraction(v) for n, v in zip(nums, values))
 
-    def test_parse_runs_on_each_value(self):
-        assert emx._integer_form(["1/3", "0.5", 2, 0.1], as_fraction) == (30, (10, 15, 60, 3))
+    def test_values_parsed_by_as_fraction(self):
+        assert emx._integer_form(map(as_fraction, ["1/3", "0.5", 2, 0.1])) == (30, (10, 15, 60, 3))
         assert emx._integer_form([]) == (1, ())
 
     def test_the_two_float_rules_stay_apart(self):

@@ -41,7 +41,6 @@ IDENTITY_TASK = TaskSpec(["t0", "t1"], ["h0", "h1"], [[1, 0], [0, 1]])
 KET0 = DensityMatrix.pure([1.0, 0.0])
 KET1 = DensityMatrix.pure([0.0, 1.0])
 PLUS = DensityMatrix.pure([1.0, 1.0])
-DELTA_STAR = (1.0 - math.sqrt(0.5)) / 2.0
 
 
 def dense_row(task, coeffs_by_name, rel, rhs):
@@ -111,7 +110,7 @@ class TestEpsilonOptimalSets:
             rows.append(row)
         thetas, hyps = [f"t{i}" for i in range(len(rows))], [f"h{j}" for j in range(n_h)]
         task = TaskSpec(thetas, hyps, rows)
-        assert task.utility == tuple(map(tuple, rows))
+        assert [[F(n, s) for n in nums] for s, nums in zip(task.scales, task.iutility)] == rows
         assert epsilon_optimal_sets(task, eps) == oracles.epsilon_optimal_sets(thetas, hyps, rows, eps)
 
 

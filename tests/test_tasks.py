@@ -14,21 +14,15 @@ from plab.tasks import TaskSpec
 class TestTaskSpec:
     def test_utilities_parsed_exactly(self):
         task = TaskSpec(["t"], ["h0", "h1"], [["0.9", "1/4"]])
-        assert task.utility[0] == (Fraction(9, 10), Fraction(1, 4))
+        assert task.scales == (20,)
+        assert task.iutility == ((18, 5),)
 
-    def test_opt_values(self):
-        task = TaskSpec(["t0", "t1"], ["a", "b", "c"], [[0, 1, "1/2"], ["1/3", "1/3", "1/4"]])
-        assert task.opt(0) == 1
-        assert task.opt(1) == Fraction(1, 3)
-
-    def test_utility_and_opt_are_the_parsed_rationals(self):
+    def test_integer_form_is_the_parsed_rationals(self):
         rows = [["1/3", "0.25", 0, "999999999999/1000000000000"], [1, "2/6", "0", "1e-3"]]
         task = TaskSpec(["t0", "t1"], ["a", "b", "c", "d"], rows)
-        parsed = tuple(tuple(map(Fraction, row)) for row in rows)
-        assert task.utility == parsed
-        assert all(type(u) is Fraction for row in task.utility for u in row)
-        assert [task.opt(i) for i in range(2)] == [max(row) for row in parsed]
-        assert all(type(task.opt(i)) is Fraction for i in range(2))
+        assert all(type(n) is int for row in task.iutility for n in row)
+        assert [[Fraction(n, s) for n in nums] for s, nums in zip(task.scales, task.iutility)] == \
+            [list(map(Fraction, row)) for row in rows]
 
     def test_integer_form_is_each_row_over_its_lcm_denominator(self):
         task = TaskSpec(["t0", "t1"], ["a", "b", "c"], [["1/3", "1/4", "1"], ["0", "1/2", "1/2"]])
@@ -44,7 +38,7 @@ class TestTaskSpec:
     @pytest.mark.parametrize("ends", [[0, 1], ["0", "1"], ["0.0", "1/1"], [Fraction(0), Fraction(5, 5)]])
     def test_both_ends_of_the_unit_interval_are_utilities(self, ends):
         task = TaskSpec(["t0", "t1"], ["h0", "h1"], [ends, ends[::-1]])
-        assert task.utility == ((0, 1), (1, 0))
+        assert task.iutility == ((0, task.scales[0]), (task.scales[1], 0))
 
     @pytest.mark.parametrize("u", ["1." + "0" * 29 + "1", "-0." + "0" * 29 + "1",
                                    Fraction(10**30 + 1, 10**30), Fraction(-1, 10**30)])
@@ -76,9 +70,9 @@ class TestTaskSpec:
     def test_json_roundtrip(self):
         obj = {"thetas": ["t0", "t1"], "hyps": ["h0", "h1"], "utility": [["1", "1/3"], ["0", "0.5"]]}
         task = TaskSpec.from_json(obj)
-        assert task.utility == ((1, Fraction(1, 3)), (0, Fraction(1, 2)))
+        assert (task.scales, task.iutility) == ((3, 2), ((3, 1), (0, 1)))
         again = {"thetas": list(task.thetas), "hyps": list(task.hyps),
-                 "utility": [[str(u) for u in row] for row in task.utility]}
+                 "utility": [[str(Fraction(n, s)) for n in nums] for s, nums in zip(task.scales, task.iutility)]}
         assert again == {**obj, "utility": [["1", "1/3"], ["0", "1/2"]]}
 
     @pytest.mark.parametrize("key, value, name", [
