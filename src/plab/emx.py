@@ -299,7 +299,7 @@ class FinSupportDist:
         elif abs((total := total / den) - 1.0) > FLOAT_SUM_TOL:  # int / int rounds once, as fsum does
             raise ValueError(f"float weights must sum to 1 within {FLOAT_SUM_TOL}, got {total!r}")
         self._labels = np.fromiter(self.support, dtype=object, count=len(self.support))  # a tuple label stays whole
-        cdf = np.cumsum(np.asarray([float(w) for w in self.weights]))
+        cdf = np.cumsum(np.asarray([n / den for n in nums]))
         cdf[-1] = 1.0  # guard against u >= sum from rounding
         self._cdf = cdf
         buckets = 1 << (16 * len(cdf) - 1).bit_length()

@@ -9,9 +9,8 @@ powers under the cap DIM_CAP, trace distance, the closed-form pure state
 distance 2*sqrt(1-gamma^(2d)), the Helstrom measurement for binary
 discrimination together with the trace distance fixing its success sum
 1 + ||rho0 - rho1||_1 / 2 (one eigendecomposition for both), the same for
-d-copy pure pairs at any d (``pure_pair_helstrom``), reliability bounds
-(delta_min, and d_min exactly: ``copies_min``), bipartite correlation
-tables, and a no-signaling checker.
+d-copy pure pairs at any d (``pure_pair_helstrom``), and reliability
+bounds (delta_min, and d_min exactly: ``copies_min``).
 
 ``tensor_power`` is the one place that builds dense d-copy states
 rho^(x)d and enforces the cap DIM_CAP.  A d-fold power is not checked
@@ -31,7 +30,6 @@ from __future__ import annotations
 
 import math
 import sys
-from collections import namedtuple
 from fractions import Fraction
 from typing import Sequence
 
@@ -44,9 +42,6 @@ TRACE_TOL = 1e-12
 STATE_EIG_TOL = 1e-10
 POVM_TOL = 1e-10
 HELSTROM_BAND = 1e-10  # eigenvalues of rho0 - rho1 at or below it join M_1
-CORR_FLOOR_TOL = 1e-12  # how far below 0 a CorrelationTable entry may lie; it is clamped to 0
-CORR_SUM_TOL = 1e-12  # how far from 1 a CorrelationTable's outcome sum may lie
-NO_SIGNALING_TOL = 1e-10  # the largest marginal deviation check_no_signaling passes
 DIM_CAP = 1 << 10  # largest dimension dim^d that ``tensor_power`` builds
 
 
@@ -294,68 +289,3 @@ def copies_min(gamma: float, delta: float) -> int:
         raise ValueError(f"no copy count reaches delta = {delta!r} at gamma = {gamma!r}")
     g, dlt = Fraction(gamma), Fraction(delta)
     return sample_complexity(1 - g * g, 4 * dlt * (1 - dlt))
-
-
-class CorrelationTable:
-    """Bipartite conditional probabilities p[a][b][x][y] over finite
-    alphabets; nonnegative within CORR_FLOOR_TOL (then clamped to 0) and
-    normalized per setting pair within CORR_SUM_TOL."""
-
-    __slots__ = ("p",)
-
-    def __init__(self, p):
-        arr = np.array(p, dtype=float)
-        if arr.ndim != 4:
-            raise ValueError("table must have axes (a, b, x, y)")
-        if not np.isfinite(arr).all():  # NaN passes every comparison below
-            raise ValueError("table has a non-finite entry")
-        if arr.min() < -CORR_FLOOR_TOL:
-            raise ValueError(f"negative probability {float(arr.min())!r}")  # not numpy 2's np.float64(...)
-        sums = arr.sum(axis=(0, 1))
-        if np.max(np.abs(sums - 1.0)) > CORR_SUM_TOL:
-            raise ValueError(f"outcome sums must be 1 within {CORR_SUM_TOL:g} for every setting pair")
-        arr = np.clip(arr, 0.0, None)
-        arr.setflags(write=False)
-        self.p = arr
-
-    def __repr__(self) -> str:
-        return f"CorrelationTable(shape={self.p.shape})"
-
-
-def quantum_correlation(
-    rho_ab: DensityMatrix, alice_povms: Sequence[Povm], bob_povms: Sequence[Povm]
-) -> CorrelationTable:
-    """Born-rule table p(a,b|x,y) = tr[(M^x_a (x) N^y_b) rho_AB].
-
-    All Alice settings must share an outcome count, likewise Bob; the product
-    of local dimensions must match the joint state.
-    """
-    n_a = {len(p.elements) for p in alice_povms}
-    n_b = {len(p.elements) for p in bob_povms}
-    if len(n_a) != 1 or len(n_b) != 1:
-        raise ValueError("outcome counts must agree across settings")
-    da = {p.dim for p in alice_povms}
-    db = {p.dim for p in bob_povms}
-    if len(da) != 1 or len(db) != 1:
-        raise ValueError("local dimensions must agree across settings")
-    da, db = da.pop(), db.pop()
-    if da * db != rho_ab.dim:
-        raise ValueError(f"local dims {da}x{db} do not compose to {rho_ab.dim}")
-    A, B = (np.array([p.elements for p in povms]) for povms in (alice_povms, bob_povms))
-    rho = rho_ab.mat.reshape(da, db, da, db)
-    return CorrelationTable(np.einsum("xaij,ybkl,jlik->abxy", A, B, rho).real)
-
-
-NoSignalingVerdict = namedtuple("NoSignalingVerdict", "passed max_violation")
-
-
-def check_no_signaling(t: CorrelationTable) -> NoSignalingVerdict:
-    """Marginals must ignore the far party's setting: sum_a p(a,b|x,y) equal
-    across x for each (b,y), and sum_b p(a,b|x,y) across y for each (a,x).
-    Passes when the worst deviation found, which it reports, is <= NO_SIGNALING_TOL."""
-    marg_b = t.p.sum(axis=0)  # (B, X, Y); must not depend on x
-    dev_b = float((marg_b.max(axis=1) - marg_b.min(axis=1)).max())
-    marg_a = t.p.sum(axis=1)  # (A, X, Y); must not depend on y
-    dev_a = float((marg_a.max(axis=2) - marg_a.min(axis=2)).max())
-    worst = max(dev_a, dev_b)
-    return NoSignalingVerdict(passed=worst <= NO_SIGNALING_TOL, max_violation=worst)

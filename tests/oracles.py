@@ -2,14 +2,19 @@
 subcommand runs: a segment learner called on labels, a scheme built from any
 proper learner, the d-copy pure pair one (gamma, d) at a time, the success
 sum of a two-outcome POVM, the epsilon-optimal sets of a task from their
-rational definition, and the generator of one (seed, *path) substream."""
+rational definition, the generator of one (seed, *path) substream, the
+Born-rule table of a bipartite state under per-setting POVMs
+(``born_table``) and the largest marginal signaling of such a table
+(``signaling``).  The last two move back into ``plab`` together with their
+first caller, the quantum lower witness of a game (the ROADMAP's
+games-through-the-exact-LP item)."""
 
 from __future__ import annotations
 
 import itertools
 import math
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -98,3 +103,21 @@ def epsilon_optimal_sets(thetas, hyps, utility, epsilon: Fraction) -> dict[str, 
     """G_theta(eps) = {h : U(theta,h) >= max_h' U(theta,h') - eps} in Fractions,
     the definition ``feasibility.epsilon_optimal_sets`` cuts in integers."""
     return {t: tuple(h for h, u in zip(hyps, row) if u >= max(row) - epsilon) for t, row in zip(thetas, utility)}
+
+
+def born_table(rho: DensityMatrix, alice: Sequence[Povm], bob: Sequence[Povm]) -> np.ndarray:
+    """p[a, b, x, y] = tr[(M^x_a (x) N^y_b) rho] for Alice's POVMs M^x and
+    Bob's N^y; each party's settings share one outcome count and one local
+    dimension, and the two local dimensions compose to rho's."""
+    A, B = (np.array([povm.elements for povm in povms]) for povms in (alice, bob))
+    da, db = A.shape[-1], B.shape[-1]
+    return np.einsum("xaij,ybkl,jlik->abxy", A, B, rho.mat.reshape(da, db, da, db)).real
+
+
+def signaling(p: np.ndarray) -> float:
+    """Largest change of a party's marginal with the far party's setting in a
+    table p[a, b, x, y]: of sum_a p(a,b|x,y) across x for each (b, y), and of
+    sum_b p(a,b|x,y) across y for each (a, x).  0 on a no-signaling table."""
+    marg_b = p.sum(axis=0)  # (B, X, Y); must not depend on x
+    marg_a = p.sum(axis=1)  # (A, X, Y); must not depend on y
+    return float(max(np.ptp(marg_b, axis=1).max(), np.ptp(marg_a, axis=2).max()))

@@ -44,17 +44,22 @@ from plab.feasibility import (
 from plab.quantum import (
     DensityMatrix,
     Povm,
-    check_no_signaling,
     copies_min,
     delta_min,
     helstrom,
     pure_distance_formula,
-    quantum_correlation,
     tensor_power,
     trace_distance,
 )
 from plab.tasks import TaskSpec
-from oracles import PulledBackHypothesis, discrimination_sum, learner_to_compression, segment_learn
+from oracles import (
+    PulledBackHypothesis,
+    born_table,
+    discrimination_sum,
+    learner_to_compression,
+    segment_learn,
+    signaling,
+)
 from random_fixtures import draw_sample, random_density_matrix, random_povm, random_pure_state
 
 F = Fraction
@@ -308,40 +313,18 @@ def test_lp_decider_verdicts_and_monotonicity():
     print(f"PASS lp decider: 0/100 monotonicity violations in {elapsed:.2f}s")
 
 
-def test_no_signaling_verification_on_quantum_and_planted_tables():
-    """500 random quantum correlation tables pass at 1e-10; the planted
-    signaling table is caught with violation >= 0.5."""
-    rng = np.random.default_rng(19)
-    for _ in range(500):
-        rho = random_density_matrix(4, rng)
-        alice = [random_povm(2, 2, rng) for _ in range(2)]
-        bob = [random_povm(2, 2, rng) for _ in range(2)]
-        verdict = check_no_signaling(quantum_correlation(rho, alice, bob))
-        assert verdict.passed, verdict.max_violation
-
-    planted = np.zeros((2, 2, 2, 2))
-    for y in range(2):
-        for x in range(2):
-            planted[y, 0, x, y] = 1.0
-    from plab.quantum import CorrelationTable
-
-    verdict = check_no_signaling(CorrelationTable(planted))
-    assert not verdict.passed
-    assert verdict.max_violation >= 0.5
-    print(f"PASS no-signaling: 500 quantum tables clean, planted violation "
-          f"{verdict.max_violation:.2f}")
-
-
 def chsh_wins(a: int, b: int, x: int, y: int) -> bool:
     """The CHSH game, settings uniform: the parties win iff a XOR b = x AND y."""
     return a ^ b == x & y
 
 
 def test_chsh_hierarchy_local_quantum_no_signaling():
-    """CHSH separates three access models, each decided with code in plab:
-    local strategies reach 3/4 exactly (an LP over the 16 deterministic
-    strategies), no-signaling boxes reach 1 exactly (the PR box), and
-    Tsirelson's quantum strategy reaches cos^2(pi/8) strictly in between."""
+    """CHSH separates three access models: local strategies reach 3/4
+    exactly and no-signaling boxes reach 1 exactly (the PR box), both
+    decided by plab's exact LP (over the 16 deterministic strategies, and
+    over ``no_signaling_polytope``), and Tsirelson's quantum strategy, its
+    table from the ``born_table`` reference, reaches cos^2(pi/8) strictly
+    in between."""
     settings4 = list(itertools.product(range(2), repeat=2))
     # local: a = f(x), b = g(y), one kernel coordinate per strategy (f, g)
     strategies = list(itertools.product(itertools.product(range(2), repeat=2), repeat=2))
@@ -369,10 +352,10 @@ def test_chsh_hierarchy_local_quantum_no_signaling():
         return Povm([(np.eye(2) + o) / 2, (np.eye(2) - o) / 2])
 
     phi = DensityMatrix.pure(np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0))
-    table = quantum_correlation(phi, [observable(z), observable(xm)],
-                                [observable((z + xm) / math.sqrt(2.0)), observable((z - xm) / math.sqrt(2.0))])
-    assert check_no_signaling(table).passed
-    value = sum(table.p[a, b, x, y] for a, b, x, y in cells if chsh_wins(a, b, x, y)) / 4
+    table = born_table(phi, [observable(z), observable(xm)],
+                       [observable((z + xm) / math.sqrt(2.0)), observable((z - xm) / math.sqrt(2.0))])
+    assert signaling(table) <= 1e-10
+    value = sum(table[a, b, x, y] for a, b, x, y in cells if chsh_wins(a, b, x, y)) / 4
     assert value == pytest.approx(math.cos(math.pi / 8) ** 2, abs=1e-12)
     assert 3 / 4 < value < 1
     print(f"PASS CHSH: local 3/4, quantum {value:.5f}, no-signaling 1 ({result.pivots} pivots)")

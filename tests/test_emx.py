@@ -95,6 +95,16 @@ class TestIntegerForm:
         assert len(nums) == len(values) and all(type(n) is int for n in nums)
         assert all(Fraction(n, scale) == Fraction(v) for n, v in zip(nums, values))
 
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(values=st.lists(st.one_of(
+        st.floats(0.0, 1.0), st.sampled_from([5e-324, 2.2250738585072014e-308, 1 - 2**-53]),
+        st.fractions(0, 1, max_denominator=10**30)), min_size=1, max_size=12))
+    def test_quotients_over_the_scale_are_the_values_as_floats(self, values):
+        """``FinSupportDist`` builds its CDF from nums[i] / scale: int / int rounds the same rational once,
+        as ``float`` of a Fraction does, and gives a float weight, subnormal or not, back exactly."""
+        scale, nums = emx._integer_form(values)
+        assert [n / scale for n in nums] == [float(v) for v in values]
+
     def test_values_parsed_by_as_fraction(self):
         assert emx._integer_form(map(as_fraction, ["1/3", "0.5", 2, 0.1])) == (30, (10, 15, 60, 3))
         assert emx._integer_form([]) == (1, ())

@@ -292,7 +292,7 @@ def segment_case(draw):
         if draw(st.integers(0, 3)) == 0:  # points the map rejects, with different errors
             for bad in draw(st.lists(st.sampled_from([-0.25, 1.5, None]), min_size=1, max_size=2, unique=True)):
                 xs.insert(draw(st.integers(0, len(xs))), bad)
-        pi = UniformBinsMap(draw(st.sampled_from([0, 1, 3, 8, 20])))
+        pi = UniformBinsMap(draw(st.sampled_from([0, 1, 3, 8, 20, 64, 65, 1074])))  # ranks past 2^63 too
         n = 1 << pi.bits
         dom = pi.domain if n > 8 or draw(st.booleans()) else IndexedDomain(draw(st.permutations(range(n))))
         return FinSupportDist(xs, draw(weights(len(xs)))), dom, pi

@@ -20,23 +20,20 @@ from hypothesis import strategies as st
 from plab import quantum
 from plab.feasibility import sdp_feasible
 from plab.quantum import (
-    CorrelationTable,
     DensityMatrix,
     Povm,
     ResourceCapError,
-    check_no_signaling,
     copies_min,
     delta_min,
     helstrom,
     matrix_from_json,
     pure_distance_formula,
     pure_pair_helstrom,
-    quantum_correlation,
     tensor_power,
     trace_distance,
 )
 from plab.tasks import TaskSpec
-from oracles import discrimination_sum, pure_pair
+from oracles import born_table, discrimination_sum, pure_pair, signaling
 from random_fixtures import random_density_matrix, random_povm, random_pure_state
 from reference_writer import matrix_to_json
 
@@ -639,50 +636,26 @@ def bell_state() -> DensityMatrix:
     return DensityMatrix.pure(v)
 
 
-class TestCorrelationTable:
-    def test_rejects_negative_and_unnormalized(self):
-        bad = np.full((2, 2, 1, 1), 0.25)
-        bad[0, 0, 0, 0] = -0.25
-        bad[1, 1, 0, 0] = 0.75
-        with pytest.raises(ValueError):
-            CorrelationTable(bad)
-        with pytest.raises(ValueError):
-            CorrelationTable(np.full((2, 2, 1, 1), 0.3))
-
-    def test_rejects_non_finite_entry(self):
-        bad = np.full((2, 2, 1, 1), 0.25)
-        bad[0, 0, 0, 0] = math.nan
-        with pytest.raises(ValueError, match="non-finite"):
-            CorrelationTable(bad)
-
-    def test_needs_four_axes(self):
-        with pytest.raises(ValueError):
-            CorrelationTable(np.full((2, 2, 2), 0.25))
-
-
 class TestQuantumCorrelation:
     def test_bell_state_computational_agreement(self):
         z = measurement_at(0.0)
-        t = quantum_correlation(bell_state(), [z], [z])
+        p = born_table(bell_state(), [z], [z])
         # perfectly correlated: p(a,b) = 1/2 iff a == b
-        assert t.p[0, 0, 0, 0] == pytest.approx(0.5, abs=1e-12)
-        assert t.p[1, 1, 0, 0] == pytest.approx(0.5, abs=1e-12)
-        assert t.p[0, 1, 0, 0] == pytest.approx(0.0, abs=1e-12)
+        assert p[0, 0, 0, 0] == pytest.approx(0.5, abs=1e-12)
+        assert p[1, 1, 0, 0] == pytest.approx(0.5, abs=1e-12)
+        assert p[0, 1, 0, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_product_state_factorizes(self):
         rho = DensityMatrix(np.kron(PLUS.mat, KET0.mat))
-        t = quantum_correlation(rho, [measurement_at(0.3)], [measurement_at(1.1)])
-        pa = t.p.sum(axis=1)[:, 0, 0]
-        pb = t.p.sum(axis=0)[:, 0, 0]
-        assert np.allclose(t.p[:, :, 0, 0], np.outer(pa, pb), atol=1e-12)
+        p = born_table(rho, [measurement_at(0.3)], [measurement_at(1.1)])
+        pa = p.sum(axis=1)[:, 0, 0]
+        pb = p.sum(axis=0)[:, 0, 0]
+        assert np.allclose(p[:, :, 0, 0], np.outer(pa, pb), atol=1e-12)
 
     def test_tsirelson_settings_pass_no_signaling(self):
         alice = [measurement_at(0.0), measurement_at(math.pi / 2.0)]
         bob = [measurement_at(math.pi / 4.0), measurement_at(-math.pi / 4.0)]
-        t = quantum_correlation(bell_state(), alice, bob)
-        verdict = check_no_signaling(t)
-        assert verdict.passed
-        assert verdict.max_violation < 1e-12
+        assert signaling(born_table(bell_state(), alice, bob)) < 1e-12
 
     def test_table_is_the_per_entry_born_rule(self):
         rng = np.random.default_rng(12)
@@ -690,24 +663,11 @@ class TestQuantumCorrelation:
             rho = random_density_matrix(da * db, rng)
             alice = [random_povm(da, na, rng) for _ in range(2)]
             bob = [random_povm(db, nb, rng) for _ in range(3)]
-            t = quantum_correlation(rho, alice, bob)
-            assert t.p.shape == (na, nb, 2, 3)
-            for a, b, x, y in np.ndindex(t.p.shape):
+            p = born_table(rho, alice, bob)
+            assert p.shape == (na, nb, 2, 3)
+            for a, b, x, y in np.ndindex(p.shape):
                 want = np.trace(np.kron(alice[x].elements[a], bob[y].elements[b]) @ rho.mat).real
-                assert abs(t.p[a, b, x, y] - want) <= 1e-13
-
-    def test_dimension_composition_checked(self):
-        with pytest.raises(ValueError):
-            quantum_correlation(bell_state(), [measurement_at(0.0)], [Povm([np.eye(3)])])
-
-    def test_alice_settings_must_share_an_outcome_count(self):
-        with pytest.raises(ValueError, match="outcome counts must agree"):
-            quantum_correlation(bell_state(), [measurement_at(0.0), Povm([np.eye(2)])], [measurement_at(0.0)])
-
-    def test_alice_settings_must_share_a_local_dimension(self):
-        qutrit = Povm([np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 1.0])])
-        with pytest.raises(ValueError, match="local dimensions must agree"):
-            quantum_correlation(bell_state(), [measurement_at(0.0), qutrit], [measurement_at(0.0)])
+                assert abs(p[a, b, x, y] - want) <= 1e-13
 
 
 class TestNoSignaling:
@@ -716,8 +676,7 @@ class TestNoSignaling:
         for a, b, x, y in np.ndindex(2, 2, 2, 2):
             if (a + b) % 2 == (x * y) % 2:
                 p[a, b, x, y] = 0.5
-        verdict = check_no_signaling(CorrelationTable(p))
-        assert verdict.passed and verdict.max_violation == 0.0
+        assert signaling(p) == 0.0
 
     def test_planted_signaling_table_fails(self):
         # Alice's outcome copies Bob's setting: p(a,b|x,y) = [a==y][b==0]
@@ -725,9 +684,7 @@ class TestNoSignaling:
         for y in range(2):
             for x in range(2):
                 p[y, 0, x, y] = 1.0
-        verdict = check_no_signaling(CorrelationTable(p))
-        assert not verdict.passed
-        assert verdict.max_violation == pytest.approx(1.0)
+        assert signaling(p) == pytest.approx(1.0)
 
     def test_random_quantum_tables_pass(self):
         rng = np.random.default_rng(9)
@@ -735,30 +692,18 @@ class TestNoSignaling:
             rho = random_density_matrix(4, rng)
             alice = [random_povm(2, 2, rng) for _ in range(2)]
             bob = [random_povm(2, 2, rng) for _ in range(2)]
-            t = quantum_correlation(rho, alice, bob)
-            assert check_no_signaling(t).passed
-
-
-def signaling_table(eps: float) -> np.ndarray:
-    """The uniform (2, 2, 2, 2) table with eps of Alice's a = 1 mass moved to
-    a = 0 at settings (0, 0): her marginal then depends on Bob's y by eps."""
-    p = np.full((2, 2, 2, 2), 0.25)
-    p[0, 0, 0, 0] += eps
-    p[1, 0, 0, 0] -= eps
-    return p
+            assert signaling(born_table(rho, alice, bob)) <= 1e-10
 
 
 class TestTolerancesFromBothSides:
-    """HERM_TOL, STATE_EIG_TOL, TRACE_TOL, POVM_TOL, the Helstrom band, the
-    CorrelationTable floor and sum, and the no-signaling pass line, each
-    with an input 5x outside its tolerance, refused (a tolerance loosened
-    10x would pass it), and a legitimate input at least 2x inside it,
-    accepted (a tolerance tightened 10x would refuse it)."""
+    """HERM_TOL, STATE_EIG_TOL, TRACE_TOL, POVM_TOL and the Helstrom band,
+    each with an input 5x outside its tolerance, refused (a tolerance
+    loosened 10x would pass it), and a legitimate input at least 2x inside
+    it, accepted (a tolerance tightened 10x would refuse it)."""
 
     def test_constants(self):
-        assert (quantum.HERM_TOL, quantum.STATE_EIG_TOL, quantum.TRACE_TOL, quantum.POVM_TOL, quantum.HELSTROM_BAND,
-                quantum.CORR_FLOOR_TOL, quantum.CORR_SUM_TOL, quantum.NO_SIGNALING_TOL) == \
-            (1e-12, 1e-10, 1e-12, 1e-10, 1e-10, 1e-12, 1e-12, 1e-10)
+        assert (quantum.HERM_TOL, quantum.STATE_EIG_TOL, quantum.TRACE_TOL, quantum.POVM_TOL, quantum.HELSTROM_BAND) == \
+            (1e-12, 1e-10, 1e-12, 1e-10, 1e-10)
 
     def test_a_state_5e_12_from_hermitian_is_refused(self):
         m = np.array([[0.5, 0.25 + 5e-12], [0.25, 0.5]], dtype=complex)
@@ -820,18 +765,6 @@ class TestTolerancesFromBothSides:
             else:
                 DensityMatrix([[1, 1e308], [1e308, 0]])
 
-    def test_a_probability_of_minus_5e_12_is_refused(self):
-        p = np.full((2, 2, 1, 1), 0.25)
-        p[0, 0, 0, 0], p[1, 1, 0, 0] = -5e-12, 0.5 + 5e-12
-        with pytest.raises(ValueError, match=r"^negative probability -5e-12$"):
-            CorrelationTable(p)
-
-    def test_a_probability_of_minus_5e_13_is_clamped_to_zero(self):
-        # a Born-rule zero, rounded below 0
-        p = np.full((2, 2, 1, 1), 0.25)
-        p[0, 0, 0, 0], p[1, 1, 0, 0] = -5e-13, 0.5 + 5e-13
-        assert CorrelationTable(p).p[0, 0, 0, 0] == 0.0
-
     def test_a_difference_of_5e_10_is_measured(self):
         # rho0 - rho1 = diag(5e-10, -5e-10): M_0 projects onto |0>
         m, distance = helstrom(DensityMatrix(np.diag([0.5 + 5e-10, 0.5 - 5e-10])), DensityMatrix(np.eye(2) / 2))
@@ -843,26 +776,6 @@ class TestTolerancesFromBothSides:
         m, _ = helstrom(DensityMatrix(np.diag([0.5 + 5e-11, 0.5 - 5e-11])), DensityMatrix(np.eye(2) / 2))
         assert not m.elements[0].any() and np.array_equal(m.elements[1], np.eye(2, dtype=complex))
 
-    def test_an_outcome_sum_5e_12_from_1_is_refused(self):
-        p = np.full((2, 2, 1, 1), 0.25)
-        p[0, 0, 0, 0] += 5e-12
-        with pytest.raises(ValueError, match=r"^outcome sums must be 1 within 1e-12 for every setting pair$"):
-            CorrelationTable(p)
-
-    def test_born_probabilities_typed_to_12_digits_sum_to_1(self):
-        # cos^2(pi/16)/2 and sin^2(pi/16)/2, each to 12 significant digits: the outcome sum is 4e-13 from 1
-        c, s = 0.480969883128, 0.0190301168722
-        table = CorrelationTable(np.array([[c, s], [s, c]]).reshape(2, 2, 1, 1))
-        assert table.p.sum() - 1.0 == pytest.approx(4e-13, rel=1e-2)
-
-    def test_signaling_of_5e_10_fails(self):
-        verdict = check_no_signaling(CorrelationTable(signaling_table(5e-10)))
-        assert not verdict.passed and verdict.max_violation == pytest.approx(5e-10, rel=1e-5)
-
-    def test_signaling_of_5e_11_passes(self):
-        verdict = check_no_signaling(CorrelationTable(signaling_table(5e-11)))
-        assert verdict.passed and verdict.max_violation == pytest.approx(5e-11, rel=1e-4)
-
     @pytest.mark.parametrize("build, message", [
         (lambda: DensityMatrix(np.array([[0.5, 0.1], [0.3, 0.5]])), "state is not Hermitian within 1e-12"),
         (lambda: Povm([np.array([[0.5, 0.1], [0.3, 0.5]]), np.eye(2) / 2]),
@@ -872,10 +785,7 @@ class TestTolerancesFromBothSides:
         (lambda: Povm([np.diag([1.0, 0.0]), np.diag([0.0, 0.5])]),
          "POVM elements do not sum to the identity within 1e-10"),
         (lambda: DensityMatrix(np.eye(2)), "state trace is not 1 within 1e-12"),
-        (lambda: CorrelationTable(np.full((2, 2, 1, 1), 0.3)),
-         "outcome sums must be 1 within 1e-12 for every setting pair"),
-    ], ids=["state-hermitian", "povm-hermitian", "state-eigenvalue", "povm-eigenvalue", "povm-sum", "trace",
-            "table-sum"])
+    ], ids=["state-hermitian", "povm-hermitian", "state-eigenvalue", "povm-eigenvalue", "povm-sum", "trace"])
     def test_tolerance_messages_are_spelled_from_their_constants(self, build, message):
         with pytest.raises(ValueError) as refused:
             build()

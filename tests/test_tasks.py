@@ -7,7 +7,7 @@ import pytest
 
 from plab.coarse import TableMap
 from plab.emx import IndexedDomain
-from plab.quantum import CorrelationTable, DensityMatrix, Povm
+from plab.quantum import DensityMatrix, Povm
 from plab.tasks import TaskSpec
 
 
@@ -92,9 +92,8 @@ class TestTaskSpec:
     (lambda: IndexedDomain("abcde").initial_segment(2), "FiniteHypothesis(segment t=2)"),
     (lambda: DensityMatrix(np.eye(3) / 3), "DensityMatrix(dim=3)"),
     (lambda: Povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]), "Povm(2 outcomes, dim=2)"),
-    (lambda: CorrelationTable(np.full((2, 2, 3, 1), 0.25)), "CorrelationTable(shape=(2, 2, 3, 1))"),
     (lambda: TaskSpec(["t0", "t1"], ["h0", "h1", "h2"], [[1, 0, 0], [0, 1, 0]]),
      "TaskSpec(2 environments x 3 hypotheses)"),
-], ids=["TableMap", "FiniteHypothesis", "DensityMatrix", "Povm", "CorrelationTable", "TaskSpec"])
+], ids=["TableMap", "FiniteHypothesis", "DensityMatrix", "Povm", "TaskSpec"])
 def test_repr_names_the_class_and_its_size(make, text):
     assert repr(make()) == text
